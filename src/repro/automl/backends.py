@@ -61,6 +61,7 @@ or record order.
 """
 
 import atexit
+import gc
 import os
 import pickle
 import queue
@@ -324,7 +325,7 @@ _WORKER_TASK_CACHE_SIZE = 8
 
 
 def _configure_worker_cache(cache_size):
-    """Process-pool initializer: size (and reset) the worker-resident cache.
+    """Size (and reset) the worker-resident cache of this process.
 
     Also arms the env-configured fault-injection plan (a no-op outside the
     chaos suite) — the initializer runs in every worker the pool ever
@@ -335,6 +336,18 @@ def _configure_worker_cache(cache_size):
     _WORKER_TASK_CACHE_SIZE = int(cache_size)
     _WORKER_TASK_CACHE.clear()
     faultinject.install_from_env()
+
+
+def _start_worker(cache_size):
+    """Process-pool initializer: first thing a new worker process runs.
+
+    The heap a forked worker inherits is frozen out of its garbage
+    collector: otherwise the worker's first full collection walks every
+    object of the coordinator it was forked from, and copies every page
+    they live on, in the middle of whichever fold triggers it.
+    """
+    gc.freeze()
+    _configure_worker_cache(cache_size)
 
 
 class TaskPayload:
@@ -1315,7 +1328,7 @@ class ProcessBackend(_PoolBackend):
     def _make_executor(self):
         initializer, initargs = None, ()
         if self.task_cache_size:
-            initializer = _configure_worker_cache
+            initializer = _start_worker
             initargs = (self.task_cache_size,)
         if self.supervised:
             from repro.automl.supervisor import (

@@ -122,6 +122,9 @@ def task_is_shareable(task):
 
 
 _TRACKER_LOCK = threading.Lock()
+#: The tracker's real ``register`` while :func:`_open_shm` has it swapped
+#: out, else ``None``; what a forked child needs to undo a swap in flight.
+_SWAPPED_REGISTER = None
 
 
 def _open_shm(*args, **kwargs):
@@ -133,17 +136,42 @@ def _open_shm(*args, **kwargs):
     free of register/unregister races between sibling workers attaching
     the same segment (see module docs).
     """
+    global _SWAPPED_REGISTER
     try:
         from multiprocessing import resource_tracker
     except Exception:  # pragma: no cover - tracker always importable on CPython
         return _shared_memory.SharedMemory(*args, **kwargs)
     with _TRACKER_LOCK:
-        original = resource_tracker.register
+        _SWAPPED_REGISTER = resource_tracker.register
         resource_tracker.register = lambda *a, **k: None
         try:
             return _shared_memory.SharedMemory(*args, **kwargs)
         finally:
-            resource_tracker.register = original
+            resource_tracker.register = _SWAPPED_REGISTER
+            _SWAPPED_REGISTER = None
+
+
+def _reset_tracker_guard_after_fork():
+    """Give a forked child an unlocked guard and the tracker's real ``register``.
+
+    ``fork`` copies only the forking thread.  A pool worker forked while
+    another thread (a fleet tenant publishing its task) is inside
+    :func:`_open_shm` inherits ``_TRACKER_LOCK`` held by a thread that does
+    not exist in the child, and ``resource_tracker.register`` still swapped
+    for the no-op: its first attach would wait on the lock for ever and its
+    fold never complete.
+    """
+    global _TRACKER_LOCK, _SWAPPED_REGISTER
+    _TRACKER_LOCK = threading.Lock()
+    if _SWAPPED_REGISTER is not None:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.register = _SWAPPED_REGISTER
+        _SWAPPED_REGISTER = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
+    os.register_at_fork(after_in_child=_reset_tracker_guard_after_fork)
 
 
 def _unlink_silently(segment):

@@ -106,6 +106,18 @@ class TransformerMixin:
         return self.fit(X, y).transform(X)
 
 
+def check_seed(seed):
+    """Raise the ``ValueError`` ``check_random_state(seed)`` would, seeding nothing.
+
+    For callers that may never draw and so defer building the generator.
+    """
+    if isinstance(seed, (int, np.integer)):
+        if not 0 <= seed < 2 ** 32:
+            raise ValueError("Seed must be between 0 and 2**32 - 1")
+    else:
+        check_random_state(seed)
+
+
 def check_random_state(seed):
     """Turn ``seed`` into a ``numpy.random.RandomState`` instance.
 

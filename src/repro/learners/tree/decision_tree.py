@@ -1,17 +1,67 @@
 """CART decision trees for classification and regression.
 
-Split search is vectorized: per node and per feature, candidate thresholds
-are evaluated from cumulative sufficient statistics of the sorted samples,
-so growing a tree costs O(n_features * n log n) per node.  Subclasses
+Split search is one vectorized pass per node over *all* of its candidate
+features: the node's columns are sorted with a single stable ``argsort``,
+the per-sample sufficient statistics are gathered in that order and summed
+with a single ``cumsum``, the candidate ``(feature, position)`` pairs are
+laid out as flat arrays in feature then position order, the impurity hook
+is called once for all left sides and once for all right sides, and one
+``argmax`` picks the winner.  Growing a tree still costs
+O(n_features * n log n) per node, but in a constant number of NumPy calls
+instead of a dozen per feature.
+
+* **Rank table.**  With ``max_thresholds`` set, a feature with more
+  distinct split positions than that evaluates only the
+  ``linspace(0, n_distinct - 1, max_thresholds)`` picks among them;
+  ``_threshold_ranks`` caches those ranks per ``(n_distinct,
+  max_thresholds)``.  ``_select_ranks`` is the hook that chooses ranks (the
+  extra-trees variant draws one per feature instead).
+* **Block budget.**  The gathered statistics are an
+  ``(n_features, n_samples, n_stats)`` temporary, so candidate features are
+  processed in blocks of at most ``_BLOCK_ELEMENTS`` gathered values; peak
+  temporary memory is O(budget) however wide the data.  Block boundaries
+  never change the result.
+* **Bit-identity contract.**  The kernel reproduces, to the last bit, the
+  per-feature loop it replaced (frozen as the oracle in
+  ``tests/learners/test_tree_kernel_identity.py``): every sum runs over the
+  same elements in the same order, ties go to the first candidate feature
+  and then the first position, a feature whose gains contain NaN is skipped
+  whole, and the RNG is consumed draw for draw.  Search record digests
+  depend on it.
+
+Fitted trees keep the linked ``_Node`` structure in ``tree_`` and carry the
+same tree as flat ``feature/threshold/left/right/value`` arrays, which
+prediction walks for all rows at once, one level per step.  Subclasses
 define the sufficient statistics and the impurity/leaf-value functions,
 which lets the same machinery drive Gini trees, variance trees and the
 Newton trees used by gradient boosting.
 """
 
+import functools
+
 import numpy as np
 
-from repro.learners.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_random_state
+from repro.learners.base import (
+    BaseEstimator,
+    ClassifierMixin,
+    RegressorMixin,
+    check_random_state,
+    check_seed,
+)
 from repro.learners.validation import check_X_y, check_array
+
+#: Most float64 values one split-search block may gather (the statistics in
+#: sorted order, and again for their running sums): 2 MiB apiece.  A constant, not a
+#: parameter: it bounds memory and cannot change a result.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+@functools.lru_cache(maxsize=1024)
+def _threshold_ranks(n_distinct, max_thresholds):
+    """Ranks, among ``n_distinct > max_thresholds`` sorted split positions, to evaluate."""
+    ranks = np.unique(np.linspace(0, n_distinct - 1, max_thresholds).astype(int))
+    ranks.setflags(write=False)
+    return ranks
 
 
 class _Node:
@@ -31,6 +81,36 @@ class _Node:
     @property
     def is_leaf(self):
         return self.feature is None
+
+
+def _flatten(root):
+    """``(feature, threshold, left, right, value)`` arrays of the tree under ``root``.
+
+    Nodes are numbered breadth first from the root (0); a leaf has
+    ``feature == -1``.
+    """
+    nodes = [root]
+    feature, threshold, left, right = [], [], [], []
+    for node in nodes:  # grows while it is walked
+        if node.is_leaf:
+            feature.append(-1)
+            threshold.append(np.nan)
+            left.append(-1)
+            right.append(-1)
+        else:
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            left.append(len(nodes))
+            nodes.append(node.left)
+            right.append(len(nodes))
+            nodes.append(node.right)
+    return (
+        np.asarray(feature, dtype=np.intp),
+        np.asarray(threshold, dtype=float),
+        np.asarray(left, dtype=np.intp),
+        np.asarray(right, dtype=np.intp),
+        np.asarray([node.value for node in nodes]),
+    )
 
 
 class _BaseDecisionTree(BaseEstimator):
@@ -72,12 +152,25 @@ class _BaseDecisionTree(BaseEstimator):
             raise ValueError("min_samples_split must be at least 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
-        self._rng = check_random_state(self.random_state)
+        check_seed(self.random_state)
+        self._rng = None
         self.n_features_in_ = X.shape[1]
         self.tree_ = self._build(X, stats, depth=0)
-        self.n_nodes_ = self._count_nodes(self.tree_)
+        self._flat_tree = _flatten(self.tree_)
+        self.n_nodes_ = len(self._flat_tree[0])
         del self._rng
         return self
+
+    def _random(self):
+        """This fit's ``RandomState``, seeded on the first draw.
+
+        Seeding MT19937 costs more than growing a small tree, and a tree
+        that considers every feature with deterministic thresholds (every
+        boosting stage) never draws.
+        """
+        if self._rng is None:
+            self._rng = check_random_state(self.random_state)
+        return self._rng
 
     def _resolve_max_features(self, n_features):
         max_features = self.max_features
@@ -91,23 +184,20 @@ class _BaseDecisionTree(BaseEstimator):
             return max(1, int(max_features * n_features))
         return max(1, min(int(max_features), n_features))
 
-    def _node_summary(self, stats):
-        sums = stats.sum(axis=0, keepdims=True)
-        count = np.asarray([len(stats)], dtype=float)
-        impurity = float(self._impurity_from_stats(sums, count)[0])
-        value = self._leaf_value_from_stats(sums[0], float(len(stats)))
-        return value, impurity
-
     def _build(self, X, stats, depth):
-        value, impurity = self._node_summary(stats)
-        node = _Node(value, len(stats), impurity)
+        n_samples = len(stats)
+        totals = stats.sum(axis=0, keepdims=True)
+        count = np.asarray([n_samples], dtype=float)
+        impurity = float(self._impurity_from_stats(totals, count)[0])
+        value = self._leaf_value_from_stats(totals[0], float(n_samples))
+        node = _Node(value, n_samples, impurity)
         if (
-            len(stats) < self.min_samples_split
+            n_samples < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
             return node
 
-        best = self._best_split(X, stats)
+        best = self._best_split(X, stats, totals, impurity)
         if best is None:
             return node
 
@@ -119,77 +209,101 @@ class _BaseDecisionTree(BaseEstimator):
         node.right = self._build(X[~left_mask], stats[~left_mask], depth + 1)
         return node
 
-    def _select_positions(self, distinct_positions, sorted_values):
-        """Choose which candidate split positions to evaluate for one feature."""
-        if self.max_thresholds and len(distinct_positions) > self.max_thresholds:
-            picks = np.linspace(0, len(distinct_positions) - 1, self.max_thresholds).astype(int)
-            return distinct_positions[np.unique(picks)]
-        return distinct_positions
+    def _select_ranks(self, n_distinct):
+        """Choose which distinct split positions of a feature block to evaluate.
 
-    def _best_split(self, X, stats):
+        ``n_distinct[f]`` counts the distinct positions of the block's
+        ``f``-th feature; laid end to end in feature order they form one
+        flat candidate list.  Returns the ascending indices into that list
+        to keep, or ``None`` for all of them.
+        """
+        limit = self.max_thresholds
+        if not limit or n_distinct.max() <= limit:
+            return None
+        ranks = [
+            _threshold_ranks(count, limit) if count > limit else np.arange(count)
+            for count in n_distinct.tolist()
+        ]
+        starts = np.cumsum(n_distinct) - n_distinct
+        return np.concatenate(ranks) + np.repeat(starts, [len(picked) for picked in ranks])
+
+    def _best_split(self, X, stats, totals, impurity):
+        """Best ``(feature, threshold)`` of one node, or ``None``.
+
+        ``totals`` and ``impurity`` are the node's own summed statistics
+        and impurity, which ``_build`` has already computed.
+        """
         n_samples, n_features = X.shape
-        totals = stats.sum(axis=0, keepdims=True)
-        parent_impurity = float(self._impurity_from_stats(totals, np.asarray([float(n_samples)]))[0])
-
         n_candidates = self._resolve_max_features(n_features)
         if n_candidates < n_features:
-            features = self._rng.choice(n_features, size=n_candidates, replace=False)
+            features = self._random().choice(n_features, size=n_candidates, replace=False)
         else:
             features = np.arange(n_features)
 
+        n_stats = stats.shape[1]
+        block_size = max(1, _BLOCK_ELEMENTS // (n_samples * n_stats))
         best_gain = 1e-12
         best = None
-        for feature in features:
-            values = X[:, feature]
-            order = np.argsort(values, kind="mergesort")
-            sorted_values = values[order]
-            if sorted_values[0] == sorted_values[-1]:
-                continue
-            cumulative = np.cumsum(stats[order], axis=0)
-            # split after position i puts samples [0..i] on the left
-            distinct = np.flatnonzero(sorted_values[:-1] < sorted_values[1:])
-            positions = self._select_positions(distinct, sorted_values)
-            if len(positions) == 0:
+        for start in range(0, n_candidates, block_size):
+            block = features[start:start + block_size]
+            # one row per feature; everything below indexes this grid flat
+            columns = np.ascontiguousarray(X.T[block])
+            order = columns.argsort(axis=1, kind="stable")
+            sorted_values = columns.take(order + np.arange(0, columns.size, n_samples)[:, None])
+            # a split after sorted position i puts samples [0..i] on the left
+            distinct = sorted_values[:, :-1] < sorted_values[:, 1:]
+            chosen = distinct.ravel().nonzero()[0]
+            ranks = self._select_ranks(distinct.sum(axis=1))
+            if ranks is not None:
+                chosen = chosen.take(ranks)
+            slots, positions = np.divmod(chosen, n_samples - 1)
+            if self.min_samples_leaf > 1:
+                valid = (positions + 1 >= self.min_samples_leaf) & (
+                    n_samples - positions - 1 >= self.min_samples_leaf
+                )
+                slots, positions = slots[valid], positions[valid]
+            if len(slots) == 0:
                 continue
             n_left = (positions + 1).astype(float)
             n_right = n_samples - n_left
-            valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-            if not valid.any():
-                continue
-            left_sums = cumulative[positions]
+            cumulative = stats.take(order, axis=0).cumsum(axis=1)
+            left_sums = cumulative.reshape(-1, n_stats).take(slots * n_samples + positions, axis=0)
             right_sums = totals - left_sums
             impurity_left = self._impurity_from_stats(left_sums, n_left)
             impurity_right = self._impurity_from_stats(right_sums, n_right)
-            child_impurity = (n_left * impurity_left + n_right * impurity_right) / n_samples
-            gains = np.where(valid, parent_impurity - child_impurity, -np.inf)
-            index = int(np.argmax(gains))
+            gains = impurity - (n_left * impurity_left + n_right * impurity_right) / n_samples
+            index = gains.argmax()
+            if np.isnan(gains[index]):
+                # a feature with any NaN gain never wins; the others still compete
+                gains[np.isin(slots, slots[np.isnan(gains)])] = -np.inf
+                index = gains.argmax()
+            # argmax takes the first maximum and the candidates are in feature
+            # then position order, so ties go to the first feature's first
+            # position; the strict > keeps that true across blocks
             if gains[index] > best_gain:
                 best_gain = float(gains[index])
-                position = positions[index]
-                threshold = 0.5 * (sorted_values[position] + sorted_values[position + 1])
-                best = (int(feature), float(threshold))
+                slot, position = slots[index], positions[index]
+                below, above = sorted_values[slot, position:position + 2]
+                best = (int(block[slot]), float(0.5 * (below + above)))
         return best
-
-    def _count_nodes(self, node):
-        if node is None:
-            return 0
-        if node.is_leaf:
-            return 1
-        return 1 + self._count_nodes(node.left) + self._count_nodes(node.right)
 
     # -- prediction ---------------------------------------------------------
 
-    def _predict_value(self, x):
-        node = self.tree_
-        while not node.is_leaf:
-            if x[node.feature] <= node.threshold:
-                node = node.left
-            else:
-                node = node.right
-        return node.value
-
     def _predict_values(self, X):
-        return [self._predict_value(x) for x in X]
+        """Leaf value of every row of ``X``, walking all rows one level at a time."""
+        try:
+            flat = self._flat_tree
+        except AttributeError:  # fitted and pickled before trees carried flat arrays
+            flat = self._flat_tree = _flatten(self.tree_)
+        feature, threshold, left, right, value = flat
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.flatnonzero(feature[node] >= 0)
+        while len(rows):
+            at = node[rows]
+            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+            node[rows] = at
+            rows = rows[feature[at] >= 0]
+        return value[node]
 
     def get_depth(self):
         """Return the depth of the fitted tree."""
@@ -224,7 +338,7 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     def predict(self, X):
         self._check_fitted("tree_")
         X = check_array(X)
-        return np.asarray(self._predict_values(X))
+        return self._predict_values(X)
 
 
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
@@ -254,7 +368,7 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     def predict_proba(self, X):
         self._check_fitted("tree_")
         X = check_array(X)
-        return np.asarray(self._predict_values(X))
+        return self._predict_values(X)
 
     def predict(self, X):
         probabilities = self.predict_proba(X)

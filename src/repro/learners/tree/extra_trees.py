@@ -16,11 +16,18 @@ from repro.learners.tree.random_forest import RandomForestClassifier, RandomFore
 class _RandomSplitMixin:
     """Overrides CART's exhaustive threshold search with one random cut per feature."""
 
-    def _select_positions(self, distinct_positions, sorted_values):
-        if len(distinct_positions) == 0:
-            return distinct_positions
-        pick = int(self._rng.randint(0, len(distinct_positions)))
-        return distinct_positions[pick:pick + 1]
+    def _select_ranks(self, n_distinct):
+        rng = self._random()
+        starts = np.cumsum(n_distinct) - n_distinct
+        # one draw per non-constant feature, in feature order
+        return np.asarray(
+            [
+                start + int(rng.randint(0, count))
+                for start, count in zip(starts.tolist(), n_distinct.tolist())
+                if count
+            ],
+            dtype=np.intp,
+        )
 
 
 class _ExtraTreeRegressor(_RandomSplitMixin, DecisionTreeRegressor):

@@ -42,7 +42,7 @@ class _NewtonTree(_BaseDecisionTree):
         return float(-sums[0] / (sums[1] + self.reg_lambda))
 
     def predict_values(self, X):
-        return np.asarray(self._predict_values(np.asarray(X, dtype=float)))
+        return self._predict_values(np.asarray(X, dtype=float))
 
 
 class _BaseGradientBoosting(BaseEstimator):

@@ -5,6 +5,7 @@ identical ordered record stream regardless of the backend evaluating the
 pipelines, because results are reported back in proposal order.
 """
 
+import gc
 import threading
 
 import pytest
@@ -193,6 +194,16 @@ class TestBackendInterface:
         completed = list(backend.as_completed())
         assert completed == [future]
         assert "RuntimeError" in future.result().error
+
+    @pytest.mark.parametrize("options", [{}, {"fold_timeout": 30}], ids=["plain", "supervised"])
+    def test_pool_workers_freeze_the_heap_they_inherit(self, options):
+        # a forked worker must not walk (and copy) the coordinator's heap
+        # in its first full garbage collection
+        executor = ProcessBackend(workers=1, **options)._make_executor()
+        try:
+            assert executor.submit(gc.get_freeze_count).result(timeout=30) > 0
+        finally:
+            executor.shutdown()
 
     def test_drain_discards_stale_futures(self):
         # an aborted search can leave uncollected futures behind on a

@@ -1,11 +1,13 @@
 """Tests for the zero-copy shared-memory data plane (repro.automl.shm)."""
 
 import glob
+import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -193,6 +195,60 @@ class TestSearchLifecycle:
         serial = self._records("serial")
         assert self._records("process", data_plane="shm") == serial
         assert self._records("process", data_plane="pickle") == serial
+
+
+class TestForkWhileOpening:
+    def test_child_forked_inside_open_shm_can_still_attach(self, monkeypatch):
+        """ROADMAP item 0: a pool worker forked while a tenant thread publishes.
+
+        The child inherits ``_TRACKER_LOCK`` held by a thread it does not
+        have and the tracker's ``register`` swapped for the no-op; without
+        the after-fork hook its first attach waits on the lock for ever.
+        """
+        from multiprocessing import resource_tracker
+
+        segment = shm.publish_task(make_task())
+        real_open = shm._shared_memory.SharedMemory
+        real_register = resource_tracker.register
+        inside, leave = threading.Event(), threading.Event()
+
+        def stalled_open(*args, **kwargs):
+            inside.set()
+            leave.wait(30)
+            raise OSError("never opened")
+
+        def tenant():
+            with pytest.raises(OSError):
+                shm._open_shm(create=True, size=1)
+
+        def worker(handle):
+            shm._shared_memory.SharedMemory = real_open
+            rebuilt = shm.attach_task(handle)
+            same = resource_tracker.register is real_register
+            os._exit(0 if same and rebuilt.context["X"].shape[0] == 80 else 1)
+
+        monkeypatch.setattr(shm._shared_memory, "SharedMemory", stalled_open)
+        thread = threading.Thread(target=tenant)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            assert shm._TRACKER_LOCK.locked()
+            child = multiprocessing.get_context("fork").Process(
+                target=worker, args=(segment.handle,))
+            child.start()
+            child.join(10)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join(10)
+            assert not hung, "forked child deadlocked on the inherited tracker lock"
+            assert child.exitcode == 0
+        finally:
+            leave.set()
+            thread.join(10)
+            segment.release()
+        assert not thread.is_alive()
+        assert resource_tracker.register is real_register
 
 
 class TestCrashCleanup:

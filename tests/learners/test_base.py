@@ -7,6 +7,7 @@ from repro.learners.base import (
     BaseEstimator,
     NotFittedError,
     check_random_state,
+    check_seed,
     clone,
 )
 from repro.learners.linear import Ridge
@@ -85,6 +86,18 @@ class TestCheckRandomState:
     def test_invalid_seed_raises(self):
         with pytest.raises(ValueError):
             check_random_state("not a seed")
+
+    @pytest.mark.parametrize(
+        "seed", [None, 0, 7, 2 ** 32 - 1, np.int64(3), np.random.RandomState(1),
+                 -1, 2 ** 32, "not a seed", 1.5])
+    def test_check_seed_rejects_exactly_what_seeding_would(self, seed):
+        try:
+            check_random_state(seed)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=str(error).split(" ")[0]):
+                check_seed(seed)
+        else:
+            assert check_seed(seed) is None
 
 
 class TestMixinScores:

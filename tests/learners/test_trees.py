@@ -1,8 +1,11 @@
 """Tests for decision trees, forests, extra trees and gradient boosting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.learners.ensemble import AdaBoostClassifier
 from repro.learners.metrics import accuracy_score, r2_score
 from repro.learners.tree import (
     DecisionTreeClassifier,
@@ -220,3 +223,52 @@ class TestGradientBoosting:
     def test_single_class_raises(self):
         with pytest.raises(ValueError):
             GradientBoostingClassifier().fit(np.ones((5, 2)), np.zeros(5))
+
+
+def _single_trees(model):
+    """Every fitted CART tree inside ``model``."""
+    if hasattr(model, "tree_"):
+        return [model]
+    if hasattr(model, "stages_"):
+        return [tree for stage in model.stages_ for tree in stage]
+    return list(model.estimators_)
+
+
+class TestPickling:
+    ESTIMATORS = [
+        (DecisionTreeClassifier(max_depth=4, random_state=0), "multiclass"),
+        (DecisionTreeRegressor(max_depth=4, random_state=0), "regression"),
+        (RandomForestClassifier(n_estimators=4, random_state=0), "multiclass"),
+        (RandomForestRegressor(n_estimators=4, random_state=0), "regression"),
+        (ExtraTreesClassifier(n_estimators=4, random_state=0), "multiclass"),
+        (ExtraTreesRegressor(n_estimators=4, random_state=0), "regression"),
+        (AdaBoostClassifier(n_estimators=4, max_depth=2, random_state=0), "multiclass"),
+        (GradientBoostingClassifier(n_estimators=4, random_state=0), "multiclass"),
+        (GradientBoostingRegressor(n_estimators=4, random_state=0), "regression"),
+    ]
+
+    @pytest.fixture(params=ESTIMATORS, ids=lambda pair: type(pair[0]).__name__)
+    def fitted(self, request, multiclass_data, regression_data):
+        model, kind = request.param
+        X, y = multiclass_data if kind == "multiclass" else regression_data
+        return model.fit(X, y), X
+
+    def test_round_trip_predicts_the_same(self, fitted):
+        model, X = fitted
+        restored = pickle.loads(pickle.dumps(model))
+        assert np.array_equal(restored.predict(X), model.predict(X))
+        if hasattr(model, "predict_proba"):
+            assert np.array_equal(restored.predict_proba(X), model.predict_proba(X))
+
+    def test_pickle_from_before_flat_arrays_still_predicts(self, fitted):
+        """A disk prefix-cache entry or saved pipeline written before trees
+        carried flat arrays has only ``tree_``; the arrays are built on the
+        first predict."""
+        model, X = fitted
+        expected = model.predict(X)
+        for tree in _single_trees(model):
+            del tree._flat_tree
+        restored = pickle.loads(pickle.dumps(model))
+        assert not any(hasattr(tree, "_flat_tree") for tree in _single_trees(restored))
+        assert np.array_equal(restored.predict(X), expected)
+        assert all(hasattr(tree, "_flat_tree") for tree in _single_trees(restored))

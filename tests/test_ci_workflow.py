@@ -47,7 +47,7 @@ def test_workflow_parses_and_triggers(workflow):
 
 def test_lint_tests_and_smoke_runs_are_distinct_jobs(workflow):
     jobs = workflow["jobs"]
-    assert set(jobs) == {"lint", "tests", "bench-smoke", "crash-resume",
+    assert set(jobs) == {"lint", "tests", "bench-smoke", "crash-resume", "e2e-check",
                          "prefix-cache", "data-plane", "multi-tenant",
                          "telemetry", "chaos", "bench-gate"}
     assert any("ruff check" in step.get("run", "") for step in jobs["lint"]["steps"])
@@ -193,6 +193,13 @@ def test_crash_resume_smoke_runs_the_kill_and_resume_gate(workflow):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts",
                           "crash_resume_smoke.py")
     assert os.path.exists(script)
+
+
+def test_e2e_check_runs_the_cross_workload_output_checks(workflow):
+    """One record digest per task on serial / process / fleet is CI-enforced."""
+    assert any("bench_e2e/run.py --check" in run for run in _runs(workflow, "e2e-check"))
+    root = os.path.join(os.path.dirname(__file__), "..")
+    assert os.path.exists(os.path.join(root, "bench_e2e", "run.py"))
 
 
 def test_tier1_matrix_covers_supported_interpreters(workflow):
