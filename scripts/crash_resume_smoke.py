@@ -11,7 +11,10 @@ Drives the full crash story end to end, with a real ``SIGKILL``:
 3. resume the killed run with the library's resume path and assert that
    the final record stream is identical to the baseline and that the
    durable store holds every record exactly once — no duplicates, no
-   losses.
+   losses;
+4. after the kill and again after the resume, assert that
+   ``checkpoint.json`` stays within ``CHECKPOINT_MAX_BYTES`` — the snapshot
+   is a constant-size witness and must not grow with the budget again.
 
 Usage::
 
@@ -34,6 +37,7 @@ BUDGET = 6
 KILL_AFTER = 3
 SEED = 0
 N_SPLITS = 2
+CHECKPOINT_MAX_BYTES = 2048
 
 
 def _make_task():
@@ -64,6 +68,15 @@ def _stream(records):
         ]
         for record in records
     ]
+
+
+def _assert_checkpoint_is_small(run_dir, when):
+    size = os.path.getsize(os.path.join(run_dir, "checkpoint.json"))
+    assert size <= CHECKPOINT_MAX_BYTES, (
+        "checkpoint.json is {} bytes {} (limit {}): the snapshot must stay a "
+        "constant-size witness".format(size, when, CHECKPOINT_MAX_BYTES)
+    )
+    print("   checkpoint.json {}: {} bytes".format(when, size))
 
 
 def _child(run_dir, kill_after):
@@ -108,6 +121,7 @@ def _parent():
             durable = sorted(document["iteration"] for document in partial)
         assert durable == list(range(KILL_AFTER)), durable
         print("   durable records at kill time: {}".format(durable))
+        _assert_checkpoint_is_small(killed_dir, "after the kill")
 
         print("== 3/3 resume and compare")
         resumed = resume_run(killed_dir)
@@ -122,6 +136,7 @@ def _parent():
         )
         print("   resumed stream identical to baseline "
               "({} records, no duplicates, no losses)".format(len(iterations)))
+        _assert_checkpoint_is_small(killed_dir, "after the resume")
     print("crash/resume smoke: OK")
 
 

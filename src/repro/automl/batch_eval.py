@@ -40,7 +40,6 @@ import time
 from collections import OrderedDict
 
 from repro.core.context import Context
-from repro.core.pipeline import _chain_fingerprint
 from repro.automl.prefix_cache import task_content_digest
 from repro.telemetry.events import capture_event
 
@@ -166,34 +165,14 @@ def _evaluate_subgroup(pipelines, indices, boundary, train_task, val_task,
                        prefix_cache, data_key, results):
     """Fused pass over candidates sharing one prefix configuration."""
     lead = pipelines[indices[0]]
-    caching = prefix_cache is not None
-    hits = misses = bytes_written = 0
 
     # 1. fit/produce the shared prefix once on the training fold, through
     # the prefix cache exactly like MLPipeline.fit would
     train_context = Context(train_task.pipeline_data())
-    fingerprint = data_key
     try:
-        for step in lead.steps[:boundary]:
-            if caching:
-                fingerprint = _chain_fingerprint(fingerprint, step)
-                artifacts = prefix_cache.get(fingerprint)
-                if artifacts is not None:
-                    hits += 1
-                    step.restore_fitted(artifacts["instance"])
-                    outputs = artifacts["outputs"]
-                    if outputs is not None:
-                        train_context.record(step.name, outputs)
-                    continue
-            step.fit(train_context)
-            outputs = step.produce(train_context, skip_if_missing=False)
-            if caching:
-                misses += 1
-                bytes_written += prefix_cache.put(
-                    fingerprint, {"instance": step._instance, "outputs": outputs}
-                )
-            if outputs is not None:
-                train_context.record(step.name, outputs)
+        cache_info = lead._fit_steps(
+            train_context, stop=boundary, prefix_cache=prefix_cache, data_key=data_key
+        )
     except Exception as failure:  # noqa: BLE001 - a prefix failure fails every member
         for index in indices:
             results[index] = _error_payload(failure)
@@ -267,9 +246,10 @@ def _evaluate_subgroup(pipelines, indices, boundary, train_task, val_task,
         except Exception as failure:  # noqa: BLE001 - failed candidates are data
             results[index] = _error_payload(failure)
 
-    if caching:
+    if prefix_cache is not None:
         counters = {
-            "cache_hits": hits, "cache_misses": misses, "cache_bytes": bytes_written,
+            "cache_hits": cache_info["hits"], "cache_misses": cache_info["misses"],
+            "cache_bytes": cache_info["bytes_written"],
         }
         for index in indices:
             payload = results[index]
@@ -282,33 +262,18 @@ def _finish_candidate(pipeline, boundary, train_context, val_context, val_task,
                       prefitted=None, val_prediction=None, has_val_prediction=False):
     """Per-candidate tail of the fused pass: estimator onward, then scoring.
 
-    Mirrors the step sequence of ``MLPipeline.fit`` + ``predict`` from the
-    prefix boundary on, over copy-on-write overlays of the shared
-    contexts; a batch-fitted instance replaces the individual ``fit``
-    call, and a batch-computed prediction replaces the individual
+    Runs ``MLPipeline``'s own fit-time step loop from the prefix boundary
+    on, then mirrors ``predict``, over copy-on-write overlays of the
+    shared contexts; a batch-fitted instance replaces the individual
+    ``fit`` call, and a batch-computed prediction replaces the individual
     validation ``produce``.
     """
-    steps = pipeline.steps
-    last = len(steps) - 1
-
     context = train_context.copy()
-    for position in range(boundary, len(steps)):
-        step = steps[position]
-        if position == boundary and prefitted is not None:
-            step.restore_fitted(prefitted)
-            if position == last:
-                # a batch-fitted final estimator's training-side produce
-                # feeds no later step and cannot change the score
-                break
-        else:
-            step.fit(context)
-        outputs = step.produce(context, skip_if_missing=False)
-        if outputs is not None:
-            context.record(step.name, outputs)
+    pipeline._fit_steps(context, start=boundary, prefitted=prefitted)
 
     val_overlay = val_context.copy()
-    for position in range(boundary, len(steps)):
-        step = steps[position]
+    for position in range(boundary, len(pipeline.steps)):
+        step = pipeline.steps[position]
         if position == boundary and has_val_prediction:
             outputs = step._map_outputs(val_prediction)
         else:

@@ -19,14 +19,16 @@ in the recorded outcomes instead of re-evaluating, which provably
 reconstructs the exact state the uninterrupted run would have had and
 therefore emits the identical remaining record stream.
 
-The periodic ``checkpoint.json`` snapshot captures the resumable state
-the paper-style coordinator would track — budget spent, per-template
-selector/tuner trial history, the reorder-buffer cursor and every RNG
-state — and doubles as an independent *integrity witness*: on resume,
-when the replay crosses the snapshot's report boundary, the regenerated
-stream digest and RNG states are compared against the snapshot and any
+The periodic ``checkpoint.json`` snapshot is therefore not a state dump
+but an independent *integrity witness* of constant size: budget spent,
+elapsed wall-clock, the rolling record-stream digest and — per template —
+trial counts plus a digest of the score history and of every RNG state.
+On resume, when the replay crosses the snapshot's report boundary, the
+regenerated digests and counts are compared against the snapshot and any
 disagreement aborts the resume with :class:`CheckpointError` instead of
-silently continuing a diverged search.
+silently continuing a diverged search.  A format-1 snapshot (full score
+lists and RNG words, written before the digests) still resumes: the
+fields both formats share are verified and the rest skipped.
 """
 
 import hashlib
@@ -58,18 +60,21 @@ WARM_DIRNAME = "warm"
 RUN_LOCK_NAME = "run.lock"
 
 MANIFEST_FORMAT = 1
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+
+#: Per-template snapshot fields whose encoding format 1 and 2 share.
+_FORMAT_1_TEMPLATE_FIELDS = ("n_trials", "n_failed", "n_pending")
 
 
 class CheckpointError(RuntimeError):
     """A run directory is unusable: missing, already initialized, or diverged."""
 
 
-def _atomic_write_json(path, payload):
+def _atomic_write_json(path, payload, indent=None):
     """Write JSON durably: temp file + fsync + atomic rename."""
     temporary = path + ".tmp"
     with open(temporary, "w") as stream:
-        json.dump(payload, stream, indent=2)
+        json.dump(payload, stream, indent=indent)
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(temporary, path)
@@ -80,11 +85,12 @@ def _load_json(path):
         return json.load(stream)
 
 
-def serialize_rng_state(rng):
-    """JSON-serializable form of a ``numpy.random.RandomState`` state."""
-    state = rng.get_state()
-    return [state[0], np.asarray(state[1]).tolist(), int(state[2]),
-            int(state[3]), float(state[4])]
+def rng_state_digest(rng):
+    """``[generator name, sha256]`` witness of a ``numpy.random.RandomState`` state."""
+    name, words, position, has_gauss, cached_gaussian = rng.get_state()
+    hasher = hashlib.sha256(np.ascontiguousarray(words).tobytes())
+    hasher.update(repr((int(position), int(has_gauss), float(cached_gaussian))).encode("ascii"))
+    return [name, hasher.hexdigest()]
 
 
 def record_stream_digest(documents, hasher=None):
@@ -149,6 +155,7 @@ class CheckpointManager:
         self._replay_count = int(replay_count)
         self._digest = hashlib.sha256()
         self._hashed = 0
+        self._score_digests = {}  # template name -> [rolling sha256, scores hashed]
 
     def after_report(self, state):
         records = state["records"]
@@ -176,23 +183,24 @@ class CheckpointManager:
         templates = {}
         for name, tuner in tuners.items():
             if tuner is None:
+                scores = state["template_scores"].get(name, [])
                 templates[name] = {
-                    "n_trials": len(state["template_scores"].get(name, [])),
-                    "scores": list(state["template_scores"].get(name, [])),
+                    "n_trials": len(scores),
+                    "scores": self._scores_digest(name, scores),
                     "n_failed": selector.failure_count(name),
                     "n_pending": selector.pending_count(name),
                 }
             else:
                 templates[name] = {
                     "n_trials": len(tuner.trials),
-                    "scores": list(tuner.scores),
+                    "scores": self._scores_digest(name, tuner.scores),
                     "n_failed": len(tuner.failed_trials),
                     "n_pending": len(tuner.pending),
                 }
         rng = {
-            "selector": serialize_rng_state(selector._rng),
+            "selector": rng_state_digest(selector._rng),
             "tuners": {
-                name: serialize_rng_state(tuner._rng)
+                name: rng_state_digest(tuner._rng)
                 for name, tuner in tuners.items() if tuner is not None
             },
         }
@@ -209,6 +217,14 @@ class CheckpointManager:
             "rng": rng,
             "templates": templates,
         })
+
+    def _scores_digest(self, name, scores):
+        """Rolling SHA-256 over a template's (append-only) score history."""
+        entry = self._score_digests.setdefault(name, [hashlib.sha256(), 0])
+        for score in scores[entry[1]:]:
+            entry[0].update(repr(float(score)).encode("ascii") + b"\n")
+        entry[1] = len(scores)
+        return entry[0].hexdigest()
 
     def write(self, state):
         """Atomically replace ``checkpoint.json`` with the current snapshot."""
@@ -229,14 +245,18 @@ class CheckpointManager:
         # budget-bounded runs; a wall-clock budget legitimately shifts them
         if state.get("max_seconds") is None and not problems:
             current = self._capture(state)
+            # a format-1 snapshot spells scores and RNG states out in full;
+            # only the fields it encodes like this format are comparable
+            format_1 = snapshot.get("format") == 1
             if current["proposed"] != snapshot.get("proposed"):
                 problems.append("proposed {} != checkpointed {}".format(
                     current["proposed"], snapshot.get("proposed")))
-            if current["rng"] != snapshot.get("rng"):
+            if not format_1 and current["rng"] != snapshot.get("rng"):
                 problems.append("regenerated RNG states differ from the checkpoint")
             for name, entry in snapshot.get("templates", {}).items():
-                regenerated = current["templates"].get(name)
-                if regenerated != entry:
+                regenerated = current["templates"].get(name, {})
+                fields = _FORMAT_1_TEMPLATE_FIELDS if format_1 else tuple(entry)
+                if any(regenerated.get(field) != entry[field] for field in fields):
                     problems.append(
                         "template {!r} trial history differs from the checkpoint".format(name)
                     )
@@ -347,7 +367,7 @@ class ExperimentRun:
             # stochastic primitive is pinned to the run seed
             "estimator_seed": int(random_state),
         }
-        _atomic_write_json(manifest_path, manifest)
+        _atomic_write_json(manifest_path, manifest, indent=2)
         return cls(run_dir, manifest)
 
     @classmethod

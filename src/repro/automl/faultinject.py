@@ -39,6 +39,7 @@ import contextlib
 import json
 import os
 import random
+import shutil
 import signal
 import tempfile
 import time
@@ -74,8 +75,10 @@ class FaultPlan:
         which the fault fires) and optional ``seconds`` (sleep length
         for ``fold_hang``/``slow_fold``).
     plan_dir:
-        Directory holding the cross-process fold counter; created under
-        the system temp directory when omitted.
+        Directory holding the cross-process fold counter.  When omitted,
+        :meth:`activate` creates one under the system temp directory for
+        the ``with`` body and removes it afterwards; a caller-supplied
+        directory is left in place.
     """
 
     def __init__(self, faults, plan_dir=None):
@@ -92,8 +95,6 @@ class FaultPlan:
                 entry["seconds"] = float(fault["seconds"])
             validated.append(entry)
         self.faults = validated
-        if plan_dir is None:
-            plan_dir = tempfile.mkdtemp(prefix="repro-fault-plan-")
         self.plan_dir = plan_dir
         self._by_fold = {fault["at_fold"]: fault for fault in self.faults}
 
@@ -142,7 +143,11 @@ class FaultPlan:
         unless it calls :func:`install_from_env` explicitly — the serial
         and thread baselines must run fault-free.
         """
-        os.makedirs(self.plan_dir, exist_ok=True)
+        owns_plan_dir = self.plan_dir is None
+        if owns_plan_dir:
+            self.plan_dir = tempfile.mkdtemp(prefix="repro-fault-plan-")
+        else:
+            os.makedirs(self.plan_dir, exist_ok=True)
         previous = os.environ.get(PLAN_ENV_VAR)
         os.environ[PLAN_ENV_VAR] = self.to_json()
         try:
@@ -152,6 +157,9 @@ class FaultPlan:
                 os.environ.pop(PLAN_ENV_VAR, None)
             else:
                 os.environ[PLAN_ENV_VAR] = previous
+            if owns_plan_dir:
+                shutil.rmtree(self.plan_dir, ignore_errors=True)
+                self.plan_dir = None
 
     # -- firing -------------------------------------------------------------------
 

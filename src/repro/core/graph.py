@@ -110,6 +110,32 @@ def recover_graph(steps, inputs, outputs=None):
     return graph
 
 
+def live_produces(steps):
+    """Fit-time liveness: per step, whether its ``produce`` output is ever read.
+
+    While fitting, every step's ``fit`` runs, but a step's ``produce`` only
+    matters if a later step's ``fit`` — or a later step's *live*
+    ``produce`` — reads one of its outputs.  Walking the steps backwards
+    with the set of keys still needed downstream decides that from the
+    same declarations :func:`recover_graph` uses (optional inputs count as
+    reads).  A live step satisfies the reads of every key it writes, so its
+    outputs leave the needed set *before* its own inputs join it — that
+    order is what makes an overwrite chain such as ``X -> X -> X`` resolve
+    each read to the nearest upstream writer.
+    """
+    needed = set()
+    live = [False] * len(steps)
+    for index in range(len(steps) - 1, -1, -1):
+        step = steps[index]
+        outputs = step.produce_outputs()
+        if not needed.isdisjoint(outputs):
+            live[index] = True
+            needed.difference_update(outputs)
+            needed.update(step.produce_inputs())
+        needed.update(step.fit_inputs())
+    return live
+
+
 def topological_order(graph):
     """Topological ordering of the recovered graph (excluding virtual nodes)."""
     order = list(nx.topological_sort(graph))

@@ -5,6 +5,15 @@ specified as a topologically ordered list of primitive names (the PDI),
 optionally with per-step hyperparameters and input/output renames, and can
 then be fitted, used for prediction, tuned, serialized to JSON, and
 analyzed as a computational graph.
+
+The same per-step input/output declarations that recover the graph also
+drive fitting: ``fit`` fits every step but calls ``produce`` only on steps
+whose output a later step reads (one liveness rule,
+:func:`repro.core.graph.live_produces`, applied by the single fit-time
+step loop :meth:`MLPipeline._fit_steps` that looped and batched evaluation
+share).  ``fit_context_keys`` therefore lists the keys actually present at
+fit time, and a fit-time ``produce`` error on a dead step cannot fail a
+candidate.
 """
 
 import hashlib
@@ -13,7 +22,7 @@ import json
 import networkx as nx
 
 from repro.core.context import Context
-from repro.core.graph import recover_graph
+from repro.core.graph import live_produces, recover_graph
 from repro.core.registry import get_default_registry
 from repro.core.step import PipelineStep
 
@@ -91,6 +100,17 @@ class MLPipeline:
         Keyword arguments seed the execution context (for example ``X=...``
         and ``y=...``, or ``graph=...`` and ``pairs=...`` for graph tasks).
 
+        Fitting is demand-driven: ``fit`` is called on every step, but a
+        step's ``produce`` runs only when it is *live* — one of its
+        outputs is read by a later step's ``fit`` or by a later step's
+        live ``produce`` (:func:`~repro.core.graph.live_produces`).  The
+        final estimator's prediction over its own training data, for
+        one, is never computed.  Consequently :attr:`fit_context_keys`
+        lists the keys actually present after fitting (the inputs plus the
+        outputs of live steps), and an error a dead step's ``produce``
+        would have raised on the training data can no longer fail the
+        fit; ``predict`` still runs every step.
+
         Parameters
         ----------
         prefix_cache:
@@ -99,7 +119,9 @@ class MLPipeline:
             fingerprint (see :meth:`prefix_fingerprints`); on a hit the
             step adopts the cached fitted instance and transformed
             outputs instead of refitting, on a miss it fits normally and
-            publishes its artifacts.  Caching stops at the first
+            publishes its artifacts.  A dead step (see above) is fitted
+            but stays outside the cache protocol: no lookup, no entry, no
+            hit or miss counted.  Caching stops at the first
             estimator-category step (and never covers the final step):
             the estimator is what candidates actually vary — and what may
             legitimately be stochastic — so only the deterministic
@@ -114,38 +136,59 @@ class MLPipeline:
         if prefix_cache is not None and data_key is None:
             raise ValueError("fit(prefix_cache=...) requires a data_key for the training data")
         context = Context(data)
+        info = self._fit_steps(context, prefix_cache=prefix_cache, data_key=data_key)
+        self.fitted = True
+        self._fit_context_keys = sorted(context.keys())
+        self.prefix_cache_info = info if prefix_cache is not None else None
+        return self
+
+    def _fit_steps(self, context, start=0, stop=None, prefix_cache=None, data_key=None,
+                   prefitted=None):
+        """Fit ``steps[start:stop]`` over ``context``: the one fit-time step loop.
+
+        ``fit`` runs it over the whole pipeline; batched evaluation runs
+        the shared prefix once (``stop`` at the prefix boundary) and each
+        candidate's tail separately (``start`` at the boundary, where
+        ``prefitted`` — a batch-fitted instance — replaces the first
+        step's own ``fit``).  Every step is fitted; ``produce`` runs, and
+        the prefix cache is consulted, only where
+        :func:`~repro.core.graph.live_produces` says a later step reads the
+        output.  The fingerprint chain starts at ``data_key``, so a cache
+        goes with ``start=0`` only.  Returns the prefix-cache counters of
+        the call.
+        """
         caching = prefix_cache is not None
-        fingerprint = data_key
         prefix_length = self._cacheable_prefix_length() if caching else 0
+        live = live_produces(self.steps)
+        fingerprint = data_key
         hits = misses = bytes_written = 0
-        for index, step in enumerate(self.steps):
-            cacheable = index < prefix_length
-            if cacheable:
+        for index in range(start, len(self.steps) if stop is None else stop):
+            step = self.steps[index]
+            in_prefix = index < prefix_length
+            if in_prefix:
                 fingerprint = _chain_fingerprint(fingerprint, step)
+            cacheable = in_prefix and live[index]
+            if cacheable:
                 artifacts = prefix_cache.get(fingerprint)
                 if artifacts is not None:
                     hits += 1
                     step.restore_fitted(artifacts["instance"])
-                    outputs = artifacts["outputs"]
-                    if outputs is not None:
-                        context.record(step.name, outputs)
+                    context.record(step.name, artifacts["outputs"])
                     continue
-            step.fit(context)
+            if prefitted is not None and index == start:
+                step.restore_fitted(prefitted)
+            else:
+                step.fit(context)
+            if not live[index]:
+                continue
             outputs = step.produce(context, skip_if_missing=False)
             if cacheable:
                 misses += 1
                 bytes_written += prefix_cache.put(
                     fingerprint, {"instance": step._instance, "outputs": outputs}
                 )
-            if outputs is not None:
-                context.record(step.name, outputs)
-        self.fitted = True
-        self._fit_context_keys = sorted(context.keys())
-        self.prefix_cache_info = (
-            {"hits": hits, "misses": misses, "bytes_written": bytes_written}
-            if caching else None
-        )
-        return self
+            context.record(step.name, outputs)
+        return {"hits": hits, "misses": misses, "bytes_written": bytes_written}
 
     def _cacheable_prefix_length(self):
         """Steps eligible for prefix caching: everything before the estimator.
@@ -180,7 +223,7 @@ class MLPipeline:
 
     @property
     def fit_context_keys(self):
-        """Context keys that existed after the last ``fit``, or ``None`` if unfitted."""
+        """Context keys present after the last ``fit``, or ``None`` if unfitted."""
         return self._fit_context_keys
 
     def predict(self, **data):

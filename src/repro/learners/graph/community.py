@@ -25,6 +25,16 @@ def louvain_communities(graph, resolution=1.0, random_state=None):
 
     degrees = dict(graph.degree(weight="weight"))
     community_degree = {community[node]: degrees[node] for node in nodes}
+    # the moving loop visits every edge up to 20 times: resolve the networkx
+    # views once, keeping each node's neighbor order (the float sums below
+    # depend on it)
+    adjacency = {
+        node: [
+            (neighbor, data.get("weight", 1.0))
+            for neighbor, data in graph.adj[node].items() if neighbor != node
+        ]
+        for node in nodes
+    }
 
     improved = True
     iterations = 0
@@ -38,10 +48,7 @@ def louvain_communities(graph, resolution=1.0, random_state=None):
             community_degree[current] -= degrees[node]
             # weights of edges from node to each neighboring community
             neighbor_weights = {}
-            for neighbor in graph.neighbors(node):
-                if neighbor == node:
-                    continue
-                weight = graph[node][neighbor].get("weight", 1.0)
+            for neighbor, weight in adjacency[node]:
                 neighbor_community = community[neighbor]
                 neighbor_weights[neighbor_community] = (
                     neighbor_weights.get(neighbor_community, 0.0) + weight

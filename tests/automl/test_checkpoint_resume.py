@@ -14,7 +14,7 @@ from repro.automl import (
     ExperimentRun,
     resume_run,
 )
-from repro.automl.checkpoint import CHECKPOINT_NAME, MANIFEST_NAME
+from repro.automl.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_NAME, MANIFEST_NAME
 from repro.explorer import PersistentPipelineStore, normalize_value
 from repro.tasks import synth
 
@@ -48,6 +48,10 @@ def _stream(records):
         )
         for record in records
     ]
+
+
+def _is_sha256(value):
+    return isinstance(value, str) and len(value) == 64 and set(value) <= set("0123456789abcdef")
 
 
 def _kill_after(n):
@@ -85,12 +89,31 @@ class TestExperimentRunLifecycle:
         assert snapshot["budget"] == BUDGET
         assert snapshot["elapsed"] > 0
         assert snapshot["stream_digest"]
-        # per-template trial history and every RNG state are captured
+        # per-template trial counts, and digests of the score history and
+        # of every RNG state, are captured
+        assert snapshot["format"] == CHECKPOINT_FORMAT == 2
         assert snapshot["templates"]
         assert all({"n_trials", "scores", "n_failed", "n_pending"} <= set(entry)
                    for entry in snapshot["templates"].values())
+        assert all(_is_sha256(entry["scores"]) for entry in snapshot["templates"].values())
+        assert sum(entry["n_trials"] + entry["n_failed"]
+                   for entry in snapshot["templates"].values()) == BUDGET
         assert snapshot["rng"]["selector"][0] == "MT19937"
-        assert all(state[0] == "MT19937" for state in snapshot["rng"]["tuners"].values())
+        assert _is_sha256(snapshot["rng"]["selector"][1])
+        assert all(state[0] == "MT19937" and _is_sha256(state[1])
+                   for state in snapshot["rng"]["tuners"].values())
+
+    def test_snapshot_size_is_independent_of_the_record_count(self, baseline, tmp_path):
+        """The witness is O(1): four times the records, the same bytes."""
+        run, _, _ = baseline
+        longer = _create(tmp_path / "run", budget=4 * BUDGET)
+        longer.execute()
+        longer.close()
+        sizes = [os.path.getsize(os.path.join(directory, CHECKPOINT_NAME))
+                 for directory in (run.run_dir, longer.run_dir)]
+        # only the decimal counters and the elapsed float may change width
+        assert abs(sizes[1] - sizes[0]) < 64, sizes
+        assert max(sizes) <= 2048, sizes
 
     def test_create_twice_rejected(self, baseline, tmp_path):
         run, _, _ = baseline
@@ -201,6 +224,81 @@ class TestKillAndResumeEquivalence:
         assert signal.SIGKILL.value == 9
 
 
+def _rewrite_as_format_1(run_dir, kill_after):
+    """Replace ``checkpoint.json`` with the format-1 snapshot of the same state.
+
+    Format 1 spelled every score list and RNG state out in full; the
+    shape below is written by hand (no format-1 serializer survives in the
+    package).  Counts are recomputed from the durable records, the score
+    lists and RNG words are filler — resume must not read them.
+    """
+    path = os.path.join(run_dir, CHECKPOINT_NAME)
+    with open(path) as stream:
+        current = json.load(stream)
+    assert current["n_reported"] == kill_after
+    with PersistentPipelineStore(os.path.join(run_dir, "store")) as store:
+        documents = list(store)
+    filler_rng = ["MT19937", [0] * 624, 624, 0, 0.0]
+    legacy = {
+        "format": 1,
+        "written_at": current["written_at"],
+        "task_name": current["task_name"],
+        "n_reported": current["n_reported"],
+        "proposed": current["proposed"],
+        "budget": current["budget"],
+        "elapsed": current["elapsed"],
+        "defaults_pending": current["defaults_pending"],
+        "stream_digest": current["stream_digest"],
+        "rng": {"selector": filler_rng,
+                "tuners": {name: filler_rng for name in current["rng"]["tuners"]}},
+        "templates": {
+            name: {
+                "n_trials": sum(1 for d in documents
+                                if d["template_name"] == name and d["error"] is None),
+                "scores": [0.5] * entry["n_trials"],
+                "n_failed": sum(1 for d in documents
+                                if d["template_name"] == name and d["error"] is not None),
+                "n_pending": entry["n_pending"],
+            }
+            for name, entry in current["templates"].items()
+        },
+    }
+    with open(path, "w") as stream:
+        json.dump(legacy, stream, indent=2)
+    return legacy
+
+
+class TestFormat1Snapshot:
+    def _killed_run(self, tmp_path, kill_after=4):
+        run_dir = tmp_path / "run"
+        run = _create(run_dir)
+        with pytest.raises(_StopRun):
+            run.execute(on_report=_kill_after(kill_after))
+        return run_dir, _rewrite_as_format_1(run_dir, kill_after)
+
+    def test_format_1_snapshot_resumes(self, baseline, tmp_path):
+        _, _, reference = baseline
+        run_dir, _ = self._killed_run(tmp_path)
+        resumed = resume_run(run_dir)
+        assert _stream(resumed.result.records) == reference
+        with open(os.path.join(run_dir, CHECKPOINT_NAME)) as stream:
+            assert json.load(stream)["format"] == CHECKPOINT_FORMAT  # rewritten as current
+
+    @pytest.mark.parametrize("field", ["stream_digest", "proposed", "n_trials"])
+    def test_format_1_snapshot_still_detects_tampering(self, tmp_path, field):
+        run_dir, legacy = self._killed_run(tmp_path)
+        if field == "stream_digest":
+            legacy[field] = "0" * 64
+        elif field == "proposed":
+            legacy[field] += 1
+        else:
+            next(iter(legacy["templates"].values()))[field] += 1
+        with open(os.path.join(run_dir, CHECKPOINT_NAME), "w") as stream:
+            json.dump(legacy, stream)
+        with pytest.raises(CheckpointError):
+            resume_run(run_dir)
+
+
 class TestResumeSafetyRails:
     def _killed_run(self, tmp_path, **overrides):
         run_dir = tmp_path / "run"
@@ -208,6 +306,23 @@ class TestResumeSafetyRails:
         with pytest.raises(_StopRun):
             run.execute(on_report=_kill_after(3))
         return run_dir
+
+    @pytest.mark.parametrize("where", ["scores", "selector_rng", "tuner_rng"])
+    def test_tampered_witness_digest_detected(self, tmp_path, where):
+        run_dir = self._killed_run(tmp_path)
+        path = os.path.join(run_dir, CHECKPOINT_NAME)
+        with open(path) as stream:
+            snapshot = json.load(stream)
+        if where == "scores":
+            next(iter(snapshot["templates"].values()))["scores"] = "0" * 64
+        elif where == "selector_rng":
+            snapshot["rng"]["selector"][1] = "0" * 64
+        else:
+            next(iter(snapshot["rng"]["tuners"].values()))[1] = "0" * 64
+        with open(path, "w") as stream:
+            json.dump(snapshot, stream)
+        with pytest.raises(CheckpointError):
+            resume_run(run_dir)
 
     def test_tampered_store_detected(self, tmp_path):
         run_dir = self._killed_run(tmp_path)

@@ -11,10 +11,12 @@ to the selector, orphaned cache temp files swept at startup, and the
 four supervision telemetry events.
 """
 
+import glob
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -117,8 +119,20 @@ class TestFaultFreeBaselines:
         assert result.supervisor_stats == ZERO_STATS
 
 
+def _fault_plan_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-fault-plan-*")))
+
+
 class TestSingleFaultPlans:
     """Any single-fault plan must be fully masked by the supervisor."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def no_plan_dir_outlives_the_cases(self):
+        # a plan that had to create its counter directory owns it: made by
+        # activate(), removed when the ``with`` body ends
+        before = _fault_plan_dirs()
+        yield
+        assert _fault_plan_dirs() - before == set()
 
     def test_worker_kill_is_masked(self, task, baseline):
         plan = FaultPlan.single("worker_kill", at_fold=2)
@@ -174,6 +188,21 @@ class TestSingleFaultPlans:
         second = FaultPlan.seeded(plan_dir=str(tmp_path / "b"), **kwargs)
         assert first.faults == second.faults
         assert FaultPlan.from_json(first.to_json()).faults == first.faults
+        assert FaultPlan.from_json(first.to_json()).plan_dir == first.plan_dir
+
+    def test_activate_owns_only_a_directory_it_created(self, tmp_path):
+        supplied = FaultPlan.single("slow_fold", plan_dir=str(tmp_path / "plan"))
+        with supplied.activate():
+            assert os.path.isdir(supplied.plan_dir)
+        assert os.path.isdir(tmp_path / "plan")  # the caller's directory stays
+
+        owned = FaultPlan.single("slow_fold")
+        with owned.activate():
+            created = owned.plan_dir
+            armed = FaultPlan.from_json(os.environ["REPRO_FAULT_PLAN"])
+            assert armed.plan_dir == created and os.path.isdir(created)
+            assert armed._claim_fold() == 0
+        assert not os.path.exists(created)
 
 
 class TestSupervisionTelemetry:

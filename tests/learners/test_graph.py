@@ -126,3 +126,114 @@ class TestCommunityDetection:
     def test_primitive_wrapper_unknown_node_label(self, two_cliques):
         labels = CommunityBestPartition(random_state=0).produce(two_cliques, nodes=[0, 999])
         assert labels[1] == -1
+
+
+def _reference_louvain(graph, resolution=1.0, random_state=None):
+    """``louvain_communities`` as it was before the adjacency was hoisted, frozen.
+
+    Resolves ``graph[node][neighbor]`` through the networkx views on every
+    edge visit; the partition it returns is the reference the production
+    function must reproduce exactly.
+    """
+    from repro.learners.base import check_random_state
+
+    if graph.number_of_nodes() == 0:
+        return {}
+    rng = check_random_state(random_state)
+    nodes = list(graph.nodes())
+    community = {node: i for i, node in enumerate(nodes)}
+    total_weight = graph.size(weight="weight") or graph.number_of_edges()
+    if total_weight == 0:
+        return community
+    two_m = 2.0 * total_weight
+    degrees = dict(graph.degree(weight="weight"))
+    community_degree = {community[node]: degrees[node] for node in nodes}
+    improved = True
+    iterations = 0
+    while improved and iterations < 20:
+        improved = False
+        iterations += 1
+        order = list(nodes)
+        rng.shuffle(order)
+        for node in order:
+            current = community[node]
+            community_degree[current] -= degrees[node]
+            neighbor_weights = {}
+            for neighbor in graph.neighbors(node):
+                if neighbor == node:
+                    continue
+                weight = graph[node][neighbor].get("weight", 1.0)
+                neighbor_community = community[neighbor]
+                neighbor_weights[neighbor_community] = (
+                    neighbor_weights.get(neighbor_community, 0.0) + weight
+                )
+            best_community = current
+            best_gain = 0.0
+            for candidate, weight in neighbor_weights.items():
+                gain = (weight - resolution * community_degree.get(candidate, 0.0)
+                        * degrees[node] / two_m)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_community = candidate
+            community[node] = best_community
+            community_degree[best_community] = (
+                community_degree.get(best_community, 0.0) + degrees[node]
+            )
+            if best_community != current:
+                improved = True
+    labels = {}
+    relabeled = {}
+    for node in nodes:
+        label = community[node]
+        if label not in labels:
+            labels[label] = len(labels)
+        relabeled[node] = labels[label]
+    return relabeled
+
+
+def _random_graph(kind, seed):
+    """Seeded random graph; ``kind`` picks class, weights and self-loops."""
+    rng = np.random.RandomState(seed)
+    n_nodes = int(rng.randint(2, 40))
+    graph = {"directed": nx.DiGraph, "multi": nx.MultiGraph}.get(kind, nx.Graph)()
+    # string and int labels, inserted out of order: neighbor order is
+    # insertion order and the partition depends on it
+    labels = [("n%d" % i if i % 3 == 0 else i) for i in rng.permutation(n_nodes)]
+    graph.add_nodes_from(labels)
+    n_edges = int(rng.randint(1, 4 * n_nodes))
+    for _ in range(n_edges):
+        source, target = (labels[int(i)] for i in rng.randint(0, n_nodes, size=2))
+        if source == target and kind != "self_loops":
+            continue
+        if kind == "unweighted":
+            graph.add_edge(source, target)
+        else:
+            # thirds and tenths do not add associatively in floating point
+            graph.add_edge(source, target, weight=float(rng.choice([1 / 3, 0.1, 0.7, 2.5])))
+    return graph
+
+
+class TestLouvainMatchesFrozenReference:
+    @pytest.mark.parametrize(
+        "kind", ["weighted", "unweighted", "directed", "self_loops", "multi"])
+    def test_identical_partitions(self, kind):
+        compared = 0
+        for seed in range(12):
+            graph = _random_graph(kind, seed)
+            for resolution in (0.5, 1.0, 1.7):
+                for random_state in (0, 1, 7):
+                    expected = _reference_louvain(graph, resolution, random_state)
+                    actual = louvain_communities(graph, resolution, random_state)
+                    assert actual == expected, (kind, seed, resolution, random_state)
+                    assert list(actual) == list(expected)
+                    compared += 1
+        assert compared == 108
+
+    def test_table_ii_community_task(self):
+        from repro.tasks import synth
+
+        task = synth.make_community_detection(random_state=3)
+        graph = task.context["graph"]
+        for resolution in (0.3, 1.0, 2.4):
+            assert (louvain_communities(graph, resolution, random_state=0)
+                    == _reference_louvain(graph, resolution, random_state=0))

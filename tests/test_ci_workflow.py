@@ -193,6 +193,11 @@ def test_crash_resume_smoke_runs_the_kill_and_resume_gate(workflow):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts",
                           "crash_resume_smoke.py")
     assert os.path.exists(script)
+    # ... and it gates the snapshot size as well as the stream
+    with open(script) as stream:
+        source = stream.read()
+    assert "CHECKPOINT_MAX_BYTES = 2048" in source
+    assert source.count("_assert_checkpoint_is_small(killed_dir") == 2
 
 
 def test_e2e_check_runs_the_cross_workload_output_checks(workflow):
