@@ -3,9 +3,10 @@
 A task with tiny folds and a large static context blob goes through a
 process backend whose every worker must materialize it once.  The
 estimator is free (majority class), leaving transport as the measured
-cost — the historical pickle plane serializes the task and deserializes
-one full copy per worker, while the shm plane publishes it once and maps
-it for free.  Each plane is timed best-of-N to filter disk-scheduler
+cost — the pickle plane (reached only by fallback: the same task plus one
+static string the segment format cannot hold) serializes the task and
+deserializes one full copy per worker, while the shm plane publishes it
+once and maps it for free.  Each plane is timed best-of-N to filter disk-scheduler
 luck.  The benchmark asserts both halves of the data-plane contract:
 
 * **throughput** — shm fold dispatch is at least 1.3x the pickle plane,

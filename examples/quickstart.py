@@ -20,8 +20,7 @@ loop record-for-record; ``thread`` and ``process`` dispatch the
 cross-validation folds of each candidate pipeline to a worker pool, with
 ``--pending N`` evaluations kept in flight by the sliding-window
 scheduler (``--schedule barrier`` restores the historical round-based
-loop) and ``--worker-cache`` controlling the process backend's
-worker-resident dataset cache.  Record-for-record reproducibility across
+loop).  Record-for-record reproducibility across
 backends additionally requires deterministic pipelines (estimator
 ``random_state`` seeded via template ``init_params``).
 """

@@ -10,11 +10,12 @@ Six suites, selected by the positional ``suite`` argument:
 
 ``data-plane`` (-> ``BENCH_data_plane.json``)
     Process-backend fold-dispatch throughput with the zero-copy
-    shared-memory data plane vs the historical on-disk pickle hand-off.
-    The task is transport-bound (tiny folds, a large static context
-    blob) and every pool worker must materialize it once — the pickle
-    plane serializes it and deserializes one full copy per worker, the
-    shm plane publishes it once and maps it for free.
+    shared-memory data plane vs the on-disk pickle hand-off that a task
+    the segment format cannot hold falls back to (the same task plus one
+    static string).  The task is transport-bound (tiny folds, a large
+    static context blob) and every pool worker must materialize it once
+    — the pickle plane serializes it and deserializes one full copy per
+    worker, the shm plane publishes it once and maps it for free.
     Gate: >= ``DATA_PLANE_THRESHOLD``x.
 
 ``batched-eval`` (-> ``BENCH_batched_eval.json``)
@@ -226,13 +227,17 @@ DATA_PLANE_WORKERS = 4
 DATA_PLANE_REPEATS = 3
 
 
-def _data_plane_task(blob_mbytes=DATA_PLANE_BLOB_MBYTES):
+def _data_plane_task(blob_mbytes=DATA_PLANE_BLOB_MBYTES, shareable=True):
     """A task that is cheap to split but expensive to ship.
 
     The sample-aligned arrays are tiny (fold materialization stays off
     the clock); the bulk of the task is a static context blob that every
     worker must materialize — the pickle plane deserializes it once per
     worker, the shm plane maps the published segment for free.
+
+    The backend picks the plane per task, so the pickle arm is the same
+    task made unshareable: its ``shareable=False`` twin carries one extra
+    static string, which the segment format cannot hold and no step reads.
     """
     import numpy as np
 
@@ -241,13 +246,15 @@ def _data_plane_task(blob_mbytes=DATA_PLANE_BLOB_MBYTES):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(4000, 8))
     y = (X[:, 0] > 0).astype(np.int64)
-    blob = rng.normal(size=blob_mbytes * 1_000_000 // 8)
+    static = {"blob": rng.normal(size=blob_mbytes * 1_000_000 // 8)}
+    if not shareable:
+        static["marker"] = "not an array"
     return MLTask("plane_task", "single_table", "classification",
-                  {"X": X, "y": y, "blob": blob}, static_keys=("blob",))
+                  {"X": X, "y": y, **static}, static_keys=tuple(static))
 
 
-def _run_data_plane(data_plane, task, n_candidates, n_splits, workers):
-    """Fold dispatches of a transport-bound workload through one data plane.
+def _run_data_plane(task, n_candidates, n_splits, workers):
+    """Fold dispatches of a transport-bound workload through ``task``'s plane.
 
     The estimator is free (majority class) and the folds are tiny, so
     the measured time is dominated by getting the task's static blob
@@ -270,8 +277,7 @@ def _run_data_plane(data_plane, task, n_candidates, n_splits, workers):
 
     warmup_task = MLTask("plane_warmup", "single_table", "classification",
                          {"X": np.zeros((40, 4)), "y": np.arange(40) % 2})
-    backend = ProcessBackend(workers=workers, task_cache_size=8,
-                             data_plane=data_plane)
+    backend = ProcessBackend(workers=workers)
     try:
         # warm-up: pay the pool spawn before the clock starts (the tiny
         # warm-up task does not preload the benchmark task anywhere)
@@ -279,6 +285,7 @@ def _run_data_plane(data_plane, task, n_candidates, n_splits, workers):
         for future in backend.as_completed():
             future.result()
         candidates = [candidate(index, task) for index in range(n_candidates)]
+        warmup_counts = dict(backend.plane_counts)
         started = time.time()
         for item in candidates:
             backend.submit(item)
@@ -286,7 +293,9 @@ def _run_data_plane(data_plane, task, n_candidates, n_splits, workers):
         for future in backend.as_completed():
             outcomes[future.candidate.iteration] = future.result()
         elapsed = time.time() - started
-        plane_counts = dict(backend.plane_counts)
+        # the timed task's own transport (the warm-up task always shares)
+        plane_counts = {plane: shipped - warmup_counts[plane]
+                        for plane, shipped in backend.plane_counts.items()}
     finally:
         backend.shutdown()
 
@@ -298,13 +307,13 @@ def _run_data_plane(data_plane, task, n_candidates, n_splits, workers):
     return scores, elapsed, plane_counts
 
 
-def _best_of(data_plane, task, n_candidates, n_splits, workers, repeats):
+def _best_of(task, n_candidates, n_splits, workers, repeats):
     """Repeat one plane's measurement; returns (scores, best, all, counts)."""
     timings = []
     scores = counts = None
     for _ in range(repeats):
         pass_scores, elapsed, pass_counts = _run_data_plane(
-            data_plane, task, n_candidates, n_splits, workers)
+            task, n_candidates, n_splits, workers)
         if scores is None:
             scores, counts = pass_scores, pass_counts
         else:
@@ -321,11 +330,11 @@ def run_data_plane_benchmark(n_candidates=DATA_PLANE_CANDIDATES, n_splits=2,
     from repro.automl import shm
 
     assert shm.shm_available(), "shared memory is unavailable on this platform"
-    task = _data_plane_task(blob_mbytes)
     pickle_scores, pickle_elapsed, pickle_timings, pickle_counts = _best_of(
-        "pickle", task, n_candidates, n_splits, workers, repeats)
+        _data_plane_task(blob_mbytes, shareable=False),
+        n_candidates, n_splits, workers, repeats)
     shm_scores, shm_elapsed, shm_timings, shm_counts = _best_of(
-        "shm", task, n_candidates, n_splits, workers, repeats)
+        _data_plane_task(blob_mbytes), n_candidates, n_splits, workers, repeats)
 
     assert shm_scores == pickle_scores, (
         "the data plane changed the scores: {} != {}".format(shm_scores, pickle_scores)
@@ -342,7 +351,6 @@ def run_data_plane_benchmark(n_candidates=DATA_PLANE_CANDIDATES, n_splits=2,
             "n_splits": n_splits,
             "static_blob_mbytes": blob_mbytes,
             "workers": workers,
-            "task_cache_size": 8,
             "timed_passes": repeats,
             "template": "free majority-class estimator (transport-bound)",
         },

@@ -68,15 +68,6 @@ def build_parser():
                              "in flight and replaces each completion immediately; "
                              "'barrier' is the historical round-based loop "
                              "(default: window)")
-    parser.add_argument("--worker-cache", type=int, default=None, metavar="TASKS",
-                        help="tasks kept resident per process-backend worker; 0 ships "
-                             "every fold's data instead (default: backend default)")
-    parser.add_argument("--data-plane", default=None, choices=("shm", "pickle"),
-                        help="process-backend task transport: 'shm' publishes the "
-                             "task once into zero-copy shared memory that workers "
-                             "map read-only (non-shareable tasks fall back to "
-                             "pickle automatically); 'pickle' forces the historical "
-                             "on-disk hand-off (default: backend default, shm)")
     parser.add_argument("--fold-timeout", type=float, default=None, metavar="SECONDS",
                         help="supervised process pool: kill the worker of any fold "
                              "running longer than SECONDS and retry the fold "
@@ -155,8 +146,6 @@ def build_resume_parser():
                              "backend-independent)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the thread/process backends")
-    parser.add_argument("--worker-cache", type=int, default=None, metavar="TASKS",
-                        help="worker-resident task cache of the process backend")
     parser.add_argument("--fold-timeout", type=float, default=None, metavar="SECONDS",
                         help="supervised process pool: per-fold deadline for the "
                              "remaining evaluations (see the run parser)")
@@ -215,7 +204,6 @@ def _resume_main(argv):
             arguments.run_dir,
             backend=arguments.backend,
             workers=arguments.workers,
-            task_cache_size=arguments.worker_cache,
             prefix_cache=arguments.prefix_cache,
             cache_dir=arguments.cache_dir,
             telemetry=arguments.telemetry,
@@ -262,13 +250,11 @@ def _fleet_main(arguments, task_dirs):
             workers=arguments.workers,
             n_pending=arguments.pending,
             schedule=arguments.schedule,
-            task_cache_size=arguments.worker_cache,
             store_path=arguments.store_path,
             warm_start=arguments.warm_start,
             prefix_cache=arguments.prefix_cache,
             cache_dir=arguments.cache_dir,
             prune_margin=arguments.prune_margin,
-            data_plane=arguments.data_plane,
             batch_eval=arguments.batch_eval,
             weights=weights,
             telemetry=arguments.telemetry,
@@ -279,11 +265,16 @@ def _fleet_main(arguments, task_dirs):
         print("error: {}".format(error), file=sys.stderr)
         return 1
 
-    print(session.report())
-    for result in session.results:
-        print()
-        print("task                 : {}".format(result.task_name))
-        _print_result(result)
+    try:
+        print(session.report())
+        for result in session.results:
+            print()
+            print("task                 : {}".format(result.task_name))
+            _print_result(result)
+    finally:
+        # the session owns its telemetry sink (a writer thread plus the
+        # event-stream descriptors) and the persistent store's lock
+        session.close()
     if arguments.output:
         print()
         print("evaluation store     : {}".format(arguments.output))
@@ -320,7 +311,6 @@ def main(argv=None):
             workers=arguments.workers,
             n_pending=arguments.pending,
             schedule=arguments.schedule,
-            task_cache_size=arguments.worker_cache,
             store_path=arguments.store_path,
             warm_start=arguments.warm_start,
             run_dir=arguments.run_dir,
@@ -328,7 +318,6 @@ def main(argv=None):
             prefix_cache=arguments.prefix_cache,
             cache_dir=arguments.cache_dir,
             prune_margin=arguments.prune_margin,
-            data_plane=arguments.data_plane,
             batch_eval=arguments.batch_eval,
             telemetry=arguments.telemetry,
             fold_timeout=arguments.fold_timeout,
@@ -338,9 +327,11 @@ def main(argv=None):
         print("error: {}".format(error), file=sys.stderr)
         return 1
 
-    result = session.results[-1]
-    print(session.report())
-    _print_result(result)
+    try:
+        print(session.report())
+        _print_result(session.results[-1])
+    finally:
+        session.close()
     if arguments.output:
         print("evaluation store     : {}".format(arguments.output))
     if arguments.store_path:

@@ -32,25 +32,20 @@ identical across backends.
 Fold submissions ship *index arrays*, not materialized task subsets: the
 coordinator computes the cross-validation fold indices once per candidate
 and each worker rebuilds its fold locally from a **worker-resident task
-cache**.  The process backend parks the pickled task on disk once per
-task (a :class:`TaskPayload` handle), and every worker that first touches
-the task loads it into a per-process LRU keyed by the payload's task id —
-so the dataset crosses the process boundary once per worker instead of
-once per fold (``budget * n_splits`` transfers before).  The thread
-backend shares the coordinator's memory and passes the task by reference.
-Setting ``task_cache_size=0`` on the process backend restores the
-ship-every-fold behaviour.
+cache**, a per-process LRU keyed by the transport handle's task id — so
+the dataset crosses the process boundary once per worker instead of once
+per fold (``budget * n_splits`` transfers before).  The thread backend
+shares the coordinator's memory and passes the task by reference.
 
-On top of the worker cache the process backend defaults to a **zero-copy
-shared-memory data plane** (``data_plane="shm"``): pure-ndarray tasks are
-published once into ``multiprocessing.shared_memory`` segments (see
-:mod:`repro.automl.shm`) and workers attach read-only views instead of
-unpickling a copy, so a cache miss costs an ``mmap`` rather than a full
-deserialization of the dataset.  Tasks that cannot be expressed as raw
-byte buffers (object-dtype columns, non-array context values) and
-platforms without shared-memory support fall back to the pickle plane
-automatically, per task; ``data_plane="pickle"`` forces the historical
-path.
+The process backend chooses the transport per task from what it can
+observe.  Pure-ndarray tasks are published once into
+``multiprocessing.shared_memory`` segments (the **zero-copy data plane**,
+see :mod:`repro.automl.shm`) and workers attach read-only views instead
+of unpickling a copy, so a cache miss costs an ``mmap`` rather than a
+full deserialization of the dataset.  Tasks that cannot be expressed as
+raw byte buffers (object-dtype columns, non-array context values) and
+platforms without shared-memory support are parked once on disk as a
+pickle instead (a :class:`TaskPayload` handle).
 
 Backends also accept batched submission (:meth:`ExecutionBackend.submit_many`):
 same-template candidates co-submitted by the scheduler are fused into one
@@ -70,22 +65,16 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
 from itertools import count
 
 import numpy as np
 
 from repro.automl import batch_eval, faultinject, shm
-from repro.automl.prefix_cache import (
-    fold_data_key,
-    resolve_prefix_cache,
-    task_content_digest,
-)
+from repro.automl.prefix_cache import fold_data_key, resolve_prefix_cache
 from repro.tasks.task import materialize_cv_fold, task_cv_indices
 from repro.telemetry.events import begin_capture, capture_event, end_capture
 from repro.telemetry.sink import emit_active
-
-#: Valid process-backend task transports.
-DATA_PLANES = ("shm", "pickle")
 
 
 def _format_error(failure):
@@ -259,95 +248,34 @@ def _cache_info_fields(pipeline):
     }
 
 
-def evaluate_fold(template, hyperparameters, train_task, val_task, cache_config=None,
-                  data_key=None, capture_events=False):
-    """Evaluate one cross-validation fold; the unit of work-stealing dispatch.
-
-    Top-level (picklable) so it can be shipped to worker processes.  The
-    result is a plain dict rather than a raised exception so that worker
-    failures survive the trip back through pickling.
-
-    ``data_key`` is the fold's cache key, computed by the coordinator
-    (``fold_data_key`` over the parent task) so the ship-every-fold path
-    shares cache entries with the index path and the serial backend
-    instead of re-hashing the materialized subset per submission; it
-    falls back to digesting ``train_task`` when omitted.
-
-    With ``capture_events`` the fold's telemetry (fold start, cache
-    hits/misses, shm attaches) is captured thread-locally and returned
-    under the payload's ``"events"`` key — telemetry rides the existing
-    result channel back to the coordinator instead of a second IPC
-    mechanism.
-    """
-    from repro.automl import search
-
-    faultinject.maybe_inject()
-    if capture_events:
-        begin_capture()
-        capture_event("fold_started")
-    started = time.time()
-    try:
-        prefix_cache = resolve_prefix_cache(cache_config)
-        extra = {}
-        if prefix_cache is not None:
-            if data_key is None:
-                data_key = task_content_digest(train_task)
-            extra.update(prefix_cache=prefix_cache, data_key=data_key)
-        normalized, raw, pipeline = search.evaluate_pipeline(
-            template, hyperparameters, train_task, val_task, **extra
-        )
-        payload = {
-            "score": normalized,
-            "raw_score": raw,
-            "error": None,
-            "elapsed": time.time() - started,
-        }
-        payload.update(_cache_info_fields(pipeline))
-    except Exception as failure:  # noqa: BLE001 - failed folds are data, not fatal
-        payload = {
-            "score": None,
-            "raw_score": None,
-            "error": _format_error(failure),
-            "elapsed": time.time() - started,
-        }
-    if capture_events:
-        payload["events"] = end_capture()
-    return payload
-
-
 # -- worker-resident task cache -----------------------------------------------------
 
-#: Per-worker-process LRU of tasks rebuilt from :class:`TaskPayload` handles.
+#: Per-worker-process LRU of tasks rebuilt from transport handles.
 _WORKER_TASK_CACHE = OrderedDict()
 
-#: Maximum tasks kept resident per worker (set by the pool initializer).
+#: Maximum tasks kept resident per worker, and the starting capacity of the
+#: coordinator-side transport LRUs.  Keep it at or above the number of
+#: distinct tasks with folds in flight at once: a search evaluates one task
+#: at a time, and a fleet grows its coordinator-side capacity per tenant.
 _WORKER_TASK_CACHE_SIZE = 8
 
 
-def _configure_worker_cache(cache_size):
-    """Size (and reset) the worker-resident cache of this process.
-
-    Also arms the env-configured fault-injection plan (a no-op outside the
-    chaos suite) — the initializer runs in every worker the pool ever
-    spawns, including the replacements of crashed ones, so the plan
-    reaches the whole fleet.
-    """
-    global _WORKER_TASK_CACHE_SIZE
-    _WORKER_TASK_CACHE_SIZE = int(cache_size)
-    _WORKER_TASK_CACHE.clear()
-    faultinject.install_from_env()
-
-
-def _start_worker(cache_size):
+def _start_worker():
     """Process-pool initializer: first thing a new worker process runs.
 
     The heap a forked worker inherits is frozen out of its garbage
     collector: otherwise the worker's first full collection walks every
     object of the coordinator it was forked from, and copies every page
     they live on, in the middle of whichever fold triggers it.
+
+    Also arms the env-configured fault-injection plan (a no-op outside the
+    chaos suite) — the initializer runs in every worker the pool ever
+    spawns, including the replacements of crashed ones, so the plan
+    reaches the whole fleet.
     """
     gc.freeze()
-    _configure_worker_cache(cache_size)
+    _WORKER_TASK_CACHE.clear()
+    faultinject.install_from_env()
 
 
 class TaskPayload:
@@ -390,56 +318,85 @@ def _resolve_task(task_ref):
     if task is None:
         task = task_ref.load()
         _WORKER_TASK_CACHE[task_ref.key] = task
-        while len(_WORKER_TASK_CACHE) > _WORKER_TASK_CACHE_SIZE > 0:
+        while len(_WORKER_TASK_CACHE) > _WORKER_TASK_CACHE_SIZE:
             _WORKER_TASK_CACHE.popitem(last=False)
     else:
         _WORKER_TASK_CACHE.move_to_end(task_ref.key)
     return task
 
 
+def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events,
+              n_members, started_fields, evaluate):
+    """The one body of both worker entry points; returns ``n_members`` payloads.
+
+    Rebuilds the fold's train/val subsets inside the worker from the
+    resident task, so only the index arrays travel per submission, and
+    hands them to ``evaluate(train_task, val_task, prefix_cache, data_key,
+    started)``, which returns one fold payload per member.  With a
+    ``cache_config`` the fold's data key is derived from the resident
+    task's memoized content digest plus the train-index array, so every
+    candidate sharing the fold shares the key without re-hashing the
+    dataset.
+
+    Payloads are plain dicts rather than raised exceptions so that worker
+    failures survive the trip back through pickling.  A failure before
+    per-member evaluation starts fails every member with the same error
+    and an equal share of the time spent.  A failure *resolving* the task
+    reference — a shared-memory segment that vanished under the worker —
+    is infrastructure, not pipeline code, so those payloads are flagged
+    ``"retriable"``: the supervised pool repairs the data plane and
+    retries the fold instead of recording it.
+
+    With ``capture_events`` the fold's telemetry (fold start, cache
+    hits/misses, shm attaches) is captured thread-locally and returned
+    under the *first* member's ``"events"`` key — telemetry rides the
+    existing result channel back to the coordinator instead of a second
+    IPC mechanism.
+    """
+    faultinject.maybe_inject(task_ref)
+    if capture_events:
+        begin_capture()
+        capture_event("fold_started", **started_fields)
+    started = time.time()
+    resolved = False
+    try:
+        task = _resolve_task(task_ref)
+        resolved = True
+        train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
+        prefix_cache = resolve_prefix_cache(cache_config)
+        data_key = None
+        if prefix_cache is not None:
+            data_key = fold_data_key(task, train_indices)
+        payloads = evaluate(train_task, val_task, prefix_cache, data_key, started)
+    except Exception as failure:  # noqa: BLE001 - failed folds are data, not fatal
+        failed = {
+            "score": None,
+            "raw_score": None,
+            "error": _format_error(failure),
+            "elapsed": (time.time() - started) / max(n_members, 1),
+        }
+        if not resolved:
+            failed["retriable"] = True
+        payloads = [dict(failed) for _ in range(n_members)]
+    if capture_events and payloads:
+        payloads[0]["events"] = end_capture()
+    return payloads
+
+
 def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, val_indices,
                           cache_config=None, capture_events=False):
     """Evaluate one cross-validation fold specified by its sample indices.
 
-    The index-level twin of :func:`evaluate_fold`: the fold's train/val
-    subsets are rebuilt inside the worker from the resident task, so only
-    the index arrays travel per submission.  With a ``cache_config`` the
-    fold's data key is derived from the resident task's memoized content
-    digest plus the train-index array, so every candidate sharing the
-    fold shares the key without re-hashing the dataset.
-
-    A failure *resolving* the task reference — a shared-memory segment
-    that vanished under the worker — is infrastructure, not pipeline
-    code, so its payload is flagged ``"retriable"``: the supervised pool
-    repairs the data plane and retries instead of recording it.
+    The unit of work-stealing dispatch, top-level (picklable) so it can be
+    shipped to worker processes; returns the fold's payload dict (see
+    :func:`_run_fold`).
     """
     from repro.automl import search
 
-    faultinject.maybe_inject(task_ref)
-    if capture_events:
-        begin_capture()
-        capture_event("fold_started")
-    started = time.time()
-    try:
-        task = _resolve_task(task_ref)
-    except Exception as failure:  # noqa: BLE001 - transport faults are retriable data
-        payload = {
-            "score": None,
-            "raw_score": None,
-            "error": _format_error(failure),
-            "elapsed": time.time() - started,
-            "retriable": True,
-        }
-        if capture_events:
-            payload["events"] = end_capture()
-        return payload
-    try:
-        train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
-        prefix_cache = resolve_prefix_cache(cache_config)
+    def evaluate(train_task, val_task, prefix_cache, data_key, started):
         extra = {}
         if prefix_cache is not None:
-            extra.update(prefix_cache=prefix_cache,
-                         data_key=fold_data_key(task, train_indices))
+            extra.update(prefix_cache=prefix_cache, data_key=data_key)
         normalized, raw, pipeline = search.evaluate_pipeline(
             template, hyperparameters, train_task, val_task, **extra
         )
@@ -450,16 +407,10 @@ def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, va
             "elapsed": time.time() - started,
         }
         payload.update(_cache_info_fields(pipeline))
-    except Exception as failure:  # noqa: BLE001 - failed folds are data, not fatal
-        payload = {
-            "score": None,
-            "raw_score": None,
-            "error": _format_error(failure),
-            "elapsed": time.time() - started,
-        }
-    if capture_events:
-        payload["events"] = end_capture()
-    return payload
+        return [payload]
+
+    return _run_fold(task_ref, train_indices, val_indices, cache_config,
+                     capture_events, 1, {}, evaluate)[0]
 
 
 def evaluate_fold_indices_batch(template, hyperparameters_list, task_ref, train_indices,
@@ -470,58 +421,19 @@ def evaluate_fold_indices_batch(template, hyperparameters_list, task_ref, train_
     carries every configuration of a fused candidate group and returns one
     fold payload per configuration, in input order (see
     :func:`repro.automl.batch_eval.evaluate_candidate_group` for the
-    determinism contract).  A failure *before* per-candidate evaluation
-    starts (unresolvable task, broken fold indices) fails every member
-    with the same error, exactly as it would have failed each individual
-    submission.
-
-    Captured telemetry for the shared pass (fold start, cache activity,
-    shm attach, the batch-group event) is attached to the *first*
-    member's payload, which is where the coordinator attributes the
-    group's shared work.
-
-    As in :func:`evaluate_fold_indices`, a task-resolution failure marks
-    every member's payload ``"retriable"`` so the supervised pool can
-    repair the data plane and retry the whole batched fold.
+    determinism contract).  Captured telemetry for the shared pass is
+    attached to the first member's payload, which is where the
+    coordinator attributes the group's shared work.
     """
-    faultinject.maybe_inject(task_ref)
-    if capture_events:
-        begin_capture()
-        capture_event("fold_started", batch_size=len(hyperparameters_list))
-    started = time.time()
-    try:
-        task = _resolve_task(task_ref)
-    except Exception as failure:  # noqa: BLE001 - transport faults are retriable data
-        share = (time.time() - started) / max(len(hyperparameters_list), 1)
-        error = _format_error(failure)
-        payloads = [
-            {"score": None, "raw_score": None, "error": error, "elapsed": share,
-             "retriable": True}
-            for _ in hyperparameters_list
-        ]
-        if capture_events and payloads:
-            payloads[0]["events"] = end_capture()
-        return payloads
-    try:
-        train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
-        prefix_cache = resolve_prefix_cache(cache_config)
-        data_key = None
-        if prefix_cache is not None:
-            data_key = fold_data_key(task, train_indices)
-        payloads = batch_eval.evaluate_candidate_group(
+    def evaluate(train_task, val_task, prefix_cache, data_key, started):
+        return batch_eval.evaluate_candidate_group(
             template, hyperparameters_list, train_task, val_task,
             prefix_cache=prefix_cache, data_key=data_key,
         )
-    except Exception as failure:  # noqa: BLE001 - failed folds are data, not fatal
-        share = (time.time() - started) / max(len(hyperparameters_list), 1)
-        error = _format_error(failure)
-        payloads = [
-            {"score": None, "raw_score": None, "error": error, "elapsed": share}
-            for _ in hyperparameters_list
-        ]
-    if capture_events and payloads:
-        payloads[0]["events"] = end_capture()
-    return payloads
+
+    n_members = len(hyperparameters_list)
+    return _run_fold(task_ref, train_indices, val_indices, cache_config,
+                     capture_events, n_members, {"batch_size": n_members}, evaluate)
 
 
 def _aggregate_folds(fold_results, pruned_reason=None):
@@ -588,31 +500,6 @@ class _PooledCandidateFuture:
         self._lock = threading.Lock()
         self._outcome = None
         self._pruned_reason = None
-
-    def _fold_done(self, index, fold_future):
-        if fold_future.cancelled():
-            # cancelled because an earlier fold already failed; the real
-            # error sits earlier in fold order, so this never wins the
-            # first-failing-fold aggregation
-            payload = {
-                "score": None,
-                "raw_score": None,
-                "error": "CancelledError: an earlier fold of this candidate failed",
-                "elapsed": 0.0,
-            }
-        else:
-            exception = fold_future.exception()
-            if exception is not None:
-                # infrastructure failure (pickling error, broken pool, ...):
-                # recorded like any pipeline failure instead of killing the search
-                payload = {
-                    "score": None,
-                    "raw_score": None,
-                    "error": _format_error(exception),
-                }
-            else:
-                payload = fold_future.result()
-        self._record(index, payload)
 
     def _fold_failed(self, index, message):
         """File a fold that could not even be submitted (e.g. broken pool)."""
@@ -728,46 +615,43 @@ class _PooledCandidateFuture:
         return self._outcome
 
 
-def _dispatch_group_fold(index, job, futures):
-    """Fan one fused group-fold job's payload list out to the member futures.
+def _job_payloads(job, n_members):
+    """One fold payload per member from a finished executor job.
 
-    Runs as the job's done-callback: the job result is one fold payload
-    per group member (in member order); infrastructure failures are
-    replicated to every member, exactly as they would have hit each
-    individual fold submission.
+    The job of a lone candidate (:func:`evaluate_fold_indices`) returns
+    its payload; a fused group job returns one payload per member, in
+    member order.  Anything else — cancellation, an infrastructure failure
+    (pickling error, broken pool, ...), a malformed result — is replicated
+    to every member and recorded like any pipeline failure instead of
+    killing the search.
     """
-    n_members = len(futures)
+    solo = n_members == 1
     if job.cancelled():
-        payloads = [
-            {
-                "score": None,
-                "raw_score": None,
-                "error": "CancelledError: the backend was shut down before this fold ran",
-                "elapsed": 0.0,
-            }
-            for _ in range(n_members)
-        ]
+        if solo:
+            # cancelled because an earlier fold already failed; the real
+            # error sits earlier in fold order, so this never wins the
+            # first-failing-fold aggregation
+            error = "CancelledError: an earlier fold of this candidate failed"
+        else:
+            error = "CancelledError: the backend was shut down before this fold ran"
     else:
         exception = job.exception()
         if exception is not None:
             error = _format_error(exception)
-            payloads = [
-                {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
-                for _ in range(n_members)
-            ]
         else:
-            payloads = job.result()
-            if not isinstance(payloads, list) or len(payloads) != n_members:
-                error = "RuntimeError: batched fold returned {} payloads for {} candidates".format(
-                    len(payloads) if isinstance(payloads, list) else type(payloads).__name__,
-                    n_members,
-                )
-                payloads = [
-                    {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
-                    for _ in range(n_members)
-                ]
-    for future, payload in zip(futures, payloads):
-        future._record(index, payload)
+            result = job.result()
+            if solo:
+                return [result]
+            if isinstance(result, list) and len(result) == n_members:
+                return result
+            error = "RuntimeError: batched fold returned {} payloads for {} candidates".format(
+                len(result) if isinstance(result, list) else type(result).__name__,
+                n_members,
+            )
+    return [
+        {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
+        for _ in range(n_members)
+    ]
 
 
 class ExecutionBackend:
@@ -1058,101 +942,45 @@ class _PoolBackend(ExecutionBackend):
         raise NotImplementedError
 
     def submit(self, candidate):
-        started = time.time()
-        try:
-            folds = task_cv_indices(
-                candidate.task, n_splits=candidate.n_splits,
-                random_state=candidate.random_state,
-            )
-        except Exception as failure:  # noqa: BLE001 - split failures are recorded like
-            # any pipeline failure, matching the serial backend's behaviour
-            outcome = EvaluationOutcome(
-                None, None,
-                _format_error(failure),
-                time.time() - started,
-            )
-            future = CandidateFuture(candidate, outcome)
-            self._outstanding += 1
-            self._completion_queue.put(future)
-            return future
-        future = _PooledCandidateFuture(candidate, len(folds), self._completion_queue)
-        self._outstanding += 1
-        telemetry = getattr(candidate, "telemetry", None)
-        if telemetry is not None:
-            sink, tenant = telemetry
-            for fold_index in range(len(folds)):
-                sink.emit(
-                    "fold_dispatched", tenant=tenant, iteration=candidate.iteration,
-                    fold=fold_index, template=candidate.template_name,
-                )
-        # submit every fold before attaching callbacks: a fast-failing fold's
-        # callback cancels later siblings, which must all exist by then.  A
-        # fold that cannot even be submitted (broken/shut-down pool) becomes
-        # a failed payload, so the candidate future still completes and
-        # as_completed()/drain() never hang on it.
-        submit_error = None
-        for train_indices, val_indices in folds:
-            if submit_error is None:
-                try:
-                    future._fold_futures.append(
-                        self._submit_fold(candidate, train_indices, val_indices)
-                    )
-                    continue
-                except Exception as failure:  # noqa: BLE001 - executor failures are data
-                    submit_error = _format_error(failure)
-            future._fold_futures.append(None)
-        for index, fold_future in enumerate(future._fold_futures):
-            if fold_future is None:
-                future._fold_failed(index, submit_error)
-            else:
-                fold_future.add_done_callback(
-                    lambda fold, index=index, future=future: future._fold_done(index, fold)
-                )
-        return future
-
-    def _submit_fold(self, candidate, train_indices, val_indices):
-        """Push one fold into the executor; the task travels by reference."""
-        return self._executor.submit(
-            evaluate_fold_indices, candidate.template, candidate.hyperparameters,
-            candidate.task, train_indices, val_indices,
-            cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
-
-    def _supports_group_dispatch(self):
-        """Whether fused group submissions can run on this backend."""
-        return True
+        return self._submit_group([candidate])[0]
 
     def submit_many(self, candidates):
         futures = []
         for group in batch_eval.group_candidates(candidates):
-            if len(group) == 1 or not self._supports_group_dispatch():
-                futures.extend(self.submit(candidate) for candidate in group)
+            if len(group) == 1:
+                futures.append(self.submit(group[0]))
             else:
                 futures.extend(self._submit_group(group))
         return futures
 
-    def _submit_group(self, candidates):
-        """Dispatch a fused same-template group, one batched job per fold.
+    def _task_ref(self, task):
+        """What travels with every fold of ``task``: here the task itself."""
+        return task
 
-        Work-stealing granularity stays at the fold level: each fold of
-        the group is one executor job evaluating every member's
-        configuration in a fused pass.  Every member still gets its own
-        :class:`_PooledCandidateFuture`; the fold job's done-callback fans
-        the per-candidate payloads out to them, so aggregation, error
-        semantics and completion-queue behaviour are unchanged.  Fold
-        cancellation on a member's failure is intentionally disabled for
-        group jobs (the other members still need the fold), which also
-        means fold-level pruning cannot cancel a group's queued folds —
-        batching trades some pruning reactivity for fused throughput.
+    def _submit_group(self, candidates):
+        """Dispatch same-template candidates, one executor job per fold.
+
+        Work-stealing granularity stays at the fold level.  A lone
+        candidate's fold is one :func:`evaluate_fold_indices` job; each
+        fold of a fused group is one :func:`evaluate_fold_indices_batch`
+        job evaluating every member's configuration in a fused pass.
+        Every member gets its own :class:`_PooledCandidateFuture`; the
+        job's done-callback fans the per-member payloads out to them, so
+        aggregation, error semantics and completion-queue behaviour are
+        the same either way.  Only a lone candidate owns its jobs: a
+        group member's failure or pruning must not cancel a fold the
+        other members still need — batching trades some pruning
+        reactivity for fused throughput.
         """
         lead = candidates[0]
+        solo = len(candidates) == 1
         started = time.time()
         try:
             folds = task_cv_indices(
                 lead.task, n_splits=lead.n_splits, random_state=lead.random_state,
             )
-        except Exception as failure:  # noqa: BLE001 - split failures are recorded
+        except Exception as failure:  # noqa: BLE001 - split failures are recorded like
+            # any pipeline failure, matching the serial backend's behaviour
             error = _format_error(failure)
             elapsed = time.time() - started
             futures = []
@@ -1170,12 +998,13 @@ class _PoolBackend(ExecutionBackend):
         telemetry = getattr(lead, "telemetry", None)
         if telemetry is not None:
             sink, tenant = telemetry
-            sink.emit(
-                "batch_group_formed", tenant=tenant, size=len(candidates),
-                template=lead.template_name, n_folds=len(folds),
-                iterations=[candidate.iteration for candidate in candidates],
-                reason="same-template candidates co-submitted in one scheduler burst",
-            )
+            if not solo:
+                sink.emit(
+                    "batch_group_formed", tenant=tenant, size=len(candidates),
+                    template=lead.template_name, n_folds=len(folds),
+                    iterations=[candidate.iteration for candidate in candidates],
+                    reason="same-template candidates co-submitted in one scheduler burst",
+                )
             for candidate in candidates:
                 for fold_index in range(len(folds)):
                     sink.emit(
@@ -1183,41 +1012,45 @@ class _PoolBackend(ExecutionBackend):
                         iteration=candidate.iteration, fold=fold_index,
                         template=candidate.template_name,
                     )
-        hyperparameters_list = [candidate.hyperparameters for candidate in candidates]
+        if solo:
+            evaluate, configuration = evaluate_fold_indices, lead.hyperparameters
+        else:
+            evaluate = evaluate_fold_indices_batch
+            configuration = [candidate.hyperparameters for candidate in candidates]
+        # submit every fold before attaching callbacks: a fast-failing fold's
+        # callback cancels later siblings, which must all exist by then.  A
+        # fold that cannot even be submitted (broken/shut-down pool) becomes
+        # a failed payload, so the candidate futures still complete and
+        # as_completed()/drain() never hang on them.
         jobs = []
         submit_error = None
         for train_indices, val_indices in folds:
+            job = None
             if submit_error is None:
                 try:
-                    jobs.append(
-                        self._submit_fold_batch(
-                            lead, hyperparameters_list, train_indices, val_indices
-                        )
+                    job = self._executor.submit(
+                        evaluate, lead.template, configuration,
+                        self._task_ref(lead.task), train_indices, val_indices,
+                        cache_config=lead.cache_config,
+                        capture_events=telemetry is not None,
                     )
-                    continue
                 except Exception as failure:  # noqa: BLE001 - executor failures are data
                     submit_error = _format_error(failure)
-            jobs.append(None)
+            jobs.append(job)
+        if solo:
+            futures[0]._fold_futures = jobs
+
+        def file_job(index, job):
+            for future, payload in zip(futures, _job_payloads(job, len(futures))):
+                future._record(index, payload)
+
         for index, job in enumerate(jobs):
             if job is None:
                 for future in futures:
                     future._fold_failed(index, submit_error)
             else:
-                job.add_done_callback(
-                    lambda fold, index=index, futures=futures: _dispatch_group_fold(
-                        index, fold, futures
-                    )
-                )
+                job.add_done_callback(partial(file_job, index))
         return futures
-
-    def _submit_fold_batch(self, candidate, hyperparameters_list, train_indices, val_indices):
-        """Push one fused group fold into the executor (task by reference)."""
-        return self._executor.submit(
-            evaluate_fold_indices_batch, candidate.template, hyperparameters_list,
-            candidate.task, train_indices, val_indices,
-            cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
 
     def collect_one(self):
         if not self._outstanding:
@@ -1250,31 +1083,14 @@ class ProcessBackend(_PoolBackend):
     Everything crossing the process boundary — the worker function, the
     template, the hyperparameters and the fold indices — is picklable;
     fold payloads come back as plain dicts so even exotic worker
-    exceptions survive the return trip.
+    exceptions survive the return trip.  Each task's data crosses once,
+    over a transport chosen per task (see :meth:`_task_ref`); the tasks
+    shipped per transport are tallied in :attr:`plane_counts`.
 
     Parameters
     ----------
     workers:
         Worker process count (default: the CPU count).
-    task_cache_size:
-        Tasks kept resident per worker (default 8).  The first fold of a
-        task ships it once to each worker through an on-disk pickle (a
-        :class:`TaskPayload`); later folds reuse the worker's cached copy,
-        so the dataset is not re-pickled into every fold submission.
-        ``0`` disables the cache and restores the historical behaviour of
-        materializing and shipping the train/val subsets of every fold.
-        Keep the size at or above the number of distinct tasks with folds
-        in flight at once (a search evaluates one task at a time, so the
-        default has ample headroom for suite runs).
-    data_plane:
-        How task data reaches the workers.  ``"shm"`` (the default)
-        publishes pure-ndarray tasks once into shared-memory segments
-        (:mod:`repro.automl.shm`) that workers map read-only — zero
-        copies after publication; tasks that cannot be shared (object
-        dtypes, non-array context values, no shared-memory support) fall
-        back to the pickle hand-off per task.  ``"pickle"`` forces the
-        historical on-disk pickle for everything.  The per-task plane
-        actually used is tallied in :attr:`plane_counts`.
     fold_timeout:
         Seconds a dispatched fold may run before the supervised pool
         kills its worker and retries the fold.  Setting this (or
@@ -1290,18 +1106,7 @@ class ProcessBackend(_PoolBackend):
 
     name = "process"
 
-    def __init__(self, workers=None, task_cache_size=8, data_plane="shm",
-                 fold_timeout=None, max_fold_retries=None):
-        self.task_cache_size = int(task_cache_size)
-        if self.task_cache_size < 0:
-            raise ValueError("task_cache_size must be non-negative")
-        if data_plane not in DATA_PLANES:
-            raise ValueError(
-                "Unknown data_plane {!r}; available planes: {}".format(
-                    data_plane, list(DATA_PLANES)
-                )
-            )
-        self.data_plane = data_plane
+    def __init__(self, workers=None, fold_timeout=None, max_fold_retries=None):
         self.fold_timeout = None if fold_timeout is None else float(fold_timeout)
         self.max_fold_retries = (
             None if max_fold_retries is None else int(max_fold_retries)
@@ -1311,12 +1116,13 @@ class ProcessBackend(_PoolBackend):
         self._payloads = OrderedDict()  # id(task) -> (task, TaskPayload)
         self._segments = OrderedDict()  # id(task) -> (task, SharedTaskSegment)
         self._payload_ids = count()
+        #: Tasks each coordinator-side transport LRU (spill payloads, shm
+        #: segments) keeps published before evicting the oldest.
+        self.transport_capacity = _WORKER_TASK_CACHE_SIZE
         #: Tasks shipped per transport: ``{"shm": n, "pickle": n}``.
         self.plane_counts = {"shm": 0, "pickle": 0}
         # reclaim segments leaked by coordinators that died without running
-        # their atexit hook (SIGKILL, power loss) — on every startup, not
-        # only shm-plane ones: a pickle-plane run should still clean up
-        # after a crashed shm-plane predecessor
+        # their atexit hook (SIGKILL, power loss)
         shm.sweep_stale_segments()
         super().__init__(workers=workers)
 
@@ -1326,10 +1132,6 @@ class ProcessBackend(_PoolBackend):
         return self.fold_timeout is not None or self.max_fold_retries is not None
 
     def _make_executor(self):
-        initializer, initargs = None, ()
-        if self.task_cache_size:
-            initializer = _start_worker
-            initargs = (self.task_cache_size,)
         if self.supervised:
             from repro.automl.supervisor import (
                 DEFAULT_MAX_FOLD_RETRIES,
@@ -1341,20 +1143,13 @@ class ProcessBackend(_PoolBackend):
                 retries = DEFAULT_MAX_FOLD_RETRIES
             pool = SupervisedWorkerPool(
                 max_workers=self.workers,
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_start_worker,
                 fold_timeout=self.fold_timeout,
                 max_fold_retries=retries,
             )
             pool.set_fault_listener(self._repair_data_plane)
             return pool
-        if initializer is None:
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=initializer,
-            initargs=initargs,
-        )
+        return ProcessPoolExecutor(max_workers=self.workers, initializer=_start_worker)
 
     @property
     def supervisor_stats(self):
@@ -1399,7 +1194,7 @@ class ProcessBackend(_PoolBackend):
         payload = TaskPayload("task-{}".format(next(self._payload_ids)), path)
         self._payloads[id(task)] = (task, payload)
         self.plane_counts["pickle"] += 1
-        while len(self._payloads) > self.task_cache_size:
+        while len(self._payloads) > self.transport_capacity:
             _, (_, stale) = self._payloads.popitem(last=False)
             _discard_spill_file(stale.path)
         return payload
@@ -1407,88 +1202,45 @@ class ProcessBackend(_PoolBackend):
     def _task_ref(self, task):
         """The transport handle shipped with every fold of ``task``.
 
-        On the shm plane the task is published once into a shared-memory
-        segment and its picklable :class:`~repro.automl.shm.SharedTaskHandle`
-        travels instead of a :class:`TaskPayload`; non-shareable tasks
-        (and any publication failure) fall back to the pickle plane for
-        that task.  A task that already went down one plane stays there —
-        workers key their resident cache by the handle, so switching
-        transports mid-task would just duplicate the resident copy.
+        A shareable task is published once into a shared-memory segment
+        and its picklable :class:`~repro.automl.shm.SharedTaskHandle`
+        travels with each fold; a task the segment format cannot hold, a
+        platform without shared memory and any publication failure fall
+        back to the :class:`TaskPayload` pickle spill for that task.  A
+        task that already went down one plane stays there — workers key
+        their resident cache by the handle, so switching transports
+        mid-task would just duplicate the resident copy.
         """
         entry = self._segments.get(id(task))
         if entry is not None:
             self._segments.move_to_end(id(task))
             return entry[1].handle
-        if (
-            self.data_plane == "shm"
-            and id(task) not in self._payloads
-        ):
-            if shm.shm_available() and shm.task_is_shareable(task):
-                try:
-                    segment = shm.publish_task(task)
-                except Exception:  # noqa: BLE001 - publication failure falls back to pickle
-                    segment = None
-                if segment is not None:
-                    self._segments[id(task)] = (task, segment)
-                    self.plane_counts["shm"] += 1
-                    emit_active(
-                        "shm_publish", task=getattr(task, "name", None),
-                        plane_counts=dict(self.plane_counts),
-                    )
-                    while len(self._segments) > max(self.task_cache_size, 1):
-                        _, (_, stale) = self._segments.popitem(last=False)
-                        stale.release()
-                    return segment.handle
+        if id(task) in self._payloads:
+            return self._task_payload(task)
+        if shm.shm_available() and shm.task_is_shareable(task):
+            try:
+                segment = shm.publish_task(task)
+            except Exception:  # noqa: BLE001 - publication failure falls back to pickle
+                segment = None
+            if segment is not None:
+                self._segments[id(task)] = (task, segment)
+                self.plane_counts["shm"] += 1
                 emit_active(
-                    "shm_fallback", task=getattr(task, "name", None),
-                    reason="shared-memory publication failed",
+                    "shm_publish", task=getattr(task, "name", None),
                     plane_counts=dict(self.plane_counts),
                 )
-            else:
-                emit_active(
-                    "shm_fallback", task=getattr(task, "name", None),
-                    reason="shared memory unavailable or task not shareable",
-                    plane_counts=dict(self.plane_counts),
-                )
+                while len(self._segments) > self.transport_capacity:
+                    _, (_, stale) = self._segments.popitem(last=False)
+                    stale.release()
+                return segment.handle
+            reason = "shared-memory publication failed"
+        else:
+            reason = "shared memory unavailable or task not shareable"
+        emit_active(
+            "shm_fallback", task=getattr(task, "name", None), reason=reason,
+            plane_counts=dict(self.plane_counts),
+        )
         return self._task_payload(task)
-
-    def _submit_fold(self, candidate, train_indices, val_indices):
-        if not self.task_cache_size:
-            # cache disabled: ship the materialized fold subsets (historical
-            # path).  The prefix-cache key is still derived from the parent
-            # task + indices here in the coordinator (one memoized parent
-            # digest), so this path shares cache entries with the index
-            # path instead of re-hashing the shipped subset per fold.
-            train_task, val_task = materialize_cv_fold(
-                candidate.task, train_indices, val_indices
-            )
-            data_key = None
-            if candidate.cache_config is not None:
-                data_key = fold_data_key(candidate.task, train_indices)
-            return self._executor.submit(
-                evaluate_fold, candidate.template, candidate.hyperparameters,
-                train_task, val_task, cache_config=candidate.cache_config,
-                data_key=data_key,
-                capture_events=getattr(candidate, "telemetry", None) is not None,
-            )
-        return self._executor.submit(
-            evaluate_fold_indices, candidate.template, candidate.hyperparameters,
-            self._task_ref(candidate.task), train_indices, val_indices,
-            cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
-
-    def _supports_group_dispatch(self):
-        # the ship-every-fold path has no task handle to batch against
-        return self.task_cache_size > 0
-
-    def _submit_fold_batch(self, candidate, hyperparameters_list, train_indices, val_indices):
-        return self._executor.submit(
-            evaluate_fold_indices_batch, candidate.template, hyperparameters_list,
-            self._task_ref(candidate.task), train_indices, val_indices,
-            cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
 
     def shutdown(self):
         super().shutdown()
@@ -1498,11 +1250,6 @@ class ProcessBackend(_PoolBackend):
         while self._segments:
             _, (_, segment) = self._segments.popitem(last=False)
             segment.release()
-
-    def __repr__(self):
-        return "{}(workers={}, task_cache_size={}, data_plane={!r})".format(
-            type(self).__name__, self.workers, self.task_cache_size, self.data_plane
-        )
 
 
 def _unlink_quietly(path):
@@ -1554,22 +1301,17 @@ BACKENDS = {
 }
 
 
-def get_backend(backend, workers=None, task_cache_size=None, data_plane=None,
-                fold_timeout=None, max_fold_retries=None):
+def get_backend(backend, workers=None, fold_timeout=None, max_fold_retries=None):
     """Resolve a backend instance from a name, class or instance.
 
     ``workers`` is forwarded to the pool backends and ignored by the
-    serial backend; ``task_cache_size`` (the worker-resident dataset cache
-    knob), ``data_plane`` (the task transport, ``"shm"``/``"pickle"``)
-    and the supervision knobs ``fold_timeout``/``max_fold_retries`` apply
-    only to the process backend and keep the backend's own defaults when
-    ``None``.  Setting any of them for something that cannot honor it —
-    an already-constructed instance, or a backend without worker
-    processes — is rejected rather than silently ignored.
+    serial backend; the supervision knobs ``fold_timeout``/
+    ``max_fold_retries`` apply only to the process backend and keep the
+    backend's own defaults when ``None``.  Setting either for something
+    that cannot honor it — an already-constructed instance, or a backend
+    without worker processes — is rejected rather than silently ignored.
     """
     process_knobs = (
-        ("task_cache_size", task_cache_size),
-        ("data_plane", data_plane),
         ("fold_timeout", fold_timeout),
         ("max_fold_retries", max_fold_retries),
     )

@@ -112,7 +112,7 @@ def evaluate_candidate_group(template, hyperparameters_list, train_task, val_tas
                              prefix_cache=None, data_key=None):
     """Evaluate one fold for every configuration in ``hyperparameters_list``.
 
-    Returns one fold payload dict (the :func:`evaluate_fold` format) per
+    Returns one fold payload dict (the :func:`evaluate_fold_indices` format) per
     configuration, in input order.  Scores and error strings are identical
     to evaluating each configuration alone; shared work is done once.
     """

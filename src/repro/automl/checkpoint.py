@@ -407,10 +407,9 @@ class ExperimentRun:
             ) from None
         return descriptor
 
-    def execute(self, backend="serial", workers=None, task_cache_size=None,
-                on_report=None, prefix_cache="off", cache_dir=None,
-                data_plane=None, batch_eval=False, telemetry=None,
-                fold_timeout=None, max_fold_retries=None):
+    def execute(self, backend="serial", workers=None, on_report=None,
+                prefix_cache="off", cache_dir=None, batch_eval=False,
+                telemetry=None, fold_timeout=None, max_fold_retries=None):
         """Run — or resume — the search; returns the ``SearchResult``.
 
         ``telemetry`` enables structured event recording: ``"run-dir"``
@@ -421,8 +420,8 @@ class ExperimentRun:
         ``None``/``"off"`` disables it.  Like the execution knobs below,
         telemetry never shapes the record stream.
 
-        Execution knobs (``backend``/``workers``/``task_cache_size``/
-        ``data_plane``/``batch_eval``, the supervision knobs
+        Execution knobs (``backend``/``workers``/``batch_eval``, the
+        supervision knobs
         ``fold_timeout``/``max_fold_retries``, and the fitted-prefix cache
         ``prefix_cache``/``cache_dir``) may differ between run and resume:
         the determinism guarantee makes the record stream identical across
@@ -437,19 +436,18 @@ class ExperimentRun:
         """
         run_lock = self._acquire_run_lock()
         try:
-            return self._execute(backend=backend, workers=workers,
-                                 task_cache_size=task_cache_size, on_report=on_report,
+            return self._execute(backend=backend, workers=workers, on_report=on_report,
                                  prefix_cache=prefix_cache, cache_dir=cache_dir,
-                                 data_plane=data_plane, batch_eval=batch_eval,
-                                 telemetry=telemetry, fold_timeout=fold_timeout,
+                                 batch_eval=batch_eval, telemetry=telemetry,
+                                 fold_timeout=fold_timeout,
                                  max_fold_retries=max_fold_retries)
         finally:
             if run_lock is not None:
                 os.close(run_lock)
 
-    def _execute(self, backend, workers, task_cache_size, on_report,
-                 prefix_cache="off", cache_dir=None, data_plane=None, batch_eval=False,
-                 telemetry=None, fold_timeout=None, max_fold_retries=None):
+    def _execute(self, backend, workers, on_report, prefix_cache="off", cache_dir=None,
+                 batch_eval=False, telemetry=None, fold_timeout=None,
+                 max_fold_retries=None):
         manifest = self.manifest
         task_dir = os.path.join(self.run_dir, TASK_DIRNAME)
         fingerprint = task_fingerprint(task_dir)
@@ -513,11 +511,9 @@ class ExperimentRun:
             workers=workers,
             n_pending=manifest["n_pending"],
             schedule=manifest["schedule"],
-            task_cache_size=task_cache_size,
             estimator_seed=manifest.get("estimator_seed", manifest["random_state"]),
             prefix_cache=prefix_cache,
             cache_dir=cache_dir,
-            data_plane=data_plane,
             batch_eval=batch_eval,
             telemetry=telemetry,
             fold_timeout=fold_timeout,
@@ -577,9 +573,9 @@ class ExperimentRun:
         )
 
 
-def resume_run(run_dir, backend="serial", workers=None, task_cache_size=None,
-               prefix_cache="off", cache_dir=None, telemetry=None,
-               fold_timeout=None, max_fold_retries=None):
+def resume_run(run_dir, backend="serial", workers=None, prefix_cache="off",
+               cache_dir=None, telemetry=None, fold_timeout=None,
+               max_fold_retries=None):
     """Resume a killed (or completed) checkpointed run; returns the run.
 
     Replays the durable record prefix to reconstruct the exact search
@@ -591,7 +587,7 @@ def resume_run(run_dir, backend="serial", workers=None, task_cache_size=None,
     artifacts are content-addressed, so the scores are unchanged.
     """
     run = ExperimentRun.open(run_dir)
-    run.execute(backend=backend, workers=workers, task_cache_size=task_cache_size,
-                prefix_cache=prefix_cache, cache_dir=cache_dir, telemetry=telemetry,
-                fold_timeout=fold_timeout, max_fold_retries=max_fold_retries)
+    run.execute(backend=backend, workers=workers, prefix_cache=prefix_cache,
+                cache_dir=cache_dir, telemetry=telemetry, fold_timeout=fold_timeout,
+                max_fold_retries=max_fold_retries)
     return run

@@ -62,8 +62,8 @@ from repro.automl.backends import (
     ProcessBackend,
     ThreadBackend,
     _PoolBackend,
-    evaluate_fold_indices,
-    evaluate_fold_indices_batch,
+    # unused here, but bench_e2e/tracing.py patches this module attribute
+    evaluate_fold_indices,  # noqa: F401
 )
 from repro.automl.prefix_cache import PREFIX_CACHE_MODES, sweep_orphan_cache_tmp
 from repro.telemetry.sink import emit_active
@@ -274,21 +274,8 @@ class TenantBackend(_PoolBackend):
     def _make_executor(self):
         return _TenantExecutor(self._fleet, self._state)
 
-    def _submit_fold(self, candidate, train_indices, val_indices):
-        return self._executor.submit(
-            evaluate_fold_indices, candidate.template, candidate.hyperparameters,
-            self._fleet._tenant_task_ref(candidate.task, self._state),
-            train_indices, val_indices, cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
-
-    def _submit_fold_batch(self, candidate, hyperparameters_list, train_indices, val_indices):
-        return self._executor.submit(
-            evaluate_fold_indices_batch, candidate.template, hyperparameters_list,
-            self._fleet._tenant_task_ref(candidate.task, self._state),
-            train_indices, val_indices, cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
+    def _task_ref(self, task):
+        return self._fleet._tenant_task_ref(task, self._state)
 
     @property
     def tenant_name(self):
@@ -331,13 +318,6 @@ class FleetCoordinator:
         ``"process"`` (default) or ``"thread"``.
     workers:
         Shared worker count (default: the CPU count).
-    task_cache_size:
-        Worker-resident task cache of the process pool, must be >= 1: the
-        ship-every-fold mode (``0``) has no coordinator-side task handle
-        for concurrent tenants to share, and the fleet grows the
-        coordinator-side transport LRU with the tenant count anyway.
-    data_plane:
-        Process-pool task transport (``"shm"``/``"pickle"``), default shm.
     prefix_cache, cache_dir:
         Fitted-prefix cache mode shared by the fleet.  With ``"disk"`` and
         no ``cache_dir`` the coordinator creates (and removes on close)
@@ -357,9 +337,9 @@ class FleetCoordinator:
         folds already running on the surviving workers are untouched.
     """
 
-    def __init__(self, backend="process", workers=None, task_cache_size=None,
-                 data_plane=None, prefix_cache="off", cache_dir=None,
-                 max_backlog=None, fold_timeout=None, max_fold_retries=None):
+    def __init__(self, backend="process", workers=None, prefix_cache="off",
+                 cache_dir=None, max_backlog=None, fold_timeout=None,
+                 max_fold_retries=None):
         if prefix_cache not in PREFIX_CACHE_MODES:
             raise ValueError(
                 "Unknown prefix-cache mode {!r}; expected one of {}".format(
@@ -368,30 +348,15 @@ class FleetCoordinator:
             )
         # reclaim shm segments leaked by coordinators that died without
         # their atexit hook (SIGKILL, power loss) before publishing new
-        # ones — regardless of this fleet's own data plane, a previous
-        # shm-plane run's leak is reclaimed here at startup
+        # ones — thread fleets too: a previous process-fleet run's leak is
+        # reclaimed here at startup
         shm.sweep_stale_segments()
         if backend == "process":
-            if task_cache_size is not None and int(task_cache_size) < 1:
-                raise ValueError(
-                    "a fleet requires task_cache_size >= 1: the ship-every-fold "
-                    "mode (0) leaves concurrent tenants nothing to share"
-                )
-            kwargs = {"workers": workers}
-            if task_cache_size is not None:
-                kwargs["task_cache_size"] = int(task_cache_size)
-            if data_plane is not None:
-                kwargs["data_plane"] = data_plane
-            if fold_timeout is not None:
-                kwargs["fold_timeout"] = fold_timeout
-            if max_fold_retries is not None:
-                kwargs["max_fold_retries"] = max_fold_retries
-            self._pool = ProcessBackend(**kwargs)
+            self._pool = ProcessBackend(
+                workers=workers, fold_timeout=fold_timeout,
+                max_fold_retries=max_fold_retries,
+            )
         elif backend == "thread":
-            if task_cache_size is not None or data_plane is not None:
-                raise ValueError(
-                    "task_cache_size/data_plane only apply to the process fleet"
-                )
             if fold_timeout is not None or max_fold_retries is not None:
                 raise ValueError(
                     "fold_timeout/max_fold_retries only apply to the process fleet"
@@ -461,9 +426,9 @@ class FleetCoordinator:
             # segments) must span every registered tenant's task at once,
             # or registering many tenants would evict segments with folds
             # still in flight
-            cache_size = getattr(self._pool, "task_cache_size", None)
-            if cache_size is not None:
-                self._pool.task_cache_size = max(cache_size, len(self._tenants) + 1)
+            capacity = getattr(self._pool, "transport_capacity", None)
+            if capacity is not None:
+                self._pool.transport_capacity = max(capacity, len(self._tenants) + 1)
         return TenantBackend(self, state)
 
     def _release_tenant(self, state):

@@ -37,7 +37,7 @@ Workers resolve their cache instance lazily from a tiny picklable
 *cache config* tuple shipped with each fold submission
 (:func:`resolve_prefix_cache`), the same late-binding pattern as the
 worker-resident task cache next to
-:func:`repro.automl.backends._configure_worker_cache`.
+:func:`repro.automl.backends._resolve_task`.
 """
 
 import hashlib

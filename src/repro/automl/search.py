@@ -380,18 +380,6 @@ class AutoBazaarSearch:
         them all, repeat — kept for A/B benchmarks of the skew problem.
         Both schedules produce deterministic (but different) record
         streams; the cross-backend equivalence guarantee holds for each.
-    task_cache_size:
-        Worker-resident dataset cache knob, forwarded to the process
-        backend (see :class:`~repro.automl.backends.ProcessBackend`);
-        ``None`` keeps the backend default, ``0`` disables the cache.
-    data_plane:
-        Task transport for the process backend: ``"shm"`` publishes
-        pure-ndarray tasks into zero-copy shared-memory segments that
-        workers map read-only, ``"pickle"`` forces the historical on-disk
-        pickle hand-off (see :mod:`repro.automl.shm`).  ``None`` (default)
-        keeps the backend default (``"shm"`` with automatic per-task
-        pickle fallback).  Rejected for backends without a process
-        boundary, like ``task_cache_size``.
     batch_eval:
         When True, candidates proposed in the same scheduler burst that
         share a template are submitted together and evaluated as one
@@ -460,10 +448,9 @@ class AutoBazaarSearch:
     def __init__(self, templates=None, tuner_class=GPEiTuner, selector_class=UCB1Selector,
                  n_splits=3, random_state=None, store=None, catalog=None,
                  warm_start_store=None, backend="serial", workers=None, n_pending=1,
-                 schedule="window", task_cache_size=None, estimator_seed=None,
-                 prefix_cache="off", cache_dir=None, prune_margin=None,
-                 data_plane=None, batch_eval=False, telemetry=None,
-                 fold_timeout=None, max_fold_retries=None):
+                 schedule="window", estimator_seed=None, prefix_cache="off",
+                 cache_dir=None, prune_margin=None, batch_eval=False,
+                 telemetry=None, fold_timeout=None, max_fold_retries=None):
         if schedule not in ("window", "barrier"):
             raise ValueError(
                 "Unknown schedule {!r}; expected 'window' or 'barrier'".format(schedule)
@@ -480,7 +467,6 @@ class AutoBazaarSearch:
         self.workers = workers
         self.n_pending = max(1, int(n_pending))
         self.schedule = schedule
-        self.task_cache_size = task_cache_size
         self.estimator_seed = estimator_seed
         self.prefix_cache = prefix_cache or "off"
         if self.prefix_cache not in PREFIX_CACHE_MODES:
@@ -491,7 +477,6 @@ class AutoBazaarSearch:
             )
         self.cache_dir = cache_dir
         self.prune_margin = prune_margin
-        self.data_plane = data_plane
         self.batch_eval = bool(batch_eval)
         self.telemetry = telemetry
         self.fold_timeout = fold_timeout
@@ -625,8 +610,7 @@ class AutoBazaarSearch:
         defaults_pending = [template.name for template in templates]
 
         backend = get_backend(
-            self.backend, workers=self.workers, task_cache_size=self.task_cache_size,
-            data_plane=self.data_plane, fold_timeout=self.fold_timeout,
+            self.backend, workers=self.workers, fold_timeout=self.fold_timeout,
             max_fold_retries=self.max_fold_retries,
         )
         # a backend instance supplied by the caller outlives this search;

@@ -74,15 +74,6 @@ class AutoBazaarSession:
         ``"window"`` (default) for the sliding-window scheduler,
         ``"barrier"`` for the historical round-based loop (see
         :class:`~repro.automl.search.AutoBazaarSearch`).
-    task_cache_size:
-        Worker-resident dataset cache knob of the process backend:
-        tasks kept resident per worker; ``0`` ships every fold's data,
-        ``None`` keeps the backend default.
-    data_plane:
-        Process-backend task transport: ``"shm"`` (zero-copy shared
-        memory with automatic per-task pickle fallback) or ``"pickle"``
-        (the historical on-disk hand-off); ``None`` keeps the backend
-        default.  See :mod:`repro.automl.shm`.
     batch_eval:
         When True, same-template candidates proposed in one scheduler
         burst are evaluated as fused batches (shared preprocessing
@@ -121,9 +112,9 @@ class AutoBazaarSession:
     def __init__(self, budget=20, tuner="gp_ei", selector="ucb1", n_splits=3,
                  random_state=None, warm_start="auto", max_seconds_per_task=None,
                  backend="serial", workers=None, n_pending=1, schedule="window",
-                 task_cache_size=None, store_path=None, prefix_cache="off",
-                 cache_dir=None, prune_margin=None, data_plane=None, batch_eval=False,
-                 telemetry=None, fold_timeout=None, max_fold_retries=None):
+                 store_path=None, prefix_cache="off", cache_dir=None,
+                 prune_margin=None, batch_eval=False, telemetry=None,
+                 fold_timeout=None, max_fold_retries=None):
         self.budget = budget
         self.tuner_class = get_tuner(tuner)
         self.selector_class = get_selector(selector)
@@ -134,12 +125,10 @@ class AutoBazaarSession:
         self.workers = workers
         self.n_pending = n_pending
         self.schedule = schedule
-        self.task_cache_size = task_cache_size
         self.store_path = store_path
         self.prefix_cache = prefix_cache
         self.cache_dir = cache_dir
         self.prune_margin = prune_margin
-        self.data_plane = data_plane
         self.batch_eval = bool(batch_eval)
         self.fold_timeout = fold_timeout
         self.max_fold_retries = max_fold_retries
@@ -174,11 +163,9 @@ class AutoBazaarSession:
             workers=self.workers,
             n_pending=self.n_pending,
             schedule=self.schedule,
-            task_cache_size=self.task_cache_size,
             prefix_cache=self.prefix_cache,
             cache_dir=self.cache_dir,
             prune_margin=self.prune_margin,
-            data_plane=self.data_plane,
             batch_eval=self.batch_eval,
             telemetry=self.telemetry,
             fold_timeout=self.fold_timeout,
@@ -234,8 +221,6 @@ class AutoBazaarSession:
         fleet = FleetCoordinator(
             backend=backend,
             workers=self.workers,
-            task_cache_size=self.task_cache_size,
-            data_plane=self.data_plane,
             prefix_cache=self.prefix_cache,
             cache_dir=self.cache_dir,
             fold_timeout=self.fold_timeout,
@@ -351,11 +336,11 @@ class AutoBazaarSession:
 
 def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1",
                        n_splits=3, random_state=0, output=None, backend="serial",
-                       workers=None, n_pending=1, schedule="window", task_cache_size=None,
-                       store_path=None, warm_start="auto", run_dir=None, checkpoint_every=1,
+                       workers=None, n_pending=1, schedule="window", store_path=None,
+                       warm_start="auto", run_dir=None, checkpoint_every=1,
                        prefix_cache="off", cache_dir=None, prune_margin=None,
-                       data_plane=None, batch_eval=False, telemetry=None,
-                       fold_timeout=None, max_fold_retries=None):
+                       batch_eval=False, telemetry=None, fold_timeout=None,
+                       max_fold_retries=None):
     """One-shot helper behind the command-line interface.
 
     Loads the task stored in ``task_directory``, runs a search, optionally
@@ -418,10 +403,9 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
             if warm_source is not None:
                 warm_source.close()
         result = run.execute(backend=backend, workers=workers,
-                             task_cache_size=task_cache_size,
                              prefix_cache=prefix_cache, cache_dir=cache_dir,
-                             data_plane=data_plane, batch_eval=batch_eval,
-                             telemetry=telemetry, fold_timeout=fold_timeout,
+                             batch_eval=batch_eval, telemetry=telemetry,
+                             fold_timeout=fold_timeout,
                              max_fold_retries=max_fold_retries)
         # hand back the familiar session surface (report/summary/save_store)
         # wrapped around the run's durable store and result.  The store is
@@ -432,7 +416,6 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
             budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
             random_state=random_state, warm_start=False, backend=backend,
             workers=workers, n_pending=n_pending, schedule=schedule,
-            task_cache_size=task_cache_size,
         )
         session.store = run.store
         session.results.append(result)
@@ -440,11 +423,10 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
         session = AutoBazaarSession(
             budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
             random_state=random_state, backend=backend, workers=workers,
-            n_pending=n_pending, schedule=schedule, task_cache_size=task_cache_size,
-            store_path=store_path, warm_start=warm_start, prefix_cache=prefix_cache,
-            cache_dir=cache_dir, prune_margin=prune_margin, data_plane=data_plane,
-            batch_eval=batch_eval, telemetry=telemetry, fold_timeout=fold_timeout,
-            max_fold_retries=max_fold_retries,
+            n_pending=n_pending, schedule=schedule, store_path=store_path,
+            warm_start=warm_start, prefix_cache=prefix_cache, cache_dir=cache_dir,
+            prune_margin=prune_margin, batch_eval=batch_eval, telemetry=telemetry,
+            fold_timeout=fold_timeout, max_fold_retries=max_fold_retries,
         )
         session.solve_directory(task_directory)
     if output:
@@ -455,10 +437,10 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
 def run_fleet_from_directories(task_directories, budget=20, tuner="gp_ei", selector="ucb1",
                                n_splits=3, random_state=0, output=None, backend="process",
                                workers=None, n_pending=1, schedule="window",
-                               task_cache_size=None, store_path=None, warm_start="auto",
-                               prefix_cache="off", cache_dir=None, prune_margin=None,
-                               data_plane=None, batch_eval=False, weights=None,
-                               telemetry=None, fold_timeout=None, max_fold_retries=None):
+                               store_path=None, warm_start="auto", prefix_cache="off",
+                               cache_dir=None, prune_margin=None, batch_eval=False,
+                               weights=None, telemetry=None, fold_timeout=None,
+                               max_fold_retries=None):
     """Fleet-mode twin of :func:`run_from_directory` behind ``--fleet``.
 
     Loads every task folder, solves them *concurrently* as tenants of one
@@ -484,11 +466,10 @@ def run_fleet_from_directories(task_directories, budget=20, tuner="gp_ei", selec
     session = AutoBazaarSession(
         budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
         random_state=random_state, backend=backend, workers=workers,
-        n_pending=n_pending, schedule=schedule, task_cache_size=task_cache_size,
-        store_path=store_path, warm_start=warm_start, prefix_cache=prefix_cache,
-        cache_dir=cache_dir, prune_margin=prune_margin, data_plane=data_plane,
-        batch_eval=batch_eval, telemetry=telemetry, fold_timeout=fold_timeout,
-        max_fold_retries=max_fold_retries,
+        n_pending=n_pending, schedule=schedule, store_path=store_path,
+        warm_start=warm_start, prefix_cache=prefix_cache, cache_dir=cache_dir,
+        prune_margin=prune_margin, batch_eval=batch_eval, telemetry=telemetry,
+        fold_timeout=fold_timeout, max_fold_retries=max_fold_retries,
     )
     tasks = [load_task(task_directory) for task_directory in task_directories]
     session.solve_fleet(tasks, weights=weights)

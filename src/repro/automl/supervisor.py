@@ -41,12 +41,14 @@ segment vanished) are also retried here, after giving the backend's
 fault listener a chance to re-publish the segment.
 """
 
+import atexit
 import heapq
 import os
 import signal
 import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from concurrent.futures import Future
 from itertools import count
@@ -72,6 +74,29 @@ _MAX_INIT_FAILURES = 3
 
 #: Seconds granted to workers to exit cleanly at shutdown before SIGKILL.
 _JOIN_SECONDS = 5.0
+
+
+#: Every pool built and not yet garbage-collected; closed at interpreter
+#: exit by :func:`_close_live_pools`.
+_LIVE_POOLS = weakref.WeakSet()
+
+
+def _close_live_pools():
+    """Close every pool its owner never shut down.
+
+    atexit runs last-registered first, and ``multiprocessing.util``
+    registered its own hook when the imports above loaded it, so this one
+    runs before it: by the time that hook terminates the daemonic workers
+    and joins every child, no supervisor is left to answer the deaths with
+    replacement workers nobody would ever terminate.  Nothing is waited
+    for — a fold still running at exit runs for nobody, and its worker is
+    terminated by multiprocessing's hook next.
+    """
+    for pool in list(_LIVE_POOLS):
+        pool.shutdown(wait=False, cancel_futures=True)
+
+
+atexit.register(_close_live_pools)
 
 
 class WorkerCrashError(RuntimeError):
@@ -250,6 +275,7 @@ class SupervisedWorkerPool:
                       "folds_timed_out": 0, "pools_rebuilt": 0,
                       "folds_quarantined": 0}
         self._wake_r, self._wake_w = os.pipe()
+        _LIVE_POOLS.add(self)
         for _ in range(self.max_workers):
             self._spawn_worker()
         self._thread = threading.Thread(

@@ -199,11 +199,11 @@ class TestBackendInterface:
     def test_pool_workers_freeze_the_heap_they_inherit(self, options):
         # a forked worker must not walk (and copy) the coordinator's heap
         # in its first full garbage collection
-        executor = ProcessBackend(workers=1, **options)._make_executor()
+        backend = ProcessBackend(workers=1, **options)
         try:
-            assert executor.submit(gc.get_freeze_count).result(timeout=30) > 0
+            assert backend._executor.submit(gc.get_freeze_count).result(timeout=30) > 0
         finally:
-            executor.shutdown()
+            backend.shutdown()
 
     def test_drain_discards_stale_futures(self):
         # an aborted search can leave uncollected futures behind on a

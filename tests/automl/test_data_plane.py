@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.automl import AutoBazaarSearch, shm
-from repro.automl.backends import ProcessBackend, get_backend
+from repro.automl.backends import ProcessBackend, TaskPayload
 from repro.core.template import Template
 from repro.tasks import synth
 from repro.tasks.task import MLTask
@@ -23,7 +23,7 @@ from repro.tuning.tuners import UniformTuner
 pytestmark = pytest.mark.skipif(not shm.shm_available(),
                                 reason="shared memory unavailable on this platform")
 
-ENCODER = "mlprimitives.custom.feature_extraction.CategoricalEncoder"
+ENCODER = "mlprimitives.custom.preprocessing.ClassEncoder"
 DECODER = "mlprimitives.custom.preprocessing.ClassDecoder"
 IMPUTER = "sklearn.impute.SimpleImputer"
 
@@ -36,6 +36,19 @@ def own_segments():
 
 def make_task(n_samples=80):
     return synth.make_single_table_classification(n_samples=n_samples, random_state=0)
+
+
+def unshareable_twin(task):
+    """``task`` plus one static non-array context value no step reads.
+
+    Same learning problem, same records — but the shared-memory segment
+    format only holds arrays, so the twin must travel as a pickle spill.
+    """
+    twin = MLTask(task.name, task.data_modality, task.problem_type,
+                  dict(task.context, note="not an array"), metric=task.metric,
+                  static_keys=tuple(task.static_keys) + ("note",))
+    assert not shm.task_is_shareable(twin)
+    return twin
 
 
 class TestPublishAttach:
@@ -120,14 +133,8 @@ class TestPublishAttach:
 
 
 class TestBackendDataPlane:
-    def test_data_plane_validation(self):
-        with pytest.raises(ValueError, match="data_plane"):
-            ProcessBackend(workers=1, data_plane="carrier-pigeon")
-        with pytest.raises(ValueError):
-            get_backend("serial", data_plane="shm")
-
     def test_shm_plane_publishes_instead_of_pickling(self):
-        backend = ProcessBackend(workers=1, task_cache_size=2, data_plane="shm")
+        backend = ProcessBackend(workers=1)
         try:
             task = make_task()
             ref = backend._task_ref(task)
@@ -138,20 +145,31 @@ class TestBackendDataPlane:
         finally:
             backend.shutdown()
 
-    def test_pickle_plane_and_fallback_for_object_tasks(self):
-        backend = ProcessBackend(workers=1, task_cache_size=2, data_plane="shm")
-        try:
+    @pytest.mark.parametrize("why", ["object dtype", "non-array value", "no shm"])
+    def test_fallback_is_the_only_way_to_the_pickle_plane(self, why, monkeypatch):
+        if why == "object dtype":
             texts = np.array(["alpha", "beta", "gamma", "delta"], dtype=object)
             task = MLTask("texts", "text", "classification",
                           {"X": texts, "y": np.array([0, 1, 0, 1])})
+        elif why == "non-array value":
+            task = unshareable_twin(make_task())
+        else:
+            task = make_task()
+            monkeypatch.setattr(shm, "shm_available", lambda: False)
+        backend = ProcessBackend(workers=1)
+        try:
             ref = backend._task_ref(task)
-            assert not isinstance(ref, shm.SharedTaskHandle)
+            assert isinstance(ref, TaskPayload)
             assert backend.plane_counts == {"shm": 0, "pickle": 1}
+            assert backend._task_ref(task) is ref  # stays on its plane, spilled once
+            assert backend.plane_counts["pickle"] == 1
+            assert os.path.exists(ref.path)
         finally:
             backend.shutdown()
+        assert not os.path.exists(ref.path)
 
     def test_shutdown_unlinks_published_segments(self):
-        backend = ProcessBackend(workers=1, task_cache_size=2, data_plane="shm")
+        backend = ProcessBackend(workers=1)
         task = make_task()
         handle = backend._task_ref(task)
         path = os.path.join("/dev/shm", handle.segment)
@@ -160,7 +178,8 @@ class TestBackendDataPlane:
         assert not os.path.exists(path)
 
     def test_lru_eviction_unlinks_oldest_segment(self):
-        backend = ProcessBackend(workers=1, task_cache_size=1, data_plane="shm")
+        backend = ProcessBackend(workers=1)
+        backend.transport_capacity = 1
         try:
             first = backend._task_ref(make_task(n_samples=60))
             second = backend._task_ref(make_task(n_samples=70))
@@ -175,26 +194,30 @@ class TestSearchLifecycle:
         return [Template("plane_gnb",
                          [ENCODER, IMPUTER, "sklearn.naive_bayes.GaussianNB", DECODER])]
 
-    def _records(self, backend, data_plane=None):
+    def _search(self, backend, task):
         searcher = AutoBazaarSearch(
             templates=self._templates(), n_splits=2, random_state=0,
             backend=backend, workers=2, tuner_class=UniformTuner,
-            data_plane=data_plane,
         )
-        result = searcher.search(make_task(), budget=4)
-        return [(r.template_name, r.iteration, r.score, r.failed, r.error)
-                for r in result.records]
+        result = searcher.search(task, budget=4)
+        records = [(r.template_name, r.iteration, r.score, r.failed, r.error)
+                   for r in result.records]
+        return records, result.plane_counts
 
     def test_search_owned_backend_unlinks_segments_on_completion(self):
         before = set(own_segments())
-        self._records("process", data_plane="shm")
+        self._search("process", make_task())
         leaked = set(own_segments()) - before
         assert leaked == set()
 
-    def test_data_planes_and_serial_agree_record_for_record(self):
-        serial = self._records("serial")
-        assert self._records("process", data_plane="shm") == serial
-        assert self._records("process", data_plane="pickle") == serial
+    def test_both_planes_and_serial_agree_record_for_record(self, monkeypatch):
+        serial, _ = self._search("serial", make_task())
+        assert all(score is not None for _, _, score, _, _ in serial)
+        assert self._search("process", make_task()) == (serial, {"shm": 1, "pickle": 0})
+        pickled = (serial, {"shm": 0, "pickle": 1})
+        assert self._search("process", unshareable_twin(make_task())) == pickled
+        monkeypatch.setattr(shm, "shm_available", lambda: False)
+        assert self._search("process", make_task()) == pickled
 
 
 class TestForkWhileOpening:

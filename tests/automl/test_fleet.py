@@ -261,10 +261,6 @@ class TestFleetValidation:
         with pytest.raises(ValueError):
             FleetCoordinator(backend="serial")
         with pytest.raises(ValueError):
-            FleetCoordinator(backend="process", task_cache_size=0)
-        with pytest.raises(ValueError):
-            FleetCoordinator(backend="thread", data_plane="shm")
-        with pytest.raises(ValueError):
             FleetCoordinator(backend="thread", prefix_cache="bogus")
 
     def test_register_validation_and_close(self):
@@ -280,6 +276,15 @@ class TestFleetValidation:
         with pytest.raises(RuntimeError):
             fleet.register(name="late")
         fleet.close()  # idempotent
+
+    def test_transport_capacity_grows_with_the_tenant_count(self):
+        # every registered tenant's task must stay published at once, or
+        # a late tenant would evict a segment with folds still in flight
+        with FleetCoordinator(backend="process", workers=1) as fleet:
+            fleet._pool.transport_capacity = 1
+            for _ in range(3):
+                fleet.register()
+            assert fleet._pool.transport_capacity == 4
 
     def test_disk_prefix_cache_dir_is_owned_and_removed(self, tmp_path):
         import os
@@ -306,8 +311,8 @@ class TestFleetValidation:
         )
         FleetCoordinator(backend="thread", workers=1).close()
         assert len(calls) == 1
-        # the process backend sweeps at startup too, on every data plane
-        ProcessBackend(workers=1, data_plane="pickle").shutdown()
+        # the process backend sweeps at startup too
+        ProcessBackend(workers=1).shutdown()
         assert len(calls) == 2
 
 

@@ -291,22 +291,6 @@ class TestCachedSearchEquivalence:
         )
         assert cached == baseline
 
-    def test_ship_every_fold_path_shares_cache_keys_with_serial(self, tmp_path):
-        # a serial run populates the shared disk tier; the process backend
-        # with the worker task cache disabled (ship-every-fold) must hit
-        # those same entries — the fold key is derived from the parent
-        # task + indices on every path, not from the shipped subset
-        directory = str(tmp_path)
-        warm = run_search(prefix_cache="disk", cache_dir=directory, budget=4)
-        assert warm.cache_stats["misses"] > 0
-        shipped = run_search(
-            "process", workers=2, prefix_cache="disk", cache_dir=directory,
-            budget=4, task_cache_size=0,
-        )
-        assert stripped_documents(shipped) == stripped_documents(warm)
-        assert shipped.cache_stats["hits"] > 0
-        assert shipped.cache_stats["misses"] == 0  # every prefix came from the warm tier
-
     def test_cache_stats_surface_in_search_results(self):
         uncached = run_search()
         assert uncached.cache_stats is None

@@ -1,11 +1,13 @@
 """Tests for AutoBazaar sessions and the command-line interface."""
 
 import json
+import os
+import threading
 
 import pytest
 
 from repro.automl import AutoBazaarSession, run_from_directory
-from repro.automl.__main__ import build_parser, main
+from repro.automl.__main__ import build_parser, build_resume_parser, main
 from repro.tasks import save_task, synth
 from repro.tuning.selectors import ThompsonSamplingSelector, UCB1Selector
 from repro.tuning.tuners import UniformTuner
@@ -146,6 +148,17 @@ class TestCLI:
         assert arguments.workers == 4
         assert arguments.pending == 2
 
+    @pytest.mark.parametrize("removed", [["--worker-cache", "4"], ["--data-plane", "pickle"]])
+    def test_transport_flags_are_gone_from_both_parsers(self, removed, capsys):
+        # the transport is chosen per task, not by the user
+        for parser, positional in ((build_parser(), "some/dir"),
+                                   (build_resume_parser(), "some/run")):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([positional] + removed)
+            assert excinfo.value.code == 2
+            assert removed[0] not in parser.format_help()
+        capsys.readouterr()
+
     def test_parser_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["some/dir", "--backend", "cluster"])
@@ -270,6 +283,13 @@ class TestTelemetryCLI:
         report = replay_run(load_events(events_dir))
         assert report["n_events"] > 0
         assert len(report["records"]) == 2
+        # main closed its session: the session-owned sink's writer thread
+        # and its event-stream descriptors are gone
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name == "telemetry-writer"]
+        open_paths = [os.path.realpath(os.path.join("/proc/self/fd", name))
+                      for name in os.listdir("/proc/self/fd")]
+        assert not [path for path in open_paths if path.startswith(str(events_dir))]
 
     def test_main_telemetry_run_dir_requires_run_dir(self, task, tmp_path, capsys):
         save_task(task, tmp_path / "task")

@@ -216,15 +216,10 @@ class TestWorkerResidentCache:
     def _task(self):
         return synth.make_single_table_classification(n_samples=60, random_state=0)
 
-    def test_cached_and_uncached_process_backends_agree(self):
-        cached = run_schedule("window", ProcessBackend(workers=2, task_cache_size=4))
-        uncached = run_schedule("window", ProcessBackend(workers=2, task_cache_size=0))
-        assert cached == uncached
-
     def test_payload_written_once_per_task_and_cleaned_up(self):
         import os
 
-        backend = ProcessBackend(workers=2, task_cache_size=4)
+        backend = ProcessBackend(workers=2)
         try:
             task = self._task()
             first = backend._task_payload(task)
@@ -259,8 +254,9 @@ class TestWorkerResidentCache:
         )
         assert again["error"] is None
 
-    def test_worker_cache_is_an_lru(self, tmp_path):
-        backends_module._configure_worker_cache(1)
+    def test_worker_cache_is_an_lru(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(backends_module, "_WORKER_TASK_CACHE_SIZE", 1)
+        backends_module._WORKER_TASK_CACHE.clear()
         try:
             task = self._task()
             for index in range(3):
@@ -270,24 +266,20 @@ class TestWorkerResidentCache:
                 assert len(backends_module._WORKER_TASK_CACHE) == 1
             assert list(backends_module._WORKER_TASK_CACHE) == ["key-2"]
         finally:
-            backends_module._configure_worker_cache(8)
+            backends_module._WORKER_TASK_CACHE.clear()
 
-    def test_negative_cache_size_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=1, task_cache_size=-1)
-
-    def test_cache_knob_rejected_where_it_cannot_apply(self):
+    def test_process_knob_rejected_where_it_cannot_apply(self):
         from repro.automl import SerialBackend, get_backend
 
         # explicit knob + a backend that cannot honor it must fail loudly,
         # never silently drop the configuration
         with pytest.raises(ValueError):
-            get_backend("thread", workers=2, task_cache_size=4)
+            get_backend("thread", workers=2, fold_timeout=5)
         with pytest.raises(ValueError):
-            get_backend(SerialBackend(), task_cache_size=4)
-        backend = get_backend("process", workers=1, task_cache_size=2)
+            get_backend(SerialBackend(), fold_timeout=5)
+        backend = get_backend("process", workers=1, fold_timeout=5)
         try:
-            assert backend.task_cache_size == 2
+            assert backend.fold_timeout == 5
         finally:
             backend.shutdown()
 
@@ -301,7 +293,7 @@ class TestWorkerResidentCache:
             assert len(val_indices) == val_task.n_samples
 
     def test_submit_ships_payload_not_task(self):
-        backend = ProcessBackend(workers=2, task_cache_size=4)
+        backend = ProcessBackend(workers=2)
         try:
             task = self._task()
             template = timed_template("ship_tpl", 0.0)

@@ -9,6 +9,8 @@ shutdown semantics.
 
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -204,3 +206,46 @@ def _hang_once(flag_path):
             pass
         time.sleep(60)
     return "survived"
+
+
+def _group_members(pgid):
+    """Pids of the live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/{}/stat".format(entry)) as stream:
+                # "pid (comm) state ppid pgrp ..."; comm may hold spaces
+                state, _ppid, pgrp = stream.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:
+            continue  # exited while we were looking
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+class TestInterpreterExit:
+    def test_unshut_pool_neither_hangs_nor_orphans_workers_at_exit(self):
+        # multiprocessing's exit hook terminates the daemonic workers; a
+        # supervisor still running then answered with replacements that
+        # nobody terminates: re-parented to pid 1, or joined for ever
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, {!r})\n"
+            "from repro.automl.supervisor import SupervisedWorkerPool\n"
+            "pool = SupervisedWorkerPool(2)\n"
+            "assert pool.submit(pow, 2, 3).result() == 8\n"
+        ).format(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src"))
+        child = subprocess.Popen([sys.executable, "-c", script], start_new_session=True)
+        try:
+            assert child.wait(timeout=10) == 0
+            time.sleep(2)
+            assert _group_members(child.pid) == []
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait(timeout=10)

@@ -64,7 +64,7 @@ class TestRoundTrip:
         events_dir = str(tmp_path / "events")
         searcher = AutoBazaarSearch(
             n_splits=2, random_state=0, backend="process", workers=2,
-            n_pending=2, data_plane="shm", telemetry=events_dir,
+            n_pending=2, telemetry=events_dir,
         )
         result = searcher.search(_task(), budget=4)
         report = _round_trip(events_dir, result)
@@ -103,7 +103,7 @@ class TestRoundTrip:
         sink = TelemetrySink(events_dir)
         tasks = [_task(name="tenant-%d" % index, n_samples=80, random_state=index)
                  for index in range(4)]
-        fleet = FleetCoordinator(backend="process", workers=2, data_plane="shm")
+        fleet = FleetCoordinator(backend="process", workers=2)
         results = [None] * 4
         failures = []
 
