@@ -169,6 +169,8 @@ def _print_result(result):
     print("best template        : {}".format(result.best_template))
     print("cross-validation     : {}".format(result.best_score))
     print("held-out test score  : {}".format(result.test_score))
+    if getattr(result, "refit_error", None):
+        print("refit error          : {}".format(result.refit_error))
     cache_stats = getattr(result, "cache_stats", None)
     if cache_stats:
         print("prefix cache         : {mode} ({hits} hits / {misses} misses, "

@@ -47,6 +47,14 @@ raw byte buffers (object-dtype columns, non-array context values) and
 platforms without shared-memory support are parked once on disk as a
 pickle instead (a :class:`TaskPayload` handle).
 
+The search's final refit — the best configuration fitted on the whole
+training partition and scored on the held-out one — is one more job of the
+backend (:meth:`ExecutionBackend.submit_refit`), a *holdout fold* through
+the same worker entry point as any fold: both partitions travel as task
+references, the job meets whatever the backend puts between a fold and a
+worker (fair-share admission, deadlines, retries), and it returns the test
+score and the fitted pipeline.  The coordinator fits no learner itself.
+
 Backends also accept batched submission (:meth:`ExecutionBackend.submit_many`):
 same-template candidates co-submitted by the scheduler are fused into one
 evaluation pass per fold (see :mod:`repro.automl.batch_eval`), sharing the
@@ -130,15 +138,20 @@ class EvaluationOutcome:
     ``pruned`` marks a candidate stopped by fold-level early discard (its
     ``error`` carries the pruning reason); the ``cache_*`` counters are
     the candidate's summed fitted-prefix cache activity across folds.
+    ``pipeline`` is the fitted pipeline of a final refit
+    (:meth:`ExecutionBackend.submit_refit`) and ``None`` otherwise; a refit
+    whose pipeline could not travel back keeps its scores and names the
+    reason in ``error``.
     """
 
     def __init__(self, score, raw_score, error, elapsed, pruned=False,
-                 cache_hits=0, cache_misses=0, cache_bytes=0):
+                 cache_hits=0, cache_misses=0, cache_bytes=0, pipeline=None):
         self.score = score
         self.raw_score = raw_score
         self.error = error
         self.elapsed = elapsed
         self.pruned = bool(pruned)
+        self.pipeline = pipeline
         self.cache_hits = int(cache_hits)
         self.cache_misses = int(cache_misses)
         self.cache_bytes = int(cache_bytes)
@@ -302,6 +315,11 @@ class TaskPayload:
         return "TaskPayload(key={!r}, path={!r})".format(self.key, self.path)
 
 
+#: What crosses a process boundary in place of a task (both expose ``key``
+#: and ``load()``); anything else submitted as a task reference is the task.
+_TASK_HANDLES = (TaskPayload, shm.SharedTaskHandle)
+
+
 def _resolve_task(task_ref):
     """Materialize a submitted task reference inside the worker.
 
@@ -312,7 +330,7 @@ def _resolve_task(task_ref):
     segment to attach read-only views over.  Both handles expose ``key``
     and ``load()``, so the resident LRU logic is transport-agnostic.
     """
-    if not isinstance(task_ref, (TaskPayload, shm.SharedTaskHandle)):
+    if not isinstance(task_ref, _TASK_HANDLES):
         return task_ref
     task = _WORKER_TASK_CACHE.get(task_ref.key)
     if task is None:
@@ -326,7 +344,7 @@ def _resolve_task(task_ref):
 
 
 def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events,
-              n_members, started_fields, evaluate):
+              n_members, started_fields, evaluate, holdout_ref=None):
     """The one body of both worker entry points; returns ``n_members`` payloads.
 
     Rebuilds the fold's train/val subsets inside the worker from the
@@ -338,31 +356,41 @@ def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events
     candidate sharing the fold shares the key without re-hashing the
     dataset.
 
+    With a ``holdout_ref`` the job is a search's final refit, the *holdout
+    fold*: the whole resident task is the training side and the task behind
+    ``holdout_ref`` — a second reference, resolved like the first — the
+    scored side; the index arrays are unused.
+
     Payloads are plain dicts rather than raised exceptions so that worker
     failures survive the trip back through pickling.  A failure before
     per-member evaluation starts fails every member with the same error
-    and an equal share of the time spent.  A failure *resolving* the task
+    and an equal share of the time spent.  A failure *resolving* a task
     reference — a shared-memory segment that vanished under the worker —
     is infrastructure, not pipeline code, so those payloads are flagged
     ``"retriable"``: the supervised pool repairs the data plane and
     retries the fold instead of recording it.
 
-    With ``capture_events`` the fold's telemetry (fold start, cache
-    hits/misses, shm attaches) is captured thread-locally and returned
-    under the *first* member's ``"events"`` key — telemetry rides the
-    existing result channel back to the coordinator instead of a second
-    IPC mechanism.
+    With ``capture_events`` the fold's telemetry (fold or refit start,
+    cache hits/misses, shm attaches) is captured thread-locally and
+    returned under the *first* member's ``"events"`` key — telemetry rides
+    the existing result channel back to the coordinator instead of a
+    second IPC mechanism.
     """
     faultinject.maybe_inject(task_ref)
     if capture_events:
         begin_capture()
-        capture_event("fold_started", **started_fields)
+        capture_event("fold_started" if holdout_ref is None else "refit_started",
+                      **started_fields)
     started = time.time()
     resolved = False
     try:
         task = _resolve_task(task_ref)
+        holdout = None if holdout_ref is None else _resolve_task(holdout_ref)
         resolved = True
-        train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
+        if holdout is None:
+            train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
+        else:
+            train_task, val_task = task, holdout
         prefix_cache = resolve_prefix_cache(cache_config)
         data_key = None
         if prefix_cache is not None:
@@ -383,13 +411,18 @@ def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events
     return payloads
 
 
-def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, val_indices,
-                          cache_config=None, capture_events=False):
-    """Evaluate one cross-validation fold specified by its sample indices.
+def _solo_fold(template, hyperparameters, task_ref, train_indices, val_indices,
+               cache_config, capture_events, holdout_ref):
+    """One configuration on one fold (or on the holdout fold): its payload.
 
-    The unit of work-stealing dispatch, top-level (picklable) so it can be
-    shipped to worker processes; returns the fold's payload dict (see
-    :func:`_run_fold`).
+    The body of :func:`evaluate_fold_indices`, which is what pools are
+    sent; the serial backend runs its refit through here directly.  The
+    payload of a holdout fold also carries the fitted pipeline under
+    ``"pipeline"``: the object itself when the job shared the
+    coordinator's memory, its pickle bytes when the task reference says
+    the job ran behind a process boundary.  A pipeline that cannot be
+    pickled keeps its scores and reports the pickling failure as the
+    payload's error.
     """
     from repro.automl import search
 
@@ -407,10 +440,33 @@ def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, va
             "elapsed": time.time() - started,
         }
         payload.update(_cache_info_fields(pipeline))
+        if holdout_ref is not None:
+            payload["pipeline"] = pipeline
+            if isinstance(task_ref, _TASK_HANDLES):
+                try:
+                    payload["pipeline"] = pickle.dumps(
+                        pipeline, protocol=pickle.HIGHEST_PROTOCOL
+                    )
+                except Exception as failure:  # noqa: BLE001 - the score still counts
+                    payload["pipeline"] = None
+                    payload["error"] = _format_error(failure)
         return [payload]
 
     return _run_fold(task_ref, train_indices, val_indices, cache_config,
-                     capture_events, 1, {}, evaluate)[0]
+                     capture_events, 1, {}, evaluate, holdout_ref)[0]
+
+
+def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, val_indices,
+                          cache_config=None, capture_events=False, holdout_ref=None):
+    """Evaluate one cross-validation fold specified by its sample indices.
+
+    The unit of work-stealing dispatch, top-level (picklable) so it can be
+    shipped to worker processes; returns the fold's payload dict (see
+    :func:`_run_fold`).  With a ``holdout_ref`` it is a search's final
+    refit instead (see :meth:`ExecutionBackend.submit_refit`).
+    """
+    return _solo_fold(template, hyperparameters, task_ref, train_indices, val_indices,
+                      cache_config, capture_events, holdout_ref)
 
 
 def evaluate_fold_indices_batch(template, hyperparameters_list, task_ref, train_indices,
@@ -615,6 +671,51 @@ class _PooledCandidateFuture:
         return self._outcome
 
 
+def _refit_outcome(candidate, payload):
+    """Turn a finished refit job's payload into its outcome.
+
+    The coordinator-side half of the holdout fold, shared by every
+    backend: unpickles a pipeline that crossed a process boundary,
+    forwards the worker-captured events and synthesizes the terminal
+    ``refit_finished`` event (naming the worker through the pid of the
+    captured ``refit_started``).  ``raw_score`` is the search's
+    ``test_score``.
+    """
+    error = payload.get("error")
+    pipeline = payload.pop("pipeline", None)
+    if isinstance(pipeline, bytes):
+        try:
+            pipeline = pickle.loads(pipeline)
+        except Exception as failure:  # noqa: BLE001 - the score still counts
+            pipeline, error = None, _format_error(failure)
+    if candidate.telemetry is not None:
+        sink, tenant = candidate.telemetry
+        context = {"tenant": tenant, "template": candidate.template_name}
+        events = payload.pop("events", None) or []
+        sink.ingest(events, **context)
+        sink.emit(
+            "refit_finished", score=payload.get("score"),
+            raw_score=payload.get("raw_score"), error=error,
+            elapsed=payload.get("elapsed"),
+            worker=next((event.get("pid") for event in events
+                         if event.get("event") == "refit_started"), None),
+            **context,
+        )
+    return EvaluationOutcome(
+        payload.get("score"), payload.get("raw_score"), error,
+        payload.get("elapsed") or 0.0, pipeline=pipeline,
+    )
+
+
+class _RefitFuture(_PooledCandidateFuture):
+    """The pooled future of a final refit: a candidate of one holdout fold."""
+
+    def _record(self, index, payload):
+        self._fold_results[index] = payload
+        self._outcome = _refit_outcome(self.candidate, payload)
+        self._completion_queue.put(self)
+
+
 def _job_payloads(job, n_members):
     """One fold payload per member from a finished executor job.
 
@@ -681,6 +782,17 @@ class ExecutionBackend:
         identical either way.
         """
         return [self.submit(candidate) for candidate in candidates]
+
+    def submit_refit(self, candidate, test_task):
+        """Start a search's final refit; returns a candidate future.
+
+        The job fits ``candidate`` on the whole of ``candidate.task`` and
+        scores it on ``test_task`` — uncached, wherever this backend runs
+        folds — and completes through :meth:`collect_one` like any other
+        submission.  Its outcome carries the test score as ``raw_score``
+        and the fitted pipeline as ``pipeline``.
+        """
+        raise NotImplementedError
 
     def collect_one(self):
         """Block until one submitted-but-uncollected future completes.
@@ -786,6 +898,15 @@ class SerialBackend(ExecutionBackend):
             cache_bytes=collect.get("cache_bytes", 0),
         )
         future = CandidateFuture(candidate, outcome)
+        self._completed.append(future)
+        return future
+
+    def submit_refit(self, candidate, test_task):
+        payload = _solo_fold(
+            candidate.template, candidate.hyperparameters, candidate.task, None, None,
+            None, candidate.telemetry is not None, test_task,
+        )
+        future = CandidateFuture(candidate, _refit_outcome(candidate, payload))
         self._completed.append(future)
         return future
 
@@ -919,6 +1040,11 @@ class SerialBackend(ExecutionBackend):
         return self._completed.pop(0)
 
 
+#: Seconds between two looks of ``_PoolBackend.collect_one`` at whether the
+#: completion it blocks on can still arrive.
+_STALL_POLL_SECONDS = 5.0
+
+
 class _PoolBackend(ExecutionBackend):
     """Shared machinery for the executor-pool backends.
 
@@ -937,6 +1063,7 @@ class _PoolBackend(ExecutionBackend):
         self._executor = self._make_executor()
         self._completion_queue = queue.Queue()
         self._outstanding = 0
+        self._jobs = set()  # executor jobs whose payloads are not filed yet
 
     def _make_executor(self):
         raise NotImplementedError
@@ -1039,25 +1166,69 @@ class _PoolBackend(ExecutionBackend):
             jobs.append(job)
         if solo:
             futures[0]._fold_futures = jobs
-
-        def file_job(index, job):
-            for future, payload in zip(futures, _job_payloads(job, len(futures))):
-                future._record(index, payload)
-
+        self._jobs.update(job for job in jobs if job is not None)
         for index, job in enumerate(jobs):
             if job is None:
                 for future in futures:
                     future._fold_failed(index, submit_error)
             else:
-                job.add_done_callback(partial(file_job, index))
+                job.add_done_callback(partial(self._file_job, futures, index))
         return futures
+
+    def _file_job(self, futures, index, job):
+        """Done-callback of an executor job: one payload to each member's future."""
+        try:
+            for future, payload in zip(futures, _job_payloads(job, len(futures))):
+                future._record(index, payload)
+        finally:
+            self._jobs.discard(job)
+
+    def submit_refit(self, candidate, test_task):
+        """Dispatch the refit as one more job: the holdout fold.
+
+        Both partitions travel as task references like any fold's task,
+        so the job passes through whatever this backend puts between a
+        fold and a worker (fair-share admission, supervision, retries).
+        """
+        future = _RefitFuture(candidate, 1, self._completion_queue)
+        self._outstanding += 1
+        try:
+            job = self._executor.submit(
+                evaluate_fold_indices, candidate.template, candidate.hyperparameters,
+                self._task_ref(candidate.task), None, None,
+                capture_events=candidate.telemetry is not None,
+                holdout_ref=self._task_ref(test_task),
+            )
+        except Exception as failure:  # noqa: BLE001 - executor failures are data
+            future._fold_failed(0, _format_error(failure))
+        else:
+            self._jobs.add(job)
+            job.add_done_callback(partial(self._file_job, [future], 0))
+        return future
 
     def collect_one(self):
         if not self._outstanding:
             return None
-        future = self._completion_queue.get()
+        while True:
+            try:
+                future = self._completion_queue.get(timeout=_STALL_POLL_SECONDS)
+                break
+            except queue.Empty:
+                # a job leaves _jobs only after its payloads were filed, so
+                # with none left nothing can complete the wait any more
+                if not self._jobs and self._completion_queue.empty():
+                    raise RuntimeError(
+                        "lost completion: " + self._state_dump()
+                    ) from None
         self._outstanding -= 1
         return future
+
+    def _state_dump(self):
+        """What a wait that can no longer end reports instead of hanging."""
+        return ("{!r}: {} candidate(s) outstanding, {} completion(s) queued, "
+                "{} job(s) unfiled, executor {!r}".format(
+                    self, self._outstanding, self._completion_queue.qsize(),
+                    len(self._jobs), self._executor))
 
     def shutdown(self):
         # cancel_futures: on a normal exit nothing is queued; on an aborted

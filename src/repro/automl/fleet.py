@@ -296,6 +296,13 @@ class TenantBackend(_PoolBackend):
         """The shared pool's supervision counters (``None`` unsupervised)."""
         return self._fleet.supervisor_stats
 
+    def _state_dump(self):
+        fleet, state = self._fleet, self._state
+        with fleet._lock:
+            shares = "{} fold(s) queued, {} admitted of the fleet's {}/{}".format(
+                len(state.queue), state.inflight, fleet._admitted, fleet._max_admitted)
+        return "{}; {}".format(super()._state_dump(), shares)
+
     def __repr__(self):
         return "TenantBackend(tenant={!r}, fleet={!r})".format(
             self._state.name, self._fleet
@@ -423,12 +430,13 @@ class FleetCoordinator:
             state.pass_value = min(active) if active else 0.0
             self._tenants[name] = state
             # the coordinator-side transport LRUs (spill payloads, shm
-            # segments) must span every registered tenant's task at once,
-            # or registering many tenants would evict segments with folds
-            # still in flight
+            # segments) must span both partitions of every registered
+            # tenant at once — the training partition its folds read and
+            # the held-out one its refit scores on — or registering many
+            # tenants would evict segments with jobs still in flight
             capacity = getattr(self._pool, "transport_capacity", None)
             if capacity is not None:
-                self._pool.transport_capacity = max(capacity, len(self._tenants) + 1)
+                self._pool.transport_capacity = max(capacity, 2 * len(self._tenants) + 1)
         return TenantBackend(self, state)
 
     def _release_tenant(self, state):

@@ -27,7 +27,8 @@ for comparison benchmarks), which idled every worker while a round
 drained behind its slowest member.
 
 When the budget is exhausted, the best pipeline is refitted on the full
-training data and scored on the held-out test partition.
+training data and scored on the held-out test partition — as one more job
+of the backend (``backend.submit_refit``), so it runs where the folds ran.
 """
 
 import shutil
@@ -148,7 +149,8 @@ class SearchResult:
 
     def __init__(self, task_name, best_template, best_hyperparameters, best_score,
                  best_pipeline, records, test_score=None, elapsed=0.0, cache_stats=None,
-                 fleet_stats=None, plane_counts=None, supervisor_stats=None):
+                 fleet_stats=None, plane_counts=None, supervisor_stats=None,
+                 refit_error=None):
         self.task_name = task_name
         self.best_template = best_template
         self.best_hyperparameters = best_hyperparameters
@@ -156,6 +158,11 @@ class SearchResult:
         self.best_pipeline = best_pipeline
         self.records = list(records)
         self.test_score = test_score
+        #: Why the final refit has no ``test_score`` (it raised) or no
+        #: ``best_pipeline`` (the fitted pipeline could not be brought back
+        #: from the worker), in the format of a failed record's ``error``;
+        #: ``None`` when the refit succeeded or nothing was scored.
+        self.refit_error = refit_error
         self.elapsed = elapsed
         self.cache_stats = cache_stats
         #: Per-tenant fair-share/data-plane counters when the search ran on
@@ -876,6 +883,9 @@ class AutoBazaarSearch:
                     "template_scores": template_scores,
                 })
 
+        best_pipeline = None
+        test_score = None
+        refit_error = None
         try:
             if self.schedule == "barrier":
                 # historical round-barrier loop: propose a whole round, then
@@ -933,25 +943,36 @@ class AutoBazaarSearch:
                         # propose k, report k-n+1, ...) and the
                         # cross-backend record streams would diverge
                         refill()
+
+            # refit the best pipeline on the full training partition and
+            # score it on test: one more job of the backend, run where the
+            # folds ran — the coordinator never fits a learner.  Always a
+            # fresh, uncached fit: the full training partition is not a
+            # cross-validation fold, so there is nothing to share anyway.
+            # Every candidate has been collected by now, so the one
+            # completion outstanding is the refit's.
+            if best_template is not None:
+                backend.submit_refit(EvaluationCandidate(
+                    iteration=proposed,
+                    template=template_index[best_template],
+                    hyperparameters=best_hyperparameters,
+                    task=task,
+                    template_name=best_template,
+                    telemetry=(sink, tenant) if sink is not None else None,
+                ), test_task)
+                refit = backend.collect_one()
+                if refit is None:
+                    refit_error = "RuntimeError: the backend lost the refit job"
+                else:
+                    outcome = refit.result()
+                    test_score = outcome.raw_score
+                    best_pipeline = outcome.pipeline
+                    refit_error = outcome.error
         finally:
             if owns_backend:
                 backend.shutdown()
             if owned_cache_dir is not None:
                 shutil.rmtree(owned_cache_dir, ignore_errors=True)
-
-        # refit the best pipeline on the full training partition and score on
-        # test (always a fresh, uncached fit: the full training partition is
-        # not a cross-validation fold, so there is nothing to share anyway)
-        best_pipeline = None
-        test_score = None
-        if best_template is not None:
-            template = template_index[best_template]
-            try:
-                _, test_score, best_pipeline = evaluate_pipeline(
-                    template, best_hyperparameters, task, test_task
-                )
-            except Exception:  # noqa: BLE001 - keep the search result even if refit fails
-                best_pipeline = None
 
         cache_stats = None
         if cache_config is not None:
@@ -993,6 +1014,7 @@ class AutoBazaarSearch:
             best_pipeline=best_pipeline,
             records=records,
             test_score=test_score,
+            refit_error=refit_error,
             elapsed=time.time() - start,
             cache_stats=cache_stats,
             fleet_stats=fleet_stats,

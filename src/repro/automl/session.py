@@ -293,6 +293,10 @@ class AutoBazaarSession:
         summary["test_scores"] = {
             result.task_name: result.test_score for result in self.results
         }
+        summary["refit_errors"] = {
+            result.task_name: result.refit_error
+            for result in self.results if result.refit_error
+        }
         summary["best_templates"] = {
             result.task_name: result.best_template for result in self.results
         }

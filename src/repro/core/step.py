@@ -7,6 +7,7 @@ shared key-value :class:`~repro.core.context.Context` — this is what makes
 "no glue code" composition possible (paper Section III-B1).
 """
 
+import functools
 import inspect
 import json
 
@@ -15,6 +16,17 @@ from repro.core.annotations import PrimitiveAnnotation
 
 class StepExecutionError(RuntimeError):
     """Raised when a pipeline step fails while fitting or producing."""
+
+
+@functools.lru_cache(maxsize=1024)
+def _accepted_parameters(function):
+    """The parameter names ``function`` declares, introspected once per callable.
+
+    Every build of a class primitive and every produce of a function
+    primitive filters the step's hyperparameters through this set;
+    ``inspect.signature`` costs far more than the call it guards.
+    """
+    return frozenset(inspect.signature(function).parameters)
 
 
 class PipelineStep:
@@ -147,7 +159,7 @@ class PipelineStep:
 
     def _build_instance(self):
         primitive = self.annotation.primitive
-        accepted = set(inspect.signature(primitive.__init__).parameters)
+        accepted = _accepted_parameters(primitive.__init__)
         kwargs = {
             key: value for key, value in self.hyperparameters.items() if key in accepted
         }
@@ -217,8 +229,7 @@ class PipelineStep:
         return self._map_outputs(result)
 
     def _function_hyperparameters(self, kwargs):
-        signature = inspect.signature(self.annotation.primitive)
-        accepted = set(signature.parameters)
+        accepted = _accepted_parameters(self.annotation.primitive)
         return {
             key: value
             for key, value in self.hyperparameters.items()

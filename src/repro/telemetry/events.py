@@ -52,6 +52,9 @@ EVENT_TYPES = frozenset({
     "fold_started",
     "fold_finished",
     "fold_cancelled",
+    # the final refit: one holdout job per search, never part of a record
+    "refit_started",
+    "refit_finished",
     # fitted-prefix cache
     "cache_hit",
     "cache_miss",

@@ -12,7 +12,9 @@ timeline:
   ``NonFiniteScore`` failure) and checked against the ``record_reported``
   event — any divergence is a hard :class:`ReplayError`,
 * per-tenant Gantt rows (fold start/elapsed/worker) and queue-depth-over-
-  time curves are assembled from the fold and fleet scheduler events,
+  time curves are assembled from the fold and fleet scheduler events; the
+  search's final refit is a bar of its own (``"refit": True``) and takes no
+  part in the re-derivation of records,
 * when the record log is supplied, the reconstructed stream is
   cross-checked against it.  Records present in the log but absent from
   the events are tolerated only as a *trailing suffix* per task — the
@@ -179,12 +181,15 @@ def replay_run(events, record_documents=None):
         "batch_groups": 0, "prune_decisions": 0,
     }
     reported = []         # (candidate, record dict) in reported order
-    fold_starts = {}      # (tenant, run, iteration, fold) -> fold_started event
+    # (tenant, run, iteration, fold) -> fold_started event; a refit_started
+    # carries neither iteration nor fold and sits under (tenant, run, None, None)
+    fold_starts = {}
 
     def tenant_summary(tenant):
         return tenants.setdefault(tenant, {
             "task": None, "n_records": 0, "n_folds": 0,
-            "busy_seconds": 0.0, "first_wall": None, "last_wall": None,
+            "busy_seconds": 0.0, "refit_seconds": 0.0,
+            "first_wall": None, "last_wall": None,
             "gantt": [], "queue_depth": [],
             "per_iteration_seconds": {},
         })
@@ -211,7 +216,7 @@ def replay_run(events, record_documents=None):
         if etype == "search_started":
             run_of_tenant[tenant] = run_of_tenant.get(tenant, -1) + 1
             tenant_summary(tenant)["task"] = event.get("task")
-        elif etype == "fold_started":
+        elif etype in ("fold_started", "refit_started"):
             key = (tenant, run_of_tenant.get(tenant, 0),
                    event.get("iteration"), event.get("fold"))
             fold_starts.setdefault(key, event)
@@ -237,6 +242,21 @@ def replay_run(events, record_documents=None):
                 "elapsed": elapsed,
                 "pid": (started or event).get("pid"),
                 "cancelled": etype == "fold_cancelled",
+            })
+        elif etype == "refit_finished":
+            started = fold_starts.get((tenant, run_of_tenant.get(tenant, 0), None, None))
+            elapsed = event.get("elapsed") or 0.0
+            summary = tenant_summary(tenant)
+            summary["refit_seconds"] += elapsed
+            summary["gantt"].append({
+                "iteration": None,
+                "fold": None,
+                "refit": True,
+                "start": (started["wall"] if started is not None
+                          else (event.get("wall") or 0.0) - elapsed),
+                "elapsed": elapsed,
+                "pid": event.get("worker"),
+                "cancelled": False,
             })
         elif etype == "prune_decision":
             candidate_for(event).prune_reason = event.get("reason")
@@ -286,7 +306,9 @@ def replay_run(events, record_documents=None):
              if isinstance(point.get("depth"), (int, float))),
             default=0,
         )
-        summary["gantt"].sort(key=lambda row: (row["start"], row["iteration"]))
+        summary["gantt"].sort(
+            key=lambda row: (row["start"], row.get("refit", False), row["iteration"])
+        )
 
     return {
         "n_events": len(events),
@@ -363,10 +385,12 @@ def _print_report(report, stream=None):
     for tenant in sorted(report["tenants"]):
         summary = report["tenants"][tenant]
         print("tenant {!r}: task={!r} records={} folds={} busy={:.2f}s "
-              "span={:.2f}s critical-path={:.2f}s queue-depth-max={}".format(
+              "refit={:.2f}s span={:.2f}s critical-path={:.2f}s "
+              "queue-depth-max={}".format(
                   tenant, summary["task"], summary["n_records"],
                   summary["n_folds"], summary["busy_seconds"],
-                  summary["span_seconds"], summary["critical_path_seconds"],
+                  summary["refit_seconds"], summary["span_seconds"],
+                  summary["critical_path_seconds"],
                   summary["queue_depth_max"]), file=stream)
 
 

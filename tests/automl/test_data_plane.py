@@ -213,8 +213,10 @@ class TestSearchLifecycle:
     def test_both_planes_and_serial_agree_record_for_record(self, monkeypatch):
         serial, _ = self._search("serial", make_task())
         assert all(score is not None for _, _, score, _, _ in serial)
-        assert self._search("process", make_task()) == (serial, {"shm": 1, "pickle": 0})
-        pickled = (serial, {"shm": 0, "pickle": 1})
+        # two tasks per search travel: the training partition the folds read
+        # and the held-out partition the refit job scores on
+        assert self._search("process", make_task()) == (serial, {"shm": 2, "pickle": 0})
+        pickled = (serial, {"shm": 0, "pickle": 2})
         assert self._search("process", unshareable_twin(make_task())) == pickled
         monkeypatch.setattr(shm, "shm_available", lambda: False)
         assert self._search("process", make_task()) == pickled

@@ -16,6 +16,11 @@ payload, raise, be cancelled from outside).  Reference and new code must
 agree on every candidate's outcome, the completion-queue order, the
 ``cancel()`` calls each executor job received and the emitted event
 sequence (type and every non-timing field).
+
+The refit job, which has no frozen predecessor on this dispatcher (the
+coordinator used to run it inline), is scripted through the same executor
+at the end of the module, next to the check that a pool or fleet search
+fits no learner on the coordinator thread.
 """
 
 import copy
@@ -651,3 +656,114 @@ def test_fold_evaluators_match_their_frozen_bodies(fault, cache, capture_events)
     assert all(("retriable" in payload) == (fault == "unresolvable task")
                for payload in actual)
     assert all((payload["error"] is None) == (fault == "none") for payload in actual)
+
+
+# -- the refit job on the same dispatcher ---------------------------------------------------
+
+
+def _refit_candidate(sink=None, template=TEMPLATE):
+    return EvaluationCandidate(
+        iteration=99, template=template, hyperparameters=template.default_hyperparameters(),
+        task=TASK, telemetry=(sink, "tenant-a") if sink is not None else None,
+    )
+
+
+HOLDOUT = synth.make_single_table_classification(n_samples=30, random_state=1)
+
+
+@pytest.mark.parametrize("action, error", [
+    ("run", None),
+    (RuntimeError("A process in the process pool was terminated"),
+     "RuntimeError: A process in the process pool was terminated"),
+    ("cancel", "CancelledError: an earlier fold of this candidate failed"),
+    ("submit fails", "RuntimeError: cannot schedule new futures after shutdown"),
+])
+def test_refit_job_completes_through_the_completion_queue(action, error):
+    from repro.automl.search import evaluate_pipeline
+
+    executor = _ScriptedExecutor(submit_fails_at=0 if action == "submit fails" else None)
+    backend = _ScriptedPool(executor, lambda task: task)
+    sink = _RecordingSink()
+    future = backend.submit_refit(_refit_candidate(sink), HOLDOUT)
+    if executor.jobs:
+        (_, fn, args, kwargs), = executor.jobs
+        # one job, the fold evaluator itself, uncached, both partitions by reference
+        assert fn is evaluate_fold_indices and args[2] is TASK
+        assert kwargs == {"capture_events": True, "holdout_ref": HOLDOUT}
+        assert not future.done() and len(backend._jobs) == 1
+        executor.finish(0, action)
+    assert backend._jobs == set()
+    assert backend.collect_one() is future and backend.collect_one() is None
+    outcome = future.result()
+    assert outcome.error == error
+    finished = [event for event in sink.events if event["event"] == "refit_finished"]
+    assert len(finished) == 1 and finished[0]["error"] == error
+    assert not any(event["event"].startswith("fold_") for event in sink.events)
+    if error is None:
+        _, raw, pipeline = evaluate_pipeline(
+            TEMPLATE, TEMPLATE.default_hyperparameters(), TASK, HOLDOUT)
+        assert outcome.raw_score == raw and finished[0]["raw_score"] == raw
+        data = HOLDOUT.pipeline_data(include_target=False)
+        assert list(outcome.pipeline.predict(**data)) == list(pipeline.predict(**data))
+        assert [event["event"] for event in sink.events] == ["refit_started", "refit_finished"]
+    else:
+        assert outcome.raw_score is None and outcome.pipeline is None
+
+
+def test_wait_that_can_no_longer_end_raises_with_a_state_dump(monkeypatch):
+    from repro.automl import backends
+
+    monkeypatch.setattr(backends, "_STALL_POLL_SECONDS", 0.05)
+    backend = _ScriptedPool(_ScriptedExecutor(), lambda task: task)
+    backend.submit_refit(_refit_candidate(), HOLDOUT)
+    # the job's payload is filed but its completion never reaches the queue
+    monkeypatch.setattr(backend._completion_queue, "put", lambda future: None)
+    backend._executor.finish(0, "run")
+    with pytest.raises(RuntimeError, match="lost completion: .*1 candidate.s. outstanding, "
+                                           "0 completion.s. queued, 0 job.s. unfiled"):
+        backend.collect_one()
+
+
+# -- no learner is fitted by the coordinator of a pool or fleet search ----------------------
+
+
+@pytest.mark.parametrize("runner", ["serial", "thread", "process", "thread-fleet",
+                                    "process-fleet"])
+def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
+    import os
+    import threading
+
+    from repro.automl import AutoBazaarSearch, FleetCoordinator
+    from repro.core.step import PipelineStep
+
+    fits = []  # (pid, thread) of every step fit this process ran
+    real_fit = PipelineStep.fit
+
+    def recording_fit(self, context):
+        fits.append((os.getpid(), threading.get_ident()))
+        return real_fit(self, context)
+
+    monkeypatch.setattr(PipelineStep, "fit", recording_fit)
+
+    def run(backend):
+        searcher = AutoBazaarSearch(templates=[TEMPLATE], n_splits=2, random_state=0,
+                                    backend=backend, workers=2, n_pending=2)
+        return searcher.search(TASK, budget=3)
+
+    if runner.endswith("-fleet"):
+        with FleetCoordinator(backend=runner.split("-")[0], workers=2) as fleet:
+            result = run(fleet.register(name="tenant-a"))
+    else:
+        result = run(runner)
+    assert result.n_failed == 0 and result.test_score is not None
+    assert result.best_pipeline is not None and result.refit_error is None
+    coordinator = (os.getpid(), threading.get_ident())
+    if runner == "serial":
+        # the guard's guard: the patch sees fits, the refit's among them
+        n_steps = len(TEMPLATE.primitives)
+        assert fits == [coordinator] * (n_steps * (3 * 2 + 1))
+    elif runner.startswith("thread"):
+        assert fits and coordinator not in fits
+        assert {pid for pid, _ in fits} == {os.getpid()}
+    else:
+        assert fits == []  # workers are other processes: nothing was fitted in this one

@@ -101,8 +101,8 @@ class TestFleetDeterminism:
             assert record_documents(result) == solo[index]
             stats = result.fleet_stats
             assert stats["tenant"] == "tenant-{}".format(index)
-            assert stats["folds_dispatched"] == 4 * 2  # budget x n_splits
-            assert stats["plane_counts"] == {"inline": 1}
+            assert stats["folds_dispatched"] == 4 * 2 + 1  # budget x n_splits + the refit
+            assert stats["plane_counts"] == {"inline": 2}  # train and held-out partition
             assert stats["queue_depth_hwm"] >= 1
             assert stats["fold_seconds"] > 0
 
@@ -126,7 +126,7 @@ class TestFleetDeterminism:
         for index, result in enumerate(results):
             assert record_documents(result) == solo[index]
             # each tenant's task crossed the process boundary on one plane
-            assert sum(result.fleet_stats["plane_counts"].values()) == 1
+            assert sum(result.fleet_stats["plane_counts"].values()) == 2
 
 
 # -- fair-share scheduling (driven through a manual executor) ----------------------
@@ -278,13 +278,14 @@ class TestFleetValidation:
         fleet.close()  # idempotent
 
     def test_transport_capacity_grows_with_the_tenant_count(self):
-        # every registered tenant's task must stay published at once, or
-        # a late tenant would evict a segment with folds still in flight
+        # both partitions of every registered tenant (the one its folds
+        # read, the one its refit scores on) must stay published at once, or
+        # a late tenant would evict a segment with jobs still in flight
         with FleetCoordinator(backend="process", workers=1) as fleet:
             fleet._pool.transport_capacity = 1
             for _ in range(3):
                 fleet.register()
-            assert fleet._pool.transport_capacity == 4
+            assert fleet._pool.transport_capacity == 7
 
     def test_disk_prefix_cache_dir_is_owned_and_removed(self, tmp_path):
         import os

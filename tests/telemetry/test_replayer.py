@@ -46,7 +46,8 @@ class TestRoundTrip:
         tenant = report["tenants"]["default"]
         assert tenant["n_records"] == 6
         assert tenant["n_folds"] == 12  # 6 candidates x 2 splits
-        assert len(tenant["gantt"]) == 12
+        assert len(tenant["gantt"]) == 13  # and the refit, a bar of its own
+        assert [row["iteration"] for row in tenant["gantt"] if row.get("refit")] == [None]
 
     def test_thread_backend_with_prefix_cache(self, tmp_path):
         events_dir = str(tmp_path / "events")
@@ -188,6 +189,24 @@ class TestDivergence:
         replay_run(load_events(events_dir),
                    record_documents=documents + [trailing])
 
+    def test_refit_events_take_no_part_in_the_derivation(self, tmp_path):
+        events_dir, documents = self._run(tmp_path)
+        events = load_events(events_dir)
+        assert [e["event"] for e in events[-3:]] == [
+            "refit_started", "refit_finished", "search_finished"]
+        without = [e for e in events if not e["event"].startswith("refit_")]
+        full, stripped = (replay_run(stream, record_documents=documents)
+                          for stream in (events, without))
+        assert full["records"] == stripped["records"] == documents
+        # a refit_finished whose start was lost still draws its bar
+        orphan = [e for e in events if e["event"] != "refit_started"]
+        for report, n_bars in ((full, 1), (stripped, 0),
+                               (replay_run(orphan, record_documents=documents), 1)):
+            tenant = report["tenants"]["default"]
+            bars = [row for row in tenant["gantt"] if row.get("refit")]
+            assert len(bars) == n_bars and tenant["n_folds"] == 6
+            assert (tenant["refit_seconds"] > 0) == bool(n_bars)
+
     def test_missing_stream_is_a_replay_error(self, tmp_path):
         with pytest.raises(ReplayError):
             load_events(str(tmp_path / "nowhere"))
@@ -209,6 +228,7 @@ class TestCheckpointedRuns:
         out = capsys.readouterr().out
         assert "records reconstructed: 4" in out
         assert "record-log cross-check: OK" in out
+        assert " refit=" in out  # the refit's seconds, next to the folds' busy time
 
     def test_resume_appends_to_the_same_stream(self, tmp_path):
         from repro.automl import ExperimentRun, resume_run

@@ -135,6 +135,9 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
     assert any("record_bench.py fault-tolerance" in run
                and "BENCH_fault_tolerance.json" in run
                for run in runs), "the job must record the fault-tolerance benchmark"
+    refit = [run for run in runs if "tests/automl/test_refit_on_backend.py" in run]
+    assert len(refit) == 2, "the job must run the refit suite, and its fleet cases repeatedly"
+    assert "seq 1 20" in refit[1] and '-k "fleet and' in refit[1] and "|| exit 1" in refit[1]
     uploads = _uploads(workflow, "chaos")
     assert uploads and "BENCH_fault_tolerance.json" in uploads[0]["with"]["path"]
     # the committed benchmark record, the chaos suite and the benchmark
@@ -143,6 +146,8 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
     assert os.path.exists(os.path.join(root, "BENCH_fault_tolerance.json"))
     assert os.path.exists(os.path.join(root, "tests", "automl",
                                        "test_fault_tolerance.py"))
+    assert os.path.exists(os.path.join(root, "tests", "automl",
+                                       "test_refit_on_backend.py"))
     assert os.path.exists(os.path.join(root, "benchmarks",
                                        "test_bench_fault_tolerance.py"))
 
