@@ -22,7 +22,14 @@ cross-validation folds of each candidate pipeline to a worker pool, with
 scheduler (``--schedule barrier`` restores the historical round-based
 loop).  Record-for-record reproducibility across
 backends additionally requires deterministic pipelines (estimator
-``random_state`` seeded via template ``init_params``).
+``random_state`` seeded via template ``init_params`` or
+``estimator_seed``).
+
+These are four of the 11 execution knobs.  Library and command line share
+them — a flag ``--some-knob`` is the keyword ``some_knob`` (``--pending``
+is ``n_pending``) — and ``repro.automl.config.ExecutionConfig``, described
+in README's "Execution configuration" section, is where each one is
+defaulted, validated and documented.
 """
 
 import numpy as np
@@ -92,9 +99,10 @@ def main():
 
     # ------------------------------------------------------------------ backends
     # A full AutoBazaar search on the thread backend: cross-validation folds
-    # are dispatched to a worker pool, and n_pending > 1 proposes a batch of
-    # candidates per round (constant-liar batching).  Swap backend="process"
-    # for true multi-core parallelism.
+    # are dispatched to a worker pool, and n_pending > 1 keeps that many
+    # candidates in flight (constant-liar proposals).  Swap backend="process"
+    # for true multi-core parallelism.  The execution knobs are collected
+    # into one validated ExecutionConfig, readable back as searcher.execution.
     task = synth.make_single_table_classification(n_samples=200, random_state=0)
     searcher = AutoBazaarSearch(
         n_splits=2, random_state=0, backend="thread", workers=2, n_pending=2,

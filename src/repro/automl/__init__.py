@@ -17,6 +17,7 @@ from repro.automl.backends import (
     get_backend,
 )
 from repro.automl.catalog import TemplateCatalog, default_template_catalog, get_templates
+from repro.automl.config import ExecutionConfig
 from repro.automl.faultinject import FaultPlan
 from repro.automl.checkpoint import (
     CheckpointError,
@@ -58,6 +59,7 @@ __all__ = [
     "EvaluationRecord",
     "evaluate_pipeline",
     "AutoBazaarSession",
+    "ExecutionConfig",
     "run_from_directory",
     "run_fleet_from_directories",
     "FleetCoordinator",

@@ -18,8 +18,74 @@ Multi-tenant fleet (N concurrent searches, one shared worker pool)::
 import argparse
 import sys
 
+from repro.automl.backends import BACKENDS
 from repro.automl.checkpoint import CheckpointError
+from repro.automl.config import EXECUTION_ONLY, KNOBS, SCHEDULES, ExecutionConfig
+from repro.automl.prefix_cache import PREFIX_CACHE_MODES
 from repro.automl.session import run_fleet_from_directories, run_from_directory
+
+
+def _add_execution_arguments(parser, fields):
+    """Add the flags of the named :class:`ExecutionConfig` fields to ``parser``.
+
+    ``dest`` and ``default`` come from the field itself; README's "Execution
+    configuration" section is the long description of every flag.
+    """
+    defaults = ExecutionConfig()
+
+    def add(name, flag, **options):
+        if name in fields:
+            parser.add_argument(flag, dest=name, default=getattr(defaults, name), **options)
+
+    add("backend", "--backend", choices=tuple(BACKENDS),
+        help="where cross-validation folds run: inline, on a thread pool or on "
+             "a process pool (default: serial)")
+    add("workers", "--workers", type=int, metavar="N",
+        help="worker count for the thread/process backends (default: the CPU count)")
+    add("n_pending", "--pending", type=int, metavar="N",
+        help="candidates in flight at once; values > 1 enable constant-liar "
+             "batch proposals (default: 1)")
+    add("schedule", "--schedule", choices=SCHEDULES,
+        help="'window' replaces each completed evaluation immediately; 'barrier' "
+             "is the historical round-based loop (default: window)")
+    add("prefix_cache", "--prefix-cache", choices=PREFIX_CACHE_MODES,
+        help="memoize fitted preprocessing prefixes: 'mem' per process, 'disk' "
+             "shared across process-backend workers; score-preserving (default: off)")
+    add("cache_dir", "--cache-dir", metavar="DIR",
+        help="directory of the disk-tier prefix store (default: a temporary "
+             "per-search directory)")
+    add("prune_margin", "--prune-margin", type=float, metavar="MARGIN",
+        help="fold-level early discard of candidates that cannot reach the task "
+             "best minus MARGIN (>= 0); trades the bit-identical record stream "
+             "for throughput (default: off)")
+    add("batch_eval", "--batch-eval", action="store_true",
+        help="evaluate same-template candidates proposed together as fused "
+             "batches; scores and record order are unchanged")
+    add("telemetry", "--telemetry", metavar="{off,run-dir,PATH}",
+        help="record a telemetry event stream in PATH, or with 'run-dir' in the "
+             "run directory's events/ (a resumed run appends); replay with "
+             "`python -m repro.telemetry DIR` (default: off)")
+    add("fold_timeout", "--fold-timeout", type=float, metavar="SECONDS",
+        help="supervised process pool: kill the worker of a fold running longer "
+             "than SECONDS and retry the fold (default: no deadline)")
+    add("max_fold_retries", "--max-fold-retries", type=int, metavar="N",
+        help="supervised process pool: crash/timeout retries per fold before it "
+             "is recorded as a failed evaluation (default: 1 when supervised)")
+
+
+def _execution_kwargs(arguments):
+    """The execution knobs a parser built with the helper above has parsed."""
+    return {name: getattr(arguments, name) for name in KNOBS if hasattr(arguments, name)}
+
+
+def _session_kwargs(arguments):
+    """What both run helpers take of the run parser's arguments."""
+    return dict(
+        budget=arguments.budget, tuner=arguments.tuner, selector=arguments.selector,
+        n_splits=arguments.splits, random_state=arguments.seed, output=arguments.output,
+        store_path=arguments.store_path, warm_start=arguments.warm_start,
+        **_execution_kwargs(arguments),
+    )
 
 
 def build_parser():
@@ -53,52 +119,7 @@ def build_parser():
     parser.add_argument("--splits", type=int, default=3,
                         help="cross-validation folds used to score candidates")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"),
-                        help="execution backend evaluating the pipelines (default: serial); "
-                             "thread/process dispatch cross-validation folds to a worker pool")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for the thread/process backends "
-                             "(default: the CPU count)")
-    parser.add_argument("--pending", type=int, default=1,
-                        help="candidates in flight at once; values > 1 enable "
-                             "constant-liar batch proposals (default: 1)")
-    parser.add_argument("--schedule", default="window", choices=("window", "barrier"),
-                        help="search scheduler: 'window' keeps --pending evaluations "
-                             "in flight and replaces each completion immediately; "
-                             "'barrier' is the historical round-based loop "
-                             "(default: window)")
-    parser.add_argument("--fold-timeout", type=float, default=None, metavar="SECONDS",
-                        help="supervised process pool: kill the worker of any fold "
-                             "running longer than SECONDS and retry the fold "
-                             "(default: no deadline; setting this or "
-                             "--max-fold-retries enables supervision)")
-    parser.add_argument("--max-fold-retries", type=int, default=None, metavar="N",
-                        help="supervised process pool: crash/timeout retries per "
-                             "fold before it is recorded as a failed evaluation "
-                             "(default: 1 when supervision is enabled)")
-    parser.add_argument("--batch-eval", action="store_true",
-                        help="evaluate same-template candidates proposed together "
-                             "as fused batches (shared preprocessing prefix, "
-                             "batched estimator fits); scores and record order are "
-                             "unchanged — pair with --schedule barrier and "
-                             "--pending > 1 for full batches")
-    parser.add_argument("--prefix-cache", default="off", choices=("off", "mem", "disk"),
-                        help="fitted-prefix cache: memoize fitted preprocessing "
-                             "prefixes shared by candidates (same fold, same "
-                             "configured prefix). 'mem' keeps a per-process LRU; "
-                             "'disk' additionally shares fitted prefixes across "
-                             "process-backend workers through a content-addressed "
-                             "store (default: off)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="directory of the disk-tier prefix store (default: a "
-                             "temporary per-search directory)")
-    parser.add_argument("--prune-margin", type=float, default=None, metavar="MARGIN",
-                        help="enable fold-level early-discard pruning: cancel a "
-                             "candidate's remaining folds once its optimistic bound "
-                             "cannot reach the task best minus MARGIN (>= 0). "
-                             "Trades the bit-identical record stream for throughput "
-                             "(default: off)")
+    _add_execution_arguments(parser, KNOBS)
     parser.add_argument("--store-path", default=None, metavar="DIR",
                         help="directory of a persistent (crash-safe JSONL) pipeline "
                              "store; records are durably appended as they are "
@@ -118,12 +139,6 @@ def build_parser():
                         help="snapshot the resumable search state every N reported "
                              "records (default: 1; the record log itself is always "
                              "written per record)")
-    parser.add_argument("--telemetry", default="off", metavar="{off,run-dir,PATH}",
-                        help="record a structured telemetry event stream: 'run-dir' "
-                             "puts it in the run directory's events/ stream (needs "
-                             "--run-dir), any other value is the stream directory "
-                             "itself; replay with `python -m repro.telemetry DIR` "
-                             "(default: off)")
     parser.add_argument("--output", default=None,
                         help="optional path for the JSON dump of every scored pipeline")
     return parser
@@ -136,31 +151,12 @@ def build_resume_parser():
         description="Resume a killed checkpointed run from its run directory. The "
                     "durable record prefix is replayed to reconstruct the exact "
                     "search state, then the search continues; the final record "
-                    "stream is identical to an uninterrupted run.",
+                    "stream is identical to an uninterrupted run.  The options "
+                    "apply to the remaining evaluations and may differ from the "
+                    "original run's.",
     )
     parser.add_argument("run_dir", help="run directory created with --run-dir")
-    parser.add_argument("--backend", default="serial",
-                        choices=("serial", "thread", "process"),
-                        help="execution backend for the remaining evaluations; may "
-                             "differ from the original run (the record stream is "
-                             "backend-independent)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for the thread/process backends")
-    parser.add_argument("--fold-timeout", type=float, default=None, metavar="SECONDS",
-                        help="supervised process pool: per-fold deadline for the "
-                             "remaining evaluations (see the run parser)")
-    parser.add_argument("--max-fold-retries", type=int, default=None, metavar="N",
-                        help="supervised process pool: crash/timeout retries per fold")
-    parser.add_argument("--prefix-cache", default="off", choices=("off", "mem", "disk"),
-                        help="fitted-prefix cache for the remaining evaluations "
-                             "(content-addressed, score-preserving; default: off)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="directory of the disk-tier prefix store")
-    parser.add_argument("--telemetry", default="off", metavar="{off,run-dir,PATH}",
-                        help="record telemetry events for the resumed portion: "
-                             "'run-dir' appends to the run directory's events/ "
-                             "stream (continuing the sequence numbers), any other "
-                             "value is a stream directory (default: off)")
+    _add_execution_arguments(parser, EXECUTION_ONLY)
     return parser
 
 
@@ -202,16 +198,7 @@ def _resume_main(argv):
 
     arguments = build_resume_parser().parse_args(argv)
     try:
-        run = resume_run(
-            arguments.run_dir,
-            backend=arguments.backend,
-            workers=arguments.workers,
-            prefix_cache=arguments.prefix_cache,
-            cache_dir=arguments.cache_dir,
-            telemetry=arguments.telemetry,
-            fold_timeout=arguments.fold_timeout,
-            max_fold_retries=arguments.max_fold_retries,
-        )
+        run = resume_run(arguments.run_dir, **_execution_kwargs(arguments))
     except (FileNotFoundError, ValueError, CheckpointError,
             ReplayMismatchError, StoreCorruptionError) as error:
         print("error: {}".format(error), file=sys.stderr)
@@ -241,27 +228,7 @@ def _fleet_main(arguments, task_dirs):
         return 1
     try:
         session = run_fleet_from_directories(
-            task_dirs,
-            budget=arguments.budget,
-            tuner=arguments.tuner,
-            selector=arguments.selector,
-            n_splits=arguments.splits,
-            random_state=arguments.seed,
-            output=arguments.output,
-            backend=arguments.backend,
-            workers=arguments.workers,
-            n_pending=arguments.pending,
-            schedule=arguments.schedule,
-            store_path=arguments.store_path,
-            warm_start=arguments.warm_start,
-            prefix_cache=arguments.prefix_cache,
-            cache_dir=arguments.cache_dir,
-            prune_margin=arguments.prune_margin,
-            batch_eval=arguments.batch_eval,
-            weights=weights,
-            telemetry=arguments.telemetry,
-            fold_timeout=arguments.fold_timeout,
-            max_fold_retries=arguments.max_fold_retries,
+            task_dirs, weights=weights, **_session_kwargs(arguments)
         )
     except (FileNotFoundError, ValueError) as error:
         print("error: {}".format(error), file=sys.stderr)
@@ -302,28 +269,8 @@ def main(argv=None):
 
     try:
         session = run_from_directory(
-            task_dirs[0],
-            budget=arguments.budget,
-            tuner=arguments.tuner,
-            selector=arguments.selector,
-            n_splits=arguments.splits,
-            random_state=arguments.seed,
-            output=arguments.output,
-            backend=arguments.backend,
-            workers=arguments.workers,
-            n_pending=arguments.pending,
-            schedule=arguments.schedule,
-            store_path=arguments.store_path,
-            warm_start=arguments.warm_start,
-            run_dir=arguments.run_dir,
-            checkpoint_every=arguments.checkpoint_every,
-            prefix_cache=arguments.prefix_cache,
-            cache_dir=arguments.cache_dir,
-            prune_margin=arguments.prune_margin,
-            batch_eval=arguments.batch_eval,
-            telemetry=arguments.telemetry,
-            fold_timeout=arguments.fold_timeout,
-            max_fold_retries=arguments.max_fold_retries,
+            task_dirs[0], run_dir=arguments.run_dir,
+            checkpoint_every=arguments.checkpoint_every, **_session_kwargs(arguments),
         )
     except (FileNotFoundError, ValueError, CheckpointError) as error:
         print("error: {}".format(error), file=sys.stderr)

@@ -80,6 +80,11 @@ import numpy as np
 
 from repro.automl import batch_eval, faultinject, shm
 from repro.automl.prefix_cache import fold_data_key, resolve_prefix_cache
+from repro.automl.supervisor import (
+    DEFAULT_MAX_FOLD_RETRIES,
+    SupervisedWorkerPool,
+    supervision_knobs,
+)
 from repro.tasks.task import materialize_cv_fold, task_cv_indices
 from repro.telemetry.events import begin_capture, capture_event, end_capture
 from repro.telemetry.sink import emit_active
@@ -1040,6 +1045,14 @@ class SerialBackend(ExecutionBackend):
         return self._completed.pop(0)
 
 
+def resolve_workers(workers):
+    """The pool size a ``workers`` setting means (``None``: the CPU count)."""
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    return workers
+
+
 #: Seconds between two looks of ``_PoolBackend.collect_one`` at whether the
 #: completion it blocks on can still arrive.
 _STALL_POLL_SECONDS = 5.0
@@ -1055,11 +1068,7 @@ class _PoolBackend(ExecutionBackend):
     """
 
     def __init__(self, workers=None):
-        import os
-
-        self.workers = (os.cpu_count() or 1) if workers is None else int(workers)
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        self.workers = resolve_workers(workers)
         self._executor = self._make_executor()
         self._completion_queue = queue.Queue()
         self._outstanding = 0
@@ -1278,12 +1287,9 @@ class ProcessBackend(_PoolBackend):
     name = "process"
 
     def __init__(self, workers=None, fold_timeout=None, max_fold_retries=None):
-        self.fold_timeout = None if fold_timeout is None else float(fold_timeout)
-        self.max_fold_retries = (
-            None if max_fold_retries is None else int(max_fold_retries)
+        self.fold_timeout, self.max_fold_retries = supervision_knobs(
+            fold_timeout, max_fold_retries
         )
-        if self.max_fold_retries is not None and self.max_fold_retries < 0:
-            raise ValueError("max_fold_retries must be non-negative")
         self._payloads = OrderedDict()  # id(task) -> (task, TaskPayload)
         self._segments = OrderedDict()  # id(task) -> (task, SharedTaskSegment)
         self._payload_ids = count()
@@ -1304,11 +1310,6 @@ class ProcessBackend(_PoolBackend):
 
     def _make_executor(self):
         if self.supervised:
-            from repro.automl.supervisor import (
-                DEFAULT_MAX_FOLD_RETRIES,
-                SupervisedWorkerPool,
-            )
-
             retries = self.max_fold_retries
             if retries is None:
                 retries = DEFAULT_MAX_FOLD_RETRIES
@@ -1472,30 +1473,24 @@ BACKENDS = {
 }
 
 
-def get_backend(backend, workers=None, fold_timeout=None, max_fold_retries=None):
-    """Resolve a backend instance from a name, class or instance.
+def resolve_backend(backend, supervised=()):
+    """The instance or class a ``backend`` setting names; starts nothing.
 
-    ``workers`` is forwarded to the pool backends and ignored by the
-    serial backend; the supervision knobs ``fold_timeout``/
-    ``max_fold_retries`` apply only to the process backend and keep the
-    backend's own defaults when ``None``.  Setting either for something
-    that cannot honor it — an already-constructed instance, or a backend
-    without worker processes — is rejected rather than silently ignored.
+    ``backend`` is a name, an :class:`ExecutionBackend` class (returned
+    itself, so user subclasses are honored) or an instance (returned as
+    is).  ``supervised`` names the supervision knobs the caller has set:
+    setting one for something that cannot honor it — an already-constructed
+    instance, or a backend without worker processes — is rejected rather
+    than silently ignored.
     """
-    process_knobs = (
-        ("fold_timeout", fold_timeout),
-        ("max_fold_retries", max_fold_retries),
-    )
     if isinstance(backend, ExecutionBackend):
-        for knob, value in process_knobs:
-            if value is not None:
-                raise ValueError(
-                    "{} cannot be applied to an existing backend "
-                    "instance; configure it on the backend directly".format(knob)
-                )
+        for knob in supervised:
+            raise ValueError(
+                "{} cannot be applied to an existing backend "
+                "instance; configure it on the backend directly".format(knob)
+            )
         return backend
     if isinstance(backend, type) and issubclass(backend, ExecutionBackend):
-        # instantiate the class itself so user subclasses are honored
         backend_class = backend
     else:
         if backend is None:
@@ -1506,19 +1501,35 @@ def get_backend(backend, workers=None, fold_timeout=None, max_fold_retries=None)
             raise ValueError(
                 "Unknown backend {!r}; available backends: {}".format(backend, sorted(BACKENDS))
             ) from None
-    if issubclass(backend_class, ProcessBackend):
-        kwargs = {"workers": workers}
-        for knob, value in process_knobs:
-            if value is not None:
-                kwargs[knob] = value
-        return backend_class(**kwargs)
-    for knob, value in process_knobs:
-        if value is not None:
+    if not issubclass(backend_class, ProcessBackend):
+        for knob in supervised:
             raise ValueError(
                 "{} only applies to the process backend, not {!r}".format(
                     knob, getattr(backend_class, "name", backend_class.__name__)
                 )
             )
-    if issubclass(backend_class, _PoolBackend):
-        return backend_class(workers=workers)
-    return backend_class()
+    return backend_class
+
+
+def get_backend(backend, workers=None, fold_timeout=None, max_fold_retries=None):
+    """Resolve a backend instance from a name, class or instance.
+
+    ``workers`` is forwarded to the pool backends and ignored by the
+    serial backend; the supervision knobs ``fold_timeout``/
+    ``max_fold_retries`` apply only to the process backend (see
+    :func:`resolve_backend`) and keep the backend's own defaults when
+    ``None``.
+    """
+    supervision = {
+        knob: value
+        for knob, value in (("fold_timeout", fold_timeout),
+                            ("max_fold_retries", max_fold_retries))
+        if value is not None
+    }
+    resolved = resolve_backend(backend, supervised=supervision)
+    if isinstance(resolved, ExecutionBackend):
+        return resolved
+    if issubclass(resolved, _PoolBackend):
+        # only a process backend gets past resolve_backend with supervision set
+        return resolved(workers=workers, **supervision)
+    return resolved()

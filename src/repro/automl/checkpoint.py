@@ -31,6 +31,7 @@ lists and RNG words, written before the digests) still resumes: the
 fields both formats share are verified and the rest skipped.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -44,9 +45,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 import numpy as np
 
+from repro.automl.config import ExecutionConfig
 from repro.automl.search import AutoBazaarSearch
 from repro.explorer.persistence import PersistentPipelineStore
-from repro.telemetry.sink import EVENTS_DIRNAME
 from repro.explorer.store import normalize_value
 from repro.tasks.io import load_task, save_task, task_fingerprint
 from repro.tuning.selectors import get_selector
@@ -314,6 +315,7 @@ class ExperimentRun:
         # fail fast on unknown names before anything touches the disk
         get_tuner(tuner)
         get_selector(selector)
+        shaping = ExecutionConfig(n_pending=n_pending, schedule=schedule)
         if task is None:
             if task_directory is None:
                 raise ValueError("Either task or task_directory is required")
@@ -357,8 +359,8 @@ class ExperimentRun:
             "n_splits": int(n_splits),
             "random_state": int(random_state),
             "holdout": float(holdout),
-            "schedule": schedule,
-            "n_pending": int(n_pending),
+            "schedule": shaping.schedule,
+            "n_pending": shaping.n_pending,
             "max_seconds": max_seconds,
             "checkpoint_every": int(checkpoint_every),
             "warm_start": warm_start,
@@ -407,153 +409,126 @@ class ExperimentRun:
             ) from None
         return descriptor
 
-    def execute(self, backend="serial", workers=None, on_report=None,
-                prefix_cache="off", cache_dir=None, batch_eval=False,
-                telemetry=None, fold_timeout=None, max_fold_retries=None):
+    @contextlib.contextmanager
+    def _run_lock(self):
+        """Hold :meth:`_acquire_run_lock` for the duration of a ``with`` block."""
+        descriptor = self._acquire_run_lock()
+        try:
+            yield
+        finally:
+            if descriptor is not None:
+                os.close(descriptor)
+
+    def execute(self, on_report=None, **execution):
         """Run — or resume — the search; returns the ``SearchResult``.
 
-        ``telemetry`` enables structured event recording: ``"run-dir"``
-        (or ``True``) records into the run directory's ``events/``
-        stream — a resumed run reopens and appends to it, continuing the
-        sequence numbers — while an explicit path or a
-        :class:`~repro.telemetry.sink.TelemetrySink` records elsewhere.
-        ``None``/``"off"`` disables it.  Like the execution knobs below,
-        telemetry never shapes the record stream.
-
-        Execution knobs (``backend``/``workers``/``batch_eval``, the
-        supervision knobs
-        ``fold_timeout``/``max_fold_retries``, and the fitted-prefix cache
-        ``prefix_cache``/``cache_dir``) may differ between run and resume:
-        the determinism guarantee makes the record stream identical across
-        backends — prefix caching preserves scores exactly (entries are
-        content-addressed by fold data and configured prefix), and batched
-        evaluation fuses work without changing any score or the record
-        order — so they are not part of the manifest.  Everything that
-        shapes the stream (budget, seed, tuner, selector, schedule,
-        ``n_pending``) is fixed at creation.  Early-discard pruning, by
-        contrast, *does* change the stream and is deliberately not
-        available on checkpointed runs.
+        ``execution`` takes the execution-only knobs of
+        :class:`~repro.automl.config.ExecutionConfig`, which may differ
+        between a run and its resume; the stream-shaping ones are fixed in
+        the manifest at creation (``n_pending``, ``schedule``) or not
+        available on a checkpointed run at all (``prune_margin``).
+        ``telemetry="run-dir"`` (or ``True``) records into this run
+        directory's ``events/`` stream.  ``on_report`` is called with the
+        search state after every reported record (see
+        :class:`CheckpointManager`).
         """
-        run_lock = self._acquire_run_lock()
-        try:
-            return self._execute(backend=backend, workers=workers, on_report=on_report,
-                                 prefix_cache=prefix_cache, cache_dir=cache_dir,
-                                 batch_eval=batch_eval, telemetry=telemetry,
-                                 fold_timeout=fold_timeout,
-                                 max_fold_retries=max_fold_retries)
-        finally:
-            if run_lock is not None:
-                os.close(run_lock)
-
-    def _execute(self, backend, workers, on_report, prefix_cache="off", cache_dir=None,
-                 batch_eval=False, telemetry=None, fold_timeout=None,
-                 max_fold_retries=None):
         manifest = self.manifest
-        task_dir = os.path.join(self.run_dir, TASK_DIRNAME)
-        fingerprint = task_fingerprint(task_dir)
-        if fingerprint != manifest["task_fingerprint"]:
-            raise CheckpointError(
-                "Task payload in {!r} changed since the run was created "
-                "(fingerprint {} != manifest {})".format(
-                    self.run_dir, fingerprint, manifest["task_fingerprint"])
-            )
-        task = load_task(task_dir)
-
-        store = PersistentPipelineStore(os.path.join(self.run_dir, STORE_DIRNAME))
-        try:
-            replay = list(store)
-            if len(replay) > manifest["budget"]:
+        config = ExecutionConfig.from_keywords(
+            execution, run_dir=self.run_dir,
+            n_pending=manifest["n_pending"], schedule=manifest["schedule"],
+        )
+        with self._run_lock():
+            task_dir = os.path.join(self.run_dir, TASK_DIRNAME)
+            fingerprint = task_fingerprint(task_dir)
+            if fingerprint != manifest["task_fingerprint"]:
                 raise CheckpointError(
-                    "Run store holds {} records but the budget is {}: the store was "
-                    "appended to outside this run".format(len(replay), manifest["budget"])
+                    "Task payload in {!r} changed since the run was created "
+                    "(fingerprint {} != manifest {})".format(
+                        self.run_dir, fingerprint, manifest["task_fingerprint"])
                 )
+            task = load_task(task_dir)
 
-            snapshot = None
-            checkpoint_path = os.path.join(self.run_dir, CHECKPOINT_NAME)
-            if os.path.exists(checkpoint_path):
-                snapshot = _load_json(checkpoint_path)
-                if snapshot.get("n_reported", 0) > len(replay):
+            store = PersistentPipelineStore(os.path.join(self.run_dir, STORE_DIRNAME))
+            try:
+                replay = list(store)
+                if len(replay) > manifest["budget"]:
                     raise CheckpointError(
-                        "checkpoint.json claims {} reported records but the store "
-                        "holds only {}: the store lost acknowledged data".format(
-                            snapshot.get("n_reported"), len(replay))
+                        "Run store holds {} records but the budget is {}: the store was "
+                        "appended to outside this run".format(len(replay), manifest["budget"])
                     )
-        except Exception:
-            # pre-flight failures must not leak the open store (its shared
-            # lock would degrade every later open in this process)
-            store.close()
-            raise
-        manager = CheckpointManager(
-            self.run_dir, every=manifest["checkpoint_every"],
-            resume_snapshot=snapshot, replay_count=len(replay), on_report=on_report,
-        )
 
-        warm_store = None
-        if manifest.get("warm_start"):
-            warm_store = PersistentPipelineStore(os.path.join(self.run_dir, WARM_DIRNAME))
-
-        # "run-dir" (or True) puts the event stream next to the record
-        # store; the search itself owns opening/closing the sink, and
-        # reopening an existing stream on resume appends to it
-        if telemetry in (None, False, "off"):
-            telemetry = None
-        elif telemetry in (True, "run-dir"):
-            telemetry = os.path.join(self.run_dir, EVENTS_DIRNAME)
-
-        searcher = AutoBazaarSearch(
-            tuner_class=get_tuner(manifest["tuner"]),
-            selector_class=get_selector(manifest["selector"]),
-            n_splits=manifest["n_splits"],
-            random_state=manifest["random_state"],
-            store=store,
-            warm_start_store=warm_store,
-            backend=backend,
-            workers=workers,
-            n_pending=manifest["n_pending"],
-            schedule=manifest["schedule"],
-            estimator_seed=manifest.get("estimator_seed", manifest["random_state"]),
-            prefix_cache=prefix_cache,
-            cache_dir=cache_dir,
-            batch_eval=batch_eval,
-            telemetry=telemetry,
-            fold_timeout=fold_timeout,
-            max_fold_retries=max_fold_retries,
-        )
-        if snapshot is not None:
-            elapsed_offset = float(snapshot.get("elapsed") or 0.0)
-        else:
-            # no snapshot survived (killed before the first checkpoint):
-            # approximate spent wall-clock with the summed evaluation cost.
-            # Exact for the serial backend; an upper bound for pool
-            # backends (concurrent evaluations overlap), which at worst
-            # stops a max_seconds-budgeted resume early -- replay itself is
-            # never deadline-gated.  Keep checkpoint_every=1 (the default)
-            # on wall-clock-budgeted parallel runs to avoid the gap.
-            elapsed_offset = float(sum(doc.get("elapsed") or 0.0 for doc in replay))
-        try:
-            result = searcher.search(
-                task,
-                budget=manifest["budget"],
-                holdout=manifest["holdout"],
-                max_seconds=manifest["max_seconds"],
-                checkpoint=manager,
-                replay=replay,
-                elapsed_offset=elapsed_offset,
+                snapshot = None
+                checkpoint_path = os.path.join(self.run_dir, CHECKPOINT_NAME)
+                if os.path.exists(checkpoint_path):
+                    snapshot = _load_json(checkpoint_path)
+                    if snapshot.get("n_reported", 0) > len(replay):
+                        raise CheckpointError(
+                            "checkpoint.json claims {} reported records but the store "
+                            "holds only {}: the store lost acknowledged data".format(
+                                snapshot.get("n_reported"), len(replay))
+                        )
+            except Exception:
+                # pre-flight failures must not leak the open store (its shared
+                # lock would degrade every later open in this process)
+                store.close()
+                raise
+            manager = CheckpointManager(
+                self.run_dir, every=manifest["checkpoint_every"],
+                resume_snapshot=snapshot, replay_count=len(replay), on_report=on_report,
             )
-        except BaseException:
-            # on failure (including KeyboardInterrupt) release the store
-            # immediately so the directory can be resumed without a
-            # degraded shared-mode open
-            store.close()
-            raise
-        finally:
-            if warm_store is not None:
-                warm_store.close()
-        # on success the store stays open (queryable and still durable for
-        # the caller); release it with close() when done
-        self.store = store
-        self.result = result
-        return result
+
+            warm_store = None
+            if manifest.get("warm_start"):
+                warm_store = PersistentPipelineStore(os.path.join(self.run_dir, WARM_DIRNAME))
+
+            searcher = AutoBazaarSearch(
+                tuner_class=get_tuner(manifest["tuner"]),
+                selector_class=get_selector(manifest["selector"]),
+                n_splits=manifest["n_splits"],
+                random_state=manifest["random_state"],
+                store=store,
+                warm_start_store=warm_store,
+                estimator_seed=manifest.get("estimator_seed", manifest["random_state"]),
+                # a "run-dir" event stream sits next to the record store; the
+                # search owns opening/closing the sink, and reopening an
+                # existing stream on resume appends to it
+                **config.as_kwargs(),
+            )
+            if snapshot is not None:
+                elapsed_offset = float(snapshot.get("elapsed") or 0.0)
+            else:
+                # no snapshot survived (killed before the first checkpoint):
+                # approximate spent wall-clock with the summed evaluation cost.
+                # Exact for the serial backend; an upper bound for pool
+                # backends (concurrent evaluations overlap), which at worst
+                # stops a max_seconds-budgeted resume early -- replay itself is
+                # never deadline-gated.  Keep checkpoint_every=1 (the default)
+                # on wall-clock-budgeted parallel runs to avoid the gap.
+                elapsed_offset = float(sum(doc.get("elapsed") or 0.0 for doc in replay))
+            try:
+                result = searcher.search(
+                    task,
+                    budget=manifest["budget"],
+                    holdout=manifest["holdout"],
+                    max_seconds=manifest["max_seconds"],
+                    checkpoint=manager,
+                    replay=replay,
+                    elapsed_offset=elapsed_offset,
+                )
+            except BaseException:
+                # on failure (including KeyboardInterrupt) release the store
+                # immediately so the directory can be resumed without a
+                # degraded shared-mode open
+                store.close()
+                raise
+            finally:
+                if warm_store is not None:
+                    warm_store.close()
+            # on success the store stays open (queryable and still durable for
+            # the caller); release it with close() when done
+            self.store = store
+            self.result = result
+            return result
 
     def close(self):
         """Release the run's open store handle (and its locks), if any."""
@@ -573,21 +548,19 @@ class ExperimentRun:
         )
 
 
-def resume_run(run_dir, backend="serial", workers=None, prefix_cache="off",
-               cache_dir=None, telemetry=None, fold_timeout=None,
-               max_fold_retries=None):
+def resume_run(run_dir, **execution):
     """Resume a killed (or completed) checkpointed run; returns the run.
 
     Replays the durable record prefix to reconstruct the exact search
     state, verifies it against the latest snapshot, then continues with
     live evaluations — the remaining record stream is identical to the one
     an uninterrupted run would have produced, and the store ends up with
-    no duplicated or lost records.  The fitted-prefix cache may be enabled
-    on resume even if the original run had it off (and vice versa): cached
-    artifacts are content-addressed, so the scores are unchanged.
+    no duplicated or lost records.  ``execution`` is what
+    :meth:`ExperimentRun.execute` takes: the execution-only knobs, free to
+    differ from the original run's (the fitted-prefix cache may be enabled
+    on resume even if the original run had it off, and vice versa: cached
+    artifacts are content-addressed, so the scores are unchanged).
     """
     run = ExperimentRun.open(run_dir)
-    run.execute(backend=backend, workers=workers, prefix_cache=prefix_cache,
-                cache_dir=cache_dir, telemetry=telemetry, fold_timeout=fold_timeout,
-                max_fold_retries=max_fold_retries)
+    run.execute(**execution)
     return run

@@ -60,12 +60,13 @@ from itertools import count
 from repro.automl import shm
 from repro.automl.backends import (
     ProcessBackend,
-    ThreadBackend,
     _PoolBackend,
     # unused here, but bench_e2e/tracing.py patches this module attribute
     evaluate_fold_indices,  # noqa: F401
+    get_backend,
 )
-from repro.automl.prefix_cache import PREFIX_CACHE_MODES, sweep_orphan_cache_tmp
+from repro.automl.config import ExecutionConfig
+from repro.automl.prefix_cache import sweep_orphan_cache_tmp
 from repro.telemetry.sink import emit_active
 
 #: Pass-value charge for a tenant's first folds, before any measured cost
@@ -321,63 +322,46 @@ class FleetCoordinator:
 
     Parameters
     ----------
-    backend:
-        ``"process"`` (default) or ``"thread"``.
-    workers:
-        Shared worker count (default: the CPU count).
-    prefix_cache, cache_dir:
-        Fitted-prefix cache mode shared by the fleet.  With ``"disk"`` and
-        no ``cache_dir`` the coordinator creates (and removes on close)
-        one shared directory, so all tenants' workers reuse each other's
-        fitted prefixes.
     max_backlog:
         Folds admitted to the executor beyond the worker count (default:
         the worker count) — enough queued work that workers never idle
         between admissions, small enough that fair share, cancellation and
         pruning keep their grip on the interleave.
-    fold_timeout, max_fold_retries:
-        Process-fleet supervision knobs (see
-        :class:`~repro.automl.backends.ProcessBackend`).  Setting either
-        runs the whole fleet on a supervised pool: a tenant whose fold
-        SIGKILLs a worker costs the fleet one worker respawn and one
-        retried fold, not a ``BrokenProcessPool`` for every tenant —
-        folds already running on the surviving workers are untouched.
+    backend, **execution:
+        The execution knobs (see
+        :class:`~repro.automl.config.ExecutionConfig`), kept as
+        :attr:`execution`; a fleet pools ``"process"`` (its default) or
+        ``"thread"`` workers.  The fleet itself reads the pool-level ones
+        (``workers``, the supervision knobs — a tenant whose fold SIGKILLs
+        a worker then costs the fleet one respawn and one retried fold,
+        not a ``BrokenProcessPool`` for every tenant — and
+        ``prefix_cache`` / ``cache_dir``: with ``"disk"`` and no directory
+        the coordinator creates, and removes on close, one shared
+        directory, so all tenants' workers reuse each other's fitted
+        prefixes); the others configure the tenants' searches.
     """
 
-    def __init__(self, backend="process", workers=None, prefix_cache="off",
-                 cache_dir=None, max_backlog=None, fold_timeout=None,
-                 max_fold_retries=None):
-        if prefix_cache not in PREFIX_CACHE_MODES:
+    def __init__(self, backend="process", max_backlog=None, **execution):
+        config = ExecutionConfig.from_keywords(execution, backend=backend)
+        if config.backend not in ("process", "thread"):
             raise ValueError(
-                "Unknown prefix-cache mode {!r}; expected one of {}".format(
-                    prefix_cache, PREFIX_CACHE_MODES
-                )
+                "a fleet needs a 'process' or 'thread' backend name, "
+                "not {!r}".format(config.backend)
             )
+        self.execution = config
         # reclaim shm segments leaked by coordinators that died without
         # their atexit hook (SIGKILL, power loss) before publishing new
         # ones — thread fleets too: a previous process-fleet run's leak is
         # reclaimed here at startup
         shm.sweep_stale_segments()
-        if backend == "process":
-            self._pool = ProcessBackend(
-                workers=workers, fold_timeout=fold_timeout,
-                max_fold_retries=max_fold_retries,
-            )
-        elif backend == "thread":
-            if fold_timeout is not None or max_fold_retries is not None:
-                raise ValueError(
-                    "fold_timeout/max_fold_retries only apply to the process fleet"
-                )
-            self._pool = ThreadBackend(workers=workers)
-        else:
-            raise ValueError(
-                "Unknown fleet backend {!r}; expected 'process' or 'thread'".format(backend)
-            )
-        self.backend = backend
+        self._pool = get_backend(
+            config.backend, workers=config.workers, fold_timeout=config.fold_timeout,
+            max_fold_retries=config.max_fold_retries,
+        )
         self.workers = self._pool.workers
-        self.prefix_cache = prefix_cache
         self._owned_cache_dir = None
-        if prefix_cache == "disk" and cache_dir is None:
+        cache_dir = config.cache_dir
+        if config.prefix_cache == "disk" and cache_dir is None:
             cache_dir = tempfile.mkdtemp(prefix="repro-fleet-cache-")
             self._owned_cache_dir = cache_dir
         self.cache_dir = cache_dir
@@ -623,7 +607,7 @@ class FleetCoordinator:
         with self._lock:
             n_tenants = len(self._tenants)
         return "FleetCoordinator(backend={!r}, workers={}, tenants={})".format(
-            self.backend, self.workers, n_tenants
+            self.execution.backend, self.workers, n_tenants
         )
 
 

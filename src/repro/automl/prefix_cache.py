@@ -67,6 +67,19 @@ _DISK_SWEEP_INTERVAL = 64
 _PICKLE_PROTOCOL = 4
 
 
+def normalize_prefix_cache_mode(mode):
+    """The checked cache-mode name a ``prefix_cache`` setting means (``None``: off)."""
+    if mode is None:
+        return "off"
+    if mode not in PREFIX_CACHE_MODES:
+        raise ValueError(
+            "Unknown prefix-cache mode {!r}; expected one of {}".format(
+                mode, PREFIX_CACHE_MODES
+            )
+        )
+    return mode
+
+
 def make_prefix_cache_config(mode, cache_dir=None, max_entries=DEFAULT_MAX_ENTRIES):
     """Build the picklable cache-config tuple shipped to workers.
 
@@ -75,14 +88,9 @@ def make_prefix_cache_config(mode, cache_dir=None, max_entries=DEFAULT_MAX_ENTRI
     ``cache_dir`` — the search owns the decision of where the shared
     store lives (and whether it is a temporary directory).
     """
-    if mode in (None, "off"):
+    mode = normalize_prefix_cache_mode(mode)
+    if mode == "off":
         return None
-    if mode not in PREFIX_CACHE_MODES:
-        raise ValueError(
-            "Unknown prefix-cache mode {!r}; expected one of {}".format(
-                mode, PREFIX_CACHE_MODES
-            )
-        )
     max_entries = int(max_entries)
     if max_entries < 1:
         raise ValueError("max_entries must be at least 1")

@@ -49,8 +49,8 @@ from repro.automl.backends import (
     get_backend,
 )
 from repro.automl.catalog import default_template_catalog
+from repro.automl.config import ExecutionConfig
 from repro.automl.prefix_cache import (
-    PREFIX_CACHE_MODES,
     fold_data_key,
     make_prefix_cache_config,
     sweep_orphan_cache_tmp,
@@ -354,50 +354,6 @@ class AutoBazaarSearch:
         warm-started from the historical configurations of each template
         (the meta-learning extension anticipated in the paper's
         conclusion).
-    backend:
-        Execution backend evaluating the proposed pipelines: ``"serial"``
-        (default), ``"thread"`` or ``"process"``, or any
-        :class:`~repro.automl.backends.ExecutionBackend` instance.  The
-        serial backend reproduces the historical single-threaded loop
-        record-for-record; the pool backends dispatch individual
-        cross-validation folds to workers (work-stealing over folds, so
-        cheap pipelines do not wait behind expensive stragglers).
-    workers:
-        Worker count for the pool backends (default: the CPU count).
-    n_pending:
-        Number of proposed candidates kept in flight at once (default 1).
-        With ``n_pending > 1`` the sliding-window scheduler refills the
-        window on every completion, using the constant-liar strategy:
-        each pending configuration is treated as if it had scored the
-        worst score observed so far, which pushes subsequent proposals
-        away from the pending ones, and the selector counts pending
-        evaluations toward each template's trial count.  Results are
-        always reported back in proposal order, so for a fixed
-        ``n_pending`` the produced records are identical across backends —
-        provided the pipelines themselves are deterministic: estimators
-        must be explicitly seeded (``random_state`` fixed via template
-        ``init_params``); catalog defaults leave it ``None``, which draws
-        from the process-global RNG and varies run-to-run on any backend.
-    schedule:
-        ``"window"`` (default) runs the sliding-window scheduler: one
-        completion is collected at a time and its replacement proposed
-        immediately, so a straggling evaluation only stalls the search
-        once the window has fully slid past it.  ``"barrier"`` restores
-        the historical round-based loop — propose ``n_pending``, drain
-        them all, repeat — kept for A/B benchmarks of the skew problem.
-        Both schedules produce deterministic (but different) record
-        streams; the cross-backend equivalence guarantee holds for each.
-    batch_eval:
-        When True, candidates proposed in the same scheduler burst that
-        share a template are submitted together and evaluated as one
-        fused batch per fold (shared preprocessing prefix; amenable
-        estimators fit the whole hyperparameter batch in one call — see
-        :mod:`repro.automl.batch_eval`).  Scores, error strings and the
-        reported record order are identical to looped evaluation; only
-        the grouping of work changes.  The ``"barrier"`` schedule batches
-        whole rounds; the ``"window"`` schedule only batches the initial
-        window fill (afterwards slots free up one at a time), so pair
-        batching with ``schedule="barrier"`` for the full effect.
     estimator_seed:
         When set, every loaded template is cloned with this value pinned
         as the ``random_state`` of each stochastic primitive (see
@@ -406,62 +362,19 @@ class AutoBazaarSearch:
         runs set it so that a resumed search reproduces the uninterrupted
         run's scores exactly; the default ``None`` keeps the catalog's
         unseeded behaviour.
-    prefix_cache:
-        Fitted-prefix cache mode: ``"off"`` (default), ``"mem"`` (a
-        per-process LRU of fitted preprocessing prefixes) or ``"disk"``
-        (the LRU backed by an on-disk content-addressed store shared by
-        process-backend workers).  See :mod:`repro.automl.prefix_cache`.
-        Caching never changes scores for deterministic (seeded)
-        pipelines — cached artifacts are addressed by the content of the
-        training fold and the full configured prefix.
-    cache_dir:
-        Directory of the shared disk tier (mode ``"disk"``).  When
-        omitted, each ``search()`` call creates a private temporary
-        directory and removes it on exit; pass an explicit directory to
-        share fitted prefixes across searches.
-    prune_margin:
-        Enables fold-level early-discard pruning when set (a
-        non-negative float): after each completed fold, a candidate
-        whose optimistic estimate over the remaining folds (best
-        observed single-fold score standing in for each) falls short of
-        the task best minus this margin is cancelled and recorded as a
-        pruned failure.  The estimate is a heuristic, not a sound bound
-        — with a tight margin it can discard a candidate whose remaining
-        folds would have won — and pruning decisions depend on
-        fold-completion timing, so the bit-identical cross-backend
-        record stream is traded for throughput.  ``0.0`` prunes most
-        aggressively; larger margins are safer.  Leave it ``None`` (off)
-        when determinism or exhaustive evaluation matters.
-    telemetry:
-        Structured-event recording (see :mod:`repro.telemetry`): ``None``
-        (off, the default), a :class:`~repro.telemetry.sink.TelemetrySink`
-        instance to record into a caller-owned sink (shared across
-        searches and tenants; never closed here), or a directory path —
-        a sink is opened there for the duration of each ``search()`` call
-        and closed on exit.  The recorded stream replays with
-        ``python -m repro.telemetry <dir>``.
-    fold_timeout, max_fold_retries:
-        Fault-tolerance knobs of the process backend (see
-        :class:`~repro.automl.backends.ProcessBackend`).  Setting either
-        runs folds on a supervised worker pool: a fold past
-        ``fold_timeout`` seconds gets its worker killed and is retried, a
-        crashed worker is respawned with its in-flight fold requeued, and
-        a fold that keeps crashing workers (``max_fold_retries``
-        exhausted) is recorded as a failed evaluation.  Folds are pure,
-        so retries leave the record stream bit-identical to a fault-free
-        run.  Rejected for backends without a process boundary.
+    **execution:
+        The execution knobs (``backend``, ``workers``, ``n_pending``,
+        ``schedule``, ``prefix_cache``, ``cache_dir``, ``prune_margin``,
+        ``batch_eval``, ``telemetry``, ``fold_timeout``,
+        ``max_fold_retries``): see
+        :class:`~repro.automl.config.ExecutionConfig`, which they are
+        collected into (:attr:`execution`) before anything else happens.
     """
 
     def __init__(self, templates=None, tuner_class=GPEiTuner, selector_class=UCB1Selector,
                  n_splits=3, random_state=None, store=None, catalog=None,
-                 warm_start_store=None, backend="serial", workers=None, n_pending=1,
-                 schedule="window", estimator_seed=None, prefix_cache="off",
-                 cache_dir=None, prune_margin=None, batch_eval=False,
-                 telemetry=None, fold_timeout=None, max_fold_retries=None):
-        if schedule not in ("window", "barrier"):
-            raise ValueError(
-                "Unknown schedule {!r}; expected 'window' or 'barrier'".format(schedule)
-            )
+                 warm_start_store=None, estimator_seed=None, **execution):
+        self.execution = ExecutionConfig.from_keywords(execution)
         self.templates = templates
         self.tuner_class = tuner_class
         self.selector_class = selector_class
@@ -470,24 +383,7 @@ class AutoBazaarSearch:
         self.store = store
         self.catalog = catalog or default_template_catalog()
         self.warm_start_store = warm_start_store
-        self.backend = backend
-        self.workers = workers
-        self.n_pending = max(1, int(n_pending))
-        self.schedule = schedule
         self.estimator_seed = estimator_seed
-        self.prefix_cache = prefix_cache or "off"
-        if self.prefix_cache not in PREFIX_CACHE_MODES:
-            raise ValueError(
-                "Unknown prefix-cache mode {!r}; expected one of {}".format(
-                    self.prefix_cache, PREFIX_CACHE_MODES
-                )
-            )
-        self.cache_dir = cache_dir
-        self.prune_margin = prune_margin
-        self.batch_eval = bool(batch_eval)
-        self.telemetry = telemetry
-        self.fold_timeout = fold_timeout
-        self.max_fold_retries = max_fold_retries
 
     # -- setup ----------------------------------------------------------------------
 
@@ -571,15 +467,15 @@ class AutoBazaarSearch:
             result's ``elapsed``.
         """
         # resolve the telemetry sink for this search: a TelemetrySink is
-        # caller-owned and shared; a path string opens a sink owned (and
-        # closed) by this call.  The sink is also installed as the
+        # caller-owned and shared; a path opens a sink owned (and closed)
+        # by this call.  The sink is also installed as the
         # process-global active sink so context-free emit points (fleet
         # scheduler, shm plane) reach it — refcounted, so concurrent
         # tenant searches sharing one sink compose.
         owned_sink = None
-        sink = self.telemetry
+        sink = self.execution.telemetry
         if sink is not None and not isinstance(sink, TelemetrySink):
-            owned_sink = TelemetrySink(str(sink))
+            owned_sink = TelemetrySink(sink)
             sink = owned_sink
         if sink is not None:
             activate_sink(sink)
@@ -596,6 +492,7 @@ class AutoBazaarSearch:
 
     def _search(self, task, budget, test_task, holdout, max_seconds, checkpoint,
                 replay, elapsed_offset, sink):
+        config = self.execution
         start = time.time() - float(elapsed_offset)
         if test_task is None:
             task, test_task = split_task(task, test_size=holdout, random_state=self.random_state)
@@ -617,33 +514,33 @@ class AutoBazaarSearch:
         defaults_pending = [template.name for template in templates]
 
         backend = get_backend(
-            self.backend, workers=self.workers, fold_timeout=self.fold_timeout,
-            max_fold_retries=self.max_fold_retries,
+            config.backend, workers=config.workers, fold_timeout=config.fold_timeout,
+            max_fold_retries=config.max_fold_retries,
         )
         # a backend instance supplied by the caller outlives this search;
         # one resolved from a name is owned here and shut down on exit
-        owns_backend = backend is not self.backend
+        owns_backend = backend is not config.backend
         if not owns_backend:
             # a previous search on this backend may have aborted mid-collect
             backend.drain()
 
         owned_cache_dir = None
         cache_config = None
-        if self.prefix_cache != "off":
-            cache_dir = self.cache_dir
-            if self.prefix_cache == "disk" and cache_dir is None:
+        if config.prefix_cache != "off":
+            cache_dir = config.cache_dir
+            if config.prefix_cache == "disk" and cache_dir is None:
                 owned_cache_dir = tempfile.mkdtemp(prefix="repro-prefix-cache-")
                 cache_dir = owned_cache_dir
             elif cache_dir is not None:
                 # a shared, reused directory may hold temp files orphaned
                 # by killed writers of earlier runs; sweep them up front
                 sweep_orphan_cache_tmp(cache_dir)
-            cache_config = make_prefix_cache_config(self.prefix_cache, cache_dir=cache_dir)
+            cache_config = make_prefix_cache_config(config.prefix_cache, cache_dir=cache_dir)
         cache_totals = {"hits": 0, "misses": 0, "bytes_written": 0}
 
         pruner = None
-        if self.prune_margin is not None:
-            pruner = PruneController(self.prune_margin)
+        if config.prune_margin is not None:
+            pruner = PruneController(config.prune_margin)
             if self.store is not None:
                 # seed the pruning threshold from everything the store
                 # already holds for this task (e.g. a resumed or
@@ -675,7 +572,7 @@ class AutoBazaarSearch:
             sink.emit(
                 "search_started", tenant=tenant, task=task.name, budget=budget,
                 backend=repr(backend), n_splits=self.n_splits,
-                schedule=self.schedule, replay_count=replay_count,
+                schedule=config.schedule, replay_count=replay_count,
             )
 
         def flush_submissions():
@@ -766,7 +663,7 @@ class AutoBazaarSearch:
                     pruned=bool(recorded.get("pruned", False)),
                 )
                 replayed_queue.append(CandidateFuture(candidate, outcome))
-            elif self.batch_eval:
+            elif config.batch_eval:
                 # buffered until the scheduler's flush point so same-burst
                 # candidates can be fused; never buffered across a report
                 submit_buffer.append(candidate)
@@ -887,62 +784,52 @@ class AutoBazaarSearch:
         test_score = None
         refit_error = None
         try:
-            if self.schedule == "barrier":
-                # historical round-barrier loop: propose a whole round, then
-                # drain every outcome before proposing again — every worker
-                # idles behind the round's slowest evaluation
-                while proposed < budget and not deadline_passed():
-                    round_end = min(budget, proposed + self.n_pending)
-                    while proposed < round_end and not deadline_passed():
-                        propose_and_submit()
-                    flush_submissions()
-                    completed = list(replayed_queue) + list(backend.as_completed())
-                    replayed_queue.clear()
-                    completed.sort(key=lambda future: future.candidate.iteration)
-                    for future in completed:
-                        report(future)
-            else:
-                # sliding window: keep n_pending evaluations in flight,
-                # collect one completion at a time and propose its
-                # replacement immediately.  Determinism bounds the slide:
-                # proposal k may only use the reported results of
-                # candidates 0..k-n_pending, so proposals stay at most
-                # n_pending ahead of the reported prefix and a straggler
-                # only stalls the window once it is the oldest outstanding
-                # result and n_pending-1 newer evaluations sit buffered
-                # behind it.
-                def refill():
-                    while (proposed < budget
-                           and proposed - next_report < self.n_pending
-                           and not deadline_passed()):
-                        propose_and_submit()
+            # sliding window: keep n_pending evaluations in flight,
+            # collect one completion at a time and propose its
+            # replacement immediately.  Determinism bounds the slide:
+            # proposal k may only use the reported results of
+            # candidates 0..k-n_pending, so proposals stay at most
+            # n_pending ahead of the reported prefix and a straggler
+            # only stalls the window once it is the oldest outstanding
+            # result and n_pending-1 newer evaluations sit buffered
+            # behind it.
+            def refill():
+                if config.schedule == "barrier" and next_report != proposed:
+                    # the historical round-barrier: a whole round is
+                    # proposed only once nothing is in flight, so every
+                    # worker idles behind the round's slowest evaluation
+                    return
+                while (proposed < budget
+                       and proposed - next_report < config.n_pending
+                       and not deadline_passed()):
+                    propose_and_submit()
 
-                while True:
+            while True:
+                refill()
+                # flush strictly after the refill and before collecting:
+                # buffered proposals must reach the backend before the
+                # loop blocks on (or breaks for lack of) completions
+                flush_submissions()
+                if next_report == proposed:
+                    break  # nothing in flight and no proposal allowed
+                if replayed_queue:
+                    future = replayed_queue.popleft()
+                else:
+                    future = backend.collect_one()
+                    if future is None:
+                        break  # backend lost outstanding work; keep records
+                reorder[future.candidate.iteration] = future
+                while next_report in reorder:
+                    report(reorder.pop(next_report))
+                    # propose the freed slot's replacement *before*
+                    # reporting the next buffered record: a burst of
+                    # out-of-order completions must not advance the
+                    # reported prefix by more than one report per
+                    # proposal, or proposal k would see a different
+                    # prefix than the serial interleave (report k-n,
+                    # propose k, report k-n+1, ...) and the
+                    # cross-backend record streams would diverge
                     refill()
-                    # flush strictly after the refill and before collecting:
-                    # buffered proposals must reach the backend before the
-                    # loop blocks on (or breaks for lack of) completions
-                    flush_submissions()
-                    if next_report == proposed:
-                        break  # nothing in flight and no proposal allowed
-                    if replayed_queue:
-                        future = replayed_queue.popleft()
-                    else:
-                        future = backend.collect_one()
-                        if future is None:
-                            break  # backend lost outstanding work; keep records
-                    reorder[future.candidate.iteration] = future
-                    while next_report in reorder:
-                        report(reorder.pop(next_report))
-                        # propose the freed slot's replacement *before*
-                        # reporting the next buffered record: a burst of
-                        # out-of-order completions must not advance the
-                        # reported prefix by more than one report per
-                        # proposal, or proposal k would see a different
-                        # prefix than the serial interleave (report k-n,
-                        # propose k, report k-n+1, ...) and the
-                        # cross-backend record streams would diverge
-                        refill()
 
             # refit the best pipeline on the full training partition and
             # score it on test: one more job of the backend, run where the
@@ -976,7 +863,7 @@ class AutoBazaarSearch:
 
         cache_stats = None
         if cache_config is not None:
-            cache_stats = {"mode": self.prefix_cache}
+            cache_stats = {"mode": config.prefix_cache}
             cache_stats.update(cache_totals)
 
         # a fleet tenant backend reports its fair-share counters; the

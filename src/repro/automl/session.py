@@ -10,9 +10,11 @@ suites or on-disk task folders, accumulates every evaluation in a piex
 store, and renders reports.
 """
 
+import dataclasses
 import os
 import threading
 
+from repro.automl.config import EXECUTION_ONLY, ExecutionConfig, fleet_backend
 from repro.automl.search import AutoBazaarSearch
 from repro.explorer import PersistentPipelineStore, PipelineStore, report, summarize_store
 from repro.telemetry.sink import TelemetrySink
@@ -49,97 +51,40 @@ class AutoBazaarSession:
         automatic cross-run warm-starting.
     max_seconds_per_task:
         Optional wall-clock cap per task.
-    backend:
-        Execution backend evaluating the proposed pipelines: ``"serial"``
-        (default, reproduces the historical single-threaded loop
-        record-for-record), ``"thread"`` or ``"process"``.  The pool
-        backends dispatch individual cross-validation folds to workers —
-        work-stealing over folds, so heterogeneous pipeline costs do not
-        serialize behind stragglers.
-    workers:
-        Worker count for the pool backends (default: the CPU count).
-    n_pending:
-        Candidates kept in flight at once (default 1).  With
-        ``n_pending > 1`` the sliding-window scheduler proposes a
-        replacement for every completed evaluation, using the
-        constant-liar strategy: pending configurations are scored with
-        the worst observed score so the tuner spreads the window out, and
-        the selector counts in-flight evaluations toward each template's
-        trial count.  Results are reported in proposal order, so for a
-        fixed ``n_pending`` the record stream is identical across
-        backends for deterministic (explicitly seeded) pipelines; catalog
-        default templates leave estimator ``random_state`` unseeded and
-        vary run-to-run.
-    schedule:
-        ``"window"`` (default) for the sliding-window scheduler,
-        ``"barrier"`` for the historical round-based loop (see
-        :class:`~repro.automl.search.AutoBazaarSearch`).
-    batch_eval:
-        When True, same-template candidates proposed in one scheduler
-        burst are evaluated as fused batches (shared preprocessing
-        prefix, batched estimator fits where the learner supports it)
-        without changing scores or record order.  See
-        :mod:`repro.automl.batch_eval`.
-    prefix_cache:
-        Fitted-prefix cache mode (``"off"``/``"mem"``/``"disk"``, see
-        :mod:`repro.automl.prefix_cache`): memoize fitted preprocessing
-        prefixes so candidates sharing a prefix and a fold do not refit
-        it.  ``"disk"`` shares fitted prefixes across process-backend
-        workers through a content-addressed store in ``cache_dir``.
-    cache_dir:
-        Directory of the shared disk tier; a temporary per-search
-        directory when omitted.
-    prune_margin:
-        Fold-level early-discard margin (non-negative float), or
-        ``None`` (default) for exhaustive evaluation.  See
-        :class:`~repro.automl.backends.PruneController`; enabling it
-        trades the bit-identical record stream for throughput.
-    telemetry:
-        Structured-event recording (see :mod:`repro.telemetry`): a
-        directory path opens one :class:`~repro.telemetry.sink.TelemetrySink`
+    **execution:
+        The execution knobs of :class:`~repro.automl.config.ExecutionConfig`,
+        kept as :attr:`execution`.  A ``telemetry`` path opens one sink
         owned by the session (closed with it) and shared by every task it
         solves — including all tenants of :meth:`solve_fleet`, which
-        interleave into one totally ordered stream.  A ``TelemetrySink``
-        instance is used as-is (caller-owned); ``None`` (default) is off.
-    fold_timeout, max_fold_retries:
-        Fault-tolerance knobs of the process backend (supervised worker
-        pool, see :class:`~repro.automl.backends.ProcessBackend`):
-        deadline per fold in seconds, and crash/timeout retries per fold
-        before the fold is recorded as a failed evaluation.  ``None``
-        (default) runs unsupervised.
+        interleave into one totally ordered stream.
     """
 
     def __init__(self, budget=20, tuner="gp_ei", selector="ucb1", n_splits=3,
                  random_state=None, warm_start="auto", max_seconds_per_task=None,
-                 backend="serial", workers=None, n_pending=1, schedule="window",
-                 store_path=None, prefix_cache="off", cache_dir=None,
-                 prune_margin=None, batch_eval=False, telemetry=None,
-                 fold_timeout=None, max_fold_retries=None):
+                 store_path=None, **execution):
+        config = ExecutionConfig.from_keywords(execution)
         self.budget = budget
         self.tuner_class = get_tuner(tuner)
         self.selector_class = get_selector(selector)
         self.n_splits = n_splits
         self.random_state = random_state
         self.max_seconds_per_task = max_seconds_per_task
-        self.backend = backend
-        self.workers = workers
-        self.n_pending = n_pending
-        self.schedule = schedule
         self.store_path = store_path
-        self.prefix_cache = prefix_cache
-        self.cache_dir = cache_dir
-        self.prune_margin = prune_margin
-        self.batch_eval = bool(batch_eval)
-        self.fold_timeout = fold_timeout
-        self.max_fold_retries = max_fold_retries
-        self._owned_sink = None
-        if telemetry is not None and not isinstance(telemetry, TelemetrySink):
-            telemetry = self._owned_sink = TelemetrySink(str(telemetry))
-        self.telemetry = telemetry
         if store_path is not None:
             self.store = PersistentPipelineStore(store_path)
         else:
             self.store = PipelineStore()
+        # opened after the store, so a store that fails to open leaves no
+        # sink (a writer thread and the event-stream descriptors) behind
+        self._owned_sink = None
+        if config.telemetry is not None and not isinstance(config.telemetry, TelemetrySink):
+            try:
+                self._owned_sink = TelemetrySink(config.telemetry)
+            except BaseException:
+                self.store.close()
+                raise
+            config = dataclasses.replace(config, telemetry=self._owned_sink)
+        self.execution = config
         if warm_start == "auto":
             # harvest automatically when an opened persistent store already
             # holds history from previous runs; an in-memory session keeps
@@ -150,28 +95,23 @@ class AutoBazaarSession:
 
     # -- solving ------------------------------------------------------------------
 
-    def solve(self, task, test_task=None):
-        """Run the AutoBazaar search on one task and record the results."""
-        searcher = AutoBazaarSearch(
+    def _searcher(self, **overrides):
+        """The searcher for one task: the session's configuration under ``overrides``."""
+        execution = self.execution.as_kwargs()
+        execution.update(overrides)
+        return AutoBazaarSearch(
             tuner_class=self.tuner_class,
             selector_class=self.selector_class,
             n_splits=self.n_splits,
             random_state=self.random_state,
             store=self.store,
             warm_start_store=self.store if self.warm_start else None,
-            backend=self.backend,
-            workers=self.workers,
-            n_pending=self.n_pending,
-            schedule=self.schedule,
-            prefix_cache=self.prefix_cache,
-            cache_dir=self.cache_dir,
-            prune_margin=self.prune_margin,
-            batch_eval=self.batch_eval,
-            telemetry=self.telemetry,
-            fold_timeout=self.fold_timeout,
-            max_fold_retries=self.max_fold_retries,
+            **execution,
         )
-        result = searcher.search(
+
+    def solve(self, task, test_task=None):
+        """Run the AutoBazaar search on one task and record the results."""
+        result = self._searcher().search(
             task, budget=self.budget, test_task=test_task,
             max_seconds=self.max_seconds_per_task,
         )
@@ -210,22 +150,9 @@ class AutoBazaarSession:
                     len(weights), len(tasks)
                 )
             )
-        backend = self.backend
-        if backend in (None, "serial"):
-            backend = "process"
-        if backend not in ("process", "thread"):
-            raise ValueError(
-                "solve_fleet requires a 'process' or 'thread' backend name, "
-                "not {!r}".format(backend)
-            )
-        fleet = FleetCoordinator(
-            backend=backend,
-            workers=self.workers,
-            prefix_cache=self.prefix_cache,
-            cache_dir=self.cache_dir,
-            fold_timeout=self.fold_timeout,
-            max_fold_retries=self.max_fold_retries,
-        )
+        execution = self.execution.as_kwargs()
+        execution["backend"] = fleet_backend(execution["backend"])
+        fleet = FleetCoordinator(**execution)
         results = [None] * len(tasks)
         failures = []
         try:
@@ -237,21 +164,11 @@ class AutoBazaarSession:
             ]
 
             def run(index, task, handle):
-                searcher = AutoBazaarSearch(
-                    tuner_class=self.tuner_class,
-                    selector_class=self.selector_class,
-                    n_splits=self.n_splits,
-                    random_state=self.random_state,
-                    store=self.store,
-                    warm_start_store=self.store if self.warm_start else None,
-                    backend=handle,
-                    n_pending=self.n_pending,
-                    schedule=self.schedule,
-                    prefix_cache=self.prefix_cache,
-                    cache_dir=fleet.cache_dir,
-                    prune_margin=self.prune_margin,
-                    batch_eval=self.batch_eval,
-                    telemetry=self.telemetry,
+                # the pool-level knobs are the fleet's: a tenant search only
+                # sees its handle and the fleet's shared cache directory
+                searcher = self._searcher(
+                    backend=handle, workers=None, fold_timeout=None,
+                    max_fold_retries=None, cache_dir=fleet.cache_dir,
                 )
                 try:
                     results[index] = searcher.search(
@@ -339,16 +256,14 @@ class AutoBazaarSession:
 
 
 def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1",
-                       n_splits=3, random_state=0, output=None, backend="serial",
-                       workers=None, n_pending=1, schedule="window", store_path=None,
-                       warm_start="auto", run_dir=None, checkpoint_every=1,
-                       prefix_cache="off", cache_dir=None, prune_margin=None,
-                       batch_eval=False, telemetry=None, fold_timeout=None,
-                       max_fold_retries=None):
+                       n_splits=3, random_state=0, output=None, store_path=None,
+                       warm_start="auto", run_dir=None, checkpoint_every=1, **execution):
     """One-shot helper behind the command-line interface.
 
-    Loads the task stored in ``task_directory``, runs a search, optionally
-    writes the evaluation store to ``output``, and returns the session.
+    Loads the task stored in ``task_directory``, runs a search configured
+    by the ``execution`` knobs (see
+    :class:`~repro.automl.config.ExecutionConfig`), optionally writes the
+    evaluation store to ``output``, and returns the session.
 
     With ``store_path`` the records are durably appended to a persistent
     store (and automatically warm-start from any history already in it);
@@ -359,25 +274,16 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
     store at ``store_path`` serves as the (frozen) warm-start history and
     the run's own records land in ``run_dir``.
     """
+    config = ExecutionConfig.from_keywords(execution, run_dir=run_dir)
     if not os.path.isdir(task_directory):
         raise FileNotFoundError("Task directory {!r} does not exist".format(task_directory))
-    if telemetry in (None, "off"):
-        telemetry = None
-    elif telemetry == "run-dir" and run_dir is None:
-        raise ValueError(
-            "--telemetry run-dir requires --run-dir: there is no run directory "
-            "to put the event stream in; pass an explicit path instead"
-        )
+    session_options = dict(
+        budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
+        random_state=random_state,
+    )
     if run_dir is not None:
         from repro.automl.checkpoint import ExperimentRun
 
-        if prune_margin is not None:
-            raise ValueError(
-                "--prune-margin cannot be combined with --run-dir: pruning "
-                "decisions depend on fold-completion timing, so a pruned record "
-                "stream is not exactly replayable and the run would be "
-                "unresumable"
-            )
         warm_source = None
         if warm_start is True and store_path is None:
             raise ValueError(
@@ -396,41 +302,28 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
                 candidate.close()
         try:
             run = ExperimentRun.create(
-                run_dir, task_directory=task_directory, budget=budget, tuner=tuner,
-                selector=selector, n_splits=n_splits, random_state=random_state,
-                schedule=schedule, n_pending=n_pending,
-                checkpoint_every=checkpoint_every, warm_start_source=warm_source,
+                run_dir, task_directory=task_directory, n_pending=config.n_pending,
+                schedule=config.schedule, checkpoint_every=checkpoint_every,
+                warm_start_source=warm_source, **session_options,
             )
         finally:
             # on success the history is frozen inside the run directory; on
             # failure the handle must not outlive the call either
             if warm_source is not None:
                 warm_source.close()
-        result = run.execute(backend=backend, workers=workers,
-                             prefix_cache=prefix_cache, cache_dir=cache_dir,
-                             batch_eval=batch_eval, telemetry=telemetry,
-                             fold_timeout=fold_timeout,
-                             max_fold_retries=max_fold_retries)
+        result = run.execute(**config.as_kwargs(EXECUTION_ONLY))
         # hand back the familiar session surface (report/summary/save_store)
         # wrapped around the run's durable store and result.  The store is
         # the run's own record log: query and close() it, but solving more
         # tasks into it would push the log past the run's budget and make
         # the run unresumable.
-        session = AutoBazaarSession(
-            budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
-            random_state=random_state, warm_start=False, backend=backend,
-            workers=workers, n_pending=n_pending, schedule=schedule,
-        )
+        session = AutoBazaarSession(warm_start=False, **session_options)
         session.store = run.store
         session.results.append(result)
     else:
         session = AutoBazaarSession(
-            budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
-            random_state=random_state, backend=backend, workers=workers,
-            n_pending=n_pending, schedule=schedule, store_path=store_path,
-            warm_start=warm_start, prefix_cache=prefix_cache, cache_dir=cache_dir,
-            prune_margin=prune_margin, batch_eval=batch_eval, telemetry=telemetry,
-            fold_timeout=fold_timeout, max_fold_retries=max_fold_retries,
+            store_path=store_path, warm_start=warm_start, **session_options,
+            **config.as_kwargs(),
         )
         session.solve_directory(task_directory)
     if output:
@@ -439,12 +332,8 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
 
 
 def run_fleet_from_directories(task_directories, budget=20, tuner="gp_ei", selector="ucb1",
-                               n_splits=3, random_state=0, output=None, backend="process",
-                               workers=None, n_pending=1, schedule="window",
-                               store_path=None, warm_start="auto", prefix_cache="off",
-                               cache_dir=None, prune_margin=None, batch_eval=False,
-                               weights=None, telemetry=None, fold_timeout=None,
-                               max_fold_retries=None):
+                               n_splits=3, random_state=0, output=None, store_path=None,
+                               warm_start="auto", weights=None, **execution):
     """Fleet-mode twin of :func:`run_from_directory` behind ``--fleet``.
 
     Loads every task folder, solves them *concurrently* as tenants of one
@@ -453,27 +342,17 @@ def run_fleet_from_directories(task_directories, budget=20, tuner="gp_ei", selec
     task-directory order).  ``weights`` sets the tenants' fair shares
     (default: equal).  The serial backend name is promoted to ``process``.
     """
+    execution["backend"] = fleet_backend(execution.get("backend"))
+    config = ExecutionConfig.from_keywords(execution)
     for task_directory in task_directories:
         if not os.path.isdir(task_directory):
             raise FileNotFoundError(
                 "Task directory {!r} does not exist".format(task_directory)
             )
-    if backend in (None, "serial"):
-        backend = "process"
-    if telemetry in (None, "off"):
-        telemetry = None
-    elif telemetry == "run-dir":
-        raise ValueError(
-            "--telemetry run-dir requires --run-dir, which fleet mode does not "
-            "use; pass an explicit path instead"
-        )
     session = AutoBazaarSession(
         budget=budget, tuner=tuner, selector=selector, n_splits=n_splits,
-        random_state=random_state, backend=backend, workers=workers,
-        n_pending=n_pending, schedule=schedule, store_path=store_path,
-        warm_start=warm_start, prefix_cache=prefix_cache, cache_dir=cache_dir,
-        prune_margin=prune_margin, batch_eval=batch_eval, telemetry=telemetry,
-        fold_timeout=fold_timeout, max_fold_retries=max_fold_retries,
+        random_state=random_state, store_path=store_path, warm_start=warm_start,
+        **config.as_kwargs(),
     )
     tasks = [load_task(task_directory) for task_directory in task_directories]
     session.solve_fleet(tasks, weights=weights)

@@ -218,6 +218,23 @@ def _payload_retriable(result):
     return False
 
 
+def supervision_knobs(fold_timeout, max_fold_retries):
+    """The supervision knobs as ``(seconds, retries)``, range-checked.
+
+    ``None`` (unset) passes through; a deadline must be positive and a
+    retry count non-negative.
+    """
+    if fold_timeout is not None:
+        fold_timeout = float(fold_timeout)
+        if not fold_timeout > 0:
+            raise ValueError("fold_timeout must be positive")
+    if max_fold_retries is not None:
+        max_fold_retries = int(max_fold_retries)
+        if max_fold_retries < 0:
+            raise ValueError("max_fold_retries must be non-negative")
+    return fold_timeout, max_fold_retries
+
+
 class SupervisedWorkerPool:
     """A process pool with per-fold deadlines, respawn and fold retry.
 
@@ -248,12 +265,9 @@ class SupervisedWorkerPool:
         self.max_workers = int(max_workers)
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        self.fold_timeout = None if fold_timeout is None else float(fold_timeout)
-        if self.fold_timeout is not None and not self.fold_timeout > 0:
-            raise ValueError("fold_timeout must be positive")
-        self.max_fold_retries = int(max_fold_retries)
-        if self.max_fold_retries < 0:
-            raise ValueError("max_fold_retries must be non-negative")
+        self.fold_timeout, self.max_fold_retries = supervision_knobs(
+            fold_timeout, max_fold_retries
+        )
         self.retry_backoff = float(retry_backoff)
         self.heartbeat_seconds = heartbeat_seconds
         self._initializer = initializer

@@ -346,7 +346,7 @@ class TestSessionFleet:
             with pytest.raises(ValueError):
                 session.solve_fleet(fleet_tasks(1))
         finally:
-            session.backend.shutdown()
+            session.execution.backend.shutdown()
 
 
 class TestFleetCLI:

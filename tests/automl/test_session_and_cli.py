@@ -138,7 +138,7 @@ class TestCLI:
         assert arguments.tuner == "gp_ei"
         assert arguments.backend == "serial"
         assert arguments.workers is None
-        assert arguments.pending == 1
+        assert arguments.n_pending == 1
 
     def test_parser_backend_options(self):
         arguments = build_parser().parse_args(
@@ -146,7 +146,7 @@ class TestCLI:
         )
         assert arguments.backend == "process"
         assert arguments.workers == 4
-        assert arguments.pending == 2
+        assert arguments.n_pending == 2
 
     @pytest.mark.parametrize("removed", [["--worker-cache", "4"], ["--data-plane", "pickle"]])
     def test_transport_flags_are_gone_from_both_parsers(self, removed, capsys):
@@ -266,7 +266,7 @@ class TestDurableCLI:
 
 class TestTelemetryCLI:
     def test_parser_telemetry_default_off(self):
-        assert build_parser().parse_args(["some/dir"]).telemetry == "off"
+        assert build_parser().parse_args(["some/dir"]).telemetry is None
 
     def test_main_with_telemetry_path_records_events(self, task, tmp_path, capsys):
         from repro.telemetry import load_events, replay_run

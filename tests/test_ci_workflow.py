@@ -51,6 +51,10 @@ def test_lint_tests_and_smoke_runs_are_distinct_jobs(workflow):
                          "prefix-cache", "data-plane", "multi-tenant",
                          "telemetry", "chaos", "bench-gate"}
     assert any("ruff check" in step.get("run", "") for step in jobs["lint"]["steps"])
+    # both CLI parsers are built (a shared-helper flag fails at construction)
+    assert ["python -m repro.automl --help", "python -m repro.automl resume --help"] in [
+        step.get("run", "").split("\n")[:2] for step in jobs["lint"]["steps"]
+    ]
     assert any("python -m pytest -x -q" in step.get("run", "")
                for step in jobs["tests"]["steps"])
     assert any('-k "pipeline_engine"' in step.get("run", "")
