@@ -1,18 +1,14 @@
-"""Fault-tolerant execution: supervision overhead and kill recovery.
+"""Fault-tolerant execution: kill recovery.
 
-The same process-backend workload runs on three arms: the plain
-unsupervised pool, the supervised pool (fold deadlines, heartbeats,
-crash retry) with no faults, and the supervised pool absorbing one
-injected worker SIGKILL mid-run.  The benchmark asserts the layer's two
-contracts:
+The same process-backend workload runs fault-free and while the pool
+absorbs one injected worker SIGKILL mid-run.  The benchmark asserts the
+layer's contract:
 
-* **overhead when idle** — fault-free supervised throughput stays within
-  0.95x of the unsupervised pool (<= ~5% supervision tax),
 * **recovery** — throughput under one worker kill stays within 0.7x of
-  the fault-free supervised run (the respawn pause never dominates),
+  the fault-free run (the respawn pause never dominates),
 
-and restates the masking guarantee the chaos suite pins: every arm's
-record stream is bit-identical to a serial baseline.
+and restates the masking guarantee the chaos suite pins: both arms'
+record streams are bit-identical to a serial baseline.
 
 The same workload is what ``scripts/record_bench.py fault-tolerance``
 records to ``BENCH_fault_tolerance.json`` in the ``chaos`` CI job.
@@ -27,7 +23,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 
 from record_bench import (  # noqa: E402
     FAULT_RECOVERY_THRESHOLD,
-    FAULT_TOLERANCE_THRESHOLD,
     run_fault_tolerance_benchmark,
 )
 
@@ -38,38 +33,29 @@ def fault_tolerance_numbers():
     numbers = {}
     yield numbers
     if numbers:
-        print("\n\n-- supervised worker pool: overhead and kill recovery --")
-        print("  unsupervised {:7.3f}s   supervised {:7.3f}s   "
-              "faulted {:7.3f}s".format(
-                  numbers["unsupervised"], numbers["supervised"],
-                  numbers["faulted"]))
-        print("  overhead {:.2f}x (threshold {:.2f}x)   "
+        print("\n\n-- process pool: kill recovery --")
+        print("  fault-free {:7.3f}s   faulted {:7.3f}s   "
               "recovery {:.2f}x (threshold {:.2f}x)".format(
-                  numbers["speedup"], FAULT_TOLERANCE_THRESHOLD,
-                  numbers["recovery_ratio"], FAULT_RECOVERY_THRESHOLD))
+                  numbers["fault_free"], numbers["faulted"],
+                  numbers["speedup"], FAULT_RECOVERY_THRESHOLD))
 
 
-def test_fault_tolerance_overhead_and_recovery(benchmark,
-                                               fault_tolerance_numbers):
+def test_fault_tolerance_kill_recovery(benchmark, fault_tolerance_numbers):
     payload = benchmark.pedantic(run_fault_tolerance_benchmark,
                                  rounds=1, iterations=1)
     # run_fault_tolerance_benchmark already asserts the serial-identical
     # record streams and the recovery gate internally; restate the
     # headline facts so a regression reads clearly in the report
     assert payload["records_identical"]
-    stats = payload["faulted"]["supervisor_stats"]
+    stats = payload["faulted"]["stats"]
     assert stats["workers_died"] == 1 and stats["pools_rebuilt"] == 1
     assert stats["folds_quarantined"] == 0
     fault_tolerance_numbers.update({
-        "unsupervised": payload["unsupervised"]["elapsed_seconds"],
-        "supervised": payload["supervised"]["elapsed_seconds"],
+        "fault_free": payload["fault_free"]["elapsed_seconds"],
         "faulted": payload["faulted"]["elapsed_seconds"],
         "speedup": payload["speedup"],
-        "recovery_ratio": payload["faulted"]["recovery_ratio"],
     })
-    assert payload["faulted"]["recovery_ratio"] >= FAULT_RECOVERY_THRESHOLD
-    assert payload["speedup"] >= FAULT_TOLERANCE_THRESHOLD, (
-        "supervision overhead pushed throughput to {:.2f}x of the "
-        "unsupervised pool (bar: {:.2f}x)".format(
-            payload["speedup"], FAULT_TOLERANCE_THRESHOLD)
+    assert payload["speedup"] >= FAULT_RECOVERY_THRESHOLD, (
+        "one worker kill pushed throughput to {:.2f}x of the fault-free "
+        "run (bar: {:.2f}x)".format(payload["speedup"], FAULT_RECOVERY_THRESHOLD)
     )

@@ -45,13 +45,11 @@ Six suites, selected by the positional ``suite`` argument:
     >= ``TELEMETRY_THRESHOLD``x of the pass (i.e. <= ~5% overhead).
 
 ``fault-tolerance`` (-> ``BENCH_fault_tolerance.json``)
-    Process-backend candidate throughput with the supervised worker pool
-    (fold deadlines, heartbeats, crash retry) vs the plain pool, plus a
-    third arm in which the supervised pool absorbs one injected worker
-    SIGKILL mid-run.  Every arm's record stream is asserted bit-identical
-    to a serial baseline.  Gates: supervision overhead when idle
-    >= ``FAULT_TOLERANCE_THRESHOLD``x (<= ~5%), and recovery throughput
-    >= ``FAULT_RECOVERY_THRESHOLD``x of the fault-free supervised run.
+    Process-backend candidate throughput while the pool absorbs one
+    injected worker SIGKILL mid-run (respawn + fold retry) vs the same
+    run fault-free.  Both arms' record streams are asserted bit-identical
+    to a serial baseline.  Gate: kill-recovery throughput
+    >= ``FAULT_RECOVERY_THRESHOLD``x of the fault-free run.
 
 Every suite asserts that its fast path reproduces the slow path's scores
 bit-for-bit before reporting a speedup, and exits non-zero when the
@@ -844,14 +842,9 @@ def run_telemetry_overhead_benchmark(budget=TELEMETRY_BUDGET,
 
 # -- fault-tolerance suite -------------------------------------------------------
 
-#: Acceptance bar: supervised (deadlines + heartbeats + retry machinery,
-#: no faults) candidate throughput vs the plain unsupervised pool.  0.95x
-#: means supervision may cost at most ~5% when idle.
-FAULT_TOLERANCE_THRESHOLD = 0.95
-
-#: Acceptance bar: throughput of a supervised run that absorbs one
-#: worker SIGKILL vs the fault-free supervised run.  The respawn pause is
-#: real wall-clock; it must stay under ~30% of the run.
+#: Acceptance bar: throughput of a run that absorbs one worker SIGKILL vs
+#: the fault-free run.  The respawn pause is real wall-clock; it must stay
+#: under ~30% of the run.
 FAULT_RECOVERY_THRESHOLD = 0.7
 
 #: Worker processes evaluating folds.
@@ -864,11 +857,10 @@ FAULT_BUDGET = 12
 FAULT_PENDING = 4
 
 #: Per-fold fit cost; large enough that one worker respawn (~1s of
-#: process start + import) cannot dominate the run, and that the
-#: supervised pool's per-fold dispatch round-trip (the worker idles
-#: between reporting a result and receiving the next fold; the plain
-#: pool prefetches into a shared call queue) is amortized the way any
-#: real model fit amortizes it.
+#: process start + import) cannot dominate the run, and that the pool's
+#: per-fold dispatch round trip (a worker idles between reporting a result
+#: and receiving its next fold) is amortized the way any real model fit
+#: amortizes it.
 FAULT_FIT_SECONDS = 0.3
 
 #: Timed passes per arm; the best pass is recorded (the floor is what a
@@ -885,7 +877,7 @@ FAULT_AT_FOLD = FAULT_WARM_FOLDS + FAULT_BUDGET  # = warm + half the timed folds
 
 
 def _fault_warm_pool(backend):
-    """Spawn every pool worker before any clock starts."""
+    """Run a first fold on every pool worker before any clock starts."""
     from repro.tasks import synth
 
     task = synth.make_single_table_classification(
@@ -894,7 +886,7 @@ def _fault_warm_pool(backend):
     searcher.search(task, budget=2 * FAULT_WORKERS)
 
 
-def _fault_tolerance_pass(task, supervised, plan=None):
+def _fault_tolerance_pass(task, plan=None):
     """One warmed, timed search; returns ``(result, elapsed_seconds)``.
 
     The backend is built inside ``plan.activate()`` when a plan is given:
@@ -902,12 +894,9 @@ def _fault_tolerance_pass(task, supervised, plan=None):
     """
     from repro.automl import ProcessBackend
 
-    kwargs = {"workers": FAULT_WORKERS}
-    if supervised:
-        kwargs.update(fold_timeout=120.0, max_fold_retries=1)
     context = plan.activate() if plan is not None else contextlib.nullcontext()
     with context:
-        backend = ProcessBackend(**kwargs)
+        backend = ProcessBackend(workers=FAULT_WORKERS)
         try:
             _fault_warm_pool(backend)
             searcher = _tenant_search(backend, FAULT_FIT_SECONDS,
@@ -921,15 +910,14 @@ def _fault_tolerance_pass(task, supervised, plan=None):
 
 
 def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
-    """Measure supervision overhead when idle and recovery under a kill.
+    """Measure the throughput a process search keeps while a worker is killed.
 
-    Three process-backend arms over the same workload: the plain
-    unsupervised pool, the supervised pool with no faults, and the
-    supervised pool absorbing one injected worker SIGKILL mid-run.
-    Every arm's record stream is asserted bit-identical to a serial
-    baseline — the fault-masking guarantee — and the faulted arm must
-    hold ``FAULT_RECOVERY_THRESHOLD``x of fault-free throughput.  The
-    unsupervised-vs-supervised ``speedup`` is returned for the gates.
+    Two arms over the same process-backend workload: fault-free, and
+    absorbing one injected worker SIGKILL mid-run (the pool respawns the
+    worker and retries its fold).  Both arms' record streams are asserted
+    bit-identical to a serial baseline — the fault-masking guarantee —
+    and the returned ``speedup`` is the kill-recovery ratio, fault-free
+    over faulted time, gated at ``FAULT_RECOVERY_THRESHOLD``x.
     """
     from repro.automl import FaultPlan
     from repro.tasks import synth
@@ -939,24 +927,19 @@ def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
     baseline = _tenant_documents(
         _tenant_search("serial", FAULT_FIT_SECONDS).search(task, budget=budget))
 
-    unsupervised_timings, supervised_timings, faulted_timings = [], [], []
+    fault_free_timings, faulted_timings = [], []
     faulted_stats = None
-    # interleaved (unsupervised, supervised, faulted, ...) so machine-load
-    # drift biases every arm's floor equally
+    # interleaved (fault-free, faulted, ...) so machine-load drift biases
+    # both arms' floors equally
     for _ in range(repeats):
-        result, elapsed = _fault_tolerance_pass(task, supervised=False)
+        result, elapsed = _fault_tolerance_pass(task)
         assert _tenant_documents(result) == baseline, (
-            "unsupervised run diverged from the serial baseline")
-        unsupervised_timings.append(elapsed)
-
-        result, elapsed = _fault_tolerance_pass(task, supervised=True)
-        assert _tenant_documents(result) == baseline, (
-            "supervised run diverged from the serial baseline")
+            "fault-free run diverged from the serial baseline")
         assert result.supervisor_stats["workers_died"] == 0
-        supervised_timings.append(elapsed)
+        fault_free_timings.append(elapsed)
 
         plan = FaultPlan.single("worker_kill", at_fold=FAULT_AT_FOLD)
-        result, elapsed = _fault_tolerance_pass(task, supervised=True, plan=plan)
+        result, elapsed = _fault_tolerance_pass(task, plan=plan)
         assert _tenant_documents(result) == baseline, (
             "the worker kill leaked into the record stream")
         stats = result.supervisor_stats
@@ -965,12 +948,10 @@ def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
         faulted_timings.append(elapsed)
         faulted_stats = stats
 
-    unsupervised_elapsed = min(unsupervised_timings)
-    supervised_elapsed = min(supervised_timings)
+    fault_free_elapsed = min(fault_free_timings)
     faulted_elapsed = min(faulted_timings)
-    speedup = unsupervised_elapsed / supervised_elapsed
-    recovery_ratio = supervised_elapsed / faulted_elapsed
-    recovery_seconds = max(0.0, faulted_elapsed - supervised_elapsed)
+    recovery_ratio = fault_free_elapsed / faulted_elapsed
+    recovery_seconds = max(0.0, faulted_elapsed - fault_free_elapsed)
     assert recovery_ratio >= FAULT_RECOVERY_THRESHOLD, (
         "one worker kill cost {:.2f}s: throughput fell to {:.2f}x of "
         "fault-free (needs {:.2f}x)".format(
@@ -978,7 +959,7 @@ def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
     )
 
     payload = {
-        "benchmark": "fault_tolerance_overhead_and_recovery",
+        "benchmark": "fault_tolerance_kill_recovery",
         "workload": {
             "budget": budget,
             "n_splits": 2,
@@ -986,20 +967,15 @@ def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
             "workers": FAULT_WORKERS,
             "fold_fit_seconds": FAULT_FIT_SECONDS,
             "backend": "process",
-            "fold_timeout": 120.0,
+            "fold_timeout": None,
             "max_fold_retries": 1,
             "timed_passes": repeats,
             "template": "encoder -> timed-identity fit -> logistic -> decoder",
         },
-        "unsupervised": {
-            "elapsed_seconds": round(unsupervised_elapsed, 3),
-            "all_passes_seconds": [round(t, 3) for t in unsupervised_timings],
-            "candidates_per_second": round(budget / unsupervised_elapsed, 3),
-        },
-        "supervised": {
-            "elapsed_seconds": round(supervised_elapsed, 3),
-            "all_passes_seconds": [round(t, 3) for t in supervised_timings],
-            "candidates_per_second": round(budget / supervised_elapsed, 3),
+        "fault_free": {
+            "elapsed_seconds": round(fault_free_elapsed, 3),
+            "all_passes_seconds": [round(t, 3) for t in fault_free_timings],
+            "candidates_per_second": round(budget / fault_free_elapsed, 3),
         },
         "faulted": {
             "elapsed_seconds": round(faulted_elapsed, 3),
@@ -1007,12 +983,10 @@ def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
             "candidates_per_second": round(budget / faulted_elapsed, 3),
             "fault": {"kind": "worker_kill", "at_fold": FAULT_AT_FOLD},
             "recovery_seconds": round(recovery_seconds, 3),
-            "recovery_ratio": round(recovery_ratio, 3),
-            "recovery_threshold": FAULT_RECOVERY_THRESHOLD,
-            "supervisor_stats": faulted_stats,
+            "stats": faulted_stats,
         },
-        "speedup": round(speedup, 3),
-        "threshold": FAULT_TOLERANCE_THRESHOLD,
+        "speedup": round(recovery_ratio, 3),
+        "threshold": FAULT_RECOVERY_THRESHOLD,
         "records_identical": True,
     }
     return payload
@@ -1043,10 +1017,9 @@ SUITES = {
                   "BENCH_telemetry_overhead.json",
                   ("events off", "events_off"), ("events on", "events_on"),
                   "candidates_per_second"),
-    "fault-tolerance": (run_fault_tolerance_benchmark, FAULT_TOLERANCE_THRESHOLD,
+    "fault-tolerance": (run_fault_tolerance_benchmark, FAULT_RECOVERY_THRESHOLD,
                         "BENCH_fault_tolerance.json",
-                        ("unsupervised", "unsupervised"),
-                        ("supervised", "supervised"),
+                        ("fault-free", "fault_free"), ("faulted", "faulted"),
                         "candidates_per_second"),
 }
 

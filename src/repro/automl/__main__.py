@@ -66,11 +66,11 @@ def _add_execution_arguments(parser, fields):
              "run directory's events/ (a resumed run appends); replay with "
              "`python -m repro.telemetry DIR` (default: off)")
     add("fold_timeout", "--fold-timeout", type=float, metavar="SECONDS",
-        help="supervised process pool: kill the worker of a fold running longer "
-             "than SECONDS and retry the fold (default: no deadline)")
+        help="process pool: kill the worker of a fold running longer than "
+             "SECONDS and retry the fold (default: no deadline)")
     add("max_fold_retries", "--max-fold-retries", type=int, metavar="N",
-        help="supervised process pool: crash/timeout retries per fold before it "
-             "is recorded as a failed evaluation (default: 1 when supervised)")
+        help="process pool: crash/timeout retries per fold before it is "
+             "recorded as a failed evaluation (default: 1)")
 
 
 def _execution_kwargs(arguments):

@@ -15,9 +15,12 @@ Three backends are provided, all the one dispatch path of
 ``thread``
     Runs the fold jobs on a :class:`ThreadPoolExecutor`.
 ``process``
-    Runs the fold jobs on a :class:`ProcessPoolExecutor`, or on a
-    :class:`~repro.automl.supervisor.SupervisedWorkerPool` when fold
-    deadlines or retries are configured.
+    Runs the fold jobs on a
+    :class:`~repro.automl.supervisor.SupervisedWorkerPool` (worker respawn,
+    fold retries, an optional fold deadline), as tenant ``"default"`` of a
+    private :class:`~repro.automl.fleet.FleetCoordinator`: a solo process
+    search is a fleet of one, so every process search takes the fleet's
+    one path from a fold to a worker (:class:`TenantBackend`).
 
 Every backend dispatches individual cross-validation *folds*, not whole
 candidates, into one executor queue.  Pipeline costs are heavily skewed (a
@@ -39,8 +42,9 @@ the dataset crosses the process boundary once per worker instead of once
 per fold (``budget * n_splits`` transfers before).  The thread backend
 shares the coordinator's memory and passes the task by reference.
 
-The process backend chooses the transport per task from what it can
-observe.  Pure-ndarray tasks are published once into
+A process fleet's data plane (see :meth:`FleetCoordinator._task_ref
+<repro.automl.fleet.FleetCoordinator._task_ref>`) chooses the transport per
+task from what it can observe.  Pure-ndarray tasks are published once into
 ``multiprocessing.shared_memory`` segments (the **zero-copy data plane**,
 see :mod:`repro.automl.shm`) and workers attach read-only views instead
 of unpickling a copy, so a cache miss costs an ``mmap`` rather than a
@@ -65,31 +69,22 @@ across the hyperparameter batch, without changing any score, error string
 or record order.
 """
 
-import atexit
 import gc
 import os
 import pickle
 import queue
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from functools import partial
-from itertools import count
 
 import numpy as np
 
 from repro.automl import batch_eval, faultinject, shm
 from repro.automl.prefix_cache import fold_data_key, resolve_prefix_cache
-from repro.automl.supervisor import (
-    DEFAULT_MAX_FOLD_RETRIES,
-    SupervisedWorkerPool,
-    supervision_knobs,
-)
 from repro.tasks.task import materialize_cv_fold, task_cv_indices
 from repro.telemetry.events import begin_capture, capture_event, end_capture
-from repro.telemetry.sink import emit_active
 
 
 def _format_error(failure):
@@ -1149,213 +1144,136 @@ class ThreadBackend(_PoolBackend):
         return ThreadPoolExecutor(max_workers=self.workers)
 
 
-class ProcessBackend(_PoolBackend):
+class _TenantExecutor:
+    """Executor facade handed to a fleet tenant's dispatch path.
+
+    ``submit`` routes into the fleet's fair-share queue instead of a private
+    executor and returns a :class:`~concurrent.futures.Future` that settles
+    when the admitted job does; ``shutdown`` (called by the backend's own
+    ``shutdown``) releases the tenant's registration — the fleet's pool
+    outlives every tenant.
+    """
+
+    def __init__(self, fleet, state):
+        self._fleet = fleet
+        self._state = state
+
+    def submit(self, fn, /, *args, **kwargs):
+        return self._fleet._enqueue(self._state, fn, args, kwargs)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self._fleet._release_tenant(self._state)
+
+
+class TenantBackend(_PoolBackend):
+    """One tenant's execution backend on a :class:`~repro.automl.fleet.FleetCoordinator`.
+
+    Behaves exactly like a private pool backend from the search loop's
+    perspective — fold-level submission, completion queue, cancellation,
+    fused group dispatch — but every fold goes through the fleet's
+    fair-share scheduler and data plane.  Obtained from
+    :meth:`FleetCoordinator.register
+    <repro.automl.fleet.FleetCoordinator.register>`; pass it as the search's
+    ``backend``.  ``shutdown()`` releases the tenant (cancelling its queued
+    folds), never the fleet's pool.
+    """
+
+    name = "fleet"
+
+    def __init__(self, fleet, state):
+        self._fleet = fleet
+        self._state = state
+        super().__init__(workers=fleet.workers)
+
+    def _make_executor(self):
+        return _TenantExecutor(self._fleet, self._state)
+
+    def _task_ref(self, task):
+        return self._fleet._task_ref(task, self._state)
+
+    @property
+    def tenant_name(self):
+        return self._state.name
+
+    @property
+    def plane_counts(self):
+        """This tenant's tasks shipped per transport (shm/pickle/inline)."""
+        with self._fleet._lock:
+            return dict(self._state.plane_counts)
+
+    def tenant_stats(self):
+        """This tenant's fair-share and data-plane counters (a fresh dict)."""
+        return self._fleet._tenant_stats(self._state)
+
+    @property
+    def supervisor_stats(self):
+        """The fleet pool's supervision counters (``None`` on threads)."""
+        return self._fleet.supervisor_stats
+
+    def _state_dump(self):
+        fleet, state = self._fleet, self._state
+        with fleet._lock:
+            shares = "{} fold(s) queued, {} admitted of the fleet's {}/{}".format(
+                len(state.queue), state.inflight, fleet._admitted, fleet._max_admitted)
+        return "{}; {}".format(super()._state_dump(), shares)
+
+    def __repr__(self):
+        return "TenantBackend(tenant={!r}, fleet={!r})".format(
+            self._state.name, self._fleet
+        )
+
+
+class ProcessBackend(TenantBackend):
     """Evaluate folds on a process pool (true multi-core parallelism).
 
-    Everything crossing the process boundary — the worker function, the
-    template, the hyperparameters and the fold indices — is picklable;
-    fold payloads come back as plain dicts so even exotic worker
+    A solo process search is a fleet of one: the backend is tenant
+    ``"default"`` of a private :class:`~repro.automl.fleet.FleetCoordinator`,
+    which it builds here and closes in :meth:`shutdown`, so its folds meet
+    the same supervised pool, stride admission and data plane as any
+    fleet tenant's.  Everything crossing the process boundary — the worker
+    function, the template, the hyperparameters and the fold indices — is
+    picklable; fold payloads come back as plain dicts so even exotic worker
     exceptions survive the return trip.  Each task's data crosses once,
-    over a transport chosen per task (see :meth:`_task_ref`); the tasks
-    shipped per transport are tallied in :attr:`plane_counts`.
+    over a transport chosen per task (shm, or the pickle spill when the
+    task cannot be shared); the tasks shipped per transport are tallied in
+    :attr:`plane_counts`.
 
     Parameters
     ----------
     workers:
         Worker process count (default: the CPU count).
     fold_timeout:
-        Seconds a dispatched fold may run before the supervised pool
-        kills its worker and retries the fold.  Setting this (or
-        ``max_fold_retries``) swaps the plain ``ProcessPoolExecutor``
-        for a :class:`~repro.automl.supervisor.SupervisedWorkerPool`:
-        worker deaths no longer surface as ``BrokenProcessPool`` but as
-        a per-worker respawn plus a retried fold, and a fold that keeps
-        killing its worker is quarantined as a recorded failure.
+        Seconds a dispatched fold may run before the pool kills its worker
+        and retries the fold (default ``None``: no deadline).  A worker
+        death never surfaces as a broken pool but as a per-worker respawn
+        plus a retried fold, and a fold that keeps killing its worker is
+        quarantined as a recorded failure.
     max_fold_retries:
-        Crash/timeout retries per fold before quarantine (default 1
-        when supervision is enabled).
+        Crash/timeout retries per fold before quarantine (default ``None``:
+        :data:`~repro.automl.supervisor.DEFAULT_MAX_FOLD_RETRIES`).
     """
 
     name = "process"
 
     def __init__(self, workers=None, fold_timeout=None, max_fold_retries=None):
-        self.fold_timeout, self.max_fold_retries = supervision_knobs(
-            fold_timeout, max_fold_retries
+        from repro.automl.fleet import FleetCoordinator
+
+        fleet = FleetCoordinator(
+            backend="process", workers=workers, fold_timeout=fold_timeout,
+            max_fold_retries=max_fold_retries,
         )
-        self._payloads = OrderedDict()  # id(task) -> (task, TaskPayload)
-        self._segments = OrderedDict()  # id(task) -> (task, SharedTaskSegment)
-        self._payload_ids = count()
-        #: Tasks each coordinator-side transport LRU (spill payloads, shm
-        #: segments) keeps published before evicting the oldest.
-        self.transport_capacity = _WORKER_TASK_CACHE_SIZE
-        #: Tasks shipped per transport: ``{"shm": n, "pickle": n}``.
-        self.plane_counts = {"shm": 0, "pickle": 0}
-        # reclaim segments leaked by coordinators that died without running
-        # their atexit hook (SIGKILL, power loss)
-        shm.sweep_stale_segments()
-        super().__init__(workers=workers)
+        super().__init__(fleet, fleet._add_tenant("default"))
 
     @property
-    def supervised(self):
-        """Whether folds run under the supervised (fault-tolerant) pool."""
-        return self.fold_timeout is not None or self.max_fold_retries is not None
-
-    def _make_executor(self):
-        if self.supervised:
-            retries = self.max_fold_retries
-            if retries is None:
-                retries = DEFAULT_MAX_FOLD_RETRIES
-            pool = SupervisedWorkerPool(
-                max_workers=self.workers,
-                initializer=_start_worker,
-                fold_timeout=self.fold_timeout,
-                max_fold_retries=retries,
-            )
-            pool.set_fault_listener(self._repair_data_plane)
-            return pool
-        return ProcessPoolExecutor(max_workers=self.workers, initializer=_start_worker)
-
-    @property
-    def supervisor_stats(self):
-        """Supervision counters, or ``None`` when running unsupervised."""
-        stats = getattr(self._executor, "stats", None)
-        return dict(stats) if stats is not None else None
-
-    def _repair_data_plane(self):
-        """Re-publish any shm segment whose backing file went missing.
-
-        The supervised pool calls this before retrying a fold, so a
-        segment unlinked out from under the workers (a crashed writer, a
-        fault-injection unlink) is restored from the coordinator's
-        still-live mapping and the retried fold can attach again.
-        """
-        for _, segment in list(self._segments.values()):
-            try:
-                segment.ensure_published()
-            except Exception:  # noqa: BLE001 - a failed repair fails the retry, not us
-                pass
-
-    def _task_payload(self, task):
-        """The on-disk payload handle for ``task``, written on first use.
-
-        Holding a reference to the task itself keeps its ``id`` stable for
-        the lifetime of the cache entry; the payload key carries a
-        monotonic counter so a recycled ``id`` after eviction can never
-        alias a stale entry in a worker's cache.
-        """
-        entry = self._payloads.get(id(task))
-        if entry is not None:
-            self._payloads.move_to_end(id(task))
-            return entry[1]
-        descriptor, path = tempfile.mkstemp(prefix="repro-task-", suffix=".pkl")
-        try:
-            with os.fdopen(descriptor, "wb") as stream:
-                pickle.dump(task, stream, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            os.unlink(path)
-            raise
-        _register_spill_file(path)
-        payload = TaskPayload("task-{}".format(next(self._payload_ids)), path)
-        self._payloads[id(task)] = (task, payload)
-        self.plane_counts["pickle"] += 1
-        while len(self._payloads) > self.transport_capacity:
-            _, (_, stale) = self._payloads.popitem(last=False)
-            _discard_spill_file(stale.path)
-        return payload
-
-    def _task_ref(self, task):
-        """The transport handle shipped with every fold of ``task``.
-
-        A shareable task is published once into a shared-memory segment
-        and its picklable :class:`~repro.automl.shm.SharedTaskHandle`
-        travels with each fold; a task the segment format cannot hold, a
-        platform without shared memory and any publication failure fall
-        back to the :class:`TaskPayload` pickle spill for that task.  A
-        task that already went down one plane stays there — workers key
-        their resident cache by the handle, so switching transports
-        mid-task would just duplicate the resident copy.
-        """
-        entry = self._segments.get(id(task))
-        if entry is not None:
-            self._segments.move_to_end(id(task))
-            return entry[1].handle
-        if id(task) in self._payloads:
-            return self._task_payload(task)
-        if shm.shm_available() and shm.task_is_shareable(task):
-            try:
-                segment = shm.publish_task(task)
-            except Exception:  # noqa: BLE001 - publication failure falls back to pickle
-                segment = None
-            if segment is not None:
-                self._segments[id(task)] = (task, segment)
-                self.plane_counts["shm"] += 1
-                emit_active(
-                    "shm_publish", task=getattr(task, "name", None),
-                    plane_counts=dict(self.plane_counts),
-                )
-                while len(self._segments) > self.transport_capacity:
-                    _, (_, stale) = self._segments.popitem(last=False)
-                    stale.release()
-                return segment.handle
-            reason = "shared-memory publication failed"
-        else:
-            reason = "shared memory unavailable or task not shareable"
-        emit_active(
-            "shm_fallback", task=getattr(task, "name", None), reason=reason,
-            plane_counts=dict(self.plane_counts),
-        )
-        return self._task_payload(task)
+    def plane_counts(self):
+        """Tasks shipped per transport: ``{"shm": n, "pickle": n}``."""
+        return {"shm": 0, "pickle": 0, **super().plane_counts}
 
     def shutdown(self):
         super().shutdown()
-        while self._payloads:
-            _, (_, payload) = self._payloads.popitem(last=False)
-            _discard_spill_file(payload.path)
-        while self._segments:
-            _, (_, segment) = self._segments.popitem(last=False)
-            segment.release()
+        self._fleet.close()
 
-
-def _unlink_quietly(path):
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-# -- spill-file safety net ----------------------------------------------------------
-
-_SPILL_LOCK = threading.Lock()
-#: Task pickle spill files written by live process backends; swept at
-#: interpreter exit so crashed searches don't leak task-sized files in
-#: ``$TMPDIR``.  Entries are removed again on the backend's own eviction
-#: and shutdown unlinks (the normal path).
-_SPILL_FILES = set()
-_SPILL_ATEXIT_REGISTERED = False
-
-
-def _register_spill_file(path):
-    global _SPILL_ATEXIT_REGISTERED
-    with _SPILL_LOCK:
-        if not _SPILL_ATEXIT_REGISTERED:
-            atexit.register(_sweep_spill_files)
-            _SPILL_ATEXIT_REGISTERED = True
-        _SPILL_FILES.add(path)
-
-
-def _discard_spill_file(path):
-    """Unlink a spill file and drop it from the exit sweep."""
-    with _SPILL_LOCK:
-        _SPILL_FILES.discard(path)
-    _unlink_quietly(path)
-
-
-def _sweep_spill_files():
-    with _SPILL_LOCK:
-        paths = list(_SPILL_FILES)
-        _SPILL_FILES.clear()
-    for path in paths:
-        _unlink_quietly(path)
+    __repr__ = _PoolBackend.__repr__
 
 
 BACKENDS = {

@@ -87,11 +87,11 @@ class ExecutionConfig:
         callee.  ``"run-dir"`` / ``True`` mean the ``events/`` stream of
         the run directory and are rejected where there is none.
     fold_timeout, max_fold_retries:
-        Execution-only.  Setting either runs the ``"process"`` backend on a
-        supervised pool (:mod:`repro.automl.supervisor`): per-fold deadline
-        in seconds, and crash/timeout retries per fold before it is
-        recorded as failed.  Default ``None``: unsupervised.  Rejected for
-        backends without worker processes and for backend instances.
+        Execution-only.  The process pool's supervision
+        (:mod:`repro.automl.supervisor`): per-fold deadline in seconds
+        (default ``None``: no deadline), and crash/timeout retries per fold
+        before it is recorded as failed (default ``None``: 1).  Rejected
+        for backends without worker processes and for backend instances.
     run_dir:
         Not a knob: the directory of the checkpointed run the config is
         used in, if any.

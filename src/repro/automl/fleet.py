@@ -1,13 +1,13 @@
 """Multi-tenant search coordination: N concurrent searches, one worker fleet.
 
 The paper's AutoBazaar deployment is a *service*: many users submit tasks
-and one cluster evaluates all of their pipelines.  Every previous layer of
-this reproduction gave a single :class:`~repro.automl.search.AutoBazaarSearch`
-a private backend, so concurrent searches either oversubscribed the cores
-(N pools on one machine) or serialized.  This module adds the missing
+and one cluster evaluates all of their pipelines.  This module is that
 coordinator: a long-running :class:`FleetCoordinator` owns ONE worker pool,
 one shm/pickle task data plane and one disk prefix-cache directory, and
-multiplexes any number of concurrent tenant searches over them.
+multiplexes any number of concurrent tenant searches over them.  It is
+also the only process stack: a solo ``backend="process"`` search is a
+fleet of one (:class:`~repro.automl.backends.ProcessBackend` is tenant
+``"default"`` of a private coordinator).
 
 Scheduling is two-level:
 
@@ -28,7 +28,7 @@ fair share (this module)
     configurable per tenant; a newly registered tenant joins at the
     current minimum pass so it owes nothing for history it did not see.
 
-work stealing (the existing backends)
+work stealing (the executor)
     Admitted folds enter the shared executor's single queue, where any
     idle worker picks them up — the fold-level work-stealing dispatch of
     :mod:`repro.automl.backends`, unchanged.
@@ -37,10 +37,12 @@ Admission is bounded twice: globally (``workers + max_backlog`` folds
 admitted at once, so the fair-share layer keeps control of the interleave
 instead of dumping every queue into the executor) and per tenant
 (``max_inflight``, replacing the private ``n_pending`` window as the
-tenant's concurrency cap).  Fold cancellation — a failing fold cancelling
-its later siblings, pruning discarding a candidate's queue — works
-per-tenant exactly as on a private backend: queued folds are cancelled in
-the fair-share queue before they ever reach the executor.
+tenant's concurrency cap).  A tenant's fold is a stdlib
+:class:`~concurrent.futures.Future` that can be cancelled until it is
+admitted: a failing fold cancelling its later siblings, pruning discarding
+a candidate's queue and a released tenant all cancel folds in the
+fair-share queue before they ever reach the executor.  An admitted fold
+runs to completion.
 
 Determinism: the fleet changes *where and when* folds run, never what is
 reported.  Each tenant search keeps its own tuners, selector, RNG and
@@ -51,22 +53,30 @@ interleaves its folds with other tenants'.  Wall-clock interleaving is of
 course shared; only the *stream content* is solo-identical.
 """
 
+import atexit
+import os
+import pickle
 import shutil
 import tempfile
 import threading
-from collections import deque
+from collections import OrderedDict, deque
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from functools import partial
 from itertools import count
 
 from repro.automl import shm
 from repro.automl.backends import (
-    ProcessBackend,
-    _PoolBackend,
+    _WORKER_TASK_CACHE_SIZE,
+    TaskPayload,
+    TenantBackend,
+    _start_worker,
     # unused here, but bench_e2e/tracing.py patches this module attribute
     evaluate_fold_indices,  # noqa: F401
-    get_backend,
+    resolve_workers,
 )
 from repro.automl.config import ExecutionConfig
 from repro.automl.prefix_cache import sweep_orphan_cache_tmp
+from repro.automl.supervisor import SupervisedWorkerPool
 from repro.telemetry.sink import emit_active
 
 #: Pass-value charge for a tenant's first folds, before any measured cost
@@ -75,128 +85,6 @@ _DEFAULT_FOLD_COST = 0.01
 
 #: EWMA retention for the per-tenant fold-cost estimate.
 _COST_EWMA_DECAY = 0.7
-
-_PENDING, _ADMITTED, _CANCELLED, _DONE = range(4)
-
-
-class _FleetFoldFuture:
-    """The future a tenant backend holds for one queued-or-running fold.
-
-    Implements exactly the slice of the :class:`concurrent.futures.Future`
-    API the pool machinery consumes (``cancel``/``cancelled``/``exception``/
-    ``result``/``add_done_callback``).  While the fold waits in the
-    fair-share queue the future is its own state machine (a queued fold is
-    cancellable for free); once admitted it mirrors the real executor
-    future it was attached to.
-    """
-
-    __slots__ = ("_lock", "_state", "_real", "_result", "_exception",
-                 "_callbacks", "_cancel_requested")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._state = _PENDING
-        self._real = None
-        self._result = None
-        self._exception = None
-        self._callbacks = []
-        self._cancel_requested = False
-
-    def _mark_admitted(self):
-        """Atomically move PENDING -> ADMITTED; False if already cancelled."""
-        with self._lock:
-            if self._state != _PENDING:
-                return False
-            self._state = _ADMITTED
-            return True
-
-    def _attach(self, real):
-        """Mirror the executor future the admitted fold now runs as."""
-        with self._lock:
-            self._real = real
-            cancel_requested = self._cancel_requested
-        if cancel_requested:
-            real.cancel()
-        real.add_done_callback(self._real_done)
-
-    def _real_done(self, real):
-        with self._lock:
-            if self._state in (_DONE, _CANCELLED):
-                return
-            if real.cancelled():
-                self._state = _CANCELLED
-            else:
-                self._exception = real.exception()
-                if self._exception is None:
-                    self._result = real.result()
-                self._state = _DONE
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def _fail(self, exception):
-        """Complete exceptionally without a real future (submit failure)."""
-        with self._lock:
-            if self._state in (_DONE, _CANCELLED):
-                return
-            self._exception = exception
-            self._state = _DONE
-            callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-
-    def cancel(self):
-        with self._lock:
-            if self._state == _PENDING:
-                # still queued in the fair-share layer: cancelled for free,
-                # the scheduler skips it at admission time
-                self._state = _CANCELLED
-                callbacks, self._callbacks = self._callbacks, []
-                real = None
-            elif self._state == _ADMITTED:
-                real = self._real
-                if real is None:
-                    # admitted but not yet attached (mid-launch): record the
-                    # request, _attach forwards it to the real future
-                    self._cancel_requested = True
-                    return False
-                callbacks = None
-            else:
-                return self._state == _CANCELLED
-        if callbacks is not None:
-            for callback in callbacks:
-                callback(self)
-            return True
-        return real.cancel()
-
-    def cancelled(self):
-        with self._lock:
-            return self._state == _CANCELLED
-
-    def done(self):
-        with self._lock:
-            return self._state in (_DONE, _CANCELLED)
-
-    def exception(self):
-        with self._lock:
-            if self._state == _DONE:
-                return self._exception
-        raise RuntimeError("fold has not completed yet")
-
-    def result(self):
-        with self._lock:
-            if self._state == _DONE:
-                if self._exception is not None:
-                    raise self._exception
-                return self._result
-        raise RuntimeError("fold has not completed yet")
-
-    def add_done_callback(self, callback):
-        with self._lock:
-            if self._state not in (_DONE, _CANCELLED):
-                self._callbacks.append(callback)
-                return
-        callback(self)
 
 
 class _FoldJob:
@@ -233,92 +121,18 @@ class _TenantState:
         self.seen_tasks = set()
 
 
-class _TenantExecutor:
-    """Executor facade handed to a tenant's pool machinery.
-
-    ``submit`` routes into the coordinator's fair-share queue instead of a
-    private executor; ``shutdown`` (called by the backend's own
-    ``shutdown``) releases the tenant's registration — the shared pool
-    itself outlives every tenant.
-    """
-
-    def __init__(self, fleet, state):
-        self._fleet = fleet
-        self._state = state
-
-    def submit(self, fn, *args, **kwargs):
-        return self._fleet._enqueue(self._state, fn, args, kwargs)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self._fleet._release_tenant(self._state)
-
-
-class TenantBackend(_PoolBackend):
-    """One tenant's execution backend on a shared :class:`FleetCoordinator`.
-
-    Behaves exactly like a private pool backend from the search loop's
-    perspective — fold-level submission, completion queue, cancellation,
-    fused group dispatch — but every fold goes through the coordinator's
-    fair-share scheduler and the shared data plane.  Obtained from
-    :meth:`FleetCoordinator.register`; pass it as the search's ``backend``.
-    ``shutdown()`` releases the tenant (cancelling its queued folds), never
-    the shared pool.
-    """
-
-    name = "fleet"
-
-    def __init__(self, fleet, state):
-        self._fleet = fleet
-        self._state = state
-        super().__init__(workers=fleet.workers)
-
-    def _make_executor(self):
-        return _TenantExecutor(self._fleet, self._state)
-
-    def _task_ref(self, task):
-        return self._fleet._tenant_task_ref(task, self._state)
-
-    @property
-    def tenant_name(self):
-        return self._state.name
-
-    @property
-    def plane_counts(self):
-        """This tenant's tasks shipped per transport (shm/pickle/inline)."""
-        with self._fleet._lock:
-            return dict(self._state.plane_counts)
-
-    def tenant_stats(self):
-        """This tenant's fair-share and data-plane counters (a fresh dict)."""
-        return self._fleet._tenant_stats(self._state)
-
-    @property
-    def supervisor_stats(self):
-        """The shared pool's supervision counters (``None`` unsupervised)."""
-        return self._fleet.supervisor_stats
-
-    def _state_dump(self):
-        fleet, state = self._fleet, self._state
-        with fleet._lock:
-            shares = "{} fold(s) queued, {} admitted of the fleet's {}/{}".format(
-                len(state.queue), state.inflight, fleet._admitted, fleet._max_admitted)
-        return "{}; {}".format(super()._state_dump(), shares)
-
-    def __repr__(self):
-        return "TenantBackend(tenant={!r}, fleet={!r})".format(
-            self._state.name, self._fleet
-        )
-
-
 class FleetCoordinator:
     """One shared worker fleet multiplexing many concurrent searches.
 
-    Owns a single pool backend (``"process"`` by default, ``"thread"`` for
-    in-process fleets), its shm/pickle data plane, and — when
+    Owns a single executor — a
+    :class:`~repro.automl.supervisor.SupervisedWorkerPool` (``"process"``,
+    the default) or a thread pool (``"thread"``, for in-process fleets) —,
+    the process data plane that ships tasks to its workers, and — when
     ``prefix_cache="disk"`` — one shared cache directory every tenant's
     workers read and write (:attr:`cache_dir`; pass it as the searches'
-    ``cache_dir``).  :meth:`register` returns a :class:`TenantBackend` to
-    run a search on; tenants come and go while the pool keeps running.
+    ``cache_dir``).  :meth:`register` returns a
+    :class:`~repro.automl.backends.TenantBackend` to run a search on;
+    tenants come and go while the pool keeps running.
 
     Parameters
     ----------
@@ -332,13 +146,14 @@ class FleetCoordinator:
         :class:`~repro.automl.config.ExecutionConfig`), kept as
         :attr:`execution`; a fleet pools ``"process"`` (its default) or
         ``"thread"`` workers.  The fleet itself reads the pool-level ones
-        (``workers``, the supervision knobs — a tenant whose fold SIGKILLs
-        a worker then costs the fleet one respawn and one retried fold,
-        not a ``BrokenProcessPool`` for every tenant — and
-        ``prefix_cache`` / ``cache_dir``: with ``"disk"`` and no directory
-        the coordinator creates, and removes on close, one shared
-        directory, so all tenants' workers reuse each other's fitted
-        prefixes); the others configure the tenants' searches.
+        (``workers``; ``fold_timeout``, a per-fold deadline, default none,
+        and ``max_fold_retries``, default 1 — a tenant whose fold SIGKILLs
+        a worker costs the fleet one respawn and one retried fold, never a
+        broken pool for every tenant; and ``prefix_cache`` / ``cache_dir``:
+        with ``"disk"`` and no directory the coordinator creates, and
+        removes on close, one shared directory, so all tenants' workers
+        reuse each other's fitted prefixes); the others configure the
+        tenants' searches.
     """
 
     def __init__(self, backend="process", max_backlog=None, **execution):
@@ -348,17 +163,34 @@ class FleetCoordinator:
                 "a fleet needs a 'process' or 'thread' backend name, "
                 "not {!r}".format(config.backend)
             )
+        workers = resolve_workers(config.workers)
+        backlog = workers if max_backlog is None else int(max_backlog)
+        if backlog < 0:
+            raise ValueError("max_backlog must be non-negative")
+        # every argument is valid by now: nothing below raises for a bad
+        # one after a worker, a thread or a directory exists
         self.execution = config
+        self.workers = workers
+        self._max_admitted = workers + backlog
+        self._lock = threading.Lock()
+        self._tenants = {}
+        self._admitted = 0
+        self._closed = False
+        self._tenant_ids = count()
+        # the process data plane: coordinator-side LRUs of published tasks,
+        # id(task) -> (task, transport), shared by every tenant thread
+        self._transport_lock = threading.Lock()
+        self._segments = OrderedDict()
+        self._payloads = OrderedDict()
+        self._payload_ids = count()
+        #: Tasks each transport LRU (shm segments, spill payloads) keeps
+        #: published before evicting the oldest.
+        self.transport_capacity = _WORKER_TASK_CACHE_SIZE
         # reclaim shm segments leaked by coordinators that died without
         # their atexit hook (SIGKILL, power loss) before publishing new
         # ones — thread fleets too: a previous process-fleet run's leak is
         # reclaimed here at startup
         shm.sweep_stale_segments()
-        self._pool = get_backend(
-            config.backend, workers=config.workers, fold_timeout=config.fold_timeout,
-            max_fold_retries=config.max_fold_retries,
-        )
-        self.workers = self._pool.workers
         self._owned_cache_dir = None
         cache_dir = config.cache_dir
         if config.prefix_cache == "disk" and cache_dir is None:
@@ -369,29 +201,30 @@ class FleetCoordinator:
             # companion of the sweep_stale_segments call above: reclaim
             # cache temp files orphaned by killed writers of earlier runs
             sweep_orphan_cache_tmp(cache_dir)
-        backlog = self.workers if max_backlog is None else int(max_backlog)
-        if backlog < 0:
-            raise ValueError("max_backlog must be non-negative")
-        self._max_admitted = self.workers + backlog
-        self._lock = threading.Lock()
-        # ProcessBackend's transport caches are plain OrderedDicts built
-        # for one submitting search thread; N tenant threads serialize here
-        self._transport_lock = threading.Lock()
-        self._tenants = {}
-        self._admitted = 0
-        self._closed = False
-        self._tenant_ids = count()
+        if config.backend == "process":
+            self._executor = SupervisedWorkerPool(
+                max_workers=workers, initializer=_start_worker,
+                fold_timeout=config.fold_timeout,
+                max_fold_retries=config.max_fold_retries,
+            )
+            self._executor.set_fault_listener(self._repair_data_plane)
+        else:
+            self._executor = ThreadPoolExecutor(max_workers=workers)
 
     # -- tenant lifecycle ---------------------------------------------------------
 
     def register(self, name=None, weight=1.0, max_inflight=None):
-        """Register a tenant; returns its :class:`TenantBackend`.
+        """Register a tenant; returns its :class:`~repro.automl.backends.TenantBackend`.
 
         ``weight`` scales the tenant's fair share (a weight-2 tenant gets
         twice the fold throughput of a weight-1 tenant under contention);
         ``max_inflight`` caps its concurrently admitted folds (default:
         the global admission cap — effectively uncapped).
         """
+        return TenantBackend(self, self._add_tenant(name, weight, max_inflight))
+
+    def _add_tenant(self, name=None, weight=1.0, max_inflight=None):
+        """The fair-share state of a newly registered tenant (see :meth:`register`)."""
         weight = float(weight)
         if not weight > 0:
             raise ValueError("tenant weight must be positive")
@@ -413,15 +246,12 @@ class FleetCoordinator:
             # throughput it never consumed, and cannot monopolize either
             state.pass_value = min(active) if active else 0.0
             self._tenants[name] = state
-            # the coordinator-side transport LRUs (spill payloads, shm
-            # segments) must span both partitions of every registered
-            # tenant at once — the training partition its folds read and
-            # the held-out one its refit scores on — or registering many
-            # tenants would evict segments with jobs still in flight
-            capacity = getattr(self._pool, "transport_capacity", None)
-            if capacity is not None:
-                self._pool.transport_capacity = max(capacity, 2 * len(self._tenants) + 1)
-        return TenantBackend(self, state)
+            # the transport LRUs must span both partitions of every
+            # registered tenant at once — the training partition its folds
+            # read and the held-out one its refit scores on — or registering
+            # many tenants would evict segments with jobs still in flight
+            self.transport_capacity = max(self.transport_capacity, 2 * len(self._tenants) + 1)
+        return state
 
     def _release_tenant(self, state):
         with self._lock:
@@ -447,7 +277,7 @@ class FleetCoordinator:
     # -- fair-share scheduling ----------------------------------------------------
 
     def _enqueue(self, state, fn, args, kwargs):
-        future = _FleetFoldFuture()
+        future = Future()
         with self._lock:
             if self._closed or not state.active:
                 raise RuntimeError(
@@ -465,8 +295,9 @@ class FleetCoordinator:
     def _admit_locked(self):
         """Pick queued folds to admit (stride order); call under the lock.
 
-        Returns the admitted jobs for :meth:`_launch` to submit *after*
-        the lock is released — executor submission and done-callback
+        An admitted fold's future turns *running*, so it can no longer be
+        cancelled.  Returns the admitted jobs for :meth:`_launch` to submit
+        *after* the lock is released — executor submission and done-callback
         attachment must never run under the fleet lock (a future that is
         already done runs its callbacks synchronously).
         """
@@ -481,7 +312,7 @@ class FleetCoordinator:
             if best is None:
                 break
             job = best.queue.popleft()
-            if not job.future._mark_admitted():
+            if not job.future.set_running_or_notify_cancel():
                 continue  # cancelled while queued; costs nothing
             job.estimate = (
                 best.cost_ewma if best.cost_ewma is not None else _DEFAULT_FOLD_COST
@@ -500,16 +331,13 @@ class FleetCoordinator:
                 estimate=job.estimate, pass_value=job.tenant.pass_value,
             )
             try:
-                real = self._pool._executor.submit(job.fn, *job.args, **job.kwargs)
+                real = self._executor.submit(job.fn, *job.args, **job.kwargs)
             except Exception as failure:  # noqa: BLE001 - submit failures are data
                 with self._lock:
                     self._retire_locked(job, None)
-                job.future._fail(failure)
+                job.future.set_exception(failure)
                 continue
-            # accounting first, then mirroring: by the time the tenant's
-            # fold-done callback fires, the freed slot has been re-admitted
-            real.add_done_callback(lambda fold, job=job: self._job_done(job, fold))
-            job.future._attach(real)
+            real.add_done_callback(partial(self._job_done, job))
 
     def _retire_locked(self, job, actual):
         state = job.tenant
@@ -527,6 +355,12 @@ class FleetCoordinator:
             )
 
     def _job_done(self, job, real):
+        """Done-callback of an executor job: free its slot, then settle the tenant's fold.
+
+        Accounting first: by the time the tenant's fold-done callback
+        fires, the freed slot has been re-admitted.  A job the pool
+        cancelled at shutdown settles the fold with a ``CancelledError``.
+        """
         actual = _measured_cost(real)
         with self._lock:
             self._retire_locked(job, actual)
@@ -536,23 +370,116 @@ class FleetCoordinator:
             pass_value=job.tenant.pass_value, cost_ewma=job.tenant.cost_ewma,
         )
         self._launch(admissions)
-
-    # -- shared data plane --------------------------------------------------------
-
-    def _tenant_task_ref(self, task, state):
-        """The transport handle for a tenant's task, with per-tenant tallies."""
-        if isinstance(self._pool, ProcessBackend):
-            with self._transport_lock:
-                ref = self._pool._task_ref(task)
-            plane = "shm" if isinstance(ref, shm.SharedTaskHandle) else "pickle"
+        if real.cancelled():
+            job.future.set_exception(
+                CancelledError("the backend was shut down before this fold ran"))
+        elif real.exception() is not None:
+            job.future.set_exception(real.exception())
         else:
-            ref = task
-            plane = "inline"
+            job.future.set_result(real.result())
+
+    # -- data plane ---------------------------------------------------------------
+
+    def _task_ref(self, task, state):
+        """The handle every job of a tenant's ``task`` ships with, tallied per tenant.
+
+        A thread fleet shares the coordinator's memory and ships the task
+        itself.  A process fleet publishes a shareable task once into a
+        shared-memory segment and ships its picklable
+        :class:`~repro.automl.shm.SharedTaskHandle`; a task the segment
+        format cannot hold, a platform without shared memory and any
+        publication failure fall back to the
+        :class:`~repro.automl.backends.TaskPayload` pickle spill for that
+        task.  A task that already went down one plane stays there —
+        workers key their resident cache by the handle, so switching
+        transports mid-task would just duplicate the resident copy.
+        """
+        if self.execution.backend == "thread":
+            ref, plane = task, "inline"
+        else:
+            with self._transport_lock:
+                ref = self._published(task)
+            plane = "shm" if isinstance(ref, shm.SharedTaskHandle) else "pickle"
         with self._lock:
             if id(task) not in state.seen_tasks:
                 state.seen_tasks.add(id(task))
                 state.plane_counts[plane] = state.plane_counts.get(plane, 0) + 1
         return ref
+
+    def _published(self, task):
+        """``task``'s live transport handle, published on first use.
+
+        Call under the transport lock.  Each LRU entry holds its task, which
+        keeps the ``id`` it is keyed by valid for as long as the entry lives.
+        """
+        entry = self._segments.get(id(task))
+        if entry is not None:
+            self._segments.move_to_end(id(task))
+            return entry[1].handle
+        if id(task) in self._payloads:
+            return self._task_payload(task)
+        if shm.shm_available() and shm.task_is_shareable(task):
+            try:
+                segment = shm.publish_task(task)
+            except Exception:  # noqa: BLE001 - publication failure falls back to pickle
+                segment = None
+            if segment is not None:
+                self._segments[id(task)] = (task, segment)
+                emit_active("shm_publish", task=getattr(task, "name", None),
+                            plane_counts=self._plane_sizes())
+                while len(self._segments) > self.transport_capacity:
+                    _, (_, stale) = self._segments.popitem(last=False)
+                    stale.release()
+                return segment.handle
+            reason = "shared-memory publication failed"
+        else:
+            reason = "shared memory unavailable or task not shareable"
+        emit_active("shm_fallback", task=getattr(task, "name", None), reason=reason,
+                    plane_counts=self._plane_sizes())
+        return self._task_payload(task)
+
+    def _plane_sizes(self):
+        """Tasks published per transport right now (the data-plane events' field)."""
+        return {"shm": len(self._segments), "pickle": len(self._payloads)}
+
+    def _task_payload(self, task):
+        """The on-disk payload handle for ``task``, written on first use.
+
+        The payload key carries a monotonic counter so a recycled ``id``
+        after eviction can never alias a stale entry in a worker's cache.
+        """
+        entry = self._payloads.get(id(task))
+        if entry is not None:
+            self._payloads.move_to_end(id(task))
+            return entry[1]
+        descriptor, path = tempfile.mkstemp(prefix="repro-task-", suffix=".pkl")
+        try:
+            with os.fdopen(descriptor, "wb") as stream:
+                pickle.dump(task, stream, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            os.unlink(path)
+            raise
+        _register_spill_file(path)
+        payload = TaskPayload("task-{}".format(next(self._payload_ids)), path)
+        self._payloads[id(task)] = (task, payload)
+        while len(self._payloads) > self.transport_capacity:
+            _, (_, stale) = self._payloads.popitem(last=False)
+            _discard_spill_file(stale.path)
+        return payload
+
+    def _repair_data_plane(self):
+        """Re-publish any shm segment whose backing file went missing.
+
+        The pool calls this before retrying a fold, so a segment unlinked
+        out from under the workers (a crashed writer, a fault-injection
+        unlink) is restored from the coordinator's still-live mapping and
+        the retried fold can attach again.
+        """
+        for _, segment in list(self._segments.values()):
+            try:
+                segment.ensure_published()
+            except Exception:  # noqa: BLE001 - a failed repair fails the retry, not us
+                pass
 
     # -- observability ------------------------------------------------------------
 
@@ -576,13 +503,14 @@ class FleetCoordinator:
 
     @property
     def supervisor_stats(self):
-        """The shared pool's supervision counters (``None`` unsupervised)."""
-        return getattr(self._pool, "supervisor_stats", None)
+        """The pool's supervision counters (``None`` for a thread fleet)."""
+        stats = getattr(self._executor, "stats", None)
+        return dict(stats) if stats is not None else None
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self):
-        """Release every tenant, the shared pool and the owned cache dir."""
+        """Release every tenant, the pool, the data plane and the owned cache dir."""
         with self._lock:
             if self._closed:
                 return
@@ -590,7 +518,16 @@ class FleetCoordinator:
             states = list(self._tenants.values())
         for state in states:
             self._release_tenant(state)
-        self._pool.shutdown()
+        # cancel_futures: on a normal exit nothing is queued; after an
+        # aborted search it stops queued folds from burning workers
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        with self._transport_lock:
+            while self._payloads:
+                _, (_, payload) = self._payloads.popitem(last=False)
+                _discard_spill_file(payload.path)
+            while self._segments:
+                _, (_, segment) = self._segments.popitem(last=False)
+                segment.release()
         if self._owned_cache_dir is not None:
             shutil.rmtree(self._owned_cache_dir, ignore_errors=True)
 
@@ -635,3 +572,45 @@ def _measured_cost(real):
             for member in payload if isinstance(member, dict)
         ))
     return None
+
+
+# -- spill-file safety net ----------------------------------------------------------
+
+_SPILL_LOCK = threading.Lock()
+#: Task pickle spill files written by live process fleets; swept at
+#: interpreter exit so crashed searches don't leak task-sized files in
+#: ``$TMPDIR``.  Entries are removed again on the fleet's own eviction and
+#: close unlinks (the normal path).
+_SPILL_FILES = set()
+_SPILL_ATEXIT_REGISTERED = False
+
+
+def _unlink_quietly(path):
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _register_spill_file(path):
+    global _SPILL_ATEXIT_REGISTERED
+    with _SPILL_LOCK:
+        if not _SPILL_ATEXIT_REGISTERED:
+            atexit.register(_sweep_spill_files)
+            _SPILL_ATEXIT_REGISTERED = True
+        _SPILL_FILES.add(path)
+
+
+def _discard_spill_file(path):
+    """Unlink a spill file and drop it from the exit sweep."""
+    with _SPILL_LOCK:
+        _SPILL_FILES.discard(path)
+    _unlink_quietly(path)
+
+
+def _sweep_spill_files():
+    with _SPILL_LOCK:
+        paths = list(_SPILL_FILES)
+        _SPILL_FILES.clear()
+    for path in paths:
+        _unlink_quietly(path)

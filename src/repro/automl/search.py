@@ -167,14 +167,16 @@ class SearchResult:
         self.elapsed = elapsed
         self.cache_stats = cache_stats
         #: Per-tenant fair-share/data-plane counters when the search ran on
-        #: a :class:`~repro.automl.fleet.TenantBackend`; ``None`` otherwise.
+        #: a fleet tenant — a :class:`~repro.automl.backends.TenantBackend`,
+        #: which a process backend is (tenant ``"default"`` of a fleet of
+        #: one); ``None`` otherwise.
         self.fleet_stats = fleet_stats
         #: Tasks shipped per transport (``{"shm": n, "pickle": n}``) when
         #: the search ran on a process-boundary backend; ``None`` otherwise.
         self.plane_counts = plane_counts
         #: Fault-tolerance counters (worker deaths, fold retries/timeouts,
-        #: pool rebuilds) when the search ran on a supervised process
-        #: pool; ``None`` otherwise.
+        #: pool rebuilds) when the search ran on a process pool; ``None``
+        #: otherwise.
         self.supervisor_stats = supervisor_stats
 
     @property
@@ -822,9 +824,8 @@ class AutoBazaarSearch:
             cache_stats = {"mode": config.prefix_cache}
             cache_stats.update(cache_totals)
 
-        # a fleet tenant backend reports its fair-share counters; the
-        # caller-owned handle is still alive here even though the search
-        # loop is done with it
+        # a fleet tenant backend (a process backend is one) reports its
+        # fair-share counters, which outlive the release of the tenant
         fleet_stats = None
         stats_source = getattr(backend, "tenant_stats", None)
         if callable(stats_source):

@@ -1,24 +1,28 @@
-"""Supervised worker pool: fold deadlines, worker respawn, retry + quarantine.
+"""The process pool: fold deadlines, worker respawn, retry + quarantine.
 
-The plain :class:`~concurrent.futures.ProcessPoolExecutor` behind the
-process backend has a brittle failure mode for a long-running AutoML
-service: one SIGKILLed worker breaks the *whole pool* (every pending
-future fails with ``BrokenProcessPool`` and the executor refuses new
-work), and a hung fold — a native-code deadlock, a runaway fit — stalls
-the sliding-window search forever because nothing enforces a deadline.
+Every process-backed search — a solo ``ProcessBackend`` and every process
+fleet — runs its folds on :class:`SupervisedWorkerPool`; supervision is not
+a mode.  The standard library's process pool executor has a brittle
+failure mode for a long-running AutoML service: one SIGKILLed worker
+breaks the *whole pool* (every pending future fails with
+``BrokenProcessPool`` and the executor refuses new work), and a hung fold
+— a native-code deadlock, a runaway fit — stalls the sliding-window search
+forever because nothing enforces a deadline.  An unpicklable job fails
+alone, with the pickling error, as it would there.
 
-:class:`SupervisedWorkerPool` is a drop-in executor (``submit`` /
-``shutdown`` with real :class:`concurrent.futures.Future` objects) that
-owns its worker processes directly, one task pipe and one result pipe
-per worker, so a killed worker corrupts only its own channels:
+:class:`SupervisedWorkerPool` is an executor (``submit`` / ``shutdown``
+with real :class:`concurrent.futures.Future` objects) that owns its worker
+processes directly, one task pipe and one result pipe per worker, so a
+killed worker corrupts only its own channels:
 
 * **liveness over the existing result channel** — each worker runs a
   heartbeat thread that periodically sends a liveness message on its
   result pipe (no second IPC mechanism), plus an explicit ``started``
   message when it picks up a fold;
-* **fold deadlines** — a supervisor thread tracks how long each
-  dispatched fold has been running; past ``fold_timeout`` the offending
-  worker is SIGKILLed and the fold handled like any worker death;
+* **fold deadlines** — with a ``fold_timeout``, a supervisor thread tracks
+  how long each dispatched fold has been running; past it the offending
+  worker is SIGKILLed and the fold handled like any worker death
+  (``None``, the default, sets no deadline);
 * **pool rebuild** — a dead worker (crash, kill, deadline) is detected
   through its process sentinel and replaced with a freshly spawned
   worker immediately; the in-flight fold of the dead worker is requeued
@@ -54,6 +58,7 @@ from concurrent.futures import Future
 from itertools import count
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
+from multiprocessing.reduction import ForkingPickler
 
 from repro.telemetry.sink import emit_active
 
@@ -243,14 +248,14 @@ class SupervisedWorkerPool:
     max_workers:
         Worker process count.
     initializer, initargs:
-        Run once in every (re)spawned worker, exactly like the
-        ``ProcessPoolExecutor`` initializer.
+        Run once in every (re)spawned worker, exactly like a standard
+        library process pool's initializer.
     fold_timeout:
         Seconds a dispatched fold may run before its worker is killed
         and the fold retried; ``None`` disables deadline enforcement.
     max_fold_retries:
         Crash/timeout retries per fold before it is quarantined as a
-        failed evaluation.
+        failed evaluation; ``None`` means :data:`DEFAULT_MAX_FOLD_RETRIES`.
     retry_backoff:
         Base of the exponential backoff between retries (seconds).
     heartbeat_seconds:
@@ -259,15 +264,14 @@ class SupervisedWorkerPool:
     """
 
     def __init__(self, max_workers, initializer=None, initargs=(),
-                 fold_timeout=None, max_fold_retries=DEFAULT_MAX_FOLD_RETRIES,
+                 fold_timeout=None, max_fold_retries=None,
                  retry_backoff=DEFAULT_RETRY_BACKOFF,
                  heartbeat_seconds=DEFAULT_HEARTBEAT_SECONDS):
         self.max_workers = int(max_workers)
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        self.fold_timeout, self.max_fold_retries = supervision_knobs(
-            fold_timeout, max_fold_retries
-        )
+        self.fold_timeout, retries = supervision_knobs(fold_timeout, max_fold_retries)
+        self.max_fold_retries = DEFAULT_MAX_FOLD_RETRIES if retries is None else retries
         self.retry_backoff = float(retry_backoff)
         self.heartbeat_seconds = heartbeat_seconds
         self._initializer = initializer
@@ -492,7 +496,15 @@ class SupervisedWorkerPool:
                     continue
                 job.started = True
             try:
-                worker.task_conn.send((job.id, job.fn, job.args, job.kwargs))
+                message = ForkingPickler.dumps((job.id, job.fn, job.args, job.kwargs))
+            except Exception as failure:  # noqa: BLE001 - the job's outcome, not a death
+                # nothing reached the worker: an unpicklable job fails alone
+                # instead of passing for a dead worker, respawned without end
+                self._jobs.pop(job.id, None)
+                job.future.set_exception(failure)
+                continue
+            try:
+                worker.task_conn.send_bytes(message)
             except Exception:  # noqa: BLE001 - the worker died between jobs
                 self._queue.appendleft(job)
                 dead = worker

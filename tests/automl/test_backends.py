@@ -195,7 +195,7 @@ class TestBackendInterface:
         assert completed == [future]
         assert "RuntimeError" in future.result().error
 
-    @pytest.mark.parametrize("options", [{}, {"fold_timeout": 30}], ids=["plain", "supervised"])
+    @pytest.mark.parametrize("options", [{}, {"fold_timeout": 30}], ids=["no-deadline", "deadline"])
     def test_pool_workers_freeze_the_heap_they_inherit(self, options):
         # a forked worker must not walk (and copy) the coordinator's heap
         # in its first full garbage collection

@@ -179,7 +179,7 @@ class TestBackendDataPlane:
 
     def test_lru_eviction_unlinks_oldest_segment(self):
         backend = ProcessBackend(workers=1)
-        backend.transport_capacity = 1
+        backend._fleet.transport_capacity = 1
         try:
             first = backend._task_ref(make_task(n_samples=60))
             second = backend._task_ref(make_task(n_samples=70))

@@ -108,9 +108,10 @@ class TestFaultFreeBaselines:
         assert result.supervisor_stats is None
 
     def test_unsupervised_process_backend_matches_serial(self, task, baseline):
+        # no supervision knob set: the process pool is supervised all the same
         result = run_search(task, backend="process", workers=2)
         assert record_documents(result) == baseline
-        assert result.supervisor_stats is None  # supervision is opt-in
+        assert result.supervisor_stats == ZERO_STATS
 
     def test_supervised_process_backend_matches_serial(self, task, baseline):
         result = supervised_search(task)
@@ -135,9 +136,16 @@ class TestSingleFaultPlans:
         assert _fault_plan_dirs() - before == set()
 
     def test_worker_kill_is_masked(self, task, baseline):
+        self._assert_kill_masked(task, baseline, supervised_search)
+
+    def test_worker_kill_is_masked_with_no_supervision_knobs(self, task, baseline):
+        self._assert_kill_masked(
+            task, baseline, lambda task: run_search(task, backend="process", workers=2))
+
+    def _assert_kill_masked(self, task, baseline, search):
         plan = FaultPlan.single("worker_kill", at_fold=2)
         with plan.activate():
-            result = supervised_search(task)
+            result = search(task)
         assert record_documents(result) == baseline
         stats = result.supervisor_stats
         assert stats["workers_died"] == 1
@@ -281,7 +289,7 @@ class TestFleetRealKill:
                 thread.start()
 
             # SIGKILL a worker that provably has a fold in flight
-            executor = fleet._pool._executor
+            executor = fleet._executor
             victim = None
             deadline = time.monotonic() + 30
             while victim is None and time.monotonic() < deadline:

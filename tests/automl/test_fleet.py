@@ -7,16 +7,27 @@ bit-identical to the same search run solo — the fleet only changes where
 and when folds run, never what is reported).
 """
 
+import glob
+import multiprocessing
+import os
+import sys
+import tempfile
 import threading
 from concurrent.futures import Future
 
 import pytest
 
-from repro.automl import AutoBazaarSearch, FleetCoordinator, ProcessBackend
+from repro.automl import (
+    AutoBazaarSearch,
+    EvaluationCandidate,
+    FleetCoordinator,
+    ProcessBackend,
+)
 from repro.automl.fleet import _DEFAULT_FOLD_COST
 from repro.automl.session import AutoBazaarSession
 from repro.core.template import Template
 from repro.tasks import synth
+from repro.telemetry.replayer import load_events, replay_run
 
 ENCODER = "mlprimitives.custom.preprocessing.ClassEncoder"
 DECODER = "mlprimitives.custom.preprocessing.ClassDecoder"
@@ -144,18 +155,29 @@ class _ManualExecutor:
         return future
 
     def shutdown(self, wait=True, cancel_futures=False):
-        pass
+        # what a real pool does to the jobs it has not started yet
+        if cancel_futures:
+            for _, future in self.submitted:
+                future.cancel()
 
 
 def _noop(tag):
     return tag
 
 
+def _candidate():
+    template = seeded_templates()[0]
+    return EvaluationCandidate(
+        iteration=0, template=template, hyperparameters=template.default_hyperparameters(),
+        task=fleet_tasks(1)[0], n_splits=2, random_state=0,
+    )
+
+
 def manual_fleet(workers=1, max_backlog=0):
     fleet = FleetCoordinator(backend="thread", workers=workers, max_backlog=max_backlog)
-    fleet._pool._executor.shutdown(wait=False)
+    fleet._executor.shutdown(wait=False)
     manual = _ManualExecutor()
-    fleet._pool._executor = manual
+    fleet._executor = manual
     return fleet, manual
 
 
@@ -255,6 +277,82 @@ class TestFairShareScheduling:
         assert newcomer_state.pass_value == fleet._tenants["veteran"].pass_value
         fleet.close()
 
+    def test_an_admitted_fold_runs_on_and_files_its_payload(self):
+        # one admission slot: fold 0 is admitted, fold 1 waits in the queue
+        fleet, manual = manual_fleet()
+        tenant = fleet.register(name="t")
+        future = tenant.submit(_candidate())
+        admitted, queued = future._fold_futures
+        assert len(manual.submitted) == 1
+        assert admitted.cancel() is False and admitted.running()
+        assert queued.cancel() is True
+        payload = {"score": 0.75, "raw_score": 0.75, "error": None, "elapsed": 0.01}
+        manual.submitted[0][1].set_result(payload)
+        assert future._fold_results[0] is payload
+        assert tenant.collect_one() is future
+        assert len(manual.submitted) == 1  # the cancelled fold never reached the executor
+        fleet.close()
+
+    def test_a_submit_failure_is_the_folds_exception(self):
+        fleet, manual = manual_fleet()
+
+        def refuse(fn, *args, **kwargs):
+            raise RuntimeError("the pool is broken")
+
+        manual.submit = refuse
+        fold = fleet.register(name="t")._executor.submit(_noop, "t")
+        assert fold.done() and not fold.cancelled()
+        assert str(fold.exception()) == "the pool is broken"
+        assert fleet._admitted == 0  # its admission slot was given back
+        fleet.close()
+
+    def test_contended_completion_path_loses_no_fold(self):
+        # more workers than cores and a short switch interval: a lost update
+        # in admission or retirement would strand a fold or leak a slot
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with FleetCoordinator(backend="thread", workers=4, max_backlog=2) as fleet:
+                tenants = [fleet.register(name="t{}".format(index)) for index in range(6)]
+                folds = [[] for _ in tenants]
+
+                def submit(index):
+                    for tag in range(60):
+                        fold = tenants[index]._executor.submit(_noop, tag)
+                        if tag % 7 == 0:
+                            fold.cancel()  # wins only while the fold is queued
+                        folds[index].append(fold)
+
+                threads = [threading.Thread(target=submit, args=(index,))
+                           for index in range(len(tenants))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                ran = 0
+                for tenant_folds in folds:
+                    for tag, fold in enumerate(tenant_folds):
+                        if not fold.cancelled():
+                            assert fold.result(timeout=60) == tag
+                            ran += 1
+                assert fleet._admitted == 0
+                assert all(state.inflight == 0 and not state.queue
+                           for state in fleet._tenants.values())
+                assert sum(stats["folds_dispatched"] for stats in fleet.stats().values()) == ran
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_fold_the_pool_cancels_at_close_files_the_shutdown_error(self):
+        fleet, manual = manual_fleet()
+        future = fleet.register(name="t").submit(_candidate())
+        fleet.close()  # releases the tenant, then shuts the executor down
+        assert manual.submitted[0][1].cancelled()
+        assert future.done()
+        error = "CancelledError: the backend was shut down before this fold ran"
+        assert future._fold_results[0]["error"] == error
+        assert future.result().error == error
+
 
 class TestFleetValidation:
     def test_rejects_unknown_backend_and_bad_parameters(self):
@@ -282,10 +380,24 @@ class TestFleetValidation:
         # read, the one its refit scores on) must stay published at once, or
         # a late tenant would evict a segment with jobs still in flight
         with FleetCoordinator(backend="process", workers=1) as fleet:
-            fleet._pool.transport_capacity = 1
+            fleet.transport_capacity = 1
             for _ in range(3):
                 fleet.register()
-            assert fleet._pool.transport_capacity == 7
+            assert fleet.transport_capacity == 7
+
+    def test_invalid_backlog_is_rejected_before_anything_is_built(self):
+        def cache_dirs():
+            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-fleet-cache-*")))
+
+        dirs, threads = cache_dirs(), set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="max_backlog"):
+            FleetCoordinator(backend="process", workers=1, prefix_cache="disk",
+                             fold_timeout=30, max_backlog=-1)
+        assert set(multiprocessing.active_children()) == children
+        assert [thread for thread in set(threading.enumerate()) - threads
+                if thread.is_alive()] == []
+        assert cache_dirs() == dirs
 
     def test_disk_prefix_cache_dir_is_owned_and_removed(self, tmp_path):
         import os
@@ -312,9 +424,37 @@ class TestFleetValidation:
         )
         FleetCoordinator(backend="thread", workers=1).close()
         assert len(calls) == 1
-        # the process backend sweeps at startup too
+        # a process backend is a fleet of one: it sweeps at startup too
         ProcessBackend(workers=1).shutdown()
         assert len(calls) == 2
+
+
+class TestFleetOfOne:
+    def test_a_solo_process_search_is_tenant_default_of_a_fleet_of_one(self, tmp_path):
+        task = fleet_tasks(1)[0]
+
+        def search(**execution):
+            return AutoBazaarSearch(
+                templates=seeded_templates(), n_splits=2, random_state=0, n_pending=2,
+                **execution,
+            ).search(task, budget=3)
+
+        serial = search(backend="serial")
+        events_dir = str(tmp_path / "events")
+        result = search(backend="process", workers=2, telemetry=events_dir)
+        assert record_documents(result) == record_documents(serial)
+        assert result.fleet_stats["tenant"] == "default"
+        assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1  # and the refit
+        assert result.plane_counts == {"shm": 2, "pickle": 0}
+        stream = load_events(events_dir)
+        assert {event["tenant"] for event in stream if event.get("tenant")} == {"default"}
+        assert [event["backend"] for event in stream
+                if event["event"] == "search_started"] == ["ProcessBackend(workers=2)"]
+        assert {"fleet_queue_depth", "fleet_admission", "fleet_pass_value"} <= {
+            event["event"] for event in stream}
+        report = replay_run(stream, record_documents=[
+            record.to_dict() for record in result.records])
+        assert len(report["records"]) == 3
 
 
 class TestSessionFleet:

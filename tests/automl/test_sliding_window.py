@@ -222,11 +222,11 @@ class TestWorkerResidentCache:
         backend = ProcessBackend(workers=2)
         try:
             task = self._task()
-            first = backend._task_payload(task)
-            second = backend._task_payload(task)
+            first = backend._fleet._task_payload(task)
+            second = backend._fleet._task_payload(task)
             assert first is second
             assert os.path.exists(first.path)
-            other = backend._task_payload(self._task())
+            other = backend._fleet._task_payload(self._task())
             assert other.key != first.key
         finally:
             backend.shutdown()
@@ -279,7 +279,7 @@ class TestWorkerResidentCache:
             get_backend(SerialBackend(), fold_timeout=5)
         backend = get_backend("process", workers=1, fold_timeout=5)
         try:
-            assert backend.fold_timeout == 5
+            assert backend._fleet._executor.fold_timeout == 5
         finally:
             backend.shutdown()
 
@@ -307,6 +307,6 @@ class TestWorkerResidentCache:
             assert future.result().error is None
             # the task is parked once in the active data plane's cache
             # (shm segment by default, pickle spill on fallback)
-            assert len(backend._segments) + len(backend._payloads) == 1
+            assert len(backend._fleet._segments) + len(backend._fleet._payloads) == 1
         finally:
             backend.shutdown()

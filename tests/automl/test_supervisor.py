@@ -91,6 +91,18 @@ class TestBasics:
         assert executor.submit(_square, 3).result(timeout=30) == 9
         assert executor.stats["workers_died"] == 0
 
+    def test_unpicklable_job_fails_alone_with_the_pickling_error(self, pool):
+        executor = pool(max_workers=1)
+        failed = executor.submit(lambda: 1)
+        assert "pickle" in str(failed.exception(timeout=30))
+        # nothing reached the worker, so nothing died or was respawned
+        assert executor.submit(_square, 4).result(timeout=30) == 16
+        assert executor.stats["workers_died"] == 0
+        assert executor.stats["pools_rebuilt"] == 0
+
+    def test_retries_default_to_one(self, pool):
+        assert pool(max_workers=1, max_fold_retries=None).max_fold_retries == 1
+
     def test_submit_after_shutdown_is_rejected(self, pool):
         executor = pool()
         executor.shutdown(wait=True)
