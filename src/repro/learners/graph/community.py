@@ -17,35 +17,43 @@ def louvain_communities(graph, resolution=1.0, random_state=None):
         return {}
     rng = check_random_state(random_state)
     nodes = list(graph.nodes())
-    community = {node: i for i, node in enumerate(nodes)}
     total_weight = graph.size(weight="weight") or graph.number_of_edges()
     if total_weight == 0:
-        return community
+        return {node: i for i, node in enumerate(nodes)}
     two_m = 2.0 * total_weight
 
-    degrees = dict(graph.degree(weight="weight"))
-    community_degree = {community[node]: degrees[node] for node in nodes}
-    # the moving loop visits every edge up to 20 times: resolve the networkx
-    # views once, keeping each node's neighbor order (the float sums below
+    # the moving loop works on node positions 0..n-1; a node's community
+    # starts as its own position, so labels are positions too
+    n_nodes = len(nodes)
+    position = {node: i for i, node in enumerate(nodes)}
+    weighted = dict(graph.degree(weight="weight"))
+    degrees = [weighted[node] for node in nodes]
+    community = list(range(n_nodes))
+    community_degree = list(degrees)
+    # the loop visits every edge up to 20 times: read the raw adjacency
+    # dicts once, keeping each node's neighbor order (the float sums below
     # depend on it)
-    adjacency = {
-        node: [
-            (neighbor, data.get("weight", 1.0))
-            for neighbor, data in graph.adj[node].items() if neighbor != node
+    raw = dict(graph.adjacency())
+    adjacency = [
+        [
+            (position[neighbor], data.get("weight", 1.0))
+            for neighbor, data in raw[node].items() if neighbor != node
         ]
         for node in nodes
-    }
+    ]
 
     improved = True
     iterations = 0
     while improved and iterations < 20:
         improved = False
         iterations += 1
-        order = list(nodes)
+        # RandomState.shuffle makes the same swaps whatever the list holds
+        order = list(range(n_nodes))
         rng.shuffle(order)
         for node in order:
             current = community[node]
-            community_degree[current] -= degrees[node]
+            degree = degrees[node]
+            community_degree[current] -= degree
             # weights of edges from node to each neighboring community
             neighbor_weights = {}
             for neighbor, weight in adjacency[node]:
@@ -56,22 +64,19 @@ def louvain_communities(graph, resolution=1.0, random_state=None):
             best_community = current
             best_gain = 0.0
             for candidate, weight in neighbor_weights.items():
-                gain = weight - resolution * community_degree.get(candidate, 0.0) * degrees[node] / two_m
+                gain = weight - resolution * community_degree[candidate] * degree / two_m
                 if gain > best_gain:
                     best_gain = gain
                     best_community = candidate
             community[node] = best_community
-            community_degree[best_community] = (
-                community_degree.get(best_community, 0.0) + degrees[node]
-            )
+            community_degree[best_community] += degree
             if best_community != current:
                 improved = True
 
     # relabel communities to consecutive integers
     labels = {}
     relabeled = {}
-    for node in nodes:
-        label = community[node]
+    for node, label in zip(nodes, community):
         if label not in labels:
             labels[label] = len(labels)
         relabeled[node] = labels[label]

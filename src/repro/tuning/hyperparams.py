@@ -26,11 +26,31 @@ class BaseHyperparam:
         """Map a number in [0, 1] back to a valid value."""
         raise NotImplementedError
 
+    def to_units(self, values):
+        """Map a sequence of values into [0, 1]: ``to_unit`` of each, as one array."""
+        return np.asarray([self.to_unit(value) for value in values], dtype=float)
+
     def __repr__(self):
         return "{}({!r})".format(type(self).__name__, getattr(self, "name", None))
 
 
-class IntHyperparam(BaseHyperparam):
+class _RangeHyperparam(BaseHyperparam):
+    """A number on the inclusive range ``[low, high]``, mapped linearly onto [0, 1]."""
+
+    def to_unit(self, value):
+        if self.high == self.low:
+            return 0.0
+        return (float(value) - self.low) / (self.high - self.low)
+
+    def to_units(self, values):
+        if self.high == self.low:
+            return np.zeros(len(values))
+        # the same float operations as ``to_unit``, elementwise
+        numbers = np.fromiter(map(float, values), dtype=float, count=len(values))
+        return (numbers - self.low) / (self.high - self.low)
+
+
+class IntHyperparam(_RangeHyperparam):
     """Integer hyperparameter on an inclusive range."""
 
     def __init__(self, name, low, high, default=None):
@@ -44,17 +64,12 @@ class IntHyperparam(BaseHyperparam):
     def sample(self, rng):
         return int(rng.randint(self.low, self.high + 1))
 
-    def to_unit(self, value):
-        if self.high == self.low:
-            return 0.0
-        return (float(value) - self.low) / (self.high - self.low)
-
     def from_unit(self, unit):
         value = int(round(self.low + float(np.clip(unit, 0.0, 1.0)) * (self.high - self.low)))
         return int(np.clip(value, self.low, self.high))
 
 
-class FloatHyperparam(BaseHyperparam):
+class FloatHyperparam(_RangeHyperparam):
     """Float hyperparameter on an inclusive range."""
 
     def __init__(self, name, low, high, default=None):
@@ -67,11 +82,6 @@ class FloatHyperparam(BaseHyperparam):
 
     def sample(self, rng):
         return float(rng.uniform(self.low, self.high))
-
-    def to_unit(self, value):
-        if self.high == self.low:
-            return 0.0
-        return (float(value) - self.low) / (self.high - self.low)
 
     def from_unit(self, unit):
         value = self.low + float(np.clip(unit, 0.0, 1.0)) * (self.high - self.low)
@@ -199,6 +209,25 @@ class Tunable:
         return np.asarray(
             [self.hyperparams[key].to_unit(params[key]) for key in self.keys], dtype=float
         )
+
+    def to_matrix(self, configs):
+        """Vectorize configurations into the rows of one unit-hypercube matrix.
+
+        Row ``i`` is :meth:`to_vector` of ``configs[i]`` bit for bit, built a
+        column at a time.  A configuration :meth:`to_vector` rejects raises
+        what it raises there (the first such configuration's error).
+        """
+        try:
+            columns = [
+                self.hyperparams[key].to_units([params[key] for params in configs])
+                for key in self.keys
+            ]
+        except (ArithmeticError, LookupError, TypeError, ValueError):
+            pass
+        else:
+            return np.column_stack(columns)
+        # some configuration is invalid: let ``to_vector`` say which, and how
+        return np.vstack([self.to_vector(params) for params in configs])
 
     def from_vector(self, vector):
         """Recover a configuration from a unit-hypercube vector."""

@@ -9,8 +9,17 @@ the same template on *other* tasks (taken from a piex
 historically good regions instead of from scratch.
 """
 
+import numbers
+
 import numpy as np
 
+from repro.explorer.store import normalize_value
+from repro.tuning.hyperparams import (
+    BooleanHyperparam,
+    CategoricalHyperparam,
+    FloatHyperparam,
+    IntHyperparam,
+)
 from repro.tuning.tuners import GPEiTuner
 
 
@@ -49,9 +58,13 @@ class WarmStartGPTuner(GPEiTuner):
         order = scores.argsort().argsort()
         normalized = order / max(len(scores) - 1, 1)
         for (params, _), value in zip(pairs, normalized):
-            usable = {key: params[key] for key in self.tunable.keys if key in params}
-            if len(usable) != len(self.tunable.keys):
-                continue
+            try:
+                usable = {
+                    key: _space_value(hyperparam, params[key])
+                    for key, hyperparam in self.tunable.hyperparams.items()
+                }
+            except (KeyError, ValueError):
+                continue  # incomplete, or outside this space
             self._warm_trials.append(usable)
             self._warm_scores.append(float(value))
 
@@ -61,21 +74,26 @@ class WarmStartGPTuner(GPEiTuner):
         return len(self._warm_trials)
 
     def _fit_meta_model(self):
+        """The meta-model over the observed trials plus the warm rows, refit on every proposal.
+
+        Unlike :meth:`GPTuner._fit_meta_model` this is not memoized on the
+        observed-data version: every fit sees the pending entries added
+        since the last observation as liar rows, so a memo would change
+        its proposals whenever more than one proposal is in flight.
+        Refits still go through :meth:`GPTuner._refit`, so the rows shared
+        with the previous fit keep their Gram block.
+        """
         trials, scores = self._training_data()
-        observed = [self.tunable.to_vector(trial) for trial in trials]
         if self._warm_trials and scores:
             # map warm-start ranks onto the observed score range so both live
             # on one comparable scale
             low, high = min(scores), max(scores)
             span = (high - low) or 1.0
-            for trial, value in zip(self._warm_trials, self._warm_scores):
-                observed.append(self.tunable.to_vector(trial))
-                scores.append(low + self.warm_start_weight * value * span)
-        X = np.vstack(observed)
-        y = np.asarray(scores, dtype=float)
-        model = self.meta_model_class(kernel=self.kernel)
-        model.fit(X, y)
-        return model
+            trials = trials + self._warm_trials
+            scores = scores + [
+                low + self.warm_start_weight * value * span for value in self._warm_scores
+            ]
+        return self._refit(trials, scores)
 
     def _propose_one(self):
         # if history exists, the very first proposal exploits the best prior
@@ -86,6 +104,29 @@ class WarmStartGPTuner(GPEiTuner):
             best = int(np.argmax(self._warm_scores))
             return dict(self._warm_trials[best])
         return super()._propose_one()
+
+
+def _space_value(hyperparam, value):
+    """The value of ``hyperparam``'s own space that a historical ``value`` stands for.
+
+    Stored documents hold normalized values (a tuple category such as
+    ``(64,)`` comes back as ``[64]``), so categories, and the two booleans,
+    are matched by their :func:`~repro.explorer.store.normalize_value`
+    form; a number must lie in ``[low, high]``.  A value outside the space
+    raises ``ValueError``.
+    """
+    if isinstance(hyperparam, (IntHyperparam, FloatHyperparam)):
+        if isinstance(value, numbers.Real) and hyperparam.low <= value <= hyperparam.high:
+            return value
+    elif isinstance(hyperparam, (CategoricalHyperparam, BooleanHyperparam)):
+        choices = getattr(hyperparam, "values", (False, True))  # a boolean has two
+        stored = normalize_value(value)
+        for choice in choices:
+            if normalize_value(choice) == stored:
+                return choice
+    else:
+        return value
+    raise ValueError("{!r} is outside the space of {!r}".format(value, hyperparam.name))
 
 
 def harvest_history(store, template_name, exclude_task=None, limit=200):

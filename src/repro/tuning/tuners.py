@@ -176,9 +176,10 @@ class GPTuner(BaseTuner):
         ``"ei"``, ``"ucb"`` or ``"pi"``.
     n_candidates:
         Number of random candidates scored by the acquisition function per
-        proposal.
+        proposal (at least 1).
     min_trials:
-        Number of purely random proposals before the meta-model is used.
+        Number of purely random proposals before the meta-model is used
+        (at least 1: the meta-model needs an observation to fit).
     """
 
     meta_model_class = GaussianProcessRegressor
@@ -192,6 +193,9 @@ class GPTuner(BaseTuner):
                     acquisition, sorted(ACQUISITIONS)
                 )
             )
+        for name, value in (("n_candidates", n_candidates), ("min_trials", min_trials)):
+            if value < 1:
+                raise ValueError("{} must be at least 1, got {!r}".format(name, value))
         self.kernel = kernel
         self.acquisition = acquisition
         self.n_candidates = n_candidates
@@ -233,20 +237,35 @@ class GPTuner(BaseTuner):
         place; in exchange, a template proposed repeatedly within a
         scheduling window pays for the grid search once, not per
         proposal.
+
+        A refit goes to the same model instance (see :meth:`_refit`).  The
+        training rows are the trials in the order they were recorded, then
+        the pending and failed ones, so a new observation leaves every
+        earlier trial's row where it was and the GP recomputes kernel
+        values for the rows after it only — with the same result, bit for
+        bit, as a fit from scratch.
         """
-        if self._meta_model is not None and self._meta_model_version == self._state_version:
+        if self._meta_model_version == self._state_version:
             return self._meta_model
-        trials, scores = self._training_data()
-        X = np.vstack([self.tunable.to_vector(trial) for trial in trials])
-        y = np.asarray(scores, dtype=float)
-        model = self.meta_model_class(kernel=self.kernel)
-        model.fit(X, y)
-        self._meta_model = model
+        model = self._refit(*self._training_data())
         self._meta_model_version = self._state_version
         return model
 
+    def _refit(self, trials, scores):
+        """Fit this tuner's one meta-model instance on ``trials`` and ``scores``.
+
+        The instance is built on the first call and kept, because the GP
+        meta-models reuse what their previous fit computed.  It belongs to
+        this tuner alone: tuners of concurrent searches live on different
+        threads.
+        """
+        if self._meta_model is None:
+            self._meta_model = self.meta_model_class(kernel=self.kernel)
+        self._meta_model.fit(self.tunable.to_matrix(trials), np.asarray(scores, dtype=float))
+        return self._meta_model
+
     def _score_candidates(self, model, candidates):
-        vectors = np.vstack([self.tunable.to_vector(candidate) for candidate in candidates])
+        vectors = self.tunable.to_matrix(candidates)
         mean, std = model.predict(vectors, return_std=True)
         acquisition_fn = ACQUISITIONS[self.acquisition]
         if self.acquisition == "ucb":
@@ -326,7 +345,7 @@ class GCPEiTuner(GPTuner):
                          min_trials=min_trials, random_state=random_state)
 
     def _score_candidates(self, model, candidates):
-        vectors = np.vstack([self.tunable.to_vector(candidate) for candidate in candidates])
+        vectors = self.tunable.to_matrix(candidates)
         mean, std = model.predict_latent(vectors)
         # expected improvement computed in the latent normal-score space, where
         # the best observed score maps to its own normal score; the ranks use

@@ -226,6 +226,23 @@ def test_e2e_check_runs_the_cross_workload_output_checks(workflow):
     assert os.path.exists(os.path.join(root, "bench_e2e", "run.py"))
 
 
+#: The frozen-reference suites of the layers the record digests depend on.
+EXACTNESS_SUITES = ("tests/tuning/test_gp_identity.py", "tests/learners/test_graph.py",
+                    "tests/learners/test_tree_kernel_identity.py")
+
+
+def test_e2e_check_runs_the_exactness_suites_before_the_digests(workflow):
+    """A digest break is preceded by the suite of the layer that diverged."""
+    runs = _runs(workflow, "e2e-check")
+    check = next(index for index, run in enumerate(runs) if "bench_e2e/run.py --check" in run)
+    suites = [index for index, run in enumerate(runs)
+              if "python -m pytest" in run and all(suite in run for suite in EXACTNESS_SUITES)]
+    assert suites and suites[0] < check, "the exactness suites must run before --check"
+    root = os.path.join(os.path.dirname(__file__), "..")
+    for suite in EXACTNESS_SUITES:
+        assert os.path.exists(os.path.join(root, suite)), suite
+
+
 def test_tier1_matrix_covers_supported_interpreters(workflow):
     matrix = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
     assert matrix == ["3.10", "3.11", "3.12"]

@@ -3,7 +3,13 @@
 import numpy as np
 
 from repro.explorer import PipelineStore
-from repro.tuning.hyperparams import FloatHyperparam, IntHyperparam, Tunable
+from repro.tuning.hyperparams import (
+    BooleanHyperparam,
+    CategoricalHyperparam,
+    FloatHyperparam,
+    IntHyperparam,
+    Tunable,
+)
 from repro.tuning.meta import WarmStartGPTuner, harvest_history, _parse_key
 
 
@@ -86,6 +92,82 @@ class TestWarmStartGPTuner:
             assert 0.0 <= params[("m", "x")] <= 1.0
             assert 1 <= params[("m", "n")] <= 10
             tuner.record(params, _objective(params))
+
+
+def _mixed_space():
+    return Tunable({
+        ("m", "layers"): CategoricalHyperparam("layers", [(32,), (64,), (16, 16), None]),
+        ("m", "flag"): BooleanHyperparam("flag"),
+        ("m", "x"): FloatHyperparam("x", 0.0, 1.0),
+        ("m", "n"): IntHyperparam("n", 1, 10),
+    })
+
+
+class TestHistoryFromStoredDocuments:
+    """Harvested values come back normalized (tuples as lists) and may lie outside the space."""
+
+    def _entry(self, **overrides):
+        params = {("m", "layers"): [64], ("m", "flag"): True, ("m", "x"): 0.5, ("m", "n"): 3}
+        params.update({("m", name): value for name, value in overrides.items()})
+        return params
+
+    def test_normalized_values_map_onto_the_space_values(self):
+        history = [(self._entry(), 0.9), (self._entry(layers=[16, 16], flag=0), 0.5),
+                   (self._entry(layers=None), 0.1)]
+        tuner = WarmStartGPTuner(_mixed_space(), history=history, random_state=0)
+        layers = [trial[("m", "layers")] for trial in tuner._warm_trials]
+        assert layers == [(64,), (16, 16), None]
+        assert [trial[("m", "flag")] for trial in tuner._warm_trials] == [True, False, True]
+        assert tuner.propose()[("m", "layers")] == (64,)  # the best prior, as a tuple
+
+    def test_entries_outside_the_space_are_dropped(self):
+        history = [
+            (self._entry(layers=[128]), 0.9),  # unknown category
+            (self._entry(x=1.5), 0.8),  # number above high
+            (self._entry(n=0), 0.7),  # number below low
+            (self._entry(n="three"), 0.6),  # not a number
+            (self._entry(flag="yes"), 0.5),  # not a boolean
+            (self._entry(), 0.1),
+        ]
+        tuner = WarmStartGPTuner(_mixed_space(), history=history, random_state=0)
+        assert tuner.n_warm_observations == 1
+        assert tuner._warm_trials[0][("m", "layers")] == (64,)
+
+    def test_warm_start_from_a_store_over_a_tuple_categorical(self):
+        # the reproduction: the MLP's hidden_units are tuples, stored as lists,
+        # and the second search used to die on its first proposal with
+        # "Value [64] is not among the categories of ..."
+        from repro.automl import AutoBazaarSearch
+        from repro.automl.catalog import CLASS_DECODER, CLASS_ENCODER, IMPUTER, SCALER
+        from repro.core.template import Template
+        from repro.tasks import synth
+
+        template = Template("mlp_classification", [
+            CLASS_ENCODER, IMPUTER, SCALER, "sklearn.neural_network.MLPClassifier",
+            CLASS_DECODER,
+        ])
+        key = ("sklearn.neural_network.MLPClassifier#0", "hidden_units")
+        assert isinstance(template.get_tunable_hyperparameters()[key].default, tuple)
+        store = PipelineStore()
+        first = synth.make_single_table_classification(n_samples=80, random_state=0)
+        first.name = "first"
+        AutoBazaarSearch(templates=[template], n_splits=2, random_state=0, estimator_seed=0,
+                         store=store).search(first, budget=3)
+        stored = [document["hyperparameters"][str(key)] for document in store]
+        assert stored and all(isinstance(value, list) for value in stored)
+
+        second = synth.make_single_table_classification(n_samples=80, random_state=1)
+        second.name = "second"
+        warm = AutoBazaarSearch(templates=[template], n_splits=2, random_state=0,
+                                estimator_seed=0, warm_start_store=store)
+        result = warm.search(second, budget=3)
+        assert [record.error for record in result.records] == [None] * 3
+        top = max(document["score"] for document in store)
+        best_priors = {tuple(document["hyperparameters"][str(key)])
+                       for document in store if document["score"] == top}
+        exploited = result.records[1]  # the first proposal after the default
+        assert not exploited.is_default
+        assert exploited.hyperparameters[key] in best_priors  # a tuple again
 
 
 class TestHarvestHistory:

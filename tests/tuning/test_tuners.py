@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tuning.hyperparams import FloatHyperparam, IntHyperparam, Tunable
+from repro.tuning.meta import WarmStartGPTuner
 from repro.tuning.tuners import (
     GCPEiTuner,
     GPEiTuner,
@@ -115,6 +116,24 @@ class TestGPTuners:
     def test_invalid_acquisition_rejected(self):
         with pytest.raises(ValueError):
             GPTuner(_space(), acquisition="magic")
+
+    @pytest.mark.parametrize("tuner_class", [GPTuner, GPEiTuner, GPMatern52EiTuner, GCPEiTuner,
+                                             WarmStartGPTuner])
+    @pytest.mark.parametrize("argument", ["min_trials", "n_candidates"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_no_trials_or_candidates_rejected_at_construction(self, tuner_class, argument,
+                                                              value):
+        # both used to pass and crash the first model-based proposal with
+        # numpy's "need at least one array to concatenate"
+        with pytest.raises(ValueError, match="^{} must be at least 1".format(argument)):
+            tuner_class(_space(), **{argument: value})
+
+    def test_one_trial_and_one_candidate_suffice(self):
+        tuner = GPEiTuner(_space(), min_trials=1, n_candidates=1, random_state=0)
+        for _ in range(4):
+            params = tuner.propose()
+            tuner.record(params, _branin_like(params))
+        assert len(tuner.propose(n=2)) == 2
 
     def test_proposals_stay_in_bounds_after_model_kicks_in(self):
         tuner = GPEiTuner(_space(), min_trials=2, n_candidates=30, random_state=0)
