@@ -50,6 +50,7 @@ from repro.automl.search import AutoBazaarSearch
 from repro.explorer.persistence import PersistentPipelineStore
 from repro.explorer.store import normalize_value
 from repro.tasks.io import load_task, save_task, task_fingerprint
+from repro.tasks.task import holdout_count
 from repro.tuning.selectors import get_selector
 from repro.tuning.tuners import get_tuner
 
@@ -312,14 +313,26 @@ class ExperimentRun:
                 "{!r} is already an initialized run directory; use resume "
                 "(ExperimentRun.open / `python -m repro.automl resume`) instead".format(run_dir)
             )
-        # fail fast on unknown names before anything touches the disk
+        # fail fast on unknown names and on values no run can execute with
+        # before anything touches the disk: a committed manifest refuses
+        # every later create() of the same directory
         get_tuner(tuner)
         get_selector(selector)
         shaping = ExecutionConfig(n_pending=n_pending, schedule=schedule)
+        if budget < 0:
+            raise ValueError("budget must be at least 0, got {!r}".format(budget))
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be at least 1, got {!r}".format(
+                checkpoint_every))
         if task is None:
             if task_directory is None:
                 raise ValueError("Either task or task_directory is required")
             task = load_task(task_directory)
+        try:
+            holdout_count(task, float(holdout))
+        except ValueError as error:
+            raise ValueError("holdout {!r} cannot split task {!r} ({} samples): {}".format(
+                holdout, task.name, task.n_samples, error)) from None
         os.makedirs(run_dir, exist_ok=True)
         # the manifest write below is the commit point of create(); any
         # task/store/warm leftovers without a manifest are the residue of

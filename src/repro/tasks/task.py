@@ -152,6 +152,20 @@ def _take(values, indices):
     return [values[int(i)] for i in indices]
 
 
+def holdout_count(task, test_size):
+    """Number of test samples :func:`split_task` takes from ``task``.
+
+    A float ``test_size`` is a fraction (at least one sample), anything
+    else a count.  Raises ``ValueError`` when no training sample would be
+    left.
+    """
+    n_samples = task.n_samples
+    n_test = max(1, int(round(test_size * n_samples))) if isinstance(test_size, float) else int(test_size)
+    if n_test >= n_samples:
+        raise ValueError("test_size leaves no training samples")
+    return n_test
+
+
 def split_task(task, test_size=0.25, random_state=None):
     """Split a task into train and test tasks.
 
@@ -159,9 +173,7 @@ def split_task(task, test_size=0.25, random_state=None):
     ``test_size`` fraction of samples becomes the test set.
     """
     n_samples = task.n_samples
-    n_test = max(1, int(round(test_size * n_samples))) if isinstance(test_size, float) else int(test_size)
-    if n_test >= n_samples:
-        raise ValueError("test_size leaves no training samples")
+    n_test = holdout_count(task, test_size)
     if task.ordered:
         train_indices = np.arange(n_samples - n_test)
         test_indices = np.arange(n_samples - n_test, n_samples)

@@ -134,6 +134,38 @@ class TestExperimentRunLifecycle:
             _create(run_dir, tuner="banana")
         assert not os.path.exists(run_dir)
 
+    # each of these once committed a manifest that execute() could not run
+    # and that refused every later create() of the same directory
+    @pytest.mark.parametrize("argument, value", [
+        ("budget", -2),
+        ("holdout", 1.5),
+        ("holdout", 1.0),  # every one of the 90 samples
+        ("holdout", float("nan")),
+        ("checkpoint_every", 0),
+        ("checkpoint_every", -3),
+    ])
+    def test_unrunnable_value_rejected_before_touching_disk(self, tmp_path, argument, value):
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match=argument):
+            _create(run_dir, **{argument: value})
+        assert not os.path.exists(run_dir / MANIFEST_NAME)
+        assert not os.path.exists(run_dir)
+        # the same directory still takes a good configuration
+        run = _create(run_dir, budget=2)
+        assert run.execute().n_evaluated == 2
+        run.close()
+
+    def test_cli_rejects_checkpoint_every_zero(self, tmp_path, capsys):
+        from repro.automl.__main__ import main
+        from repro.tasks import save_task
+
+        save_task(_task(), tmp_path / "task")
+        exit_code = main([str(tmp_path / "task"), "--budget", "2", "--splits", "2",
+                          "--run-dir", str(tmp_path / "run"), "--checkpoint-every", "0"])
+        assert exit_code == 1
+        assert "checkpoint_every must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run" / MANIFEST_NAME)
+
 
 class TestKillAndResumeEquivalence:
     @pytest.mark.parametrize("kill_after", [1, 3, 5])

@@ -1,5 +1,8 @@
 """Tests for graph featurization, link prediction and community detection."""
 
+import copy
+from fractions import Fraction
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from repro.learners.graph import (
     link_prediction_feature_extraction,
     louvain_communities,
 )
-from repro.learners.graph.community import modularity
+from repro.learners.graph.community import _moving_kernel, modularity
 from repro.learners.metrics import adjusted_rand_score
 
 
@@ -237,3 +240,179 @@ class TestLouvainMatchesFrozenReference:
         for resolution in (0.3, 1.0, 2.4):
             assert (louvain_communities(graph, resolution, random_state=0)
                     == _reference_louvain(graph, resolution, random_state=0))
+
+
+def _weighted_gnp():
+    """A graph whose partition at resolution 0.75 changes when NumPy sums in float32."""
+    graph = nx.gnp_random_graph(30, 0.2, seed=116)
+    rng = np.random.RandomState(116)
+    for source, target in graph.edges():
+        graph[source][target]["weight"] = float(rng.choice([0.1, 1 / 3, 0.7, 2.5]))
+    return graph
+
+
+def _big_weight_star(number):
+    """A star whose int and float weights and degrees are equal, value for value.
+
+    Only int arithmetic keeps ``2**53 + 2 - 1`` exact, so the two
+    partitions differ.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(range(4))
+    graph.add_edge(0, 2, weight=number(1))
+    graph.add_edge(1, 2, weight=number(1))
+    graph.add_edge(2, 3, weight=number(2 ** 53))
+    return graph
+
+
+class TestLouvainMemo:
+    """The memoised moving loop returns what the frozen reference returns."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _moving_kernel.cache_clear()
+        yield
+        _moving_kernel.cache_clear()
+
+    @pytest.mark.parametrize(
+        "kind", ["weighted", "unweighted", "directed", "self_loops", "multi"])
+    def test_warm_memo_matches_frozen_reference(self, kind):
+        compared = 0
+        for seed in range(12):
+            graph = _random_graph(kind, seed)
+            runs_kernel = bool(graph.size(weight="weight") or graph.number_of_edges())
+            for resolution in (0.5, 1.0, 1.7):
+                for random_state in (0, 1, 7):
+                    expected = _reference_louvain(graph, resolution, random_state)
+                    # warmed by another graph object: the memo is keyed by content
+                    louvain_communities(copy.deepcopy(graph), resolution, random_state)
+                    hits = _moving_kernel.cache_info().hits
+                    actual = louvain_communities(graph, resolution, random_state)
+                    assert actual == expected, (kind, seed, resolution, random_state)
+                    assert list(actual) == list(expected)
+                    assert _moving_kernel.cache_info().hits == hits + runs_kernel
+                    compared += 1
+        assert compared == 108
+
+    def test_warm_memo_on_the_table_ii_community_task(self):
+        from repro.tasks import synth
+
+        graph = synth.make_community_detection(random_state=3).context["graph"]
+        for resolution in (0.3, 1.0, 2.4):
+            louvain_communities(graph, resolution, random_state=0)
+            assert (louvain_communities(graph, resolution, random_state=0)
+                    == _reference_louvain(graph, resolution, random_state=0))
+
+    @pytest.mark.parametrize("first", ["float", "float32"])
+    def test_float32_resolution_is_a_key_of_its_own(self, first):
+        graph = _weighted_gnp()
+        resolutions = {"float": 0.75, "float32": np.float32(0.75)}
+        assert resolutions["float"] == resolutions["float32"]
+        expected = {name: _reference_louvain(graph, value, 0)
+                    for name, value in resolutions.items()}
+        assert expected["float"] != expected["float32"]
+        for name in sorted(resolutions, key=lambda name: name != first):
+            assert louvain_communities(graph, resolutions[name], 0) == expected[name]
+
+    @pytest.mark.parametrize("first", [int, float], ids=["int", "float"])
+    def test_int_and_float_weights_are_keys_of_their_own(self, first):
+        graphs = {number: _big_weight_star(number) for number in (int, float)}
+        assert (list(graphs[int].degree(weight="weight"))
+                == list(graphs[float].degree(weight="weight")))
+        expected = {number: _reference_louvain(graph, 1.0, 0)
+                    for number, graph in graphs.items()}
+        assert expected[int] != expected[float]
+        for number in sorted(graphs, key=lambda number: number is not first):
+            assert louvain_communities(graphs[number], 1.0, 0) == expected[number]
+
+    @pytest.mark.parametrize("change", ["reweight", "add_edge", "remove_edge", "reorder"])
+    def test_graph_changed_after_a_cached_call(self, change):
+        graph = _random_graph("weighted", 2)
+        before = louvain_communities(graph, 1.0, 0)
+        edge = next(iter(graph.edges()))
+        if change == "reweight":
+            graph[edge[0]][edge[1]]["weight"] = 25.0
+        elif change == "add_edge":
+            nodes = list(graph)
+            graph.add_edge(*next((source, target) for source in nodes for target in nodes
+                                 if source != target and not graph.has_edge(source, target)),
+                           weight=25.0)
+        elif change == "remove_edge":
+            graph.remove_edge(*edge)
+        else:
+            reordered = nx.Graph()
+            reordered.add_nodes_from(reversed(list(graph.nodes(data=True))))
+            reordered.add_edges_from(graph.edges(data=True))
+            graph = reordered
+        expected = _reference_louvain(graph, 1.0, 0)
+        assert expected != before
+        actual = louvain_communities(graph, 1.0, 0)
+        assert actual == expected
+        assert list(actual) == list(expected)
+
+    def test_unseeded_calls_draw_from_their_rng_like_the_reference(self):
+        graph = _weighted_gnp()
+        louvain_communities(graph, 1.0, 0)
+        info = _moving_kernel.cache_info()
+        state = np.random.get_state()
+        try:
+            outcomes = []
+            for louvain in (louvain_communities, _reference_louvain):
+                np.random.seed(3)
+                rng = np.random.RandomState(4)
+                outcomes.append((
+                    louvain(graph, 1.0, None), louvain(graph, 1.0, None),
+                    np.random.random_sample(),
+                    louvain(graph, 1.0, rng), louvain(graph, 1.0, rng),
+                    rng.random_sample(),
+                ))
+        finally:
+            np.random.set_state(state)
+        assert outcomes[0] == outcomes[1]
+        assert _moving_kernel.cache_info() == info  # neither looked up nor stored
+
+    def test_returned_dicts_are_independent(self, two_cliques):
+        first = louvain_communities(two_cliques, 1.0, 0)
+        first[0] = 99
+        second = louvain_communities(two_cliques, 1.0, 0)
+        assert second is not first
+        assert second == _reference_louvain(two_cliques, 1.0, 0)
+
+    @pytest.mark.parametrize("weight", [[1.0], np.array([1.0, 2.0])], ids=["list", "array"])
+    def test_unhashable_weight_raises_like_the_reference(self, two_cliques, weight):
+        two_cliques[0][6]["weight"] = weight
+        with pytest.raises(Exception) as expected:
+            _reference_louvain(two_cliques, 1.0, 0)
+        with pytest.raises(expected.type) as actual:
+            louvain_communities(two_cliques, 1.0, 0)
+        assert str(actual.value) == str(expected.value)
+
+    @pytest.mark.parametrize("resolution", [np.array(0.75), Fraction(3, 4)],
+                             ids=["0d-array", "fraction"])
+    def test_resolution_that_is_not_plain_runs_uncached_with_its_seed(self, resolution):
+        graph = _weighted_gnp()
+        partitions = set()
+        for random_state in range(4):
+            expected = _reference_louvain(graph, resolution, random_state)
+            assert louvain_communities(graph, resolution, random_state) == expected
+            partitions.add(tuple(expected.values()))
+        assert len(partitions) > 1  # the seed matters on this graph
+        assert _moving_kernel.cache_info().currsize == 0
+
+    def test_three_folds_and_the_refit_run_the_kernel_once(self):
+        from repro.automl import AutoBazaarSearch
+        from repro.tasks import synth
+
+        task = synth.make_community_detection(random_state=3)
+        result = AutoBazaarSearch(
+            n_splits=3, random_state=0, estimator_seed=0, backend="serial",
+        ).search(task, budget=1)
+        assert result.n_evaluated == 1 and result.test_score is not None
+        info = _moving_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_memo_holds_at_most_two_graphs(self):
+        for seed in range(3):
+            louvain_communities(_random_graph("weighted", seed + 1), 1.0, 0)
+        info = _moving_kernel.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (3, 2, 2)

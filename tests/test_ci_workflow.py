@@ -147,6 +147,9 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
     loop = refit[1].splitlines()
     assert any("tests/automl/test_fleet.py" in line and "-x" in line
                and "|| exit 1" in line for line in loop)
+    # so does the Louvain memo shared by thread tenants across a fork
+    assert any("tests/automl/test_louvain_memo_fleet.py" in line and "-x" in line
+               and "|| exit 1" in line for line in loop)
     # the pair that once hung the fleet (ROADMAP item 0), stress-looped together
     stress = [run for run in runs if "tests/automl/test_session_and_cli.py" in run
               and "tests/telemetry/test_replayer.py" in run]
@@ -162,6 +165,8 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
                                        "test_fault_tolerance.py"))
     assert os.path.exists(os.path.join(root, "tests", "automl",
                                        "test_refit_on_backend.py"))
+    assert os.path.exists(os.path.join(root, "tests", "automl",
+                                       "test_louvain_memo_fleet.py"))
     assert os.path.exists(os.path.join(root, "benchmarks",
                                        "test_bench_fault_tolerance.py"))
 
