@@ -8,6 +8,9 @@ Drives the full crash story end to end, with a real ``SIGKILL``:
 2. run the identical search in a child process that ``SIGKILL``s itself
    the moment the k-th record has been reported (records are durable in
    the run directory's JSONL segment log *before* the kill point);
+   with ``n_pending > 1`` later proposals are still in flight at the
+   kill, so the resume replays the log into a window that already held
+   live evaluations;
 3. resume the killed run with the library's resume path and assert that
    the final record stream is identical to the baseline and that the
    durable store holds every record exactly once — no duplicates, no
@@ -15,6 +18,8 @@ Drives the full crash story end to end, with a real ``SIGKILL``:
 4. after the kill and again after the resume, assert that
    ``checkpoint.json`` stays within ``CHECKPOINT_MAX_BYTES`` — the snapshot
    is a constant-size witness and must not grow with the budget again.
+
+Steps 1-4 run once per window size in ``N_PENDING``.
 
 Usage::
 
@@ -33,8 +38,11 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-BUDGET = 6
-KILL_AFTER = 3
+BUDGET = 8
+KILL_AFTER = 4
+#: Window sizes the kill/resume cycle runs under: 1 has nothing in
+#: flight past the kill point, 3 has proposals in flight there.
+N_PENDING = (1, 3)
 SEED = 0
 N_SPLITS = 2
 CHECKPOINT_MAX_BYTES = 2048
@@ -46,11 +54,12 @@ def _make_task():
     return synth.make_single_table_classification(n_samples=90, random_state=11)
 
 
-def _create_run(run_dir):
+def _create_run(run_dir, n_pending):
     from repro.automl import ExperimentRun
 
     return ExperimentRun.create(
         run_dir, task=_make_task(), budget=BUDGET, n_splits=N_SPLITS, random_state=SEED,
+        n_pending=n_pending,
     )
 
 
@@ -80,8 +89,10 @@ def _assert_checkpoint_is_small(run_dir, when):
 
 
 def _child(run_dir, kill_after):
-    """Run the search, then SIGKILL this process as record ``kill_after`` lands."""
-    run = _create_run(run_dir)
+    """Run the created search, then SIGKILL this process as record ``kill_after`` lands."""
+    from repro.automl import ExperimentRun
+
+    run = ExperimentRun.open(run_dir)
 
     def killer(state):
         if state["n_reported"] >= kill_after:
@@ -91,52 +102,61 @@ def _child(run_dir, kill_after):
     raise AssertionError("the killer hook never fired")  # pragma: no cover
 
 
-def _parent():
+def _kill_and_resume(workdir, n_pending):
     from repro.automl import resume_run
 
+    baseline_dir = os.path.join(workdir, "baseline-{}".format(n_pending))
+    killed_dir = os.path.join(workdir, "killed-{}".format(n_pending))
+
+    print("== 1/3 uninterrupted baseline ({} evaluations, n_pending={})".format(
+        BUDGET, n_pending))
+    baseline = _stream(_create_run(baseline_dir, n_pending).execute().records)
+    assert len(baseline) == BUDGET, baseline
+
+    print("== 2/3 killed run (SIGKILL after {} reported records)".format(KILL_AFTER))
+    # the parent creates the run, so the child resumes its manifest's window
+    _create_run(killed_dir, n_pending)
+    child = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", killed_dir,
+         "--kill-after", str(KILL_AFTER)],
+        env={**os.environ,
+             "PYTHONPATH": os.path.join(REPO_ROOT, "src")
+             + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert child.returncode == -signal.SIGKILL, (
+        "expected the child to die from SIGKILL, got returncode {}".format(
+            child.returncode)
+    )
+
+    # the durable log must hold exactly the records reported before the kill
+    from repro.explorer import PersistentPipelineStore
+    with PersistentPipelineStore(os.path.join(killed_dir, "store")) as partial:
+        durable = sorted(document["iteration"] for document in partial)
+    assert durable == list(range(KILL_AFTER)), durable
+    print("   durable records at kill time: {}".format(durable))
+    _assert_checkpoint_is_small(killed_dir, "after the kill")
+
+    print("== 3/3 resume and compare")
+    resumed = resume_run(killed_dir)
+    resumed_stream = _stream(resumed.result.records)
+    assert resumed_stream == baseline, (
+        "resumed stream diverged from the uninterrupted baseline:\n{}\nvs\n{}".format(
+            json.dumps(resumed_stream, indent=2), json.dumps(baseline, indent=2))
+    )
+    iterations = sorted(document["iteration"] for document in resumed.store)
+    assert iterations == list(range(BUDGET)), (
+        "store lost or duplicated records: {}".format(iterations)
+    )
+    print("   resumed stream identical to baseline "
+          "({} records, no duplicates, no losses)".format(len(iterations)))
+    _assert_checkpoint_is_small(killed_dir, "after the resume")
+    resumed.close()
+
+
+def _parent():
     with tempfile.TemporaryDirectory(prefix="crash-resume-") as workdir:
-        baseline_dir = os.path.join(workdir, "baseline")
-        killed_dir = os.path.join(workdir, "killed")
-
-        print("== 1/3 uninterrupted baseline ({} evaluations)".format(BUDGET))
-        baseline = _stream(_create_run(baseline_dir).execute().records)
-        assert len(baseline) == BUDGET, baseline
-
-        print("== 2/3 killed run (SIGKILL after {} reported records)".format(KILL_AFTER))
-        child = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", killed_dir,
-             "--kill-after", str(KILL_AFTER)],
-            env={**os.environ,
-                 "PYTHONPATH": os.path.join(REPO_ROOT, "src")
-                 + os.pathsep + os.environ.get("PYTHONPATH", "")},
-        )
-        assert child.returncode == -signal.SIGKILL, (
-            "expected the child to die from SIGKILL, got returncode {}".format(
-                child.returncode)
-        )
-
-        # the durable log must hold exactly the records reported before the kill
-        from repro.explorer import PersistentPipelineStore
-        with PersistentPipelineStore(os.path.join(killed_dir, "store")) as partial:
-            durable = sorted(document["iteration"] for document in partial)
-        assert durable == list(range(KILL_AFTER)), durable
-        print("   durable records at kill time: {}".format(durable))
-        _assert_checkpoint_is_small(killed_dir, "after the kill")
-
-        print("== 3/3 resume and compare")
-        resumed = resume_run(killed_dir)
-        resumed_stream = _stream(resumed.result.records)
-        assert resumed_stream == baseline, (
-            "resumed stream diverged from the uninterrupted baseline:\n{}\nvs\n{}".format(
-                json.dumps(resumed_stream, indent=2), json.dumps(baseline, indent=2))
-        )
-        iterations = sorted(document["iteration"] for document in resumed.store)
-        assert iterations == list(range(BUDGET)), (
-            "store lost or duplicated records: {}".format(iterations)
-        )
-        print("   resumed stream identical to baseline "
-              "({} records, no duplicates, no losses)".format(len(iterations)))
-        _assert_checkpoint_is_small(killed_dir, "after the resume")
+        for n_pending in N_PENDING:
+            _kill_and_resume(workdir, n_pending)
     print("crash/resume smoke: OK")
 
 

@@ -75,7 +75,7 @@ from repro.automl.backends import (
     resolve_workers,
 )
 from repro.automl.config import ExecutionConfig
-from repro.automl.prefix_cache import sweep_orphan_cache_tmp
+from repro.automl.prefix_cache import open_cache_dir
 from repro.automl.supervisor import SupervisedWorkerPool
 from repro.telemetry.sink import emit_active
 
@@ -191,16 +191,9 @@ class FleetCoordinator:
         # ones — thread fleets too: a previous process-fleet run's leak is
         # reclaimed here at startup
         shm.sweep_stale_segments()
-        self._owned_cache_dir = None
-        cache_dir = config.cache_dir
-        if config.prefix_cache == "disk" and cache_dir is None:
-            cache_dir = tempfile.mkdtemp(prefix="repro-fleet-cache-")
-            self._owned_cache_dir = cache_dir
-        self.cache_dir = cache_dir
-        if cache_dir is not None:
-            # companion of the sweep_stale_segments call above: reclaim
-            # cache temp files orphaned by killed writers of earlier runs
-            sweep_orphan_cache_tmp(cache_dir)
+        # companion of the sweep above: reclaim cache temp files orphaned by killed writers
+        self.cache_dir, self._owned_cache_dir = open_cache_dir(
+            config.prefix_cache, config.cache_dir, "repro-fleet-cache-")
         if config.backend == "process":
             self._executor = SupervisedWorkerPool(
                 max_workers=workers, initializer=_start_worker,

@@ -378,6 +378,20 @@ def sweep_orphan_cache_tmp(cache_dir):
     return removed
 
 
+def open_cache_dir(mode, cache_dir, prefix):
+    """``(cache_dir, owned_dir)``: the cache directory to use, and the one to remove.
+
+    Mode ``"disk"`` without a ``cache_dir`` gets a fresh temporary directory
+    named ``prefix*``; a given, reused one is swept of orphaned temp files.
+    """
+    if mode == "disk" and cache_dir is None:
+        owned_dir = tempfile.mkdtemp(prefix=prefix)
+        return owned_dir, owned_dir
+    if cache_dir is not None:
+        sweep_orphan_cache_tmp(cache_dir)
+    return cache_dir, None
+
+
 # -- per-process cache resolution ------------------------------------------------
 
 _RESOLVE_LOCK = threading.Lock()

@@ -4,18 +4,23 @@ Given an ML task and a computational budget, AutoBazaar loads the candidate
 templates for the task type, creates one tuner per template and a single
 selector over the templates, and runs an asynchronous **sliding-window**
 scheduler over the configured
-:class:`~repro.automl.backends.ExecutionBackend`:
+:class:`~repro.automl.backends.ExecutionBackend`, in three stages:
 
-* **propose & dispatch** — keep exactly ``n_pending`` evaluations in
-  flight: whenever the window has a free slot, select a template, draw one
-  hyperparameter configuration (pending proposals use the constant-liar
-  strategy, see :mod:`repro.tuning.tuners`) and submit it immediately,
-* **collect** — block for *one* completed evaluation at a time
-  (``backend.collect_one()``) and park it in a reorder buffer,
-* **report** — file buffered results back into the tuners, the selector
-  and the store strictly *in proposal order*; every reported result frees
-  a window slot, so its replacement is proposed with the constant-liar
-  bookkeeping updated incrementally per completion rather than per round.
+* :class:`_Proposer` — selects a template and draws one hyperparameter
+  configuration (pending proposals use the constant-liar strategy, see
+  :mod:`repro.tuning.tuners`); resume is this stage reading the record log,
+* :class:`_Window` — keeps exactly ``n_pending`` evaluations in flight,
+  blocks for *one* completed evaluation at a time
+  (``backend.collect_one()``) and parks it in a reorder buffer,
+* :class:`_Reporter` — files buffered results back into the tuners, the
+  selector and the store strictly *in proposal order*; every reported
+  result frees a window slot, so its replacement is proposed with the
+  constant-liar bookkeeping updated incrementally per completion rather
+  than per round.
+
+:meth:`AutoBazaarSearch.search` orchestrates: it opens the sink, the cache
+directory and the backend, wires the stages and releases what it opened.
+The stages stay in this module because ``bench_e2e/tracing.py`` patches its names.
 
 Reporting in proposal order makes the record stream deterministic
 regardless of which worker finished first, with one scheduling corollary:
@@ -37,10 +42,9 @@ training data and scored on the held-out test partition — as one more job
 of the backend (``backend.submit_refit``), so it runs where the folds ran.
 """
 
+import contextlib
 import shutil
-import tempfile
 import time
-from collections import deque
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from repro.automl.catalog import default_template_catalog
 from repro.automl.config import ExecutionConfig
 from repro.automl.prefix_cache import (
     make_prefix_cache_config,
-    sweep_orphan_cache_tmp,
+    open_cache_dir,
     task_content_digest,
 )
 from repro.explorer.store import normalize_value
@@ -289,6 +293,357 @@ def cross_validate_template(template, hyperparameters, task, n_splits=3, random_
     return float(np.mean(scores)), float(np.mean(raw_scores))
 
 
+# -- the search loop: three stages behind AutoBazaarSearch.search ----------------------
+
+@contextlib.contextmanager
+def _active_sink(telemetry):
+    """The search's telemetry sink, installed as the process-global active sink.
+
+    A :class:`TelemetrySink` is caller-owned and shared; a path opens a
+    sink owned (and closed) by this search.  Installed, it is reached by
+    context-free emit points (fleet scheduler, shm plane) — refcounted, so
+    concurrent tenant searches sharing one sink compose.
+    """
+    if telemetry is None:
+        yield None
+        return
+    sink = telemetry if isinstance(telemetry, TelemetrySink) else TelemetrySink(telemetry)
+    activate_sink(sink)
+    try:
+        yield sink
+    finally:
+        deactivate_sink(sink)
+        if sink is not telemetry:
+            sink.close()
+
+
+def _emit(telemetry, etype, **fields):
+    """Emit one search event on a ``(sink, tenant)`` context, if telemetry is on."""
+    if telemetry is not None:
+        telemetry[0].emit(etype, tenant=telemetry[1], **fields)
+
+
+class _Proposer:
+    """Proposes candidates: each template's defaults first, then selector and tuner.
+
+    Pending bookkeeping (the constant liar) steers later proposals away
+    from the ones still in flight; :meth:`observe` files a reported record
+    back.  An iteration below ``len(replay)`` (see ``replay`` of
+    :meth:`AutoBazaarSearch.search`) is checked against its recorded
+    document and comes back with the recorded outcome.
+    """
+
+    def __init__(self, templates, tuners, selector, replay, task, telemetry,
+                 **candidate_fields):
+        self.templates = {template.name: template for template in templates}
+        self.tuners = tuners
+        self.selector = selector
+        #: template name -> scores reported so far (the selector's input)
+        self.template_scores = {template.name: [] for template in templates}
+        self.defaults_pending = [template.name for template in templates]
+        self.replay = replay
+        self.task = task
+        self.telemetry = telemetry
+        self.candidate_fields = candidate_fields
+
+    def propose(self, iteration):
+        """``(candidate, recorded)``: ``recorded`` is the logged outcome's future, or ``None``."""
+        if self.defaults_pending:
+            template_name, is_default = self.defaults_pending.pop(0), True
+        else:
+            template_name, is_default = self.selector.select(self.template_scores), False
+        template = self.templates[template_name]
+        tuner = self.tuners[template_name]
+        if is_default or tuner is None:
+            hyperparameters = template.default_hyperparameters()
+        else:
+            propose_started = time.time()
+            hyperparameters = tuner.propose()
+            _emit(self.telemetry, "tuner_propose", iteration=iteration,
+                  template=template_name, elapsed=time.time() - propose_started)
+        if tuner is not None:
+            tuner.add_pending(hyperparameters)
+        self.selector.note_pending(template_name)
+        candidate = EvaluationCandidate(
+            iteration=iteration, template=template, hyperparameters=hyperparameters,
+            task=self.task, template_name=template_name, is_default=is_default,
+            telemetry=self.telemetry, **self.candidate_fields,
+        )
+        if iteration >= len(self.replay):
+            return candidate, None
+        recorded = self.replay[iteration]
+        _verify_replay_candidate(candidate, recorded)
+        return candidate, CandidateFuture(candidate, EvaluationOutcome(
+            recorded.get("score"), recorded.get("raw_score"), recorded.get("error"),
+            recorded.get("elapsed") or 0.0, pruned=bool(recorded.get("pruned", False))))
+
+    def observe(self, candidate, record):
+        """File a reported record into its template's tuner and the selector."""
+        tuner = self.tuners[candidate.template_name]
+        if tuner is not None:
+            tuner.resolve_pending(candidate.hyperparameters)
+        self.selector.resolve_pending(candidate.template_name)
+        if record.failed:
+            # a failed evaluation consumed budget: count it as a spent
+            # bandit trial and a known-bad tuner region so neither the
+            # selector nor the tuner keeps re-drawing a crashing
+            # configuration family.  Pruned candidates spend the trial
+            # without the failure quarantine — they trailed the
+            # incumbent, they did not crash.  Their configuration still
+            # joins the tuner's failure set at the constant-liar score:
+            # deliberately conservative (the partial evidence says
+            # "behind", the lie says "worst seen"), which deflates
+            # near-threshold regions harder than one fold strictly
+            # proves — the cost of pruning aggressively; raise the
+            # margin to soften it
+            if record.pruned:
+                self.selector.record_pruned(candidate.template_name)
+            else:
+                self.selector.record_failure(candidate.template_name)
+            if tuner is not None:
+                tuner.record_failure(candidate.hyperparameters)
+            return
+        self.template_scores[candidate.template_name].append(record.score)
+        if tuner is not None:
+            fit_started = time.time()
+            tuner.record(candidate.hyperparameters, record.score)
+            _emit(self.telemetry, "tuner_fit", iteration=candidate.iteration,
+                  template=candidate.template_name, elapsed=time.time() - fit_started)
+
+
+class _Window:
+    """Keeps ``n_pending`` evaluations in flight; hands completions back in order.
+
+    Determinism bounds the slide: proposal ``k`` may only use the
+    reported results of candidates ``0 .. k - n_pending``, so proposals
+    stay at most ``n_pending`` ahead of the reported prefix and a
+    straggler only stalls the window once it is the oldest outstanding
+    result and ``n_pending - 1`` newer evaluations sit buffered behind it.
+    """
+
+    def __init__(self, backend, proposer, config, budget, max_seconds, start):
+        self.backend = backend
+        self.proposer = proposer
+        self.config = config
+        self.budget, self.max_seconds, self.start = budget, max_seconds, start
+        self.replay_count = len(proposer.replay)
+        self.proposed = self.next_report = 0
+        self.reorder = {}  # iteration -> completed future, awaiting in-order reporting
+        self.submit_buffer = []  # candidates awaiting a fused submit_many (batch_eval)
+
+    def _deadline_passed(self):
+        # checked before every proposal, so the serial backend stops
+        # mid-window like the historical loop; pool backends overshoot
+        # by at most the work already in flight.  Replay proposals are
+        # exempt: they cost no evaluation time and must all run, or a
+        # resumed run whose elapsed_offset already reached max_seconds
+        # would reconstruct nothing and return an empty result instead
+        # of the records it durably holds.
+        if self.proposed < self.replay_count:
+            return False
+        return self.max_seconds is not None and time.time() - self.start > self.max_seconds
+
+    def refill(self):
+        """Propose into every free slot, within the budget and the deadline."""
+        if self.config.schedule == "barrier" and self.next_report != self.proposed:
+            # the historical round-barrier: a whole round is proposed only
+            # once nothing is in flight, so every worker idles behind the
+            # round's slowest evaluation
+            return
+        while (self.proposed < self.budget
+               and self.proposed - self.next_report < self.config.n_pending
+               and not self._deadline_passed()):
+            candidate, recorded = self.proposer.propose(self.proposed)
+            self.proposed += 1
+            if recorded is not None:  # replayed: complete, never reaches the backend
+                self.reorder[candidate.iteration] = recorded
+            elif self.config.batch_eval:
+                # buffered until the scheduler's flush point so same-burst
+                # candidates can be fused
+                self.submit_buffer.append(candidate)
+            else:
+                self.backend.submit(candidate)
+
+    def flush(self):
+        """Hand every candidate proposed in this scheduler burst to the backend.
+
+        All at once, so same-template ones fuse into batched evaluation
+        passes.  Futures complete through the backend's normal completion
+        machinery, and the reorder buffer reports strictly in proposal
+        order, so batching cannot change the record stream.
+        """
+        if not self.submit_buffer:
+            return
+        candidates, self.submit_buffer = self.submit_buffer, []
+        if len(candidates) == 1:
+            self.backend.submit(candidates[0])
+        else:
+            self.backend.submit_many(candidates)
+
+    def collect_one(self):
+        """Make the next result to report available; ``False`` when none can come."""
+        if self.next_report == self.proposed:
+            return False  # nothing in flight and no proposal allowed
+        if self.next_report not in self.reorder:  # not a replayed outcome
+            future = self.backend.collect_one()
+            if future is None:
+                return False  # backend lost outstanding work; keep records
+            self.reorder[future.candidate.iteration] = future
+        return True
+
+    def run(self, reporter):
+        """Slide the window until the budget or the deadline is spent."""
+        while True:
+            self.refill()
+            # flush strictly after the refill and before collecting:
+            # buffered proposals must reach the backend before the loop
+            # blocks on (or stops for lack of) completions
+            self.flush()
+            if not self.collect_one():
+                return
+            while self.next_report in self.reorder:
+                future = self.reorder.pop(self.next_report)
+                self.next_report += 1
+                reporter.report(future, self)
+                # propose the freed slot's replacement *before* reporting
+                # the next buffered record: a burst of out-of-order
+                # completions must not advance the reported prefix by
+                # more than one report per proposal, or proposal k would
+                # see a different prefix than the serial interleave
+                # (report k-n, propose k, report k-n+1, ...) and the
+                # cross-backend record streams would diverge
+                self.refill()
+                if future.candidate.iteration < self.replay_count:
+                    # a replayed outcome stands in for one collected
+                    # completion: one per pass, so the proposals it frees
+                    # are flushed exactly where a live run flushed them
+                    break
+
+    def refit(self, reporter, test_task):
+        """Refit the best configuration; returns ``(test_score, pipeline, error)``.
+
+        One more job of the backend, run where the folds ran — the
+        coordinator never fits a learner.  Always a fresh, uncached fit:
+        the full training partition is not a cross-validation fold, so
+        there is nothing to share anyway.  Every candidate has been
+        collected by now, so the one completion outstanding is the refit's.
+        """
+        if reporter.best_template is None:
+            return None, None, None
+        proposer = self.proposer
+        self.backend.submit_refit(EvaluationCandidate(
+            iteration=self.proposed, template=proposer.templates[reporter.best_template],
+            hyperparameters=reporter.best_hyperparameters, task=proposer.task,
+            template_name=reporter.best_template, telemetry=proposer.telemetry,
+        ), test_task)
+        refit = self.backend.collect_one()
+        if refit is None:
+            return None, None, "RuntimeError: the backend lost the refit job"
+        outcome = refit.result()
+        return outcome.raw_score, outcome.pipeline, outcome.error
+
+
+class _Reporter:
+    """Files outcomes in proposal order: records, store, sink, proposer, checkpoint.
+
+    Called strictly in proposal order, so the record stream (and hence
+    the tuner/selector state feeding the next proposal) is deterministic
+    regardless of which worker finished first.
+    """
+
+    def __init__(self, proposer, store, pruner, checkpoint):
+        self.proposer = proposer
+        self.store = store
+        self.pruner = pruner
+        self.checkpoint = checkpoint
+        self.replay_count = len(proposer.replay)
+        self.records = []
+        self.cache_totals = {"hits": 0, "misses": 0, "bytes_written": 0}
+        self.best_score = self.best_template = self.best_hyperparameters = None
+
+    def _record(self, candidate, outcome):
+        error, score, raw_score = outcome.error, outcome.score, outcome.raw_score
+        if error is None and (score is None or not np.isfinite(score)):
+            # degenerate folds (nan/inf metric values) are a recorded
+            # failure, not a fatal tuner error
+            error = "NonFiniteScore: cross-validation produced {!r}".format(score)
+            score = raw_score = None
+        return EvaluationRecord(
+            self.proposer.task.name, candidate.template_name, candidate.hyperparameters,
+            score, raw_score, candidate.iteration, outcome.elapsed, error=error,
+            is_default=candidate.is_default, pruned=outcome.pruned)
+
+    def report(self, future, window):
+        """File one completed future of ``window``."""
+        candidate, outcome = future.candidate, future.result()
+        record = self._record(candidate, outcome)
+        self.records.append(record)
+        self.cache_totals["hits"] += outcome.cache_hits
+        self.cache_totals["misses"] += outcome.cache_misses
+        self.cache_totals["bytes_written"] += outcome.cache_bytes
+        if candidate.iteration >= self.replay_count:
+            # replayed records are already durable in the store and their
+            # events already in the stream from the original incarnation;
+            # only newly evaluated ones are appended (no duplicates)
+            if self.store is not None:
+                self.store.add(record)
+            if self.proposer.telemetry is not None:  # spare the to_dict() otherwise
+                _emit(self.proposer.telemetry, "record_reported",
+                      iteration=candidate.iteration, record=record.to_dict())
+        self.proposer.observe(candidate, record)
+        if not record.failed:
+            if self.pruner is not None:
+                self.pruner.update_task_best(record.score)
+            if self.best_score is None or record.score > self.best_score:
+                self.best_score = record.score
+                self.best_template = candidate.template_name
+                self.best_hyperparameters = dict(candidate.hyperparameters)
+        if self.checkpoint is not None:
+            # called after the record is fully filed and before the next
+            # proposal, so a snapshot taken here captures a consistent
+            # (report-boundary) view of the search state
+            proposer = self.proposer
+            self.checkpoint.after_report({
+                "n_reported": len(self.records), "proposed": window.proposed,
+                "budget": window.budget, "max_seconds": window.max_seconds,
+                "elapsed": time.time() - window.start, "records": self.records,
+                "replay_count": self.replay_count,
+                "defaults_pending": list(proposer.defaults_pending),
+                "task_name": proposer.task.name, "selector": proposer.selector,
+                "tuners": proposer.tuners, "template_scores": proposer.template_scores,
+            })
+
+    def finish(self, window, refit, cache_mode):
+        """The search's result, once the window's backend is released."""
+        test_score, best_pipeline, refit_error = refit
+        backend = window.backend
+        # a fleet tenant backend (a process backend is one) reports its
+        # fair-share counters, which outlive the release of the tenant
+        stats_source = getattr(backend, "tenant_stats", None)
+        plane_counts = getattr(backend, "plane_counts", None)
+        telemetry = self.proposer.telemetry
+        if telemetry is not None:
+            _emit(telemetry, "search_finished", task=self.proposer.task.name,
+                  n_records=len(self.records), best_score=self.best_score,
+                  elapsed=time.time() - window.start)
+            # the event stream is durable before the result is returned,
+            # so a caller that exits right after search() leaves a
+            # replayable run directory behind
+            telemetry[0].flush()
+        return SearchResult(
+            self.proposer.task.name, self.best_template, self.best_hyperparameters,
+            self.best_score, best_pipeline, self.records, test_score=test_score,
+            refit_error=refit_error, elapsed=time.time() - window.start,
+            cache_stats=None if cache_mode == "off" else {"mode": cache_mode,
+                                                          **self.cache_totals},
+            fleet_stats=stats_source() if callable(stats_source) else None,
+            plane_counts=None if plane_counts is None else dict(plane_counts),
+            # supervision counters survive the pool's shutdown, so this works
+            # whether the backend is owned (already shut down) or shared
+            supervisor_stats=getattr(backend, "supervisor_stats", None),
+        )
+
+
 class AutoBazaarSearch:
     """The AutoBazaar pipeline search engine (paper Algorithm 2).
 
@@ -424,447 +779,80 @@ class AutoBazaarSearch:
             (resume); counted against ``max_seconds`` and included in the
             result's ``elapsed``.
         """
-        # resolve the telemetry sink for this search: a TelemetrySink is
-        # caller-owned and shared; a path opens a sink owned (and closed)
-        # by this call.  The sink is also installed as the
-        # process-global active sink so context-free emit points (fleet
-        # scheduler, shm plane) reach it — refcounted, so concurrent
-        # tenant searches sharing one sink compose.
-        owned_sink = None
-        sink = self.execution.telemetry
-        if sink is not None and not isinstance(sink, TelemetrySink):
-            owned_sink = TelemetrySink(sink)
-            sink = owned_sink
-        if sink is not None:
-            activate_sink(sink)
-        try:
-            return self._search(
-                task, budget, test_task, holdout, max_seconds, checkpoint,
-                replay, elapsed_offset, sink,
-            )
-        finally:
-            if sink is not None:
-                deactivate_sink(sink)
-                if owned_sink is not None:
-                    owned_sink.close()
-
-    def _search(self, task, budget, test_task, holdout, max_seconds, checkpoint,
-                replay, elapsed_offset, sink):
         config = self.execution
-        start = time.time() - float(elapsed_offset)
-        if test_task is None:
-            task, test_task = split_task(task, test_size=holdout, random_state=self.random_state)
+        with _active_sink(config.telemetry) as sink:
+            start = time.time() - float(elapsed_offset)
+            if test_task is None:
+                task, test_task = split_task(
+                    task, test_size=holdout, random_state=self.random_state)
+            templates = self._load_templates(task)
+            if not templates:
+                raise ValueError("No templates available for task {!r}".format(task.name))
+            tuners = self._build_tuners(templates, task)
+            selector = self.selector_class(
+                [template.name for template in templates], random_state=self.random_state)
+            budget, replay = int(budget), list(replay or ())
+            backend = owned_cache_dir = None
+            try:
+                # the owned cache directory comes first: an owned backend
+                # spawns its pool workers at construction
+                cache_dir, owned_cache_dir = open_cache_dir(
+                    config.prefix_cache, config.cache_dir, "repro-prefix-cache-")
+                cache_config = make_prefix_cache_config(config.prefix_cache, cache_dir=cache_dir)
+                backend = self._open_backend()
+                # a fleet tenant's backend names the tenant keying this
+                # search's events; every other backend is tenant "default"
+                tenant = getattr(backend, "tenant_name", None) or "default"
+                telemetry = (sink, tenant) if sink is not None else None
+                pruner = self._pruner(task)
+                proposer = _Proposer(
+                    templates, tuners, selector, replay, task, telemetry,
+                    n_splits=self.n_splits, random_state=self.random_state,
+                    cache_config=cache_config, pruner=pruner)
+                reporter = _Reporter(proposer, self.store, pruner, checkpoint)
+                window = _Window(backend, proposer, config, budget, max_seconds, start)
+                _emit(telemetry, "search_started", task=task.name, budget=budget,
+                      backend=repr(backend), n_splits=self.n_splits,
+                      schedule=config.schedule, replay_count=len(replay))
+                window.run(reporter)
+                refit = window.refit(reporter, test_task)
+            finally:
+                if backend is not None and backend is not config.backend:
+                    backend.shutdown()
+                if owned_cache_dir is not None:
+                    shutil.rmtree(owned_cache_dir, ignore_errors=True)
+            return reporter.finish(window, refit, config.prefix_cache)
 
-        templates = self._load_templates(task)
-        if not templates:
-            raise ValueError("No templates available for task {!r}".format(task.name))
-        template_index = {template.name: template for template in templates}
-        tuners = self._build_tuners(templates, task)
-        selector = self.selector_class(
-            [template.name for template in templates], random_state=self.random_state
-        )
-        template_scores = {template.name: [] for template in templates}
-
-        records = []
-        best_score = None
-        best_template = None
-        best_hyperparameters = None
-        defaults_pending = [template.name for template in templates]
-
+    def _open_backend(self):
+        """The search's backend; one resolved from a name is owned and shut down on exit."""
+        config = self.execution
         backend = get_backend(
             config.backend, workers=config.workers, fold_timeout=config.fold_timeout,
             max_fold_retries=config.max_fold_retries,
         )
-        # a backend instance supplied by the caller outlives this search;
-        # one resolved from a name is owned here and shut down on exit
-        owns_backend = backend is not config.backend
-        if not owns_backend:
-            # a previous search on this backend may have aborted mid-collect
+        if backend is config.backend:
+            # a caller-supplied backend outlives this search, and a
+            # previous search on it may have aborted mid-collect
             backend.drain()
+        return backend
 
-        owned_cache_dir = None
-        cache_config = None
-        if config.prefix_cache != "off":
-            cache_dir = config.cache_dir
-            if config.prefix_cache == "disk" and cache_dir is None:
-                owned_cache_dir = tempfile.mkdtemp(prefix="repro-prefix-cache-")
-                cache_dir = owned_cache_dir
-            elif cache_dir is not None:
-                # a shared, reused directory may hold temp files orphaned
-                # by killed writers of earlier runs; sweep them up front
-                sweep_orphan_cache_tmp(cache_dir)
-            cache_config = make_prefix_cache_config(config.prefix_cache, cache_dir=cache_dir)
-        cache_totals = {"hits": 0, "misses": 0, "bytes_written": 0}
-
-        pruner = None
-        if config.prune_margin is not None:
-            pruner = PruneController(config.prune_margin)
-            if self.store is not None:
-                # seed the pruning threshold from everything the store
-                # already holds for this task (e.g. a resumed or
-                # warm-started run), so early candidates are accountable
-                # to history, not just to this run's own reports.  The
-                # history is matched by task name only: scores from a run
-                # with a different CV configuration are not strictly
-                # comparable, so choose the margin with the store's
-                # provenance in mind (a generous margin neutralizes an
-                # optimistic historical best)
-                history = self.store.scores_for_task(task.name)
-                if history:
-                    pruner.update_task_best(max(history))
-
-        budget = int(budget)
-        proposed = 0
-        next_report = 0
-        reorder = {}  # iteration -> completed future, awaiting in-order reporting
-        replay = list(replay or ())
-        replay_count = len(replay)
-        replayed_queue = deque()  # completed-instantly futures for replayed iterations
-        submit_buffer = []  # candidates awaiting a fused submit_many (batch_eval)
-
-        # the tenant id keying this search's events: the fleet's
-        # per-tenant backend carries its name, every other backend is the
-        # single "default" tenant
-        tenant = getattr(backend, "tenant_name", None) or "default"
-        if sink is not None:
-            sink.emit(
-                "search_started", tenant=tenant, task=task.name, budget=budget,
-                backend=repr(backend), n_splits=self.n_splits,
-                schedule=config.schedule, replay_count=replay_count,
-            )
-
-        def flush_submissions():
-            # hand every candidate proposed in this scheduler burst to the
-            # backend at once, so same-template ones fuse into batched
-            # evaluation passes.  Futures complete through the backend's
-            # normal completion machinery, and the reorder buffer already
-            # reports strictly in proposal order, so batching cannot
-            # change the record stream.
-            if not submit_buffer:
-                return
-            candidates = list(submit_buffer)
-            submit_buffer.clear()
-            if len(candidates) == 1:
-                backend.submit(candidates[0])
-            else:
-                backend.submit_many(candidates)
-
-        def deadline_passed():
-            # checked before every proposal, so the serial backend stops
-            # mid-window like the historical loop; pool backends overshoot
-            # by at most the work already in flight.  Replay proposals are
-            # exempt: they cost no evaluation time and must all run, or a
-            # resumed run whose elapsed_offset already reached max_seconds
-            # would reconstruct nothing and return an empty result instead
-            # of the records it durably holds.
-            if proposed < replay_count:
-                return False
-            return max_seconds is not None and time.time() - start > max_seconds
-
-        def propose_and_submit():
-            # The first several proposals score each template once with
-            # defaults; afterwards the selector picks a template and its
-            # tuner proposes a configuration.  Pending bookkeeping (the
-            # constant liar) steers later proposals away from the ones
-            # still in flight.
-            nonlocal proposed
-            if defaults_pending:
-                template_name = defaults_pending.pop(0)
-                is_default = True
-            else:
-                template_name = selector.select(template_scores)
-                is_default = False
-            template = template_index[template_name]
-            tuner = tuners[template_name]
-
-            if is_default or tuner is None:
-                hyperparameters = template.default_hyperparameters()
-            else:
-                propose_started = time.time()
-                hyperparameters = tuner.propose()
-                if sink is not None:
-                    sink.emit(
-                        "tuner_propose", tenant=tenant, iteration=proposed,
-                        template=template_name, elapsed=time.time() - propose_started,
-                    )
-            if tuner is not None:
-                tuner.add_pending(hyperparameters)
-            selector.note_pending(template_name)
-
-            candidate = EvaluationCandidate(
-                iteration=proposed,
-                template=template,
-                hyperparameters=hyperparameters,
-                task=task,
-                n_splits=self.n_splits,
-                random_state=self.random_state,
-                template_name=template_name,
-                is_default=is_default,
-                cache_config=cache_config,
-                pruner=pruner,
-                telemetry=(sink, tenant) if sink is not None else None,
-            )
-            proposed += 1
-            if candidate.iteration < replay_count:
-                # resume replay: the proposal above consumed the RNG and
-                # registered its pending bookkeeping exactly like the
-                # original run; substitute the recorded outcome instead of
-                # re-evaluating.  Replayed futures complete instantly and
-                # are collected FIFO — the same semantics as the serial
-                # backend — so the propose/report interleave (and with it
-                # every subsequent RNG draw) is identical to the original.
-                recorded = replay[candidate.iteration]
-                _verify_replay_candidate(candidate, recorded)
-                outcome = EvaluationOutcome(
-                    recorded.get("score"), recorded.get("raw_score"),
-                    recorded.get("error"), recorded.get("elapsed") or 0.0,
-                    pruned=bool(recorded.get("pruned", False)),
-                )
-                replayed_queue.append(CandidateFuture(candidate, outcome))
-            elif config.batch_eval:
-                # buffered until the scheduler's flush point so same-burst
-                # candidates can be fused; never buffered across a report
-                submit_buffer.append(candidate)
-            else:
-                backend.submit(candidate)
-
-        def report(future):
-            # file one outcome back into the records, the store, the tuner
-            # and the selector; called strictly in proposal order, so the
-            # record stream (and hence the tuner/selector state feeding the
-            # next proposal) is deterministic regardless of which worker
-            # finished first
-            nonlocal next_report, best_score, best_template, best_hyperparameters
-            candidate = future.candidate
-            outcome = future.result()
-            error = outcome.error
-            score = outcome.score
-            raw_score = outcome.raw_score
-            if error is None and (score is None or not np.isfinite(score)):
-                # degenerate folds (nan/inf metric values) are a
-                # recorded failure, not a fatal tuner error
-                error = "NonFiniteScore: cross-validation produced {!r}".format(score)
-                score = None
-                raw_score = None
-
-            record = EvaluationRecord(
-                task_name=task.name,
-                template_name=candidate.template_name,
-                hyperparameters=candidate.hyperparameters,
-                score=score,
-                raw_score=raw_score,
-                iteration=candidate.iteration,
-                elapsed=outcome.elapsed,
-                error=error,
-                is_default=candidate.is_default,
-                pruned=getattr(outcome, "pruned", False),
-            )
-            records.append(record)
-            cache_totals["hits"] += getattr(outcome, "cache_hits", 0)
-            cache_totals["misses"] += getattr(outcome, "cache_misses", 0)
-            cache_totals["bytes_written"] += getattr(outcome, "cache_bytes", 0)
-            next_report += 1
-            if self.store is not None and candidate.iteration >= replay_count:
-                # replayed records are already durable in the store; only
-                # newly evaluated ones are appended (no duplicate lines)
-                self.store.add(record)
-            if sink is not None and candidate.iteration >= replay_count:
-                # replayed iterations already have their events in the
-                # stream from the original incarnation; re-emitting would
-                # duplicate them (same guard as the store above)
-                sink.emit(
-                    "record_reported", tenant=tenant,
-                    iteration=candidate.iteration, record=record.to_dict(),
-                )
-
-            tuner = tuners[candidate.template_name]
-            if tuner is not None:
-                tuner.resolve_pending(candidate.hyperparameters)
-            selector.resolve_pending(candidate.template_name)
-
-            if error is not None:
-                # a failed evaluation consumed budget: count it as a spent
-                # bandit trial and a known-bad tuner region so neither the
-                # selector nor the tuner keeps re-drawing a crashing
-                # configuration family.  Pruned candidates spend the trial
-                # without the failure quarantine — they trailed the
-                # incumbent, they did not crash.  Their configuration still
-                # joins the tuner's failure set at the constant-liar score:
-                # deliberately conservative (the partial evidence says
-                # "behind", the lie says "worst seen"), which deflates
-                # near-threshold regions harder than one fold strictly
-                # proves — the cost of pruning aggressively; raise the
-                # margin to soften it
-                if getattr(outcome, "pruned", False) and hasattr(selector, "record_pruned"):
-                    selector.record_pruned(candidate.template_name)
-                else:
-                    selector.record_failure(candidate.template_name)
-                if tuner is not None:
-                    tuner.record_failure(candidate.hyperparameters)
-            else:
-                template_scores[candidate.template_name].append(score)
-                if tuner is not None:
-                    fit_started = time.time()
-                    tuner.record(candidate.hyperparameters, score)
-                    if sink is not None:
-                        sink.emit(
-                            "tuner_fit", tenant=tenant, iteration=candidate.iteration,
-                            template=candidate.template_name,
-                            elapsed=time.time() - fit_started,
-                        )
-                if pruner is not None:
-                    pruner.update_task_best(score)
-                if best_score is None or score > best_score:
-                    best_score = score
-                    best_template = candidate.template_name
-                    best_hyperparameters = dict(candidate.hyperparameters)
-
-            if checkpoint is not None:
-                # called after the record is fully filed and before the
-                # next proposal, so a snapshot taken here captures a
-                # consistent (report-boundary) view of the search state
-                checkpoint.after_report({
-                    "n_reported": next_report,
-                    "proposed": proposed,
-                    "budget": budget,
-                    "max_seconds": max_seconds,
-                    "elapsed": time.time() - start,
-                    "records": records,
-                    "replay_count": replay_count,
-                    "defaults_pending": list(defaults_pending),
-                    "task_name": task.name,
-                    "selector": selector,
-                    "tuners": tuners,
-                    "template_scores": template_scores,
-                })
-
-        best_pipeline = None
-        test_score = None
-        refit_error = None
-        try:
-            # sliding window: keep n_pending evaluations in flight,
-            # collect one completion at a time and propose its
-            # replacement immediately.  Determinism bounds the slide:
-            # proposal k may only use the reported results of
-            # candidates 0..k-n_pending, so proposals stay at most
-            # n_pending ahead of the reported prefix and a straggler
-            # only stalls the window once it is the oldest outstanding
-            # result and n_pending-1 newer evaluations sit buffered
-            # behind it.
-            def refill():
-                if config.schedule == "barrier" and next_report != proposed:
-                    # the historical round-barrier: a whole round is
-                    # proposed only once nothing is in flight, so every
-                    # worker idles behind the round's slowest evaluation
-                    return
-                while (proposed < budget
-                       and proposed - next_report < config.n_pending
-                       and not deadline_passed()):
-                    propose_and_submit()
-
-            while True:
-                refill()
-                # flush strictly after the refill and before collecting:
-                # buffered proposals must reach the backend before the
-                # loop blocks on (or breaks for lack of) completions
-                flush_submissions()
-                if next_report == proposed:
-                    break  # nothing in flight and no proposal allowed
-                if replayed_queue:
-                    future = replayed_queue.popleft()
-                else:
-                    future = backend.collect_one()
-                    if future is None:
-                        break  # backend lost outstanding work; keep records
-                reorder[future.candidate.iteration] = future
-                while next_report in reorder:
-                    report(reorder.pop(next_report))
-                    # propose the freed slot's replacement *before*
-                    # reporting the next buffered record: a burst of
-                    # out-of-order completions must not advance the
-                    # reported prefix by more than one report per
-                    # proposal, or proposal k would see a different
-                    # prefix than the serial interleave (report k-n,
-                    # propose k, report k-n+1, ...) and the
-                    # cross-backend record streams would diverge
-                    refill()
-
-            # refit the best pipeline on the full training partition and
-            # score it on test: one more job of the backend, run where the
-            # folds ran — the coordinator never fits a learner.  Always a
-            # fresh, uncached fit: the full training partition is not a
-            # cross-validation fold, so there is nothing to share anyway.
-            # Every candidate has been collected by now, so the one
-            # completion outstanding is the refit's.
-            if best_template is not None:
-                backend.submit_refit(EvaluationCandidate(
-                    iteration=proposed,
-                    template=template_index[best_template],
-                    hyperparameters=best_hyperparameters,
-                    task=task,
-                    template_name=best_template,
-                    telemetry=(sink, tenant) if sink is not None else None,
-                ), test_task)
-                refit = backend.collect_one()
-                if refit is None:
-                    refit_error = "RuntimeError: the backend lost the refit job"
-                else:
-                    outcome = refit.result()
-                    test_score = outcome.raw_score
-                    best_pipeline = outcome.pipeline
-                    refit_error = outcome.error
-        finally:
-            if owns_backend:
-                backend.shutdown()
-            if owned_cache_dir is not None:
-                shutil.rmtree(owned_cache_dir, ignore_errors=True)
-
-        cache_stats = None
-        if cache_config is not None:
-            cache_stats = {"mode": config.prefix_cache}
-            cache_stats.update(cache_totals)
-
-        # a fleet tenant backend (a process backend is one) reports its
-        # fair-share counters, which outlive the release of the tenant
-        fleet_stats = None
-        stats_source = getattr(backend, "tenant_stats", None)
-        if callable(stats_source):
-            fleet_stats = stats_source()
-
-        plane_counts = getattr(backend, "plane_counts", None)
-        if plane_counts is not None:
-            plane_counts = dict(plane_counts)
-
-        # supervision counters survive the pool's shutdown, so this works
-        # whether the backend is owned (already shut down) or shared
-        supervisor_stats = getattr(backend, "supervisor_stats", None)
-
-        if sink is not None:
-            sink.emit(
-                "search_finished", tenant=tenant, task=task.name,
-                n_records=len(records), best_score=best_score,
-                elapsed=time.time() - start,
-            )
-            # the event stream is durable before the result is returned,
-            # so a caller that exits right after search() leaves a
-            # replayable run directory behind
-            sink.flush()
-
-        return SearchResult(
-            task_name=task.name,
-            best_template=best_template,
-            best_hyperparameters=best_hyperparameters,
-            best_score=best_score,
-            best_pipeline=best_pipeline,
-            records=records,
-            test_score=test_score,
-            refit_error=refit_error,
-            elapsed=time.time() - start,
-            cache_stats=cache_stats,
-            fleet_stats=fleet_stats,
-            plane_counts=plane_counts,
-            supervisor_stats=supervisor_stats,
-        )
+    def _pruner(self, task):
+        """The search's early-discard controller, or ``None`` with pruning off."""
+        if self.execution.prune_margin is None:
+            return None
+        pruner = PruneController(self.execution.prune_margin)
+        # seed the pruning threshold from everything the store already
+        # holds for this task (e.g. a resumed or warm-started run), so
+        # early candidates are accountable to history, not just to this
+        # run's own reports.  The history is matched by task name only:
+        # scores from a run with a different CV configuration are not
+        # strictly comparable, so choose the margin with the store's
+        # provenance in mind (a generous margin neutralizes an
+        # optimistic historical best)
+        history = self.store.scores_for_task(task.name) if self.store is not None else None
+        if history:
+            pruner.update_task_best(max(history))
+        return pruner
 
 
 class RandomSearch(AutoBazaarSearch):
