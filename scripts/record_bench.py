@@ -284,7 +284,7 @@ def _run_data_plane(task, n_candidates, n_splits, workers):
         for future in backend.as_completed():
             future.result()
         candidates = [candidate(index, task) for index in range(n_candidates)]
-        warmup_counts = dict(backend.plane_counts)
+        warmup_counts = backend.tenant_stats()["plane_counts"]
         started = time.time()
         for item in candidates:
             backend.submit(item)
@@ -293,8 +293,9 @@ def _run_data_plane(task, n_candidates, n_splits, workers):
             outcomes[future.candidate.iteration] = future.result()
         elapsed = time.time() - started
         # the timed task's own transport (the warm-up task always shares)
-        plane_counts = {plane: shipped - warmup_counts[plane]
-                        for plane, shipped in backend.plane_counts.items()}
+        shipped = backend.tenant_stats()["plane_counts"]
+        plane_counts = {plane: shipped.get(plane, 0) - warmup_counts.get(plane, 0)
+                        for plane in ("shm", "pickle")}
     finally:
         backend.shutdown()
 
@@ -935,14 +936,14 @@ def run_fault_tolerance_benchmark(budget=FAULT_BUDGET, repeats=FAULT_REPEATS):
         result, elapsed = _fault_tolerance_pass(task)
         assert _tenant_documents(result) == baseline, (
             "fault-free run diverged from the serial baseline")
-        assert result.supervisor_stats["workers_died"] == 0
+        assert result.fleet_stats["supervisor"]["workers_died"] == 0
         fault_free_timings.append(elapsed)
 
         plan = FaultPlan.single("worker_kill", at_fold=FAULT_AT_FOLD)
         result, elapsed = _fault_tolerance_pass(task, plan=plan)
         assert _tenant_documents(result) == baseline, (
             "the worker kill leaked into the record stream")
-        stats = result.supervisor_stats
+        stats = result.fleet_stats["supervisor"]
         assert stats["workers_died"] == 1 and stats["pools_rebuilt"] == 1, stats
         assert stats["folds_quarantined"] == 0, stats
         faulted_timings.append(elapsed)

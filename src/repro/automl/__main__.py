@@ -173,22 +173,16 @@ def _print_result(result):
               "{bytes_written} bytes written)".format(**cache_stats))
     if getattr(result, "n_pruned", 0):
         print("pruned candidates    : {} of {}".format(result.n_pruned, result.n_evaluated))
-    plane_counts = getattr(result, "plane_counts", None)
-    if plane_counts:
-        print("task data planes     : {}".format(
-            ", ".join("{} {}".format(plane, count)
-                      for plane, count in sorted(plane_counts.items()))))
-    supervisor_stats = getattr(result, "supervisor_stats", None)
-    if supervisor_stats:
-        print("fault recovery       : {workers_died} workers died, "
-              "{folds_retried} folds retried, {folds_timed_out} timed out, "
-              "{pools_rebuilt} rebuilds, {folds_quarantined} quarantined".format(
-                  **supervisor_stats))
     fleet_stats = getattr(result, "fleet_stats", None)
     if fleet_stats:
         print("fleet tenant         : {tenant} (weight {weight:g}, "
               "{folds_dispatched} folds / {fold_seconds:.2f}s, "
               "queue hwm {queue_depth_hwm}, planes {plane_counts})".format(**fleet_stats))
+        if fleet_stats["supervisor"]:
+            print("fault recovery       : {workers_died} workers died, "
+                  "{folds_retried} folds retried, {folds_timed_out} timed out, "
+                  "{pools_rebuilt} rebuilds, {folds_quarantined} quarantined".format(
+                      **fleet_stats["supervisor"]))
 
 
 def _resume_main(argv):

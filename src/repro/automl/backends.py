@@ -828,6 +828,10 @@ class ExecutionBackend:
         for _ in self.as_completed():
             pass
 
+    def tenant_stats(self, since=None):
+        """The backend's fleet counters; ``None`` for a backend that is no fleet tenant."""
+        return None
+
     def shutdown(self):
         """Release every worker resource held by the backend."""
 
@@ -1175,7 +1179,8 @@ class TenantBackend(_PoolBackend):
     :meth:`FleetCoordinator.register
     <repro.automl.fleet.FleetCoordinator.register>`; pass it as the search's
     ``backend``.  ``shutdown()`` releases the tenant (cancelling its queued
-    folds), never the fleet's pool.
+    folds), never the fleet's pool.  Its counters, over the tenant's
+    lifetime, are :meth:`tenant_stats`.
     """
 
     name = "fleet"
@@ -1195,20 +1200,29 @@ class TenantBackend(_PoolBackend):
     def tenant_name(self):
         return self._state.name
 
-    @property
-    def plane_counts(self):
-        """This tenant's tasks shipped per transport (shm/pickle/inline)."""
+    def tenant_stats(self, since=None):
+        """A fresh dict of this tenant's fair-share and data-plane counters.
+
+        They include the tasks shipped per transport (``shm``, ``pickle``
+        or ``inline``, only those used) and, under ``"supervisor"``, the
+        fleet pool's five supervision counters (``None`` on a thread
+        fleet).  Every counter survives the tenant's release and the
+        pool's shutdown.  Given an earlier result as ``since``, the
+        lifetime counts are what accrued after it.
+        """
+        return self._fleet._tenant_stats(self._state, since)
+
+    def drain(self):
+        """Discard a previous search's leftovers and restart its per-search marks.
+
+        The queue high-water mark cannot be differenced between two
+        snapshots, and the task ids a finished search's planes were
+        counted by may be reused by the next search's tasks.
+        """
+        super().drain()
         with self._fleet._lock:
-            return dict(self._state.plane_counts)
-
-    def tenant_stats(self):
-        """This tenant's fair-share and data-plane counters (a fresh dict)."""
-        return self._fleet._tenant_stats(self._state)
-
-    @property
-    def supervisor_stats(self):
-        """The fleet pool's supervision counters (``None`` on threads)."""
-        return self._fleet.supervisor_stats
+            self._state.queue_hwm = len(self._state.queue) + self._state.inflight
+            self._state.seen_tasks.clear()
 
     def _state_dump(self):
         fleet, state = self._fleet, self._state
@@ -1235,8 +1249,8 @@ class ProcessBackend(TenantBackend):
     picklable; fold payloads come back as plain dicts so even exotic worker
     exceptions survive the return trip.  Each task's data crosses once,
     over a transport chosen per task (shm, or the pickle spill when the
-    task cannot be shared); the tasks shipped per transport are tallied in
-    :attr:`plane_counts`.
+    task cannot be shared); :meth:`tenant_stats` tallies the tasks shipped
+    per transport and the pool's supervision counters.
 
     Parameters
     ----------
@@ -1263,11 +1277,6 @@ class ProcessBackend(TenantBackend):
             max_fold_retries=max_fold_retries,
         )
         super().__init__(fleet, fleet._add_tenant("default"))
-
-    @property
-    def plane_counts(self):
-        """Tasks shipped per transport: ``{"shm": n, "pickle": n}``."""
-        return {"shm": 0, "pickle": 0, **super().plane_counts}
 
     def shutdown(self):
         super().shutdown()

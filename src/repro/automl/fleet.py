@@ -476,9 +476,15 @@ class FleetCoordinator:
 
     # -- observability ------------------------------------------------------------
 
-    def _tenant_stats(self, state):
+    def _tenant_stats(self, state, since=None):
+        """A tenant's counters and the pool's, or what accrued after the earlier result ``since``.
+
+        Folds, fold seconds, planes (only those used) and pool incidents
+        are lifetime counts, differenced against ``since``; the settings
+        and the queue high-water mark are reported as they are now.
+        """
         with self._lock:
-            return {
+            stats = {
                 "tenant": state.name,
                 "weight": state.weight,
                 "max_inflight": state.max_inflight,
@@ -487,6 +493,22 @@ class FleetCoordinator:
                 "queue_depth_hwm": state.queue_hwm,
                 "plane_counts": dict(state.plane_counts),
             }
+        stats["supervisor"] = self.supervisor_stats
+        if since is not None:
+            stats["folds_dispatched"] -= since["folds_dispatched"]
+            stats["fold_seconds"] -= since["fold_seconds"]
+            before = since["plane_counts"]
+            stats["plane_counts"] = {
+                plane: count - before.get(plane, 0)
+                for plane, count in stats["plane_counts"].items()
+                if count > before.get(plane, 0)
+            }
+            if stats["supervisor"] is not None:
+                stats["supervisor"] = {
+                    name: count - since["supervisor"][name]
+                    for name, count in stats["supervisor"].items()
+                }
+        return stats
 
     def stats(self):
         """Per-tenant counters for every currently registered tenant."""

@@ -101,51 +101,13 @@ def make_prefix_cache_config(mode, cache_dir=None, max_entries=DEFAULT_MAX_ENTRI
     return ("mem", None, max_entries)
 
 
-class PrefixCacheStats:
-    """Thread-safe hit/miss/byte counters of one cache instance."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.bytes_written = 0
-        self.invalid = 0
-
-    def record_hit(self):
-        with self._lock:
-            self.hits += 1
-
-    def record_miss(self):
-        with self._lock:
-            self.misses += 1
-
-    def record_store(self, bytes_written):
-        with self._lock:
-            self.stores += 1
-            self.bytes_written += int(bytes_written)
-
-    def record_invalid(self):
-        with self._lock:
-            self.invalid += 1
-
-    def snapshot(self):
-        """A plain-dict copy of the counters (for reporting and deltas)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "bytes_written": self.bytes_written,
-                "invalid": self.invalid,
-            }
-
-    def __repr__(self):
-        return "PrefixCacheStats({})".format(self.snapshot())
-
-
 class FittedPrefixCache:
     """Two-tier (memory LRU + optional disk CAS) fitted-prefix cache.
+
+    The cache keeps no counters: each lookup and store emits a
+    ``cache_hit`` / ``cache_miss`` / ``cache_store`` event, and the fit
+    that made it counts it (``MLPipeline.prefix_cache_info``), which is
+    what a search's ``cache_stats`` sums.
 
     Parameters
     ----------
@@ -183,7 +145,6 @@ class FittedPrefixCache:
         self._writes_since_sweep = 0
         self._entries = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = PrefixCacheStats()
 
     # -- lookup ----------------------------------------------------------------
 
@@ -194,7 +155,6 @@ class FittedPrefixCache:
             if artifacts is not None:
                 self._entries.move_to_end(fingerprint)
         if artifacts is not None:
-            self.stats.record_hit()
             capture_event("cache_hit", tier="mem", fingerprint=fingerprint)
             return artifacts
         if self.cache_dir is not None:
@@ -202,10 +162,8 @@ class FittedPrefixCache:
             if artifacts is not None:
                 with self._lock:
                     self._remember(fingerprint, artifacts)
-                self.stats.record_hit()
                 capture_event("cache_hit", tier="disk", fingerprint=fingerprint)
                 return artifacts
-        self.stats.record_miss()
         capture_event("cache_miss", fingerprint=fingerprint)
         return None
 
@@ -216,7 +174,6 @@ class FittedPrefixCache:
         bytes_written = 0
         if self.cache_dir is not None:
             bytes_written = self._write_to_disk(fingerprint, artifacts)
-        self.stats.record_store(bytes_written)
         capture_event("cache_store", fingerprint=fingerprint, bytes=bytes_written)
         return bytes_written
 
@@ -250,11 +207,8 @@ class FittedPrefixCache:
         except FileNotFoundError:
             return None
         except Exception:  # noqa: BLE001 - any unreadable entry is a miss, not a crash
-            self.stats.record_invalid()
-            _unlink_quietly(path)
-            return None
+            payload = None
         if not isinstance(payload, dict) or payload.get("fingerprint") != fingerprint:
-            self.stats.record_invalid()
             _unlink_quietly(path)
             return None
         return payload.get("artifacts")

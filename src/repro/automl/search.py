@@ -154,8 +154,7 @@ class SearchResult:
 
     def __init__(self, task_name, best_template, best_hyperparameters, best_score,
                  best_pipeline, records, test_score=None, elapsed=0.0, cache_stats=None,
-                 fleet_stats=None, plane_counts=None, supervisor_stats=None,
-                 refit_error=None):
+                 fleet_stats=None, refit_error=None):
         self.task_name = task_name
         self.best_template = best_template
         self.best_hyperparameters = best_hyperparameters
@@ -169,19 +168,17 @@ class SearchResult:
         #: ``None`` when the refit succeeded or nothing was scored.
         self.refit_error = refit_error
         self.elapsed = elapsed
+        #: Prefix-cache ``mode``, ``hits``, ``misses`` and ``bytes_written``
+        #: summed over this search's fits; ``None`` with the cache off.
         self.cache_stats = cache_stats
-        #: Per-tenant fair-share/data-plane counters when the search ran on
-        #: a fleet tenant — a :class:`~repro.automl.backends.TenantBackend`,
-        #: which a process backend is (tenant ``"default"`` of a fleet of
-        #: one); ``None`` otherwise.
+        #: This search's counters as a fleet tenant — a
+        #: :class:`~repro.automl.backends.TenantBackend`, which a process
+        #: backend is (tenant ``"default"`` of a fleet of one); ``None``
+        #: otherwise.  Folds, fold seconds, queue high-water mark, tasks
+        #: per transport and, under ``"supervisor"``, the pool's recovery
+        #: counters (``None`` on a thread fleet) cover this search only,
+        #: also on a caller-owned backend that outlives it.
         self.fleet_stats = fleet_stats
-        #: Tasks shipped per transport (``{"shm": n, "pickle": n}``) when
-        #: the search ran on a process-boundary backend; ``None`` otherwise.
-        self.plane_counts = plane_counts
-        #: Fault-tolerance counters (worker deaths, fold retries/timeouts,
-        #: pool rebuilds) when the search ran on a process pool; ``None``
-        #: otherwise.
-        self.supervisor_stats = supervisor_stats
 
     @property
     def n_evaluated(self):
@@ -613,14 +610,13 @@ class _Reporter:
                 "tuners": proposer.tuners, "template_scores": proposer.template_scores,
             })
 
-    def finish(self, window, refit, cache_mode):
-        """The search's result, once the window's backend is released."""
+    def finish(self, window, refit, cache_mode, opened):
+        """The search's result, once the window's backend is released.
+
+        ``opened`` is the backend's :meth:`tenant_stats` when the search
+        opened it: the result's fleet counters are what accrued since.
+        """
         test_score, best_pipeline, refit_error = refit
-        backend = window.backend
-        # a fleet tenant backend (a process backend is one) reports its
-        # fair-share counters, which outlive the release of the tenant
-        stats_source = getattr(backend, "tenant_stats", None)
-        plane_counts = getattr(backend, "plane_counts", None)
         telemetry = self.proposer.telemetry
         if telemetry is not None:
             _emit(telemetry, "search_finished", task=self.proposer.task.name,
@@ -636,11 +632,9 @@ class _Reporter:
             refit_error=refit_error, elapsed=time.time() - window.start,
             cache_stats=None if cache_mode == "off" else {"mode": cache_mode,
                                                           **self.cache_totals},
-            fleet_stats=stats_source() if callable(stats_source) else None,
-            plane_counts=None if plane_counts is None else dict(plane_counts),
-            # supervision counters survive the pool's shutdown, so this works
-            # whether the backend is owned (already shut down) or shared
-            supervisor_stats=getattr(backend, "supervisor_stats", None),
+            # tenant counters survive the tenant's release and the pool's
+            # shutdown, so this works whether the backend is owned or shared
+            fleet_stats=window.backend.tenant_stats(since=opened),
         )
 
 
@@ -800,9 +794,10 @@ class AutoBazaarSearch:
                     config.prefix_cache, config.cache_dir, "repro-prefix-cache-")
                 cache_config = make_prefix_cache_config(config.prefix_cache, cache_dir=cache_dir)
                 backend = self._open_backend()
-                # a fleet tenant's backend names the tenant keying this
-                # search's events; every other backend is tenant "default"
-                tenant = getattr(backend, "tenant_name", None) or "default"
+                opened = backend.tenant_stats()
+                # a fleet tenant's name keys this search's events; every
+                # other backend is tenant "default"
+                tenant = "default" if opened is None else opened["tenant"]
                 telemetry = (sink, tenant) if sink is not None else None
                 pruner = self._pruner(task)
                 proposer = _Proposer(
@@ -821,7 +816,7 @@ class AutoBazaarSearch:
                     backend.shutdown()
                 if owned_cache_dir is not None:
                     shutil.rmtree(owned_cache_dir, ignore_errors=True)
-            return reporter.finish(window, refit, config.prefix_cache)
+            return reporter.finish(window, refit, config.prefix_cache, opened)
 
     def _open_backend(self):
         """The search's backend; one resolved from a name is owned and shut down on exit."""

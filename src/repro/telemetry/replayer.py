@@ -11,8 +11,9 @@ timeline:
   ``PrunedEvaluation`` failure; non-finite means become the
   ``NonFiniteScore`` failure) and checked against the ``record_reported``
   event — any divergence is a hard :class:`ReplayError`,
-* per-tenant Gantt rows (fold start/elapsed/worker) and queue-depth-over-
-  time curves are assembled from the fold and fleet scheduler events; the
+* per-tenant Gantt rows (fold start/elapsed/worker), fleet admissions
+  (``folds_dispatched``) and queue-depth-over-time curves are assembled
+  from the fold and fleet scheduler events; the
   search's final refit is a bar of its own (``"refit": True``) and takes no
   part in the re-derivation of records,
 * when the record log is supplied, the reconstructed stream is
@@ -46,6 +47,13 @@ class ReplayError(RuntimeError):
 
 #: Terminal per-fold events: exactly one per (candidate, fold) that ran.
 _TERMINAL = ("fold_finished", "fold_cancelled")
+
+#: Stream-wide counters: event type -> the counter each such event adds one to.
+_COUNTERS = {
+    "cache_hit": "cache_hits", "cache_miss": "cache_misses", "cache_store": "cache_stores",
+    "shm_publish": "shm_publish", "shm_attach": "shm_attach", "shm_fallback": "shm_fallback",
+    "batch_group_formed": "batch_groups", "prune_decision": "prune_decisions",
+}
 
 #: Record fields the fold events must reproduce bit-identically.
 _DERIVED_FIELDS = ("score", "raw_score", "error", "pruned")
@@ -175,11 +183,7 @@ def replay_run(events, record_documents=None):
     run_of_tenant = {}    # tenant -> current run index
     candidates = {}       # (tenant, run, iteration) -> _Candidate
     tenants = {}          # tenant -> summary accumulator
-    counters = {
-        "cache_hits": 0, "cache_misses": 0, "cache_stores": 0,
-        "shm_publish": 0, "shm_attach": 0, "shm_fallback": 0,
-        "batch_groups": 0, "prune_decisions": 0,
-    }
+    counters = dict.fromkeys(_COUNTERS.values(), 0)
     reported = []         # (candidate, record dict) in reported order
     # (tenant, run, iteration, fold) -> fold_started event; a refit_started
     # carries neither iteration nor fold and sits under (tenant, run, None, None)
@@ -187,7 +191,7 @@ def replay_run(events, record_documents=None):
 
     def tenant_summary(tenant):
         return tenants.setdefault(tenant, {
-            "task": None, "n_records": 0, "n_folds": 0,
+            "task": None, "n_records": 0, "n_folds": 0, "folds_dispatched": 0,
             "busy_seconds": 0.0, "refit_seconds": 0.0,
             "first_wall": None, "last_wall": None,
             "gantt": [], "queue_depth": [],
@@ -205,6 +209,11 @@ def replay_run(events, record_documents=None):
     for event in events:
         etype = event.get("event")
         tenant = event.get("tenant")
+        # the backend emits one dispatch-level event per fused group;
+        # workers additionally capture a per-fold view, which carries
+        # the fold context it was ingested under — count groups once
+        if etype in _COUNTERS and (etype != "batch_group_formed" or event.get("fold") is None):
+            counters[_COUNTERS[etype]] += 1
         if tenant is not None:
             summary = tenant_summary(tenant)
             wall = event.get("wall")
@@ -260,7 +269,6 @@ def replay_run(events, record_documents=None):
             })
         elif etype == "prune_decision":
             candidate_for(event).prune_reason = event.get("reason")
-            counters["prune_decisions"] += 1
         elif etype == "record_reported":
             candidate = candidate_for(event)
             record = event.get("record") or {}
@@ -272,24 +280,8 @@ def replay_run(events, record_documents=None):
             tenant_summary(tenant)["queue_depth"].append({
                 "wall": event.get("wall"), "depth": event.get("depth"),
             })
-        elif etype == "cache_hit":
-            counters["cache_hits"] += 1
-        elif etype == "cache_miss":
-            counters["cache_misses"] += 1
-        elif etype == "cache_store":
-            counters["cache_stores"] += 1
-        elif etype == "shm_publish":
-            counters["shm_publish"] += 1
-        elif etype == "shm_attach":
-            counters["shm_attach"] += 1
-        elif etype == "shm_fallback":
-            counters["shm_fallback"] += 1
-        elif etype == "batch_group_formed":
-            # the backend emits one dispatch-level event per fused group;
-            # workers additionally capture a per-fold view, which carries
-            # the fold context it was ingested under — count groups once
-            if event.get("fold") is None:
-                counters["batch_groups"] += 1
+        elif etype == "fleet_admission":
+            tenant_summary(tenant)["folds_dispatched"] += 1
 
     if record_documents is not None:
         _cross_check(candidates, reported, record_documents)

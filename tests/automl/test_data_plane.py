@@ -139,9 +139,9 @@ class TestBackendDataPlane:
             task = make_task()
             ref = backend._task_ref(task)
             assert isinstance(ref, shm.SharedTaskHandle)
-            assert backend.plane_counts == {"shm": 1, "pickle": 0}
+            assert backend.tenant_stats()["plane_counts"] == {"shm": 1}
             assert backend._task_ref(task) is ref  # registry hit, no re-publish
-            assert backend.plane_counts["shm"] == 1
+            assert backend.tenant_stats()["plane_counts"]["shm"] == 1
         finally:
             backend.shutdown()
 
@@ -160,9 +160,9 @@ class TestBackendDataPlane:
         try:
             ref = backend._task_ref(task)
             assert isinstance(ref, TaskPayload)
-            assert backend.plane_counts == {"shm": 0, "pickle": 1}
+            assert backend.tenant_stats()["plane_counts"] == {"pickle": 1}
             assert backend._task_ref(task) is ref  # stays on its plane, spilled once
-            assert backend.plane_counts["pickle"] == 1
+            assert backend.tenant_stats()["plane_counts"]["pickle"] == 1
             assert os.path.exists(ref.path)
         finally:
             backend.shutdown()
@@ -202,7 +202,7 @@ class TestSearchLifecycle:
         result = searcher.search(task, budget=4)
         records = [(r.template_name, r.iteration, r.score, r.failed, r.error)
                    for r in result.records]
-        return records, result.plane_counts
+        return records, result.fleet_stats and result.fleet_stats["plane_counts"]
 
     def test_search_owned_backend_unlinks_segments_on_completion(self):
         before = set(own_segments())
@@ -215,8 +215,8 @@ class TestSearchLifecycle:
         assert all(score is not None for _, _, score, _, _ in serial)
         # two tasks per search travel: the training partition the folds read
         # and the held-out partition the refit job scores on
-        assert self._search("process", make_task()) == (serial, {"shm": 2, "pickle": 0})
-        pickled = (serial, {"shm": 0, "pickle": 2})
+        assert self._search("process", make_task()) == (serial, {"shm": 2})
+        pickled = (serial, {"pickle": 2})
         assert self._search("process", unshareable_twin(make_task())) == pickled
         monkeypatch.setattr(shm, "shm_available", lambda: False)
         assert self._search("process", make_task()) == pickled

@@ -97,7 +97,7 @@ def task():
 @pytest.fixture(scope="module")
 def baseline(task):
     result = run_search(task, backend="serial")
-    assert result.supervisor_stats is None  # serial runs carry no supervisor
+    assert result.fleet_stats is None  # serial runs carry no supervisor
     return record_documents(result)
 
 
@@ -105,19 +105,19 @@ class TestFaultFreeBaselines:
     def test_thread_backend_matches_serial(self, task, baseline):
         result = run_search(task, backend="thread", workers=2)
         assert record_documents(result) == baseline
-        assert result.supervisor_stats is None
+        assert result.fleet_stats is None
 
     def test_unsupervised_process_backend_matches_serial(self, task, baseline):
         # no supervision knob set: the process pool is supervised all the same
         result = run_search(task, backend="process", workers=2)
         assert record_documents(result) == baseline
-        assert result.supervisor_stats == ZERO_STATS
+        assert result.fleet_stats["supervisor"] == ZERO_STATS
 
     def test_supervised_process_backend_matches_serial(self, task, baseline):
         result = supervised_search(task)
         assert record_documents(result) == baseline
         # a fault-free supervised run never retries, kills, or rebuilds
-        assert result.supervisor_stats == ZERO_STATS
+        assert result.fleet_stats["supervisor"] == ZERO_STATS
 
 
 def _fault_plan_dirs():
@@ -147,7 +147,7 @@ class TestSingleFaultPlans:
         with plan.activate():
             result = search(task)
         assert record_documents(result) == baseline
-        stats = result.supervisor_stats
+        stats = result.fleet_stats["supervisor"]
         assert stats["workers_died"] == 1
         assert stats["folds_retried"] >= 1
         assert stats["pools_rebuilt"] == 1
@@ -158,7 +158,7 @@ class TestSingleFaultPlans:
         with plan.activate():
             result = supervised_search(task)
         assert record_documents(result) == baseline
-        stats = result.supervisor_stats
+        stats = result.fleet_stats["supervisor"]
         # the segment is re-published in place: a retry, never a death
         assert stats["workers_died"] == 0
         assert stats["folds_retried"] >= 1
@@ -169,7 +169,7 @@ class TestSingleFaultPlans:
         with plan.activate():
             result = supervised_search(task)
         assert record_documents(result) == baseline
-        assert result.supervisor_stats == ZERO_STATS  # under the deadline
+        assert result.fleet_stats["supervisor"] == ZERO_STATS  # under the deadline
 
     def test_fold_hang_is_killed_at_the_deadline_and_masked(
             self, task, baseline, tmp_path):
@@ -181,7 +181,7 @@ class TestSingleFaultPlans:
                 telemetry=events_dir,
             )
         assert record_documents(result) == baseline
-        stats = result.supervisor_stats
+        stats = result.fleet_stats["supervisor"]
         assert stats["folds_timed_out"] == 1
         assert stats["workers_died"] == 1  # the hung worker is SIGKILLed
         assert stats["folds_retried"] >= 1
@@ -242,8 +242,8 @@ class TestSelectorAccounting:
         # the killed-and-retried fold produced no extra failure record, so
         # the selector's two-failure crash quarantine was never charged
         assert failures == baseline_failures
-        assert result.supervisor_stats["folds_retried"] >= 1
-        assert result.supervisor_stats["folds_quarantined"] == 0
+        assert result.fleet_stats["supervisor"]["folds_retried"] >= 1
+        assert result.fleet_stats["supervisor"]["folds_quarantined"] == 0
 
     def test_quarantined_fold_is_one_recorded_failure(self, task):
         # retries exhausted immediately: the single kill becomes the fold's
@@ -256,8 +256,8 @@ class TestSelectorAccounting:
             if record.error is not None and "worker process died" in record.error
         ]
         assert len(crash_records) == 1
-        assert result.supervisor_stats["folds_quarantined"] == 1
-        assert result.supervisor_stats["folds_retried"] == 0
+        assert result.fleet_stats["supervisor"]["folds_quarantined"] == 1
+        assert result.fleet_stats["supervisor"]["folds_retried"] == 0
 
 
 class TestFleetRealKill:

@@ -445,7 +445,7 @@ class TestFleetOfOne:
         assert record_documents(result) == record_documents(serial)
         assert result.fleet_stats["tenant"] == "default"
         assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1  # and the refit
-        assert result.plane_counts == {"shm": 2, "pickle": 0}
+        assert result.fleet_stats["plane_counts"] == {"shm": 2}
         stream = load_events(events_dir)
         assert {event["tenant"] for event in stream if event.get("tenant")} == {"default"}
         assert [event["backend"] for event in stream
@@ -455,6 +455,52 @@ class TestFleetOfOne:
         report = replay_run(stream, record_documents=[
             record.to_dict() for record in result.records])
         assert len(report["records"]) == 3
+
+
+SLEEPY = "mlprimitives.custom.synthetic.TimedDummyClassifier"
+
+
+class TestCountersCoverOneSearch:
+    """A result's counters cover its own search, also on a backend that outlives it."""
+
+    def _search(self, backend, n_pending=2):
+        template = Template("fleet_sleepy", [SLEEPY],
+                            init_params={SLEEPY: {"fit_seconds": 0.05}})
+        return AutoBazaarSearch(
+            templates=[template], n_splits=2, random_state=0, backend=backend,
+            n_pending=n_pending,
+        ).search(fleet_tasks(1)[0], budget=3)
+
+    def test_reused_thread_fleet_tenant(self):
+        with FleetCoordinator(backend="thread", workers=2) as fleet:
+            tenant = fleet.register(name="reused")
+            first, second, third = [self._search(tenant, n_pending) for n_pending in (3, 3, 1)]
+        for result in (first, second, third):
+            assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1  # and the refit
+            assert result.fleet_stats["plane_counts"] == {"inline": 2}
+        assert [result.fleet_stats["supervisor"] for result in (first, second, third)] == [
+            None, None, None]
+        # three candidates in flight queue more folds than one at a time
+        # does: the high-water mark restarts when a search drains the backend
+        assert first.fleet_stats["queue_depth_hwm"] > 2 >= third.fleet_stats["queue_depth_hwm"]
+
+    def test_reused_process_backend_reports_its_own_incidents(self):
+        from repro.automl import FaultPlan
+
+        # fold starts are counted across the backend's lifetime: the kill
+        # lands in the first search, and the second runs fault-free
+        with FaultPlan.single("worker_kill", at_fold=2).activate():
+            backend = ProcessBackend(workers=2)
+            try:
+                first, second = [self._search(backend) for _ in range(2)]
+            finally:
+                backend.shutdown()
+        for result in (first, second):
+            assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1
+            assert result.fleet_stats["plane_counts"] == {"shm": 2}
+        assert first.fleet_stats["supervisor"]["workers_died"] == 1
+        assert second.fleet_stats["supervisor"] == dict.fromkeys(
+            first.fleet_stats["supervisor"], 0)
 
 
 class TestSessionFleet:

@@ -212,9 +212,9 @@ def test_worker_killed_during_the_refit_is_masked(fleet, tasks, oracle):
         else:
             result = search("process", train, test, workers=2, fold_timeout=120.0)
     assert observed(result, test) == oracle[0]
-    assert result.supervisor_stats["workers_died"] == 1
-    assert result.supervisor_stats["folds_retried"] == 1
-    assert result.supervisor_stats["folds_quarantined"] == 0
+    assert result.fleet_stats["supervisor"]["workers_died"] == 1
+    assert result.fleet_stats["supervisor"]["folds_retried"] == 1
+    assert result.fleet_stats["supervisor"]["folds_quarantined"] == 0
 
 
 def test_refit_that_keeps_killing_its_worker_is_reported(tasks, oracle):

@@ -173,6 +173,23 @@ class TestCLI:
         assert exit_code == 0
         assert "best template" in captured.out
 
+    def test_process_summary_prints_each_counter_once(self, task, tmp_path, capsys):
+        save_task(task, tmp_path / "task")
+        exit_code = main([
+            str(tmp_path / "task"), "--budget", "3", "--splits", "2", "--seed", "0",
+            "--backend", "process", "--workers", "2", "--prefix-cache", "mem",
+        ])
+        lines = capsys.readouterr().out.splitlines()
+        assert exit_code == 0
+        assert len([line for line in lines if line.startswith("prefix cache ")]) == 1
+        # a solo process search is tenant "default" of a fleet of one, whose
+        # line names the planes: no separate data-plane line
+        assert len([line for line in lines
+                    if line.startswith("fleet tenant         : default (")]) == 1
+        assert len([line for line in lines
+                    if line.startswith("fault recovery       : 0 workers died, ")]) == 1
+        assert not [line for line in lines if line.startswith("task data planes")]
+
     def test_main_happy_path(self, task, tmp_path, capsys):
         save_task(task, tmp_path / "task")
         exit_code = main([

@@ -1,6 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import glob
 import multiprocessing
+import os
 import threading
 import time
 
@@ -16,21 +18,27 @@ _LEAKABLE_THREADS = ("pool-supervisor", "telemetry-writer")
 
 
 def _leaked_workers():
+    from repro.automl import fleet, shm
+
     threads = [thread.name for thread in threading.enumerate()
                if thread.name in _LEAKABLE_THREADS]
     children = ["{} (pid {})".format(child.name, child.pid)
                 for child in multiprocessing.active_children()]
-    return threads + children
+    segments = glob.glob(os.path.join(
+        "/dev/shm", "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid())))
+    return threads + children + segments + sorted(fleet._SPILL_FILES)
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _module_leaves_no_workers_behind(request):
-    """Name the test module that leaks a pool or a telemetry sink.
+    """Name the test module that leaks a pool, a telemetry sink or task data.
 
     A ``pool-supervisor`` thread, a ``telemetry-writer`` thread or a child
     process alive after a module's last test means some test never shut
     down a backend, a fleet, a session or a sink — which then rides along
     under every later module (forks inherit its locks and descriptors).
+    A shared-memory segment this process published, or a task spill file
+    a fleet still has registered, means the same for the data plane.
     """
     yield
     deadline = time.monotonic() + 5.0

@@ -42,6 +42,27 @@ from repro.tasks.task import split_task
 from repro.tuning.hyperparams import Tunable
 
 
+class _CountingCache(FittedPrefixCache):
+    """A prefix cache tallying what its ``get`` and ``put`` calls returned.
+
+    A witness of the cache traffic independent of the counts a fit reports
+    in ``prefix_cache_info``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counts = {"hits": 0, "misses": 0, "stores": 0}
+
+    def get(self, fingerprint):
+        artifacts = super().get(fingerprint)
+        self.counts["misses" if artifacts is None else "hits"] += 1
+        return artifacts
+
+    def put(self, fingerprint, artifacts):
+        self.counts["stores"] += 1
+        return super().put(fingerprint, artifacts)
+
+
 # -- the frozen reference -----------------------------------------------------------
 
 
@@ -152,7 +173,7 @@ def _assert_same_value(actual, expected):
 
 def _assert_fit_matches_reference(build, fit_data, predict_data, produce_log, cached=True):
     """Fit fresh pipelines from ``build`` both ways: uncached, then cache-cold and -warm."""
-    reference_cache, new_cache = FittedPrefixCache(), FittedPrefixCache()
+    reference_cache, new_cache = FittedPrefixCache(), _CountingCache()
     rounds = [({}, {})]
     if cached:
         rounds += 2 * [(dict(prefix_cache=reference_cache, data_key="data"),
@@ -167,7 +188,7 @@ def _assert_fit_matches_reference(build, fit_data, predict_data, produce_log, ca
         reference.fit(reference_pipeline, **reference_options, **fit_data)
         np.random.seed(0)
         produce_log.clear()
-        lookups_before = new_cache.stats.hits + new_cache.stats.misses
+        lookups_before = new_cache.counts["hits"] + new_cache.counts["misses"]
         pipeline.fit(**new_options, **fit_data)
         produced = list(produce_log)
 
@@ -176,7 +197,7 @@ def _assert_fit_matches_reference(build, fit_data, predict_data, produce_log, ca
             # a cache hit replaces fit + produce; a dead step is never looked up
             assert pipeline.prefix_cache_info == reference.cache_info(live)
             assert set(produced) <= set(live_names)
-            lookups = new_cache.stats.hits + new_cache.stats.misses - lookups_before
+            lookups = new_cache.counts["hits"] + new_cache.counts["misses"] - lookups_before
             assert lookups == sum(live[:pipeline._cacheable_prefix_length()])
         else:
             assert pipeline.prefix_cache_info is None
@@ -477,7 +498,7 @@ class TestSyntheticWirings:
         _check_wiring(annotations, [True, False, False], produce_log)
 
         build = _pipeline_factory(annotations)
-        cache = FittedPrefixCache(cache_dir=str(tmp_path / "cache"))
+        cache = _CountingCache(cache_dir=str(tmp_path / "cache"))
         cold = build().fit(prefix_cache=cache, data_key="k", **FIT_DATA)
         assert cold.prefix_cache_info["hits"] == 0
         assert cold.prefix_cache_info["misses"] == 1  # "audit" is never looked up
@@ -492,8 +513,7 @@ class TestSyntheticWirings:
         assert _CALLS == [("audit", "fit"), ("estimator", "fit")]
         assert len(cache) == 1
         # the cache itself saw one lookup and one store per fit of "a", nothing else
-        stats = cache.stats.snapshot()
-        assert (stats["hits"], stats["misses"], stats["stores"]) == (1, 1, 1)
+        assert cache.counts == {"hits": 1, "misses": 1, "stores": 1}
         # the fingerprint chain still runs through the dead step
         assert len(set(warm.prefix_fingerprints("k"))) == 3
         _assert_same_value(warm.predict(**PREDICT_DATA), cold.predict(**PREDICT_DATA))

@@ -70,7 +70,7 @@ class TestRoundTrip:
         result = searcher.search(_task(), budget=4)
         report = _round_trip(events_dir, result)
         assert report["counters"]["shm_publish"] >= 1
-        assert result.plane_counts and result.plane_counts.get("shm", 0) >= 1
+        assert result.fleet_stats["plane_counts"].get("shm", 0) >= 1
 
     def test_batched_evaluation(self, tmp_path):
         events_dir = str(tmp_path / "events")
@@ -155,7 +155,52 @@ class TestRoundTrip:
             assert tenant["n_folds"] == 6
             assert tenant["queue_depth_max"] >= 1
         for result in results:
-            assert result.plane_counts.get("shm", 0) >= 1
+            assert result.fleet_stats["plane_counts"].get("shm", 0) >= 1
+
+
+class TestEventsMatchCounters:
+    """The event stream recounts what a search's result reports."""
+
+    def test_solo_process_cache_counts(self, tmp_path):
+        events_dir = str(tmp_path / "events")
+        result = AutoBazaarSearch(
+            n_splits=2, random_state=0, backend="process", workers=2,
+            prefix_cache="mem", telemetry=events_dir,
+        ).search(_task(), budget=4)
+        counters = _round_trip(events_dir, result)["counters"]
+        assert result.cache_stats["misses"] > 0
+        assert (counters["cache_hits"], counters["cache_misses"]) == (
+            result.cache_stats["hits"], result.cache_stats["misses"])
+
+    def test_thread_fleet_tenant_counts(self, tmp_path):
+        events_dir = str(tmp_path / "events")
+        sink = TelemetrySink(events_dir)
+        results = {}
+
+        def run(name, handle, task):
+            results[name] = AutoBazaarSearch(
+                n_splits=2, random_state=0, backend=handle, n_pending=2, telemetry=sink,
+            ).search(task, budget=3)
+
+        try:
+            with FleetCoordinator(backend="thread", workers=2) as fleet:
+                threads = [
+                    threading.Thread(target=run, args=(
+                        name, fleet.register(name=name), _task(name=name, random_state=index)))
+                    for index, name in enumerate(("tenant-a", "tenant-b"))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+        finally:
+            sink.close()
+        tenants = replay_run(load_events(events_dir))["tenants"]
+        assert sorted(results) == sorted(tenants) == ["tenant-a", "tenant-b"]
+        for name, result in results.items():
+            stats = result.fleet_stats
+            assert tenants[name]["folds_dispatched"] == stats["folds_dispatched"] == 3 * 2 + 1
+            assert tenants[name]["queue_depth_max"] == stats["queue_depth_hwm"]
 
 
 class TestDivergence:
