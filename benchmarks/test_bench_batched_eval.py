@@ -1,6 +1,6 @@
 """Batched multi-candidate evaluation throughput on a shared-Gram workload.
 
-Same-template Ridge candidates proposed in one barrier round share their
+Same-template Ridge candidates proposed in one window refill share their
 pinned preprocessing prefix and their fold's Gram matrix; batched
 evaluation fits the prefix once and pays one cheap solve per alpha where
 looped evaluation refits everything per candidate.  The benchmark asserts

@@ -158,20 +158,21 @@ def _make_skew_selector():
     return ScriptedSkewSelector
 
 
-def _run_skewed_search(schedule, workers):
+def _run_skewed_search(workers):
     from repro.automl import AutoBazaarSearch
 
     task = synth.make_single_table_classification(n_samples=60, random_state=0)
     searcher = AutoBazaarSearch(
         templates=_skew_templates(), selector_class=_make_skew_selector(),
         n_splits=2, random_state=0, backend="process", workers=workers,
-        n_pending=4, schedule=schedule,
+        n_pending=4,
     )
     return searcher.search(task, budget=SKEW_BUDGET)
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_skewed_workload_window_vs_barrier(benchmark, schedule_throughput, workers):
+def test_skewed_workload_window_vs_barrier(benchmark, schedule_throughput, barrier_schedule,
+                                          workers):
     """Sliding-window vs round-barrier scheduling under skewed pipeline costs.
 
     The classic skew problem in parallel evaluation: one expensive
@@ -184,12 +185,13 @@ def test_skewed_workload_window_vs_barrier(benchmark, schedule_throughput, worke
     folds saturate the pool and the gap narrows, so the ratio is only
     tracked, not asserted.
     """
-    barrier_result = _run_skewed_search("barrier", workers)
+    with barrier_schedule():
+        barrier_result = _run_skewed_search(workers)
     assert barrier_result.n_evaluated == SKEW_BUDGET
     assert barrier_result.n_failed == 0
 
     window_result = benchmark.pedantic(
-        lambda: _run_skewed_search("window", workers), rounds=1, iterations=1
+        lambda: _run_skewed_search(workers), rounds=1, iterations=1
     )
     assert window_result.n_evaluated == SKEW_BUDGET
     assert window_result.n_failed == 0

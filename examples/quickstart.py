@@ -19,13 +19,12 @@ an on-disk task folder::
 loop record-for-record; ``thread`` and ``process`` dispatch the
 cross-validation folds of each candidate pipeline to a worker pool, with
 ``--pending N`` evaluations kept in flight by the sliding-window
-scheduler (``--schedule barrier`` restores the historical round-based
-loop).  Record-for-record reproducibility across
-backends additionally requires deterministic pipelines (estimator
+scheduler.  Record-for-record reproducibility across backends
+additionally requires deterministic pipelines (estimator
 ``random_state`` seeded via template ``init_params`` or
 ``estimator_seed``).
 
-These are four of the 11 execution knobs.  Library and command line share
+These are three of the 10 execution knobs.  Library and command line share
 them — a flag ``--some-knob`` is the keyword ``some_knob`` (``--pending``
 is ``n_pending``) — and ``repro.automl.config.ExecutionConfig``, described
 in README's "Execution configuration" section, is where each one is

@@ -20,8 +20,8 @@ Six suites, selected by the positional ``suite`` argument:
 
 ``batched-eval`` (-> ``BENCH_batched_eval.json``)
     Candidate throughput with batched multi-candidate evaluation on vs
-    off: same-template candidates proposed in one barrier round are
-    evaluated as fused batches (one shared preprocessing-prefix fit and
+    off: same-template candidates the window proposes into the slots one
+    collection freed are evaluated as fused batches (one shared preprocessing-prefix fit and
     one shared Ridge Gram matrix per fold, one cheap solve per alpha).
     Gate: >= ``BATCHED_EVAL_THRESHOLD``x.
 
@@ -375,10 +375,10 @@ def run_data_plane_benchmark(n_candidates=DATA_PLANE_CANDIDATES, n_splits=2,
 
 # -- batched-eval suite ----------------------------------------------------------
 
-#: Pipeline evaluations per batched-eval run (three barrier rounds of 8).
+#: Pipeline evaluations per batched-eval run (three fused window refills of 8).
 BATCHED_EVAL_BUDGET = 24
 
-#: Candidates proposed per barrier round.
+#: Candidates in flight: the serial backend finishes all of them per refill.
 BATCHED_EVAL_PENDING = 8
 
 #: Samples/features of the regression task (Gram matrix dominates a fit).
@@ -396,7 +396,7 @@ def _run_batched_eval(batch_eval, task):
     )
     searcher = AutoBazaarSearch(
         templates=[template], n_splits=3, random_state=0,
-        schedule="barrier", n_pending=BATCHED_EVAL_PENDING,
+        n_pending=BATCHED_EVAL_PENDING,
         batch_eval=batch_eval, tuner_class=UniformTuner,
     )
     started = time.time()
@@ -432,7 +432,7 @@ def run_batched_eval_benchmark(shape=BATCHED_EVAL_SHAPE):
             "n_splits": 3,
             "task_shape": list(shape),
             "backend": "serial",
-            "schedule": "barrier",
+            "schedule": "window",
             "template": "pinned mean-imputer -> ridge (shared Gram per fold)",
         },
         "looped": {

@@ -20,7 +20,7 @@ import sys
 
 from repro.automl.backends import BACKENDS
 from repro.automl.checkpoint import CheckpointError
-from repro.automl.config import EXECUTION_ONLY, KNOBS, SCHEDULES, ExecutionConfig
+from repro.automl.config import EXECUTION_ONLY, KNOBS, ExecutionConfig
 from repro.automl.prefix_cache import PREFIX_CACHE_MODES
 from repro.automl.session import run_fleet_from_directories, run_from_directory
 
@@ -45,9 +45,6 @@ def _add_execution_arguments(parser, fields):
     add("n_pending", "--pending", type=int, metavar="N",
         help="candidates in flight at once; values > 1 enable constant-liar "
              "batch proposals (default: 1)")
-    add("schedule", "--schedule", choices=SCHEDULES,
-        help="'window' replaces each completed evaluation immediately; 'barrier' "
-             "is the historical round-based loop (default: window)")
     add("prefix_cache", "--prefix-cache", choices=PREFIX_CACHE_MODES,
         help="memoize fitted preprocessing prefixes: 'mem' per process, 'disk' "
              "shared across process-backend workers; score-preserving (default: off)")

@@ -802,12 +802,16 @@ class ExecutionBackend:
         """Block until one submitted-but-uncollected future completes.
 
         Returns the completed future, or ``None`` when nothing is
-        outstanding — the signal that lets the sliding-window loop keep
-        exactly ``n_pending`` evaluations in flight, collecting a single
-        completion and immediately proposing its replacement instead of
-        draining a whole round.
+        outstanding.  The sliding-window loop blocks here for the next
+        completion, then takes the :meth:`n_ready` ones already finished
+        with it, and proposes a replacement for each reported result
+        instead of draining a whole round.
         """
         raise NotImplementedError
+
+    def n_ready(self):
+        """Completed futures :meth:`collect_one` returns without blocking; 0 if unknown."""
+        return 0
 
     def as_completed(self):
         """Yield submitted-but-uncollected futures as they complete."""
@@ -1044,6 +1048,9 @@ class _PoolBackend(ExecutionBackend):
                     ) from None
         self._outstanding -= 1
         return future
+
+    def n_ready(self):
+        return self._completion_queue.qsize()
 
     def _state_dump(self):
         """What a wait that can no longer end reports instead of hanging."""

@@ -290,7 +290,7 @@ class ExperimentRun:
     @classmethod
     def create(cls, run_dir, task=None, task_directory=None, budget=20, tuner="gp_ei",
                selector="ucb1", n_splits=3, random_state=0, holdout=0.25,
-               schedule="window", n_pending=1, max_seconds=None, checkpoint_every=1,
+               n_pending=1, max_seconds=None, checkpoint_every=1,
                warm_start_source=None):
         """Initialize a new run directory; returns the run (not yet executed).
 
@@ -318,7 +318,7 @@ class ExperimentRun:
         # every later create() of the same directory
         get_tuner(tuner)
         get_selector(selector)
-        shaping = ExecutionConfig(n_pending=n_pending, schedule=schedule)
+        shaping = ExecutionConfig(n_pending=n_pending)
         if budget < 0:
             raise ValueError("budget must be at least 0, got {!r}".format(budget))
         if checkpoint_every < 1:
@@ -372,7 +372,6 @@ class ExperimentRun:
             "n_splits": int(n_splits),
             "random_state": int(random_state),
             "holdout": float(holdout),
-            "schedule": shaping.schedule,
             "n_pending": shaping.n_pending,
             "max_seconds": max_seconds,
             "checkpoint_every": int(checkpoint_every),
@@ -438,18 +437,20 @@ class ExperimentRun:
         ``execution`` takes the execution-only knobs of
         :class:`~repro.automl.config.ExecutionConfig`, which may differ
         between a run and its resume; the stream-shaping ones are fixed in
-        the manifest at creation (``n_pending``, ``schedule``) or not
-        available on a checkpointed run at all (``prune_margin``).
+        the manifest at creation (``n_pending``) or not available on a
+        checkpointed run at all (``prune_margin``).
         ``telemetry="run-dir"`` (or ``True``) records into this run
         directory's ``events/`` stream.  ``on_report`` is called with the
         search state after every reported record (see
         :class:`CheckpointManager`).
         """
         manifest = self.manifest
+        if manifest.get("schedule") == "barrier":
+            raise CheckpointError(
+                "{!r} was created under the retired 'barrier' schedule; the sliding "
+                "window cannot replay its record stream".format(self.run_dir))
         config = ExecutionConfig.from_keywords(
-            execution, run_dir=self.run_dir,
-            n_pending=manifest["n_pending"], schedule=manifest["schedule"],
-        )
+            execution, run_dir=self.run_dir, n_pending=manifest["n_pending"])
         with self._run_lock():
             task_dir = os.path.join(self.run_dir, TASK_DIRNAME)
             fingerprint = task_fingerprint(task_dir)

@@ -18,11 +18,8 @@ from repro.automl.prefix_cache import normalize_prefix_cache_mode
 from repro.automl.supervisor import supervision_knobs
 from repro.telemetry.sink import EVENTS_DIRNAME, TelemetrySink
 
-#: The search schedulers (see the ``schedule`` knob).
-SCHEDULES = ("window", "barrier")
-
 #: Knobs that change which records a search emits: fixed in a run's manifest.
-STREAM_SHAPING = ("n_pending", "schedule", "prune_margin")
+STREAM_SHAPING = ("n_pending", "prune_margin")
 
 
 def fleet_backend(backend):
@@ -36,7 +33,7 @@ def fleet_backend(backend):
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a search executes: 11 knobs, validated on construction.
+    """How a search executes: 10 knobs, validated on construction.
 
     *Stream-shaping* knobs (:data:`STREAM_SHAPING`) change which records a
     search emits; a checkpointed run fixes them in its manifest.
@@ -60,10 +57,6 @@ class ExecutionConfig:
         Stream-shaping.  Candidates kept in flight at once (default 1, also
         the minimum); above 1, proposals use the constant-liar strategy
         (:mod:`repro.tuning.tuners`).
-    schedule:
-        Stream-shaping.  ``"window"`` (default) refills the window on every
-        completion; ``"barrier"`` only when it is empty — propose
-        ``n_pending``, drain them all, repeat.
     prefix_cache, cache_dir:
         Execution-only.  Fitted-prefix cache (:mod:`repro.automl.prefix_cache`):
         ``"off"`` (default, also ``None``), ``"mem"`` or ``"disk"``, the
@@ -75,8 +68,9 @@ class ExecutionConfig:
         :class:`~repro.automl.backends.PruneController`.  Timing-dependent,
         so a checkpointed run, which must replay exactly, rejects it.
     batch_eval:
-        Execution-only.  Evaluate same-template candidates of one scheduler
-        burst as fused batches (:mod:`repro.automl.batch_eval`; default off).
+        Execution-only.  Evaluate same-template candidates proposed into the
+        slots one collection freed as fused batches
+        (:mod:`repro.automl.batch_eval`; default off).
     telemetry:
         Execution-only.  Event recording (:mod:`repro.telemetry`):
         ``None`` / ``False`` / ``"off"`` (default), a directory — whoever
@@ -100,7 +94,6 @@ class ExecutionConfig:
     backend: Any = "serial"
     workers: Optional[int] = None
     n_pending: int = 1
-    schedule: str = "window"
     prefix_cache: str = "off"
     cache_dir: Optional[str] = None
     prune_margin: Optional[float] = None
@@ -120,10 +113,6 @@ class ExecutionConfig:
             name for name, value in supervision.items() if value is not None
         ])
         workers = None if self.workers is None else resolve_workers(self.workers)
-        if self.schedule not in SCHEDULES:
-            raise ValueError(
-                "Unknown schedule {!r}; expected one of {}".format(self.schedule, SCHEDULES)
-            )
         prune_margin = self.prune_margin
         if prune_margin is not None:
             prune_margin = PruneController(prune_margin).margin
@@ -186,7 +175,7 @@ class ExecutionConfig:
         return {name: getattr(self, name) for name in (KNOBS if names is None else names)}
 
 
-#: The 11 knob names, in declaration order.
+#: The 10 knob names, in declaration order.
 KNOBS = tuple(field.name for field in fields(ExecutionConfig))
 
 #: Knobs that only change where and how fast the records are produced: free

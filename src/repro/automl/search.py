@@ -10,8 +10,9 @@ scheduler over the configured
   configuration (pending proposals use the constant-liar strategy, see
   :mod:`repro.tuning.tuners`); resume is this stage reading the record log,
 * :class:`_Window` — keeps exactly ``n_pending`` evaluations in flight,
-  blocks for *one* completed evaluation at a time
-  (``backend.collect_one()``) and parks it in a reorder buffer,
+  blocks for the next completed evaluation (``backend.collect_one()``),
+  takes every other one already finished with it and parks them in a
+  reorder buffer,
 * :class:`_Reporter` — files buffered results back into the tuners, the
   selector and the store strictly *in proposal order*; every reported
   result frees a window slot, so its replacement is proposed with the
@@ -27,9 +28,9 @@ regardless of which worker finished first, with one scheduling corollary:
 the proposal of candidate ``k`` may only consume the reported results of
 candidates ``0 .. k - n_pending``, so a straggler blocks the window only
 after ``n_pending - 1`` newer evaluations have been proposed past it —
-unlike the historical round-barrier loop (kept as ``schedule="barrier"``
-for comparison benchmarks), which idled every worker while a round
-drained behind its slowest member.
+unlike a round-based loop (propose ``n_pending``, drain them all,
+repeat), which idles every worker while a round drains behind its
+slowest member.
 
 Every backend, ``serial`` included, evaluates a candidate through the one
 fold dispatcher of :mod:`repro.automl.backends`; the serial backend just
@@ -442,11 +443,6 @@ class _Window:
 
     def refill(self):
         """Propose into every free slot, within the budget and the deadline."""
-        if self.config.schedule == "barrier" and self.next_report != self.proposed:
-            # the historical round-barrier: a whole round is proposed only
-            # once nothing is in flight, so every worker idles behind the
-            # round's slowest evaluation
-            return
         while (self.proposed < self.budget
                and self.proposed - self.next_report < self.config.n_pending
                and not self._deadline_passed()):
@@ -478,7 +474,11 @@ class _Window:
             self.backend.submit_many(candidates)
 
     def collect_one(self):
-        """Make the next result to report available; ``False`` when none can come."""
+        """Make the next result to report available; ``False`` when none can come.
+
+        Blocks for one completion, then takes every one the backend already
+        holds, each by its own ``backend.collect_one()`` (tracing wraps it).
+        """
         if self.next_report == self.proposed:
             return False  # nothing in flight and no proposal allowed
         if self.next_report not in self.reorder:  # not a replayed outcome
@@ -486,6 +486,9 @@ class _Window:
             if future is None:
                 return False  # backend lost outstanding work; keep records
             self.reorder[future.candidate.iteration] = future
+            while self.backend.n_ready():
+                future = self.backend.collect_one()
+                self.reorder[future.candidate.iteration] = future
         return True
 
     def run(self, reporter):
@@ -512,8 +515,8 @@ class _Window:
                 self.refill()
                 if future.candidate.iteration < self.replay_count:
                     # a replayed outcome stands in for one collected
-                    # completion: one per pass, so the proposals it frees
-                    # are flushed exactly where a live run flushed them
+                    # completion: one per pass, so each proposal it frees
+                    # reaches the backend in a flush of its own
                     break
 
     def refit(self, reporter, test_task):
@@ -671,9 +674,8 @@ class AutoBazaarSearch:
         unseeded behaviour.
     **execution:
         The execution knobs (``backend``, ``workers``, ``n_pending``,
-        ``schedule``, ``prefix_cache``, ``cache_dir``, ``prune_margin``,
-        ``batch_eval``, ``telemetry``, ``fold_timeout``,
-        ``max_fold_retries``): see
+        ``prefix_cache``, ``cache_dir``, ``prune_margin``, ``batch_eval``,
+        ``telemetry``, ``fold_timeout``, ``max_fold_retries``): see
         :class:`~repro.automl.config.ExecutionConfig`, which they are
         collected into (:attr:`execution`) before anything else happens.
     """
@@ -806,9 +808,10 @@ class AutoBazaarSearch:
                     cache_config=cache_config, pruner=pruner)
                 reporter = _Reporter(proposer, self.store, pruner, checkpoint)
                 window = _Window(backend, proposer, config, budget, max_seconds, start)
+                # "schedule" stays a constant: event schema v1 only grows
                 _emit(telemetry, "search_started", task=task.name, budget=budget,
                       backend=repr(backend), n_splits=self.n_splits,
-                      schedule=config.schedule, replay_count=len(replay))
+                      schedule="window", replay_count=len(replay))
                 window.run(reporter)
                 refit = window.refit(reporter, test_task)
             finally:

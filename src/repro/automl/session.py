@@ -303,7 +303,7 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
         try:
             run = ExperimentRun.create(
                 run_dir, task_directory=task_directory, n_pending=config.n_pending,
-                schedule=config.schedule, checkpoint_every=checkpoint_every,
+                checkpoint_every=checkpoint_every,
                 warm_start_source=warm_source, **session_options,
             )
         finally:

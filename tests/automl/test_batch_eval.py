@@ -226,24 +226,50 @@ class TestBatchedSearchEquivalence:
                      [ENCODER, IMPUTER, "sklearn.naive_bayes.GaussianNB", DECODER]),
         ]
 
-    def _records(self, batch_eval, schedule, backend="serial"):
+    def _records(self, batch_eval, backend="serial"):
         task = synth.make_single_table_classification(n_samples=90, random_state=0)
         searcher = AutoBazaarSearch(
             templates=self._templates(), n_splits=2, random_state=0,
-            schedule=schedule, n_pending=4, batch_eval=batch_eval,
+            n_pending=4, batch_eval=batch_eval,
             backend=backend, tuner_class=UniformTuner,
         )
         result = searcher.search(task, budget=12)
         return [(r.template_name, r.iteration, r.score, r.failed, r.error)
                 for r in result.records]
 
-    @pytest.mark.parametrize("schedule", ["barrier", "window"])
-    def test_batched_matches_looped_serial(self, schedule):
-        assert self._records(True, schedule) == self._records(False, schedule)
+    def test_batched_matches_looped_serial(self):
+        assert self._records(True) == self._records(False)
 
     def test_batched_matches_looped_thread_backend(self):
-        assert (self._records(True, "barrier", backend="thread")
-                == self._records(False, "barrier", backend="serial"))
+        assert self._records(True, backend="thread") == self._records(False)
+
+    def test_window_fuses_every_refill_on_the_serial_backend(self, monkeypatch):
+        # the serial backend finishes a burst before submit returns; the
+        # window collects all of it, so the freed slots refill as one group
+        template = Template("beq_ridge", [IMPUTER, "sklearn.linear_model.Ridge"],
+                            init_params={IMPUTER: {"strategy": "mean"}})
+        task = synth.make_single_table_regression(n_samples=90, n_features=6, random_state=0)
+        sizes = []
+        submit_group = SerialBackend._submit_group
+
+        def recording(backend, candidates):
+            sizes.append(len(candidates))
+            return submit_group(backend, candidates)
+
+        monkeypatch.setattr(SerialBackend, "_submit_group", recording)
+
+        def records(batch_eval):
+            result = AutoBazaarSearch(
+                templates=[template], n_splits=2, random_state=0, n_pending=3,
+                batch_eval=batch_eval, tuner_class=UniformTuner,
+            ).search(task, budget=9)
+            return [(r.iteration, r.hyperparameters, r.score, r.error) for r in result.records]
+
+        batched = records(True)
+        assert sizes == [3, 3, 3]
+        del sizes[:]
+        assert batched == records(False)
+        assert sizes == [1] * 9
 
     def test_serial_backend_submit_many_equivalence(self):
         template = self._templates()[2]

@@ -331,6 +331,43 @@ class TestFormat1Snapshot:
             resume_run(run_dir)
 
 
+class TestManifestSchedule:
+    """Manifests written while a run could still pick a schedule."""
+
+    def _killed_run(self, tmp_path, schedule):
+        run_dir = tmp_path / "run"
+        run = _create(run_dir, budget=8, n_pending=3)
+        with pytest.raises(_StopRun):
+            run.execute(on_report=_kill_after(4))
+        path = os.path.join(run_dir, MANIFEST_NAME)
+        with open(path) as stream:
+            manifest = json.load(stream)
+        assert "schedule" not in manifest  # new manifests no longer write it
+        if schedule is not None:
+            manifest["schedule"] = schedule
+            with open(path, "w") as stream:
+                json.dump(manifest, stream, indent=2)
+        return run_dir
+
+    @pytest.mark.parametrize("schedule", ["window", None])
+    def test_window_or_unnamed_schedule_resumes(self, tmp_path, schedule):
+        reference = _create(tmp_path / "reference", budget=8, n_pending=3).execute()
+        resumed = resume_run(self._killed_run(tmp_path, schedule))
+        assert _stream(resumed.result.records) == _stream(reference.records)
+
+    def test_barrier_schedule_refused_before_anything_runs(self, tmp_path, monkeypatch):
+        from repro.automl import checkpoint
+
+        run_dir = self._killed_run(tmp_path, "barrier")
+
+        def never(*args, **kwargs):
+            raise AssertionError("the store of a refused run was opened")
+
+        monkeypatch.setattr(checkpoint, "PersistentPipelineStore", never)
+        with pytest.raises(CheckpointError, match="retired 'barrier' schedule"):
+            resume_run(run_dir)
+
+
 class TestResumeSafetyRails:
     def _killed_run(self, tmp_path, **overrides):
         run_dir = tmp_path / "run"

@@ -45,8 +45,8 @@ RUN_ENTRY_POINTS = ("ExperimentRun.execute", "resume_run", "cli-resume")
 #: resume at all, a fleet promotes the serial backend, and argparse
 #: rejects a value outside its ``choices`` itself (exit code 2).
 INVALID = [
-    ("unknown-schedule", {"schedule": "zigzag"}, ValueError, "Unknown schedule",
-     RUN_ENTRY_POINTS + ("cli", "cli-fleet")),
+    ("retired-schedule", {"schedule": "window"}, TypeError, "schedule",
+     ("cli", "cli-fleet", "cli-resume")),
     ("unknown-cache-mode", {"prefix_cache": "bogus"}, ValueError, "Unknown prefix-cache mode",
      ("cli", "cli-fleet", "cli-resume")),
     ("unknown-backend", {"backend": "cluster"}, ValueError, "Unknown backend",
@@ -194,10 +194,21 @@ def test_run_dir_telemetry_resolves_inside_a_run(workspace):
 
 
 def test_a_resume_cannot_pass_what_the_manifest_fixes(workspace):
-    for name in ("n_pending", "schedule"):
-        with pytest.raises(TypeError, match=name):
-            resume_run(workspace / "run", **{name: getattr(ExecutionConfig(), name)})
+    with pytest.raises(TypeError, match="n_pending"):
+        resume_run(workspace / "run", n_pending=1)
     assert set(STREAM_SHAPING) | set(EXECUTION_ONLY) == set(KNOBS)
+
+
+def test_the_schedule_is_no_option(workspace, capsys):
+    assert len(KNOBS) == 10
+    with pytest.raises(TypeError, match="schedule"):
+        ExperimentRun.create(workspace / "new-run", task_directory=workspace / "task",
+                             schedule="window")
+    assert not (workspace / "new-run").exists()
+    for parser, argv in ((build_parser(), ["task"]), (build_resume_parser(), ["run"])):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--schedule", "window"])
+    capsys.readouterr()
 
 
 def test_normalisation_happens_once_at_construction():
@@ -298,8 +309,7 @@ class _Kill(Exception):
 
 def test_batch_eval_may_differ_between_a_run_and_its_resume(tmp_path, capsys):
     task = synth.make_single_table_classification(n_samples=60, random_state=0)
-    options = dict(task=task, budget=8, n_splits=2, random_state=0, n_pending=3,
-                   schedule="barrier")
+    options = dict(task=task, budget=8, n_splits=2, random_state=0, n_pending=3)
 
     def digest(run):
         return record_stream_digest(run.store).hexdigest()

@@ -128,7 +128,9 @@ class TestProposer:
 
 
 class ScriptedBackend:
-    """Completes candidates newest first: always out of proposal order."""
+    """Completes candidates on submission, collected newest first: out of proposal order."""
+
+    collect_index = -1
 
     def __init__(self, log):
         self.log = log
@@ -145,9 +147,40 @@ class ScriptedBackend:
     def collect_one(self):
         if not self.outstanding:
             return None
-        candidate = self.outstanding.pop()
+        candidate = self.outstanding.pop(self.collect_index)
         self.log.append(("collect", candidate.iteration))
         return CandidateFuture(candidate, EvaluationOutcome(0.5, 0.5, None, 0.0))
+
+    def n_ready(self):
+        return len(self.outstanding)
+
+
+class InOrderBackend(ScriptedBackend):
+    """Collected oldest first: each completion is the next one to report."""
+
+    collect_index = 0
+
+
+class StragglerBackend(ScriptedBackend):
+    """Iteration 0 is a straggler: it completes only once nothing else is outstanding."""
+
+    def collect_one(self):
+        if self.outstanding and self.outstanding[-1].iteration == 0:
+            self.outstanding.insert(0, self.outstanding.pop())
+        return super().collect_one()
+
+    def n_ready(self):
+        return sum(candidate.iteration != 0 for candidate in self.outstanding)
+
+
+class SizeTrackingDict(dict):
+    """A reorder buffer that remembers the most entries it ever held."""
+
+    high_water = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.high_water = max(self.high_water, len(self))
 
 
 class FakeProposer:
@@ -171,25 +204,25 @@ class FakeReporter:
         self.log.append(("report", future.candidate.iteration))
 
 
-def run_window(budget=7, n_pending=3, schedule="window", replay_count=0, batch_eval=False,
-               max_seconds=None, start=None):
+def run_window(budget=7, n_pending=3, replay_count=0, batch_eval=False,
+               max_seconds=None, start=None, backend_class=ScriptedBackend):
     log = []
-    config = ExecutionConfig(n_pending=n_pending, schedule=schedule, batch_eval=batch_eval)
+    config = ExecutionConfig(n_pending=n_pending, batch_eval=batch_eval)
     proposer = FakeProposer(log, replay=[{}] * replay_count)
-    window = _Window(ScriptedBackend(log), proposer, config, budget, max_seconds,
+    window = _Window(backend_class(log), proposer, config, budget, max_seconds,
                      time.time() if start is None else start)
+    window.reorder = SizeTrackingDict()
     window.run(FakeReporter(log))
-    return log
+    return log, window
 
 
-def expected_interleave(budget, n_pending, barrier):
+def expected_interleave(budget, n_pending):
     """The serial propose/report order of the refill rule."""
     events, proposed = [], 0
     for reported in range(budget + 1):
-        if not barrier or proposed == reported:
-            while proposed < budget and proposed - reported < n_pending:
-                events.append(("propose", proposed))
-                proposed += 1
+        while proposed < budget and proposed - reported < n_pending:
+            events.append(("propose", proposed))
+            proposed += 1
         if reported < budget:
             events.append(("report", reported))
     return events
@@ -201,38 +234,48 @@ def only(log, *kinds):
 
 class TestWindow:
     def test_reports_in_order_each_replacement_before_the_next_report(self):
-        log = run_window()
+        log, _ = run_window()
         assert [entry for entry in log if entry[0] == "collect"][0] == ("collect", 2)
         assert only(log, "report") == [("report", k) for k in range(7)]
-        assert only(log, "propose", "report") == expected_interleave(7, 3, barrier=False)
+        assert only(log, "propose", "report") == expected_interleave(7, 3)
 
-    def test_barrier_proposes_the_next_round_after_the_whole_round(self):
-        log = run_window(schedule="barrier")
-        assert only(log, "propose", "report") == expected_interleave(7, 3, barrier=True)
+    def test_collects_every_ready_completion_before_reporting(self):
+        log, _ = run_window(backend_class=InOrderBackend)
+        assert only(log, "collect", "report")[:4] == [
+            ("collect", 0), ("collect", 1), ("collect", 2), ("report", 0)]
+        assert only(log, "propose", "report") == expected_interleave(7, 3)
 
-    @pytest.mark.parametrize("schedule", ["window", "barrier"])
-    def test_replayed_iterations_never_reach_the_backend(self, schedule):
-        log = run_window(schedule=schedule, replay_count=4)
-        assert only(log, "propose", "report") == expected_interleave(
-            7, 3, barrier=schedule == "barrier")
+    def test_replayed_iterations_never_reach_the_backend(self):
+        log, _ = run_window(replay_count=4)
+        assert only(log, "propose", "report") == expected_interleave(7, 3)
         touched = [entry[1] for entry in only(log, "submit", "collect")]
         assert sorted(touched) == [4, 4, 5, 5, 6, 6]
 
     def test_replay_frees_one_slot_per_flush(self):
         # the proposals a replayed report frees reach the backend one
         # flush each, exactly where a collected completion put them
-        log = run_window(replay_count=4, batch_eval=True)
+        log, _ = run_window(replay_count=4, batch_eval=True)
         assert only(log, "submit", "submit_many") == [
             ("submit", 4), ("submit", 5), ("submit", 6)]
 
-    def test_batch_eval_fuses_a_burst(self):
-        log = run_window(batch_eval=True)
-        assert only(log, "submit", "submit_many")[0] == ("submit_many", [0, 1, 2])
+    def test_batch_eval_fuses_every_burst(self):
+        # a burst collected together frees its slots together, so their
+        # replacements flush as one submission, not one at a time
+        log, _ = run_window(batch_eval=True, backend_class=InOrderBackend)
+        assert only(log, "submit", "submit_many") == [
+            ("submit_many", [0, 1, 2]), ("submit_many", [3, 4, 5]), ("submit", 6)]
+
+    def test_reorder_buffer_bounded_behind_a_straggler(self):
+        log, window = run_window(budget=12, n_pending=4, backend_class=StragglerBackend)
+        collected = [entry[1] for entry in only(log, "collect")]
+        assert collected[:4] == [3, 2, 1, 0]  # the straggler blocks the oldest slot
+        assert only(log, "propose", "report") == expected_interleave(12, 4)
+        assert window.reorder == {}
+        assert window.reorder.high_water == 4
 
     def test_passed_deadline_never_stops_replay_proposals(self):
-        log = run_window(replay_count=4, max_seconds=0.0, start=time.time() - 60)
-        assert only(log, "propose", "report") == (
-            expected_interleave(4, 3, barrier=False))
+        log, _ = run_window(replay_count=4, max_seconds=0.0, start=time.time() - 60)
+        assert only(log, "propose", "report") == expected_interleave(4, 3)
         assert only(log, "submit", "collect") == []
 
 
@@ -305,12 +348,11 @@ def stage_templates():
             for name in ("first", "second")]
 
 
-@pytest.mark.parametrize("schedule", ["window", "barrier"])
-def test_serial_event_stream_follows_the_refill_rule(task, tmp_path, schedule):
+def test_serial_event_stream_follows_the_refill_rule(task, tmp_path):
     budget = 8
     AutoBazaarSearch(
         templates=stage_templates(), n_splits=2, random_state=0, backend="serial",
-        n_pending=3, schedule=schedule, telemetry=str(tmp_path / "events"),
+        n_pending=3, telemetry=str(tmp_path / "events"),
     ).search(task, budget=budget)
     order = []
     for event in load_events(str(tmp_path / "events")):
@@ -322,7 +364,7 @@ def test_serial_event_stream_follows_the_refill_rule(task, tmp_path, schedule):
             continue
         if entry not in order:
             order.append(entry)
-    assert order == expected_interleave(budget, 3, barrier=schedule == "barrier")
+    assert order == expected_interleave(budget, 3)
 
 
 def _pool_leftovers():

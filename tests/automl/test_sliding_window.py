@@ -30,13 +30,13 @@ def timed_template(name, fit_seconds):
     return Template(name, [SLEEPY], init_params={SLEEPY: {"fit_seconds": fit_seconds}})
 
 
-def run_schedule(schedule, backend, workers=None, n_pending=3, budget=8):
+def run_skewed(backend, workers=None, n_pending=3, budget=8):
     """Record stream of a skew-heavy search (elapsed stripped)."""
     templates = [timed_template("slow_tpl", 0.08), timed_template("fast_tpl", 0.0)]
     task = synth.make_single_table_classification(n_samples=60, random_state=0)
     searcher = AutoBazaarSearch(
         templates=templates, n_splits=2, random_state=0, backend=backend,
-        workers=workers, n_pending=n_pending, schedule=schedule,
+        workers=workers, n_pending=n_pending,
     )
     result = searcher.search(task, budget=budget)
     documents = [record.to_dict() for record in result.records]
@@ -89,7 +89,7 @@ class StallHarness:
             return [i for i, entry in enumerate(self.log) if entry == (kind, name)]
 
 
-def stall_search(schedule, harness, monkeypatch, budget=5, n_pending=3):
+def stall_search(harness, monkeypatch, budget=5, n_pending=3):
     """Five single-evaluation templates; iteration == template position."""
     harness.install(monkeypatch)
     templates = [
@@ -102,7 +102,7 @@ def stall_search(schedule, harness, monkeypatch, budget=5, n_pending=3):
     task = synth.make_single_table_classification(n_samples=60, random_state=0)
     searcher = AutoBazaarSearch(
         templates=templates, n_splits=2, random_state=0, backend="thread",
-        workers=6, n_pending=n_pending, schedule=schedule,
+        workers=6, n_pending=n_pending,
     )
     return searcher.search(task, budget=budget)
 
@@ -116,7 +116,7 @@ class TestStragglerLiveness:
         # completion of this search proves the window kept 3 evaluations
         # (stall, light1's replacement chain, light2) in flight.
         harness = StallHarness(release_on="light2")
-        result = stall_search("window", harness, monkeypatch)
+        result = stall_search(harness, monkeypatch)
         assert result.n_evaluated == 5
         assert result.n_failed == 0
         assert [r.iteration for r in result.records] == [0, 1, 2, 3, 4]
@@ -126,24 +126,25 @@ class TestStragglerLiveness:
             harness.positions("start", "light3")
         )
 
-    def test_barrier_idles_behind_the_straggler(self, monkeypatch):
+    def test_barrier_idles_behind_the_straggler(self, monkeypatch, barrier_schedule):
         # contrast case: with the round barrier, light2 (round 2) may not
         # start while the stall (round 1) is still draining
         harness = StallHarness(release_on=None)
         done = {}
 
         def run():
-            done["result"] = stall_search("barrier", harness, monkeypatch)
+            done["result"] = stall_search(harness, monkeypatch)
 
-        thread = threading.Thread(target=run)
-        thread.start()
-        deadline = time.time() + 5
-        while harness.count("start", "light1") < 2 and time.time() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.2)  # give a (buggy) scheduler time to over-propose
-        assert harness.count("start", "light2") == 0
-        harness.event.set()
-        thread.join(timeout=15)
+        with barrier_schedule():
+            thread = threading.Thread(target=run)
+            thread.start()
+            deadline = time.time() + 5
+            while harness.count("start", "light1") < 2 and time.time() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # give a (buggy) scheduler time to over-propose
+            assert harness.count("start", "light2") == 0
+            harness.event.set()
+            thread.join(timeout=15)
         assert not thread.is_alive()
         assert done["result"].n_failed == 0
 
@@ -185,9 +186,9 @@ def run_scoring_workload(backend, workers=None):
 
 class TestSlidingWindowEquivalence:
     def test_serial_thread_process_identical_records(self):
-        serial = run_schedule("window", "serial")
-        thread = run_schedule("window", "thread", workers=3)
-        process = run_schedule("window", "process", workers=3)
+        serial = run_skewed("serial")
+        thread = run_skewed("thread", workers=3)
+        process = run_skewed("process", workers=3)
         assert serial == thread
         assert serial == process
 
@@ -198,18 +199,9 @@ class TestSlidingWindowEquivalence:
         assert serial == thread
         assert serial == process
 
-    def test_barrier_schedule_also_equivalent_across_backends(self):
-        serial = run_schedule("barrier", "serial")
-        process = run_schedule("barrier", "process", workers=3)
-        assert serial == process
-
     def test_records_reported_in_proposal_order(self):
-        documents = run_schedule("window", "process", workers=3)
+        documents = run_skewed("process", workers=3)
         assert [d["iteration"] for d in documents] == list(range(len(documents)))
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            AutoBazaarSearch(schedule="round-robin")
 
 
 class TestWorkerResidentCache:

@@ -81,7 +81,7 @@ class TestRoundTrip:
         )
         searcher = AutoBazaarSearch(
             templates=[template], n_splits=2, random_state=0,
-            schedule="barrier", n_pending=4, batch_eval=True,
+            n_pending=4, batch_eval=True,
             tuner_class=UniformTuner, telemetry=events_dir,
         )
         task = synth.make_single_table_regression(
