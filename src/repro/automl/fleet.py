@@ -77,6 +77,7 @@ from repro.automl.backends import (
 from repro.automl.config import ExecutionConfig
 from repro.automl.prefix_cache import open_cache_dir
 from repro.automl.supervisor import SupervisedWorkerPool
+from repro.lazyimport import import_module
 from repro.telemetry.sink import emit_active
 
 #: Pass-value charge for a tenant's first folds, before any measured cost
@@ -195,6 +196,11 @@ class FleetCoordinator:
         self.cache_dir, self._owned_cache_dir = open_cache_dir(
             config.prefix_cache, config.cache_dir, "repro-fleet-cache-")
         if config.backend == "process":
+            # forked workers inherit this process's modules; one that a fold
+            # imports on first use would be imported by every worker of every
+            # pool instead.  networkx.pagerank (graph features) imports
+            # scipy.sparse, the one such module in the catalog.
+            import_module("scipy.sparse")
             self._executor = SupervisedWorkerPool(
                 max_workers=workers, initializer=_start_worker,
                 fold_timeout=config.fold_timeout,

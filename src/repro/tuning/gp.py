@@ -11,11 +11,20 @@ one, so a refit reuses what the previous fit of the same instance computed:
 the Gram matrix block of the rows both fits share.  The reuse is exact, not
 an approximation — every refit returns bit for bit what a fresh instance
 returns on the same data (see :class:`GaussianProcessRegressor`).
+
+SciPy is needed by these meta-models only, so it is imported on their first
+fit or prediction (through :func:`repro.lazyimport.import_module`, which no
+fork can interrupt), not with this module: importing the package or running
+a search whose tuners never fit a GP loads no SciPy module at all.  Only
+``scipy.linalg`` (Cholesky) and ``scipy.special`` (the normal quantile and
+CDF) are used; the copula's average ranks are computed here in NumPy, and
+``ndtri`` / ``ndtr`` are what ``scipy.stats.norm.ppf`` / ``.cdf`` evaluate,
+so the values are the same to the bit without importing ``scipy.stats``.
 """
 
 import numpy as np
-from scipy import linalg, stats
 
+from repro.lazyimport import import_module
 from repro.learners.base import BaseEstimator
 
 
@@ -57,6 +66,28 @@ KERNELS = {
     "se": _squared_exponential,
     "matern52": _matern52,
 }
+
+
+def average_ranks(values):
+    """Ranks from 1, ties sharing their mean rank: ``scipy.stats.rankdata(method="average")``.
+
+    Average ranks are integers or half-integers, so they are exact in floating
+    point and equal SciPy's bit for bit.
+    """
+    values = np.asarray(values).ravel()
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    starts = np.r_[True, sorted_values[1:] != sorted_values[:-1]]
+    group = np.cumsum(starts) - 1
+    bounds = np.r_[np.flatnonzero(starts), len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
+def _check_finite(X, y):
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("Cannot fit a Gaussian process on non-finite X or y")
 
 
 def _common_prefix(A, B):
@@ -138,10 +169,12 @@ class GaussianProcessRegressor(BaseEstimator):
         return grams
 
     def fit(self, X, y):
+        linalg = import_module("scipy.linalg")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         if X.shape[0] != len(y):
             raise ValueError("X and y have inconsistent lengths")
+        _check_finite(X, y)
         if self.normalize_y:
             self._y_mean = float(y.mean())
             self._y_std = float(y.std()) or 1.0
@@ -172,6 +205,7 @@ class GaussianProcessRegressor(BaseEstimator):
     def predict(self, X, return_std=True):
         """Posterior mean (and standard deviation) at the query points."""
         self._check_fitted("_alpha")
+        linalg = import_module("scipy.linalg")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         cross = self._kernel_fn()(_pairwise_sq_dists(X, self._X_train, self.length_scale_))
         mean = cross @ self._alpha
@@ -202,10 +236,10 @@ class GaussianCopulaProcessRegressor(BaseEstimator):
 
     def fit(self, X, y):
         y = np.asarray(y, dtype=float).ravel()
+        _check_finite(X, y)
         self._sorted_y = np.sort(y)
-        ranks = stats.rankdata(y, method="average")
-        uniform = ranks / (len(y) + 1.0)
-        normal_scores = stats.norm.ppf(uniform)
+        uniform = average_ranks(y) / (len(y) + 1.0)
+        normal_scores = import_module("scipy.special").ndtri(uniform)
         if not hasattr(self, "_gp"):
             self._gp = GaussianProcessRegressor(normalize_y=False)
         self._gp.set_params(kernel=self.kernel, noise=self.noise)
@@ -217,7 +251,7 @@ class GaussianCopulaProcessRegressor(BaseEstimator):
         self._check_fitted("_gp")
         mean, std = self._gp.predict(X, return_std=True)
         # map the latent mean back through the empirical quantile function
-        uniform = stats.norm.cdf(mean)
+        uniform = import_module("scipy.special").ndtr(mean)
         positions = uniform * (len(self._sorted_y) - 1)
         mapped_mean = np.interp(positions, np.arange(len(self._sorted_y)), self._sorted_y)
         if not return_std:

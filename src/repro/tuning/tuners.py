@@ -7,9 +7,10 @@ that maximizes the expected score given everything recorded so far.
 
 import numpy as np
 
+from repro.lazyimport import import_module
 from repro.learners.base import check_random_state
 from repro.tuning.acquisition import ACQUISITIONS
-from repro.tuning.gp import GaussianCopulaProcessRegressor, GaussianProcessRegressor
+from repro.tuning.gp import GaussianCopulaProcessRegressor, GaussianProcessRegressor, average_ranks
 from repro.tuning.hyperparams import Tunable
 
 
@@ -353,11 +354,10 @@ class GCPEiTuner(GPTuner):
         # pending constant-liar points) so the EI threshold and the model
         # share one latent scale — the lies equal the observed minimum, so
         # the maximum rank still belongs to the best real score
-        from scipy import stats
-
         _, training_scores = self._training_data()
-        ranks = stats.rankdata(training_scores, method="average")
-        best_latent = stats.norm.ppf(ranks.max() / (len(training_scores) + 1.0))
+        ranks = average_ranks(training_scores)
+        ndtri = import_module("scipy.special").ndtri
+        best_latent = ndtri(ranks.max() / (len(training_scores) + 1.0))
         acquisition_fn = ACQUISITIONS["ei"]
         return acquisition_fn(mean, std, best=best_latent)
 

@@ -55,6 +55,13 @@ def test_lint_tests_and_smoke_runs_are_distinct_jobs(workflow):
     assert ["python -m repro.automl --help", "python -m repro.automl resume --help"] in [
         step.get("run", "").split("\n")[:2] for step in jobs["lint"]["steps"]
     ]
+    # then the set-up import breakdown is printed (report only)
+    lint_runs = [step.get("run", "") for step in jobs["lint"]["steps"]]
+    footprint = [index for index, run in enumerate(lint_runs)
+                 if "scripts/import_footprint.py" in run]
+    parsers = [index for index, run in enumerate(lint_runs)
+               if "python -m repro.automl resume --help" in run]
+    assert footprint and parsers and footprint[0] > parsers[0]
     assert any("python -m pytest -x -q" in step.get("run", "")
                for step in jobs["tests"]["steps"])
     assert any('-k "pipeline_engine"' in step.get("run", "")
@@ -150,6 +157,9 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
     # so does the Louvain memo shared by thread tenants across a fork
     assert any("tests/automl/test_louvain_memo_fleet.py" in line and "-x" in line
                and "|| exit 1" in line for line in loop)
+    # and a first SciPy import on a tenant thread while other threads fork
+    assert any("tests/automl/test_lazy_import_fork.py" in line and "-x" in line
+               and "|| exit 1" in line for line in loop)
     # the pair that once hung the fleet (ROADMAP item 0), stress-looped together
     stress = [run for run in runs if "tests/automl/test_session_and_cli.py" in run
               and "tests/telemetry/test_replayer.py" in run]
@@ -167,6 +177,8 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
                                        "test_refit_on_backend.py"))
     assert os.path.exists(os.path.join(root, "tests", "automl",
                                        "test_louvain_memo_fleet.py"))
+    assert os.path.exists(os.path.join(root, "tests", "automl",
+                                       "test_lazy_import_fork.py"))
     assert os.path.exists(os.path.join(root, "benchmarks",
                                        "test_bench_fault_tolerance.py"))
 

@@ -118,6 +118,30 @@ class TestGaussianCopulaProcess:
         assert mean[1] > mean[0]
 
 
+@pytest.mark.parametrize("model_class",
+                         [GaussianProcessRegressor, GaussianCopulaProcessRegressor])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_non_finite_data_raises_and_keeps_the_fitted_model(rng, model_class, bad, where):
+    # unchecked, a NaN target gives the GP a NaN model and the copula a
+    # finite, wrong one (a NaN score ranks on its own)
+    X = rng.uniform(size=(8, 2))
+    y = rng.uniform(size=8)
+    model = model_class().fit(X, y)
+    before = model.predict(X)
+    bad_X, bad_y = X.copy(), y.copy()
+    if where == "X":
+        bad_X[3, 1] = bad
+    else:
+        bad_y[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        model.fit(bad_X, bad_y)
+    with pytest.raises(ValueError, match="non-finite"):
+        model_class().fit(bad_X, bad_y)
+    for kept, again in zip(before, model.predict(X)):
+        assert np.array_equal(kept, again)
+
+
 class TestAcquisitionFunctions:
     def test_ei_zero_when_no_improvement_possible(self):
         ei = expected_improvement(np.array([0.0]), np.array([1e-12]), best=10.0)
