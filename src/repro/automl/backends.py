@@ -720,8 +720,8 @@ class _RefitFuture(_PooledCandidateFuture):
         self._completion_queue.put(self)
 
 
-def _job_payloads(job, n_members):
-    """One fold payload per member from a finished executor job.
+def _job_payloads(job, futures):
+    """One fold payload per member future from a finished executor job.
 
     The job of a lone candidate (:func:`evaluate_fold_indices`) returns
     its payload; a fused group job returns one payload per member, in
@@ -730,9 +730,13 @@ def _job_payloads(job, n_members):
     to every member and recorded like any pipeline failure instead of
     killing the search.
     """
+    n_members = len(futures)
     solo = n_members == 1
     if job.cancelled():
-        if solo:
+        if solo and futures[0]._pruned_reason is not None:
+            # the candidate was pruned; its outcome carries the reason
+            error = "CancelledError: pruned, " + futures[0]._pruned_reason
+        elif solo:
             # cancelled because an earlier fold already failed; the real
             # error sits earlier in fold order, so this never wins the
             # first-failing-fold aggregation
@@ -1003,7 +1007,7 @@ class _PoolBackend(ExecutionBackend):
     def _file_job(self, futures, index, job):
         """Done-callback of an executor job: one payload to each member's future."""
         try:
-            for future, payload in zip(futures, _job_payloads(job, len(futures))):
+            for future, payload in zip(futures, _job_payloads(job, futures)):
                 future._record(index, payload)
         finally:
             self._jobs.discard(job)

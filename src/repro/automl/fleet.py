@@ -33,11 +33,12 @@ work stealing (the executor)
     idle worker picks them up — the fold-level work-stealing dispatch of
     :mod:`repro.automl.backends`, unchanged.
 
-Admission is bounded twice: globally (``workers + max_backlog`` folds
-admitted at once, so the fair-share layer keeps control of the interleave
-instead of dumping every queue into the executor) and per tenant
-(``max_inflight``, replacing the private ``n_pending`` window as the
-tenant's concurrency cap).  A tenant's fold is a stdlib
+Admission is bounded once, globally: at most twice the worker count folds
+are admitted at a time — enough queued work that workers never idle
+between admissions, few enough that the fair-share layer keeps control of
+the interleave instead of dumping every queue into the executor.  No
+tenant has a cap of its own; the stride order is what keeps an expensive
+or bursty tenant from crowding out the others.  A tenant's fold is a stdlib
 :class:`~concurrent.futures.Future` that can be cancelled until it is
 admitted: a failing fold cancelling its later siblings, pruning discarding
 a candidate's queue and a released tenant all cancel folds in the
@@ -105,10 +106,9 @@ class _FoldJob:
 class _TenantState:
     """Fair-share accounting for one registered tenant."""
 
-    def __init__(self, name, weight, max_inflight):
+    def __init__(self, name, weight):
         self.name = name
         self.weight = float(weight)
-        self.max_inflight = int(max_inflight)
         self.queue = deque()
         self.inflight = 0
         self.pass_value = 0.0
@@ -137,11 +137,6 @@ class FleetCoordinator:
 
     Parameters
     ----------
-    max_backlog:
-        Folds admitted to the executor beyond the worker count (default:
-        the worker count) — enough queued work that workers never idle
-        between admissions, small enough that fair share, cancellation and
-        pruning keep their grip on the interleave.
     backend, **execution:
         The execution knobs (see
         :class:`~repro.automl.config.ExecutionConfig`), kept as
@@ -157,7 +152,7 @@ class FleetCoordinator:
         tenants' searches.
     """
 
-    def __init__(self, backend="process", max_backlog=None, **execution):
+    def __init__(self, backend="process", **execution):
         config = ExecutionConfig.from_keywords(execution, backend=backend)
         if config.backend not in ("process", "thread"):
             raise ValueError(
@@ -165,14 +160,12 @@ class FleetCoordinator:
                 "not {!r}".format(config.backend)
             )
         workers = resolve_workers(config.workers)
-        backlog = workers if max_backlog is None else int(max_backlog)
-        if backlog < 0:
-            raise ValueError("max_backlog must be non-negative")
         # every argument is valid by now: nothing below raises for a bad
         # one after a worker, a thread or a directory exists
         self.execution = config
         self.workers = workers
-        self._max_admitted = workers + backlog
+        # one queued fold per worker behind the running ones
+        self._max_admitted = 2 * workers
         self._lock = threading.Lock()
         self._tenants = {}
         self._admitted = 0
@@ -212,17 +205,15 @@ class FleetCoordinator:
 
     # -- tenant lifecycle ---------------------------------------------------------
 
-    def register(self, name=None, weight=1.0, max_inflight=None):
+    def register(self, name=None, weight=1.0):
         """Register a tenant; returns its :class:`~repro.automl.backends.TenantBackend`.
 
         ``weight`` scales the tenant's fair share (a weight-2 tenant gets
-        twice the fold throughput of a weight-1 tenant under contention);
-        ``max_inflight`` caps its concurrently admitted folds (default:
-        the global admission cap — effectively uncapped).
+        twice the fold throughput of a weight-1 tenant under contention).
         """
-        return TenantBackend(self, self._add_tenant(name, weight, max_inflight))
+        return TenantBackend(self, self._add_tenant(name, weight))
 
-    def _add_tenant(self, name=None, weight=1.0, max_inflight=None):
+    def _add_tenant(self, name=None, weight=1.0):
         """The fair-share state of a newly registered tenant (see :meth:`register`)."""
         weight = float(weight)
         if not weight > 0:
@@ -234,12 +225,7 @@ class FleetCoordinator:
                 name = "tenant-{}".format(next(self._tenant_ids))
             if name in self._tenants:
                 raise ValueError("tenant {!r} is already registered".format(name))
-            if max_inflight is None:
-                max_inflight = self._max_admitted
-            max_inflight = int(max_inflight)
-            if max_inflight < 1:
-                raise ValueError("max_inflight must be at least 1")
-            state = _TenantState(name, weight, max_inflight)
+            state = _TenantState(name, weight)
             active = [tenant.pass_value for tenant in self._tenants.values()]
             # join at the current minimum pass: a newcomer owes nothing for
             # throughput it never consumed, and cannot monopolize either
@@ -304,9 +290,8 @@ class FleetCoordinator:
         while self._admitted < self._max_admitted:
             best = None
             for state in self._tenants.values():
-                if not state.queue or state.inflight >= state.max_inflight:
-                    continue
-                if best is None or (state.pass_value, state.name) < (best.pass_value, best.name):
+                if state.queue and (best is None or (state.pass_value, state.name)
+                                    < (best.pass_value, best.name)):
                     best = state
             if best is None:
                 break
@@ -493,7 +478,6 @@ class FleetCoordinator:
             stats = {
                 "tenant": state.name,
                 "weight": state.weight,
-                "max_inflight": state.max_inflight,
                 "folds_dispatched": state.folds_dispatched,
                 "fold_seconds": state.fold_seconds,
                 "queue_depth_hwm": state.queue_hwm,

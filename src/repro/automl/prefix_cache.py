@@ -54,10 +54,10 @@ from repro.telemetry.events import capture_event
 #: Recognized cache modes (the CLI ``--prefix-cache`` values).
 PREFIX_CACHE_MODES = ("off", "mem", "disk")
 
-#: Default number of fitted-prefix entries kept in the per-process LRU.
+#: Fitted-prefix entries kept in each per-process memory LRU.
 DEFAULT_MAX_ENTRIES = 64
 
-#: Default cap on entries kept in the disk tier (swept oldest-first).
+#: Cap on the entry files kept in a disk tier (swept oldest-first).
 DEFAULT_MAX_DISK_ENTRIES = 4096
 
 #: Disk writes between sweeps of the disk tier (amortizes the directory scan).
@@ -80,8 +80,8 @@ def normalize_prefix_cache_mode(mode):
     return mode
 
 
-def make_prefix_cache_config(mode, cache_dir=None, max_entries=DEFAULT_MAX_ENTRIES):
-    """Build the picklable cache-config tuple shipped to workers.
+def make_prefix_cache_config(mode, cache_dir=None):
+    """Build the picklable ``(mode, cache_dir)`` config tuple shipped to workers.
 
     Returns ``None`` for mode ``"off"`` (or ``None``), which disables
     caching everywhere downstream.  Mode ``"disk"`` requires an explicit
@@ -91,14 +91,11 @@ def make_prefix_cache_config(mode, cache_dir=None, max_entries=DEFAULT_MAX_ENTRI
     mode = normalize_prefix_cache_mode(mode)
     if mode == "off":
         return None
-    max_entries = int(max_entries)
-    if max_entries < 1:
-        raise ValueError("max_entries must be at least 1")
     if mode == "disk":
         if not cache_dir:
             raise ValueError("prefix-cache mode 'disk' requires a cache directory")
-        return ("disk", str(cache_dir), max_entries)
-    return ("mem", None, max_entries)
+        return ("disk", str(cache_dir))
+    return ("mem", None)
 
 
 class FittedPrefixCache:
@@ -109,6 +106,15 @@ class FittedPrefixCache:
     that made it counts it (``MLPipeline.prefix_cache_info``), which is
     what a search's ``cache_stats`` sums.
 
+    The memory LRU keeps :data:`DEFAULT_MAX_ENTRIES` fitted prefixes.  The
+    disk tier keeps at most :data:`DEFAULT_MAX_DISK_ENTRIES` entry files:
+    a search pointed at a temporary directory never approaches the cap,
+    but an explicit shared ``cache_dir`` reused across searches and runs
+    would otherwise grow without bound, so every
+    ``_DISK_SWEEP_INTERVAL``-th write sweeps the oldest entries (by
+    modification time) back under it.  Concurrent sweepers are safe — a
+    lost race is just an already-deleted file.
+
     Parameters
     ----------
     cache_dir:
@@ -116,32 +122,15 @@ class FittedPrefixCache:
         ``None`` for a memory-only cache.  The directory is created on
         first use; concurrent writers are safe because entries are
         written to a temporary file and atomically renamed into place.
-    max_entries:
-        Fitted prefixes kept in the in-memory LRU.
-    max_disk_entries:
-        Cap on the entry files kept in the disk tier.  A search pointed
-        at a temporary directory never approaches it, but an explicit
-        shared ``cache_dir`` reused across searches and runs would
-        otherwise grow without bound; every ``_DISK_SWEEP_INTERVAL``-th
-        write sweeps the oldest entries (by modification time) back
-        under the cap.  Concurrent sweepers are safe — a lost race is
-        just an already-deleted file.
     """
 
-    def __init__(self, cache_dir=None, max_entries=DEFAULT_MAX_ENTRIES,
-                 max_disk_entries=DEFAULT_MAX_DISK_ENTRIES):
+    def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         if cache_dir is not None:
             # reclaim temp files orphaned by writers that were SIGKILLed
             # mid-write (the supervised pool kills hung workers); live
             # writers are safe — their pid rides in the filename
             sweep_orphan_cache_tmp(cache_dir)
-        self.max_entries = int(max_entries)
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        self.max_disk_entries = int(max_disk_entries)
-        if self.max_disk_entries < 1:
-            raise ValueError("max_disk_entries must be at least 1")
         self._writes_since_sweep = 0
         self._entries = OrderedDict()
         self._lock = threading.Lock()
@@ -180,7 +169,7 @@ class FittedPrefixCache:
     def _remember(self, fingerprint, artifacts):
         self._entries[fingerprint] = artifacts
         self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > DEFAULT_MAX_ENTRIES:
             self._entries.popitem(last=False)
 
     def __len__(self):
@@ -259,18 +248,18 @@ class FittedPrefixCache:
                 ]
         except OSError:
             return
-        excess = len(entries) - self.max_disk_entries
+        excess = len(entries) - DEFAULT_MAX_DISK_ENTRIES
         if excess <= 0:
             return
         # drop a little below the cap so back-to-back writes do not
         # trigger a full scan per sweep interval at the boundary
-        excess += max(1, self.max_disk_entries // 10)
+        excess += max(1, DEFAULT_MAX_DISK_ENTRIES // 10)
         for _, path in sorted(entries)[:excess]:
             _unlink_quietly(path)
 
     def __repr__(self):
-        return "FittedPrefixCache(cache_dir={!r}, max_entries={}, entries={})".format(
-            self.cache_dir, self.max_entries, len(self)
+        return "FittedPrefixCache(cache_dir={!r}, entries={})".format(
+            self.cache_dir, len(self)
         )
 
 
@@ -374,8 +363,7 @@ def resolve_prefix_cache(cache_config):
     with _RESOLVE_LOCK:
         cache = _PROCESS_CACHES.get(cache_config)
         if cache is None:
-            _, cache_dir, max_entries = cache_config
-            cache = FittedPrefixCache(cache_dir=cache_dir, max_entries=max_entries)
+            cache = FittedPrefixCache(cache_dir=cache_config[1])
             _PROCESS_CACHES[cache_config] = cache
         _PROCESS_CACHES.move_to_end(cache_config)
         while len(_PROCESS_CACHES) > _MAX_PROCESS_CACHES:

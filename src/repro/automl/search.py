@@ -316,9 +316,14 @@ def _active_sink(telemetry):
 
 
 def _emit(telemetry, etype, **fields):
-    """Emit one search event on a ``(sink, tenant)`` context, if telemetry is on."""
+    """Emit one search event on a ``(sink, tenant)`` context, if telemetry is on.
+
+    A sink whose writer has failed raises here, so the search fails fast;
+    the emit points on callback and pool threads only drop their events.
+    """
     if telemetry is not None:
         telemetry[0].emit(etype, tenant=telemetry[1], **fields)
+        telemetry[0].raise_if_failed()
 
 
 class _Proposer:

@@ -455,7 +455,7 @@ def _pid_alive(pid):
     return True
 
 
-def sweep_stale_segments(directory=_SHM_DIR):
+def sweep_stale_segments():
     """Unlink segments whose publishing process is gone (crash cleanup).
 
     Scans the shared-memory filesystem for this module's segment names,
@@ -465,7 +465,7 @@ def sweep_stale_segments(directory=_SHM_DIR):
     """
     removed = []
     try:
-        names = os.listdir(directory)
+        names = os.listdir(_SHM_DIR)
     except OSError:
         return removed
     own_pid = os.getpid()
@@ -480,7 +480,7 @@ def sweep_stale_segments(directory=_SHM_DIR):
         if pid == own_pid or _pid_alive(pid):
             continue
         try:
-            os.unlink(os.path.join(directory, name))
+            os.unlink(os.path.join(_SHM_DIR, name))
             removed.append(name)
         except OSError:
             pass

@@ -15,22 +15,20 @@ with real :class:`concurrent.futures.Future` objects) that owns its worker
 processes directly, one task pipe and one result pipe per worker, so a
 killed worker corrupts only its own channels:
 
-* **liveness over the existing result channel** — each worker runs a
-  heartbeat thread that periodically sends a liveness message on its
-  result pipe (no second IPC mechanism), plus an explicit ``started``
-  message when it picks up a fold;
 * **fold deadlines** — with a ``fold_timeout``, a supervisor thread tracks
-  how long each dispatched fold has been running; past it the offending
-  worker is SIGKILLed and the fold handled like any worker death
-  (``None``, the default, sets no deadline);
+  how long each dispatched fold has been running, counted from the
+  ``started`` message the worker sends on its result pipe when it picks
+  the fold up; past it the offending worker is SIGKILLed and the fold
+  handled like any worker death (``None``, the default, sets no deadline);
 * **pool rebuild** — a dead worker (crash, kill, deadline) is detected
-  through its process sentinel and replaced with a freshly spawned
-  worker immediately; the in-flight fold of the dead worker is requeued
-  while folds on the surviving workers keep running — the rebuild is a
-  per-worker respawn, never an executor-wide collapse;
+  through its process sentinel or EOF on its result pipe and replaced
+  with a freshly spawned worker immediately; the in-flight fold of the
+  dead worker is requeued while folds on the surviving workers keep
+  running — the rebuild is a per-worker respawn, never an executor-wide
+  collapse;
 * **retry with exponential backoff + poison-fold quarantine** — a
-  requeued fold waits ``retry_backoff * 2**(attempt-1)`` seconds, and a
-  fold that crashes its worker more than ``max_fold_retries`` times is
+  requeued fold waits ``DEFAULT_RETRY_BACKOFF * 2**(attempt-1)`` seconds,
+  and a fold that crashes its worker more than ``max_fold_retries`` times is
   completed with a :class:`WorkerCrashError` (or
   :class:`FoldTimeoutError`), which the pool machinery records as a
   failed evaluation through the existing ``record_failure`` path.
@@ -67,9 +65,6 @@ DEFAULT_MAX_FOLD_RETRIES = 1
 
 #: Base of the exponential retry backoff (seconds).
 DEFAULT_RETRY_BACKOFF = 0.05
-
-#: Worker heartbeat period on the result channel (seconds).
-DEFAULT_HEARTBEAT_SECONDS = 1.0
 
 #: Supervisor poll tick when nothing else bounds the wait (seconds).
 _TICK_SECONDS = 0.5
@@ -112,28 +107,24 @@ class FoldTimeoutError(RuntimeError):
     """The fold exceeded the configured deadline (post-retry)."""
 
 
-def _worker_main(task_conn, result_conn, initializer, initargs, heartbeat_seconds):
+def _worker_main(task_conn, result_conn, initializer):
     """Worker process main loop: recv a fold job, run it, send the payload.
 
-    All sends (results, the ``started`` marker and the heartbeat thread's
-    liveness messages) share one lock over the worker's result pipe.  A
-    send failure means the coordinator is gone, so the worker exits hard
-    rather than computing for nobody.
+    The worker is single-threaded: it sends the ``started`` marker, then
+    the result, on its result pipe.  A send failure means the coordinator
+    is gone, so the worker exits hard rather than computing for nobody.
     """
     from repro.automl import faultinject
 
-    send_lock = threading.Lock()
-
     def send(message):
         try:
-            with send_lock:
-                result_conn.send(message)
+            result_conn.send(message)
         except Exception:  # noqa: BLE001 - the coordinator vanished
             os._exit(1)
 
     try:
         if initializer is not None:
-            initializer(*initargs)
+            initializer()
         else:
             # the initializer normally arms the fault plan; without one
             # the env-configured hook still has to reach this worker
@@ -142,15 +133,6 @@ def _worker_main(task_conn, result_conn, initializer, initargs, heartbeat_second
         send(("init_failed", traceback.format_exc()))
         return
 
-    current = {"job": None}
-    stop = threading.Event()
-
-    def beat():
-        while not stop.wait(heartbeat_seconds):
-            send(("heartbeat", current["job"]))
-
-    if heartbeat_seconds and heartbeat_seconds > 0:
-        threading.Thread(target=beat, name="worker-heartbeat", daemon=True).start()
     send(("ready",))
 
     while True:
@@ -161,7 +143,6 @@ def _worker_main(task_conn, result_conn, initializer, initargs, heartbeat_second
         if message is None:
             break
         job_id, fn, args, kwargs = message
-        current["job"] = job_id
         send(("started", job_id))
         try:
             result = fn(*args, **kwargs)
@@ -172,19 +153,16 @@ def _worker_main(task_conn, result_conn, initializer, initargs, heartbeat_second
                 pickle.dumps(failure)
             except Exception:  # noqa: BLE001 - unpicklable exceptions degrade
                 failure = RuntimeError(repr(failure))
-            current["job"] = None
             send(("error", job_id, failure))
         else:
-            current["job"] = None
             send(("done", job_id, result))
-    stop.set()
 
 
 class _Worker:
     """Coordinator-side bookkeeping for one worker process."""
 
     __slots__ = ("process", "task_conn", "result_conn", "job", "deadline",
-                 "ready", "killing", "last_heartbeat")
+                 "ready", "killing")
 
     def __init__(self, process, task_conn, result_conn):
         self.process = process
@@ -194,7 +172,6 @@ class _Worker:
         self.deadline = None
         self.ready = False
         self.killing = None  # why this worker was deliberately killed
-        self.last_heartbeat = time.monotonic()
 
 
 class _Job:
@@ -247,35 +224,25 @@ class SupervisedWorkerPool:
     ----------
     max_workers:
         Worker process count.
-    initializer, initargs:
-        Run once in every (re)spawned worker, exactly like a standard
-        library process pool's initializer.
+    initializer:
+        Called with no arguments once in every (re)spawned worker, like a
+        standard library process pool's initializer.
     fold_timeout:
         Seconds a dispatched fold may run before its worker is killed
         and the fold retried; ``None`` disables deadline enforcement.
     max_fold_retries:
         Crash/timeout retries per fold before it is quarantined as a
         failed evaluation; ``None`` means :data:`DEFAULT_MAX_FOLD_RETRIES`.
-    retry_backoff:
-        Base of the exponential backoff between retries (seconds).
-    heartbeat_seconds:
-        Worker liveness period on the result channel; ``0`` disables the
-        heartbeat thread (death detection still works via sentinels).
     """
 
-    def __init__(self, max_workers, initializer=None, initargs=(),
-                 fold_timeout=None, max_fold_retries=None,
-                 retry_backoff=DEFAULT_RETRY_BACKOFF,
-                 heartbeat_seconds=DEFAULT_HEARTBEAT_SECONDS):
+    def __init__(self, max_workers, initializer=None, fold_timeout=None,
+                 max_fold_retries=None):
         self.max_workers = int(max_workers)
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.fold_timeout, retries = supervision_knobs(fold_timeout, max_fold_retries)
         self.max_fold_retries = DEFAULT_MAX_FOLD_RETRIES if retries is None else retries
-        self.retry_backoff = float(retry_backoff)
-        self.heartbeat_seconds = heartbeat_seconds
         self._initializer = initializer
-        self._initargs = tuple(initargs)
         self._context = get_context()
         self._lock = threading.RLock()
         self._queue = deque()
@@ -371,8 +338,7 @@ class SupervisedWorkerPool:
         result_r, result_w = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(task_r, result_w, self._initializer, self._initargs,
-                  self.heartbeat_seconds),
+            args=(task_r, result_w, self._initializer),
             name="supervised-worker",
             daemon=True,
         )
@@ -436,7 +402,7 @@ class SupervisedWorkerPool:
             return
         job.attempts += 1
         self.stats["folds_retried"] += 1
-        delay = self.retry_backoff * (2 ** (job.attempts - 1))
+        delay = DEFAULT_RETRY_BACKOFF * (2 ** (job.attempts - 1))
         emit_active("fold_retried", fold_job=job.id, attempt=job.attempts,
                     reason=reason, backoff_seconds=delay)
         listener = self._fault_listener
@@ -549,8 +515,6 @@ class SupervisedWorkerPool:
         kind = message[0]
         if kind == "ready":
             worker.ready = True
-        elif kind == "heartbeat":
-            worker.last_heartbeat = time.monotonic()
         elif kind == "started":
             if self.fold_timeout is not None and worker.job is not None:
                 worker.deadline = time.monotonic() + self.fold_timeout

@@ -24,7 +24,7 @@ Design points:
   fsyncs, trading throughput for power-loss safety (a plain flush already
   survives ``SIGKILL``, which only discards user-space buffers).
 * **Segment rotation.**  When the active segment exceeds
-  ``max_segment_bytes`` the log rotates to a fresh file, bounding the
+  :data:`DEFAULT_SEGMENT_BYTES` the log rotates to a fresh file, bounding the
   blast radius of any single corrupted file and keeping per-file repair
   cheap.  Rotation commits the new segment name to the ``MANIFEST``
   *before* creating the file, so a crash between the two steps leaves a
@@ -72,6 +72,8 @@ import re
 import threading
 from contextlib import contextmanager
 
+import numpy as np
+
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
@@ -90,12 +92,21 @@ _PRESENCE_LOCK = "writers.lock"
 #: across processes sharing one store directory.
 _OPS_LOCK = "ops.lock"
 
-#: Default rotation threshold for the active segment (bytes).
+#: Rotation threshold for the active segment (bytes).
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
 
 class StoreCorruptionError(RuntimeError):
     """A segment holds an unparsable document outside the repairable tail."""
+
+
+def _numpy_default(value):
+    """``json.dumps`` hook: a NumPy scalar or array as the value ``normalize_value`` gives."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError("Object of type {} is not JSON serializable".format(type(value).__name__))
 
 
 def _fsync_directory(directory):
@@ -120,8 +131,6 @@ class SegmentLog:
     directory:
         Directory holding the manifest and segment files (created if
         needed).
-    max_segment_bytes:
-        Rotation threshold for the active segment.
     durability:
         ``"flush"`` (default) flushes each appended line to the OS —
         crash-safe against process death (``SIGKILL``); ``"fsync"``
@@ -133,16 +142,12 @@ class SegmentLog:
 
     MANIFEST_NAME = "MANIFEST"
 
-    def __init__(self, directory, max_segment_bytes=DEFAULT_SEGMENT_BYTES,
-                 durability="flush", compact_on_open=True):
+    def __init__(self, directory, durability="flush", compact_on_open=True):
         if durability not in ("flush", "fsync"):
             raise ValueError(
                 "Unknown durability {!r}; expected 'flush' or 'fsync'".format(durability)
             )
         self.directory = str(directory)
-        self.max_segment_bytes = int(max_segment_bytes)
-        if self.max_segment_bytes < 1:
-            raise ValueError("max_segment_bytes must be positive")
         self.durability = durability
         self.compact_on_open = compact_on_open
         self._lock = threading.Lock()
@@ -365,7 +370,7 @@ class SegmentLog:
         if len(self._segments) < 3:
             return False
         total = sum(sizes)
-        projected = max(1, -(-total // self.max_segment_bytes))  # ceil division
+        projected = max(1, -(-total // DEFAULT_SEGMENT_BYTES))  # ceil division
         return len(self._segments) - projected >= 2
 
     def _compact(self, documents):
@@ -385,7 +390,7 @@ class SegmentLog:
         try:
             for document in documents:
                 line = json.dumps(document, separators=(",", ":")) + "\n"
-                if stream is None or size >= self.max_segment_bytes:
+                if stream is None or size >= DEFAULT_SEGMENT_BYTES:
                     if stream is not None:
                         stream.flush()
                         os.fsync(stream.fileno())
@@ -429,13 +434,16 @@ class SegmentLog:
     # -- appending ----------------------------------------------------------------
 
     def append(self, document):
-        """Append one document as a single JSONL line; returns the document."""
-        line = json.dumps(document, separators=(",", ":")) + "\n"
+        """Append one document as a single JSONL line; returns the document.
+
+        NumPy scalars and arrays are written as native numbers and lists.
+        """
+        line = json.dumps(document, separators=(",", ":"), default=_numpy_default) + "\n"
         with self._lock:
             if not self._opened:
                 raise RuntimeError("SegmentLog must be opened before appending")
             with self._ops_guard():
-                if self._active_size >= self.max_segment_bytes:
+                if self._active_size >= DEFAULT_SEGMENT_BYTES:
                     self._rotate()
                 stream = self._ensure_stream()
                 stream.write(line)
@@ -505,12 +513,6 @@ class SegmentLog:
         self._write_manifest(current + [name])
         self._active_size = 0
 
-    @property
-    def segment_names(self):
-        """Snapshot of the live segment file names, in order."""
-        with self._lock:
-            return list(self._segments)
-
     def close(self):
         """Flush, close the active segment handle and release the flocks."""
         with self._lock:
@@ -552,16 +554,14 @@ class PersistentPipelineStore(PipelineStore):
     ----------
     path:
         Store directory (created if needed).
-    max_segment_bytes, durability, compact_on_open:
+    durability:
         Forwarded to :class:`SegmentLog`.
     """
 
-    def __init__(self, path, max_segment_bytes=DEFAULT_SEGMENT_BYTES,
-                 durability="flush", compact_on_open=True):
+    def __init__(self, path, durability="flush"):
         super().__init__()
         self._log = None
-        log = SegmentLog(path, max_segment_bytes=max_segment_bytes,
-                         durability=durability, compact_on_open=compact_on_open)
+        log = SegmentLog(path, durability=durability)
         with self._lock:
             for document in log.open():
                 # replayed documents were normalized when first inserted;

@@ -7,7 +7,11 @@
 machinery of the durable record store (segment rotation, manifest
 commits, torn-final-line repair), so a SIGKILLed run loses at most the
 events still sitting in the ring, never corrupts the stream, and the
-next open repairs any torn tail.
+next open repairs any torn tail.  If the writer fails to append an event
+(an unencodable field, a full disk), it keeps that first failure and
+stops; later events are dropped as after ``close``, so no emitter blocks
+on a ring nobody drains, and ``flush`` and :meth:`TelemetrySink.raise_if_failed`
+raise the failure instead of losing the stream silently.
 
 Sequence numbers are stamped *at enqueue time* under the ring lock, so
 ``seq`` order always equals append order and the replayer can treat the
@@ -30,7 +34,7 @@ import threading
 import time
 from collections import deque
 
-from repro.explorer.persistence import DEFAULT_SEGMENT_BYTES, SegmentLog
+from repro.explorer.persistence import SegmentLog
 from repro.telemetry.events import make_event
 
 #: Directory name of the event stream inside a checkpointed run directory.
@@ -52,6 +56,10 @@ WAKE_BATCH = 512
 POLL_SECONDS = 0.05
 
 
+class TelemetryWriterError(RuntimeError):
+    """The sink's writer failed to append an event and stopped."""
+
+
 class TelemetrySink:
     """Durable, low-overhead event recorder over a segment log.
 
@@ -60,26 +68,22 @@ class TelemetrySink:
     directory:
         Event-stream directory (created if needed).  Reopening an
         existing stream appends, continuing the sequence numbers.
-    max_segment_bytes, durability:
+    durability:
         Forwarded to :class:`~repro.explorer.persistence.SegmentLog`.
-    capacity:
-        Ring-buffer size; emitters block when the ring is full.
     """
 
-    def __init__(self, directory, max_segment_bytes=DEFAULT_SEGMENT_BYTES,
-                 durability="flush", capacity=RING_CAPACITY):
-        self._log = SegmentLog(directory, max_segment_bytes=max_segment_bytes,
-                               durability=durability)
+    def __init__(self, directory, durability="flush"):
+        self._log = SegmentLog(directory, durability=durability)
         last = -1
         for document in self._log.open():
             seq = document.get("seq")
             if isinstance(seq, int) and seq > last:
                 last = seq
         self._seq = itertools.count(last + 1)
-        self._capacity = int(capacity)
         self._ring = deque()
         self._inflight = 0          # events popped from the ring, not yet on disk
         self._closed = False
+        self._failure = None        # the writer's first append error; it stopped there
         self._state = threading.Condition(threading.Lock())
         self._writer = threading.Thread(
             target=self._drain, name="telemetry-writer", daemon=True
@@ -115,12 +119,19 @@ class TelemetrySink:
             prepared.append(event)
         return self._enqueue(prepared)
 
+    def raise_if_failed(self):
+        """Raise :class:`TelemetryWriterError` if the writer has stopped on a failure."""
+        if self._failure is not None:
+            raise TelemetryWriterError("telemetry writer failed: {!r}".format(self._failure))
+
     def _enqueue(self, events):
         last_seq = None
         with self._state:
-            if self._closed:
-                return None  # late emit during shutdown: drop quietly
-            while len(self._ring) + len(events) > self._capacity and not self._closed:
+            while True:
+                if self._closed or self._failure is not None:
+                    return None  # late emit during shutdown, or no writer: drop
+                if len(self._ring) + len(events) <= RING_CAPACITY:
+                    break
                 self._state.notify_all()  # the writer must drain for us to fit
                 self._state.wait(POLL_SECONDS)
             for event in events:
@@ -146,22 +157,29 @@ class TelemetrySink:
                 if not batch and self._closed:
                     return
                 self._state.notify_all()
+            failure = None
             try:
                 for event in batch:
                     self._log.append(event)
-            finally:
-                with self._state:
-                    self._inflight = 0
-                    self._state.notify_all()
+            except Exception as error:  # noqa: BLE001 - kept and re-raised by flush
+                failure = error
+            with self._state:
+                self._inflight = 0
+                self._failure = failure
+                self._state.notify_all()
+            if failure is not None:
+                return
 
     def flush(self, timeout=30.0):
         """Block until every emitted event has been appended to the log."""
         deadline = time.monotonic() + timeout
         with self._state:
             self._state.notify_all()  # wake the writer now, not at the tick
-            while self._ring or self._inflight:
-                if self._closed and not self._writer.is_alive():
-                    break
+            while True:
+                self.raise_if_failed()
+                if not (self._ring or self._inflight) or (
+                        self._closed and not self._writer.is_alive()):
+                    return
                 if time.monotonic() > deadline:
                     raise RuntimeError("telemetry writer failed to drain")
                 self._state.wait(0.1)

@@ -178,10 +178,16 @@ def reference_evaluate_fold_indices_batch(template, hyperparameters_list, task_r
 
 def reference_fold_done(self, index, fold_future):
     if fold_future.cancelled():
+        # the one deliberate change to the frozen code: a fold cancelled by
+        # pruning names the prune reason instead of a failure that never
+        # happened (only the fold event says so; the outcome is the same)
+        error = "CancelledError: an earlier fold of this candidate failed"
+        if self._pruned_reason is not None:
+            error = "CancelledError: pruned, " + self._pruned_reason
         payload = {
             "score": None,
             "raw_score": None,
-            "error": "CancelledError: an earlier fold of this candidate failed",
+            "error": error,
             "elapsed": 0.0,
         }
     else:
@@ -1206,3 +1212,17 @@ def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
         assert {pid for pid, _ in fits} == {os.getpid()}
     else:
         assert fits == []  # workers are other processes: nothing was fitted in this one
+
+
+def test_a_pruned_fold_cancel_names_the_prune_not_a_failure():
+    failed = drive(_ScriptedPool, 1, True, **SCENARIOS["fold error at position 0"](1))
+    assert [event["error"] for event in failed["events"]
+            if event["event"] == "fold_cancelled"] == [
+        "CancelledError: an earlier fold of this candidate failed"] * 2
+    pruned = drive(_ScriptedPool, 1, True, **SCENARIOS["pruned after the first fold"](1))
+    reason, = [event["reason"] for event in pruned["events"]
+               if event["event"] == "prune_decision"]
+    assert reason.startswith("optimistic estimate ")
+    assert [event["error"] for event in pruned["events"]
+            if event["event"] == "fold_cancelled"] == [
+        "CancelledError: pruned, " + reason] * 2

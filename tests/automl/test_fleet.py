@@ -7,11 +7,8 @@ bit-identical to the same search run solo — the fleet only changes where
 and when folds run, never what is reported).
 """
 
-import glob
-import multiprocessing
 import os
 import sys
-import tempfile
 import threading
 from concurrent.futures import Future
 
@@ -173,11 +170,12 @@ def _candidate():
     )
 
 
-def manual_fleet(workers=1, max_backlog=0):
-    fleet = FleetCoordinator(backend="thread", workers=workers, max_backlog=max_backlog)
+def manual_fleet():
+    fleet = FleetCoordinator(backend="thread", workers=1)
     fleet._executor.shutdown(wait=False)
     manual = _ManualExecutor()
     fleet._executor = manual
+    fleet._max_admitted = 1  # one admission slot: the stride order is the submit order
     return fleet, manual
 
 
@@ -220,16 +218,6 @@ class TestFairShareScheduling:
         tail = order[20:]  # skip the estimate warm-up
         assert tail.count("heavy") >= 1  # no starvation
         assert tail.count("cheap") >= 5 * tail.count("heavy")
-        fleet.close()
-
-    def test_per_tenant_inflight_cap(self):
-        fleet, manual = manual_fleet(workers=4, max_backlog=4)
-        tenant = fleet.register(name="capped", max_inflight=2)
-        futures = [tenant._executor.submit(_noop, "capped") for _ in range(6)]
-        assert len(manual.submitted) == 2
-        manual.submitted[0][1].set_result({"elapsed": 0.01})
-        assert len(manual.submitted) == 3  # the freed slot was re-admitted
-        assert not futures[-1].done()
         fleet.close()
 
     def test_cancelled_queued_fold_never_reaches_the_executor(self):
@@ -312,7 +300,8 @@ class TestFairShareScheduling:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with FleetCoordinator(backend="thread", workers=4, max_backlog=2) as fleet:
+            with FleetCoordinator(backend="thread", workers=4) as fleet:
+                fleet._max_admitted = 6  # workers + 2: admissions queue behind the cap
                 tenants = [fleet.register(name="t{}".format(index)) for index in range(6)]
                 folds = [[] for _ in tenants]
 
@@ -368,8 +357,6 @@ class TestFleetValidation:
             fleet.register(name="t")  # duplicate
         with pytest.raises(ValueError):
             fleet.register(weight=0.0)
-        with pytest.raises(ValueError):
-            fleet.register(max_inflight=0)
         fleet.close()
         with pytest.raises(RuntimeError):
             fleet.register(name="late")
@@ -384,20 +371,6 @@ class TestFleetValidation:
             for _ in range(3):
                 fleet.register()
             assert fleet.transport_capacity == 7
-
-    def test_invalid_backlog_is_rejected_before_anything_is_built(self):
-        def cache_dirs():
-            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-fleet-cache-*")))
-
-        dirs, threads = cache_dirs(), set(threading.enumerate())
-        children = set(multiprocessing.active_children())
-        with pytest.raises(ValueError, match="max_backlog"):
-            FleetCoordinator(backend="process", workers=1, prefix_cache="disk",
-                             fold_timeout=30, max_backlog=-1)
-        assert set(multiprocessing.active_children()) == children
-        assert [thread for thread in set(threading.enumerate()) - threads
-                if thread.is_alive()] == []
-        assert cache_dirs() == dirs
 
     def test_disk_prefix_cache_dir_is_owned_and_removed(self, tmp_path):
         import os

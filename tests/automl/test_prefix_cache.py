@@ -22,6 +22,7 @@ import shutil
 import pytest
 
 from repro.automl import AutoBazaarSearch, AutoBazaarSession
+from repro.automl import prefix_cache as prefix_cache_module
 from repro.automl.backends import PruneController, _PooledCandidateFuture
 from repro.automl.prefix_cache import (
     FittedPrefixCache,
@@ -42,8 +43,6 @@ def _fresh_process_cache():
     the memory tier useful across candidates); for tests, that sharing
     would let one test's warm cache mask another's expected misses.
     """
-    from repro.automl import prefix_cache as prefix_cache_module
-
     prefix_cache_module._PROCESS_CACHES.clear()
     yield
     prefix_cache_module._PROCESS_CACHES.clear()
@@ -153,8 +152,9 @@ class TestPrefixFingerprints:
 
 
 class TestFittedPrefixCache:
-    def test_memory_lru_evicts_oldest(self):
-        cache = FittedPrefixCache(max_entries=2)
+    def test_memory_lru_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(prefix_cache_module, "DEFAULT_MAX_ENTRIES", 2)
+        cache = FittedPrefixCache()
         for name in ("a", "b", "c"):
             cache.put(name, {"instance": name, "outputs": None})
         assert cache.get("a") is None  # evicted
@@ -212,10 +212,9 @@ class TestFittedPrefixCache:
         assert not os.path.exists(os.path.join(directory, "impostor.pkl"))
         assert os.path.exists(os.path.join(directory, "honest.pkl"))
 
-    def test_disk_tier_sweeps_oldest_entries_past_the_cap(self, tmp_path):
-        from repro.automl import prefix_cache as prefix_cache_module
-
-        cache = FittedPrefixCache(cache_dir=str(tmp_path), max_disk_entries=10)
+    def test_disk_tier_sweeps_oldest_entries_past_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(prefix_cache_module, "DEFAULT_MAX_DISK_ENTRIES", 10)
+        cache = FittedPrefixCache(cache_dir=str(tmp_path))
         now = 1_000_000_000
         for index in range(prefix_cache_module._DISK_SWEEP_INTERVAL):
             name = "entry-{:03d}".format(index)

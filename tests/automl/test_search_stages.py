@@ -295,6 +295,9 @@ class FakeSink:
     def emit(self, etype, **fields):
         self.events.append((etype, fields.get("iteration")))
 
+    def raise_if_failed(self):
+        pass
+
 
 def make_reporter(task, replay_count=0):
     proposer = make_proposer(task, replay=recorded_documents(task, replay_count))

@@ -11,10 +11,12 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from repro.automl import supervisor
 from repro.automl.supervisor import (
     FoldTimeoutError,
     SupervisedWorkerPool,
@@ -59,12 +61,12 @@ def _retriable_once(flag_path):
 
 
 @pytest.fixture
-def pool():
+def pool(monkeypatch):
     pools = []
+    monkeypatch.setattr(supervisor, "DEFAULT_RETRY_BACKOFF", 0.01)
 
     def build(**kwargs):
         kwargs.setdefault("max_workers", 2)
-        kwargs.setdefault("retry_backoff", 0.01)
         built = SupervisedWorkerPool(**kwargs)
         pools.append(built)
         return built
@@ -99,6 +101,10 @@ class TestBasics:
         assert executor.submit(_square, 4).result(timeout=30) == 16
         assert executor.stats["workers_died"] == 0
         assert executor.stats["pools_rebuilt"] == 0
+
+    def test_a_worker_runs_one_python_thread(self, pool):
+        # a worker runs its folds on its main thread and nothing beside them
+        assert pool(max_workers=1).submit(threading.active_count).result(timeout=30) == 1
 
     def test_retries_default_to_one(self, pool):
         assert pool(max_workers=1, max_fold_retries=None).max_fold_retries == 1

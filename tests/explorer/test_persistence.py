@@ -3,11 +3,12 @@
 import json
 import os
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.explorer import PersistentPipelineStore, StoreCorruptionError
+from repro.explorer import PersistentPipelineStore, StoreCorruptionError, persistence
 from repro.explorer.persistence import SegmentLog
 
 
@@ -24,6 +25,14 @@ def _segments(path):
 def _manifest(path):
     with open(os.path.join(path, "MANIFEST")) as stream:
         return [line.strip() for line in stream if line.strip()]
+
+
+@contextmanager
+def _segment_bytes(size):
+    """Rotate (and compact to) ``size``-byte segments inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(persistence, "DEFAULT_SEGMENT_BYTES", size)
+        yield
 
 
 class TestPersistentStoreBasics:
@@ -74,13 +83,14 @@ class TestPersistentStoreBasics:
 class TestSegmentRotationAndRepair:
     def test_rotation_creates_multiple_segments_in_order(self, tmp_path):
         path = tmp_path / "store"
-        store = PersistentPipelineStore(path, max_segment_bytes=120)
-        for index in range(12):
-            store.add(_document(score=float(index)))
-        store.close()
-        assert len(_segments(path)) > 1
-        assert _manifest(path) == _segments(path)
-        reloaded = PersistentPipelineStore(path, max_segment_bytes=120)
+        with _segment_bytes(120):
+            store = PersistentPipelineStore(path)
+            for index in range(12):
+                store.add(_document(score=float(index)))
+            store.close()
+            assert len(_segments(path)) > 1
+            assert _manifest(path) == _segments(path)
+            reloaded = PersistentPipelineStore(path)
         assert [doc["score"] for doc in reloaded] == [float(i) for i in range(12)]
 
     def test_torn_final_line_is_repaired(self, tmp_path):
@@ -134,10 +144,11 @@ class TestSegmentRotationAndRepair:
 class TestCompactionAndOrphans:
     def _fragmented_store(self, path, n=20):
         # tiny segments -> many files
-        store = PersistentPipelineStore(path, max_segment_bytes=80)
-        for index in range(n):
-            store.add(_document(score=float(index)))
-        store.close()
+        with _segment_bytes(80):
+            store = PersistentPipelineStore(path)
+            for index in range(n):
+                store.add(_document(score=float(index)))
+            store.close()
         return _segments(path)
 
     def test_compaction_on_open_merges_fragments(self, tmp_path):
@@ -157,7 +168,8 @@ class TestCompactionAndOrphans:
         path = tmp_path / "store"
         before = self._fragmented_store(path)
         # same tiny threshold: repacking cannot reduce the file count
-        PersistentPipelineStore(path, max_segment_bytes=80)
+        with _segment_bytes(80):
+            PersistentPipelineStore(path)
         assert _segments(path) == before
 
     def test_orphan_segments_are_removed_not_loaded(self, tmp_path):
@@ -184,10 +196,11 @@ class TestCompactionAndOrphans:
 
 
 class TestConcurrentWriters:
-    def test_no_lost_or_duplicated_records_under_contention(self, tmp_path):
+    def test_no_lost_or_duplicated_records_under_contention(self, tmp_path, monkeypatch):
         """Satellite: N threads appending while a reader queries."""
         path = tmp_path / "store"
-        store = PersistentPipelineStore(path, max_segment_bytes=512)
+        monkeypatch.setattr(persistence, "DEFAULT_SEGMENT_BYTES", 512)
+        store = PersistentPipelineStore(path)
         n_threads, per_thread = 8, 40
         start = threading.Barrier(n_threads + 1)
         stop_reader = threading.Event()
@@ -229,7 +242,7 @@ class TestConcurrentWriters:
         assert len(store) == total
         # every record exactly once, in memory and on disk
         assert sorted(doc["sequence"] for doc in store) == list(range(total))
-        reloaded = PersistentPipelineStore(path, max_segment_bytes=512)
+        reloaded = PersistentPipelineStore(path)
         assert sorted(doc["sequence"] for doc in reloaded) == list(range(total))
         # disk order equals memory order (appends are atomic under the lock)
         assert [doc["sequence"] for doc in reloaded] == [doc["sequence"] for doc in store]
@@ -266,19 +279,22 @@ class TestCrossProcessSafety:
     def test_second_open_degrades_to_shared_mode(self, tmp_path):
         """While a handle is live, a second open must not repair/compact."""
         path = tmp_path / "store"
-        first = PersistentPipelineStore(path, max_segment_bytes=80)
-        for index in range(12):
-            first.add(_document(score=float(index)))
-        fragments = _segments(path)
-        assert len(fragments) >= 3
+        with _segment_bytes(80):
+            first = PersistentPipelineStore(path)
+            for index in range(12):
+                first.add(_document(score=float(index)))
+            fragments = _segments(path)
+            assert len(fragments) >= 3
 
-        # first is still open: the second opener is not exclusive, so the
-        # fragmented layout survives (no compaction under its feet) ...
-        second = PersistentPipelineStore(path)
-        assert _segments(path) == fragments
-        assert [doc["score"] for doc in second] == [float(i) for i in range(12)]
-        # ... and interleaved appends through both handles all land
-        first.add(_document(score=100.0))
+            # first is still open: the second opener is not exclusive, so the
+            # fragmented layout survives (no compaction under its feet) ...
+            second = PersistentPipelineStore(path)
+            assert _segments(path) == fragments
+            assert [doc["score"] for doc in second] == [float(i) for i in range(12)]
+            # ... and interleaved appends through both handles all land,
+            # first's rotating beside second's live segment
+            first.add(_document(score=100.0))
+            assert len(_segments(path)) > len(fragments)
         second.add(_document(score=200.0))
         first.close()
         second.close()
@@ -303,9 +319,10 @@ class TestCrossProcessSafety:
 
     def test_close_releases_exclusivity(self, tmp_path):
         path = tmp_path / "store"
-        store = PersistentPipelineStore(path, max_segment_bytes=80)
-        for index in range(12):
-            store.add(_document(score=float(index)))
+        with _segment_bytes(80):
+            store = PersistentPipelineStore(path)
+            for index in range(12):
+                store.add(_document(score=float(index)))
         fragments = _segments(path)
         store.close()
         # with the handle closed, the next open is exclusive and compacts

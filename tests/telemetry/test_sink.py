@@ -3,8 +3,13 @@
 import os
 import threading
 
+import numpy as np
 import pytest
 
+from repro.automl import AutoBazaarSearch
+from repro.explorer.persistence import SegmentLog
+from repro.tasks import synth
+from repro.telemetry import sink as sink_module
 from repro.telemetry.events import (
     SCHEMA_VERSION,
     begin_capture,
@@ -16,6 +21,7 @@ from repro.telemetry.events import (
 from repro.telemetry.replayer import load_events
 from repro.telemetry.sink import (
     TelemetrySink,
+    TelemetryWriterError,
     activate_sink,
     deactivate_sink,
     emit_active,
@@ -146,6 +152,66 @@ class TestTelemetrySink:
         for name in ("t0", "t1", "t2", "t3"):
             depths = [e["depth"] for e in events if e["tenant"] == name]
             assert depths == list(range(per_thread))  # per-thread order kept
+
+    def test_numpy_fields_are_written_as_native_values(self, tmp_path):
+        path = str(tmp_path / "events")
+        with TelemetrySink(path) as sink:
+            sink.emit("fold_finished", tenant="t", fold=np.int64(2),
+                      score=np.float64(0.5), shape=np.asarray([3, 4]))
+            sink.emit("search_finished", tenant="t")
+        fold, finished = load_events(path)
+        assert (fold["fold"], fold["score"], fold["shape"]) == (2, 0.5, [3, 4])
+        assert type(fold["fold"]) is int and type(fold["score"]) is float
+        assert finished["event"] == "search_finished"
+
+    def test_a_failed_writer_drops_later_events_and_flush_raises(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sink_module, "RING_CAPACITY", 4)
+        path = str(tmp_path / "events")
+        sink = TelemetrySink(path)
+        sink.emit("search_started", tenant="t", unencodable=object())
+        seqs = []
+
+        def emit_past_the_ring():
+            for _ in range(3 * sink_module.RING_CAPACITY):
+                seqs.append(sink.emit("search_finished", tenant="t"))
+
+        emitter = threading.Thread(target=emit_past_the_ring, daemon=True)
+        emitter.start()
+        emitter.join(timeout=30)
+        assert not emitter.is_alive()  # a full ring nobody drains blocked it for ever
+        assert len(seqs) == 3 * sink_module.RING_CAPACITY and seqs[-1] is None
+        with pytest.raises(TelemetryWriterError,
+                           match="^telemetry writer failed: .*not JSON serializable"):
+            sink.flush(timeout=30)
+        with pytest.raises(TelemetryWriterError, match="^telemetry writer failed: "):
+            sink.raise_if_failed()
+        assert sink.ingest([make_event("cache_hit", tier="mem")]) is None
+        sink.close()  # joins the stopped writer and releases the log
+        assert not sink._writer.is_alive()
+        assert load_events(path) == []
+
+    @pytest.mark.parametrize("backend, prune_margin",
+                             [("thread", None), ("process", None), ("thread", 0.0)])
+    def test_a_search_whose_writer_fails_raises_the_failure(self, tmp_path, monkeypatch,
+                                                            backend, prune_margin):
+        # fold, prune and refit events arrive on callback threads and the
+        # fleet's admissions on the pool's; none of them may strand a fold
+        append, appended = SegmentLog.append, []
+
+        def fill_the_disk_after_ten(log, document):
+            if len(appended) >= 10:
+                raise OSError("disk full")
+            appended.append(document)
+            return append(log, document)
+
+        monkeypatch.setattr(SegmentLog, "append", fill_the_disk_after_ten)
+        searcher = AutoBazaarSearch(n_splits=3, random_state=0, backend=backend, workers=2,
+                                    n_pending=2, prune_margin=prune_margin,
+                                    telemetry=str(tmp_path / "events"))
+        task = synth.make_single_table_classification(n_samples=80, random_state=0)
+        with pytest.raises(TelemetryWriterError, match="disk full"):
+            searcher.search(task, budget=8)
 
     def test_emit_after_close_is_dropped_quietly(self, tmp_path):
         sink = TelemetrySink(str(tmp_path / "events"))

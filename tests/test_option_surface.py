@@ -1,0 +1,49 @@
+"""Static guard: the engine's internal constructors take no unused settings.
+
+Below ``ExecutionConfig`` the pool, fleet, sink, log and cache layers once
+took settings that no caller set (a heartbeat period, a retry backoff, a
+backlog, a per-tenant cap, segment and ring sizes, cache capacities, a
+sweep directory).  Each is a module constant now.  This pins the parameter
+list of every such callable, so a knob comes back only through a
+deliberate edit here.
+"""
+
+import inspect
+
+import pytest
+
+from repro.automl import shm
+from repro.automl.fleet import FleetCoordinator
+from repro.automl.prefix_cache import FittedPrefixCache, make_prefix_cache_config
+from repro.automl.supervisor import SupervisedWorkerPool
+from repro.explorer.persistence import PersistentPipelineStore, SegmentLog
+from repro.telemetry.sink import TelemetrySink
+
+#: callable -> its parameters, in order (``self`` left out)
+SURFACE = {
+    SupervisedWorkerPool: ["max_workers", "initializer", "fold_timeout", "max_fold_retries"],
+    FleetCoordinator: ["backend", "execution"],
+    FleetCoordinator.register: ["name", "weight"],
+    FleetCoordinator._add_tenant: ["name", "weight"],
+    TelemetrySink: ["directory", "durability"],
+    SegmentLog: ["directory", "durability", "compact_on_open"],
+    PersistentPipelineStore: ["path", "durability"],
+    FittedPrefixCache: ["cache_dir"],
+    make_prefix_cache_config: ["mode", "cache_dir"],
+    shm.sweep_stale_segments: [],
+}
+
+
+@pytest.mark.parametrize("target", list(SURFACE), ids=lambda target: target.__qualname__)
+def test_parameter_list_is_pinned(target):
+    parameters = list(inspect.signature(target).parameters)
+    if parameters[:1] == ["self"]:
+        parameters = parameters[1:]
+    assert parameters == SURFACE[target]
+
+
+def test_the_fleet_refuses_a_backlog():
+    # a pinned list without ``**`` makes any other name a TypeError; the
+    # fleet's ``**execution`` takes keywords, so its refusal is checked
+    with pytest.raises(TypeError, match="max_backlog"):
+        FleetCoordinator(backend="thread", workers=1, max_backlog=1)
