@@ -7,14 +7,16 @@ Drives the full crash story end to end, with a real ``SIGKILL``:
    baseline;
 2. run the identical search in a child process that ``SIGKILL``s itself
    the moment the k-th record has been reported (records are durable in
-   the run directory's JSONL segment log *before* the kill point);
+   the run directory's JSONL log *before* the kill point);
    with ``n_pending > 1`` later proposals are still in flight at the
    kill, so the resume replays the log into a window that already held
-   live evaluations;
+   live evaluations; a torn partial line is then appended to the log, as
+   a kill in the middle of an append leaves one, and opening the log
+   must skip it without changing a byte;
 3. resume the killed run with the library's resume path and assert that
-   the final record stream is identical to the baseline and that the
+   the final record stream is identical to the baseline, that the
    durable store holds every record exactly once — no duplicates, no
-   losses;
+   losses — and that the log is still one file with no manifest;
 4. after the kill and again after the resume, assert that
    ``checkpoint.json`` stays within ``CHECKPOINT_MAX_BYTES`` — the snapshot
    is a constant-size witness and must not grow with the budget again.
@@ -79,6 +81,11 @@ def _stream(records):
     ]
 
 
+def _segment_files(store_dir):
+    return sorted(name for name in os.listdir(store_dir)
+                  if name.startswith("segment-") and name.endswith(".jsonl"))
+
+
 def _assert_checkpoint_is_small(run_dir, when):
     size = os.path.getsize(os.path.join(run_dir, "checkpoint.json"))
     assert size <= CHECKPOINT_MAX_BYTES, (
@@ -128,12 +135,23 @@ def _kill_and_resume(workdir, n_pending):
             child.returncode)
     )
 
-    # the durable log must hold exactly the records reported before the kill
+    # a kill in the middle of an append leaves a torn partial line: add one
+    store_dir = os.path.join(killed_dir, "store")
+    segment = os.path.join(store_dir, _segment_files(store_dir)[-1])
+    with open(segment, "ab") as stream:
+        stream.write(b'{"task_name": "torn", "sco')
+    with open(segment, "rb") as stream:
+        torn = stream.read()
+
+    # the durable log must hold exactly the records reported before the
+    # kill, and opening it must not change a byte
     from repro.explorer import PersistentPipelineStore
-    with PersistentPipelineStore(os.path.join(killed_dir, "store")) as partial:
+    with PersistentPipelineStore(store_dir) as partial:
         durable = sorted(document["iteration"] for document in partial)
     assert durable == list(range(KILL_AFTER)), durable
-    print("   durable records at kill time: {}".format(durable))
+    with open(segment, "rb") as stream:
+        assert stream.read() == torn, "opening the store rewrote its log"
+    print("   durable records at kill time: {} (torn tail skipped)".format(durable))
     _assert_checkpoint_is_small(killed_dir, "after the kill")
 
     print("== 3/3 resume and compare")
@@ -151,6 +169,9 @@ def _kill_and_resume(workdir, n_pending):
           "({} records, no duplicates, no losses)".format(len(iterations)))
     _assert_checkpoint_is_small(killed_dir, "after the resume")
     resumed.close()
+    # the record log is one file: no rotation, no manifest
+    assert _segment_files(store_dir) == ["segment-000000.jsonl"], os.listdir(store_dir)
+    assert not os.path.exists(os.path.join(store_dir, "MANIFEST")), os.listdir(store_dir)
 
 
 def _parent():

@@ -533,9 +533,8 @@ class ExperimentRun:
                     elapsed_offset=elapsed_offset,
                 )
             except BaseException:
-                # on failure (including KeyboardInterrupt) release the store
-                # immediately so the directory can be resumed without a
-                # degraded shared-mode open
+                # on failure (including KeyboardInterrupt) release the
+                # store's file handles immediately
                 store.close()
                 raise
             finally:

@@ -229,13 +229,11 @@ class AutoBazaarSession:
         return path
 
     def close(self):
-        """Release the session's store handle (and its cross-process locks).
+        """Release the session's store handle and its file descriptors.
 
         Long-lived processes creating many persistent sessions should
-        close (or ``with``-manage) each one: an open handle holds file
-        descriptors and a shared lock that keeps later opens of the same
-        store in the conservative shared mode (no repair/compaction).
-        No-op for in-memory sessions.
+        close (or ``with``-manage) each one.  No-op for in-memory
+        sessions.
         """
         self.store.close()
         if self._owned_sink is not None:

@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from repro.explorer.persistence import SegmentLog
+from repro.explorer.persistence import SegmentLog, segment_names
 from repro.telemetry.events import SCHEMA_VERSION
 from repro.telemetry.sink import EVENTS_DIRNAME
 
@@ -60,21 +60,19 @@ _DERIVED_FIELDS = ("score", "raw_score", "error", "pruned")
 
 
 def _resolve_events_dir(path):
-    """Accept a run directory, an events directory, or a stream directory."""
-    candidates = [path, os.path.join(path, EVENTS_DIRNAME)]
-    for candidate in candidates:
-        if os.path.isfile(os.path.join(candidate, SegmentLog.MANIFEST_NAME)):
-            return candidate
-    # a brand-new (never-rotated) stream may predate its manifest; fall
-    # back to any directory that at least exists
-    for candidate in candidates:
-        if os.path.isdir(candidate):
+    """Accept a run directory or an events directory holding a stream."""
+    for candidate in (path, os.path.join(path, EVENTS_DIRNAME)):
+        if _holds_log(candidate):
             return candidate
     raise ReplayError("No telemetry event stream found at {!r}".format(path))
 
 
+def _holds_log(directory):
+    return os.path.isdir(directory) and bool(segment_names(directory))
+
+
 def load_events(path):
-    """Load and validate the event stream at ``path`` (repairs a torn tail).
+    """Load and validate the event stream at ``path`` (skips a torn tail).
 
     ``path`` may be the events directory itself or a checkpointed run
     directory containing an ``events/`` stream.  Events are returned in
@@ -82,7 +80,7 @@ def load_events(path):
     sequence numbers are validated.
     """
     events_dir = _resolve_events_dir(path)
-    log = SegmentLog(events_dir, compact_on_open=False)
+    log = SegmentLog(events_dir)
     try:
         documents = log.open()
     finally:
@@ -107,8 +105,10 @@ def load_events(path):
 
 
 def load_record_documents(path):
-    """Load the durable record log (a segment-log store directory)."""
-    log = SegmentLog(path, compact_on_open=False)
+    """Load the durable record log of the store directory ``path``."""
+    if not _holds_log(path):
+        raise ReplayError("No record log found at {!r}".format(path))
+    log = SegmentLog(path)
     try:
         return log.open()
     finally:
@@ -356,7 +356,7 @@ def _load_records_for(path, records_dir):
     if records_dir is not None:
         return load_record_documents(records_dir)
     store_dir = os.path.join(path, "store")
-    if os.path.isfile(os.path.join(store_dir, SegmentLog.MANIFEST_NAME)):
+    if _holds_log(store_dir):
         return load_record_documents(store_dir)
     return None
 

@@ -4,10 +4,10 @@
 ``emit`` appends to a bounded in-process ring buffer under a lock
 (microseconds) and a daemon writer thread drains the ring into a
 :class:`~repro.explorer.persistence.SegmentLog` — the exact crash-safety
-machinery of the durable record store (segment rotation, manifest
-commits, torn-final-line repair), so a SIGKILLed run loses at most the
-events still sitting in the ring, never corrupts the stream, and the
-next open repairs any torn tail.  If the writer fails to append an event
+machinery of the durable record store (one flushed JSONL line per
+event, torn-tail repair before each append), so a SIGKILLed run loses at
+most the events still sitting in the ring and never corrupts the stream.
+If the writer fails to append an event
 (an unencodable field, a full disk), it keeps that first failure and
 stops; later events are dropped as after ``close``, so no emitter blocks
 on a ring nobody drains, and ``flush`` and :meth:`TelemetrySink.raise_if_failed`

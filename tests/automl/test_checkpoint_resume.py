@@ -423,31 +423,36 @@ class TestResumeSafetyRails:
             resume_run(run_dir)
 
 
+def _open_fds_under(directory):
+    """This process's open file descriptors that point into ``directory``."""
+    directory = os.path.realpath(directory)
+    paths = [os.path.realpath(os.path.join("/proc/self/fd", name))
+             for name in os.listdir("/proc/self/fd")]
+    return [path for path in paths if path.startswith(directory + os.sep)]
+
+
 class TestHandleLifecycle:
     def test_failed_execute_releases_the_store(self, tmp_path):
-        """After a crash the run directory must reopen in exclusive mode."""
+        """After a crash no handle on the run's store may stay open."""
         run = _create(tmp_path / "run")
         with pytest.raises(_StopRun):
             run.execute(on_report=_kill_after(2))
-        with PersistentPipelineStore(tmp_path / "run" / "store") as store:
-            assert store._log._exclusive  # no leaked handle from the crash
+        assert not _open_fds_under(tmp_path / "run" / "store")
 
     def test_successful_run_keeps_store_open_until_closed(self, tmp_path):
         with ExperimentRun.open(_create(tmp_path / "run").run_dir) as run:
             run.execute()
             assert len(run.store) == BUDGET
-        # after close() the next opener is exclusive again
-        with PersistentPipelineStore(tmp_path / "run" / "store") as store:
-            assert store._log._exclusive
+            assert _open_fds_under(tmp_path / "run" / "store")
+        assert not _open_fds_under(tmp_path / "run" / "store")
 
     def test_session_close_releases_the_persistent_store(self, tmp_path):
         from repro.automl import AutoBazaarSession
 
         with AutoBazaarSession(budget=2, n_splits=2, random_state=0,
-                               store_path=tmp_path / "store") as session:
-            assert session.store._log._opened
-        with PersistentPipelineStore(tmp_path / "store") as store:
-            assert store._log._exclusive
+                               store_path=tmp_path / "store"):
+            assert _open_fds_under(tmp_path / "store")
+        assert not _open_fds_under(tmp_path / "store")
 
 
 class TestSingleExecutor:

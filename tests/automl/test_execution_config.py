@@ -292,7 +292,8 @@ def test_no_signature_threads_the_knobs_by_hand():
 def test_session_does_not_leak_its_sink_when_the_store_fails_to_open(tmp_path):
     with PersistentPipelineStore(tmp_path / "store") as store:
         store.add({"task_name": "t", "template_name": "x", "score": 0.5})
-    (tmp_path / "store" / "MANIFEST").write_text("no-such-segment.jsonl\n")
+    segment = tmp_path / "store" / "segment-000000.jsonl"
+    segment.write_text("not json\n" + segment.read_text())  # an unparsable interior line
     events = tmp_path / "events"
     with pytest.raises(StoreCorruptionError):
         AutoBazaarSession(store_path=tmp_path / "store", telemetry=events)

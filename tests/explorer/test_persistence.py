@@ -3,13 +3,11 @@
 import json
 import os
 import threading
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
-from repro.explorer import PersistentPipelineStore, StoreCorruptionError, persistence
-from repro.explorer.persistence import SegmentLog
+from repro.explorer import PersistentPipelineStore, StoreCorruptionError
+from repro.explorer.persistence import SegmentLog, segment_names
 
 
 def _document(task="task_a", template="xgb", score=0.5, **extra):
@@ -18,21 +16,17 @@ def _document(task="task_a", template="xgb", score=0.5, **extra):
     return document
 
 
-def _segments(path):
-    return sorted(name for name in os.listdir(path) if name.startswith("segment-"))
+def _last_segment(path):
+    return os.path.join(path, segment_names(path)[-1])
 
 
-def _manifest(path):
-    with open(os.path.join(path, "MANIFEST")) as stream:
-        return [line.strip() for line in stream if line.strip()]
-
-
-@contextmanager
-def _segment_bytes(size):
-    """Rotate (and compact to) ``size``-byte segments inside the block."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(persistence, "DEFAULT_SEGMENT_BYTES", size)
-        yield
+def _snapshot(path):
+    """Every file of ``path`` with its bytes."""
+    snapshot = {}
+    for name in os.listdir(path):
+        with open(os.path.join(path, name), "rb") as stream:
+            snapshot[name] = stream.read()
+    return snapshot
 
 
 class TestPersistentStoreBasics:
@@ -80,32 +74,22 @@ class TestPersistentStoreBasics:
         assert len(store.find(task_name="task_a", template_name="xgb")) == 2
 
 
-class TestSegmentRotationAndRepair:
-    def test_rotation_creates_multiple_segments_in_order(self, tmp_path):
-        path = tmp_path / "store"
-        with _segment_bytes(120):
-            store = PersistentPipelineStore(path)
-            for index in range(12):
-                store.add(_document(score=float(index)))
-            store.close()
-            assert len(_segments(path)) > 1
-            assert _manifest(path) == _segments(path)
-            reloaded = PersistentPipelineStore(path)
-        assert [doc["score"] for doc in reloaded] == [float(i) for i in range(12)]
-
+class TestTornTailRepair:
     def test_torn_final_line_is_repaired(self, tmp_path):
         path = tmp_path / "store"
         store = PersistentPipelineStore(path)
         store.add(_document(score=0.1))
         store.add(_document(score=0.2))
         store.close()
-        segment = os.path.join(path, _manifest(path)[-1])
+        segment = _last_segment(path)
         with open(segment, "ab") as stream:
             stream.write(b'{"task_name": "torn", "templ')  # crash mid-write
+        torn = _snapshot(path)
 
         reloaded = PersistentPipelineStore(path)
         assert [doc["score"] for doc in reloaded] == [0.1, 0.2]
-        # the torn bytes are gone and appending works cleanly afterwards
+        assert _snapshot(path) == torn  # opening skips the torn line, writes nothing
+        # the next append removes the torn bytes before writing its line
         reloaded.add(_document(score=0.3))
         reloaded.close()
         again = PersistentPipelineStore(path)
@@ -116,7 +100,7 @@ class TestSegmentRotationAndRepair:
         store = PersistentPipelineStore(path)
         store.add(_document(score=0.1))
         store.close()
-        segment = os.path.join(path, _manifest(path)[-1])
+        segment = _last_segment(path)
         with open(segment, "rb+") as stream:
             stream.seek(-1, os.SEEK_END)
             stream.truncate()  # the line landed but its newline did not
@@ -132,7 +116,7 @@ class TestSegmentRotationAndRepair:
         for index in range(3):
             store.add(_document(score=float(index)))
         store.close()
-        segment = os.path.join(path, _manifest(path)[-1])
+        segment = _last_segment(path)
         lines = open(segment).read().splitlines()
         lines[1] = lines[1][:10]  # corrupt a non-final line
         with open(segment, "w") as stream:
@@ -141,65 +125,122 @@ class TestSegmentRotationAndRepair:
             PersistentPipelineStore(path)
 
 
-class TestCompactionAndOrphans:
-    def _fragmented_store(self, path, n=20):
-        # tiny segments -> many files
-        with _segment_bytes(80):
-            store = PersistentPipelineStore(path)
-            for index in range(n):
-                store.add(_document(score=float(index)))
-            store.close()
-        return _segments(path)
-
-    def test_compaction_on_open_merges_fragments(self, tmp_path):
+class TestOlderLayouts:
+    def test_opens_a_manifest_layout_without_changing_a_byte(self, tmp_path):
+        """A rotated directory of an older version: a manifest, three files, a torn tail."""
         path = tmp_path / "store"
-        before = self._fragmented_store(path)
-        assert len(before) >= 4
-        # reopening with the default (large) threshold compacts the log
-        reloaded = PersistentPipelineStore(path)
-        after = _segments(path)
-        assert len(after) < len(before)
-        assert _manifest(path) == after
-        assert [doc["score"] for doc in reloaded] == [float(i) for i in range(20)]
-        # none of the fragment files survive
-        assert not set(before) & set(after)
+        os.makedirs(path)
+        names = ["segment-000000.jsonl", "segment-000001.jsonl", "segment-000002.jsonl"]
+        scores = [[0.0, 0.1], [0.2], [0.3, 0.4]]
+        for name, chunk in zip(names, scores):
+            with open(os.path.join(path, name), "w") as stream:
+                for score in chunk:
+                    stream.write(json.dumps(_document(score=score)) + "\n")
+        with open(os.path.join(path, names[-1]), "a") as stream:
+            stream.write('{"task_name": "torn", "sco')
+        with open(os.path.join(path, "MANIFEST"), "w") as stream:
+            stream.write("".join(name + "\n" for name in names))
+        for lock in ("ops.lock", "writers.lock"):
+            open(os.path.join(path, lock), "w").close()
+        before = _snapshot(path)
 
-    def test_compaction_skipped_when_it_would_not_shrink(self, tmp_path):
-        path = tmp_path / "store"
-        before = self._fragmented_store(path)
-        # same tiny threshold: repacking cannot reduce the file count
-        with _segment_bytes(80):
-            PersistentPipelineStore(path)
-        assert _segments(path) == before
-
-    def test_orphan_segments_are_removed_not_loaded(self, tmp_path):
-        path = tmp_path / "store"
         store = PersistentPipelineStore(path)
+        assert [doc["score"] for doc in store] == [0.0, 0.1, 0.2, 0.3, 0.4]
+        assert _snapshot(path) == before
+
         store.add(_document(score=0.5))
         store.close()
-        orphan = os.path.join(path, "segment-999999.jsonl")
-        with open(orphan, "w") as stream:
-            stream.write(json.dumps(_document(task="ghost", score=9.9)) + "\n")
+        # the append went to the last file, after its torn tail was cut
+        assert _snapshot(path)["segment-000000.jsonl"] == before["segment-000000.jsonl"]
+        assert _snapshot(path)["segment-000001.jsonl"] == before["segment-000001.jsonl"]
+        last = open(os.path.join(path, names[-1])).read().splitlines()
+        assert [json.loads(line)["score"] for line in last] == [0.3, 0.4, 0.5]
+        assert sorted(os.listdir(path)) == sorted(before)
         reloaded = PersistentPipelineStore(path)
-        assert len(reloaded) == 1
-        assert reloaded.tasks() == ["task_a"]
-        assert not os.path.exists(orphan)
+        assert [doc["score"] for doc in reloaded] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
 
-    def test_adopts_pre_manifest_layout(self, tmp_path):
+    def test_torn_final_line_of_an_earlier_file_raises(self, tmp_path):
+        """Only the last file's final line can be a crash artifact."""
         path = tmp_path / "store"
         os.makedirs(path)
         with open(os.path.join(path, "segment-000000.jsonl"), "w") as stream:
-            stream.write(json.dumps(_document(score=0.7)) + "\n")
+            stream.write(json.dumps(_document(score=0.1)) + "\n")
+            stream.write('{"task_name": "torn", "sco')
+        with open(os.path.join(path, "segment-000001.jsonl"), "w") as stream:
+            stream.write(json.dumps(_document(score=0.2)) + "\n")
+        with pytest.raises(StoreCorruptionError, match="segment-000000.jsonl"):
+            PersistentPipelineStore(path)
+
+
+class TestOneFileLayout:
+    def test_open_creates_one_empty_segment(self, tmp_path):
+        path = tmp_path / "log"
+        log = SegmentLog(path)
+        assert log.open() == []
+        log.close()
+        assert sorted(os.listdir(path)) == ["ops.lock", "segment-000000.jsonl"]
+        assert os.path.getsize(_last_segment(path)) == 0
+
+    def test_appends_never_create_a_second_file(self, tmp_path):
+        path = tmp_path / "store"
         store = PersistentPipelineStore(path)
-        assert [doc["score"] for doc in store] == [0.7]
-        assert _manifest(path)
+        payload = "x" * (64 * 1024)
+        for index in range(80):  # 5 MiB, past the 4 MiB at which older versions rotated
+            store.add(_document(score=float(index), payload=payload))
+        store.close()
+        assert segment_names(path) == ["segment-000000.jsonl"]
+        assert os.path.getsize(_last_segment(path)) > 5 * 1024 * 1024
+        reloaded = PersistentPipelineStore(path)
+        assert [doc["score"] for doc in reloaded] == [float(i) for i in range(80)]
+
+    def test_append_repairs_only_when_the_file_moved(self, tmp_path, monkeypatch):
+        calls = []
+        repair = SegmentLog._repair_tail
+
+        def counting_repair(self, size):
+            calls.append(size)
+            return repair(self, size)
+
+        monkeypatch.setattr(SegmentLog, "_repair_tail", counting_repair)
+        path = tmp_path / "store"
+        store = PersistentPipelineStore(path)
+        store.add(_document(score=0.1))
+        assert len(calls) == 1  # a handle's first append checks the tail
+        store.add(_document(score=0.2))
+        assert len(calls) == 1  # the file ends where this handle left it
+        with open(_last_segment(path), "ab") as stream:
+            stream.write((json.dumps(_document(score=0.25)) + "\n").encode())  # a peer
+        store.add(_document(score=0.3))
+        assert len(calls) == 2
+        store.close()
+        reloaded = PersistentPipelineStore(path)
+        assert [doc["score"] for doc in reloaded] == [0.1, 0.2, 0.25, 0.3]
+
+    def test_failed_open_releases_its_descriptors(self, tmp_path):
+        path = tmp_path / "store"
+        store = PersistentPipelineStore(path)
+        for index in range(3):
+            store.add(_document(score=float(index)))
+        store.close()
+        segment = _last_segment(path)
+        lines = open(segment).read().splitlines()
+        lines[0] = lines[0][:10]
+        with open(segment, "w") as stream:
+            stream.write("\n".join(lines) + "\n")
+
+        log = SegmentLog(path)
+        with pytest.raises(StoreCorruptionError):
+            log.open()
+        directory = os.path.realpath(path)
+        open_paths = [os.path.realpath(os.path.join("/proc/self/fd", name))
+                      for name in os.listdir("/proc/self/fd")]
+        assert not [p for p in open_paths if p.startswith(directory + os.sep)]
 
 
 class TestConcurrentWriters:
-    def test_no_lost_or_duplicated_records_under_contention(self, tmp_path, monkeypatch):
+    def test_no_lost_or_duplicated_records_under_contention(self, tmp_path):
         """Satellite: N threads appending while a reader queries."""
         path = tmp_path / "store"
-        monkeypatch.setattr(persistence, "DEFAULT_SEGMENT_BYTES", 512)
         store = PersistentPipelineStore(path)
         n_threads, per_thread = 8, 40
         start = threading.Barrier(n_threads + 1)
@@ -276,58 +317,59 @@ class TestConcurrentWriters:
 
 
 class TestCrossProcessSafety:
-    def test_second_open_degrades_to_shared_mode(self, tmp_path):
-        """While a handle is live, a second open must not repair/compact."""
+    def test_two_live_handles_share_the_log(self, tmp_path):
         path = tmp_path / "store"
-        with _segment_bytes(80):
-            first = PersistentPipelineStore(path)
-            for index in range(12):
-                first.add(_document(score=float(index)))
-            fragments = _segments(path)
-            assert len(fragments) >= 3
+        first = PersistentPipelineStore(path)
+        for index in range(12):
+            first.add(_document(score=float(index)))
+        before = _snapshot(path)
 
-            # first is still open: the second opener is not exclusive, so the
-            # fragmented layout survives (no compaction under its feet) ...
-            second = PersistentPipelineStore(path)
-            assert _segments(path) == fragments
-            assert [doc["score"] for doc in second] == [float(i) for i in range(12)]
-            # ... and interleaved appends through both handles all land,
-            # first's rotating beside second's live segment
-            first.add(_document(score=100.0))
-            assert len(_segments(path)) > len(fragments)
+        # first is still open: the second open changes no byte ...
+        second = PersistentPipelineStore(path)
+        assert _snapshot(path) == before
+        assert [doc["score"] for doc in second] == [float(i) for i in range(12)]
+        # ... and interleaved appends through both handles all land
+        first.add(_document(score=100.0))
         second.add(_document(score=200.0))
+        first.add(_document(score=101.0))
+        second.add(_document(score=201.0))
         first.close()
         second.close()
         merged = PersistentPipelineStore(path)
-        assert sorted(doc["score"] for doc in merged)[-2:] == [100.0, 200.0]
-        assert len(merged) == 14
+        assert [doc["score"] for doc in merged] == (
+            [float(i) for i in range(12)] + [100.0, 200.0, 101.0, 201.0])
+        assert sorted(os.listdir(path)) == ["ops.lock", "segment-000000.jsonl"]
 
-    def test_shared_mode_append_repairs_a_crashed_tail_first(self, tmp_path):
+    def test_append_repairs_a_crashed_tail_first(self, tmp_path):
         path = tmp_path / "store"
         first = PersistentPipelineStore(path)
         first.add(_document(score=0.1))
-        segment = os.path.join(path, _manifest(path)[-1])
-        with open(segment, "ab") as stream:
+        with open(_last_segment(path), "ab") as stream:
             stream.write(b'{"torn')  # crash artifact from some earlier process
 
-        second = PersistentPipelineStore(path)  # shared: no open-time repair
+        second = PersistentPipelineStore(path)
         second.add(_document(score=0.2))
         first.close()
         second.close()
         reloaded = PersistentPipelineStore(path)
         assert [doc["score"] for doc in reloaded] == [0.1, 0.2]
 
-    def test_close_releases_exclusivity(self, tmp_path):
+    @pytest.mark.parametrize("tail, scores", [
+        (b'{"task_name": "t", "sco', [0.1, 0.2]),  # killed mid-write
+        (json.dumps(_document(task="t", score=0.15)).encode(), [0.1, 0.15, 0.2]),  # newline lost
+    ], ids=["torn", "newline-lost"])
+    def test_append_after_a_peer_killed_mid_append_keeps_every_record(
+            self, tmp_path, tail, scores):
         path = tmp_path / "store"
-        with _segment_bytes(80):
-            store = PersistentPipelineStore(path)
-            for index in range(12):
-                store.add(_document(score=float(index)))
-        fragments = _segments(path)
+        store = PersistentPipelineStore(path)
+        store.add(_document(task="t", score=0.1))
+        with open(_last_segment(path), "ab") as stream:
+            stream.write(tail)  # what a peer killed mid-append leaves
+        # the same live handle appends again: it must repair the tail first
+        store.add(_document(task="t", score=0.2))
         store.close()
-        # with the handle closed, the next open is exclusive and compacts
-        PersistentPipelineStore(path)
-        assert len(_segments(path)) < len(fragments)
+        reloaded = PersistentPipelineStore(path)
+        assert [doc["score"] for doc in reloaded] == scores
 
 
 class TestSegmentLogValidation:
@@ -339,6 +381,13 @@ class TestSegmentLogValidation:
         log = SegmentLog(tmp_path / "log")
         with pytest.raises(RuntimeError):
             log.append({"a": 1})
+
+    def test_open_twice_raises(self, tmp_path):
+        log = SegmentLog(tmp_path / "log")
+        log.open()
+        with pytest.raises(RuntimeError, match="already open"):
+            log.open()
+        log.close()
 
     def test_fsync_durability_appends(self, tmp_path):
         log = SegmentLog(tmp_path / "log", durability="fsync")

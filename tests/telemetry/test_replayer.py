@@ -11,7 +11,13 @@ import pytest
 from repro.automl import AutoBazaarSearch, FleetCoordinator
 from repro.core.template import Template
 from repro.tasks import synth
-from repro.telemetry.replayer import ReplayError, load_events, main, replay_run
+from repro.telemetry.replayer import (
+    ReplayError,
+    load_events,
+    load_record_documents,
+    main,
+    replay_run,
+)
 from repro.telemetry.sink import TelemetrySink
 from repro.tuning.tuners import UniformTuner
 
@@ -252,9 +258,24 @@ class TestDivergence:
             assert len(bars) == n_bars and tenant["n_folds"] == 6
             assert (tenant["refit_seconds"] > 0) == bool(n_bars)
 
-    def test_missing_stream_is_a_replay_error(self, tmp_path):
+    def test_missing_stream_is_a_replay_error(self, tmp_path, capsys):
+        from repro.automl import ExperimentRun
+
         with pytest.raises(ReplayError):
             load_events(str(tmp_path / "nowhere"))
+        # a run that recorded no telemetry: a record log, but no stream
+        run_dir = str(tmp_path / "run")
+        with ExperimentRun.create(run_dir, task=_task(), budget=2,
+                                  n_splits=2, random_state=0) as run:
+            run.execute()
+        before = sorted(os.walk(run_dir))
+        with pytest.raises(ReplayError, match="No telemetry event stream"):
+            load_events(run_dir)
+        assert main([run_dir]) == 1
+        assert "No telemetry event stream" in capsys.readouterr().err
+        with pytest.raises(ReplayError, match="No record log"):
+            load_record_documents(run_dir)
+        assert sorted(os.walk(run_dir)) == before
 
 
 class TestCheckpointedRuns:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.automl import AutoBazaarSearch
-from repro.explorer.persistence import SegmentLog
+from repro.explorer.persistence import SegmentLog, segment_names
 from repro.tasks import synth
 from repro.telemetry import sink as sink_module
 from repro.telemetry.events import (
@@ -27,11 +27,6 @@ from repro.telemetry.sink import (
     emit_active,
     get_active_sink,
 )
-
-
-def _manifest(path):
-    with open(os.path.join(path, "MANIFEST")) as stream:
-        return [line.strip() for line in stream if line.strip()]
 
 
 class TestEvents:
@@ -99,12 +94,12 @@ class TestTelemetrySink:
         with TelemetrySink(path) as sink:
             sink.emit("search_started", tenant="t")
             sink.emit("fold_started", tenant="t", iteration=0, fold=0)
-        segment = os.path.join(path, _manifest(path)[-1])
+        segment = os.path.join(path, segment_names(path)[-1])
         with open(segment, "ab") as stream:
             stream.write(b'{"v": 1, "event": "fold_fin')  # crash mid-write
 
-        # the replayer's loader repairs nothing (read-only open) but must
-        # still skip the torn tail; the sink's reopen repairs it for good
+        # opening writes nothing but skips the torn tail; the reopened
+        # sink's first append cuts it before writing
         assert [e["event"] for e in load_events(path)] == [
             "search_started", "fold_started",
         ]

@@ -26,7 +26,7 @@ SURFACE = {
     FleetCoordinator.register: ["name", "weight"],
     FleetCoordinator._add_tenant: ["name", "weight"],
     TelemetrySink: ["directory", "durability"],
-    SegmentLog: ["directory", "durability", "compact_on_open"],
+    SegmentLog: ["directory", "durability"],
     PersistentPipelineStore: ["path", "durability"],
     FittedPrefixCache: ["cache_dir"],
     make_prefix_cache_config: ["mode", "cache_dir"],
