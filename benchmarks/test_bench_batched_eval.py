@@ -11,7 +11,7 @@ both halves of the batching contract:
   bit-identical to the looped one.
 
 The same workload is what ``scripts/record_bench.py batched-eval``
-records to ``BENCH_batched_eval.json`` in the ``data-plane`` CI job.
+records to ``BENCH_batched_eval.json`` in the ``batched-eval`` CI job.
 """
 
 import os

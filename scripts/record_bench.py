@@ -1,22 +1,12 @@
 """Performance benchmarks recorded to committed ``BENCH_*.json`` files.
 
-Six suites, selected by the positional ``suite`` argument:
+Five suites, selected by the positional ``suite`` argument:
 
 ``prefix-cache`` (default, -> ``BENCH_prefix_cache.json``)
     Candidate throughput with the disk-tier fitted-prefix cache on vs
     off, on a shared-prefix tuning workload (every candidate shares an
     expensive preprocessing prefix and differs only in estimator
     hyperparameters).  Gate: >= ``THRESHOLD``x.
-
-``data-plane`` (-> ``BENCH_data_plane.json``)
-    Process-backend fold-dispatch throughput with the zero-copy
-    shared-memory data plane vs the on-disk pickle hand-off that a task
-    the segment format cannot hold falls back to (the same task plus one
-    static string).  The task is transport-bound (tiny folds, a large
-    static context blob) and every pool worker must materialize it once
-    — the pickle plane serializes it and deserializes one full copy per
-    worker, the shm plane publishes it once and maps it for free.
-    Gate: >= ``DATA_PLANE_THRESHOLD``x.
 
 ``batched-eval`` (-> ``BENCH_batched_eval.json``)
     Candidate throughput with batched multi-candidate evaluation on vs
@@ -82,9 +72,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 #: Acceptance bar: cache-on candidate throughput vs cache-off.
 THRESHOLD = 1.5
 
-#: Acceptance bar: shm fold-dispatch throughput vs the pickle data plane.
-DATA_PLANE_THRESHOLD = 1.3
-
 #: Acceptance bar: batched candidate throughput vs looped evaluation.
 BATCHED_EVAL_THRESHOLD = 1.5
 
@@ -115,7 +102,6 @@ WORKERS = 4
 ENCODER = "mlprimitives.custom.preprocessing.ClassEncoder"
 DECODER = "mlprimitives.custom.preprocessing.ClassDecoder"
 TIMED_IDENTITY = "mlprimitives.custom.synthetic.TimedIdentityTransformer"
-TIMED_DUMMY = "mlprimitives.custom.synthetic.TimedDummyClassifier"
 LOGISTIC = "sklearn.linear_model.LogisticRegression"
 IMPUTER = "sklearn.impute.SimpleImputer"
 RIDGE = "sklearn.linear_model.Ridge"
@@ -203,171 +189,6 @@ def run_prefix_cache_benchmark(workers=WORKERS, budget=BUDGET,
         },
         "speedup": round(speedup, 3),
         "threshold": THRESHOLD,
-        "scores_identical": True,
-    }
-    return payload
-
-
-# -- data-plane suite ------------------------------------------------------------
-
-#: Megabytes of static (fold-invariant) task data every worker must map.
-DATA_PLANE_BLOB_MBYTES = 192
-
-#: Candidates dispatched through the backend.
-DATA_PLANE_CANDIDATES = 12
-
-#: Worker processes that each have to materialize the task once.
-DATA_PLANE_WORKERS = 4
-
-#: Timed passes per plane; the best pass is recorded.  Transport time is
-#: at the mercy of the disk scheduler (the pickle plane spills ~192MB),
-#: so single-pass ratios swing by 3-4x run to run — the best-of-N floor
-#: is what the regression gate can hold to a 20% tolerance.
-DATA_PLANE_REPEATS = 3
-
-
-def _data_plane_task(blob_mbytes=DATA_PLANE_BLOB_MBYTES, shareable=True):
-    """A task that is cheap to split but expensive to ship.
-
-    The sample-aligned arrays are tiny (fold materialization stays off
-    the clock); the bulk of the task is a static context blob that every
-    worker must materialize — the pickle plane deserializes it once per
-    worker, the shm plane maps the published segment for free.
-
-    The backend picks the plane per task, so the pickle arm is the same
-    task made unshareable: its ``shareable=False`` twin carries one extra
-    static string, which the segment format cannot hold and no step reads.
-    """
-    import numpy as np
-
-    from repro.tasks.task import MLTask
-
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(4000, 8))
-    y = (X[:, 0] > 0).astype(np.int64)
-    static = {"blob": rng.normal(size=blob_mbytes * 1_000_000 // 8)}
-    if not shareable:
-        static["marker"] = "not an array"
-    return MLTask("plane_task", "single_table", "classification",
-                  {"X": X, "y": y, **static}, static_keys=tuple(static))
-
-
-def _run_data_plane(task, n_candidates, n_splits, workers):
-    """Fold dispatches of a transport-bound workload through ``task``'s plane.
-
-    The estimator is free (majority class) and the folds are tiny, so
-    the measured time is dominated by getting the task's static blob
-    into every worker — the cost the data plane determines.
-    """
-    import numpy as np
-
-    from repro.automl.backends import EvaluationCandidate, ProcessBackend
-    from repro.core.template import Template
-    from repro.tasks.task import MLTask
-
-    template = Template("data_plane_bench", [TIMED_DUMMY])
-
-    def candidate(iteration, candidate_task):
-        return EvaluationCandidate(
-            iteration=iteration, template=template,
-            hyperparameters=template.default_hyperparameters(),
-            task=candidate_task, n_splits=n_splits, random_state=0,
-        )
-
-    warmup_task = MLTask("plane_warmup", "single_table", "classification",
-                         {"X": np.zeros((40, 4)), "y": np.arange(40) % 2})
-    backend = ProcessBackend(workers=workers)
-    try:
-        # warm-up: pay the pool spawn before the clock starts (the tiny
-        # warm-up task does not preload the benchmark task anywhere)
-        backend.submit(candidate(-1, warmup_task))
-        for future in backend.as_completed():
-            future.result()
-        candidates = [candidate(index, task) for index in range(n_candidates)]
-        warmup_counts = backend.tenant_stats()["plane_counts"]
-        started = time.time()
-        for item in candidates:
-            backend.submit(item)
-        outcomes = {}
-        for future in backend.as_completed():
-            outcomes[future.candidate.iteration] = future.result()
-        elapsed = time.time() - started
-        # the timed task's own transport (the warm-up task always shares)
-        shipped = backend.tenant_stats()["plane_counts"]
-        plane_counts = {plane: shipped.get(plane, 0) - warmup_counts.get(plane, 0)
-                        for plane in ("shm", "pickle")}
-    finally:
-        backend.shutdown()
-
-    scores = []
-    for index in range(n_candidates):
-        outcome = outcomes[index]
-        assert outcome.error is None, outcome.error
-        scores.append(outcome.score)
-    return scores, elapsed, plane_counts
-
-
-def _best_of(task, n_candidates, n_splits, workers, repeats):
-    """Repeat one plane's measurement; returns (scores, best, all, counts)."""
-    timings = []
-    scores = counts = None
-    for _ in range(repeats):
-        pass_scores, elapsed, pass_counts = _run_data_plane(
-            task, n_candidates, n_splits, workers)
-        if scores is None:
-            scores, counts = pass_scores, pass_counts
-        else:
-            assert pass_scores == scores, "scores changed between timed passes"
-        timings.append(elapsed)
-    return scores, min(timings), timings, counts
-
-
-def run_data_plane_benchmark(n_candidates=DATA_PLANE_CANDIDATES, n_splits=2,
-                             blob_mbytes=DATA_PLANE_BLOB_MBYTES,
-                             workers=DATA_PLANE_WORKERS,
-                             repeats=DATA_PLANE_REPEATS):
-    """Measure shm vs pickle fold-dispatch throughput; returns the payload."""
-    from repro.automl import shm
-
-    assert shm.shm_available(), "shared memory is unavailable on this platform"
-    pickle_scores, pickle_elapsed, pickle_timings, pickle_counts = _best_of(
-        _data_plane_task(blob_mbytes, shareable=False),
-        n_candidates, n_splits, workers, repeats)
-    shm_scores, shm_elapsed, shm_timings, shm_counts = _best_of(
-        _data_plane_task(blob_mbytes), n_candidates, n_splits, workers, repeats)
-
-    assert shm_scores == pickle_scores, (
-        "the data plane changed the scores: {} != {}".format(shm_scores, pickle_scores)
-    )
-    assert shm_counts["shm"] > 0 and shm_counts["pickle"] == 0
-    assert pickle_counts["pickle"] > 0 and pickle_counts["shm"] == 0
-
-    n_folds = n_candidates * n_splits
-    speedup = pickle_elapsed / shm_elapsed
-    payload = {
-        "benchmark": "data_plane_fold_dispatch",
-        "workload": {
-            "n_candidates": n_candidates,
-            "n_splits": n_splits,
-            "static_blob_mbytes": blob_mbytes,
-            "workers": workers,
-            "timed_passes": repeats,
-            "template": "free majority-class estimator (transport-bound)",
-        },
-        "pickle": {
-            "elapsed_seconds": round(pickle_elapsed, 3),
-            "all_passes_seconds": [round(t, 3) for t in pickle_timings],
-            "fold_dispatches_per_second": round(n_folds / pickle_elapsed, 3),
-            "plane_counts": pickle_counts,
-        },
-        "shm": {
-            "elapsed_seconds": round(shm_elapsed, 3),
-            "all_passes_seconds": [round(t, 3) for t in shm_timings],
-            "fold_dispatches_per_second": round(n_folds / shm_elapsed, 3),
-            "plane_counts": shm_counts,
-        },
-        "speedup": round(speedup, 3),
-        "threshold": DATA_PLANE_THRESHOLD,
         "scores_identical": True,
     }
     return payload
@@ -660,7 +481,7 @@ TELEMETRY_BUDGET = 16
 TELEMETRY_PREFIX_SECONDS = 0.02
 
 #: Timed passes per arm, interleaved (off, on, off, on, ...); the best pass
-#: is recorded (same rationale as the data-plane suite: the floor is what a
+#: is recorded (single-pass ratios swing run to run; the floor is what a
 #: tolerance gate can hold).
 TELEMETRY_REPEATS = 9
 
@@ -1002,10 +823,6 @@ SUITES = {
                      "BENCH_prefix_cache.json",
                      ("cache off", "cache_off"), ("cache on", "cache_on"),
                      "candidates_per_second"),
-    "data-plane": (run_data_plane_benchmark, DATA_PLANE_THRESHOLD,
-                   "BENCH_data_plane.json",
-                   ("pickle", "pickle"), ("shm", "shm"),
-                   "fold_dispatches_per_second"),
     "batched-eval": (run_batched_eval_benchmark, BATCHED_EVAL_THRESHOLD,
                      "BENCH_batched_eval.json",
                      ("looped", "looped"), ("batched", "batched"),
@@ -1066,8 +883,6 @@ def main(argv=None):
         extra = ""
         if "stats" in section:
             extra = "  stats={}".format(section["stats"])
-        if "plane_counts" in section:
-            extra = "  plane_counts={}".format(section["plane_counts"])
         print("{:<{width}} : {:.2f}s  ({:.2f} {}){}".format(
             label, section["elapsed_seconds"], section[rate_key],
             rate_key.replace("_", " "), extra, width=width))

@@ -43,15 +43,13 @@ per fold (``budget * n_splits`` transfers before).  The thread backend
 shares the coordinator's memory and passes the task by reference.
 
 A process fleet's data plane (see :meth:`FleetCoordinator._task_ref
-<repro.automl.fleet.FleetCoordinator._task_ref>`) chooses the transport per
-task from what it can observe.  Pure-ndarray tasks are published once into
-``multiprocessing.shared_memory`` segments (the **zero-copy data plane**,
-see :mod:`repro.automl.shm`) and workers attach read-only views instead
-of unpickling a copy, so a cache miss costs an ``mmap`` rather than a
-full deserialization of the dataset.  Tasks that cannot be expressed as
-raw byte buffers (object-dtype columns, non-array context values) and
-platforms without shared-memory support are parked once on disk as a
-pickle instead (a :class:`TaskPayload` handle).
+<repro.automl.fleet.FleetCoordinator._task_ref>`) publishes every task
+once as one file in ``/dev/shm`` (the temp directory where that is
+missing or full; see :mod:`repro.automl.shm`): its raw
+ndarray columns at aligned offsets, everything else as one pickle.
+Workers ``mmap`` the file and attach read-only views instead of
+unpickling a copy, so a cache miss costs an ``mmap`` plus the unpickling
+of the non-array rest, never a copy of the array columns.
 
 The search's final refit — the best configuration fitted on the whole
 training partition and scored on the held-out one — is one more job of the
@@ -293,44 +291,19 @@ def _start_worker():
     faultinject.install_from_env()
 
 
-class TaskPayload:
-    """Picklable handle to a task parked on disk for the worker cache.
-
-    Shipping this handle instead of the task itself costs a few bytes per
-    fold; a worker seeing the ``key`` for the first time loads the pickled
-    task from ``path`` into its resident LRU and serves every later fold
-    of the same task from memory.
-    """
-
-    __slots__ = ("key", "path")
-
-    def __init__(self, key, path):
-        self.key = key
-        self.path = path
-
-    def load(self):
-        """Unpickle the parked task (the worker-side materialization)."""
-        with open(self.path, "rb") as stream:
-            return pickle.load(stream)
-
-    def __repr__(self):
-        return "TaskPayload(key={!r}, path={!r})".format(self.key, self.path)
-
-
-#: What crosses a process boundary in place of a task (both expose ``key``
-#: and ``load()``); anything else submitted as a task reference is the task.
-_TASK_HANDLES = (TaskPayload, shm.SharedTaskHandle)
+#: What crosses a process boundary in place of a task; anything else
+#: submitted as a task reference is the task.
+_TASK_HANDLES = shm.SharedTaskHandle
 
 
 def _resolve_task(task_ref):
     """Materialize a submitted task reference inside the worker.
 
     Accepts the task object itself (serial/thread backends, which share
-    the coordinator's memory) or either process-backend transport handle:
-    a :class:`TaskPayload` pointing at the on-disk pickle, or a
-    :class:`~repro.automl.shm.SharedTaskHandle` naming a shared-memory
-    segment to attach read-only views over.  Both handles expose ``key``
-    and ``load()``, so the resident LRU logic is transport-agnostic.
+    the coordinator's memory) or the process fleet's
+    :class:`~repro.automl.shm.SharedTaskHandle`, naming a published file
+    to attach read-only views over; the worker keeps it in its resident
+    LRU under the handle's ``key``.
     """
     if not isinstance(task_ref, _TASK_HANDLES):
         return task_ref
@@ -1214,8 +1187,8 @@ class TenantBackend(_PoolBackend):
     def tenant_stats(self, since=None):
         """A fresh dict of this tenant's fair-share and data-plane counters.
 
-        They include the tasks shipped per transport (``shm``, ``pickle``
-        or ``inline``, only those used) and, under ``"supervisor"``, the
+        They include the tasks shipped per transport (``shm`` on a process
+        fleet, ``inline`` on a thread fleet) and, under ``"supervisor"``, the
         fleet pool's five supervision counters (``None`` on a thread
         fleet).  Every counter survives the tenant's release and the
         pool's shutdown.  Given an earlier result as ``since``, the
@@ -1259,9 +1232,8 @@ class ProcessBackend(TenantBackend):
     function, the template, the hyperparameters and the fold indices — is
     picklable; fold payloads come back as plain dicts so even exotic worker
     exceptions survive the return trip.  Each task's data crosses once,
-    over a transport chosen per task (shm, or the pickle spill when the
-    task cannot be shared); :meth:`tenant_stats` tallies the tasks shipped
-    per transport and the pool's supervision counters.
+    as one published file the workers map; :meth:`tenant_stats` tallies
+    the tasks shipped and the pool's supervision counters.
 
     Parameters
     ----------

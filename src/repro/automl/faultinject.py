@@ -30,9 +30,9 @@ Fault kinds
     Sleep briefly (a straggler, not a fault) — must *not* trip recovery
     when the deadline is sized sanely.
 ``shm_unlink``
-    Unlink the fold's shared-memory segment and drop this worker's
-    cached attachment, so task resolution fails retriably; the backend's
-    fault listener re-publishes the segment before the retry.
+    Unlink the fold's published task file and drop this worker's cached
+    mapping, so task resolution fails retriably; the backend's fault
+    listener re-publishes the file before the retry.
 """
 
 import contextlib
@@ -202,24 +202,22 @@ class FaultPlan:
 def _unlink_task_segment(task_ref):
     """Yank a published segment out from under this worker.
 
-    Drops the worker's cached task and attachment for ``task_ref`` and
-    unlinks the backing ``/dev/shm`` file, so the next resolution fails
-    with a retriable error.  The coordinator still holds its mapping of
-    the segment, which is what :meth:`SharedTaskSegment.ensure_published`
-    restores the file from before the retry.
+    Drops the worker's cached task and mapping for ``task_ref`` and
+    unlinks the segment file, so the next resolution fails with a
+    retriable error.  The coordinator still holds the task, which is what
+    :meth:`SharedTaskSegment.ensure_published` writes the file again from
+    before the retry.  A task passed by reference (a thread backend) has
+    no file to unlink.
     """
-    segment = getattr(task_ref, "segment", None)
-    if segment is None:
-        return  # inline payload; nothing to unlink
     from repro.automl import backends, shm
 
-    key = getattr(task_ref, "key", None)
-    if key is not None:
-        backends._WORKER_TASK_CACHE.pop(key, None)
+    if not isinstance(task_ref, shm.SharedTaskHandle):
+        return
+    backends._WORKER_TASK_CACHE.pop(task_ref.key, None)
     with shm._ATTACH_LOCK:
-        shm._ATTACHMENTS.pop(segment, None)
+        shm._ATTACHMENTS.pop(task_ref.segment, None)
     try:
-        os.unlink(os.path.join(shm._SHM_DIR, segment))
+        os.unlink(task_ref.path)
     except OSError:
         pass
 

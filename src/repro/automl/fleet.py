@@ -3,7 +3,7 @@
 The paper's AutoBazaar deployment is a *service*: many users submit tasks
 and one cluster evaluates all of their pipelines.  This module is that
 coordinator: a long-running :class:`FleetCoordinator` owns ONE worker pool,
-one shm/pickle task data plane and one disk prefix-cache directory, and
+one task data plane and one disk prefix-cache directory, and
 multiplexes any number of concurrent tenant searches over them.  It is
 also the only process stack: a solo ``backend="process"`` search is a
 fleet of one (:class:`~repro.automl.backends.ProcessBackend` is tenant
@@ -54,11 +54,7 @@ interleaves its folds with other tenants'.  Wall-clock interleaving is of
 course shared; only the *stream content* is solo-identical.
 """
 
-import atexit
-import os
-import pickle
 import shutil
-import tempfile
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -68,7 +64,6 @@ from itertools import count
 from repro.automl import shm
 from repro.automl.backends import (
     _WORKER_TASK_CACHE_SIZE,
-    TaskPayload,
     TenantBackend,
     _start_worker,
     # unused here, but bench_e2e/tracing.py patches this module attribute
@@ -171,16 +166,13 @@ class FleetCoordinator:
         self._admitted = 0
         self._closed = False
         self._tenant_ids = count()
-        # the process data plane: coordinator-side LRUs of published tasks,
-        # id(task) -> (task, transport), shared by every tenant thread
+        # the process data plane: the coordinator-side LRU of published
+        # tasks, id(task) -> segment, shared by every tenant thread
         self._transport_lock = threading.Lock()
         self._segments = OrderedDict()
-        self._payloads = OrderedDict()
-        self._payload_ids = count()
-        #: Tasks each transport LRU (shm segments, spill payloads) keeps
-        #: published before evicting the oldest.
+        #: Tasks the segment LRU keeps published before evicting the oldest.
         self.transport_capacity = _WORKER_TASK_CACHE_SIZE
-        # reclaim shm segments leaked by coordinators that died without
+        # reclaim segments leaked by coordinators that died without
         # their atexit hook (SIGKILL, power loss) before publishing new
         # ones — thread fleets too: a previous process-fleet run's leak is
         # reclaimed here at startup
@@ -231,7 +223,7 @@ class FleetCoordinator:
             # throughput it never consumed, and cannot monopolize either
             state.pass_value = min(active) if active else 0.0
             self._tenants[name] = state
-            # the transport LRUs must span both partitions of every
+            # the segment LRU must span both partitions of every
             # registered tenant at once — the training partition its folds
             # read and the held-out one its refit scores on — or registering
             # many tenants would evict segments with jobs still in flight
@@ -368,22 +360,18 @@ class FleetCoordinator:
         """The handle every job of a tenant's ``task`` ships with, tallied per tenant.
 
         A thread fleet shares the coordinator's memory and ships the task
-        itself.  A process fleet publishes a shareable task once into a
-        shared-memory segment and ships its picklable
-        :class:`~repro.automl.shm.SharedTaskHandle`; a task the segment
-        format cannot hold, a platform without shared memory and any
-        publication failure fall back to the
-        :class:`~repro.automl.backends.TaskPayload` pickle spill for that
-        task.  A task that already went down one plane stays there —
-        workers key their resident cache by the handle, so switching
-        transports mid-task would just duplicate the resident copy.
+        itself.  A process fleet publishes every task once as one
+        read-only mapped file (:func:`repro.automl.shm.publish_task`) and
+        ships its picklable :class:`~repro.automl.shm.SharedTaskHandle`;
+        a publication that fails in both segment directories raises, and
+        the submitting job records it as its error.
         """
         if self.execution.backend == "thread":
             ref, plane = task, "inline"
         else:
             with self._transport_lock:
                 ref = self._published(task)
-            plane = "shm" if isinstance(ref, shm.SharedTaskHandle) else "pickle"
+            plane = "shm"
         with self._lock:
             if id(task) not in state.seen_tasks:
                 state.seen_tasks.add(id(task))
@@ -391,75 +379,35 @@ class FleetCoordinator:
         return ref
 
     def _published(self, task):
-        """``task``'s live transport handle, published on first use.
+        """``task``'s live segment handle, published on first use.
 
-        Call under the transport lock.  Each LRU entry holds its task, which
+        Call under the transport lock.  Each segment holds its task, which
         keeps the ``id`` it is keyed by valid for as long as the entry lives.
         """
-        entry = self._segments.get(id(task))
-        if entry is not None:
+        segment = self._segments.get(id(task))
+        if segment is not None:
             self._segments.move_to_end(id(task))
-            return entry[1].handle
-        if id(task) in self._payloads:
-            return self._task_payload(task)
-        if shm.shm_available() and shm.task_is_shareable(task):
-            try:
-                segment = shm.publish_task(task)
-            except Exception:  # noqa: BLE001 - publication failure falls back to pickle
-                segment = None
-            if segment is not None:
-                self._segments[id(task)] = (task, segment)
-                emit_active("shm_publish", task=getattr(task, "name", None),
-                            plane_counts=self._plane_sizes())
-                while len(self._segments) > self.transport_capacity:
-                    _, (_, stale) = self._segments.popitem(last=False)
-                    stale.release()
-                return segment.handle
-            reason = "shared-memory publication failed"
-        else:
-            reason = "shared memory unavailable or task not shareable"
-        emit_active("shm_fallback", task=getattr(task, "name", None), reason=reason,
-                    plane_counts=self._plane_sizes())
-        return self._task_payload(task)
-
-    def _plane_sizes(self):
-        """Tasks published per transport right now (the data-plane events' field)."""
-        return {"shm": len(self._segments), "pickle": len(self._payloads)}
-
-    def _task_payload(self, task):
-        """The on-disk payload handle for ``task``, written on first use.
-
-        The payload key carries a monotonic counter so a recycled ``id``
-        after eviction can never alias a stale entry in a worker's cache.
-        """
-        entry = self._payloads.get(id(task))
-        if entry is not None:
-            self._payloads.move_to_end(id(task))
-            return entry[1]
-        descriptor, path = tempfile.mkstemp(prefix="repro-task-", suffix=".pkl")
-        try:
-            with os.fdopen(descriptor, "wb") as stream:
-                pickle.dump(task, stream, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            os.unlink(path)
-            raise
-        _register_spill_file(path)
-        payload = TaskPayload("task-{}".format(next(self._payload_ids)), path)
-        self._payloads[id(task)] = (task, payload)
-        while len(self._payloads) > self.transport_capacity:
-            _, (_, stale) = self._payloads.popitem(last=False)
-            _discard_spill_file(stale.path)
-        return payload
+            return segment.handle
+        segment = shm.publish_task(task)
+        self._segments[id(task)] = segment
+        emit_active("shm_publish", task=getattr(task, "name", None),
+                    plane_counts={"shm": len(self._segments)})
+        while len(self._segments) > self.transport_capacity:
+            _, stale = self._segments.popitem(last=False)
+            stale.release()
+        return segment.handle
 
     def _repair_data_plane(self):
-        """Re-publish any shm segment whose backing file went missing.
+        """Re-publish any segment whose file went missing.
 
         The pool calls this before retrying a fold, so a segment unlinked
         out from under the workers (a crashed writer, a fault-injection
-        unlink) is restored from the coordinator's still-live mapping and
-        the retried fold can attach again.
+        unlink) is written again under its name and the retried fold can
+        attach again.
         """
-        for _, segment in list(self._segments.values()):
+        with self._transport_lock:
+            segments = list(self._segments.values())
+        for segment in segments:
             try:
                 segment.ensure_published()
             except Exception:  # noqa: BLE001 - a failed repair fails the retry, not us
@@ -527,11 +475,8 @@ class FleetCoordinator:
         # aborted search it stops queued folds from burning workers
         self._executor.shutdown(wait=True, cancel_futures=True)
         with self._transport_lock:
-            while self._payloads:
-                _, (_, payload) = self._payloads.popitem(last=False)
-                _discard_spill_file(payload.path)
             while self._segments:
-                _, (_, segment) = self._segments.popitem(last=False)
+                _, segment = self._segments.popitem(last=False)
                 segment.release()
         if self._owned_cache_dir is not None:
             shutil.rmtree(self._owned_cache_dir, ignore_errors=True)
@@ -577,45 +522,3 @@ def _measured_cost(real):
             for member in payload if isinstance(member, dict)
         ))
     return None
-
-
-# -- spill-file safety net ----------------------------------------------------------
-
-_SPILL_LOCK = threading.Lock()
-#: Task pickle spill files written by live process fleets; swept at
-#: interpreter exit so crashed searches don't leak task-sized files in
-#: ``$TMPDIR``.  Entries are removed again on the fleet's own eviction and
-#: close unlinks (the normal path).
-_SPILL_FILES = set()
-_SPILL_ATEXIT_REGISTERED = False
-
-
-def _unlink_quietly(path):
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-def _register_spill_file(path):
-    global _SPILL_ATEXIT_REGISTERED
-    with _SPILL_LOCK:
-        if not _SPILL_ATEXIT_REGISTERED:
-            atexit.register(_sweep_spill_files)
-            _SPILL_ATEXIT_REGISTERED = True
-        _SPILL_FILES.add(path)
-
-
-def _discard_spill_file(path):
-    """Unlink a spill file and drop it from the exit sweep."""
-    with _SPILL_LOCK:
-        _SPILL_FILES.discard(path)
-    _unlink_quietly(path)
-
-
-def _sweep_spill_files():
-    with _SPILL_LOCK:
-        paths = list(_SPILL_FILES)
-        _SPILL_FILES.clear()
-    for path in paths:
-        _unlink_quietly(path)

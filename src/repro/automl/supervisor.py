@@ -107,14 +107,19 @@ class FoldTimeoutError(RuntimeError):
     """The fold exceeded the configured deadline (post-retry)."""
 
 
-def _worker_main(task_conn, result_conn, initializer):
+def _worker_main(task_conn, result_conn, initializer, coordinator_ends):
     """Worker process main loop: recv a fold job, run it, send the payload.
 
     The worker is single-threaded: it sends the ``started`` marker, then
     the result, on its result pipe.  A send failure means the coordinator
-    is gone, so the worker exits hard rather than computing for nobody.
+    is gone, so the worker exits hard rather than computing for nobody;
+    so does EOF on the task pipe, once the worker has closed the
+    ``coordinator_ends`` it inherited through ``fork``.
     """
     from repro.automl import faultinject
+
+    for end in coordinator_ends:
+        end.close()
 
     def send(message):
         try:
@@ -336,9 +341,18 @@ class SupervisedWorkerPool:
     def _spawn_worker(self):
         task_r, task_w = self._context.Pipe(duplex=False)
         result_r, result_w = self._context.Pipe(duplex=False)
+        # a forked child inherits every coordinator-side end open at the
+        # fork: its own and its older siblings'.  It closes them first, so
+        # a coordinator that dies leaves no writer on any task pipe and
+        # every worker reads EOF instead of outliving it
+        with self._lock:
+            coordinator_ends = [task_w, result_r] + [
+                end for worker in self._workers.values()
+                for end in (worker.task_conn, worker.result_conn)
+            ]
         process = self._context.Process(
             target=_worker_main,
-            args=(task_r, result_w, self._initializer),
+            args=(task_r, result_w, self._initializer, coordinator_ends),
             name="supervised-worker",
             daemon=True,
         )

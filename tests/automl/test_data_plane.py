@@ -1,9 +1,11 @@
-"""Tests for the zero-copy shared-memory data plane (repro.automl.shm)."""
+"""Tests for the process data plane: one read-only mapped file per task (repro.automl.shm)."""
 
+import errno
 import glob
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -14,41 +16,37 @@ import numpy as np
 import pytest
 
 from repro.automl import AutoBazaarSearch, shm
-from repro.automl.backends import ProcessBackend, TaskPayload
+from repro.automl.backends import ProcessBackend
 from repro.core.template import Template
 from repro.tasks import synth
 from repro.tasks.task import MLTask
 from repro.tuning.tuners import UniformTuner
-
-pytestmark = pytest.mark.skipif(not shm.shm_available(),
-                                reason="shared memory unavailable on this platform")
 
 ENCODER = "mlprimitives.custom.preprocessing.ClassEncoder"
 DECODER = "mlprimitives.custom.preprocessing.ClassDecoder"
 IMPUTER = "sklearn.impute.SimpleImputer"
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
+
+
 def own_segments():
-    """Shared-memory segments published by this process and still linked."""
-    pattern = os.path.join("/dev/shm", "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid()))
-    return glob.glob(pattern)
+    """Segments published by this process and still linked, in either directory."""
+    pattern = "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid())
+    return [path for directory in shm._segment_directories()
+            for path in glob.glob(os.path.join(directory, pattern))]
 
 
 def make_task(n_samples=80):
     return synth.make_single_table_classification(n_samples=n_samples, random_state=0)
 
 
-def unshareable_twin(task):
-    """``task`` plus one static non-array context value no step reads.
-
-    Same learning problem, same records — but the shared-memory segment
-    format only holds arrays, so the twin must travel as a pickle spill.
-    """
-    twin = MLTask(task.name, task.data_modality, task.problem_type,
-                  dict(task.context, note="not an array"), metric=task.metric,
-                  static_keys=tuple(task.static_keys) + ("note",))
-    assert not shm.task_is_shareable(twin)
-    return twin
+def twin_with(task, **static):
+    """``task`` plus static context values no step reads: same records."""
+    return MLTask(task.name, task.data_modality, task.problem_type,
+                  dict(task.context, **static), metric=task.metric,
+                  static_keys=tuple(task.static_keys) + tuple(static))
 
 
 class TestPublishAttach:
@@ -107,29 +105,52 @@ class TestPublishAttach:
     def test_release_unlinks_segment(self):
         task = make_task()
         segment = shm.publish_task(task)
-        path = os.path.join("/dev/shm", segment.name)
+        path = segment.handle.path
+        assert os.path.dirname(path) == shm._segment_directories()[0]
         assert os.path.exists(path)
         segment.release()
         assert not os.path.exists(path)
         with pytest.raises(FileNotFoundError):
             shm.attach_task(segment.handle)
 
-    def test_refcount_defers_unlink_to_last_release(self):
-        segment = shm.publish_task(make_task())
-        path = os.path.join("/dev/shm", segment.name)
-        segment.acquire()
-        segment.release()
-        assert os.path.exists(path)  # the publication reference is still held
-        segment.release()
-        assert not os.path.exists(path)
-
-    def test_object_dtype_task_is_not_shareable(self):
+    def test_non_array_values_travel_in_the_pickled_rest(self):
         texts = np.array(["alpha", "beta", None], dtype=object)
         task = MLTask("texts", "text", "classification",
-                      {"X": texts, "y": np.array([0, 1, 0])})
-        assert not shm.task_is_shareable(task)
-        with pytest.raises(shm.TaskNotShareableError):
-            shm.publish_task(task)
+                      {"X": texts, "y": np.array([0, 1, 0]), "lookup": {"a": [1, 2]}},
+                      static_keys=("lookup",))
+        segment = shm.publish_task(task)
+        try:
+            # the manifest lists the raw arrays only
+            assert [row[0] for row in segment.handle.manifest] == ["y"]
+            rebuilt = shm.attach_task(segment.handle)
+            assert list(rebuilt.context["X"]) == ["alpha", "beta", None]
+            assert rebuilt.context["lookup"] == {"a": [1, 2]}
+            assert not rebuilt.context["y"].flags.writeable
+            assert rebuilt.static_keys == {"lookup"}
+        finally:
+            segment.release()
+
+    def test_large_array_beside_a_static_value_is_attached_zero_copy(self):
+        """A non-array value beside the arrays does not cost them their zero-copy attach."""
+        blob = np.random.RandomState(0).normal(size=(4096, 256))  # 8 MiB
+        task = twin_with(
+            MLTask("blob", "single_table", "regression",
+                   {"X": blob, "y": np.arange(4096.0)}),
+            note="one static string",
+        )
+        backend = ProcessBackend(workers=1)
+        try:
+            ref = backend._task_ref(task)
+            first, second = ref.load(), ref.load()
+            view = first.context["X"]
+            assert not view.flags.writeable and not view.flags.owndata
+            mapping = np.frombuffer(first._shm_attachment, dtype=np.uint8)
+            assert np.shares_memory(view, mapping)
+            assert np.shares_memory(view, second.context["X"])
+            np.testing.assert_array_equal(view, blob)
+            assert first.context["note"] == "one static string"
+        finally:
+            backend.shutdown()
 
 
 class TestBackendDataPlane:
@@ -145,37 +166,13 @@ class TestBackendDataPlane:
         finally:
             backend.shutdown()
 
-    @pytest.mark.parametrize("why", ["object dtype", "non-array value", "no shm"])
-    def test_fallback_is_the_only_way_to_the_pickle_plane(self, why, monkeypatch):
-        if why == "object dtype":
-            texts = np.array(["alpha", "beta", "gamma", "delta"], dtype=object)
-            task = MLTask("texts", "text", "classification",
-                          {"X": texts, "y": np.array([0, 1, 0, 1])})
-        elif why == "non-array value":
-            task = unshareable_twin(make_task())
-        else:
-            task = make_task()
-            monkeypatch.setattr(shm, "shm_available", lambda: False)
-        backend = ProcessBackend(workers=1)
-        try:
-            ref = backend._task_ref(task)
-            assert isinstance(ref, TaskPayload)
-            assert backend.tenant_stats()["plane_counts"] == {"pickle": 1}
-            assert backend._task_ref(task) is ref  # stays on its plane, spilled once
-            assert backend.tenant_stats()["plane_counts"]["pickle"] == 1
-            assert os.path.exists(ref.path)
-        finally:
-            backend.shutdown()
-        assert not os.path.exists(ref.path)
-
     def test_shutdown_unlinks_published_segments(self):
         backend = ProcessBackend(workers=1)
         task = make_task()
         handle = backend._task_ref(task)
-        path = os.path.join("/dev/shm", handle.segment)
-        assert os.path.exists(path)
+        assert os.path.exists(handle.path)
         backend.shutdown()
-        assert not os.path.exists(path)
+        assert not os.path.exists(handle.path)
 
     def test_lru_eviction_unlinks_oldest_segment(self):
         backend = ProcessBackend(workers=1)
@@ -183,8 +180,8 @@ class TestBackendDataPlane:
         try:
             first = backend._task_ref(make_task(n_samples=60))
             second = backend._task_ref(make_task(n_samples=70))
-            assert not os.path.exists(os.path.join("/dev/shm", first.segment))
-            assert os.path.exists(os.path.join("/dev/shm", second.segment))
+            assert not os.path.exists(first.path)
+            assert os.path.exists(second.path)
         finally:
             backend.shutdown()
 
@@ -210,54 +207,128 @@ class TestSearchLifecycle:
         leaked = set(own_segments()) - before
         assert leaked == set()
 
-    def test_both_planes_and_serial_agree_record_for_record(self, monkeypatch):
-        serial, _ = self._search("serial", make_task())
+    @pytest.mark.parametrize("static", [
+        {}, {"note": "not an array"}, {"texts": np.array(["a", None], dtype=object)},
+    ], ids=["arrays", "static value", "object column"])
+    def test_every_task_travels_as_one_segment_and_agrees_with_serial(self, static):
+        serial, _ = self._search("serial", twin_with(make_task(), **static))
         assert all(score is not None for _, _, score, _, _ in serial)
         # two tasks per search travel: the training partition the folds read
         # and the held-out partition the refit job scores on
+        process = self._search("process", twin_with(make_task(), **static))
+        assert process == (serial, {"shm": 2})
+
+    def test_full_segment_directory_publishes_in_the_temp_directory(self, monkeypatch):
+        """A full ``/dev/shm`` fails a ``write``; the task goes to the temp directory."""
+        directories = shm._segment_directories()
+        if len(directories) < 2:
+            pytest.skip("no /dev/shm here: the temp directory is the only one")
+        primary, fallback = directories
+        real_write = shm._write_task
+        tried = []
+
+        def full_primary(path, task):
+            tried.append(os.path.dirname(path))
+            if os.path.dirname(path) == primary:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(path, task)
+
+        serial, _ = self._search("serial", make_task())
+        monkeypatch.setattr(shm, "_write_task", full_primary)
+        segment = shm.publish_task(make_task())
+        try:
+            assert tried == [primary, fallback]
+            assert segment.handle.directory == fallback
+            assert os.path.exists(segment.handle.path)
+            assert not os.path.exists(os.path.join(primary, segment.name))
+            rebuilt = shm.attach_task(segment.handle)
+            np.testing.assert_array_equal(rebuilt.context["X"], make_task().context["X"])
+        finally:
+            segment.release()
+        assert not os.path.exists(segment.handle.path)
         assert self._search("process", make_task()) == (serial, {"shm": 2})
-        pickled = (serial, {"pickle": 2})
-        assert self._search("process", unshareable_twin(make_task())) == pickled
-        monkeypatch.setattr(shm, "shm_available", lambda: False)
-        assert self._search("process", make_task()) == pickled
+
+    def test_task_larger_than_a_real_tmpfs_is_published_in_the_temp_directory(self):
+        """A 4 MiB task on a 1 MiB ``/dev/shm`` (private mount namespace)."""
+        unshare = shutil.which("unshare")
+        if unshare is None:
+            pytest.skip("unshare is not installed")
+        mount = "mount -t tmpfs -o size=1m tmpfs /dev/shm"
+        probe = subprocess.run([unshare, "-m", "sh", "-c", mount],
+                               capture_output=True, timeout=30)
+        if probe.returncode != 0:
+            pytest.skip("cannot mount a private tmpfs here")
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "from repro.automl import AutoBazaarSearch\n"
+            "from repro.core.template import Template\n"
+            "from repro.tasks.task import MLTask\n"
+            "rng = np.random.RandomState(0)\n"
+            "task = MLTask('big', 'single_table', 'classification',\n"
+            "              {{'X': rng.normal(size=(4096, 128)), 'y': np.arange(4096) % 2}})\n"
+            "template = Template('tmpfs_gnb', {steps!r})\n"
+            "def records(backend):\n"
+            "    result = AutoBazaarSearch(templates=[template], n_splits=2, random_state=0,\n"
+            "                              backend=backend, workers=1).search(task, budget=2)\n"
+            "    return ([(r.iteration, r.score, r.error) for r in result.records],\n"
+            "            result.fleet_stats and result.fleet_stats['plane_counts'])\n"
+            "serial, _ = records('serial')\n"
+            "process, planes = records('process')\n"
+            "assert process == serial and planes == {{'shm': 2}}, (process, serial, planes)\n"
+            "print('ok', flush=True)\n"
+        ).format(src=SRC, steps=self._templates()[0].primitives)
+        # its own session: a coordinator killed by SIGBUS would leave pool
+        # workers holding the output pipes, and the group kill reaps them
+        child = subprocess.Popen(
+            [unshare, "-m", "sh", "-c", '{} && exec "$0" -c "$1"'.format(mount),
+             sys.executable, script],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            child.wait(timeout=120)
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            stdout, stderr = child.communicate()
+        assert child.returncode == 0, (child.returncode, stderr[-2000:])
+        assert stdout.strip() == "ok"
 
 
-class TestForkWhileOpening:
-    def test_child_forked_inside_open_shm_can_still_attach(self, monkeypatch):
+class TestForkWhilePublishing:
+    def test_child_forked_while_a_tenant_publishes_can_still_attach(self, monkeypatch):
         """ROADMAP item 0: a pool worker forked while a tenant thread publishes.
 
-        The child inherits ``_TRACKER_LOCK`` held by a thread it does not
-        have and the tracker's ``register`` swapped for the no-op; without
-        the after-fork hook its first attach waits on the lock for ever.
+        ``fork`` copies only the forking thread, so whatever the publishing
+        thread holds at that moment stays held for ever in the child; the
+        child's attach of an earlier handle must not wait on any of it.
         """
-        from multiprocessing import resource_tracker
-
         segment = shm.publish_task(make_task())
-        real_open = shm._shared_memory.SharedMemory
-        real_register = resource_tracker.register
+        real_write = shm._write_task
         inside, leave = threading.Event(), threading.Event()
+        published = []
 
-        def stalled_open(*args, **kwargs):
+        def stalled_write(path, task):
             inside.set()
             leave.wait(30)
-            raise OSError("never opened")
+            return real_write(path, task)
 
         def tenant():
-            with pytest.raises(OSError):
-                shm._open_shm(create=True, size=1)
+            published.append(shm.publish_task(make_task(n_samples=60)))
 
         def worker(handle):
-            shm._shared_memory.SharedMemory = real_open
             rebuilt = shm.attach_task(handle)
-            same = resource_tracker.register is real_register
-            os._exit(0 if same and rebuilt.context["X"].shape[0] == 80 else 1)
+            os._exit(0 if rebuilt.context["X"].shape[0] == 80 else 1)
 
-        monkeypatch.setattr(shm._shared_memory, "SharedMemory", stalled_open)
+        monkeypatch.setattr(shm, "_write_task", stalled_write)
         thread = threading.Thread(target=tenant)
         thread.start()
         try:
             assert inside.wait(10)
-            assert shm._TRACKER_LOCK.locked()
             child = multiprocessing.get_context("fork").Process(
                 target=worker, args=(segment.handle,))
             child.start()
@@ -266,14 +337,16 @@ class TestForkWhileOpening:
             if hung:
                 child.kill()
                 child.join(10)
-            assert not hung, "forked child deadlocked on the inherited tracker lock"
+            assert not hung, "forked child deadlocked on a lock the publisher held"
             assert child.exitcode == 0
         finally:
             leave.set()
             thread.join(10)
             segment.release()
+            for other in published:
+                other.release()
         assert not thread.is_alive()
-        assert resource_tracker.register is real_register
+        assert len(published) == 1
 
 
 class TestCrashCleanup:
@@ -282,31 +355,35 @@ class TestCrashCleanup:
         try:
             removed = shm.sweep_stale_segments()
             assert segment.name not in removed
-            assert os.path.exists(os.path.join("/dev/shm", segment.name))
+            assert os.path.exists(segment.handle.path)
         finally:
             segment.release()
 
-    def test_sweep_reclaims_segments_of_sigkilled_publisher(self):
+    @pytest.mark.parametrize("make", [
+        "MLTask('crash', 'single_table', 'classification',\n"
+        "       {'X': np.ones((30, 4)), 'y': np.arange(30) % 2})",
+        "synth.make_community_detection(random_state=0)",
+    ], ids=["arrays", "graph"])
+    def test_sweep_reclaims_segments_of_sigkilled_publisher(self, make):
         script = (
             "import sys\n"
             "sys.path.insert(0, {!r})\n"
             "import numpy as np\n"
             "from repro.automl import shm\n"
+            "from repro.tasks import synth\n"
             "from repro.tasks.task import MLTask\n"
-            "task = MLTask('crash', 'single_table', 'classification',\n"
-            "              {{'X': np.ones((30, 4)), 'y': np.arange(30) % 2}})\n"
+            "task = {}\n"
             "segment = shm.publish_task(task)\n"
-            "print(segment.name, flush=True)\n"
+            "print(segment.handle.path, flush=True)\n"
             "import time\n"
             "time.sleep(60)\n"
-        ).format(os.path.join(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__)))), "src"))
+        ).format(SRC, make)
         child = subprocess.Popen([sys.executable, "-c", script],
                                  stdout=subprocess.PIPE, text=True)
         try:
-            name = child.stdout.readline().strip()
+            path = child.stdout.readline().strip()
+            name = os.path.basename(path)
             assert name.startswith(shm.SEGMENT_PREFIX)
-            path = os.path.join("/dev/shm", name)
             assert os.path.exists(path)
             child.kill()  # SIGKILL: no atexit hook runs in the child
             child.wait(timeout=30)

@@ -51,7 +51,6 @@ from repro.automl.backends import (
     PruneController,
     PrunedEvaluation,
     SerialBackend,
-    TaskPayload,
     _aggregate_folds,
     _cache_info_fields,
     _format_error,
@@ -67,6 +66,7 @@ from repro.automl.prefix_cache import (
     resolve_prefix_cache,
     task_content_digest,
 )
+from repro.automl.shm import SharedTaskHandle
 from repro.core.template import Template
 from repro.tasks import synth
 from repro.tasks.task import materialize_cv_fold, task_cv_indices
@@ -691,6 +691,11 @@ TASK = synth.make_single_table_classification(n_samples=60, random_state=0)
 N_FOLDS = 3
 
 
+def gone_task_ref():
+    """A task reference naming a segment that no longer exists."""
+    return SharedTaskHandle("dispatch-identity-gone", "/nonexistent", [], 0)
+
+
 def ok(score):
     return {"score": score, "raw_score": score, "error": None, "elapsed": 0.01,
             "cache_hits": 1, "cache_misses": 2, "cache_bytes": 3}
@@ -759,7 +764,7 @@ def drive(backend_class, n_members, telemetry, template=TEMPLATE, n_splits=N_FOL
 
     def task_refs(task):
         if next(calls) == task_ref_fails_at:
-            return TaskPayload("dispatch-identity-gone", "/nonexistent/task.pkl")
+            return gone_task_ref()
         return task
 
     backend = backend_class(executor, task_refs)
@@ -1074,7 +1079,7 @@ def test_fold_evaluators_match_their_frozen_bodies(fault, cache, capture_events)
     task_ref = TASK
     template = TEMPLATE
     if fault == "unresolvable task":
-        task_ref = TaskPayload("dispatch-identity-gone", "/nonexistent/task.pkl")
+        task_ref = gone_task_ref()
     elif fault == "bad indices":
         train_indices = train_indices + 10_000
     elif fault == "broken template":

@@ -75,9 +75,9 @@ def make_task(index=0):
 
 
 def run_search(task, backend="serial", budget=4, **kwargs):
+    kwargs.setdefault("templates", seeded_templates())
     searcher = AutoBazaarSearch(
-        templates=seeded_templates(), n_splits=2, random_state=0,
-        backend=backend, n_pending=2, **kwargs,
+        n_splits=2, random_state=0, backend=backend, n_pending=2, **kwargs,
     )
     return searcher.search(task, budget=budget)
 
@@ -153,10 +153,18 @@ class TestSingleFaultPlans:
         assert stats["pools_rebuilt"] == 1
         assert stats["folds_quarantined"] == 0
 
-    def test_shm_unlink_is_repaired_and_masked(self, task, baseline):
+    @pytest.mark.parametrize("kind", ["single_table", "graph"])
+    def test_shm_unlink_is_repaired_and_masked(self, kind, task, baseline):
+        options = {}
+        if kind == "graph":
+            # a Graph beside the arrays: the unlinked file carries a pickled
+            # rest, and the repair must write that back too
+            task = synth.make_community_detection(random_state=0)
+            options = {"templates": None, "estimator_seed": 0}
+            baseline = record_documents(run_search(task, **options))
         plan = FaultPlan.single("shm_unlink", at_fold=2)
         with plan.activate():
-            result = supervised_search(task)
+            result = supervised_search(task, **options)
         assert record_documents(result) == baseline
         stats = result.fleet_stats["supervisor"]
         # the segment is re-published in place: a retry, never a death

@@ -10,7 +10,7 @@ The scheduler contract has two halves:
   record stream is identical across serial, thread and process backends.
 """
 
-import pickle
+import os
 import threading
 import time
 
@@ -18,7 +18,8 @@ import pytest
 
 from repro.automl import AutoBazaarSearch, EvaluationCandidate, ProcessBackend
 from repro.automl import backends as backends_module
-from repro.automl.backends import TaskPayload, evaluate_fold_indices
+from repro.automl import shm
+from repro.automl.backends import evaluate_fold_indices
 from repro.core.template import Template
 from repro.tasks import synth
 from repro.tasks.task import task_cv_indices, task_cv_splits
@@ -208,57 +209,58 @@ class TestWorkerResidentCache:
     def _task(self):
         return synth.make_single_table_classification(n_samples=60, random_state=0)
 
-    def test_payload_written_once_per_task_and_cleaned_up(self):
-        import os
-
+    def test_segment_published_once_per_task_and_cleaned_up(self):
         backend = ProcessBackend(workers=2)
         try:
             task = self._task()
-            first = backend._fleet._task_payload(task)
-            second = backend._fleet._task_payload(task)
+            first = backend._task_ref(task)
+            second = backend._task_ref(task)
             assert first is second
             assert os.path.exists(first.path)
-            other = backend._fleet._task_payload(self._task())
+            other = backend._task_ref(self._task())
             assert other.key != first.key
         finally:
             backend.shutdown()
         assert not os.path.exists(first.path)
         assert not os.path.exists(other.path)
 
-    def test_evaluate_fold_indices_resolves_payload(self, tmp_path):
+    def test_evaluate_fold_indices_resolves_segment_handle(self):
         task = self._task()
-        path = tmp_path / "task.pkl"
-        path.write_bytes(pickle.dumps(task))
-        payload = TaskPayload("test-key", str(path))
-        template = timed_template("payload_tpl", 0.0)
-        train_indices, val_indices = task_cv_indices(task, n_splits=2, random_state=0)[0]
-        result = evaluate_fold_indices(
-            template, template.default_hyperparameters(), payload,
-            train_indices, val_indices,
-        )
-        assert result["error"] is None
-        assert 0.0 <= result["raw_score"] <= 1.0
-        # second resolution must come from the worker cache, not the file
-        path.unlink()
-        again = evaluate_fold_indices(
-            template, template.default_hyperparameters(), payload,
-            train_indices, val_indices,
-        )
-        assert again["error"] is None
-
-    def test_worker_cache_is_an_lru(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(backends_module, "_WORKER_TASK_CACHE_SIZE", 1)
+        segment = shm.publish_task(task)
         backends_module._WORKER_TASK_CACHE.clear()
         try:
-            task = self._task()
-            for index in range(3):
-                path = tmp_path / "task-{}.pkl".format(index)
-                path.write_bytes(pickle.dumps(task))
-                backends_module._resolve_task(TaskPayload("key-{}".format(index), str(path)))
+            template = timed_template("payload_tpl", 0.0)
+            train_indices, val_indices = task_cv_indices(task, n_splits=2, random_state=0)[0]
+            result = evaluate_fold_indices(
+                template, template.default_hyperparameters(), segment.handle,
+                train_indices, val_indices,
+            )
+            assert result["error"] is None
+            assert 0.0 <= result["raw_score"] <= 1.0
+            # second resolution must come from the worker cache, not the file
+            segment.release()
+            again = evaluate_fold_indices(
+                template, template.default_hyperparameters(), segment.handle,
+                train_indices, val_indices,
+            )
+            assert again["error"] is None
+        finally:
+            segment.release()
+            backends_module._WORKER_TASK_CACHE.clear()
+
+    def test_worker_cache_is_an_lru(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "_WORKER_TASK_CACHE_SIZE", 1)
+        backends_module._WORKER_TASK_CACHE.clear()
+        segments = [shm.publish_task(self._task()) for _ in range(3)]
+        try:
+            for segment in segments:
+                backends_module._resolve_task(segment.handle)
                 assert len(backends_module._WORKER_TASK_CACHE) == 1
-            assert list(backends_module._WORKER_TASK_CACHE) == ["key-2"]
+            assert list(backends_module._WORKER_TASK_CACHE) == [segments[-1].handle.key]
         finally:
             backends_module._WORKER_TASK_CACHE.clear()
+            for segment in segments:
+                segment.release()
 
     def test_process_knob_rejected_where_it_cannot_apply(self):
         from repro.automl import SerialBackend, get_backend
@@ -297,8 +299,7 @@ class TestWorkerResidentCache:
             backend.submit(candidate)
             (future,) = list(backend.as_completed())
             assert future.result().error is None
-            # the task is parked once in the active data plane's cache
-            # (shm segment by default, pickle spill on fallback)
-            assert len(backend._fleet._segments) + len(backend._fleet._payloads) == 1
+            # the task is published once, as one segment
+            assert len(backend._fleet._segments) == 1
         finally:
             backend.shutdown()

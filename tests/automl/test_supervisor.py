@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.automl import supervisor
+from repro.automl import shm, supervisor
 from repro.automl.supervisor import (
     FoldTimeoutError,
     SupervisedWorkerPool,
@@ -267,3 +267,44 @@ class TestInterpreterExit:
             except ProcessLookupError:
                 pass
             child.wait(timeout=10)
+
+    def test_workers_exit_when_the_coordinator_is_sigkilled(self):
+        # no process but the coordinator may hold the write end of a
+        # worker's task pipe (fork hands every child the ends open at the
+        # time): only then does each worker read EOF once it is SIGKILLed
+        script = (
+            "import os, signal, sys\n"
+            "sys.path.insert(0, {!r})\n"
+            "from repro.automl import EvaluationCandidate, ProcessBackend\n"
+            "from repro.core.template import Template\n"
+            "from repro.tasks import synth\n"
+            "task = synth.make_single_table_classification(n_samples=60, random_state=0)\n"
+            "template = Template('orphan_gnb', ['sklearn.naive_bayes.GaussianNB'])\n"
+            "backend = ProcessBackend(workers=2)\n"
+            "backend.submit(EvaluationCandidate(\n"
+            "    iteration=0, template=template,\n"
+            "    hyperparameters=template.default_hyperparameters(),\n"
+            "    task=task, n_splits=2, random_state=0))\n"
+            "(future,) = list(backend.as_completed())\n"
+            "assert future.result().error is None\n"
+            "print('ran', flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        ).format(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src"))
+        child = subprocess.Popen([sys.executable, "-c", script], start_new_session=True,
+                                 stdout=subprocess.PIPE, text=True)
+        try:
+            assert child.stdout.readline().strip() == "ran"
+            assert child.wait(timeout=30) == -signal.SIGKILL
+            deadline = time.monotonic() + 10
+            while _group_members(child.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert _group_members(child.pid) == []
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            child.wait(timeout=10)
+            child.stdout.close()
+            shm.sweep_stale_segments()  # the killed coordinator's task segments

@@ -18,15 +18,16 @@ _LEAKABLE_THREADS = ("pool-supervisor", "telemetry-writer")
 
 
 def _leaked_workers():
-    from repro.automl import fleet, shm
+    from repro.automl import shm
 
     threads = [thread.name for thread in threading.enumerate()
                if thread.name in _LEAKABLE_THREADS]
     children = ["{} (pid {})".format(child.name, child.pid)
                 for child in multiprocessing.active_children()]
-    segments = glob.glob(os.path.join(
-        "/dev/shm", "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid())))
-    return threads + children + segments + sorted(fleet._SPILL_FILES)
+    segments = [path for directory in shm._segment_directories()
+                for path in glob.glob(os.path.join(
+                    directory, "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid())))]
+    return threads + children + segments
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -37,8 +38,8 @@ def _module_leaves_no_workers_behind(request):
     process alive after a module's last test means some test never shut
     down a backend, a fleet, a session or a sink — which then rides along
     under every later module (forks inherit its locks and descriptors).
-    A shared-memory segment this process published, or a task spill file
-    a fleet still has registered, means the same for the data plane.
+    A task segment this process published and never unlinked, in either
+    segment directory, means the same for the data plane.
     """
     yield
     deadline = time.monotonic() + 5.0
