@@ -17,9 +17,11 @@ Drives the full crash story end to end, with a real ``SIGKILL``:
    the final record stream is identical to the baseline, that the
    durable store holds every record exactly once — no duplicates, no
    losses — and that the log is still one file with no manifest;
-4. after the kill and again after the resume, assert that
-   ``checkpoint.json`` stays within ``CHECKPOINT_MAX_BYTES`` — the snapshot
-   is a constant-size witness and must not grow with the budget again.
+4. after the kill and again after the resume, assert that the run
+   directory holds no ``checkpoint.json`` (the record log is the
+   checkpoint) and that every record's ``witness`` serializes to at most
+   ``WITNESS_MAX_BYTES`` — a constant-size witness whatever the budget or
+   the number of templates, not a state dump riding on every line.
 
 Steps 1-4 run once per window size in ``N_PENDING``.
 
@@ -47,7 +49,7 @@ KILL_AFTER = 4
 N_PENDING = (1, 3)
 SEED = 0
 N_SPLITS = 2
-CHECKPOINT_MAX_BYTES = 2048
+WITNESS_MAX_BYTES = 256
 
 
 def _make_task():
@@ -86,13 +88,19 @@ def _segment_files(store_dir):
                   if name.startswith("segment-") and name.endswith(".jsonl"))
 
 
-def _assert_checkpoint_is_small(run_dir, when):
-    size = os.path.getsize(os.path.join(run_dir, "checkpoint.json"))
-    assert size <= CHECKPOINT_MAX_BYTES, (
-        "checkpoint.json is {} bytes {} (limit {}): the snapshot must stay a "
-        "constant-size witness".format(size, when, CHECKPOINT_MAX_BYTES)
+def _assert_witnesses_are_small(run_dir, when):
+    from repro.explorer import PersistentPipelineStore
+
+    assert not os.path.exists(os.path.join(run_dir, "checkpoint.json")), (
+        "a checkpoint.json appeared {}: the record log is the checkpoint".format(when))
+    with PersistentPipelineStore(os.path.join(run_dir, "store")) as store:
+        sizes = [len(json.dumps(document["witness"])) for document in store]
+    assert sizes and max(sizes) <= WITNESS_MAX_BYTES, (
+        "a record's witness is {} bytes {} (limit {}): it must stay a "
+        "constant-size witness".format(max(sizes, default=0), when, WITNESS_MAX_BYTES)
     )
-    print("   checkpoint.json {}: {} bytes".format(when, size))
+    print("   witnesses {}: {} records, at most {} bytes each".format(
+        when, len(sizes), max(sizes)))
 
 
 def _child(run_dir, kill_after):
@@ -152,7 +160,7 @@ def _kill_and_resume(workdir, n_pending):
     with open(segment, "rb") as stream:
         assert stream.read() == torn, "opening the store rewrote its log"
     print("   durable records at kill time: {} (torn tail skipped)".format(durable))
-    _assert_checkpoint_is_small(killed_dir, "after the kill")
+    _assert_witnesses_are_small(killed_dir, "after the kill")
 
     print("== 3/3 resume and compare")
     resumed = resume_run(killed_dir)
@@ -167,7 +175,7 @@ def _kill_and_resume(workdir, n_pending):
     )
     print("   resumed stream identical to baseline "
           "({} records, no duplicates, no losses)".format(len(iterations)))
-    _assert_checkpoint_is_small(killed_dir, "after the resume")
+    _assert_witnesses_are_small(killed_dir, "after the resume")
     resumed.close()
     # the record log is one file: no rotation, no manifest
     assert _segment_files(store_dir) == ["segment-000000.jsonl"], os.listdir(store_dir)

@@ -130,12 +130,9 @@ def build_parser():
     parser.set_defaults(warm_start="auto")
     parser.add_argument("--run-dir", default=None, metavar="DIR",
                         help="run as a checkpointed, resumable experiment in DIR "
-                             "(record log + periodic state snapshots); a killed run "
-                             "continues with `python -m repro.automl resume DIR`")
-    parser.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
-                        help="snapshot the resumable search state every N reported "
-                             "records (default: 1; the record log itself is always "
-                             "written per record)")
+                             "(a record log whose every record carries its resume "
+                             "witness); a killed run continues with "
+                             "`python -m repro.automl resume DIR`")
     parser.add_argument("--output", default=None,
                         help="optional path for the JSON dump of every scored pipeline")
     return parser
@@ -260,8 +257,7 @@ def main(argv=None):
 
     try:
         session = run_from_directory(
-            task_dirs[0], run_dir=arguments.run_dir,
-            checkpoint_every=arguments.checkpoint_every, **_session_kwargs(arguments),
+            task_dirs[0], run_dir=arguments.run_dir, **_session_kwargs(arguments),
         )
     except (FileNotFoundError, ValueError, CheckpointError) as error:
         print("error: {}".format(error), file=sys.stderr)

@@ -5,30 +5,33 @@ A *checkpointed run* lives in one directory::
     <run_dir>/
         manifest.json     # immutable run configuration (written once)
         task/             # the task payload, saved at run creation
-        store/            # JSONL segment log of every reported record
+        store/            # the record log: one JSONL file, one line per record
         warm/             # frozen warm-start history store (optional)
-        checkpoint.json   # latest periodic state snapshot (atomic replace)
+        events/           # telemetry event stream (optional)
+        run.lock          # the single-executor lock
 
-The **store is the source of truth**: every reported record is appended
-to the crash-safe segment log before anything else observes it, so a
-killed run can always be resumed from the durable record prefix.  Resume
-does not restore mutable search state from the snapshot — it *replays*
-the recorded prefix through the real proposal path (consuming the RNG and
+The **record log is the checkpoint**: every reported record is appended
+to it before the tuners and selector learn it, and nothing else is written
+per record, so a killed run can always be resumed from the durable record
+prefix.  Resume does not restore mutable search state — it *replays* the
+recorded prefix through the real proposal path (consuming the RNG and
 updating tuner/selector state exactly as the original run did) and swaps
 in the recorded outcomes instead of re-evaluating, which provably
 reconstructs the exact state the uninterrupted run would have had and
 therefore emits the identical remaining record stream.
 
-The periodic ``checkpoint.json`` snapshot is therefore not a state dump
-but an independent *integrity witness* of constant size: budget spent,
-elapsed wall-clock, the rolling record-stream digest and — per template —
-trial counts plus a digest of the score history and of every RNG state.
-On resume, when the replay crosses the snapshot's report boundary, the
-regenerated digests and counts are compared against the snapshot and any
-disagreement aborts the resume with :class:`CheckpointError` instead of
-silently continuing a diverged search.  A format-1 snapshot (full score
-lists and RNG words, written before the digests) still resumes: the
-fields both formats share are verified and the rest skipped.
+Each live record carries its own integrity **witness**, a ``witness``
+field of constant size in its document: the rolling record-stream digest
+through that record, one SHA-256 over the search state at that report
+(every RNG state and, per template, the trial counts and a digest of the
+score history) and the wall-clock ``elapsed``.  A record and its witness
+reach the disk in one line, so a power loss that drops records drops their
+witnesses with them.  Resume regenerates the witness at every replayed
+record and aborts with :class:`CheckpointError` at the first one that
+disagrees, instead of silently continuing a diverged search; the last
+replayed witness's ``elapsed`` is the wall-clock the resumed run starts
+from.  Any other file in the run directory (the separate state snapshot
+older versions wrote next to the log, say) is ignored.
 """
 
 import contextlib
@@ -55,17 +58,12 @@ from repro.tuning.selectors import get_selector
 from repro.tuning.tuners import get_tuner
 
 MANIFEST_NAME = "manifest.json"
-CHECKPOINT_NAME = "checkpoint.json"
 TASK_DIRNAME = "task"
 STORE_DIRNAME = "store"
 WARM_DIRNAME = "warm"
 RUN_LOCK_NAME = "run.lock"
 
 MANIFEST_FORMAT = 1
-CHECKPOINT_FORMAT = 2
-
-#: Per-template snapshot fields whose encoding format 1 and 2 share.
-_FORMAT_1_TEMPLATE_FIELDS = ("n_trials", "n_failed", "n_pending")
 
 
 class CheckpointError(RuntimeError):
@@ -80,11 +78,6 @@ def _atomic_write_json(path, payload, indent=None):
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(temporary, path)
-
-
-def _load_json(path):
-    with open(path) as stream:
-        return json.load(stream)
 
 
 def rng_state_digest(rng):
@@ -120,105 +113,76 @@ def record_stream_digest(documents, hasher=None):
 
 
 class CheckpointManager:
-    """Writes periodic search snapshots and verifies them on resume.
+    """Builds each live record's witness and checks the replayed ones on resume.
 
     Plugged into :meth:`AutoBazaarSearch.search` through the
-    ``checkpoint`` parameter: ``after_report`` runs after every reported
-    record, strictly before the next proposal, so each snapshot captures a
-    consistent report-boundary view of the search.
+    ``checkpoint`` parameter.  For every reported record the search calls
+    :meth:`write` (live records only; the witness goes into the record's
+    document) and then :meth:`after_report` (every record), both after the
+    record joined the stream and before the tuners and selector learn it —
+    the report boundary every witness describes, which replay regenerates
+    exactly because the window refills after every report.
 
     Parameters
     ----------
     run_dir:
-        Directory holding ``checkpoint.json``.
-    every:
-        Snapshot cadence in reported records (1 = after every record).
-    resume_snapshot:
-        The previously written snapshot, when resuming.  While the replay
-        crosses its report boundary the regenerated stream digest, RNG
-        states and trial counts are checked against it.
-    replay_count:
-        Number of records being replayed from the durable store; no
-        snapshots are rewritten below this boundary.
+        The run directory, named in error messages.
+    replay:
+        The record documents being replayed from the store.  Each one's
+        ``witness`` is checked as the replay regenerates it; a document
+        without one (written before records carried witnesses) is not.
     on_report:
-        Optional callable invoked with the state dict after bookkeeping —
-        the hook used by the crash/resume smoke test to kill the process
-        at a deterministic point, and available for progress reporting.
+        Optional callable invoked with the state dict once per reported
+        record — the hook used by the crash/resume smoke test to kill the
+        process at a deterministic point, and available for progress
+        reporting.
     """
 
-    def __init__(self, run_dir, every=1, resume_snapshot=None, replay_count=0,
-                 on_report=None):
+    def __init__(self, run_dir, replay=(), on_report=None):
         self.run_dir = str(run_dir)
-        self.every = max(1, int(every))
-        self.path = os.path.join(self.run_dir, CHECKPOINT_NAME)
         self.on_report = on_report
-        self._snapshot = resume_snapshot
-        self._verify_at = resume_snapshot["n_reported"] if resume_snapshot else None
-        self._replay_count = int(replay_count)
-        self._digest = hashlib.sha256()
+        self._witnesses = [document.get("witness") for document in replay]
+        self._stream = hashlib.sha256()
         self._hashed = 0
         self._score_digests = {}  # template name -> [rolling sha256, scores hashed]
 
+    def write(self, state):
+        """This live record's witness: stream digest, state digest and elapsed seconds."""
+        return {"stream": self._stream_digest(state), "state": self._state_digest(state),
+                "elapsed": float(state["elapsed"])}
+
     def after_report(self, state):
-        records = state["records"]
-        if self._hashed < len(records):
-            record_stream_digest(
-                (record.to_dict() for record in records[self._hashed:]), self._digest
-            )
-            self._hashed = len(records)
-        n_reported = state["n_reported"]
-        if self._verify_at is not None and n_reported == self._verify_at:
-            self._verify(state)
-            self._verify_at = None
-        if n_reported > self._replay_count and (
-                n_reported % self.every == 0 or n_reported >= state["budget"]):
-            self.write(state)
+        """Check a replayed record's witness, then call ``on_report``."""
+        if state["n_reported"] <= len(self._witnesses):
+            self._verify(state, self._witnesses[state["n_reported"] - 1])
         if self.on_report is not None:
             self.on_report(state)
 
-    # -- snapshotting -------------------------------------------------------------
+    def _stream_digest(self, state):
+        """The rolling :func:`record_stream_digest` through the state's last record."""
+        records = state["records"]
+        record_stream_digest(
+            (record.to_dict() for record in records[self._hashed:]), self._stream)
+        self._hashed = len(records)
+        return self._stream.hexdigest()
 
-    def _capture(self, state):
-        """The serializable snapshot of one report-boundary search state."""
+    def _state_digest(self, state):
+        """SHA-256 over ``proposed``, every RNG state and each template's trial history."""
         selector = state["selector"]
-        tuners = state["tuners"]
         templates = {}
-        for name, tuner in tuners.items():
+        for name, tuner in state["tuners"].items():
             if tuner is None:
-                scores = state["template_scores"].get(name, [])
-                templates[name] = {
-                    "n_trials": len(scores),
-                    "scores": self._scores_digest(name, scores),
-                    "n_failed": selector.failure_count(name),
-                    "n_pending": selector.pending_count(name),
-                }
+                scores = state["template_scores"][name]
+                templates[name] = [len(scores), self._scores_digest(name, scores),
+                                   selector.failure_count(name),
+                                   selector.pending_count(name), None]
             else:
-                templates[name] = {
-                    "n_trials": len(tuner.trials),
-                    "scores": self._scores_digest(name, tuner.scores),
-                    "n_failed": len(tuner.failed_trials),
-                    "n_pending": len(tuner.pending),
-                }
-        rng = {
-            "selector": rng_state_digest(selector._rng),
-            "tuners": {
-                name: rng_state_digest(tuner._rng)
-                for name, tuner in tuners.items() if tuner is not None
-            },
-        }
-        return normalize_value({
-            "format": CHECKPOINT_FORMAT,
-            "written_at": time.time(),
-            "task_name": state["task_name"],
-            "n_reported": state["n_reported"],
-            "proposed": state["proposed"],
-            "budget": state["budget"],
-            "elapsed": state["elapsed"],
-            "defaults_pending": state["defaults_pending"],
-            "stream_digest": self._digest.hexdigest(),
-            "rng": rng,
-            "templates": templates,
-        })
+                templates[name] = [len(tuner.trials), self._scores_digest(name, tuner.scores),
+                                   len(tuner.failed_trials), len(tuner.pending),
+                                   rng_state_digest(tuner._rng)]
+        canonical = json.dumps([state["proposed"], rng_state_digest(selector._rng), templates],
+                               sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
     def _scores_digest(self, name, scores):
         """Rolling SHA-256 over a template's (append-only) score history."""
@@ -228,46 +192,24 @@ class CheckpointManager:
         entry[1] = len(scores)
         return entry[0].hexdigest()
 
-    def write(self, state):
-        """Atomically replace ``checkpoint.json`` with the current snapshot."""
-        _atomic_write_json(self.path, self._capture(state))
-
-    # -- resume verification ------------------------------------------------------
-
-    def _verify(self, state):
-        snapshot = self._snapshot
-        problems = []
-        if self._digest.hexdigest() != snapshot.get("stream_digest"):
-            problems.append(
-                "record stream digest mismatch at report {} (store records differ "
-                "from the ones the checkpoint was written against)".format(
-                    state["n_reported"])
-            )
+    def _verify(self, state, witness):
+        stream = self._stream_digest(state)
+        if witness is None:
+            return
+        problem = None
+        if stream != witness.get("stream"):
+            problem = ("the record stream digest differs (the stored records were "
+                       "modified)")
         # proposals and RNG consumption are only report-deterministic for
         # budget-bounded runs; a wall-clock budget legitimately shifts them
-        if state.get("max_seconds") is None and not problems:
-            current = self._capture(state)
-            # a format-1 snapshot spells scores and RNG states out in full;
-            # only the fields it encodes like this format are comparable
-            format_1 = snapshot.get("format") == 1
-            if current["proposed"] != snapshot.get("proposed"):
-                problems.append("proposed {} != checkpointed {}".format(
-                    current["proposed"], snapshot.get("proposed")))
-            if not format_1 and current["rng"] != snapshot.get("rng"):
-                problems.append("regenerated RNG states differ from the checkpoint")
-            for name, entry in snapshot.get("templates", {}).items():
-                regenerated = current["templates"].get(name, {})
-                fields = _FORMAT_1_TEMPLATE_FIELDS if format_1 else tuple(entry)
-                if any(regenerated.get(field) != entry[field] for field in fields):
-                    problems.append(
-                        "template {!r} trial history differs from the checkpoint".format(name)
-                    )
-                    break
-        if problems:
+        elif state["max_seconds"] is None and self._state_digest(state) != witness.get("state"):
+            problem = "the regenerated RNG states or trial histories differ"
+        if problem is not None:
             raise CheckpointError(
-                "Resume verification failed for {!r}: {}. The run directory was "
-                "modified, or the search configuration no longer matches the one "
-                "that produced it.".format(self.run_dir, "; ".join(problems))
+                "Resume verification failed for {!r} at report {} (iteration {}): {}. "
+                "The run directory was modified, or the search configuration no "
+                "longer matches the one that produced it.".format(
+                    self.run_dir, state["n_reported"], state["n_reported"] - 1, problem)
             )
 
 
@@ -298,7 +240,9 @@ class ExperimentRun:
         path to a persistent one) holding prior evaluations: its documents
         are *frozen* into the run directory, so the warm-start seed — and
         with it the record stream — stays identical on resume even if the
-        shared source store keeps growing.
+        shared source store keeps growing.  ``checkpoint_every`` must be 1
+        (every live record carries its own witness); any other value is a
+        ``ValueError``.
         """
         run_dir = str(run_dir)
         if random_state is None:
@@ -321,9 +265,9 @@ class ExperimentRun:
         shaping = ExecutionConfig(n_pending=n_pending)
         if budget < 0:
             raise ValueError("budget must be at least 0, got {!r}".format(budget))
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be at least 1, got {!r}".format(
-                checkpoint_every))
+        if checkpoint_every != 1:
+            raise ValueError("checkpoint_every must be 1 (every record carries its "
+                             "witness), got {!r}".format(checkpoint_every))
         if task is None:
             if task_directory is None:
                 raise ValueError("Either task or task_directory is required")
@@ -339,8 +283,7 @@ class ExperimentRun:
         # a create() that crashed before committing and were never
         # acknowledged -- wipe them, or re-running create() would append
         # the warm-start history into the surviving log a second time
-        for leftover in (TASK_DIRNAME, STORE_DIRNAME, WARM_DIRNAME,
-                         CHECKPOINT_NAME, RUN_LOCK_NAME):
+        for leftover in (TASK_DIRNAME, STORE_DIRNAME, WARM_DIRNAME, RUN_LOCK_NAME):
             path = os.path.join(run_dir, leftover)
             if os.path.isdir(path):
                 shutil.rmtree(path)
@@ -374,7 +317,6 @@ class ExperimentRun:
             "holdout": float(holdout),
             "n_pending": shaping.n_pending,
             "max_seconds": max_seconds,
-            "checkpoint_every": int(checkpoint_every),
             "warm_start": warm_start,
             # pipelines must be pure functions of their configuration for a
             # resumed run to reproduce the uninterrupted scores, so every
@@ -393,7 +335,8 @@ class ExperimentRun:
             raise CheckpointError(
                 "{!r} is not a run directory (no {})".format(run_dir, MANIFEST_NAME)
             )
-        return cls(run_dir, _load_json(manifest_path))
+        with open(manifest_path) as stream:
+            return cls(run_dir, json.load(stream))
 
     # -- execution ----------------------------------------------------------------
 
@@ -463,33 +406,15 @@ class ExperimentRun:
             task = load_task(task_dir)
 
             store = PersistentPipelineStore(os.path.join(self.run_dir, STORE_DIRNAME))
-            try:
-                replay = list(store)
-                if len(replay) > manifest["budget"]:
-                    raise CheckpointError(
-                        "Run store holds {} records but the budget is {}: the store was "
-                        "appended to outside this run".format(len(replay), manifest["budget"])
-                    )
-
-                snapshot = None
-                checkpoint_path = os.path.join(self.run_dir, CHECKPOINT_NAME)
-                if os.path.exists(checkpoint_path):
-                    snapshot = _load_json(checkpoint_path)
-                    if snapshot.get("n_reported", 0) > len(replay):
-                        raise CheckpointError(
-                            "checkpoint.json claims {} reported records but the store "
-                            "holds only {}: the store lost acknowledged data".format(
-                                snapshot.get("n_reported"), len(replay))
-                        )
-            except Exception:
-                # pre-flight failures must not leak the open store (its shared
-                # lock would degrade every later open in this process)
+            replay = list(store)
+            if len(replay) > manifest["budget"]:
+                # a pre-flight failure must not leak the open store
                 store.close()
-                raise
-            manager = CheckpointManager(
-                self.run_dir, every=manifest["checkpoint_every"],
-                resume_snapshot=snapshot, replay_count=len(replay), on_report=on_report,
-            )
+                raise CheckpointError(
+                    "Run store holds {} records but the budget is {}: the store was "
+                    "appended to outside this run".format(len(replay), manifest["budget"])
+                )
+            manager = CheckpointManager(self.run_dir, replay=replay, on_report=on_report)
 
             warm_store = None
             if manifest.get("warm_start"):
@@ -508,20 +433,6 @@ class ExperimentRun:
                 # existing stream on resume appends to it
                 **config.as_kwargs(),
             )
-            if snapshot is not None:
-                elapsed_offset = float(snapshot.get("elapsed") or 0.0)
-            else:
-                # no snapshot survived (killed before the first checkpoint):
-                # approximate spent wall-clock with the summed evaluation cost
-                # (a record's elapsed is its summed fold compute time on every
-                # backend).  A slight underestimate for the serial backend,
-                # which also spent the fold splits, dispatch and the
-                # coordinator's own work in between; an upper bound for pool
-                # backends (concurrent evaluations overlap), which at worst
-                # stops a max_seconds-budgeted resume early -- replay itself is
-                # never deadline-gated.  Keep checkpoint_every=1 (the default)
-                # on wall-clock-budgeted parallel runs to avoid the gap.
-                elapsed_offset = float(sum(doc.get("elapsed") or 0.0 for doc in replay))
             try:
                 result = searcher.search(
                     task,
@@ -530,7 +441,11 @@ class ExperimentRun:
                     max_seconds=manifest["max_seconds"],
                     checkpoint=manager,
                     replay=replay,
-                    elapsed_offset=elapsed_offset,
+                    # the wall-clock the last witness saw; records written
+                    # before witnesses existed resume from 0
+                    elapsed_offset=next((document["witness"]["elapsed"]
+                                         for document in reversed(replay)
+                                         if document.get("witness")), 0.0),
                 )
             except BaseException:
                 # on failure (including KeyboardInterrupt) release the
@@ -568,7 +483,7 @@ def resume_run(run_dir, **execution):
     """Resume a killed (or completed) checkpointed run; returns the run.
 
     Replays the durable record prefix to reconstruct the exact search
-    state, verifies it against the latest snapshot, then continues with
+    state, checks every replayed record's witness, then continues with
     live evaluations — the remaining record stream is identical to the one
     an uninterrupted run would have produced, and the store ends up with
     no duplicated or lost records.  ``execution`` is what

@@ -549,7 +549,7 @@ class _Window:
 
 
 class _Reporter:
-    """Files outcomes in proposal order: records, store, sink, proposer, checkpoint.
+    """Files outcomes in proposal order: records, store, sink, checkpoint, proposer.
 
     Called strictly in proposal order, so the record stream (and hence
     the tuner/selector state feeding the next proposal) is deterministic
@@ -578,6 +578,17 @@ class _Reporter:
             score, raw_score, candidate.iteration, outcome.elapsed, error=error,
             is_default=candidate.is_default, pruned=outcome.pruned)
 
+    def _state(self, window):
+        """The search state a checkpoint witnesses at this report."""
+        proposer = self.proposer
+        return {
+            "n_reported": len(self.records), "replay_count": self.replay_count,
+            "proposed": window.proposed, "max_seconds": window.max_seconds,
+            "elapsed": time.time() - window.start, "records": self.records,
+            "selector": proposer.selector, "tuners": proposer.tuners,
+            "template_scores": proposer.template_scores,
+        }
+
     def report(self, future, window):
         """File one completed future of ``window``."""
         candidate, outcome = future.candidate, future.result()
@@ -586,15 +597,24 @@ class _Reporter:
         self.cache_totals["hits"] += outcome.cache_hits
         self.cache_totals["misses"] += outcome.cache_misses
         self.cache_totals["bytes_written"] += outcome.cache_bytes
+        state = None if self.checkpoint is None else self._state(window)
         if candidate.iteration >= self.replay_count:
             # replayed records are already durable in the store and their
             # events already in the stream from the original incarnation;
             # only newly evaluated ones are appended (no duplicates)
             if self.store is not None:
-                self.store.add(record)
+                document = record.to_dict()
+                if state is not None:
+                    # one line holds the record and its witness
+                    document["witness"] = self.checkpoint.write(state)
+                self.store.add(document)
             if self.proposer.telemetry is not None:  # spare the to_dict() otherwise
                 _emit(self.proposer.telemetry, "record_reported",
                       iteration=candidate.iteration, record=record.to_dict())
+        if state is not None:
+            # the point every witness describes: the record is in the
+            # stream, the tuners and selector have not learnt it yet
+            self.checkpoint.after_report(state)
         self.proposer.observe(candidate, record)
         if not record.failed:
             if self.pruner is not None:
@@ -603,20 +623,6 @@ class _Reporter:
                 self.best_score = record.score
                 self.best_template = candidate.template_name
                 self.best_hyperparameters = dict(candidate.hyperparameters)
-        if self.checkpoint is not None:
-            # called after the record is fully filed and before the next
-            # proposal, so a snapshot taken here captures a consistent
-            # (report-boundary) view of the search state
-            proposer = self.proposer
-            self.checkpoint.after_report({
-                "n_reported": len(self.records), "proposed": window.proposed,
-                "budget": window.budget, "max_seconds": window.max_seconds,
-                "elapsed": time.time() - window.start, "records": self.records,
-                "replay_count": self.replay_count,
-                "defaults_pending": list(proposer.defaults_pending),
-                "task_name": proposer.task.name, "selector": proposer.selector,
-                "tuners": proposer.tuners, "template_scores": proposer.template_scores,
-            })
 
     def finish(self, window, refit, cache_mode, opened):
         """The search's result, once the window's backend is released.
@@ -759,11 +765,12 @@ class AutoBazaarSearch:
             2-hour wall-clock limit); the loop stops at whichever of the
             two budgets is exhausted first.
         checkpoint:
-            Optional observer with an ``after_report(state)`` method (see
-            :class:`~repro.automl.checkpoint.CheckpointManager`), called
-            after every reported record — strictly after the record was
-            filed into the store/tuners/selector and strictly before the
-            next proposal — with a snapshot-able view of the search state.
+            Optional :class:`~repro.automl.checkpoint.CheckpointManager`.
+            For every reported record, after it joined the stream and
+            before the tuners and selector learn it, its ``write(state)``
+            builds a live record's witness, stored in the record's
+            document, and then its ``after_report(state)`` runs for every
+            record, replayed or live.
         replay:
             Optional sequence of previously recorded evaluation documents
             (:meth:`EvaluationRecord.to_dict` dicts), one per iteration

@@ -255,7 +255,7 @@ class AutoBazaarSession:
 
 def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1",
                        n_splits=3, random_state=0, output=None, store_path=None,
-                       warm_start="auto", run_dir=None, checkpoint_every=1, **execution):
+                       warm_start="auto", run_dir=None, **execution):
     """One-shot helper behind the command-line interface.
 
     Loads the task stored in ``task_directory``, runs a search configured
@@ -266,8 +266,9 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
     With ``store_path`` the records are durably appended to a persistent
     store (and automatically warm-start from any history already in it);
     with ``run_dir`` the search runs as a resumable checkpointed
-    :class:`~repro.automl.checkpoint.ExperimentRun` whose record log and
-    snapshots live inside ``run_dir`` — a killed run is continued with
+    :class:`~repro.automl.checkpoint.ExperimentRun` whose record log (each
+    record carrying its own resume witness) lives inside ``run_dir`` — a
+    killed run is continued with
     ``python -m repro.automl resume <run_dir>``.  When both are given, the
     store at ``store_path`` serves as the (frozen) warm-start history and
     the run's own records land in ``run_dir``.
@@ -301,7 +302,6 @@ def run_from_directory(task_directory, budget=20, tuner="gp_ei", selector="ucb1"
         try:
             run = ExperimentRun.create(
                 run_dir, task_directory=task_directory, n_pending=config.n_pending,
-                checkpoint_every=checkpoint_every,
                 warm_start_source=warm_source, **session_options,
             )
         finally:

@@ -14,12 +14,14 @@ from repro.automl import (
     ExperimentRun,
     resume_run,
 )
-from repro.automl.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_NAME, MANIFEST_NAME
+from repro.automl.checkpoint import MANIFEST_NAME, record_stream_digest
 from repro.explorer import PersistentPipelineStore, normalize_value
 from repro.tasks import synth
 
 BUDGET = 6
 SEED = 0
+#: Ceiling of one record's serialized witness, whatever the budget.
+WITNESS_MAX_BYTES = 256
 
 
 class _StopRun(Exception):
@@ -54,6 +56,22 @@ def _is_sha256(value):
     return isinstance(value, str) and len(value) == 64 and set(value) <= set("0123456789abcdef")
 
 
+def _log_path(run_dir):
+    (path,) = glob.glob(os.path.join(str(run_dir), "store", "segment-*.jsonl"))
+    return path
+
+
+def _log_documents(run_dir):
+    with open(_log_path(run_dir)) as stream:
+        return [json.loads(line) for line in stream]
+
+
+def _rewrite_log(run_dir, documents):
+    with open(_log_path(run_dir), "w") as stream:
+        for document in documents:
+            stream.write(json.dumps(document, separators=(",", ":")) + "\n")
+
+
 def _kill_after(n):
     def hook(state):
         if state["n_reported"] >= n:
@@ -73,47 +91,27 @@ def baseline(tmp_path_factory):
 class TestExperimentRunLifecycle:
     def test_run_directory_layout(self, baseline):
         run, result, _ = baseline
-        assert os.path.exists(os.path.join(run.run_dir, MANIFEST_NAME))
-        assert os.path.exists(os.path.join(run.run_dir, CHECKPOINT_NAME))
-        assert glob.glob(os.path.join(run.run_dir, "store", "segment-*.jsonl"))
+        # the record log is the checkpoint: nothing else is written per record
+        assert set(os.listdir(run.run_dir)) == {MANIFEST_NAME, "task", "store", "run.lock"}
+        assert _log_path(run.run_dir)  # exactly one log file
         assert os.path.exists(os.path.join(run.run_dir, "task", "task.json"))
         assert result.n_evaluated == BUDGET
         assert len(run.store) == BUDGET
 
-    def test_checkpoint_snapshot_contents(self, baseline):
+    def test_every_record_carries_its_witness(self, baseline):
         run, _, _ = baseline
-        with open(os.path.join(run.run_dir, CHECKPOINT_NAME)) as stream:
-            snapshot = json.load(stream)
-        assert snapshot["n_reported"] == BUDGET
-        assert snapshot["proposed"] == BUDGET
-        assert snapshot["budget"] == BUDGET
-        assert snapshot["elapsed"] > 0
-        assert snapshot["stream_digest"]
-        # per-template trial counts, and digests of the score history and
-        # of every RNG state, are captured
-        assert snapshot["format"] == CHECKPOINT_FORMAT == 2
-        assert snapshot["templates"]
-        assert all({"n_trials", "scores", "n_failed", "n_pending"} <= set(entry)
-                   for entry in snapshot["templates"].values())
-        assert all(_is_sha256(entry["scores"]) for entry in snapshot["templates"].values())
-        assert sum(entry["n_trials"] + entry["n_failed"]
-                   for entry in snapshot["templates"].values()) == BUDGET
-        assert snapshot["rng"]["selector"][0] == "MT19937"
-        assert _is_sha256(snapshot["rng"]["selector"][1])
-        assert all(state[0] == "MT19937" and _is_sha256(state[1])
-                   for state in snapshot["rng"]["tuners"].values())
-
-    def test_snapshot_size_is_independent_of_the_record_count(self, baseline, tmp_path):
-        """The witness is O(1): four times the records, the same bytes."""
-        run, _, _ = baseline
-        longer = _create(tmp_path / "run", budget=4 * BUDGET)
-        longer.execute()
-        longer.close()
-        sizes = [os.path.getsize(os.path.join(directory, CHECKPOINT_NAME))
-                 for directory in (run.run_dir, longer.run_dir)]
-        # only the decimal counters and the elapsed float may change width
-        assert abs(sizes[1] - sizes[0]) < 64, sizes
-        assert max(sizes) <= 2048, sizes
+        documents = _log_documents(run.run_dir)
+        assert len(documents) == BUDGET
+        for count, document in enumerate(documents, start=1):
+            witness = document["witness"]
+            assert set(witness) == {"stream", "state", "elapsed"}
+            # the stream digest runs through this very record
+            assert witness["stream"] == record_stream_digest(documents[:count]).hexdigest()
+            assert _is_sha256(witness["state"])
+            assert len(json.dumps(witness)) <= WITNESS_MAX_BYTES
+        elapsed = [document["witness"]["elapsed"] for document in documents]
+        assert elapsed == sorted(elapsed) and elapsed[0] > 0
+        assert len({document["witness"]["state"] for document in documents}) == BUDGET
 
     def test_create_twice_rejected(self, baseline, tmp_path):
         run, _, _ = baseline
@@ -143,6 +141,7 @@ class TestExperimentRunLifecycle:
         ("holdout", float("nan")),
         ("checkpoint_every", 0),
         ("checkpoint_every", -3),
+        ("checkpoint_every", 2),  # every record carries its witness: 1 is the only cadence
     ])
     def test_unrunnable_value_rejected_before_touching_disk(self, tmp_path, argument, value):
         run_dir = tmp_path / "run"
@@ -154,17 +153,6 @@ class TestExperimentRunLifecycle:
         run = _create(run_dir, budget=2)
         assert run.execute().n_evaluated == 2
         run.close()
-
-    def test_cli_rejects_checkpoint_every_zero(self, tmp_path, capsys):
-        from repro.automl.__main__ import main
-        from repro.tasks import save_task
-
-        save_task(_task(), tmp_path / "task")
-        exit_code = main([str(tmp_path / "task"), "--budget", "2", "--splits", "2",
-                          "--run-dir", str(tmp_path / "run"), "--checkpoint-every", "0"])
-        assert exit_code == 1
-        assert "checkpoint_every must be at least 1" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "run" / MANIFEST_NAME)
 
 
 class TestKillAndResumeEquivalence:
@@ -205,12 +193,9 @@ class TestKillAndResumeEquivalence:
         with pytest.raises(_StopRun):
             run.execute(on_report=_kill_after(3))
         # pretend the whole wall-clock budget was spent before the kill
-        checkpoint_path = os.path.join(run_dir, CHECKPOINT_NAME)
-        with open(checkpoint_path) as stream:
-            snapshot = json.load(stream)
-        snapshot["elapsed"] = 7200.0
-        with open(checkpoint_path, "w") as stream:
-            json.dump(snapshot, stream)
+        documents = _log_documents(run_dir)
+        documents[-1]["witness"]["elapsed"] = 7200.0
+        _rewrite_log(run_dir, documents)
 
         resumed = resume_run(run_dir)
         assert len(resumed.result.records) == 3  # replayed, no live work
@@ -221,6 +206,23 @@ class TestKillAndResumeEquivalence:
         _, _, reference = baseline
         run_dir = tmp_path / "run"
         _create(run_dir).execute()
+        resumed = resume_run(run_dir)
+        assert _stream(resumed.result.records) == reference
+        assert sorted(d["iteration"] for d in resumed.store) == list(range(BUDGET))
+
+    def test_power_loss_drops_records_with_their_witnesses(self, baseline, tmp_path):
+        """Records and their witnesses share one line, so they vanish together.
+
+        A power loss keeps a prefix of the flushed-but-not-fsynced log; no
+        second file can vouch for the lost tail and refuse the resume.
+        """
+        _, _, reference = baseline
+        run_dir = tmp_path / "run"
+        run = _create(run_dir)
+        with pytest.raises(_StopRun):
+            run.execute(on_report=_kill_after(4))
+        _rewrite_log(run_dir, _log_documents(run_dir)[:-2])
+
         resumed = resume_run(run_dir)
         assert _stream(resumed.result.records) == reference
         assert sorted(d["iteration"] for d in resumed.store) == list(range(BUDGET))
@@ -256,79 +258,46 @@ class TestKillAndResumeEquivalence:
         assert signal.SIGKILL.value == 9
 
 
-def _rewrite_as_format_1(run_dir, kill_after):
-    """Replace ``checkpoint.json`` with the format-1 snapshot of the same state.
+class TestPreWitnessRunDirectories:
+    """Run directories written before the record log became the checkpoint."""
 
-    Format 1 spelled every score list and RNG state out in full; the
-    shape below is written by hand (no format-1 serializer survives in the
-    package).  Counts are recomputed from the durable records, the score
-    lists and RNG words are filler — resume must not read them.
-    """
-    path = os.path.join(run_dir, CHECKPOINT_NAME)
-    with open(path) as stream:
-        current = json.load(stream)
-    assert current["n_reported"] == kill_after
-    with PersistentPipelineStore(os.path.join(run_dir, "store")) as store:
-        documents = list(store)
-    filler_rng = ["MT19937", [0] * 624, 624, 0, 0.0]
-    legacy = {
-        "format": 1,
-        "written_at": current["written_at"],
-        "task_name": current["task_name"],
-        "n_reported": current["n_reported"],
-        "proposed": current["proposed"],
-        "budget": current["budget"],
-        "elapsed": current["elapsed"],
-        "defaults_pending": current["defaults_pending"],
-        "stream_digest": current["stream_digest"],
-        "rng": {"selector": filler_rng,
-                "tuners": {name: filler_rng for name in current["rng"]["tuners"]}},
-        "templates": {
-            name: {
-                "n_trials": sum(1 for d in documents
-                                if d["template_name"] == name and d["error"] is None),
-                "scores": [0.5] * entry["n_trials"],
-                "n_failed": sum(1 for d in documents
-                                if d["template_name"] == name and d["error"] is not None),
-                "n_pending": entry["n_pending"],
-            }
-            for name, entry in current["templates"].items()
-        },
-    }
-    with open(path, "w") as stream:
-        json.dump(legacy, stream, indent=2)
-    return legacy
-
-
-class TestFormat1Snapshot:
-    def _killed_run(self, tmp_path, kill_after=4):
+    def _killed_run(self, tmp_path):
         run_dir = tmp_path / "run"
         run = _create(run_dir)
         with pytest.raises(_StopRun):
-            run.execute(on_report=_kill_after(kill_after))
-        return run_dir, _rewrite_as_format_1(run_dir, kill_after)
+            run.execute(on_report=_kill_after(4))
+        return run_dir
 
-    def test_format_1_snapshot_resumes(self, baseline, tmp_path):
+    def test_leftover_snapshot_and_cadence_are_ignored(self, baseline, tmp_path):
         _, _, reference = baseline
-        run_dir, _ = self._killed_run(tmp_path)
+        run_dir = self._killed_run(tmp_path)
+        # an unparsable snapshot file, and a manifest naming a cadence
+        with open(os.path.join(run_dir, "checkpoint.json"), "w") as stream:
+            stream.write('{"format": 2, "n_reported": 9')
+        path = os.path.join(run_dir, MANIFEST_NAME)
+        with open(path) as stream:
+            manifest = json.load(stream)
+        assert "checkpoint_every" not in manifest  # new manifests no longer write it
+        manifest["checkpoint_every"] = 5
+        with open(path, "w") as stream:
+            json.dump(manifest, stream, indent=2)
+
         resumed = resume_run(run_dir)
         assert _stream(resumed.result.records) == reference
-        with open(os.path.join(run_dir, CHECKPOINT_NAME)) as stream:
-            assert json.load(stream)["format"] == CHECKPOINT_FORMAT  # rewritten as current
 
-    @pytest.mark.parametrize("field", ["stream_digest", "proposed", "n_trials"])
-    def test_format_1_snapshot_still_detects_tampering(self, tmp_path, field):
-        run_dir, legacy = self._killed_run(tmp_path)
-        if field == "stream_digest":
-            legacy[field] = "0" * 64
-        elif field == "proposed":
-            legacy[field] += 1
-        else:
-            next(iter(legacy["templates"].values()))[field] += 1
-        with open(os.path.join(run_dir, CHECKPOINT_NAME), "w") as stream:
-            json.dump(legacy, stream)
-        with pytest.raises(CheckpointError):
-            resume_run(run_dir)
+    def test_records_without_witnesses_resume_unchecked(self, baseline, tmp_path):
+        _, _, reference = baseline
+        run_dir = self._killed_run(tmp_path)
+        documents = _log_documents(run_dir)
+        for document in documents:
+            del document["witness"]
+        _rewrite_log(run_dir, documents)
+
+        resumed = resume_run(run_dir)
+        assert _stream(resumed.result.records) == reference
+        # the live records the resume appended carry witnesses again
+        witnessed = [d["iteration"] for d in _log_documents(run_dir) if "witness" in d]
+        assert witnessed == list(range(4, BUDGET))
 
 
 class TestManifestSchedule:
@@ -376,21 +345,29 @@ class TestResumeSafetyRails:
             run.execute(on_report=_kill_after(3))
         return run_dir
 
-    @pytest.mark.parametrize("where", ["scores", "selector_rng", "tuner_rng"])
-    def test_tampered_witness_digest_detected(self, tmp_path, where):
+    @pytest.mark.parametrize("field", ["stream", "state"])
+    @pytest.mark.parametrize("position", [0, 1, 2])  # first, middle and last replayed
+    def test_tampered_witness_digest_detected(self, tmp_path, field, position):
         run_dir = self._killed_run(tmp_path)
-        path = os.path.join(run_dir, CHECKPOINT_NAME)
+        documents = _log_documents(run_dir)
+        assert len(documents) == 3
+        documents[position]["witness"][field] = "0" * 64
+        _rewrite_log(run_dir, documents)
+        # the error names the first report whose witness disagrees
+        with pytest.raises(CheckpointError, match="at report {} ".format(position + 1)):
+            resume_run(run_dir)
+
+    def test_reseeded_rng_detected(self, tmp_path):
+        """Default proposals draw nothing, so only the witnessed RNG states can tell."""
+        run_dir = self._killed_run(tmp_path)
+        assert all(document["is_default"] for document in _log_documents(run_dir))
+        path = os.path.join(run_dir, MANIFEST_NAME)
         with open(path) as stream:
-            snapshot = json.load(stream)
-        if where == "scores":
-            next(iter(snapshot["templates"].values()))["scores"] = "0" * 64
-        elif where == "selector_rng":
-            snapshot["rng"]["selector"][1] = "0" * 64
-        else:
-            next(iter(snapshot["rng"]["tuners"].values()))[1] = "0" * 64
+            manifest = json.load(stream)
+        manifest["random_state"] += 1
         with open(path, "w") as stream:
-            json.dump(snapshot, stream)
-        with pytest.raises(CheckpointError):
+            json.dump(manifest, stream)
+        with pytest.raises(CheckpointError, match="at report 1 .*RNG states"):
             resume_run(run_dir)
 
     def test_tampered_store_detected(self, tmp_path):

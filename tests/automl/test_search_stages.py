@@ -283,9 +283,14 @@ class FakeCheckpoint:
     def __init__(self):
         self.states = []
 
+    def write(self, state):
+        return {"n_reported": state["n_reported"]}
+
     def after_report(self, state):
-        self.states.append({key: state[key] for key in ("n_reported", "replay_count",
-                                                        "proposed")})
+        entry = {key: state[key] for key in ("n_reported", "replay_count", "proposed")}
+        # scores the selector has learnt so far: the reported record is not among them
+        entry["learnt"] = sum(map(len, state["template_scores"].values()))
+        self.states.append(entry)
 
 
 class FakeSink:
@@ -335,14 +340,16 @@ class TestReporter:
         reporter, proposer, sink, store, checkpoint = make_reporter(task, replay_count=2)
         candidates = [report(reporter, proposer, iteration, 0.1 + iteration)
                       for iteration in range(3)]
-        assert [record.iteration for record in store.added] == [2]
+        assert [document["iteration"] for document in store.added] == [2]
+        assert store.added[0]["witness"] == {"n_reported": 3}
         assert [event for event in sink.events if event[0] == "record_reported"] == [
             ("record_reported", 2)]
         for candidate in candidates:
             assert proposer.selector.pending_count(candidate.template_name) == 0
             assert proposer.template_scores[candidate.template_name]
         assert checkpoint.states == [
-            {"n_reported": n, "replay_count": 2, "proposed": n} for n in (1, 2, 3)]
+            {"n_reported": n, "replay_count": 2, "proposed": n, "learnt": n - 1}
+            for n in (1, 2, 3)]
         assert reporter.best_score == pytest.approx(2.1)
 
 

@@ -218,8 +218,13 @@ class TestDurableCLI:
         arguments = build_parser().parse_args(["some/dir"])
         assert arguments.store_path is None
         assert arguments.run_dir is None
-        assert arguments.checkpoint_every == 1
         assert arguments.warm_start == "auto"
+
+    def test_parser_refuses_checkpoint_every(self, capsys):
+        # every record carries its witness: there is no cadence to choose
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["d", "--run-dir", "r", "--checkpoint-every", "1"])
+        assert "--checkpoint-every" in capsys.readouterr().err
 
     def test_parser_warm_start_flags(self):
         assert build_parser().parse_args(["d", "--warm-start"]).warm_start is True

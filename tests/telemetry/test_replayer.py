@@ -367,4 +367,6 @@ class TestSigkillRecovery:
         report = replay_run(events, record_documents=documents)
         assert len(report["records"]) <= 3
         for record, document in zip(report["records"], documents):
-            assert record == document
+            # the log line also holds the record's resume witness
+            assert record == {key: value for key, value in document.items()
+                              if key != "witness"}

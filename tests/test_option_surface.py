@@ -5,7 +5,8 @@ took settings that no caller set (a heartbeat period, a retry backoff, a
 backlog, a per-tenant cap, segment and ring sizes, cache capacities, a
 sweep directory).  Each is a module constant now.  This pins the parameter
 list of every such callable, so a knob comes back only through a
-deliberate edit here.
+deliberate edit here.  The durable run's entry points are pinned too:
+they lost the snapshot cadence when the record log became the checkpoint.
 """
 
 import inspect
@@ -13,8 +14,10 @@ import inspect
 import pytest
 
 from repro.automl import shm
+from repro.automl.checkpoint import CheckpointManager, ExperimentRun
 from repro.automl.fleet import FleetCoordinator
 from repro.automl.prefix_cache import FittedPrefixCache, make_prefix_cache_config
+from repro.automl.session import run_from_directory
 from repro.automl.supervisor import SupervisedWorkerPool
 from repro.explorer.persistence import PersistentPipelineStore, SegmentLog
 from repro.telemetry.sink import TelemetrySink
@@ -31,6 +34,14 @@ SURFACE = {
     FittedPrefixCache: ["cache_dir"],
     make_prefix_cache_config: ["mode", "cache_dir"],
     shm.sweep_stale_segments: [],
+    run_from_directory: ["task_directory", "budget", "tuner", "selector", "n_splits",
+                         "random_state", "output", "store_path", "warm_start", "run_dir",
+                         "execution"],
+    # ``checkpoint_every`` accepts only 1 (``bench_e2e/workloads.py`` passes it)
+    ExperimentRun.create: ["run_dir", "task", "task_directory", "budget", "tuner",
+                           "selector", "n_splits", "random_state", "holdout", "n_pending",
+                           "max_seconds", "checkpoint_every", "warm_start_source"],
+    CheckpointManager: ["run_dir", "replay", "on_report"],
 }
 
 
