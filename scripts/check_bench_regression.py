@@ -17,7 +17,7 @@ running is itself a regression.
 Usage::
 
     python scripts/check_bench_regression.py [--tolerance 0.20] \\
-        .bench-baseline/BENCH_batched_eval.json:BENCH_batched_eval.json ...
+        .bench-baseline/BENCH_prefix_cache.json:BENCH_prefix_cache.json ...
     python scripts/check_bench_regression.py [--tolerance 0.20] \\
         --fresh-dir .bench-fresh
 """

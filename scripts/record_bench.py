@@ -1,19 +1,12 @@
 """Performance benchmarks recorded to committed ``BENCH_*.json`` files.
 
-Five suites, selected by the positional ``suite`` argument:
+Four suites, selected by the positional ``suite`` argument:
 
 ``prefix-cache`` (default, -> ``BENCH_prefix_cache.json``)
     Candidate throughput with the disk-tier fitted-prefix cache on vs
     off, on a shared-prefix tuning workload (every candidate shares an
     expensive preprocessing prefix and differs only in estimator
     hyperparameters).  Gate: >= ``THRESHOLD``x.
-
-``batched-eval`` (-> ``BENCH_batched_eval.json``)
-    Candidate throughput with batched multi-candidate evaluation on vs
-    off: same-template candidates the window proposes into the slots one
-    collection freed are evaluated as fused batches (one shared preprocessing-prefix fit and
-    one shared Ridge Gram matrix per fold, one cheap solve per alpha).
-    Gate: >= ``BATCHED_EVAL_THRESHOLD``x.
 
 ``multi-tenant`` (-> ``BENCH_multi_tenant.json``)
     Aggregate throughput of N=4 concurrent tenant searches multiplexed
@@ -72,9 +65,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 #: Acceptance bar: cache-on candidate throughput vs cache-off.
 THRESHOLD = 1.5
 
-#: Acceptance bar: batched candidate throughput vs looped evaluation.
-BATCHED_EVAL_THRESHOLD = 1.5
-
 #: Acceptance bar: concurrent-fleet aggregate throughput vs the same four
 #: searches run one at a time on the same warm pool.  Below 1.0 by design:
 #: multiplexing may pay a small scheduling tax, but must never collapse.
@@ -103,8 +93,6 @@ ENCODER = "mlprimitives.custom.preprocessing.ClassEncoder"
 DECODER = "mlprimitives.custom.preprocessing.ClassDecoder"
 TIMED_IDENTITY = "mlprimitives.custom.synthetic.TimedIdentityTransformer"
 LOGISTIC = "sklearn.linear_model.LogisticRegression"
-IMPUTER = "sklearn.impute.SimpleImputer"
-RIDGE = "sklearn.linear_model.Ridge"
 
 
 # -- prefix-cache suite ----------------------------------------------------------
@@ -189,83 +177,6 @@ def run_prefix_cache_benchmark(workers=WORKERS, budget=BUDGET,
         },
         "speedup": round(speedup, 3),
         "threshold": THRESHOLD,
-        "scores_identical": True,
-    }
-    return payload
-
-
-# -- batched-eval suite ----------------------------------------------------------
-
-#: Pipeline evaluations per batched-eval run (three fused window refills of 8).
-BATCHED_EVAL_BUDGET = 24
-
-#: Candidates in flight: the serial backend finishes all of them per refill.
-BATCHED_EVAL_PENDING = 8
-
-#: Samples/features of the regression task (Gram matrix dominates a fit).
-BATCHED_EVAL_SHAPE = (3000, 150)
-
-
-def _run_batched_eval(batch_eval, task):
-    from repro.automl import AutoBazaarSearch
-    from repro.core.template import Template
-    from repro.tuning.tuners import UniformTuner
-
-    template = Template(
-        "batched_eval_bench", [IMPUTER, RIDGE],
-        init_params={IMPUTER: {"strategy": "mean"}},
-    )
-    searcher = AutoBazaarSearch(
-        templates=[template], n_splits=3, random_state=0,
-        n_pending=BATCHED_EVAL_PENDING,
-        batch_eval=batch_eval, tuner_class=UniformTuner,
-    )
-    started = time.time()
-    result = searcher.search(task, budget=BATCHED_EVAL_BUDGET)
-    elapsed = time.time() - started
-    return result, elapsed
-
-
-def run_batched_eval_benchmark(shape=BATCHED_EVAL_SHAPE):
-    """Measure batched vs looped candidate throughput; returns the payload."""
-    from repro.tasks import synth
-
-    task = synth.make_single_table_regression(
-        n_samples=shape[0], n_features=shape[1], random_state=0)
-    looped_result, looped_elapsed = _run_batched_eval(False, task)
-    batched_result, batched_elapsed = _run_batched_eval(True, task)
-
-    looped_records = [(r.template_name, r.iteration, r.score, r.error)
-                      for r in looped_result.records]
-    batched_records = [(r.template_name, r.iteration, r.score, r.error)
-                       for r in batched_result.records]
-    assert len(looped_records) == BATCHED_EVAL_BUDGET
-    assert batched_records == looped_records, (
-        "batched evaluation changed the record stream"
-    )
-
-    speedup = looped_elapsed / batched_elapsed
-    payload = {
-        "benchmark": "batched_eval_throughput",
-        "workload": {
-            "budget": BATCHED_EVAL_BUDGET,
-            "n_pending": BATCHED_EVAL_PENDING,
-            "n_splits": 3,
-            "task_shape": list(shape),
-            "backend": "serial",
-            "schedule": "window",
-            "template": "pinned mean-imputer -> ridge (shared Gram per fold)",
-        },
-        "looped": {
-            "elapsed_seconds": round(looped_elapsed, 3),
-            "candidates_per_second": round(BATCHED_EVAL_BUDGET / looped_elapsed, 3),
-        },
-        "batched": {
-            "elapsed_seconds": round(batched_elapsed, 3),
-            "candidates_per_second": round(BATCHED_EVAL_BUDGET / batched_elapsed, 3),
-        },
-        "speedup": round(speedup, 3),
-        "threshold": BATCHED_EVAL_THRESHOLD,
         "scores_identical": True,
     }
     return payload
@@ -822,10 +733,6 @@ SUITES = {
     "prefix-cache": (run_prefix_cache_benchmark, THRESHOLD,
                      "BENCH_prefix_cache.json",
                      ("cache off", "cache_off"), ("cache on", "cache_on"),
-                     "candidates_per_second"),
-    "batched-eval": (run_batched_eval_benchmark, BATCHED_EVAL_THRESHOLD,
-                     "BENCH_batched_eval.json",
-                     ("looped", "looped"), ("batched", "batched"),
                      "candidates_per_second"),
     "multi-tenant": (run_multi_tenant_benchmark, MULTI_TENANT_THRESHOLD,
                      "BENCH_multi_tenant.json",

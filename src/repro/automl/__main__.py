@@ -55,9 +55,6 @@ def _add_execution_arguments(parser, fields):
         help="fold-level early discard of candidates that cannot reach the task "
              "best minus MARGIN (>= 0); trades the bit-identical record stream "
              "for throughput (default: off)")
-    add("batch_eval", "--batch-eval", action="store_true",
-        help="evaluate same-template candidates proposed together as fused "
-             "batches; scores and record order are unchanged")
     add("telemetry", "--telemetry", metavar="{off,run-dir,PATH}",
         help="record a telemetry event stream in PATH, or with 'run-dir' in the "
              "run directory's events/ (a resumed run appends); replay with "

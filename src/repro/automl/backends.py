@@ -59,12 +59,8 @@ references, the job meets whatever the backend puts between a fold and a
 worker (fair-share admission, deadlines, retries), and it returns the test
 score and the fitted pipeline.  The coordinator fits no learner itself.
 
-Backends also accept batched submission (:meth:`ExecutionBackend.submit_many`):
-same-template candidates co-submitted by the scheduler are fused into one
-evaluation pass per fold (see :mod:`repro.automl.batch_eval`), sharing the
-preprocessing prefix and — for amenable learners — the estimator fit
-across the hyperparameter batch, without changing any score, error string
-or record order.
+Every job evaluates one configuration on one fold: a candidate's fold is
+one :func:`evaluate_fold_indices` job on every backend.
 """
 
 import gc
@@ -79,7 +75,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.automl import batch_eval, faultinject, shm
+from repro.automl import faultinject, shm
 from repro.automl.prefix_cache import fold_data_key, resolve_prefix_cache
 from repro.tasks.task import materialize_cv_fold, task_cv_indices
 from repro.telemetry.events import begin_capture, capture_event, end_capture
@@ -318,14 +314,16 @@ def _resolve_task(task_ref):
     return task
 
 
-def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events,
-              n_members, started_fields, evaluate, holdout_ref=None):
-    """The one body of both worker entry points; returns ``n_members`` payloads.
+def _solo_fold(template, hyperparameters, task_ref, train_indices=None, val_indices=None,
+               cache_config=None, capture_events=False, holdout_ref=None):
+    """One configuration on one fold (or on the holdout fold): its payload.
+
+    The body of :func:`evaluate_fold_indices`, which is what pools are
+    sent; the serial backend's jobs, which run on the coordinator's thread,
+    call it directly (see :meth:`SerialBackend._fold_function`).
 
     Rebuilds the fold's train/val subsets inside the worker from the
-    resident task, so only the index arrays travel per submission, and
-    hands them to ``evaluate(train_task, val_task, prefix_cache, data_key,
-    started)``, which returns one fold payload per member.  With a
+    resident task, so only the index arrays travel per submission.  With a
     ``cache_config`` the fold's data key is derived from the resident
     task's memoized content digest plus the train-index array, so every
     candidate sharing the fold shares the key without re-hashing the
@@ -334,28 +332,32 @@ def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events
     With a ``holdout_ref`` the job is a search's final refit, the *holdout
     fold*: the whole resident task is the training side and the task behind
     ``holdout_ref`` — a second reference, resolved like the first — the
-    scored side; the index arrays are unused.
+    scored side; the index arrays are unused.  The payload of a holdout
+    fold also carries the fitted pipeline under ``"pipeline"``: the object
+    itself when the job shared the coordinator's memory, its pickle bytes
+    when the task reference says the job ran behind a process boundary.  A
+    pipeline that cannot be pickled keeps its scores and reports the
+    pickling failure as the payload's error.
 
     Payloads are plain dicts rather than raised exceptions so that worker
-    failures survive the trip back through pickling.  A failure before
-    per-member evaluation starts fails every member with the same error
-    and an equal share of the time spent.  A failure *resolving* a task
-    reference — a shared-memory segment that vanished under the worker —
-    is infrastructure, not pipeline code, so those payloads are flagged
-    ``"retriable"``: the supervised pool repairs the data plane and
+    failures survive the trip back through pickling.  A failure *resolving*
+    a task reference — a shared-memory segment that vanished under the
+    worker — is infrastructure, not pipeline code, so that payload is
+    flagged ``"retriable"``: the supervised pool repairs the data plane and
     retries the fold instead of recording it.
 
     With ``capture_events`` the fold's telemetry (fold or refit start,
     cache hits/misses, shm attaches) is captured thread-locally and
-    returned under the *first* member's ``"events"`` key — telemetry rides
-    the existing result channel back to the coordinator instead of a
-    second IPC mechanism.
+    returned under the payload's ``"events"`` key — telemetry rides the
+    existing result channel back to the coordinator instead of a second
+    IPC mechanism.
     """
+    from repro.automl import search
+
     faultinject.maybe_inject(task_ref)
     if capture_events:
         begin_capture()
-        capture_event("fold_started" if holdout_ref is None else "refit_started",
-                      **started_fields)
+        capture_event("fold_started" if holdout_ref is None else "refit_started")
     started = time.time()
     resolved = False
     try:
@@ -366,46 +368,11 @@ def _run_fold(task_ref, train_indices, val_indices, cache_config, capture_events
             train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
         else:
             train_task, val_task = task, holdout
-        prefix_cache = resolve_prefix_cache(cache_config)
-        data_key = None
-        if prefix_cache is not None:
-            data_key = fold_data_key(task, train_indices)
-        payloads = evaluate(train_task, val_task, prefix_cache, data_key, started)
-    except Exception as failure:  # noqa: BLE001 - failed folds are data, not fatal
-        failed = {
-            "score": None,
-            "raw_score": None,
-            "error": _format_error(failure),
-            "elapsed": (time.time() - started) / max(n_members, 1),
-        }
-        if not resolved:
-            failed["retriable"] = True
-        payloads = [dict(failed) for _ in range(n_members)]
-    if capture_events and payloads:
-        payloads[0]["events"] = end_capture()
-    return payloads
-
-
-def _solo_fold(template, hyperparameters, task_ref, train_indices=None, val_indices=None,
-               cache_config=None, capture_events=False, holdout_ref=None):
-    """One configuration on one fold (or on the holdout fold): its payload.
-
-    The body of :func:`evaluate_fold_indices`, which is what pools are
-    sent; the serial backend's jobs, which run on the coordinator's thread,
-    call it directly (see :meth:`SerialBackend._fold_function`).  The
-    payload of a holdout fold also carries the fitted pipeline under
-    ``"pipeline"``: the object itself when the job shared the
-    coordinator's memory, its pickle bytes when the task reference says
-    the job ran behind a process boundary.  A pipeline that cannot be
-    pickled keeps its scores and reports the pickling failure as the
-    payload's error.
-    """
-    from repro.automl import search
-
-    def evaluate(train_task, val_task, prefix_cache, data_key, started):
         extra = {}
+        prefix_cache = resolve_prefix_cache(cache_config)
         if prefix_cache is not None:
-            extra.update(prefix_cache=prefix_cache, data_key=data_key)
+            extra.update(prefix_cache=prefix_cache,
+                         data_key=fold_data_key(task, train_indices))
         normalized, raw, pipeline = search.evaluate_pipeline(
             template, hyperparameters, train_task, val_task, **extra
         )
@@ -426,10 +393,18 @@ def _solo_fold(template, hyperparameters, task_ref, train_indices=None, val_indi
                 except Exception as failure:  # noqa: BLE001 - the score still counts
                     payload["pipeline"] = None
                     payload["error"] = _format_error(failure)
-        return [payload]
-
-    return _run_fold(task_ref, train_indices, val_indices, cache_config,
-                     capture_events, 1, {}, evaluate, holdout_ref)[0]
+    except Exception as failure:  # noqa: BLE001 - failed folds are data, not fatal
+        payload = {
+            "score": None,
+            "raw_score": None,
+            "error": _format_error(failure),
+            "elapsed": time.time() - started,
+        }
+        if not resolved:
+            payload["retriable"] = True
+    if capture_events:
+        payload["events"] = end_capture()
+    return payload
 
 
 def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, val_indices,
@@ -445,29 +420,6 @@ def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, va
                       cache_config, capture_events, holdout_ref)
 
 
-def evaluate_fold_indices_batch(template, hyperparameters_list, task_ref, train_indices,
-                                val_indices, cache_config=None, capture_events=False):
-    """Evaluate one fold for a same-template hyperparameter batch.
-
-    The batched twin of :func:`evaluate_fold_indices`: one submission
-    carries every configuration of a fused candidate group and returns one
-    fold payload per configuration, in input order (see
-    :func:`repro.automl.batch_eval.evaluate_candidate_group` for the
-    determinism contract).  Captured telemetry for the shared pass is
-    attached to the first member's payload, which is where the
-    coordinator attributes the group's shared work.
-    """
-    def evaluate(train_task, val_task, prefix_cache, data_key, started):
-        return batch_eval.evaluate_candidate_group(
-            template, hyperparameters_list, train_task, val_task,
-            prefix_cache=prefix_cache, data_key=data_key,
-        )
-
-    n_members = len(hyperparameters_list)
-    return _run_fold(task_ref, train_indices, val_indices, cache_config,
-                     capture_events, n_members, {"batch_size": n_members}, evaluate)
-
-
 def _aggregate_folds(fold_results, pruned_reason=None):
     """Combine per-fold payloads into one outcome, in fold order.
 
@@ -477,7 +429,7 @@ def _aggregate_folds(fold_results, pruned_reason=None):
     score is the mean over folds.  ``elapsed`` is the summed compute time
     of the folds — the candidate's evaluation *cost*, the same on every
     backend — not the wall-clock wait since submission, which would
-    include queue time behind other candidates in the batch.
+    include queue time behind other candidates in the window.
 
     A ``pruned_reason`` overrides the per-fold errors: the candidate was
     deliberately discarded mid-evaluation, so its outcome is the pruning
@@ -693,47 +645,29 @@ class _RefitFuture(_PooledCandidateFuture):
         self._completion_queue.put(self)
 
 
-def _job_payloads(job, futures):
-    """One fold payload per member future from a finished executor job.
+def _job_payload(job, future):
+    """The fold payload of a finished executor job, for its candidate's future.
 
-    The job of a lone candidate (:func:`evaluate_fold_indices`) returns
-    its payload; a fused group job returns one payload per member, in
-    member order.  Anything else — cancellation, an infrastructure failure
-    (pickling error, broken pool, ...), a malformed result — is replicated
-    to every member and recorded like any pipeline failure instead of
-    killing the search.
+    A job that ran returns its payload (:func:`evaluate_fold_indices`).
+    Anything else — cancellation, an infrastructure failure (pickling
+    error, broken pool, ...) — is recorded like any pipeline failure
+    instead of killing the search.
     """
-    n_members = len(futures)
-    solo = n_members == 1
     if job.cancelled():
-        if solo and futures[0]._pruned_reason is not None:
+        if future._pruned_reason is not None:
             # the candidate was pruned; its outcome carries the reason
-            error = "CancelledError: pruned, " + futures[0]._pruned_reason
-        elif solo:
+            error = "CancelledError: pruned, " + future._pruned_reason
+        else:
             # cancelled because an earlier fold already failed; the real
             # error sits earlier in fold order, so this never wins the
             # first-failing-fold aggregation
             error = "CancelledError: an earlier fold of this candidate failed"
-        else:
-            error = "CancelledError: the backend was shut down before this fold ran"
     else:
         exception = job.exception()
-        if exception is not None:
-            error = _format_error(exception)
-        else:
-            result = job.result()
-            if solo:
-                return [result]
-            if isinstance(result, list) and len(result) == n_members:
-                return result
-            error = "RuntimeError: batched fold returned {} payloads for {} candidates".format(
-                len(result) if isinstance(result, list) else type(result).__name__,
-                n_members,
-            )
-    return [
-        {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
-        for _ in range(n_members)
-    ]
+        if exception is None:
+            return job.result()
+        error = _format_error(exception)
+    return {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
 
 
 class ExecutionBackend:
@@ -752,17 +686,6 @@ class ExecutionBackend:
     def submit(self, candidate):
         """Start evaluating ``candidate``; returns a candidate future."""
         raise NotImplementedError
-
-    def submit_many(self, candidates):
-        """Submit a batch of candidates at once; returns their futures.
-
-        Backends that can fuse same-template candidates into batched
-        evaluation passes override this; the base implementation simply
-        loops :meth:`submit`.  Futures are returned in submission order,
-        and the evaluation semantics (scores, error strings) are
-        identical either way.
-        """
-        return [self.submit(candidate) for candidate in candidates]
 
     def submit_refit(self, candidate, test_task):
         """Start a search's final refit; returns a candidate future.
@@ -860,96 +783,57 @@ class _PoolBackend(ExecutionBackend):
     def _make_executor(self):
         raise NotImplementedError
 
-    def submit(self, candidate):
-        return self._submit_group([candidate])[0]
-
-    def submit_many(self, candidates):
-        futures = []
-        for group in batch_eval.group_candidates(candidates):
-            if len(group) == 1:
-                futures.append(self.submit(group[0]))
-            else:
-                futures.extend(self._submit_group(group))
-        return futures
-
     def _task_ref(self, task):
         """What travels with every fold of ``task``: here the task itself."""
         return task
 
     def _fold_function(self):
-        """What a lone fold or refit job calls, resolved per call (wrappers apply)."""
+        """What a fold or refit job calls, resolved per call (wrappers apply)."""
         return evaluate_fold_indices
 
     def _dispatched(self):
         """Hook run once jobs are queued with their callbacks; pool workers need none."""
 
-    def _submit_group(self, candidates):
-        """Dispatch same-template candidates, one executor job per fold.
+    def submit(self, candidate):
+        """Dispatch ``candidate``, one executor job per fold.
 
-        Work-stealing granularity stays at the fold level.  A lone
-        candidate's fold is one :meth:`_fold_function` job; each fold of a
-        fused group is one :func:`evaluate_fold_indices_batch` job
-        evaluating every member's configuration in a fused pass.
-        Every member gets its own :class:`_PooledCandidateFuture`; the
-        job's done-callback fans the per-member payloads out to them, so
-        aggregation, error semantics and completion-queue behaviour are
-        the same either way.  Only a lone candidate owns its jobs: a
-        group member's failure or pruning must not cancel a fold the
-        other members still need — batching trades some pruning
-        reactivity for fused throughput.
+        Work-stealing granularity stays at the fold level: each fold is one
+        :meth:`_fold_function` job, and each job's done-callback files its
+        payload with the candidate's :class:`_PooledCandidateFuture`, which
+        owns the jobs — a failing or pruning fold cancels the ones left.
         """
-        lead = candidates[0]
-        solo = len(candidates) == 1
         started = time.time()
         try:
             folds = task_cv_indices(
-                lead.task, n_splits=lead.n_splits, random_state=lead.random_state,
+                candidate.task, n_splits=candidate.n_splits,
+                random_state=candidate.random_state,
             )
         except Exception as failure:  # noqa: BLE001 - split failures are recorded like
             # any pipeline failure, matching what the reference loop raises
-            error = _format_error(failure)
-            elapsed = time.time() - started
-            futures = []
-            for candidate in candidates:
-                future = CandidateFuture(candidate, EvaluationOutcome(None, None, error, elapsed))
-                self._outstanding += 1
-                self._completion_queue.put(future)
-                futures.append(future)
-            return futures
-        futures = [
-            _PooledCandidateFuture(candidate, len(folds), self._completion_queue)
-            for candidate in candidates
-        ]
-        self._outstanding += len(futures)
-        telemetry = getattr(lead, "telemetry", None)
+            future = CandidateFuture(candidate, EvaluationOutcome(
+                None, None, _format_error(failure), time.time() - started))
+            self._outstanding += 1
+            self._completion_queue.put(future)
+            return future
+        future = _PooledCandidateFuture(candidate, len(folds), self._completion_queue)
+        self._outstanding += 1
+        telemetry = getattr(candidate, "telemetry", None)
         if telemetry is not None:
             sink, tenant = telemetry
-            if not solo:
+            for fold_index in range(len(folds)):
                 sink.emit(
-                    "batch_group_formed", tenant=tenant, size=len(candidates),
-                    template=lead.template_name, n_folds=len(folds),
-                    iterations=[candidate.iteration for candidate in candidates],
-                    reason="same-template candidates co-submitted in one scheduler burst",
+                    "fold_dispatched", tenant=tenant,
+                    iteration=candidate.iteration, fold=fold_index,
+                    template=candidate.template_name,
                 )
-            for candidate in candidates:
-                for fold_index in range(len(folds)):
-                    sink.emit(
-                        "fold_dispatched", tenant=tenant,
-                        iteration=candidate.iteration, fold=fold_index,
-                        template=candidate.template_name,
-                    )
-        if solo:
-            evaluate, configuration = self._fold_function(), lead.hyperparameters
-        else:
-            evaluate = evaluate_fold_indices_batch
-            configuration = [candidate.hyperparameters for candidate in candidates]
+        evaluate = self._fold_function()
         # submit every fold before attaching callbacks: a fast-failing fold's
         # callback cancels later siblings, which must all exist by then (and
         # a serial job must not run before _dispatched, or it would finish
         # with no callback to cancel its siblings).  A
         # fold that cannot even be submitted (broken/shut-down pool) becomes
-        # a failed payload, so the candidate futures still complete and
-        # as_completed()/drain() never hang on them.
+        # a failed payload, so the candidate future still completes and
+        # as_completed()/drain() never hang on it.
         jobs = []
         submit_error = None
         for train_indices, val_indices in folds:
@@ -957,31 +841,28 @@ class _PoolBackend(ExecutionBackend):
             if submit_error is None:
                 try:
                     job = self._executor.submit(
-                        evaluate, lead.template, configuration,
-                        self._task_ref(lead.task), train_indices, val_indices,
-                        cache_config=lead.cache_config,
+                        evaluate, candidate.template, candidate.hyperparameters,
+                        self._task_ref(candidate.task), train_indices, val_indices,
+                        cache_config=candidate.cache_config,
                         capture_events=telemetry is not None,
                     )
                 except Exception as failure:  # noqa: BLE001 - executor failures are data
                     submit_error = _format_error(failure)
             jobs.append(job)
-        if solo:
-            futures[0]._fold_futures = jobs
+        future._fold_futures = jobs
         self._jobs.update(job for job in jobs if job is not None)
         for index, job in enumerate(jobs):
             if job is None:
-                for future in futures:
-                    future._fold_failed(index, submit_error)
+                future._fold_failed(index, submit_error)
             else:
-                job.add_done_callback(partial(self._file_job, futures, index))
+                job.add_done_callback(partial(self._file_job, future, index))
         self._dispatched()
-        return futures
+        return future
 
-    def _file_job(self, futures, index, job):
-        """Done-callback of an executor job: one payload to each member's future."""
+    def _file_job(self, future, index, job):
+        """Done-callback of an executor job: its payload to the candidate's future."""
         try:
-            for future, payload in zip(futures, _job_payloads(job, futures)):
-                future._record(index, payload)
+            future._record(index, _job_payload(job, future))
         finally:
             self._jobs.discard(job)
 
@@ -1005,7 +886,7 @@ class _PoolBackend(ExecutionBackend):
             future._fold_failed(0, _format_error(failure))
         else:
             self._jobs.add(job)
-            job.add_done_callback(partial(self._file_job, [future], 0))
+            job.add_done_callback(partial(self._file_job, future, 0))
             self._dispatched()
         return future
 
@@ -1089,8 +970,8 @@ class _CallerThreadExecutor:
 class SerialBackend(_PoolBackend):
     """Evaluate candidates on the calling thread, through the pool dispatch path.
 
-    The :class:`_CallerThreadExecutor` queue is run before ``submit``,
-    ``submit_many`` and ``submit_refit`` return, so a candidate is fully
+    The :class:`_CallerThreadExecutor` queue is run before ``submit`` and
+    ``submit_refit`` return, so a candidate is fully
     evaluated when its future comes back (a per-proposal ``max_seconds``
     check stops serial mid-window).  A failing or pruning fold's callback
     cancels the later folds before they run: the fold calls of the
@@ -1157,8 +1038,8 @@ class TenantBackend(_PoolBackend):
     """One tenant's execution backend on a :class:`~repro.automl.fleet.FleetCoordinator`.
 
     Behaves exactly like a private pool backend from the search loop's
-    perspective — fold-level submission, completion queue, cancellation,
-    fused group dispatch — but every fold goes through the fleet's
+    perspective — fold-level submission, completion queue, cancellation —
+    but every fold goes through the fleet's
     fair-share scheduler and data plane.  Obtained from
     :meth:`FleetCoordinator.register
     <repro.automl.fleet.FleetCoordinator.register>`; pass it as the search's

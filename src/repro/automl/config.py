@@ -33,7 +33,7 @@ def fleet_backend(backend):
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a search executes: 10 knobs, validated on construction.
+    """How a search executes: 9 knobs, validated on construction.
 
     *Stream-shaping* knobs (:data:`STREAM_SHAPING`) change which records a
     search emits; a checkpointed run fixes them in its manifest.
@@ -67,10 +67,6 @@ class ExecutionConfig:
         default ``None``: off), see
         :class:`~repro.automl.backends.PruneController`.  Timing-dependent,
         so a checkpointed run, which must replay exactly, rejects it.
-    batch_eval:
-        Execution-only.  Evaluate same-template candidates proposed into the
-        slots one collection freed as fused batches
-        (:mod:`repro.automl.batch_eval`; default off).
     telemetry:
         Execution-only.  Event recording (:mod:`repro.telemetry`):
         ``None`` / ``False`` / ``"off"`` (default), a directory — whoever
@@ -97,7 +93,6 @@ class ExecutionConfig:
     prefix_cache: str = "off"
     cache_dir: Optional[str] = None
     prune_margin: Optional[float] = None
-    batch_eval: bool = False
     telemetry: Any = None
     fold_timeout: Optional[float] = None
     max_fold_retries: Optional[int] = None
@@ -142,7 +137,6 @@ class ExecutionConfig:
             "n_pending": max(1, int(self.n_pending)),
             "prefix_cache": normalize_prefix_cache_mode(self.prefix_cache),
             "prune_margin": prune_margin,
-            "batch_eval": bool(self.batch_eval),
             "telemetry": telemetry,
             **supervision,
         }
@@ -175,7 +169,7 @@ class ExecutionConfig:
         return {name: getattr(self, name) for name in (KNOBS if names is None else names)}
 
 
-#: The 10 knob names, in declaration order.
+#: The 9 knob names, in declaration order.
 KNOBS = tuple(field.name for field in fields(ExecutionConfig))
 
 #: Knobs that only change where and how fast the records are produced: free

@@ -502,8 +502,7 @@ def _measured_cost(real):
     """The completed fold's measured compute seconds, or ``None``.
 
     Fold payloads carry their own ``elapsed`` (worker-side compute time,
-    not queue wait); batched group folds carry one payload per member and
-    cost their sum.  Cancelled or crashed submissions contribute no
+    not queue wait).  Cancelled or crashed submissions contribute no
     measurement — their estimate stands.
     """
     if real.cancelled():
@@ -516,9 +515,4 @@ def _measured_cost(real):
         return None
     if isinstance(payload, dict):
         return float(payload.get("elapsed") or 0.0)
-    if isinstance(payload, list):
-        return float(sum(
-            member.get("elapsed") or 0.0
-            for member in payload if isinstance(member, dict)
-        ))
     return None

@@ -432,7 +432,6 @@ class _Window:
         self.replay_count = len(proposer.replay)
         self.proposed = self.next_report = 0
         self.reorder = {}  # iteration -> completed future, awaiting in-order reporting
-        self.submit_buffer = []  # candidates awaiting a fused submit_many (batch_eval)
 
     def _deadline_passed(self):
         # checked before every proposal, so the serial backend stops
@@ -455,28 +454,8 @@ class _Window:
             self.proposed += 1
             if recorded is not None:  # replayed: complete, never reaches the backend
                 self.reorder[candidate.iteration] = recorded
-            elif self.config.batch_eval:
-                # buffered until the scheduler's flush point so same-burst
-                # candidates can be fused
-                self.submit_buffer.append(candidate)
             else:
                 self.backend.submit(candidate)
-
-    def flush(self):
-        """Hand every candidate proposed in this scheduler burst to the backend.
-
-        All at once, so same-template ones fuse into batched evaluation
-        passes.  Futures complete through the backend's normal completion
-        machinery, and the reorder buffer reports strictly in proposal
-        order, so batching cannot change the record stream.
-        """
-        if not self.submit_buffer:
-            return
-        candidates, self.submit_buffer = self.submit_buffer, []
-        if len(candidates) == 1:
-            self.backend.submit(candidates[0])
-        else:
-            self.backend.submit_many(candidates)
 
     def collect_one(self):
         """Make the next result to report available; ``False`` when none can come.
@@ -500,10 +479,6 @@ class _Window:
         """Slide the window until the budget or the deadline is spent."""
         while True:
             self.refill()
-            # flush strictly after the refill and before collecting:
-            # buffered proposals must reach the backend before the loop
-            # blocks on (or stops for lack of) completions
-            self.flush()
             if not self.collect_one():
                 return
             while self.next_report in self.reorder:
@@ -518,11 +493,6 @@ class _Window:
                 # (report k-n, propose k, report k-n+1, ...) and the
                 # cross-backend record streams would diverge
                 self.refill()
-                if future.candidate.iteration < self.replay_count:
-                    # a replayed outcome stands in for one collected
-                    # completion: one per pass, so each proposal it frees
-                    # reaches the backend in a flush of its own
-                    break
 
     def refit(self, reporter, test_task):
         """Refit the best configuration; returns ``(test_score, pipeline, error)``.
@@ -685,8 +655,8 @@ class AutoBazaarSearch:
         unseeded behaviour.
     **execution:
         The execution knobs (``backend``, ``workers``, ``n_pending``,
-        ``prefix_cache``, ``cache_dir``, ``prune_margin``, ``batch_eval``,
-        ``telemetry``, ``fold_timeout``, ``max_fold_retries``): see
+        ``prefix_cache``, ``cache_dir``, ``prune_margin``, ``telemetry``,
+        ``fold_timeout``, ``max_fold_retries``): see
         :class:`~repro.automl.config.ExecutionConfig`, which they are
         collected into (:attr:`execution`) before anything else happens.
     """

@@ -200,8 +200,6 @@ def _payload_retriable(result):
     """Whether a fold payload reports a retriable infrastructure failure."""
     if isinstance(result, dict):
         return bool(result.get("retriable")) and bool(result.get("error"))
-    if isinstance(result, list) and result:
-        return _payload_retriable(result[0])
     return False
 
 

@@ -10,8 +10,7 @@ The same per-step input/output declarations that recover the graph also
 drive fitting: ``fit`` fits every step but calls ``produce`` only on steps
 whose output a later step reads (one liveness rule,
 :func:`repro.core.graph.live_produces`, applied by the single fit-time
-step loop :meth:`MLPipeline._fit_steps` that looped and batched evaluation
-share).  ``fit_context_keys`` therefore lists the keys actually present at
+step loop :meth:`MLPipeline._fit_steps`).  ``fit_context_keys`` therefore lists the keys actually present at
 fit time, and a fit-time ``produce`` error on a dead step cannot fail a
 candidate.
 """
@@ -142,28 +141,20 @@ class MLPipeline:
         self.prefix_cache_info = info if prefix_cache is not None else None
         return self
 
-    def _fit_steps(self, context, start=0, stop=None, prefix_cache=None, data_key=None,
-                   prefitted=None):
-        """Fit ``steps[start:stop]`` over ``context``: the one fit-time step loop.
+    def _fit_steps(self, context, prefix_cache=None, data_key=None):
+        """Fit every step over ``context``: the one fit-time step loop.
 
-        ``fit`` runs it over the whole pipeline; batched evaluation runs
-        the shared prefix once (``stop`` at the prefix boundary) and each
-        candidate's tail separately (``start`` at the boundary, where
-        ``prefitted`` — a batch-fitted instance — replaces the first
-        step's own ``fit``).  Every step is fitted; ``produce`` runs, and
-        the prefix cache is consulted, only where
-        :func:`~repro.core.graph.live_produces` says a later step reads the
-        output.  The fingerprint chain starts at ``data_key``, so a cache
-        goes with ``start=0`` only.  Returns the prefix-cache counters of
-        the call.
+        Every step is fitted; ``produce`` runs, and the prefix cache is
+        consulted, only where :func:`~repro.core.graph.live_produces` says
+        a later step reads the output.  The fingerprint chain starts at
+        ``data_key``.  Returns the prefix-cache counters of the call.
         """
         caching = prefix_cache is not None
         prefix_length = self._cacheable_prefix_length() if caching else 0
         live = live_produces(self.steps)
         fingerprint = data_key
         hits = misses = bytes_written = 0
-        for index in range(start, len(self.steps) if stop is None else stop):
-            step = self.steps[index]
+        for index, step in enumerate(self.steps):
             in_prefix = index < prefix_length
             if in_prefix:
                 fingerprint = _chain_fingerprint(fingerprint, step)
@@ -175,10 +166,7 @@ class MLPipeline:
                     step.restore_fitted(artifacts["instance"])
                     context.record(step.name, artifacts["outputs"])
                     continue
-            if prefitted is not None and index == start:
-                step.restore_fitted(prefitted)
-            else:
-                step.fit(context)
+            step.fit(context)
             if not live[index]:
                 continue
             outputs = step.produce(context, skip_if_missing=False)

@@ -27,61 +27,12 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         Convergence tolerance on the gradient norm.
     """
 
-    #: Configs differing only in ``max_iter`` are prefixes of one descent
-    #: trajectory, so a batch shares validation/one-hot targets and runs
-    #: one trajectory per distinct ``(C, learning_rate, tol, fit_intercept)``.
-    supports_batch_fit = True
-
     def __init__(self, C=1.0, learning_rate=0.1, max_iter=300, tol=1e-5, fit_intercept=True):
         self.C = C
         self.learning_rate = learning_rate
         self.max_iter = max_iter
         self.tol = tol
         self.fit_intercept = fit_intercept
-
-    @classmethod
-    def fit_batch(cls, configs, X, y):
-        """Fit one model per config sharing descent trajectories.
-
-        Bit-identical to ``[cls(**config).fit(X, y) for config in configs]``:
-        gradient descent from zeros is deterministic, so a run stopped at
-        ``max_iter=k`` is exactly the first ``k`` updates of a longer run
-        with the same ``(C, learning_rate, tol, fit_intercept)`` — each
-        such subgroup runs a single trajectory to its largest ``max_iter``
-        and snapshots the weights at every member's stopping point.
-        """
-        models = [cls(**config) for config in configs]
-        for model in models:
-            if model.C <= 0:
-                raise ValueError("C must be positive")
-        X_valid, y_valid = check_X_y(X, y)
-        classes = np.unique(y_valid)
-        n_classes = len(classes)
-        if n_classes < 2:
-            raise ValueError("LogisticRegression requires at least 2 classes")
-        index = {label: i for i, label in enumerate(classes)}
-        targets = np.zeros((X_valid.shape[0], n_classes))
-        for row, label in enumerate(y_valid):
-            targets[row, index[label]] = 1.0
-
-        trajectories = {}
-        for model in models:
-            key = (
-                float(model.C), float(model.learning_rate), float(model.tol),
-                bool(model.fit_intercept),
-            )
-            trajectories.setdefault(key, []).append(model)
-        for (C, learning_rate, tol, fit_intercept), group in trajectories.items():
-            snapshots = _descent_snapshots(
-                X_valid, targets, C, learning_rate, tol, fit_intercept,
-                sorted({int(model.max_iter) for model in group}),
-            )
-            for model in group:
-                weights, intercept = snapshots[int(model.max_iter)]
-                model.classes_ = classes
-                model.coef_ = weights
-                model.intercept_ = intercept
-        return models
 
     def fit(self, X, y):
         if self.C <= 0:
@@ -126,45 +77,3 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         probabilities = self.predict_proba(X)
         return self.classes_[np.argmax(probabilities, axis=1)]
 
-
-def _descent_snapshots(X, targets, C, learning_rate, tol, fit_intercept, wanted_iters):
-    """One gradient-descent trajectory, snapshotted at each wanted iteration.
-
-    Replays exactly the update loop of :meth:`LogisticRegression.fit`; the
-    snapshot at iteration ``k`` is the state a separate fit with
-    ``max_iter=k`` would have ended on (the convergence break happens
-    *after* the update, so a converged trajectory's final state also
-    stands in for every larger ``max_iter``).
-    """
-    n_samples, n_features = X.shape
-    n_classes = targets.shape[1]
-    weights = np.zeros((n_features, n_classes))
-    intercept = np.zeros(n_classes)
-    reg = 1.0 / (C * n_samples)
-    snapshots = {}
-    pending = set()
-    for max_iter in wanted_iters:
-        if max_iter <= 0:
-            # a zero-iteration fit never enters the loop
-            snapshots[max_iter] = (weights.copy(), intercept.copy())
-        else:
-            pending.add(max_iter)
-    if pending:
-        for iteration in range(1, max(pending) + 1):
-            logits = X @ weights + intercept
-            probabilities = _softmax(logits)
-            error = (probabilities - targets) / n_samples
-            grad_weights = X.T @ error + reg * weights
-            grad_intercept = error.sum(axis=0) if fit_intercept else np.zeros(n_classes)
-            weights -= learning_rate * grad_weights
-            intercept -= learning_rate * grad_intercept
-            if iteration in pending:
-                snapshots[iteration] = (weights.copy(), intercept.copy())
-                pending.discard(iteration)
-            if np.linalg.norm(grad_weights) < tol:
-                break
-        for max_iter in pending:
-            # converged before reaching these budgets: the final state is
-            # what their own fits would have stopped on
-            snapshots[max_iter] = (weights.copy(), intercept.copy())
-    return snapshots

@@ -9,33 +9,8 @@ from repro.learners.validation import check_X_y, check_array
 class LinearRegression(BaseEstimator, RegressorMixin):
     """Ordinary least squares linear regression."""
 
-    #: OLS has no tunable axis: a hyperparameter batch only ever varies
-    #: ``fit_intercept``, so batch fitting dedupes identical solves.
-    supports_batch_fit = True
-
     def __init__(self, fit_intercept=True):
         self.fit_intercept = fit_intercept
-
-    @classmethod
-    def fit_batch(cls, configs, X, y):
-        """Fit one model per config, solving each distinct config once.
-
-        Bit-identical to ``[cls(**config).fit(X, y) for config in configs]``:
-        duplicate configurations share the single fitted reference (the
-        solve is deterministic, and ``predict`` only reads the
-        coefficients).
-        """
-        models = [cls(**config) for config in configs]
-        fitted = {}
-        for model in models:
-            key = bool(model.fit_intercept)
-            reference = fitted.get(key)
-            if reference is None:
-                reference = cls(fit_intercept=model.fit_intercept).fit(X, y)
-                fitted[key] = reference
-            model.coef_ = reference.coef_
-            model.intercept_ = reference.intercept_
-        return models
 
     def fit(self, X, y):
         X, y = check_X_y(X, y, y_numeric=True)
@@ -61,51 +36,9 @@ class LinearRegression(BaseEstimator, RegressorMixin):
 class Ridge(BaseEstimator, RegressorMixin):
     """Linear regression with L2 regularization (closed-form solution)."""
 
-    #: The Gram matrix and the right-hand side are alpha-independent, so a
-    #: hyperparameter batch shares them and pays one solve per alpha.
-    supports_batch_fit = True
-
     def __init__(self, alpha=1.0, fit_intercept=True):
         self.alpha = alpha
         self.fit_intercept = fit_intercept
-
-    @classmethod
-    def fit_batch(cls, configs, X, y):
-        """Fit one model per config sharing the Gram matrix across alphas.
-
-        Bit-identical to ``[cls(**config).fit(X, y) for config in configs]``:
-        the shared quantities (validated arrays, centering, Gram matrix,
-        right-hand side) are exactly the per-fit intermediates — the same
-        operations on the same inputs — and each model still runs its own
-        ``gram_base + alpha * I`` solve.
-        """
-        models = [cls(**config) for config in configs]
-        for model in models:
-            if model.alpha < 0:
-                raise ValueError("alpha must be non-negative")
-        X_valid, y_valid = check_X_y(X, y, y_numeric=True)
-        n_features = X_valid.shape[1]
-        identity = np.eye(n_features)
-        for fit_intercept in (True, False):
-            group = [model for model in models if bool(model.fit_intercept) == fit_intercept]
-            if not group:
-                continue
-            if fit_intercept:
-                x_mean = X_valid.mean(axis=0)
-                y_mean = y_valid.mean()
-                X_centered = X_valid - x_mean
-                y_centered = y_valid - y_mean
-            else:
-                x_mean = np.zeros(n_features)
-                y_mean = 0.0
-                X_centered, y_centered = X_valid, y_valid
-            gram_base = X_centered.T @ X_centered
-            rhs = X_centered.T @ y_centered
-            for model in group:
-                gram = gram_base + model.alpha * identity
-                model.coef_ = np.linalg.solve(gram, rhs)
-                model.intercept_ = float(y_mean - x_mean @ model.coef_)
-        return models
 
     def fit(self, X, y):
         if self.alpha < 0:

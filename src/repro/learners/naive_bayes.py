@@ -9,32 +9,8 @@ from repro.learners.validation import check_X_y, check_array
 class GaussianNB(BaseEstimator, ClassifierMixin):
     """Gaussian naive Bayes with per-class feature means and variances."""
 
-    #: GaussianNB is rarely tuned (``var_smoothing`` only), so batches are
-    #: usually duplicates: batch fitting dedupes identical configurations
-    #: into one shared fit.
-    supports_batch_fit = True
-
     def __init__(self, var_smoothing=1e-9):
         self.var_smoothing = var_smoothing
-
-    @classmethod
-    def fit_batch(cls, configs, X, y):
-        """Fit one model per config, fitting each distinct config once.
-
-        Bit-identical to ``[cls(**config).fit(X, y) for config in configs]``:
-        fitting is deterministic and prediction only reads the fitted
-        statistics, so duplicate configurations share one fitted instance.
-        """
-        fitted = {}
-        models = []
-        for config in configs:
-            key = tuple(sorted(config.items()))
-            model = fitted.get(key)
-            if model is None:
-                model = cls(**config).fit(X, y)
-                fitted[key] = model
-            models.append(model)
-        return models
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)

@@ -7,12 +7,6 @@ from repro.learners.validation import check_X_y, check_array
 
 
 class _BaseKNN(BaseEstimator):
-    #: Fitting is storage, so a hyperparameter batch shares the training
-    #: arrays; prediction shares the pairwise-distance matrix and its
-    #: argsort across every ``(n_neighbors, weights)`` configuration.
-    supports_batch_fit = True
-    supports_batch_predict = True
-
     def __init__(self, n_neighbors=5, weights="uniform"):
         self.n_neighbors = n_neighbors
         self.weights = weights
@@ -49,52 +43,6 @@ class _BaseKNN(BaseEstimator):
             return np.ones_like(distances)
         return 1.0 / np.maximum(distances, 1e-9)
 
-    @classmethod
-    def batch_predict(cls, models, X):
-        """Predict for every model over one shared distance computation.
-
-        Bit-identical to ``[model.predict(X) for model in models]``: the
-        distance matrix and its full argsort are computed once, and each
-        model's neighbor set is the ``[:, :k]`` slice of that argsort —
-        exactly what its own ``_neighbors`` call would take (NumPy's
-        argsort is deterministic, so a full sort sliced to ``k`` equals
-        the per-model sort-and-slice).  Models not sharing training data
-        (fitted outside one ``fit_batch``) just loop.
-        """
-        if not models:
-            return []
-        lead = models[0]
-        if any(model._X is not lead._X or model._y is not lead._y for model in models[1:]):
-            return [model.predict(X) for model in models]
-        lead._check_fitted("_X")
-        X_checked = check_array(X)
-        if X_checked.shape[1] != lead.n_features_in_:
-            raise ValueError("Inconsistent number of features")
-        distances = (
-            np.sum(X_checked ** 2, axis=1)[:, None]
-            + np.sum(lead._X ** 2, axis=1)[None, :]
-            - 2.0 * X_checked @ lead._X.T
-        )
-        distances = np.maximum(distances, 0.0)
-        order = np.argsort(distances, axis=1)
-        predictions = []
-        memo = {}
-        for model in models:
-            key = (int(model.n_neighbors), model.weights)
-            prediction = memo.get(key)
-            if prediction is None:
-                k = min(model.n_neighbors, lead._X.shape[0])
-                neighbor_indices = order[:, :k]
-                neighbor_distances = np.sqrt(
-                    np.take_along_axis(distances, neighbor_indices, axis=1)
-                )
-                prediction = model._predict_from_neighbors(
-                    neighbor_indices, neighbor_distances
-                )
-                memo[key] = prediction
-            predictions.append(prediction)
-        return predictions
-
 
 class KNeighborsClassifier(_BaseKNN, ClassifierMixin):
     """Classifier voting among the k nearest training points."""
@@ -103,23 +51,6 @@ class KNeighborsClassifier(_BaseKNN, ClassifierMixin):
         X, y = check_X_y(X, y)
         self.classes_ = np.unique(y)
         return self._fit(X, y)
-
-    @classmethod
-    def fit_batch(cls, configs, X, y):
-        """Fit one model per config over one shared validated copy of the data.
-
-        Bit-identical to sequential fits: fitting only validates and
-        stores, and every model stores references to the same arrays —
-        which is also what lets :meth:`batch_predict` share the distance
-        matrix.
-        """
-        models = [cls(**config) for config in configs]
-        X_valid, y_valid = check_X_y(X, y)
-        classes = np.unique(y_valid)
-        for model in models:
-            model.classes_ = classes
-            model._fit(X_valid, y_valid)
-        return models
 
     def _proba_from_neighbors(self, neighbor_indices, distances):
         weights = self._neighbor_weights(distances)
@@ -141,8 +72,8 @@ class KNeighborsClassifier(_BaseKNN, ClassifierMixin):
         return self._proba_from_neighbors(neighbor_indices, distances)
 
     def predict(self, X):
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
+        neighbor_indices, distances = self._neighbors(X)
+        return self._predict_from_neighbors(neighbor_indices, distances)
 
 
 class KNeighborsRegressor(_BaseKNN, RegressorMixin):
@@ -151,15 +82,6 @@ class KNeighborsRegressor(_BaseKNN, RegressorMixin):
     def fit(self, X, y):
         X, y = check_X_y(X, y, y_numeric=True)
         return self._fit(X, y)
-
-    @classmethod
-    def fit_batch(cls, configs, X, y):
-        """Fit one model per config over one shared validated copy of the data."""
-        models = [cls(**config) for config in configs]
-        X_valid, y_valid = check_X_y(X, y, y_numeric=True)
-        for model in models:
-            model._fit(X_valid, y_valid)
-        return models
 
     def _predict_from_neighbors(self, neighbor_indices, distances):
         weights = self._neighbor_weights(distances)

@@ -61,12 +61,12 @@ EVENT_TYPES = frozenset({
     "cache_store",
     # early-discard pruning (carries the bound math in ``reason``)
     "prune_decision",
-    # batched multi-candidate evaluation
+    # batched multi-candidate evaluation (no longer emitted; schema v1 only grows)
     "batch_group_formed",
     # shared-memory data plane
     "shm_publish",
     "shm_attach",
-    "shm_fallback",
+    "shm_fallback",  # no longer emitted; kept for the same reason
     # multi-tenant fleet scheduler
     "fleet_admission",
     "fleet_pass_value",

@@ -51,8 +51,8 @@ _TERMINAL = ("fold_finished", "fold_cancelled")
 #: Stream-wide counters: event type -> the counter each such event adds one to.
 _COUNTERS = {
     "cache_hit": "cache_hits", "cache_miss": "cache_misses", "cache_store": "cache_stores",
-    "shm_publish": "shm_publish", "shm_attach": "shm_attach", "shm_fallback": "shm_fallback",
-    "batch_group_formed": "batch_groups", "prune_decision": "prune_decisions",
+    "shm_publish": "shm_publish", "shm_attach": "shm_attach",
+    "prune_decision": "prune_decisions",
 }
 
 #: Record fields the fold events must reproduce bit-identically.
@@ -209,10 +209,7 @@ def replay_run(events, record_documents=None):
     for event in events:
         etype = event.get("event")
         tenant = event.get("tenant")
-        # the backend emits one dispatch-level event per fused group;
-        # workers additionally capture a per-fold view, which carries
-        # the fold context it was ingested under — count groups once
-        if etype in _COUNTERS and (etype != "batch_group_formed" or event.get("fold") is None):
+        if etype in _COUNTERS:
             counters[_COUNTERS[etype]] += 1
         if tenant is not None:
             summary = tenant_summary(tenant)
@@ -369,11 +366,9 @@ def _print_report(report, stream=None):
     print("cache hit/miss/store : {}/{}/{}".format(
         counters["cache_hits"], counters["cache_misses"],
         counters["cache_stores"]), file=stream)
-    print("shm pub/attach/fall  : {}/{}/{}".format(
-        counters["shm_publish"], counters["shm_attach"],
-        counters["shm_fallback"]), file=stream)
-    print("pruned / batch groups: {}/{}".format(
-        counters["prune_decisions"], counters["batch_groups"]), file=stream)
+    print("shm publish/attach   : {}/{}".format(
+        counters["shm_publish"], counters["shm_attach"]), file=stream)
+    print("pruned               : {}".format(counters["prune_decisions"]), file=stream)
     for tenant in sorted(report["tenants"]):
         summary = report["tenants"][tenant]
         print("tenant {!r}: task={!r} records={} folds={} busy={:.2f}s "

@@ -1,29 +1,27 @@
 """Frozen-reference identity test for the pool dispatch path.
 
-``_PoolBackend._submit_group`` is the one dispatcher of both lone
-candidates and fused groups, ``_job_payloads`` the one translator of an
-executor job into fold payloads, and ``_run_fold`` the one body of both
-worker entry points.  They replaced two dispatchers, two translators and
-two evaluator bodies; this module keeps those — the code of the commit
-before the merge, frozen below as ``_ReferenceDispatch`` — as the one
-reference semantics the merged path is checked against, and drives both
+``_PoolBackend.submit`` is the one dispatcher of a candidate's folds,
+``_job_payload`` the one translator of an executor job into a fold
+payload, and ``_solo_fold`` the one body of the worker entry point.  The
+code they replaced is frozen below as ``_ReferenceDispatch``: the one
+reference semantics the dispatch path is checked against, both driven
 through the same scripted executor.
 
 Every scenario is a script: which fold submission raises, which task
 reference cannot be resolved, and in which order and how the executor's
 jobs finish (run the submitted function for real, return a scripted
-payload, raise, be cancelled from outside).  Reference and new code must
-agree on every candidate's outcome, the completion-queue order, the
+payload, raise, be cancelled from outside), played with one to four
+candidates in flight at once, as the search window keeps them.
+Reference and new code must agree on every candidate's outcome, the completion-queue order, the
 ``cancel()`` calls each executor job received and the emitted event
 sequence (type and every non-timing field).
 
-The serial backend used to be a second engine — its own fold loop, fused
-group loop, pruning and fold events, plus the pruning ``cross_validate_template``
+The serial backend used to be a second engine — its own fold loop,
+pruning and fold events, plus the pruning ``cross_validate_template``
 under it.  It is now the pool dispatcher on a caller-thread executor; the
 old engine is frozen below as ``_ReferenceSerial`` and both are driven over
 one table of real (unscripted) scenarios, comparing outcomes, completion
-order, the exact fold calls of lone candidates and their terminal fold
-events.
+order, the exact fold calls and the terminal fold events.
 
 The refit job, which has no frozen predecessor on this dispatcher (the
 coordinator used to run it inline), is scripted through the same executor
@@ -40,7 +38,7 @@ import pytest
 
 import numpy as np
 
-from repro.automl import batch_eval, faultinject
+from repro.automl import faultinject
 from repro.automl import prefix_cache as prefix_cache_module
 from repro.automl import search as search_module
 from repro.automl.backends import (
@@ -51,14 +49,12 @@ from repro.automl.backends import (
     PruneController,
     PrunedEvaluation,
     SerialBackend,
-    _aggregate_folds,
     _cache_info_fields,
     _format_error,
     _PoolBackend,
     _PooledCandidateFuture,
     _resolve_task,
     evaluate_fold_indices,
-    evaluate_fold_indices_batch,
 )
 from repro.automl.prefix_cache import (
     fold_data_key,
@@ -77,9 +73,9 @@ from repro.telemetry.events import begin_capture, capture_event, end_capture
 # Verbatim from the parent commit's ``repro/automl/backends.py`` apart from
 # the names: module functions carry a ``reference_`` prefix, the
 # ``_PooledCandidateFuture._fold_done`` method became a function taking the
-# future, and the three ``_submit_fold`` / ``_submit_fold_batch`` override
-# pairs — which differed only in the expression producing the task
-# reference — are the one pair below calling the ``_task_ref`` hook.
+# future, and the three ``_submit_fold`` overrides — which differed only in
+# the expression producing the task reference — are the one below calling
+# the ``_task_ref`` hook.
 
 
 def reference_evaluate_fold_indices(template, hyperparameters, task_ref, train_indices,
@@ -133,49 +129,6 @@ def reference_evaluate_fold_indices(template, hyperparameters, task_ref, train_i
     return payload
 
 
-def reference_evaluate_fold_indices_batch(template, hyperparameters_list, task_ref,
-                                          train_indices, val_indices, cache_config=None,
-                                          capture_events=False):
-    faultinject.maybe_inject(task_ref)
-    if capture_events:
-        begin_capture()
-        capture_event("fold_started", batch_size=len(hyperparameters_list))
-    started = time.time()
-    try:
-        task = _resolve_task(task_ref)
-    except Exception as failure:  # noqa: BLE001
-        share = (time.time() - started) / max(len(hyperparameters_list), 1)
-        error = _format_error(failure)
-        payloads = [
-            {"score": None, "raw_score": None, "error": error, "elapsed": share,
-             "retriable": True}
-            for _ in hyperparameters_list
-        ]
-        if capture_events and payloads:
-            payloads[0]["events"] = end_capture()
-        return payloads
-    try:
-        train_task, val_task = materialize_cv_fold(task, train_indices, val_indices)
-        prefix_cache = resolve_prefix_cache(cache_config)
-        data_key = None
-        if prefix_cache is not None:
-            data_key = fold_data_key(task, train_indices)
-        payloads = batch_eval.evaluate_candidate_group(
-            template, hyperparameters_list, train_task, val_task,
-            prefix_cache=prefix_cache, data_key=data_key,
-        )
-    except Exception as failure:  # noqa: BLE001
-        share = (time.time() - started) / max(len(hyperparameters_list), 1)
-        error = _format_error(failure)
-        payloads = [
-            {"score": None, "raw_score": None, "error": error, "elapsed": share}
-            for _ in hyperparameters_list
-        ]
-    if capture_events and payloads:
-        payloads[0]["events"] = end_capture()
-    return payloads
-
-
 def reference_fold_done(self, index, fold_future):
     if fold_future.cancelled():
         # the one deliberate change to the frozen code: a fold cancelled by
@@ -201,41 +154,6 @@ def reference_fold_done(self, index, fold_future):
         else:
             payload = fold_future.result()
     self._record(index, payload)
-
-
-def reference_dispatch_group_fold(index, job, futures):
-    n_members = len(futures)
-    if job.cancelled():
-        payloads = [
-            {
-                "score": None,
-                "raw_score": None,
-                "error": "CancelledError: the backend was shut down before this fold ran",
-                "elapsed": 0.0,
-            }
-            for _ in range(n_members)
-        ]
-    else:
-        exception = job.exception()
-        if exception is not None:
-            error = _format_error(exception)
-            payloads = [
-                {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
-                for _ in range(n_members)
-            ]
-        else:
-            payloads = job.result()
-            if not isinstance(payloads, list) or len(payloads) != n_members:
-                error = "RuntimeError: batched fold returned {} payloads for {} candidates".format(
-                    len(payloads) if isinstance(payloads, list) else type(payloads).__name__,
-                    n_members,
-                )
-                payloads = [
-                    {"score": None, "raw_score": None, "error": error, "elapsed": 0.0}
-                    for _ in range(n_members)
-                ]
-    for future, payload in zip(futures, payloads):
-        future._record(index, payload)
 
 
 class _ScriptedPool(_PoolBackend):
@@ -312,89 +230,6 @@ class _ReferenceDispatch(_ScriptedPool):
             cache_config=candidate.cache_config,
             capture_events=getattr(candidate, "telemetry", None) is not None,
         )
-
-    def submit_many(self, candidates):
-        futures = []
-        for group in batch_eval.group_candidates(candidates):
-            if len(group) == 1:
-                futures.extend(self.submit(candidate) for candidate in group)
-            else:
-                futures.extend(self._submit_group(group))
-        return futures
-
-    def _submit_group(self, candidates):
-        lead = candidates[0]
-        started = time.time()
-        try:
-            folds = task_cv_indices(
-                lead.task, n_splits=lead.n_splits, random_state=lead.random_state,
-            )
-        except Exception as failure:  # noqa: BLE001
-            error = _format_error(failure)
-            elapsed = time.time() - started
-            futures = []
-            for candidate in candidates:
-                future = CandidateFuture(candidate, EvaluationOutcome(None, None, error, elapsed))
-                self._outstanding += 1
-                self._completion_queue.put(future)
-                futures.append(future)
-            return futures
-        futures = [
-            _PooledCandidateFuture(candidate, len(folds), self._completion_queue)
-            for candidate in candidates
-        ]
-        self._outstanding += len(futures)
-        telemetry = getattr(lead, "telemetry", None)
-        if telemetry is not None:
-            sink, tenant = telemetry
-            sink.emit(
-                "batch_group_formed", tenant=tenant, size=len(candidates),
-                template=lead.template_name, n_folds=len(folds),
-                iterations=[candidate.iteration for candidate in candidates],
-                reason="same-template candidates co-submitted in one scheduler burst",
-            )
-            for candidate in candidates:
-                for fold_index in range(len(folds)):
-                    sink.emit(
-                        "fold_dispatched", tenant=tenant,
-                        iteration=candidate.iteration, fold=fold_index,
-                        template=candidate.template_name,
-                    )
-        hyperparameters_list = [candidate.hyperparameters for candidate in candidates]
-        jobs = []
-        submit_error = None
-        for train_indices, val_indices in folds:
-            if submit_error is None:
-                try:
-                    jobs.append(
-                        self._submit_fold_batch(
-                            lead, hyperparameters_list, train_indices, val_indices
-                        )
-                    )
-                    continue
-                except Exception as failure:  # noqa: BLE001
-                    submit_error = _format_error(failure)
-            jobs.append(None)
-        for index, job in enumerate(jobs):
-            if job is None:
-                for future in futures:
-                    future._fold_failed(index, submit_error)
-            else:
-                job.add_done_callback(
-                    lambda fold, index=index, futures=futures: reference_dispatch_group_fold(
-                        index, fold, futures
-                    )
-                )
-        return futures
-
-    def _submit_fold_batch(self, candidate, hyperparameters_list, train_indices, val_indices):
-        return self._executor.submit(
-            reference_evaluate_fold_indices_batch, candidate.template, hyperparameters_list,
-            self._task_ref(candidate.task), train_indices, val_indices,
-            cache_config=candidate.cache_config,
-            capture_events=getattr(candidate, "telemetry", None) is not None,
-        )
-
 
 # Verbatim from the parent commit of the serial merge apart from the names:
 # ``cross_validate_template`` (with its ``prefix_cache`` / ``pruner`` /
@@ -501,120 +336,6 @@ class _ReferenceSerial(ExecutionBackend):
         self._completed.append(future)
         return future
 
-    def submit_many(self, candidates):
-        futures = []
-        for group in batch_eval.group_candidates(candidates):
-            if len(group) == 1:
-                futures.append(self.submit(group[0]))
-            else:
-                futures.extend(self._submit_group(group))
-        return futures
-
-    def _submit_group(self, candidates):
-        lead = candidates[0]
-        telemetry = getattr(lead, "telemetry", None)
-        started = time.time()
-        try:
-            folds = task_cv_indices(
-                lead.task, n_splits=lead.n_splits, random_state=lead.random_state,
-            )
-        except Exception as failure:  # noqa: BLE001
-            error = _format_error(failure)
-            elapsed = time.time() - started
-            futures = [
-                CandidateFuture(candidate, EvaluationOutcome(None, None, error, elapsed))
-                for candidate in candidates
-            ]
-            self._completed.extend(futures)
-            return futures
-
-        prefix_cache = resolve_prefix_cache(lead.cache_config)
-        pruner = lead.pruner
-        n_candidates = len(candidates)
-        n_folds = len(folds)
-        if telemetry is not None:
-            sink, tenant = telemetry
-            sink.emit(
-                "batch_group_formed", tenant=tenant, size=n_candidates,
-                template=lead.template_name, n_folds=n_folds,
-                iterations=[candidate.iteration for candidate in candidates],
-                reason="same-template candidates fused into one fold-major group",
-            )
-            for candidate in candidates:
-                for fold_index in range(n_folds):
-                    sink.emit(
-                        "fold_dispatched", tenant=tenant,
-                        iteration=candidate.iteration, fold=fold_index,
-                        template=candidate.template_name,
-                    )
-        fold_results = [[] for _ in range(n_candidates)]
-        pruned_reason = [None] * n_candidates
-        failed = [False] * n_candidates
-        for fold_index, (train_indices, val_indices) in enumerate(folds):
-            live = [
-                index for index in range(n_candidates)
-                if pruned_reason[index] is None and not failed[index]
-            ]
-            if not live:
-                break
-            train_task, val_task = materialize_cv_fold(lead.task, train_indices, val_indices)
-            data_key = None
-            if prefix_cache is not None:
-                data_key = fold_data_key(lead.task, train_indices)
-            if telemetry is not None:
-                begin_capture()
-                capture_event("fold_started", batch_size=len(live))
-            payloads = batch_eval.evaluate_candidate_group(
-                lead.template, [candidates[index].hyperparameters for index in live],
-                train_task, val_task, prefix_cache=prefix_cache, data_key=data_key,
-            )
-            if telemetry is not None:
-                sink, tenant = telemetry
-                sink.ingest(
-                    end_capture(), tenant=tenant,
-                    iteration=candidates[live[0]].iteration, fold=fold_index,
-                    template=lead.template_name,
-                )
-            for index, payload in zip(live, payloads):
-                fold_results[index].append(payload)
-                if telemetry is not None:
-                    sink.emit(
-                        "fold_finished", tenant=tenant,
-                        iteration=candidates[index].iteration, fold=fold_index,
-                        template=candidates[index].template_name,
-                        score=payload.get("score"),
-                        raw_score=payload.get("raw_score"),
-                        error=payload.get("error"),
-                        elapsed=payload.get("elapsed"),
-                        cache_hits=payload.get("cache_hits", 0),
-                        cache_misses=payload.get("cache_misses", 0),
-                    )
-                if payload.get("error"):
-                    failed[index] = True
-                elif pruner is not None:
-                    pruner.observe_fold(payload["score"])
-                    scores = [
-                        fold["score"] for fold in fold_results[index]
-                        if not fold.get("error")
-                    ]
-                    reason = pruner.assess(scores, n_folds)
-                    if reason is not None:
-                        pruned_reason[index] = reason
-                        if telemetry is not None:
-                            sink.emit(
-                                "prune_decision", tenant=tenant,
-                                iteration=candidates[index].iteration,
-                                template=candidates[index].template_name,
-                                reason=reason, n_completed=len(scores),
-                                n_folds=n_folds,
-                            )
-        futures = []
-        for index, candidate in enumerate(candidates):
-            outcome = _aggregate_folds(fold_results[index], pruned_reason[index])
-            futures.append(CandidateFuture(candidate, outcome))
-        self._completed.extend(futures)
-        return futures
-
     def collect_one(self):
         if not self._completed:
             return None
@@ -705,59 +426,62 @@ def failed(message):
     return {"score": None, "raw_score": None, "error": message, "elapsed": 0.01}
 
 
-def scripted(n_members, payloads):
-    """A scripted job result: the dict of a solo job, the list of a group job."""
-    return payloads[0] if n_members == 1 else payloads[:n_members]
+def each(n_candidates, actions):
+    """One fold's scripted action per candidate, in submission order."""
+    return list(actions[:n_candidates])
 
 
-#: name -> builder(n_members) of the scenario's keyword arguments for ``drive``
+#: name -> builder(n_candidates) of the scenario's keyword arguments for
+#: ``drive``.  An action scripts that fold of every candidate, a list (see
+#: ``each``) one action per candidate.  The last two scenarios were written
+#: for fused groups, whose jobs returned one payload per member; each now
+#: scripts one candidate's payload.
 SCENARIOS = {
     "success": lambda n: {"cache": True},
     "success, jobs finish in reverse": lambda n: {"order": [2, 1, 0]},
     "broken template fails every fold": lambda n: {"template": BROKEN},
-    "fold error at position 0": lambda n: {
-        "actions": {0: scripted(n, [failed("ValueError: fold 0")] * 4)}},
-    "fold error in the middle": lambda n: {
-        "actions": {1: scripted(n, [failed("ValueError: fold 1")] * 4)}},
+    "fold error at position 0": lambda n: {"actions": {0: failed("ValueError: fold 0")}},
+    "fold error in the middle": lambda n: {"actions": {1: failed("ValueError: fold 1")}},
     "fold error at the last position": lambda n: {
-        "actions": {2: scripted(n, [failed("ValueError: fold 2")] * 4)}},
+        "actions": {2: failed("ValueError: fold 2")}},
     "fold error in the middle, jobs finish in reverse": lambda n: {
-        "order": [2, 1, 0], "actions": {1: scripted(n, [failed("ValueError: fold 1")] * 4)}},
-    "first member alone fails its first fold": lambda n: {
-        "actions": {0: scripted(n, [failed("ValueError: member 0")] + [ok(0.5)] * 3)}},
-    "last member alone fails the middle fold": lambda n: {
-        "actions": {1: scripted(n, ([ok(0.5)] * (n - 1) + [failed("ValueError: last")]))}},
+        "order": [2, 1, 0], "actions": {1: failed("ValueError: fold 1")}},
     "executor exception": lambda n: {
         "actions": {1: RuntimeError("A process in the process pool was terminated")}},
     "job cancelled from outside": lambda n: {"actions": {0: "cancel"}},
     "last job cancelled from outside": lambda n: {"actions": {2: "cancel"}},
     "submit raises on the first fold": lambda n: {"submit_fails_at": 0},
     "submit raises on the second fold": lambda n: {"submit_fails_at": 1},
-    "wrong number of payloads": lambda n: {
-        "actions": {1: [ok(0.5)] * (n + 1) if n > 1 else ok(0.5)}},
-    "a payload that is not a list": lambda n: {
-        "actions": {0: ok(0.5)}},
     "task_cv_indices raises": lambda n: {"n_splits": 1},
     "retriable transport failure at position 0": lambda n: {"task_ref_fails_at": 0},
     "retriable transport failure in the middle": lambda n: {"task_ref_fails_at": 1},
-    "pruned after the first fold": lambda n: {
-        "prune": True, "actions": {0: scripted(n, [ok(0.1)] * 4)}},
+    "pruned after the first fold": lambda n: {"prune": True, "actions": {0: ok(0.1)}},
     "pruned after the first fold, jobs finish in reverse": lambda n: {
-        "prune": True, "order": [2, 1, 0],
-        "actions": {2: scripted(n, [ok(0.1)] * 4)}},
+        "prune": True, "order": [2, 1, 0], "actions": {2: ok(0.1)}},
+    "first member alone fails its first fold": lambda n: {
+        "actions": {0: each(n, [failed("ValueError: member 0")] + ["run"] * 3)}},
+    "last member alone fails the middle fold": lambda n: {
+        "actions": {1: each(n, ["run"] * (n - 1) + [failed("ValueError: last")])}},
+    "wrong number of payloads": lambda n: {"actions": {1: ok(0.5)}},
+    "a payload that is not a list": lambda n: {"actions": {0: ok(0.5)}},
 }
 
 #: Event fields that differ between any two runs.  ``elapsed`` also hides
-#: the one deliberate difference: the payload synthesized for a lone
+#: the one deliberate difference: the payload synthesized for a
 #: candidate's job that raised used to carry no ``elapsed`` at all and now
 #: carries 0.0 like every other synthesized payload.
 _TIMING_FIELDS = ("wall", "proc", "pid", "elapsed")
 
 
-def drive(backend_class, n_members, telemetry, template=TEMPLATE, n_splits=N_FOLDS,
+def drive(backend_class, n_candidates, telemetry, template=TEMPLATE, n_splits=N_FOLDS,
           order=(0, 1, 2), actions=None, submit_fails_at=None, task_ref_fails_at=None,
           prune=False, cache=False):
-    """Run one scenario on one dispatcher; returns everything the two must agree on."""
+    """Run one scenario on one dispatcher; returns everything the two must agree on.
+
+    ``n_candidates`` are submitted one after another, as the search window
+    keeps several in flight; the script then finishes fold by fold, each
+    fold's jobs in submission order.
+    """
     prefix_cache_module._PROCESS_CACHES.clear()
     executor = _ScriptedExecutor(submit_fails_at)
     calls = count()
@@ -776,21 +500,24 @@ def drive(backend_class, n_members, telemetry, template=TEMPLATE, n_splits=N_FOL
         pruner.observe_fold(0.5)
     base = template.default_hyperparameters()
     cache_config = make_prefix_cache_config("mem") if cache else None
-    candidates = [
-        EvaluationCandidate(
+    submitted = []
+    jobs_of = []  # each candidate's executor jobs, in fold order
+    for member in range(n_candidates):
+        first_job = len(executor.jobs)
+        submitted.append(backend.submit(EvaluationCandidate(
             iteration=10 + member, template=template,
             hyperparameters={**base, N_NEIGHBORS: 3 + 2 * member},
             task=TASK, n_splits=n_splits, random_state=0, pruner=pruner,
-            cache_config=cache_config,
-            telemetry=(sink, "tenant-a") if telemetry else None,
-        )
-        for member in range(n_members)
-    ]
-    submitted = backend.submit_many(candidates)
+            cache_config=cache_config, telemetry=(sink, "tenant-a") if telemetry else None,
+        )))
+        jobs_of.append(range(first_job, len(executor.jobs)))
     for fold in order:
-        if fold < len(executor.jobs):
-            executor.finish(fold, (actions or {}).get(fold, "run"))
-    assert len(executor.jobs) <= n_splits  # one job per fold, however many members
+        action = (actions or {}).get(fold, "run")
+        for member, jobs in enumerate(jobs_of):
+            if fold < len(jobs):
+                executor.finish(jobs[fold],
+                                action[member] if isinstance(action, list) else action)
+    assert all(len(jobs) <= n_splits for jobs in jobs_of)  # one job per fold
     assert all(future.done() for future in submitted)  # or as_completed() would hang
     completed = list(backend.as_completed())
     assert sorted(map(id, completed)) == sorted(map(id, submitted))
@@ -816,58 +543,66 @@ def drive(backend_class, n_members, telemetry, template=TEMPLATE, n_splits=N_FOL
 
 
 @pytest.mark.parametrize("telemetry", [False, True], ids=["events-off", "events-on"])
-@pytest.mark.parametrize("n_members", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_candidates", [1, 2, 3, 4])
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_dispatch_matches_the_frozen_reference(scenario, n_members, telemetry):
-    options = SCENARIOS[scenario](n_members)
-    expected = drive(_ReferenceDispatch, n_members, telemetry, **options)
-    actual = drive(_ScriptedPool, n_members, telemetry, **options)
+def test_dispatch_matches_the_frozen_reference(scenario, n_candidates, telemetry):
+    options = SCENARIOS[scenario](n_candidates)
+    expected = drive(_ReferenceDispatch, n_candidates, telemetry, **options)
+    actual = drive(_ScriptedPool, n_candidates, telemetry, **options)
     assert actual == expected
+
+
+def run_scenario(backend_class, n_candidates, telemetry, scenario):
+    return drive(backend_class, n_candidates, telemetry, **SCENARIOS[scenario](n_candidates))
 
 
 def test_the_scenarios_reach_what_they_name():
     """Guard the guard: the scripted scenarios exercise the paths they claim."""
-    solo = drive(_ReferenceDispatch, 1, True, **SCENARIOS["fold error at position 0"](1))
+    solo = run_scenario(_ReferenceDispatch, 1, True, "fold error at position 0")
     # fold 0's failure cancels both siblings, fold 1's cancellation fold 2 again
     assert solo["cancel() calls per job"] == [0, 1, 2]
     assert [event["event"] for event in solo["events"]].count("fold_cancelled") == 2
-    group = drive(_ReferenceDispatch, 3, True,
-                  **SCENARIOS["first member alone fails its first fold"](3))
-    assert group["cancel() calls per job"] == [0, 0, 0]
-    assert [outcome[3] for outcome in group["outcomes in completion order"]] == [
-        "ValueError: member 0", None, None]
-    assert [event["event"] for event in group["events"]][:2] == [
-        "batch_group_formed", "fold_dispatched"]
-    cancelled = drive(_ReferenceDispatch, 2, False,
-                      **SCENARIOS["job cancelled from outside"](2))
-    assert {outcome[3] for outcome in cancelled["outcomes in completion order"]} == {
-        "CancelledError: the backend was shut down before this fold ran"}
-    cancelled = drive(_ReferenceDispatch, 1, False,
-                      **SCENARIOS["job cancelled from outside"](1))
+    cancelled = run_scenario(_ReferenceDispatch, 1, False, "job cancelled from outside")
     assert cancelled["outcomes in completion order"][0][3] == (
         "CancelledError: an earlier fold of this candidate failed")
-    pruned = drive(_ReferenceDispatch, 1, True,
-                   **SCENARIOS["pruned after the first fold"](1))
+    pruned = run_scenario(_ReferenceDispatch, 1, True, "pruned after the first fold")
     assert pruned["outcomes in completion order"][0][4] is True
     assert all(pruned["cancel() calls per job"])
-    pruned = drive(_ReferenceDispatch, 3, True,
-                   **SCENARIOS["pruned after the first fold"](3))
-    assert not any(pruned["cancel() calls per job"])  # a group's jobs are shared
-    success = drive(_ReferenceDispatch, 2, False, **SCENARIOS["success"](2))
-    assert all(outcome[1] is not None for outcome in success["outcomes in completion order"])
-    assert any(outcome[6] > 0 for outcome in success["outcomes in completion order"])
+    success = run_scenario(_ReferenceDispatch, 1, False, "success")
+    outcome, = success["outcomes in completion order"]
+    assert outcome[1] is not None and outcome[6] > 0
+    # candidates in flight together: later ones hit the prefix the first cached
+    success = run_scenario(_ReferenceDispatch, 3, False, "success")
+    assert [outcome[5] > 0 for outcome in success["outcomes in completion order"]] == [
+        False, True, True]
+    pruned = run_scenario(_ReferenceDispatch, 3, False, "pruned after the first fold")
+    assert [outcome[4] for outcome in pruned["outcomes in completion order"]] == [True] * 3
+
+
+@pytest.mark.parametrize("n_candidates", [2, 3, 4])
+def test_a_failing_candidate_cancels_only_its_own_jobs(n_candidates):
+    """Every candidate owns its fold jobs: no failure reaches another candidate's."""
+    others = 3 * (n_candidates - 1)
+    first = run_scenario(_ScriptedPool, n_candidates, False,
+                         "first member alone fails its first fold")
+    assert first["cancel() calls per job"] == [0, 1, 2] + [0] * others
+    assert [outcome[3] for outcome in first["outcomes in completion order"]] == [
+        "ValueError: member 0"] + [None] * (n_candidates - 1)
+    last = run_scenario(_ScriptedPool, n_candidates, False,
+                        "last member alone fails the middle fold")
+    assert last["cancel() calls per job"] == [0] * (others + 2) + [1]
+    # the failed candidate completes first: its last fold is cancelled, not run
+    assert [outcome[0] for outcome in last["outcomes in completion order"]] == [
+        9 + n_candidates] + list(range(10, 9 + n_candidates))
+    assert [outcome[3] is None for outcome in last["outcomes in completion order"]] == [
+        False] + [True] * (n_candidates - 1)
 
 
 # -- the serial backend against the frozen serial engine -----------------------------------
 
 #: The evaluators the serial scenarios wrap, captured before any test patches them.
 _REAL_EVALUATE = search_module.evaluate_pipeline
-_REAL_FINISH = batch_eval._finish_candidate
 _BOGUS = (KNN + "#0", "no_such_hyperparameter")
-
-
-def _n_neighbors(pipeline):
-    return pipeline.get_hyperparameters()[KNN + "#0"]["n_neighbors"]
 
 
 def _pruner(prune, hyperparameters):
@@ -892,10 +627,11 @@ def _pruner(prune, hyperparameters):
     return pruner
 
 
-#: name -> keyword arguments of ``drive_serial``.  ``members`` > 1 is one fused
-#: group through ``submit_many``; ``fail_fold`` fails the last member on that
-#: fold; ``warm`` submits a second lone candidate that reuses the first one's
-#: cached prefix.
+#: name -> keyword arguments of ``drive_serial``.  ``members`` candidates
+#: are submitted one after another; ``fail_fold`` fails the last of them on
+#: that fold; ``build_fails`` gives the first one a hyperparameter its
+#: pipeline cannot take; ``warm`` submits a second candidate that reuses the
+#: first one's cached prefix.
 SERIAL_SCENARIOS = {
     "success": {},
     "fold 0 fails": {"fail_fold": 0},
@@ -910,10 +646,10 @@ SERIAL_SCENARIOS = {
 }
 for _members in (2, 3, 4):
     SERIAL_SCENARIOS.update({
-        "group of {}".format(_members): {"members": _members},
-        "group of {}, first member fails to build".format(_members): {
+        "{} candidates".format(_members): {"members": _members},
+        "{} candidates, the first fails to build".format(_members): {
             "members": _members, "build_fails": True},
-        "group of {}, last member fails the last fold".format(_members): {
+        "{} candidates, the last fails the last fold".format(_members): {
             "members": _members, "fail_fold": N_FOLDS - 1},
     })
 
@@ -921,10 +657,7 @@ for _members in (2, 3, 4):
 def _terminal_events(events):
     """Each candidate's ``fold_finished`` / ``prune_decision`` events up to its end.
 
-    A candidate ends at its first failing fold or its prune decision.  The
-    cut is a no-op on both engines' lone candidates; on the merged path it
-    drops the later folds a failed member of a fused group still shares
-    with the group (the frozen engine left it out of them).
+    A candidate ends at its first failing fold or its prune decision.
     """
     ended = set()
     kept = []
@@ -949,7 +682,7 @@ def drive_serial(backend, sink, monkeypatch, members=1, n_splits=N_FOLDS, fail_f
         for index, (train, val) in enumerate(
                 task_cv_indices(TASK, n_splits=n_splits, random_state=0)):
             fold_of[task_content_digest(materialize_cv_fold(TASK, train, val)[1])] = index
-    failing_k = 3 + 2 * (members - 1)  # the last member's n_neighbors
+    failing_k = 3 + 2 * (members - 1)  # the last candidate's n_neighbors
     calls = []  # fold evaluations and submit returns, in the order they happened
 
     def evaluate(template, hyperparameters, train_task, val_task, **cached):
@@ -959,17 +692,9 @@ def drive_serial(backend, sink, monkeypatch, members=1, n_splits=N_FOLDS, fail_f
             raise ValueError("scripted failure on fold {}".format(fold))
         return _REAL_EVALUATE(template, hyperparameters, train_task, val_task, **cached)
 
-    def finish(pipeline, boundary, train_context, val_context, val_task, **kwargs):
-        fold = fold_of[task_content_digest(val_task)]
-        calls.append(("finish_candidate", _n_neighbors(pipeline), fold))
-        if fold == fail_fold and _n_neighbors(pipeline) == failing_k:
-            raise ValueError("scripted failure on fold {}".format(fold))
-        return _REAL_FINISH(pipeline, boundary, train_context, val_context, val_task, **kwargs)
-
     base = TEMPLATE.default_hyperparameters()
     pruner = None if prune is None else _pruner(prune, {**base, N_NEIGHBORS: 3})
     monkeypatch.setattr(search_module, "evaluate_pipeline", evaluate)
-    monkeypatch.setattr(batch_eval, "_finish_candidate", finish)
     candidates = [
         EvaluationCandidate(
             iteration=10 + member, template=TEMPLATE,
@@ -982,14 +707,9 @@ def drive_serial(backend, sink, monkeypatch, members=1, n_splits=N_FOLDS, fail_f
     ]
     if build_fails:
         candidates[0].hyperparameters[_BOGUS] = 1
-    waves = [[candidate] for candidate in candidates] if warm else [candidates]
-    for wave in waves:
-        if len(wave) == 1:
-            futures = [backend.submit(wave[0])]
-        else:
-            futures = backend.submit_many(wave)
-        calls.append(("returned", [(future.candidate.iteration, future.done())
-                                   for future in futures]))
+    for candidate in candidates:
+        future = backend.submit(candidate)
+        calls.append(("returned", [(future.candidate.iteration, future.done())]))
     outcomes = []
     for future in backend.as_completed():
         outcome = future.result()
@@ -1021,7 +741,7 @@ def _folds_evaluated(result):
 
 
 def test_the_serial_scenarios_reach_what_they_name(monkeypatch):
-    """Guard the guard, and pin the serial stream's deliberate differences."""
+    """Guard the guard: the serial scenarios exercise the paths they claim."""
     for prune, folds, pruned in ((0, [0], True), (1, [0, 1], True),
                                  ("never", [0, 1, 2], False)):
         result = drive_serial(SerialBackend(), None, monkeypatch, prune=prune)
@@ -1034,19 +754,17 @@ def test_the_serial_scenarios_reach_what_they_name(monkeypatch):
     warm = drive_serial(SerialBackend(), None, monkeypatch, cache=True, warm=True)
     assert [outcome[5] > 0 for outcome in warm["outcomes in completion order"]] == [
         False, True]
+    # a candidate that fails to build takes none of the next candidates' folds
     sink = _RecordingSink()
-    group = drive_serial(SerialBackend(), sink, monkeypatch, members=3, build_fails=True)
-    errors = [outcome[3] for outcome in group["outcomes in completion order"]]
+    candidates = drive_serial(SerialBackend(), sink, monkeypatch, members=3, build_fails=True)
+    errors = [outcome[3] for outcome in candidates["outcomes in completion order"]]
     assert errors[0].startswith("ValueError: ") and errors[1:] == [None, None]
-    # the merged stream: the pool's group reason, and the member that failed
-    # to build is still part of the group's later fused folds
-    formed = [event for event in sink.events if event["event"] == "batch_group_formed"
-              and event.get("fold") is None]
-    assert [event["reason"] for event in formed] == [
-        "same-template candidates co-submitted in one scheduler burst"]
-    assert [event["fold"] for event in sink.events if event["event"] == "fold_finished"
-            and event["iteration"] == 10] == [0, 1, 2]
-    # and every fold of a lone candidate is dispatched, the ones after a
+    assert [(call[2], call[3]) for call in candidates["fold calls and submit returns"]
+            if call[0] == "evaluate_pipeline"] == [
+        (3, 0), (5, 0), (5, 1), (5, 2), (7, 0), (7, 1), (7, 2)]
+    assert [event["fold"] for event in sink.events if event["event"] == "fold_cancelled"
+            and event["iteration"] == 10] == [1, 2]
+    # and every fold of a candidate is dispatched, the ones after a
     # failing fold cancelled instead of run
     sink = _RecordingSink()
     drive_serial(SerialBackend(), sink, monkeypatch, fail_fold=1)
@@ -1056,7 +774,7 @@ def test_the_serial_scenarios_reach_what_they_name(monkeypatch):
         ("fold_finished", 0), ("fold_finished", 1), ("fold_cancelled", 2)]
 
 
-# -- the two worker entry points against their frozen bodies ----------------------------
+# -- the worker entry point against its frozen body ---------------------------------------
 
 
 def _strip(payload):
@@ -1084,28 +802,19 @@ def test_fold_evaluators_match_their_frozen_bodies(fault, cache, capture_events)
         train_indices = train_indices + 10_000
     elif fault == "broken template":
         template = BROKEN
-    base = template.default_hyperparameters()
-    configurations = [{**base, N_NEIGHBORS: k} for k in (3, 5, 7)]
-    options = {
-        "cache_config": make_prefix_cache_config("mem") if cache else None,
-        "capture_events": capture_events,
-    }
+    configuration = {**template.default_hyperparameters(), N_NEIGHBORS: 3}
+    cache_config = make_prefix_cache_config("mem") if cache else None
 
-    def run(solo, batch):
+    def run(evaluate):
         prefix_cache_module._PROCESS_CACHES.clear()
-        payloads = [solo(template, configurations[0], task_ref, train_indices, val_indices,
-                         **options)]
-        for size in (1, 3):
-            payloads.extend(batch(template, configurations[:size], task_ref, train_indices,
-                                  val_indices, **options))
-        return [_strip(payload) for payload in payloads]
+        return _strip(evaluate(template, configuration, task_ref, train_indices, val_indices,
+                               cache_config=cache_config, capture_events=capture_events))
 
-    expected = run(reference_evaluate_fold_indices, reference_evaluate_fold_indices_batch)
-    actual = run(evaluate_fold_indices, evaluate_fold_indices_batch)
+    expected = run(reference_evaluate_fold_indices)
+    actual = run(evaluate_fold_indices)
     assert actual == expected
-    assert all(("retriable" in payload) == (fault == "unresolvable task")
-               for payload in actual)
-    assert all((payload["error"] is None) == (fault == "none") for payload in actual)
+    assert ("retriable" in actual) == (fault == "unresolvable task")
+    assert (actual["error"] is None) == (fault == "none")
 
 
 # -- the refit job on the same dispatcher ---------------------------------------------------
@@ -1220,11 +929,11 @@ def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
 
 
 def test_a_pruned_fold_cancel_names_the_prune_not_a_failure():
-    failed = drive(_ScriptedPool, 1, True, **SCENARIOS["fold error at position 0"](1))
+    failed = run_scenario(_ScriptedPool, 1, True, "fold error at position 0")
     assert [event["error"] for event in failed["events"]
             if event["event"] == "fold_cancelled"] == [
         "CancelledError: an earlier fold of this candidate failed"] * 2
-    pruned = drive(_ScriptedPool, 1, True, **SCENARIOS["pruned after the first fold"](1))
+    pruned = run_scenario(_ScriptedPool, 1, True, "pruned after the first fold")
     reason, = [event["reason"] for event in pruned["events"]
                if event["event"] == "prune_decision"]
     assert reason.startswith("optimistic estimate ")

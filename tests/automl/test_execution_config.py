@@ -13,7 +13,6 @@ import math
 import multiprocessing
 import os
 import re
-import shutil
 import threading
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from repro.automl import (
     run_from_directory,
 )
 from repro.automl.__main__ import build_parser, build_resume_parser, main
-from repro.automl.checkpoint import record_stream_digest
 from repro.automl.config import EXECUTION_ONLY, KNOBS, STREAM_SHAPING, ExecutionConfig
 from repro.explorer import PersistentPipelineStore, StoreCorruptionError
 from repro.tasks import save_task, synth
@@ -46,6 +44,8 @@ RUN_ENTRY_POINTS = ("ExperimentRun.execute", "resume_run", "cli-resume")
 #: rejects a value outside its ``choices`` itself (exit code 2).
 INVALID = [
     ("retired-schedule", {"schedule": "window"}, TypeError, "schedule",
+     ("cli", "cli-fleet", "cli-resume")),
+    ("retired-batch-eval", {"batch_eval": True}, TypeError, "batch_eval",
      ("cli", "cli-fleet", "cli-resume")),
     ("unknown-cache-mode", {"prefix_cache": "bogus"}, ValueError, "Unknown prefix-cache mode",
      ("cli", "cli-fleet", "cli-resume")),
@@ -200,7 +200,7 @@ def test_a_resume_cannot_pass_what_the_manifest_fixes(workspace):
 
 
 def test_the_schedule_is_no_option(workspace, capsys):
-    assert len(KNOBS) == 10
+    assert len(KNOBS) == 9
     with pytest.raises(TypeError, match="schedule"):
         ExperimentRun.create(workspace / "new-run", task_directory=workspace / "task",
                              schedule="window")
@@ -212,9 +212,9 @@ def test_the_schedule_is_no_option(workspace, capsys):
 
 
 def test_normalisation_happens_once_at_construction():
-    config = ExecutionConfig(backend=None, n_pending=0, prefix_cache=None, batch_eval=1)
-    assert (config.backend, config.n_pending, config.prefix_cache, config.batch_eval) == (
-        "serial", 1, "off", True)
+    config = ExecutionConfig(backend=None, n_pending=0, prefix_cache=None, telemetry=False)
+    assert (config.backend, config.n_pending, config.prefix_cache, config.telemetry) == (
+        "serial", 1, "off", None)
     # the keyword view hands the same objects on: nothing is deep-copied
     backend = SerialBackend()
     assert ExecutionConfig(backend=backend).as_kwargs()["backend"] is backend
@@ -302,35 +302,3 @@ def test_session_does_not_leak_its_sink_when_the_store_fails_to_open(tmp_path):
     open_paths = [os.path.realpath(os.path.join("/proc/self/fd", name))
                   for name in os.listdir("/proc/self/fd")]
     assert not [path for path in open_paths if path.startswith(str(events))]
-
-
-class _Kill(Exception):
-    pass
-
-
-def test_batch_eval_may_differ_between_a_run_and_its_resume(tmp_path, capsys):
-    task = synth.make_single_table_classification(n_samples=60, random_state=0)
-    options = dict(task=task, budget=8, n_splits=2, random_state=0, n_pending=3)
-
-    def digest(run):
-        return record_stream_digest(run.store).hexdigest()
-
-    with ExperimentRun.create(tmp_path / "whole", **options) as whole:
-        whole.execute()
-        expected = digest(whole)
-
-    def kill(state):
-        if state["n_reported"] >= 4:
-            raise _Kill()
-
-    with pytest.raises(_Kill):
-        ExperimentRun.create(tmp_path / "killed", **options).execute(
-            batch_eval=True, on_report=kill)
-    shutil.copytree(tmp_path / "killed", tmp_path / "killed-too")
-
-    with resume_run(tmp_path / "killed") as resumed:
-        assert digest(resumed) == expected
-    assert main(["resume", str(tmp_path / "killed-too"), "--batch-eval"]) == 0
-    capsys.readouterr()
-    with resume_run(tmp_path / "killed-too", batch_eval=True) as reopened:
-        assert digest(reopened) == expected

@@ -1,9 +1,9 @@
 """Static guard: ``repro.automl`` has one fold-dispatch engine, not two.
 
 Every backend — serial, thread, process, fleet tenant — dispatches folds
-through ``_PoolBackend._submit_group`` / ``submit_refit``, aggregates,
-prunes and reports them in ``_PooledCandidateFuture``, and evaluates a lone
-configuration in ``_solo_fold``; ``search.cross_validate_template`` is the
+through ``_PoolBackend.submit`` / ``submit_refit``, aggregates, prunes
+and reports them in ``_PooledCandidateFuture``, and evaluates a
+configuration on a fold in ``_solo_fold``; ``search.cross_validate_template`` is the
 plain reference loop the dispatcher is tested against.  A second engine
 shows up as a second site of one of the constructs below: a pruning
 decision, a fold event, a fold evaluation, an executor job submission or a
@@ -21,10 +21,10 @@ import repro.automl
 PACKAGE = os.path.dirname(repro.automl.__file__)
 
 #: Event types a second engine would have to emit or capture itself.
-EVENTS = ("fold_finished", "fold_dispatched", "prune_decision", "batch_group_formed")
+EVENTS = ("fold_finished", "fold_dispatched", "prune_decision")
 
 #: Functions whose use hands a configuration to a fold evaluator.
-FOLD_ENTRY_POINTS = ("_solo_fold", "evaluate_fold_indices", "evaluate_fold_indices_batch")
+FOLD_ENTRY_POINTS = ("_solo_fold", "evaluate_fold_indices")
 
 #: construct -> the sites allowed to have it, as ``(module, qualified name)``.
 ALLOWED = {
@@ -35,30 +35,24 @@ ALLOWED = {
         ("backends.py", "_PooledCandidateFuture._ingest_fold"),
     ],
     'the event "fold_dispatched"': [
-        ("backends.py", "_PoolBackend._submit_group"),
+        ("backends.py", "_PoolBackend.submit"),
     ],
     'the event "prune_decision"': [
         ("backends.py", "_PooledCandidateFuture._maybe_prune"),
     ],
-    'the event "batch_group_formed"': [
-        # the dispatch-level event, and the per-fold view of the fused pass
-        ("backends.py", "_PoolBackend._submit_group"),
-        ("batch_eval.py", "evaluate_candidate_group"),
-    ],
     "a call of evaluate_pipeline": [
-        ("backends.py", "_solo_fold.evaluate"),
+        ("backends.py", "_solo_fold"),
         ("search.py", "cross_validate_template"),
     ],
     "an executor job submission": [
-        ("backends.py", "_PoolBackend._submit_group"),
+        ("backends.py", "_PoolBackend.submit"),
         ("backends.py", "_PoolBackend.submit_refit"),
-        # relays an admitted tenant job, made by _submit_group, to the shared pool
+        # relays an admitted tenant job, made by submit, to the shared pool
         ("fleet.py", "FleetCoordinator._launch"),
     ],
     "a use of a fold entry point": [
         ("backends.py", "evaluate_fold_indices"),
         ("backends.py", "_PoolBackend._fold_function"),
-        ("backends.py", "_PoolBackend._submit_group"),
         ("backends.py", "SerialBackend._fold_function"),
     ],
 }

@@ -140,10 +140,6 @@ class ScriptedBackend:
         self.log.append(("submit", candidate.iteration))
         self.outstanding.append(candidate)
 
-    def submit_many(self, candidates):
-        self.log.append(("submit_many", [candidate.iteration for candidate in candidates]))
-        self.outstanding.extend(candidates)
-
     def collect_one(self):
         if not self.outstanding:
             return None
@@ -204,10 +200,10 @@ class FakeReporter:
         self.log.append(("report", future.candidate.iteration))
 
 
-def run_window(budget=7, n_pending=3, replay_count=0, batch_eval=False,
-               max_seconds=None, start=None, backend_class=ScriptedBackend):
+def run_window(budget=7, n_pending=3, replay_count=0, max_seconds=None, start=None,
+               backend_class=ScriptedBackend):
     log = []
-    config = ExecutionConfig(n_pending=n_pending, batch_eval=batch_eval)
+    config = ExecutionConfig(n_pending=n_pending)
     proposer = FakeProposer(log, replay=[{}] * replay_count)
     window = _Window(backend_class(log), proposer, config, budget, max_seconds,
                      time.time() if start is None else start)
@@ -251,19 +247,15 @@ class TestWindow:
         touched = [entry[1] for entry in only(log, "submit", "collect")]
         assert sorted(touched) == [4, 4, 5, 5, 6, 6]
 
-    def test_replay_frees_one_slot_per_flush(self):
-        # the proposals a replayed report frees reach the backend one
-        # flush each, exactly where a collected completion put them
-        log, _ = run_window(replay_count=4, batch_eval=True)
-        assert only(log, "submit", "submit_many") == [
-            ("submit", 4), ("submit", 5), ("submit", 6)]
-
-    def test_batch_eval_fuses_every_burst(self):
-        # a burst collected together frees its slots together, so their
-        # replacements flush as one submission, not one at a time
-        log, _ = run_window(batch_eval=True, backend_class=InOrderBackend)
-        assert only(log, "submit", "submit_many") == [
-            ("submit_many", [0, 1, 2]), ("submit_many", [3, 4, 5]), ("submit", 6)]
+    def test_replay_frees_one_slot_per_report(self):
+        # the proposal a replayed report frees reaches the backend right
+        # away, exactly where a collected completion would have put it
+        log, _ = run_window(replay_count=4)
+        proposals = only(log, "propose", "submit", "report")
+        assert only(log, "submit") == [("submit", 4), ("submit", 5), ("submit", 6)]
+        for iteration in (4, 5, 6):
+            at = proposals.index(("propose", iteration))
+            assert proposals[at + 1] == ("submit", iteration)
 
     def test_reorder_buffer_bounded_behind_a_straggler(self):
         log, window = run_window(budget=12, n_pending=4, backend_class=StragglerBackend)

@@ -193,8 +193,8 @@ class TestRetriablePayloads:
         assert _payload_retriable({"error": "x", "retriable": True})
         assert not _payload_retriable({"error": "x"})
         assert not _payload_retriable({"error": None, "retriable": True})
-        assert _payload_retriable([{"error": "x", "retriable": True}, {}])
-        assert not _payload_retriable([])
+        # a fold job returns one payload dict; anything else is never retried
+        assert not _payload_retriable([{"error": "x", "retriable": True}, {}])
         assert not _payload_retriable("text")
 
     def test_retriable_payload_is_retried_with_repair_hook(self, pool, tmp_path):

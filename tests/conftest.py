@@ -3,6 +3,7 @@
 import glob
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 
@@ -16,8 +17,18 @@ LEAK_ALLOW_LIST = {}
 
 _LEAKABLE_THREADS = ("pool-supervisor", "telemetry-writer")
 
+#: Name prefixes of the temporary directories the package creates and owns
+#: (a search's or a fleet's prefix cache, a fault-injection plan).
+_OWNED_TEMP_PREFIXES = ("repro-prefix-cache-", "repro-fleet-cache-", "repro-fault-plan-")
 
-def _leaked_workers():
+
+def _owned_temp_dirs():
+    root = tempfile.gettempdir()
+    return {path for prefix in _OWNED_TEMP_PREFIXES
+            for path in glob.glob(os.path.join(glob.escape(root), prefix + "*"))}
+
+
+def _leaked_workers(temp_dirs_before):
     from repro.automl import shm
 
     threads = [thread.name for thread in threading.enumerate()
@@ -27,7 +38,8 @@ def _leaked_workers():
     segments = [path for directory in shm._segment_directories()
                 for path in glob.glob(os.path.join(
                     directory, "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid())))]
-    return threads + children + segments
+    temp_dirs = sorted(_owned_temp_dirs() - temp_dirs_before)
+    return threads + children + segments + temp_dirs
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -39,14 +51,19 @@ def _module_leaves_no_workers_behind(request):
     down a backend, a fleet, a session or a sink — which then rides along
     under every later module (forks inherit its locks and descriptors).
     A task segment this process published and never unlinked, in either
-    segment directory, means the same for the data plane.
+    segment directory, means the same for the data plane, and an owned
+    temporary directory (:data:`_OWNED_TEMP_PREFIXES`) that appeared during
+    the module and outlived it the same for a cache or a fault plan; the
+    directories that existed before the module, other processes' among
+    them, never count.
     """
+    temp_dirs_before = _owned_temp_dirs()
     yield
     deadline = time.monotonic() + 5.0
-    leaked = _leaked_workers()
+    leaked = _leaked_workers(temp_dirs_before)
     while leaked and time.monotonic() < deadline:
         time.sleep(0.05)  # a just-closed pool is still reaping its workers
-        leaked = _leaked_workers()
+        leaked = _leaked_workers(temp_dirs_before)
     if request.module.__name__ not in LEAK_ALLOW_LIST:
         assert not leaked, "{} left behind: {}".format(request.module.__name__, leaked)
 

@@ -15,9 +15,7 @@ is compared against that one reference, never against its neighbours:
     readers, renames, a dead step inside the cacheable prefix — plus a
     seeded sweep of random wirings whose liveness is cross-checked by graph
     reachability, an algorithm that shares nothing with the production
-    rule's backwards ``needed`` set;
-(c) batched evaluation equals looped evaluation, including the error
-    string that lists the keys available at fit time.
+    rule's backwards ``needed`` set.
 """
 
 import pickle
@@ -26,8 +24,6 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.automl import evaluate_pipeline
-from repro.automl.batch_eval import evaluate_candidate_group
 from repro.automl.catalog import default_template_catalog, seed_templates
 from repro.automl.prefix_cache import FittedPrefixCache
 from repro.core.annotations import PrimitiveAnnotation
@@ -36,8 +32,7 @@ from repro.core.graph import live_produces
 from repro.core.pipeline import MLPipeline
 from repro.core.registry import PrimitiveRegistry
 from repro.core.step import PipelineStep
-from repro.core.template import Template
-from repro.tasks import build_task_suite, synth
+from repro.tasks import build_task_suite
 from repro.tasks.task import split_task
 from repro.tuning.hyperparams import Tunable
 
@@ -570,72 +565,3 @@ def _random_wiring(rng):
     reads = [str(key) for key in rng.choice(pool, size=min(2, len(pool)), replace=False)]
     annotations.append(_estimator(reads=reads, fit_reads=reads + ["y"]))
     return annotations
-
-
-# -- (c) batched evaluation == looped evaluation ----------------------------------------
-
-IMPUTER = "sklearn.impute.SimpleImputer"
-SCALER = "sklearn.preprocessing.StandardScaler"
-RIDGE = "sklearn.linear_model.Ridge"
-
-
-def _alphas(*values):
-    return [{(RIDGE + "#0", "alpha"): alpha} for alpha in values]
-
-
-class TestBatchedEqualsLooped:
-    def _tasks(self):
-        task = synth.make_single_table_regression(n_samples=120, random_state=0)
-        return split_task(task, test_size=0.3, random_state=0)
-
-    def _assert_group_matches_loop(self, template, hyperparameters_list, **cache):
-        train, val = self._tasks()
-        payloads = evaluate_candidate_group(template, hyperparameters_list, train, val, **cache)
-        assert len(payloads) == len(hyperparameters_list)
-        for payload, hyperparameters in zip(payloads, hyperparameters_list):
-            try:
-                normalized, raw, _ = evaluate_pipeline(template, hyperparameters, train, val)
-            except Exception as failure:  # noqa: BLE001 - the looped error is the reference
-                assert payload["error"] == "{}: {}".format(type(failure).__name__, failure)
-            else:
-                assert payload["error"] is None
-                assert (payload["score"], payload["raw_score"]) == (normalized, raw)
-        return payloads
-
-    def test_scores_and_a_failing_candidate(self):
-        # Ridge is batch-fitted; alpha=-1 fails in fit, alone, with the looped message
-        template = Template("ridge", [IMPUTER, SCALER, RIDGE])
-        payloads = self._assert_group_matches_loop(template, _alphas(0.01, 1.0, -1.0, 10.0))
-        assert [payload["error"] is None for payload in payloads] == [True, True, False, True]
-
-    def test_error_string_lists_the_keys_present_at_fit_time(self):
-        # the estimator writes a fresh key and the pipeline output is never
-        # produced: every candidate fails in predict with the key list.  The
-        # batch-fitted final estimator and the looped one must agree that
-        # "y_hat" (a dead produce) was not there at fit time
-        template = Template(
-            "ridge_misrouted", [IMPUTER, RIDGE],
-            output_names={RIDGE: {"y": "y_hat"}}, outputs="y",
-        )
-        payloads = self._assert_group_matches_loop(template, _alphas(0.1, 1.0, 10.0))
-        for payload in payloads:
-            assert payload["error"].startswith("RuntimeError: Pipeline did not produce")
-            assert payload["error"].endswith("keys available at fit time: ['X', 'y']")
-
-    def test_post_step_after_a_batch_fitted_estimator(self):
-        # ClassDecoder-style tail: the estimator is batch-fitted and not last
-        template = Template(
-            "ridge_then_scale", [IMPUTER, RIDGE, SCALER],
-            input_names={SCALER: {"X": "y"}}, output_names={SCALER: {"X": "y"}},
-        )
-        self._assert_group_matches_loop(template, _alphas(0.1, 1.0))
-
-    def test_shared_prefix_cache_counts_only_live_steps(self):
-        template = Template("ridge", [IMPUTER, SCALER, RIDGE])
-        cache = FittedPrefixCache()
-        payloads = self._assert_group_matches_loop(
-            template, _alphas(0.1, 1.0), prefix_cache=cache, data_key="fold")
-        assert payloads[0]["cache_misses"] == 2 and payloads[0]["cache_hits"] == 0
-        payloads = self._assert_group_matches_loop(
-            template, _alphas(0.3, 3.0), prefix_cache=cache, data_key="fold")
-        assert payloads[0]["cache_misses"] == 0 and payloads[0]["cache_hits"] == 2

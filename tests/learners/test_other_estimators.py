@@ -58,6 +58,41 @@ class TestKNeighbors:
         with pytest.raises(ValueError):
             model.predict(X[:, :3])
 
+    @staticmethod
+    def _brute_force_neighbors(train_X, X, k, weights):
+        """Each row's k nearest training rows and their vote weights, one row at a time."""
+        rows = []
+        for point in X:
+            distances = np.linalg.norm(train_X - point, axis=1)
+            nearest = np.argsort(distances, kind="stable")[:k]
+            if weights == "uniform":
+                rows.append((nearest, np.ones(k)))
+            else:
+                rows.append((nearest, 1.0 / np.maximum(distances[nearest], 1e-9)))
+        return rows
+
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_classifier_matches_a_brute_force_vote(self, classification_data, k, weights):
+        X, y = classification_data
+        model = KNeighborsClassifier(n_neighbors=k, weights=weights).fit(X[:90], y[:90])
+        expected = np.zeros((30, 2))
+        for row, (nearest, vote) in enumerate(
+                self._brute_force_neighbors(X[:90], X[90:], k, weights)):
+            np.add.at(expected[row], y[:90][nearest], vote)
+        expected /= expected.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(model.predict_proba(X[90:]), expected, rtol=1e-9)
+        np.testing.assert_array_equal(model.predict(X[90:]), np.argmax(expected, axis=1))
+
+    @pytest.mark.parametrize("weights", ["uniform", "distance"])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_regressor_matches_a_brute_force_average(self, regression_data, k, weights):
+        X, y = regression_data
+        model = KNeighborsRegressor(n_neighbors=k, weights=weights).fit(X[:90], y[:90])
+        expected = [np.average(y[:90][nearest], weights=vote)
+                    for nearest, vote in self._brute_force_neighbors(X[:90], X[90:], k, weights)]
+        np.testing.assert_allclose(model.predict(X[90:]), expected, rtol=1e-9)
+
 
 class TestNaiveBayes:
     def test_gaussian_nb_on_separated_clusters(self, multiclass_data):
@@ -74,6 +109,24 @@ class TestNaiveBayes:
         X, y = classification_data
         proba = GaussianNB().fit(X, y).predict_proba(X)
         assert np.allclose(proba.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("var_smoothing", [1e-9, 1e-3])
+    def test_gaussian_nb_is_bayes_rule_over_per_class_moments(self, multiclass_data,
+                                                               var_smoothing):
+        X, y = multiclass_data
+        model = GaussianNB(var_smoothing=var_smoothing).fit(X, y)
+        epsilon = var_smoothing * X.var(axis=0).max() + 1e-12
+        posterior = np.zeros((len(X), 3))
+        for label in range(3):
+            members = X[y == label]
+            mean, var = members.mean(axis=0), members.var(axis=0) + epsilon
+            np.testing.assert_allclose(model.theta_[label], mean, rtol=1e-12)
+            np.testing.assert_allclose(model.var_[label], var, rtol=1e-12)
+            density = np.exp(-(X - mean) ** 2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+            posterior[:, label] = len(members) / len(X) * density.prod(axis=1)
+        posterior /= posterior.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(model.predict_proba(X), posterior, rtol=1e-7, atol=1e-12)
+        np.testing.assert_array_equal(model.predict(X), np.argmax(posterior, axis=1))
 
     def test_multinomial_nb_on_count_features(self, rng):
         X = np.vstack([

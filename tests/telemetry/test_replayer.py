@@ -18,8 +18,8 @@ from repro.telemetry.replayer import (
     main,
     replay_run,
 )
+from repro.telemetry.events import make_event
 from repro.telemetry.sink import TelemetrySink
-from repro.tuning.tuners import UniformTuner
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -77,24 +77,6 @@ class TestRoundTrip:
         report = _round_trip(events_dir, result)
         assert report["counters"]["shm_publish"] >= 1
         assert result.fleet_stats["plane_counts"].get("shm", 0) >= 1
-
-    def test_batched_evaluation(self, tmp_path):
-        events_dir = str(tmp_path / "events")
-        template = Template(
-            "replay_batched", ["sklearn.impute.SimpleImputer",
-                               "sklearn.linear_model.Ridge"],
-            init_params={"sklearn.impute.SimpleImputer": {"strategy": "mean"}},
-        )
-        searcher = AutoBazaarSearch(
-            templates=[template], n_splits=2, random_state=0,
-            n_pending=4, batch_eval=True,
-            tuner_class=UniformTuner, telemetry=events_dir,
-        )
-        task = synth.make_single_table_regression(
-            n_samples=150, n_features=8, random_state=0)
-        result = searcher.search(task, budget=8)
-        report = _round_trip(events_dir, result)
-        assert report["counters"]["batch_groups"] >= 1
 
     def test_failing_template_records_are_derivable(self, tmp_path):
         events_dir = str(tmp_path / "events")
@@ -257,6 +239,25 @@ class TestDivergence:
             bars = [row for row in tenant["gantt"] if row.get("refit")]
             assert len(bars) == n_bars and tenant["n_folds"] == 6
             assert (tenant["refit_seconds"] > 0) == bool(n_bars)
+
+    def test_event_types_nothing_emits_still_replay(self, tmp_path):
+        # schema v1 keeps batch_group_formed and shm_fallback; a stream
+        # holding them (one fold-less, one with fold context) replays
+        events_dir, documents = self._run(tmp_path)
+        events = load_events(events_dir)
+        at = next(index for index, event in enumerate(events)
+                  if event["event"] == "fold_dispatched")
+        context = {key: events[at][key] for key in ("tenant", "iteration", "template")}
+        legacy = [
+            make_event("batch_group_formed", size=2, n_folds=2, **context),
+            make_event("batch_group_formed", size=2, fold=0, **context),
+            make_event("shm_fallback", tenant=context["tenant"], reason="full"),
+        ]
+        report = replay_run(events[:at] + legacy + events[at:],
+                            record_documents=documents)
+        assert report["records"] == documents
+        assert report["n_events"] == len(events) + len(legacy)
+        assert not {"batch_groups", "shm_fallback"} & set(report["counters"])
 
     def test_missing_stream_is_a_replay_error(self, tmp_path, capsys):
         from repro.automl import ExperimentRun

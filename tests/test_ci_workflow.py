@@ -18,7 +18,7 @@ yaml = pytest.importorskip("yaml")
 WORKFLOW = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "ci.yml")
 
 #: The benchmark jobs feeding the unified regression gate.
-BENCH_JOBS = {"prefix-cache", "batched-eval", "multi-tenant", "telemetry", "chaos"}
+BENCH_JOBS = {"prefix-cache", "multi-tenant", "telemetry", "chaos"}
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +48,8 @@ def test_workflow_parses_and_triggers(workflow):
 def test_lint_tests_and_smoke_runs_are_distinct_jobs(workflow):
     jobs = workflow["jobs"]
     assert set(jobs) == {"lint", "tests", "bench-smoke", "crash-resume", "e2e-check",
-                         "prefix-cache", "batched-eval", "multi-tenant",
-                         "telemetry", "chaos", "bench-gate"}
+                         "prefix-cache", "multi-tenant", "telemetry", "chaos",
+                         "bench-gate"}
     assert any("ruff check" in step.get("run", "") for step in jobs["lint"]["steps"])
     # both CLI parsers are built (a shared-helper flag fails at construction)
     assert ["python -m repro.automl --help", "python -m repro.automl resume --help"] in [
@@ -81,22 +81,6 @@ def test_prefix_cache_smoke_records_the_throughput_benchmark(workflow):
     root = os.path.join(os.path.dirname(__file__), "..")
     assert os.path.exists(os.path.join(root, "scripts", "record_bench.py"))
     assert os.path.exists(os.path.join(root, "BENCH_prefix_cache.json"))
-
-
-def test_batched_eval_smoke_records_the_benchmark(workflow):
-    """The 1.5x batched-eval bar is CI-enforced and its fresh record handed
-    to the unified bench gate; the job records nothing else."""
-    runs = _runs(workflow, "batched-eval")
-    smoke = [run for run in runs if "scripts/record_bench.py" in run]
-    assert len(smoke) == 1, "the job must record one benchmark"
-    assert "record_bench.py batched-eval" in smoke[0]
-    assert "BENCH_batched_eval.json" in smoke[0]
-    uploads = _uploads(workflow, "batched-eval")
-    assert uploads, "the job must upload its fresh record"
-    assert uploads[0]["with"]["path"].split() == ["BENCH_batched_eval.json"]
-    # the committed benchmark record exists
-    root = os.path.join(os.path.dirname(__file__), "..")
-    assert os.path.exists(os.path.join(root, "BENCH_batched_eval.json"))
 
 
 def test_multi_tenant_smoke_records_the_benchmark(workflow):

@@ -7,14 +7,18 @@ sweep directory).  Each is a module constant now.  This pins the parameter
 list of every such callable, so a knob comes back only through a
 deliberate edit here.  The durable run's entry points are pinned too:
 they lost the snapshot cadence when the record log became the checkpoint.
+The execution knobs themselves are pinned by name: batched evaluation left
+with its ``batch_eval`` knob, and every entry point refuses it.
 """
 
 import inspect
 
 import pytest
 
-from repro.automl import shm
+from repro.automl import AutoBazaarSearch, AutoBazaarSession, shm
+from repro.automl.__main__ import build_parser, build_resume_parser
 from repro.automl.checkpoint import CheckpointManager, ExperimentRun
+from repro.automl.config import KNOBS
 from repro.automl.fleet import FleetCoordinator
 from repro.automl.prefix_cache import FittedPrefixCache, make_prefix_cache_config
 from repro.automl.session import run_from_directory
@@ -58,3 +62,21 @@ def test_the_fleet_refuses_a_backlog():
     # fleet's ``**execution`` takes keywords, so its refusal is checked
     with pytest.raises(TypeError, match="max_backlog"):
         FleetCoordinator(backend="thread", workers=1, max_backlog=1)
+
+
+def test_the_execution_knobs_are_pinned():
+    assert KNOBS == ("backend", "workers", "n_pending", "prefix_cache", "cache_dir",
+                     "prune_margin", "telemetry", "fold_timeout", "max_fold_retries")
+
+
+def test_batched_evaluation_is_no_option(tmp_path, capsys):
+    for call in (lambda: AutoBazaarSearch(batch_eval=True),
+                 lambda: AutoBazaarSession(batch_eval=True),
+                 lambda: run_from_directory(str(tmp_path / "task"), batch_eval=True)):
+        with pytest.raises(TypeError, match="batch_eval"):
+            call()
+    for parser, argv in ((build_parser(), ["task"]), (build_resume_parser(), ["run"])):
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(argv + ["--batch-eval"])
+        assert exited.value.code == 2
+    assert "--batch-eval" in capsys.readouterr().err
