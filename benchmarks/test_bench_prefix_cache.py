@@ -8,8 +8,8 @@ for.  The benchmark asserts the two halves of the cache contract:
 * **throughput** — with the disk-tier cache on (process backend, 4
   workers), candidate throughput is at least 1.5x the uncached run, and
 * **correctness** — the cached run's scores are bit-identical to the
-  uncached run's (pruning off), because entries are content-addressed by
-  fold data and configured prefix.
+  uncached run's, because entries are content-addressed by fold data and
+  configured prefix.
 
 The same workload is what ``scripts/record_bench.py`` records to
 ``BENCH_prefix_cache.json`` in the ``prefix-cache`` CI job.

@@ -10,8 +10,6 @@ from repro.automl.backends import (
     EvaluationCandidate,
     ExecutionBackend,
     ProcessBackend,
-    PruneController,
-    PrunedEvaluation,
     SerialBackend,
     ThreadBackend,
     get_backend,
@@ -76,8 +74,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "get_backend",
-    "PruneController",
-    "PrunedEvaluation",
     "FittedPrefixCache",
     "make_prefix_cache_config",
     "task_content_digest",

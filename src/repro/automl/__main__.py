@@ -51,10 +51,6 @@ def _add_execution_arguments(parser, fields):
     add("cache_dir", "--cache-dir", metavar="DIR",
         help="directory of the disk-tier prefix store (default: a temporary "
              "per-search directory)")
-    add("prune_margin", "--prune-margin", type=float, metavar="MARGIN",
-        help="fold-level early discard of candidates that cannot reach the task "
-             "best minus MARGIN (>= 0); trades the bit-identical record stream "
-             "for throughput (default: off)")
     add("telemetry", "--telemetry", metavar="{off,run-dir,PATH}",
         help="record a telemetry event stream in PATH, or with 'run-dir' in the "
              "run directory's events/ (a resumed run appends); replay with "
@@ -156,15 +152,12 @@ def _print_result(result):
     print("best template        : {}".format(result.best_template))
     print("cross-validation     : {}".format(result.best_score))
     print("held-out test score  : {}".format(result.test_score))
-    if getattr(result, "refit_error", None):
+    if result.refit_error:
         print("refit error          : {}".format(result.refit_error))
-    cache_stats = getattr(result, "cache_stats", None)
-    if cache_stats:
+    if result.cache_stats:
         print("prefix cache         : {mode} ({hits} hits / {misses} misses, "
-              "{bytes_written} bytes written)".format(**cache_stats))
-    if getattr(result, "n_pruned", 0):
-        print("pruned candidates    : {} of {}".format(result.n_pruned, result.n_evaluated))
-    fleet_stats = getattr(result, "fleet_stats", None)
+              "{bytes_written} bytes written)".format(**result.cache_stats))
+    fleet_stats = result.fleet_stats
     if fleet_stats:
         print("fleet tenant         : {tenant} (weight {weight:g}, "
               "{folds_dispatched} folds / {fold_seconds:.2f}s, "

@@ -100,16 +100,14 @@ class EvaluationCandidate:
     the result (proposal iteration, default flag).
 
     ``cache_config`` is the fitted-prefix cache configuration shipped
-    with every fold (see :mod:`repro.automl.prefix_cache`); ``pruner``
-    is the search's shared :class:`PruneController` enabling fold-level
-    early discard, or ``None`` for exhaustive evaluation; ``telemetry``
+    with every fold (see :mod:`repro.automl.prefix_cache`); ``telemetry``
     is the search's ``(sink, tenant)`` emit context (see
     :mod:`repro.telemetry`) or ``None`` when telemetry is off.
     """
 
     def __init__(self, iteration, template, hyperparameters, task, n_splits=3,
                  random_state=None, template_name=None, is_default=False,
-                 cache_config=None, pruner=None, telemetry=None):
+                 cache_config=None, telemetry=None):
         self.iteration = iteration
         self.template = template
         self.hyperparameters = dict(hyperparameters)
@@ -119,7 +117,6 @@ class EvaluationCandidate:
         self.template_name = template_name or template.name
         self.is_default = is_default
         self.cache_config = cache_config
-        self.pruner = pruner
         self.telemetry = telemetry
 
     def __repr__(self):
@@ -131,22 +128,19 @@ class EvaluationCandidate:
 class EvaluationOutcome:
     """The result of evaluating one candidate: scores or an error, plus timing.
 
-    ``pruned`` marks a candidate stopped by fold-level early discard (its
-    ``error`` carries the pruning reason); the ``cache_*`` counters are
-    the candidate's summed fitted-prefix cache activity across folds.
-    ``pipeline`` is the fitted pipeline of a final refit
-    (:meth:`ExecutionBackend.submit_refit`) and ``None`` otherwise; a refit
-    whose pipeline could not travel back keeps its scores and names the
-    reason in ``error``.
+    The ``cache_*`` counters are the candidate's summed fitted-prefix
+    cache activity across folds.  ``pipeline`` is the fitted pipeline of a
+    final refit (:meth:`ExecutionBackend.submit_refit`) and ``None``
+    otherwise; a refit whose pipeline could not travel back keeps its
+    scores and names the reason in ``error``.
     """
 
-    def __init__(self, score, raw_score, error, elapsed, pruned=False,
-                 cache_hits=0, cache_misses=0, cache_bytes=0, pipeline=None):
+    def __init__(self, score, raw_score, error, elapsed, cache_hits=0, cache_misses=0,
+                 cache_bytes=0, pipeline=None):
         self.score = score
         self.raw_score = raw_score
         self.error = error
         self.elapsed = elapsed
-        self.pruned = bool(pruned)
         self.pipeline = pipeline
         self.cache_hits = int(cache_hits)
         self.cache_misses = int(cache_misses)
@@ -158,93 +152,6 @@ class EvaluationOutcome:
 
     def __repr__(self):
         return "EvaluationOutcome(score={}, error={!r})".format(self.score, self.error)
-
-
-class PrunedEvaluation(RuntimeError):
-    """A candidate was discarded mid-evaluation by the early-discard bound."""
-
-
-class PruneController:
-    """Shared early-discard state for one search on one task.
-
-    After each completed fold of a candidate, the optimistic estimate of
-    its aggregate is computed: completed fold scores plus the highest
-    single-fold score observed anywhere in the search standing in for
-    every remaining fold.  When even that estimate falls short of the
-    best candidate aggregate seen so far minus ``margin``, the
-    candidate's remaining folds are treated as wasted compute and
-    cancelled.
-
-    The per-fold cap is *empirical* (the best fold score seen so far),
-    so this is a successive-halving-style heuristic, not a sound upper
-    bound: a candidate whose remaining folds would have outscored
-    everything observed can still be discarded — the margin is the guard
-    against exactly that, and ``margin=0`` prunes most aggressively.
-
-    The controller is shared by every candidate of a search (and consulted
-    from worker callbacks), so all state is lock-protected.  Pruning
-    decisions depend on completion *timing*, which is why the search's
-    bit-identical cross-backend record guarantee only holds with pruning
-    off.
-    """
-
-    def __init__(self, margin):
-        self.margin = float(margin)
-        if not np.isfinite(self.margin) or self.margin < 0:
-            raise ValueError("prune margin must be a non-negative finite number")
-        self._lock = threading.Lock()
-        self._task_best = None
-        self._fold_cap = None
-
-    def update_task_best(self, score):
-        """Raise the pruning threshold to a newly reported candidate aggregate."""
-        score = float(score)
-        with self._lock:
-            if self._task_best is None or score > self._task_best:
-                self._task_best = score
-
-    def observe_fold(self, score):
-        """Track the highest single-fold score (the optimistic per-fold cap)."""
-        score = float(score)
-        with self._lock:
-            if self._fold_cap is None or score > self._fold_cap:
-                self._fold_cap = score
-
-    @property
-    def task_best(self):
-        with self._lock:
-            return self._task_best
-
-    def assess(self, fold_scores, n_folds):
-        """The reason to discard a partially evaluated candidate, or ``None``.
-
-        ``fold_scores`` are the candidate's completed fold scores so far;
-        with no task best or no observed fold cap yet there is nothing to
-        compare against and the candidate always continues.
-        """
-        with self._lock:
-            task_best = self._task_best
-            fold_cap = self._fold_cap
-        if task_best is None or fold_cap is None:
-            return None
-        completed = [float(score) for score in fold_scores if score is not None]
-        remaining = int(n_folds) - len(completed)
-        if remaining <= 0 or not completed:
-            return None
-        cap = max([fold_cap] + completed)
-        bound = (sum(completed) + remaining * cap) / float(n_folds)
-        threshold = task_best - self.margin
-        if bound < threshold:
-            return (
-                "optimistic estimate {:.6g} after {} of {} folds falls short of "
-                "task best {:.6g} - margin {:.6g}".format(
-                    bound, len(completed), n_folds, task_best, self.margin
-                )
-            )
-        return None
-
-    def __repr__(self):
-        return "PruneController(margin={}, task_best={})".format(self.margin, self.task_best)
 
 
 def _cache_info_fields(pipeline):
@@ -413,14 +320,14 @@ def evaluate_fold_indices(template, hyperparameters, task_ref, train_indices, va
 
     The unit of work-stealing dispatch, top-level (picklable) so it can be
     shipped to worker processes; returns the fold's payload dict (see
-    :func:`_run_fold`).  With a ``holdout_ref`` it is a search's final
+    :func:`_solo_fold`).  With a ``holdout_ref`` it is a search's final
     refit instead (see :meth:`ExecutionBackend.submit_refit`).
     """
     return _solo_fold(template, hyperparameters, task_ref, train_indices, val_indices,
                       cache_config, capture_events, holdout_ref)
 
 
-def _aggregate_folds(fold_results, pruned_reason=None):
+def _aggregate_folds(fold_results):
     """Combine per-fold payloads into one outcome, in fold order.
 
     Matches the reference loop
@@ -430,21 +337,12 @@ def _aggregate_folds(fold_results, pruned_reason=None):
     of the folds — the candidate's evaluation *cost*, the same on every
     backend — not the wall-clock wait since submission, which would
     include queue time behind other candidates in the window.
-
-    A ``pruned_reason`` overrides the per-fold errors: the candidate was
-    deliberately discarded mid-evaluation, so its outcome is the pruning
-    reason regardless of what its cancelled folds report.
     """
     elapsed = float(sum(payload.get("elapsed") or 0.0 for payload in fold_results))
     cache = {
         field: int(sum(payload.get(field) or 0 for payload in fold_results))
         for field in ("cache_hits", "cache_misses", "cache_bytes")
     }
-    if pruned_reason is not None:
-        return EvaluationOutcome(
-            None, None, _format_error(PrunedEvaluation(pruned_reason)), elapsed,
-            pruned=True, **cache,
-        )
     for payload in fold_results:
         if payload.get("error"):
             return EvaluationOutcome(None, None, payload["error"], elapsed, **cache)
@@ -483,7 +381,6 @@ class _PooledCandidateFuture:
         self._completion_queue = completion_queue
         self._lock = threading.Lock()
         self._outcome = None
-        self._pruned_reason = None
 
     def _fold_failed(self, index, message):
         """File a fold that could not even be submitted (e.g. broken pool)."""
@@ -541,55 +438,9 @@ class _PooledCandidateFuture:
             self._fold_results[index] = payload
             self._remaining -= 1
             finished = self._remaining == 0
-        pruner = getattr(self.candidate, "pruner", None)
-        if pruner is not None and not payload.get("error"):
-            # every successful fold — including a candidate's last one —
-            # feeds the shared optimistic per-fold cap; only the discard
-            # *decision* needs folds left
-            pruner.observe_fold(payload["score"])
-            if not finished:
-                self._maybe_prune(pruner)
         if finished:
-            self._outcome = _aggregate_folds(self._fold_results, self._pruned_reason)
+            self._outcome = _aggregate_folds(self._fold_results)
             self._completion_queue.put(self)
-
-    def _maybe_prune(self, pruner):
-        """Early-discard check after one successful fold.
-
-        Consults the search's shared :class:`PruneController`: when even
-        the optimistic bound over the remaining folds cannot beat the
-        task best minus the margin, every not-yet-running fold of this
-        candidate is cancelled (the running ones finish and are simply
-        ignored by the pruned aggregation).  Reuses the same
-        fold-cancellation machinery as fold failures.
-        """
-        with self._lock:
-            if self._pruned_reason is not None:
-                return
-            scores = [
-                fold["score"] for fold in self._fold_results
-                if fold is not None and not fold.get("error")
-            ]
-            n_folds = len(self._fold_results)
-        reason = pruner.assess(scores, n_folds)
-        if reason is None:
-            return
-        with self._lock:
-            if self._pruned_reason is not None:
-                return
-            self._pruned_reason = reason
-        telemetry = getattr(self.candidate, "telemetry", None)
-        if telemetry is not None:
-            sink, tenant = telemetry
-            sink.emit(
-                "prune_decision", tenant=tenant,
-                iteration=self.candidate.iteration,
-                template=self.candidate.template_name,
-                reason=reason, n_completed=len(scores), n_folds=n_folds,
-            )
-        for fold_future in self._fold_futures:
-            if fold_future is not None:
-                fold_future.cancel()
 
     def done(self):
         return self._outcome is not None
@@ -645,7 +496,7 @@ class _RefitFuture(_PooledCandidateFuture):
         self._completion_queue.put(self)
 
 
-def _job_payload(job, future):
+def _job_payload(job):
     """The fold payload of a finished executor job, for its candidate's future.
 
     A job that ran returns its payload (:func:`evaluate_fold_indices`).
@@ -654,14 +505,10 @@ def _job_payload(job, future):
     instead of killing the search.
     """
     if job.cancelled():
-        if future._pruned_reason is not None:
-            # the candidate was pruned; its outcome carries the reason
-            error = "CancelledError: pruned, " + future._pruned_reason
-        else:
-            # cancelled because an earlier fold already failed; the real
-            # error sits earlier in fold order, so this never wins the
-            # first-failing-fold aggregation
-            error = "CancelledError: an earlier fold of this candidate failed"
+        # cancelled because an earlier fold already failed; the real error
+        # sits earlier in fold order, so this never wins the
+        # first-failing-fold aggregation
+        error = "CancelledError: an earlier fold of this candidate failed"
     else:
         exception = job.exception()
         if exception is None:
@@ -800,7 +647,7 @@ class _PoolBackend(ExecutionBackend):
         Work-stealing granularity stays at the fold level: each fold is one
         :meth:`_fold_function` job, and each job's done-callback files its
         payload with the candidate's :class:`_PooledCandidateFuture`, which
-        owns the jobs — a failing or pruning fold cancels the ones left.
+        owns the jobs — a failing fold cancels the ones left.
         """
         started = time.time()
         try:
@@ -862,7 +709,7 @@ class _PoolBackend(ExecutionBackend):
     def _file_job(self, future, index, job):
         """Done-callback of an executor job: its payload to the candidate's future."""
         try:
-            future._record(index, _job_payload(job, future))
+            future._record(index, _job_payload(job))
         finally:
             self._jobs.discard(job)
 
@@ -973,9 +820,9 @@ class SerialBackend(_PoolBackend):
     The :class:`_CallerThreadExecutor` queue is run before ``submit`` and
     ``submit_refit`` return, so a candidate is fully
     evaluated when its future comes back (a per-proposal ``max_seconds``
-    check stops serial mid-window).  A failing or pruning fold's callback
-    cancels the later folds before they run: the fold calls of the
-    reference loop :func:`~repro.automl.search.cross_validate_template`.
+    check stops serial mid-window).  A failing fold's callback cancels
+    the later folds before they run: the fold calls of the reference loop
+    :func:`~repro.automl.search.cross_validate_template`.
     ``workers`` is accepted and ignored.
     """
 

@@ -379,9 +379,8 @@ class ExperimentRun:
 
         ``execution`` takes the execution-only knobs of
         :class:`~repro.automl.config.ExecutionConfig`, which may differ
-        between a run and its resume; the stream-shaping ones are fixed in
-        the manifest at creation (``n_pending``) or not available on a
-        checkpointed run at all (``prune_margin``).
+        between a run and its resume; the stream-shaping one
+        (``n_pending``) is fixed in the manifest at creation.
         ``telemetry="run-dir"`` (or ``True``) records into this run
         directory's ``events/`` stream.  ``on_report`` is called with the
         search state after every reported record (see

@@ -13,13 +13,13 @@ import os
 from dataclasses import InitVar, dataclass, fields
 from typing import Any, Optional
 
-from repro.automl.backends import PruneController, resolve_backend, resolve_workers
+from repro.automl.backends import resolve_backend, resolve_workers
 from repro.automl.prefix_cache import normalize_prefix_cache_mode
 from repro.automl.supervisor import supervision_knobs
 from repro.telemetry.sink import EVENTS_DIRNAME, TelemetrySink
 
 #: Knobs that change which records a search emits: fixed in a run's manifest.
-STREAM_SHAPING = ("n_pending", "prune_margin")
+STREAM_SHAPING = ("n_pending",)
 
 
 def fleet_backend(backend):
@@ -33,7 +33,7 @@ def fleet_backend(backend):
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How a search executes: 9 knobs, validated on construction.
+    """How a search executes: 8 knobs, validated on construction.
 
     *Stream-shaping* knobs (:data:`STREAM_SHAPING`) change which records a
     search emits; a checkpointed run fixes them in its manifest.
@@ -62,11 +62,6 @@ class ExecutionConfig:
         ``"off"`` (default, also ``None``), ``"mem"`` or ``"disk"``, the
         latter in ``cache_dir`` (default ``None``: a temporary directory
         per search or fleet).
-    prune_margin:
-        Stream-shaping.  Fold-level early discard when set (finite, >= 0;
-        default ``None``: off), see
-        :class:`~repro.automl.backends.PruneController`.  Timing-dependent,
-        so a checkpointed run, which must replay exactly, rejects it.
     telemetry:
         Execution-only.  Event recording (:mod:`repro.telemetry`):
         ``None`` / ``False`` / ``"off"`` (default), a directory — whoever
@@ -92,7 +87,6 @@ class ExecutionConfig:
     n_pending: int = 1
     prefix_cache: str = "off"
     cache_dir: Optional[str] = None
-    prune_margin: Optional[float] = None
     telemetry: Any = None
     fold_timeout: Optional[float] = None
     max_fold_retries: Optional[int] = None
@@ -108,16 +102,6 @@ class ExecutionConfig:
             name for name, value in supervision.items() if value is not None
         ])
         workers = None if self.workers is None else resolve_workers(self.workers)
-        prune_margin = self.prune_margin
-        if prune_margin is not None:
-            prune_margin = PruneController(prune_margin).margin
-            if run_dir is not None:
-                raise ValueError(
-                    "prune_margin cannot be combined with a checkpointed run "
-                    "(run_dir): pruning decisions depend on fold-completion "
-                    "timing, so a pruned record stream is not exactly replayable "
-                    "and the run would be unresumable"
-                )
         telemetry = self.telemetry
         if telemetry in (None, False, "off"):
             telemetry = None
@@ -136,7 +120,6 @@ class ExecutionConfig:
             "workers": workers,
             "n_pending": max(1, int(self.n_pending)),
             "prefix_cache": normalize_prefix_cache_mode(self.prefix_cache),
-            "prune_margin": prune_margin,
             "telemetry": telemetry,
             **supervision,
         }
@@ -169,7 +152,7 @@ class ExecutionConfig:
         return {name: getattr(self, name) for name in (KNOBS if names is None else names)}
 
 
-#: The 9 knob names, in declaration order.
+#: The 8 knob names, in declaration order.
 KNOBS = tuple(field.name for field in fields(ExecutionConfig))
 
 #: Knobs that only change where and how fast the records are produced: free

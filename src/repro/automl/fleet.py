@@ -40,17 +40,16 @@ the interleave instead of dumping every queue into the executor.  No
 tenant has a cap of its own; the stride order is what keeps an expensive
 or bursty tenant from crowding out the others.  A tenant's fold is a stdlib
 :class:`~concurrent.futures.Future` that can be cancelled until it is
-admitted: a failing fold cancelling its later siblings, pruning discarding
-a candidate's queue and a released tenant all cancel folds in the
-fair-share queue before they ever reach the executor.  An admitted fold
-runs to completion.
+admitted: a failing fold cancelling its later siblings and a released
+tenant both cancel folds in the fair-share queue before they ever reach
+the executor.  An admitted fold runs to completion.
 
 Determinism: the fleet changes *where and when* folds run, never what is
 reported.  Each tenant search keeps its own tuners, selector, RNG and
 reorder buffer, and the sliding-window loop reports strictly in proposal
 order — so a tenant's record stream is bit-identical to the same search
-run solo (for seeded pipelines, pruning off), no matter how the fleet
-interleaves its folds with other tenants'.  Wall-clock interleaving is of
+run solo (for seeded pipelines), no matter how the fleet interleaves its
+folds with other tenants'.  Wall-clock interleaving is of
 course shared; only the *stream content* is solo-identical.
 """
 

@@ -53,7 +53,6 @@ from repro.automl.backends import (
     CandidateFuture,
     EvaluationCandidate,
     EvaluationOutcome,
-    PruneController,
     get_backend,
 )
 from repro.automl.catalog import default_template_catalog
@@ -112,7 +111,7 @@ class EvaluationRecord:
     """One scored pipeline (one row of the paper's 2.5-million-pipeline dataset)."""
 
     def __init__(self, task_name, template_name, hyperparameters, score, raw_score,
-                 iteration, elapsed, error=None, is_default=False, pruned=False):
+                 iteration, elapsed, error=None, is_default=False):
         self.task_name = task_name
         self.template_name = template_name
         self.hyperparameters = dict(hyperparameters)
@@ -122,11 +121,10 @@ class EvaluationRecord:
         self.elapsed = elapsed
         self.error = error
         self.is_default = is_default
-        self.pruned = bool(pruned)
 
     @property
     def failed(self):
-        """Whether the pipeline failed to evaluate (including pruned candidates)."""
+        """Whether the pipeline failed to evaluate."""
         return self.error is not None
 
     def to_dict(self):
@@ -141,7 +139,6 @@ class EvaluationRecord:
             "elapsed": self.elapsed,
             "error": self.error,
             "is_default": self.is_default,
-            "pruned": self.pruned,
         }
 
     def __repr__(self):
@@ -190,11 +187,6 @@ class SearchResult:
     def n_failed(self):
         """Number of pipelines that failed to evaluate."""
         return sum(1 for record in self.records if record.failed)
-
-    @property
-    def n_pruned(self):
-        """Number of candidates discarded mid-evaluation by early-discard pruning."""
-        return sum(1 for record in self.records if getattr(record, "pruned", False))
 
     @property
     def default_score(self):
@@ -276,9 +268,9 @@ def cross_validate_template(template, hyperparameters, task, n_splits=3, random_
     The reference semantics of evaluating a candidate, and nothing more:
     one :func:`evaluate_pipeline` call per fold, in fold order, until one
     raises.  No backend calls it; every backend's outcome for a candidate
-    without pruning equals its score pair, or the
-    :func:`~repro.automl.backends._format_error` of what it raised, and
-    the serial backend makes the same fold calls in the same order.
+    equals its score pair, or the :func:`~repro.automl.backends._format_error`
+    of what it raised, and the serial backend makes the same fold calls in
+    the same order.
     """
     folds = task_cv_indices(task, n_splits=n_splits, random_state=random_state)
     scores = []
@@ -378,7 +370,7 @@ class _Proposer:
         _verify_replay_candidate(candidate, recorded)
         return candidate, CandidateFuture(candidate, EvaluationOutcome(
             recorded.get("score"), recorded.get("raw_score"), recorded.get("error"),
-            recorded.get("elapsed") or 0.0, pruned=bool(recorded.get("pruned", False))))
+            recorded.get("elapsed") or 0.0))
 
     def observe(self, candidate, record):
         """File a reported record into its template's tuner and the selector."""
@@ -390,19 +382,8 @@ class _Proposer:
             # a failed evaluation consumed budget: count it as a spent
             # bandit trial and a known-bad tuner region so neither the
             # selector nor the tuner keeps re-drawing a crashing
-            # configuration family.  Pruned candidates spend the trial
-            # without the failure quarantine — they trailed the
-            # incumbent, they did not crash.  Their configuration still
-            # joins the tuner's failure set at the constant-liar score:
-            # deliberately conservative (the partial evidence says
-            # "behind", the lie says "worst seen"), which deflates
-            # near-threshold regions harder than one fold strictly
-            # proves — the cost of pruning aggressively; raise the
-            # margin to soften it
-            if record.pruned:
-                self.selector.record_pruned(candidate.template_name)
-            else:
-                self.selector.record_failure(candidate.template_name)
+            # configuration family
+            self.selector.record_failure(candidate.template_name)
             if tuner is not None:
                 tuner.record_failure(candidate.hyperparameters)
             return
@@ -526,10 +507,9 @@ class _Reporter:
     regardless of which worker finished first.
     """
 
-    def __init__(self, proposer, store, pruner, checkpoint):
+    def __init__(self, proposer, store, checkpoint):
         self.proposer = proposer
         self.store = store
-        self.pruner = pruner
         self.checkpoint = checkpoint
         self.replay_count = len(proposer.replay)
         self.records = []
@@ -546,7 +526,7 @@ class _Reporter:
         return EvaluationRecord(
             self.proposer.task.name, candidate.template_name, candidate.hyperparameters,
             score, raw_score, candidate.iteration, outcome.elapsed, error=error,
-            is_default=candidate.is_default, pruned=outcome.pruned)
+            is_default=candidate.is_default)
 
     def _state(self, window):
         """The search state a checkpoint witnesses at this report."""
@@ -587,8 +567,6 @@ class _Reporter:
             self.checkpoint.after_report(state)
         self.proposer.observe(candidate, record)
         if not record.failed:
-            if self.pruner is not None:
-                self.pruner.update_task_best(record.score)
             if self.best_score is None or record.score > self.best_score:
                 self.best_score = record.score
                 self.best_template = candidate.template_name
@@ -655,8 +633,8 @@ class AutoBazaarSearch:
         unseeded behaviour.
     **execution:
         The execution knobs (``backend``, ``workers``, ``n_pending``,
-        ``prefix_cache``, ``cache_dir``, ``prune_margin``, ``telemetry``,
-        ``fold_timeout``, ``max_fold_retries``): see
+        ``prefix_cache``, ``cache_dir``, ``telemetry``, ``fold_timeout``,
+        ``max_fold_retries``): see
         :class:`~repro.automl.config.ExecutionConfig`, which they are
         collected into (:attr:`execution`) before anything else happens.
     """
@@ -783,12 +761,11 @@ class AutoBazaarSearch:
                 # other backend is tenant "default"
                 tenant = "default" if opened is None else opened["tenant"]
                 telemetry = (sink, tenant) if sink is not None else None
-                pruner = self._pruner(task)
                 proposer = _Proposer(
                     templates, tuners, selector, replay, task, telemetry,
                     n_splits=self.n_splits, random_state=self.random_state,
-                    cache_config=cache_config, pruner=pruner)
-                reporter = _Reporter(proposer, self.store, pruner, checkpoint)
+                    cache_config=cache_config)
+                reporter = _Reporter(proposer, self.store, checkpoint)
                 window = _Window(backend, proposer, config, budget, max_seconds, start)
                 # "schedule" stays a constant: event schema v1 only grows
                 _emit(telemetry, "search_started", task=task.name, budget=budget,
@@ -815,24 +792,6 @@ class AutoBazaarSearch:
             # previous search on it may have aborted mid-collect
             backend.drain()
         return backend
-
-    def _pruner(self, task):
-        """The search's early-discard controller, or ``None`` with pruning off."""
-        if self.execution.prune_margin is None:
-            return None
-        pruner = PruneController(self.execution.prune_margin)
-        # seed the pruning threshold from everything the store already
-        # holds for this task (e.g. a resumed or warm-started run), so
-        # early candidates are accountable to history, not just to this
-        # run's own reports.  The history is matched by task name only:
-        # scores from a run with a different CV configuration are not
-        # strictly comparable, so choose the margin with the store's
-        # provenance in mind (a generous margin neutralizes an
-        # optimistic historical best)
-        history = self.store.scores_for_task(task.name) if self.store is not None else None
-        if history:
-            pruner.update_task_best(max(history))
-        return pruner
 
 
 class RandomSearch(AutoBazaarSearch):

@@ -1,10 +1,9 @@
 """Structured telemetry: typed event stream + deterministic run replayer.
 
 The search stack records *outcomes* durably (the record log) but not
-*why*: per-fold timings, cache hits, prune decisions, shm-plane choices
-and fleet queue depths were ad-hoc counters surfaced only as end-of-run
-totals.  This package
-turns them into a durable, time-resolved event stream:
+*why*: per-fold timings, cache hits, shm-plane choices and fleet queue
+depths were ad-hoc counters surfaced only as end-of-run totals.  This
+package turns them into a durable, time-resolved event stream:
 
 * :mod:`repro.telemetry.events` — the typed, versioned event schema and
   the zero-cost thread-local capture API used inside workers,

@@ -59,7 +59,7 @@ EVENT_TYPES = frozenset({
     "cache_hit",
     "cache_miss",
     "cache_store",
-    # early-discard pruning (carries the bound math in ``reason``)
+    # fold-level early discard (no longer emitted; replayed from old streams)
     "prune_decision",
     # batched multi-candidate evaluation (no longer emitted; schema v1 only grows)
     "batch_group_formed",

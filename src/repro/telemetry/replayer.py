@@ -7,8 +7,9 @@ timeline:
 * every :class:`~repro.automl.search.EvaluationRecord` is **re-derived
   from its fold events** by replaying the coordinator's aggregation
   semantics (first error in fold order wins; otherwise the score is the
-  mean of the per-fold scores; a prune decision overrides with a
-  ``PrunedEvaluation`` failure; non-finite means become the
+  mean of the per-fold scores; a ``prune_decision``, found only in
+  streams recorded before fold-level early discard was removed, overrides
+  with a ``PrunedEvaluation`` failure; non-finite means become the
   ``NonFiniteScore`` failure) and checked against the ``record_reported``
   event — any divergence is a hard :class:`ReplayError`,
 * per-tenant Gantt rows (fold start/elapsed/worker), fleet admissions
@@ -52,11 +53,10 @@ _TERMINAL = ("fold_finished", "fold_cancelled")
 _COUNTERS = {
     "cache_hit": "cache_hits", "cache_miss": "cache_misses", "cache_store": "cache_stores",
     "shm_publish": "shm_publish", "shm_attach": "shm_attach",
-    "prune_decision": "prune_decisions",
 }
 
 #: Record fields the fold events must reproduce bit-identically.
-_DERIVED_FIELDS = ("score", "raw_score", "error", "pruned")
+_DERIVED_FIELDS = ("score", "raw_score", "error")
 
 
 def _resolve_events_dir(path):
@@ -133,10 +133,8 @@ def _derive(candidate):
     folds = sorted(candidate.folds, key=lambda event: event.get("fold", 0))
     error = None
     score = raw_score = None
-    pruned = False
     if candidate.prune_reason is not None:
         error = "PrunedEvaluation: {}".format(candidate.prune_reason)
-        pruned = True
     else:
         for event in folds:
             if event.get("error") is not None:
@@ -150,7 +148,7 @@ def _derive(candidate):
         error = "NonFiniteScore: cross-validation produced {!r}".format(score)
         score = None
         raw_score = None
-    return {"score": score, "raw_score": raw_score, "error": error, "pruned": pruned}
+    return {"score": score, "raw_score": raw_score, "error": error}
 
 
 def _check_derivation(candidate, record, where):
@@ -368,7 +366,6 @@ def _print_report(report, stream=None):
         counters["cache_stores"]), file=stream)
     print("shm publish/attach   : {}/{}".format(
         counters["shm_publish"], counters["shm_attach"]), file=stream)
-    print("pruned               : {}".format(counters["prune_decisions"]), file=stream)
     for tenant in sorted(report["tenants"]):
         summary = report["tenants"][tenant]
         print("tenant {!r}: task={!r} records={} folds={} busy={:.2f}s "

@@ -29,7 +29,6 @@ class BaseSelector:
         self._rng = check_random_state(random_state)
         self._pending_counts = {}
         self._failure_counts = {}
-        self._pruned_counts = {}
 
     def compute_rewards(self, scores):
         """Convert a list of raw scores into rewards (default: identity)."""
@@ -74,26 +73,9 @@ class BaseSelector:
         """Number of failed evaluations recorded for one candidate."""
         return self._failure_counts.get(candidate, 0)
 
-    def record_pruned(self, candidate):
-        """Count one early-discarded evaluation as a spent (but not failed) trial.
-
-        A pruned candidate consumed budget and proved *that configuration*
-        could not beat the incumbent, so it shrinks the arm's confidence
-        bonus like any spent trial — but the pipeline did not crash, so
-        pruned trials never count toward the scoreless-arm quarantine
-        that retires deterministically broken templates.  A template that
-        merely trails the leader stays selectable.
-        """
-        self._pruned_counts[candidate] = self._pruned_counts.get(candidate, 0) + 1
-
-    def pruned_count(self, candidate):
-        """Number of early-discarded evaluations recorded for one candidate."""
-        return self._pruned_counts.get(candidate, 0)
-
     def _trial_count(self, candidate, scores):
-        """Trials spent on one arm: scored + in-flight + failed + pruned evaluations."""
-        return (len(scores) + self.pending_count(candidate)
-                + self.failure_count(candidate) + self.pruned_count(candidate))
+        """Trials spent on one arm: scored + in-flight + failed evaluations."""
+        return len(scores) + self.pending_count(candidate) + self.failure_count(candidate)
 
     def _bandit_state(self, candidate_scores):
         """Shared per-``select`` bookkeeping: ``(total, rewards_by_arm, liar)``.
@@ -116,13 +98,12 @@ class BaseSelector:
         total = sum(len(scores) for scores in candidate_scores.values())
         total += sum(self._pending_counts.values())
         total += sum(self._failure_counts.values())
-        total += sum(self._pruned_counts.values())
         rewards_by_arm = {
             candidate: self.compute_rewards(candidate_scores.get(candidate, []))
             for candidate in self.candidates
         }
         liar = 0.0
-        if self._pending_counts or self._failure_counts or self._pruned_counts:
+        if self._pending_counts or self._failure_counts:
             means = [float(np.mean(rewards)) for rewards in rewards_by_arm.values() if rewards]
             liar = min(means) if means else 0.0
         return total, rewards_by_arm, liar
@@ -131,7 +112,7 @@ class BaseSelector:
         return [
             c for c in self.candidates
             if not candidate_scores.get(c) and not self.pending_count(c)
-            and not self.failure_count(c) and not self.pruned_count(c)
+            and not self.failure_count(c)
         ]
 
     #: Scoreless failures tolerated before an arm is quarantined: the
@@ -297,7 +278,7 @@ class ThompsonSamplingSelector(BaseSelector):
             return unseen[0]
         # the liar is reachable only with pending or failed work (scoreless
         # arms are otherwise returned by _unseen); skip the pass without it
-        if self._pending_counts or self._failure_counts or self._pruned_counts:
+        if self._pending_counts or self._failure_counts:
             liar = self._bandit_state(candidate_scores)[2]
         else:
             liar = 0.0

@@ -16,12 +16,12 @@ Reference and new code must agree on every candidate's outcome, the completion-q
 ``cancel()`` calls each executor job received and the emitted event
 sequence (type and every non-timing field).
 
-The serial backend used to be a second engine — its own fold loop,
-pruning and fold events, plus the pruning ``cross_validate_template``
-under it.  It is now the pool dispatcher on a caller-thread executor; the
-old engine is frozen below as ``_ReferenceSerial`` and both are driven over
-one table of real (unscripted) scenarios, comparing outcomes, completion
-order, the exact fold calls and the terminal fold events.
+The serial backend used to be a second engine — its own fold loop and
+fold events, plus the ``cross_validate_template`` under it.  It is now the
+pool dispatcher on a caller-thread executor; the old engine is frozen
+below as ``_ReferenceSerial`` and both are driven over one table of real
+(unscripted) scenarios, comparing outcomes, completion order, the exact
+fold calls and the terminal fold events.
 
 The refit job, which has no frozen predecessor on this dispatcher (the
 coordinator used to run it inline), is scripted through the same executor
@@ -46,8 +46,6 @@ from repro.automl.backends import (
     EvaluationCandidate,
     EvaluationOutcome,
     ExecutionBackend,
-    PruneController,
-    PrunedEvaluation,
     SerialBackend,
     _cache_info_fields,
     _format_error,
@@ -75,7 +73,9 @@ from repro.telemetry.events import begin_capture, capture_event, end_capture
 # ``_PooledCandidateFuture._fold_done`` method became a function taking the
 # future, and the three ``_submit_fold`` overrides — which differed only in
 # the expression producing the task reference — are the one below calling
-# the ``_task_ref`` hook.
+# the ``_task_ref`` hook.  The fold-level early-discard (pruning) branches
+# are cut from this and the serial reference below: the feature was
+# removed, and with it every scenario that reached them.
 
 
 def reference_evaluate_fold_indices(template, hyperparameters, task_ref, train_indices,
@@ -131,16 +131,10 @@ def reference_evaluate_fold_indices(template, hyperparameters, task_ref, train_i
 
 def reference_fold_done(self, index, fold_future):
     if fold_future.cancelled():
-        # the one deliberate change to the frozen code: a fold cancelled by
-        # pruning names the prune reason instead of a failure that never
-        # happened (only the fold event says so; the outcome is the same)
-        error = "CancelledError: an earlier fold of this candidate failed"
-        if self._pruned_reason is not None:
-            error = "CancelledError: pruned, " + self._pruned_reason
         payload = {
             "score": None,
             "raw_score": None,
-            "error": error,
+            "error": "CancelledError: an earlier fold of this candidate failed",
             "elapsed": 0.0,
         }
     else:
@@ -232,14 +226,13 @@ class _ReferenceDispatch(_ScriptedPool):
         )
 
 # Verbatim from the parent commit of the serial merge apart from the names:
-# ``cross_validate_template`` (with its ``prefix_cache`` / ``pruner`` /
-# ``collect`` knobs) carries a ``reference_`` prefix and reaches
+# ``cross_validate_template`` (with its ``prefix_cache`` / ``collect``
+# knobs) carries a ``reference_`` prefix and reaches
 # ``evaluate_pipeline`` through the ``search`` module, as its original did.
 
 
 def reference_cross_validate_template(template, hyperparameters, task, n_splits=3,
-                                      random_state=None, prefix_cache=None, pruner=None,
-                                      collect=None):
+                                      random_state=None, prefix_cache=None, collect=None):
     folds = task_cv_indices(task, n_splits=n_splits, random_state=random_state)
     scores = []
     raw_scores = []
@@ -274,15 +267,6 @@ def reference_cross_validate_template(template, hyperparameters, task, n_splits=
             cache_hits=fold_cache.get("cache_hits", 0),
             cache_misses=fold_cache.get("cache_misses", 0),
         )
-        if pruner is not None:
-            pruner.observe_fold(normalized)
-            reason = pruner.assess(scores, len(folds))
-            if reason is not None:
-                capture_event(
-                    "prune_decision", reason=reason,
-                    n_completed=len(scores), n_folds=len(folds),
-                )
-                raise PrunedEvaluation(reason)
     return float(np.mean(scores)), float(np.mean(raw_scores))
 
 
@@ -298,15 +282,12 @@ class _ReferenceSerial(ExecutionBackend):
         telemetry = getattr(candidate, "telemetry", None)
         started = time.time()
         error = None
-        pruned = False
         score = raw_score = None
         collect = {}
         extra = {}
         prefix_cache = resolve_prefix_cache(candidate.cache_config)
         if prefix_cache is not None:
             extra.update(prefix_cache=prefix_cache, collect=collect)
-        if candidate.pruner is not None:
-            extra["pruner"] = candidate.pruner
         if telemetry is not None:
             begin_capture()
         try:
@@ -315,9 +296,6 @@ class _ReferenceSerial(ExecutionBackend):
                 n_splits=candidate.n_splits, random_state=candidate.random_state,
                 **extra,
             )
-        except PrunedEvaluation as discarded:
-            error = _format_error(discarded)
-            pruned = True
         except Exception as failure:  # noqa: BLE001
             error = _format_error(failure)
         if telemetry is not None:
@@ -327,7 +305,7 @@ class _ReferenceSerial(ExecutionBackend):
                 template=candidate.template_name,
             )
         outcome = EvaluationOutcome(
-            score, raw_score, error, time.time() - started, pruned=pruned,
+            score, raw_score, error, time.time() - started,
             cache_hits=collect.get("cache_hits", 0),
             cache_misses=collect.get("cache_misses", 0),
             cache_bytes=collect.get("cache_bytes", 0),
@@ -444,8 +422,12 @@ SCENARIOS = {
     "fold error in the middle": lambda n: {"actions": {1: failed("ValueError: fold 1")}},
     "fold error at the last position": lambda n: {
         "actions": {2: failed("ValueError: fold 2")}},
+    "fold error at position 0, jobs finish in reverse": lambda n: {
+        "order": [2, 1, 0], "actions": {0: failed("ValueError: fold 0")}},
     "fold error in the middle, jobs finish in reverse": lambda n: {
         "order": [2, 1, 0], "actions": {1: failed("ValueError: fold 1")}},
+    "fold error at the last position, jobs finish in reverse": lambda n: {
+        "order": [2, 1, 0], "actions": {2: failed("ValueError: fold 2")}},
     "executor exception": lambda n: {
         "actions": {1: RuntimeError("A process in the process pool was terminated")}},
     "job cancelled from outside": lambda n: {"actions": {0: "cancel"}},
@@ -455,9 +437,6 @@ SCENARIOS = {
     "task_cv_indices raises": lambda n: {"n_splits": 1},
     "retriable transport failure at position 0": lambda n: {"task_ref_fails_at": 0},
     "retriable transport failure in the middle": lambda n: {"task_ref_fails_at": 1},
-    "pruned after the first fold": lambda n: {"prune": True, "actions": {0: ok(0.1)}},
-    "pruned after the first fold, jobs finish in reverse": lambda n: {
-        "prune": True, "order": [2, 1, 0], "actions": {2: ok(0.1)}},
     "first member alone fails its first fold": lambda n: {
         "actions": {0: each(n, [failed("ValueError: member 0")] + ["run"] * 3)}},
     "last member alone fails the middle fold": lambda n: {
@@ -475,7 +454,7 @@ _TIMING_FIELDS = ("wall", "proc", "pid", "elapsed")
 
 def drive(backend_class, n_candidates, telemetry, template=TEMPLATE, n_splits=N_FOLDS,
           order=(0, 1, 2), actions=None, submit_fails_at=None, task_ref_fails_at=None,
-          prune=False, cache=False):
+          cache=False):
     """Run one scenario on one dispatcher; returns everything the two must agree on.
 
     ``n_candidates`` are submitted one after another, as the search window
@@ -493,11 +472,6 @@ def drive(backend_class, n_candidates, telemetry, template=TEMPLATE, n_splits=N_
 
     backend = backend_class(executor, task_refs)
     sink = _RecordingSink() if telemetry else None
-    pruner = None
-    if prune:
-        pruner = PruneController(0.0)
-        pruner.update_task_best(0.9)
-        pruner.observe_fold(0.5)
     base = template.default_hyperparameters()
     cache_config = make_prefix_cache_config("mem") if cache else None
     submitted = []
@@ -507,8 +481,8 @@ def drive(backend_class, n_candidates, telemetry, template=TEMPLATE, n_splits=N_
         submitted.append(backend.submit(EvaluationCandidate(
             iteration=10 + member, template=template,
             hyperparameters={**base, N_NEIGHBORS: 3 + 2 * member},
-            task=TASK, n_splits=n_splits, random_state=0, pruner=pruner,
-            cache_config=cache_config, telemetry=(sink, "tenant-a") if telemetry else None,
+            task=TASK, n_splits=n_splits, random_state=0, cache_config=cache_config,
+            telemetry=(sink, "tenant-a") if telemetry else None,
         )))
         jobs_of.append(range(first_job, len(executor.jobs)))
     for fold in order:
@@ -527,7 +501,7 @@ def drive(backend_class, n_candidates, telemetry, template=TEMPLATE, n_splits=N_
         assert isinstance(outcome.elapsed, float)
         outcomes.append((
             future.candidate.iteration, outcome.score, outcome.raw_score, outcome.error,
-            outcome.pruned, outcome.cache_hits, outcome.cache_misses, outcome.cache_bytes,
+            outcome.cache_hits, outcome.cache_misses, outcome.cache_bytes,
         ))
     events = None
     if telemetry:
@@ -562,21 +536,28 @@ def test_the_scenarios_reach_what_they_name():
     # fold 0's failure cancels both siblings, fold 1's cancellation fold 2 again
     assert solo["cancel() calls per job"] == [0, 1, 2]
     assert [event["event"] for event in solo["events"]].count("fold_cancelled") == 2
+    # a failure cancels only the folds after it: the earlier ones still run,
+    # and one finishing last still names the error, the first in fold order
+    last = run_scenario(_ReferenceDispatch, 1, True,
+                        "fold error at the last position, jobs finish in reverse")
+    assert last["cancel() calls per job"] == [0, 0, 0]
+    assert [event["fold"] for event in last["events"]
+            if event["event"] == "fold_finished"] == [2, 1, 0]
+    assert last["outcomes in completion order"][0][3] == "ValueError: fold 2"
+    first = run_scenario(_ReferenceDispatch, 1, True,
+                         "fold error at position 0, jobs finish in reverse")
+    assert "fold_cancelled" not in [event["event"] for event in first["events"]]
+    assert first["outcomes in completion order"][0][3] == "ValueError: fold 0"
     cancelled = run_scenario(_ReferenceDispatch, 1, False, "job cancelled from outside")
     assert cancelled["outcomes in completion order"][0][3] == (
         "CancelledError: an earlier fold of this candidate failed")
-    pruned = run_scenario(_ReferenceDispatch, 1, True, "pruned after the first fold")
-    assert pruned["outcomes in completion order"][0][4] is True
-    assert all(pruned["cancel() calls per job"])
     success = run_scenario(_ReferenceDispatch, 1, False, "success")
     outcome, = success["outcomes in completion order"]
-    assert outcome[1] is not None and outcome[6] > 0
+    assert outcome[1] is not None and outcome[5] > 0
     # candidates in flight together: later ones hit the prefix the first cached
     success = run_scenario(_ReferenceDispatch, 3, False, "success")
-    assert [outcome[5] > 0 for outcome in success["outcomes in completion order"]] == [
+    assert [outcome[4] > 0 for outcome in success["outcomes in completion order"]] == [
         False, True, True]
-    pruned = run_scenario(_ReferenceDispatch, 3, False, "pruned after the first fold")
-    assert [outcome[4] for outcome in pruned["outcomes in completion order"]] == [True] * 3
 
 
 @pytest.mark.parametrize("n_candidates", [2, 3, 4])
@@ -605,28 +586,6 @@ _REAL_EVALUATE = search_module.evaluate_pipeline
 _BOGUS = (KNN + "#0", "no_such_hyperparameter")
 
 
-def _pruner(prune, hyperparameters):
-    """A controller that prunes a lone candidate after fold ``prune`` (or ``"never"``).
-
-    The per-fold cap is seeded above any score, so the optimistic bound
-    after ``done`` folds is ``(sum of their real scores + cap * folds left)
-    / N_FOLDS`` and strictly falls with every fold; the task best is set
-    between the bounds where the decision must flip.
-    """
-    folds = task_cv_indices(TASK, n_splits=N_FOLDS, random_state=0)
-    scores = [_REAL_EVALUATE(TEMPLATE, hyperparameters,
-                             *materialize_cv_fold(TASK, train, val))[0]
-              for train, val in folds]
-    cap = 2.0
-    bounds = [(sum(scores[:done]) + cap * (N_FOLDS - done)) / N_FOLDS for done in (1, 2)]
-    threshold = {0: bounds[0] + 1.0, 1: (bounds[0] + bounds[1]) / 2,
-                 "never": bounds[1] - 1.0}[prune]
-    pruner = PruneController(0.0)
-    pruner.observe_fold(cap)
-    pruner.update_task_best(threshold)
-    return pruner
-
-
 #: name -> keyword arguments of ``drive_serial``.  ``members`` candidates
 #: are submitted one after another; ``fail_fold`` fails the last of them on
 #: that fold; ``build_fails`` gives the first one a hyperparameter its
@@ -640,41 +599,35 @@ SERIAL_SCENARIOS = {
     "task_cv_indices raises": {"n_splits": 1},
     "mem cache, cold": {"cache": True},
     "mem cache, warm": {"cache": True, "warm": True},
-    "pruned after fold 0": {"prune": 0},
-    "pruned after fold 1": {"prune": 1},
-    "never pruned": {"prune": "never"},
 }
 for _members in (2, 3, 4):
     SERIAL_SCENARIOS.update({
         "{} candidates".format(_members): {"members": _members},
         "{} candidates, the first fails to build".format(_members): {
             "members": _members, "build_fails": True},
+        "{} candidates, the last fails the first fold".format(_members): {
+            "members": _members, "fail_fold": 0},
         "{} candidates, the last fails the last fold".format(_members): {
             "members": _members, "fail_fold": N_FOLDS - 1},
     })
 
 
 def _terminal_events(events):
-    """Each candidate's ``fold_finished`` / ``prune_decision`` events up to its end.
-
-    A candidate ends at its first failing fold or its prune decision.
-    """
+    """Each candidate's ``fold_finished`` events up to its first failing fold."""
     ended = set()
     kept = []
     for event in events:
-        if event["event"] not in ("fold_finished", "prune_decision"):
-            continue
-        if event["iteration"] in ended:
+        if event["event"] != "fold_finished" or event["iteration"] in ended:
             continue
         kept.append({key: event.get(key) for key in (
-            "event", "iteration", "fold", "score", "raw_score", "error", "reason")})
-        if event["event"] == "prune_decision" or event.get("error"):
+            "event", "iteration", "fold", "score", "raw_score", "error")})
+        if event.get("error"):
             ended.add(event["iteration"])
     return kept
 
 
 def drive_serial(backend, sink, monkeypatch, members=1, n_splits=N_FOLDS, fail_fold=None,
-                 build_fails=False, cache=False, warm=False, prune=None):
+                 build_fails=False, cache=False, warm=False):
     """Run one serial scenario on ``backend``; returns what the two must agree on."""
     prefix_cache_module._PROCESS_CACHES.clear()
     fold_of = {}
@@ -693,13 +646,12 @@ def drive_serial(backend, sink, monkeypatch, members=1, n_splits=N_FOLDS, fail_f
         return _REAL_EVALUATE(template, hyperparameters, train_task, val_task, **cached)
 
     base = TEMPLATE.default_hyperparameters()
-    pruner = None if prune is None else _pruner(prune, {**base, N_NEIGHBORS: 3})
     monkeypatch.setattr(search_module, "evaluate_pipeline", evaluate)
     candidates = [
         EvaluationCandidate(
             iteration=10 + member, template=TEMPLATE,
             hyperparameters={**base, N_NEIGHBORS: 3 + 2 * member},
-            task=TASK, n_splits=n_splits, random_state=0, pruner=pruner,
+            task=TASK, n_splits=n_splits, random_state=0,
             cache_config=make_prefix_cache_config("mem") if cache else None,
             telemetry=(sink, "tenant-a") if sink is not None else None,
         )
@@ -715,7 +667,7 @@ def drive_serial(backend, sink, monkeypatch, members=1, n_splits=N_FOLDS, fail_f
         outcome = future.result()
         outcomes.append((
             future.candidate.iteration, outcome.score, outcome.raw_score, outcome.error,
-            outcome.pruned, outcome.cache_hits, outcome.cache_misses, outcome.cache_bytes,
+            outcome.cache_hits, outcome.cache_misses, outcome.cache_bytes,
         ))
     return {
         "outcomes in completion order": outcomes,
@@ -742,17 +694,12 @@ def _folds_evaluated(result):
 
 def test_the_serial_scenarios_reach_what_they_name(monkeypatch):
     """Guard the guard: the serial scenarios exercise the paths they claim."""
-    for prune, folds, pruned in ((0, [0], True), (1, [0, 1], True),
-                                 ("never", [0, 1, 2], False)):
-        result = drive_serial(SerialBackend(), None, monkeypatch, prune=prune)
-        assert _folds_evaluated(result) == folds
-        assert result["outcomes in completion order"][0][4] is pruned
     failing = drive_serial(SerialBackend(), _RecordingSink(), monkeypatch, fail_fold=0)
     assert _folds_evaluated(failing) == [0]
     assert failing["outcomes in completion order"][0][3] == (
         "ValueError: scripted failure on fold 0")
     warm = drive_serial(SerialBackend(), None, monkeypatch, cache=True, warm=True)
-    assert [outcome[5] > 0 for outcome in warm["outcomes in completion order"]] == [
+    assert [outcome[4] > 0 for outcome in warm["outcomes in completion order"]] == [
         False, True]
     # a candidate that fails to build takes none of the next candidates' folds
     sink = _RecordingSink()
@@ -928,15 +875,8 @@ def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
         assert fits == []  # workers are other processes: nothing was fitted in this one
 
 
-def test_a_pruned_fold_cancel_names_the_prune_not_a_failure():
+def test_a_cancelled_fold_names_the_earlier_failure():
     failed = run_scenario(_ScriptedPool, 1, True, "fold error at position 0")
     assert [event["error"] for event in failed["events"]
             if event["event"] == "fold_cancelled"] == [
         "CancelledError: an earlier fold of this candidate failed"] * 2
-    pruned = run_scenario(_ScriptedPool, 1, True, "pruned after the first fold")
-    reason, = [event["reason"] for event in pruned["events"]
-               if event["event"] == "prune_decision"]
-    assert reason.startswith("optimistic estimate ")
-    assert [event["error"] for event in pruned["events"]
-            if event["event"] == "fold_cancelled"] == [
-        "CancelledError: pruned, " + reason] * 2

@@ -47,20 +47,22 @@ INVALID = [
      ("cli", "cli-fleet", "cli-resume")),
     ("retired-batch-eval", {"batch_eval": True}, TypeError, "batch_eval",
      ("cli", "cli-fleet", "cli-resume")),
+    ("retired-prune-margin", {"prune_margin": 0.1}, TypeError, "prune_margin",
+     ("cli", "cli-fleet", "cli-resume")),
     ("unknown-cache-mode", {"prefix_cache": "bogus"}, ValueError, "Unknown prefix-cache mode",
      ("cli", "cli-fleet", "cli-resume")),
     ("unknown-backend", {"backend": "cluster"}, ValueError, "Unknown backend",
      ("cli", "cli-fleet", "cli-resume")),
-    ("negative-prune-margin", {"prune_margin": -0.5}, ValueError, "prune margin",
-     RUN_ENTRY_POINTS),
-    ("nan-prune-margin", {"prune_margin": math.nan}, ValueError, "prune margin",
-     RUN_ENTRY_POINTS),
     ("fold-timeout-on-threads", {"backend": "thread", "fold_timeout": 5.0}, ValueError,
      "only applies to the process backend", ()),
     ("fold-timeout-on-serial", {"backend": "serial", "fold_timeout": 5.0}, ValueError,
      "only applies to the process backend", ("run_fleet_from_directories", "cli-fleet")),
     ("fold-timeout-on-instance", {"backend": SerialBackend(), "fold_timeout": 5.0},
      ValueError, "existing backend instance", ("cli", "cli-fleet", "cli-resume")),
+    ("negative-fold-timeout", {"backend": "process", "fold_timeout": -5.0}, ValueError,
+     "fold_timeout must be positive", ()),
+    ("nan-fold-timeout", {"backend": "process", "fold_timeout": math.nan}, ValueError,
+     "fold_timeout must be positive", ()),
     ("negative-retries", {"backend": "process", "max_fold_retries": -1}, ValueError,
      "max_fold_retries must be non-negative", ()),
     ("zero-workers", {"backend": "process", "workers": 0}, ValueError,
@@ -70,10 +72,6 @@ INVALID = [
     ("unknown-keyword", {"warp_factor": 9}, TypeError, "warp_factor",
      ("cli", "cli-fleet", "cli-resume")),
 ]
-
-#: The one invalid combination that needs a run directory to exist.
-PRUNED_RUN = ("prune-margin-in-a-run", {"prune_margin": 0.1}, ValueError,
-              "checkpointed run", ())
 
 
 def _flags(parser, execution):
@@ -112,7 +110,7 @@ def workspace(tmp_path):
 def _entry_points(workspace, capsys):
     """``name -> callable(execution)`` for every way the knobs can arrive."""
     task_dir, run_dir = str(workspace / "task"), str(workspace / "run")
-    store, new_run = str(workspace / "store"), str(workspace / "new-run")
+    store = str(workspace / "store")
     run_parser, resume_parser = build_parser(), build_resume_parser()
     return {
         "ExecutionConfig": lambda kw: ExecutionConfig.from_keywords(kw),
@@ -130,11 +128,6 @@ def _entry_points(workspace, capsys):
             [task_dir, "--fleet", "--store-path", store] + _flags(run_parser, kw), capsys),
         "cli-resume": lambda kw: _cli(
             ["resume", run_dir] + _flags(resume_parser, kw), capsys),
-        # the same two helpers, this time creating a checkpointed run
-        "run_from_directory+run_dir": lambda kw: run_from_directory(
-            task_dir, run_dir=new_run, **kw),
-        "cli+run_dir": lambda kw: _cli(
-            [task_dir, "--run-dir", new_run] + _flags(run_parser, kw), capsys),
     }
 
 
@@ -155,7 +148,7 @@ def test_invalid_value_is_rejected_identically_and_up_front(case, workspace, cap
         ExecutionConfig.from_keywords(execution)
     driven = []
     for name, call in _entry_points(workspace, capsys).items():
-        if name in exempt or name.endswith("+run_dir"):
+        if name in exempt:
             continue
         threads_before = set(threading.enumerate())
         expected = _CliError if name.startswith("cli") else exception
@@ -165,24 +158,6 @@ def test_invalid_value_is_rejected_identically_and_up_front(case, workspace, cap
         _assert_untouched(workspace, threads_before)
         driven.append(name)
     assert len(driven) >= 6, driven
-
-
-def test_pruning_a_checkpointed_run_is_rejected_identically_and_up_front(workspace, capsys):
-    _, execution, exception, pattern, _ = PRUNED_RUN
-    with pytest.raises(exception, match=pattern) as reference:
-        ExecutionConfig.from_keywords(execution, run_dir=str(workspace / "run"))
-    entry_points = _entry_points(workspace, capsys)
-    for name in RUN_ENTRY_POINTS[:2] + ("run_from_directory+run_dir", "cli+run_dir"):
-        threads_before = set(threading.enumerate())
-        expected = _CliError if name.startswith("cli") else exception
-        with pytest.raises(expected) as raised:
-            entry_points[name](dict(execution))
-        assert str(raised.value) == str(reference.value), name
-        _assert_untouched(workspace, threads_before)
-    # the resume parser does not even have the flag
-    with pytest.raises(SystemExit):
-        build_resume_parser().parse_args(["run", "--prune-margin", "0.1"])
-    capsys.readouterr()
 
 
 def test_run_dir_telemetry_resolves_inside_a_run(workspace):
@@ -200,7 +175,7 @@ def test_a_resume_cannot_pass_what_the_manifest_fixes(workspace):
 
 
 def test_the_schedule_is_no_option(workspace, capsys):
-    assert len(KNOBS) == 9
+    assert len(KNOBS) == 8
     with pytest.raises(TypeError, match="schedule"):
         ExperimentRun.create(workspace / "new-run", task_directory=workspace / "task",
                              schedule="window")

@@ -1,13 +1,13 @@
 """Static guard: ``repro.automl`` has one fold-dispatch engine, not two.
 
 Every backend — serial, thread, process, fleet tenant — dispatches folds
-through ``_PoolBackend.submit`` / ``submit_refit``, aggregates, prunes
-and reports them in ``_PooledCandidateFuture``, and evaluates a
-configuration on a fold in ``_solo_fold``; ``search.cross_validate_template`` is the
+through ``_PoolBackend.submit`` / ``submit_refit``, aggregates and
+reports them in ``_PooledCandidateFuture``, and evaluates a configuration
+on a fold in ``_solo_fold``; ``search.cross_validate_template`` is the
 plain reference loop the dispatcher is tested against.  A second engine
-shows up as a second site of one of the constructs below: a pruning
-decision, a fold event, a fold evaluation, an executor job submission or a
-use of a fold entry point.  This walks the syntax trees of the package's
+shows up as a second site of one of the constructs below: a fold event, a
+fold evaluation, an executor job submission or a use of a fold entry
+point.  This walks the syntax trees of the package's
 modules and fails, naming the sites, when any construct gains one.
 """
 
@@ -21,24 +21,24 @@ import repro.automl
 PACKAGE = os.path.dirname(repro.automl.__file__)
 
 #: Event types a second engine would have to emit or capture itself.
-EVENTS = ("fold_finished", "fold_dispatched", "prune_decision")
+EVENTS = ("fold_started", "fold_finished", "fold_cancelled", "fold_dispatched")
 
 #: Functions whose use hands a configuration to a fold evaluator.
 FOLD_ENTRY_POINTS = ("_solo_fold", "evaluate_fold_indices")
 
 #: construct -> the sites allowed to have it, as ``(module, qualified name)``.
 ALLOWED = {
-    "a caller of .assess(": [
-        ("backends.py", "_PooledCandidateFuture._maybe_prune"),
+    'the event "fold_started"': [
+        ("backends.py", "_solo_fold"),
     ],
     'the event "fold_finished"': [
         ("backends.py", "_PooledCandidateFuture._ingest_fold"),
     ],
+    'the event "fold_cancelled"': [
+        ("backends.py", "_PooledCandidateFuture._ingest_fold"),
+    ],
     'the event "fold_dispatched"': [
         ("backends.py", "_PoolBackend.submit"),
-    ],
-    'the event "prune_decision"': [
-        ("backends.py", "_PooledCandidateFuture._maybe_prune"),
     ],
     "a call of evaluate_pipeline": [
         ("backends.py", "_solo_fold"),
@@ -61,8 +61,6 @@ ALLOWED = {
 def _constructs(node):
     """The guarded constructs ``node`` is a site of (usually none)."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr == "assess":
-            yield "a caller of .assess("
         if node.func.attr == "evaluate_pipeline":
             yield "a call of evaluate_pipeline"
         if (node.func.attr == "submit" and isinstance(node.func.value, ast.Attribute)

@@ -1,29 +1,23 @@
-"""Tests for the fitted-prefix cache and fold-level early-discard pruning.
+"""Tests for the fitted-prefix cache.
 
 The cache contract: enabling the prefix cache never changes what a search
 records — cached evaluation produces bit-identical scores and records on
 every backend, because entries are content-addressed by the fold's
 training data and the full configured prefix.  A corrupt or aliased disk
 entry must be detected and degrade to a miss, never to wrong data.
-
-The pruning contract: a candidate whose optimistic bound cannot reach the
-task best minus the margin is discarded mid-evaluation and recorded as a
-pruned failure (consuming budget, feeding the selector/tuner failure
-bookkeeping), without affecting what the surviving candidates score.
 """
 
 import glob
 import multiprocessing
 import os
 import pickle
-import queue
 import shutil
 
 import pytest
 
 from repro.automl import AutoBazaarSearch, AutoBazaarSession
 from repro.automl import prefix_cache as prefix_cache_module
-from repro.automl.backends import PruneController, _PooledCandidateFuture
+from repro.automl.backends import _format_error
 from repro.automl.prefix_cache import (
     FittedPrefixCache,
     fold_data_key,
@@ -31,9 +25,10 @@ from repro.automl.prefix_cache import (
     resolve_prefix_cache,
     task_content_digest,
 )
+from repro.automl.search import cross_validate_template
 from repro.core.template import Template
-from repro.explorer import PipelineStore
 from repro.tasks import synth
+from repro.tasks.task import split_task
 
 @pytest.fixture(autouse=True)
 def _fresh_process_cache():
@@ -319,175 +314,43 @@ class TestCachedSearchEquivalence:
         assert result.cache_stats["mode"] == "mem"
 
 
-def pruning_templates():
-    """A strong template first (sets the task best), then a weak one."""
-    return [
-        Template(
-            "prune_strong", [ENCODER, IMPUTER, SCALER, RF, DECODER],
-            init_params={RF: {"random_state": 0}},
-        ),
-        Template("prune_weak", [MAJORITY]),  # majority class: ~0.5 accuracy
-    ]
+@pytest.mark.parametrize("prefix_cache", ["off", "mem", "disk"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_every_record_is_the_reference_loop_over_all_folds(backend, prefix_cache, tmp_path):
+    """No candidate is discarded early: each record is the plain fold loop's result.
 
-
-class TestPruneController:
-    def test_no_pruning_without_history(self):
-        controller = PruneController(0.1)
-        assert controller.assess([0.1], 3) is None  # no best, no cap yet
-        controller.observe_fold(0.9)
-        assert controller.assess([0.1], 3) is None  # still no task best
-
-    def test_bound_math(self):
-        controller = PruneController(0.1)
-        controller.update_task_best(0.9)
-        controller.observe_fold(0.9)
-        # bound = (0.1 + 2 * 0.9) / 3 = 0.6333 < 0.9 - 0.1 -> prune
-        assert controller.assess([0.1], 3) is not None
-        # bound = (0.8 + 2 * 0.9) / 3 = 0.8667 >= 0.8 -> keep going
-        assert controller.assess([0.8], 3) is None
-        # completed candidates are never pruned retroactively
-        assert controller.assess([0.1, 0.1, 0.1], 3) is None
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            PruneController(-0.5)
-        with pytest.raises(ValueError):
-            PruneController(float("nan"))
-
-    def test_pooled_future_cancels_remaining_folds_on_prune(self):
-        controller = PruneController(0.1)
-        controller.update_task_best(1.0)
-        controller.observe_fold(1.0)
-
-        class FakeFoldFuture:
-            def __init__(self):
-                self.cancelled_calls = 0
-
-            def cancel(self):
-                self.cancelled_calls += 1
-                return True
-
-        class FakeCandidate:
-            pruner = controller
-
-        completion = queue.Queue()
-        future = _PooledCandidateFuture(FakeCandidate(), 3, completion)
-        future._fold_futures = [FakeFoldFuture() for _ in range(3)]
-        future._record(0, {"score": 0.1, "raw_score": 0.1, "error": None, "elapsed": 0.0})
-        assert future._pruned_reason is not None
-        assert all(fold.cancelled_calls == 1 for fold in future._fold_futures)
-        # the cancelled folds file their payloads and the outcome is pruned
-        for index in (1, 2):
-            future._record(index, {
-                "score": None, "raw_score": None,
-                "error": "CancelledError: an earlier fold of this candidate failed",
-                "elapsed": 0.0,
-            })
-        outcome = completion.get_nowait().result()
-        assert outcome.pruned
-        assert outcome.error.startswith("PrunedEvaluation:")
-        assert outcome.score is None
-
-    def test_final_fold_still_feeds_the_optimistic_cap(self):
-        # a candidate's last-completing fold can carry the best score seen;
-        # it must raise the shared per-fold cap even though no discard
-        # decision is left to make for that candidate (serial parity)
-        controller = PruneController(0.1)
-        controller.update_task_best(0.5)
-
-        class FakeCandidate:
-            pruner = controller
-
-        future = _PooledCandidateFuture(FakeCandidate(), 1, queue.Queue())
-        future._fold_futures = [None]
-        future._record(0, {"score": 0.9, "raw_score": 0.9, "error": None, "elapsed": 0.0})
-        assert controller._fold_cap == 0.9
-
-
-class TestPruningInSearch:
-    def test_serial_search_prunes_hopeless_candidates(self):
-        store = PipelineStore()
-        searcher = AutoBazaarSearch(
-            templates=pruning_templates(), n_splits=3, random_state=0,
-            prune_margin=0.2, store=store,
-        )
-        result = searcher.search(make_task(), budget=4)
-        assert result.n_evaluated == 4  # pruned candidates still consume budget
-        assert result.n_pruned >= 1
-        pruned = [record for record in result.records if record.pruned]
-        for record in pruned:
-            assert record.score is None
-            assert record.error.startswith("PrunedEvaluation:")
-        # the strong template is unaffected and still wins
-        assert result.best_template == "prune_strong"
-        assert result.best_score > 0.8
-        # pruned records reach the store flagged as such
-        assert any(document["pruned"] for document in store)
-
-    def test_pool_search_with_pruning_completes_and_flags_records(self):
-        searcher = AutoBazaarSearch(
-            templates=pruning_templates(), n_splits=3, random_state=0,
-            backend="thread", workers=2, n_pending=2, prune_margin=0.2,
-        )
-        result = searcher.search(make_task(), budget=6)
-        assert result.n_evaluated == 6
-        for record in result.records:
-            if record.pruned:
-                assert record.error.startswith("PrunedEvaluation:")
-                assert record.score is None
-            elif record.error is None:
-                assert record.score is not None
-        assert result.best_template == "prune_strong"
-
-    def test_huge_margin_never_prunes_and_preserves_records(self):
-        baseline = stripped_documents(run_search())
-        unpruned = run_search(prune_margin=100.0)
-        assert unpruned.n_pruned == 0
-        assert stripped_documents(unpruned) == baseline
-
-    def test_pruned_trials_spend_budget_without_quarantine(self):
-        from repro.tuning.selectors import UCB1Selector
-
-        # two real failures quarantine a scoreless arm...
-        crashed = UCB1Selector(["a", "b"], random_state=0)
-        crashed.record_failure("b")
-        crashed.record_failure("b")
-        assert crashed._selectable({"a": [0.5], "b": []}) == ["a"]
-        # ...but two prunes only shrink the confidence bonus: the arm
-        # trailed the leader, it did not crash, so it stays selectable
-        pruned = UCB1Selector(["a", "b"], random_state=0)
-        pruned.record_pruned("b")
-        pruned.record_pruned("b")
-        assert set(pruned._selectable({"a": [0.5], "b": []})) == {"a", "b"}
-        assert pruned.pruned_count("b") == 2
-        assert "b" not in pruned._unseen({"a": [0.5], "b": []})
-
-    def test_prune_margin_with_run_dir_is_rejected(self, tmp_path):
-        from repro.automl.session import run_from_directory
-        from repro.tasks.io import save_task
-
-        task_dir = str(tmp_path / "task")
-        save_task(make_task(), task_dir)
-        with pytest.raises(ValueError):
-            run_from_directory(
-                task_dir, budget=2, run_dir=str(tmp_path / "run"), prune_margin=0.1,
-            )
+    ``cross_validate_template`` scores a configuration on every fold; a
+    search's record of it, on any backend and with the cache on or off,
+    is that score pair (or the error the loop raised).
+    """
+    result = run_search(
+        backend, workers=None if backend == "serial" else 2, n_pending=2,
+        prefix_cache=prefix_cache, cache_dir=str(tmp_path) if prefix_cache == "disk" else None,
+    )
+    templates = {template.name: template for template in seeded_templates()}
+    task, _ = split_task(make_task(), test_size=0.25, random_state=0)  # the search's holdout
+    assert len(result.records) == 6
+    for record in result.records:
+        try:
+            expected = cross_validate_template(
+                templates[record.template_name], record.hyperparameters, task,
+                n_splits=2, random_state=0)
+        except Exception as failure:  # noqa: BLE001 - the reference's outcome
+            expected = _format_error(failure)
+        assert (record.error or (record.score, record.raw_score)) == expected, record
 
 
 class TestCliFlags:
-    def test_parser_accepts_cache_and_prune_flags(self):
+    def test_parser_accepts_cache_flags(self):
         from repro.automl.__main__ import build_parser, build_resume_parser
 
         arguments = build_parser().parse_args([
             "some/task", "--prefix-cache", "disk", "--cache-dir", "/tmp/cache",
-            "--prune-margin", "0.05",
         ])
         assert arguments.prefix_cache == "disk"
         assert arguments.cache_dir == "/tmp/cache"
-        assert arguments.prune_margin == 0.05
         defaults = build_parser().parse_args(["some/task"])
         assert defaults.prefix_cache == "off"
-        assert defaults.prune_margin is None
         resume = build_resume_parser().parse_args(["run", "--prefix-cache", "mem"])
         assert resume.prefix_cache == "mem"
 

@@ -303,7 +303,7 @@ def make_reporter(task, replay_count=0):
     store = SimpleNamespace(added=[])
     store.add = store.added.append
     checkpoint = FakeCheckpoint()
-    reporter = _Reporter(proposer, store, None, checkpoint)
+    reporter = _Reporter(proposer, store, checkpoint)
     return reporter, proposer, sink, store, checkpoint
 
 

@@ -259,6 +259,45 @@ class TestDivergence:
         assert report["n_events"] == len(events) + len(legacy)
         assert not {"batch_groups", "shm_fallback"} & set(report["counters"])
 
+    def test_a_prune_decision_from_an_older_stream_still_replays(self):
+        # nothing emits prune_decision any more; a stream recorded while
+        # fold-level early discard existed still derives its error from it
+        reason = "optimistic estimate 0.5 after 1 of 3 folds falls short of task best 0.9"
+        context = {"tenant": "default", "template": "knn"}
+
+        def fold(etype, iteration, index, score=None, error=None):
+            return make_event(etype, iteration=iteration, fold=index, score=score,
+                              raw_score=score, error=error, elapsed=0.01, **context)
+
+        def document(iteration, score, error, **extra):
+            return dict({"task_name": "legacy", "template_name": "knn",
+                         "hyperparameters": {}, "score": score, "raw_score": score,
+                         "iteration": iteration, "elapsed": 0.03, "error": error,
+                         "is_default": iteration == 0}, **extra)
+
+        # the pre-removal document of the pruned candidate, and a scored one
+        # in the current format, which carries no "pruned" key
+        pruned = document(0, None, "PrunedEvaluation: " + reason, pruned=True)
+        scored = document(1, 0.5, None)
+        events = [
+            make_event("search_started", task="legacy", tenant="default"),
+            fold("fold_finished", 0, 0, score=0.5),
+            make_event("prune_decision", iteration=0, reason=reason, n_completed=1,
+                       n_folds=3, **context),
+            fold("fold_cancelled", 0, 1, error="CancelledError: pruned, " + reason),
+            fold("fold_cancelled", 0, 2, error="CancelledError: pruned, " + reason),
+            make_event("record_reported", iteration=0, record=pruned, **context),
+        ] + [fold("fold_finished", 1, index, score=0.5) for index in range(3)] + [
+            make_event("record_reported", iteration=1, record=scored, **context),
+        ]
+        report = replay_run(events, record_documents=[pruned, scored])
+        assert report["records"] == [pruned, scored]
+        assert "prune_decisions" not in report["counters"]
+        # the derivation is still checked: a pruned candidate has no score
+        claimed = dict(pruned, score=0.5, raw_score=0.5, error=None)
+        with pytest.raises(ReplayError, match="field 'score'"):
+            replay_run(events, record_documents=[claimed, scored])
+
     def test_missing_stream_is_a_replay_error(self, tmp_path, capsys):
         from repro.automl import ExperimentRun
 

@@ -186,12 +186,12 @@ class TestTelemetrySink:
         assert not sink._writer.is_alive()
         assert load_events(path) == []
 
-    @pytest.mark.parametrize("backend, prune_margin",
-                             [("thread", None), ("process", None), ("thread", 0.0)])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_a_search_whose_writer_fails_raises_the_failure(self, tmp_path, monkeypatch,
-                                                            backend, prune_margin):
-        # fold, prune and refit events arrive on callback threads and the
-        # fleet's admissions on the pool's; none of them may strand a fold
+                                                            backend):
+        # the serial backend emits on the searching thread; on the pools
+        # fold and refit events arrive on callback threads and the fleet's
+        # admissions on the pool's; none of them may strand a fold
         append, appended = SegmentLog.append, []
 
         def fill_the_disk_after_ten(log, document):
@@ -202,8 +202,7 @@ class TestTelemetrySink:
 
         monkeypatch.setattr(SegmentLog, "append", fill_the_disk_after_ten)
         searcher = AutoBazaarSearch(n_splits=3, random_state=0, backend=backend, workers=2,
-                                    n_pending=2, prune_margin=prune_margin,
-                                    telemetry=str(tmp_path / "events"))
+                                    n_pending=2, telemetry=str(tmp_path / "events"))
         task = synth.make_single_table_classification(n_samples=80, random_state=0)
         with pytest.raises(TelemetryWriterError, match="disk full"):
             searcher.search(task, budget=8)

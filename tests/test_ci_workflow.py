@@ -228,7 +228,8 @@ def test_e2e_check_runs_the_cross_workload_output_checks(workflow):
 
 #: The frozen-reference suites of the layers the record digests depend on.
 EXACTNESS_SUITES = ("tests/tuning/test_gp_identity.py", "tests/learners/test_graph.py",
-                    "tests/learners/test_tree_kernel_identity.py")
+                    "tests/learners/test_tree_kernel_identity.py",
+                    "tests/automl/test_dispatch_identity.py")
 
 
 def test_e2e_check_runs_the_exactness_suites_before_the_digests(workflow):

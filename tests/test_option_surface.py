@@ -8,7 +8,10 @@ list of every such callable, so a knob comes back only through a
 deliberate edit here.  The durable run's entry points are pinned too:
 they lost the snapshot cadence when the record log became the checkpoint.
 The execution knobs themselves are pinned by name: batched evaluation left
-with its ``batch_eval`` knob, and every entry point refuses it.
+with its ``batch_eval`` knob and fold-level early discard with its
+``prune_margin`` knob, and every entry point refuses both.  The unit of
+work and its outcome are pinned too, so a per-candidate discard hook
+(``pruner``) or flag (``pruned``) comes back only deliberately.
 """
 
 import inspect
@@ -17,8 +20,9 @@ import pytest
 
 from repro.automl import AutoBazaarSearch, AutoBazaarSession, shm
 from repro.automl.__main__ import build_parser, build_resume_parser
+from repro.automl.backends import EvaluationCandidate, EvaluationOutcome
 from repro.automl.checkpoint import CheckpointManager, ExperimentRun
-from repro.automl.config import KNOBS
+from repro.automl.config import KNOBS, STREAM_SHAPING
 from repro.automl.fleet import FleetCoordinator
 from repro.automl.prefix_cache import FittedPrefixCache, make_prefix_cache_config
 from repro.automl.session import run_from_directory
@@ -46,6 +50,11 @@ SURFACE = {
                            "selector", "n_splits", "random_state", "holdout", "n_pending",
                            "max_seconds", "checkpoint_every", "warm_start_source"],
     CheckpointManager: ["run_dir", "replay", "on_report"],
+    EvaluationCandidate: ["iteration", "template", "hyperparameters", "task", "n_splits",
+                          "random_state", "template_name", "is_default", "cache_config",
+                          "telemetry"],
+    EvaluationOutcome: ["score", "raw_score", "error", "elapsed", "cache_hits",
+                        "cache_misses", "cache_bytes", "pipeline"],
 }
 
 
@@ -66,7 +75,8 @@ def test_the_fleet_refuses_a_backlog():
 
 def test_the_execution_knobs_are_pinned():
     assert KNOBS == ("backend", "workers", "n_pending", "prefix_cache", "cache_dir",
-                     "prune_margin", "telemetry", "fold_timeout", "max_fold_retries")
+                     "telemetry", "fold_timeout", "max_fold_retries")
+    assert STREAM_SHAPING == ("n_pending",)
 
 
 def test_batched_evaluation_is_no_option(tmp_path, capsys):
@@ -80,3 +90,17 @@ def test_batched_evaluation_is_no_option(tmp_path, capsys):
             parser.parse_args(argv + ["--batch-eval"])
         assert exited.value.code == 2
     assert "--batch-eval" in capsys.readouterr().err
+
+
+def test_pruning_is_no_option(tmp_path, capsys):
+    for call in (lambda: AutoBazaarSearch(prune_margin=0.1),
+                 lambda: AutoBazaarSession(prune_margin=0.1),
+                 lambda: run_from_directory(str(tmp_path / "task"), prune_margin=0.1),
+                 lambda: FleetCoordinator(backend="thread", workers=1, prune_margin=0.1)):
+        with pytest.raises(TypeError, match="prune_margin"):
+            call()
+    for parser, argv in ((build_parser(), ["task"]), (build_resume_parser(), ["run"])):
+        with pytest.raises(SystemExit) as exited:
+            parser.parse_args(argv + ["--prune-margin", "0.1"])
+        assert exited.value.code == 2
+    assert "--prune-margin" in capsys.readouterr().err
