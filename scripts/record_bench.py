@@ -423,13 +423,16 @@ def _event_stream_meter():
     Yields a one-item list accumulating, while the block runs:
 
     * the wall time of the sink calls a search blocks in by design (open,
-      flush, close),
+      flush, close) — the search flushes after every reported record, so
+      this is where nearly every write to the log happens,
     * the CPU time of the calling thread inside the hot-path calls (``emit``,
-      ``ingest``, and ``make_event`` for the worker-side capture channel) —
-      CPU, not wall: a wall clock there also counts every hand-over of the
-      GIL to another thread that happens to fall inside the call,
-    * the CPU time of the sink's writer thread, charged in full although it
-      only delays a serial search while it holds the GIL.
+      ``ingest``, and ``make_event`` for the worker-side capture channel),
+      which also write the buffer once it fills — CPU, not wall: a wall
+      clock there also counts every hand-over of the GIL to another thread
+      that happens to fall inside the call.
+
+    The sink has no thread of its own, so nothing it does runs outside
+    these calls.
     """
     from repro.telemetry import events, sink
 
@@ -451,7 +454,7 @@ def _event_stream_meter():
 
     for name in ("__init__", "flush", "close"):
         meter(sink.TelemetrySink, name, time.perf_counter)
-    for name in ("emit", "ingest", "_drain"):
+    for name in ("emit", "ingest"):
         meter(sink.TelemetrySink, name, time.thread_time)
     meter(events, "make_event", time.thread_time)
     try:
@@ -479,8 +482,10 @@ def run_telemetry_overhead_benchmark(budget=TELEMETRY_BUDGET,
     is ``(pass - stream) / pass`` of the best pass: the throughput the
     pass would have had without the stream, over the one it had.  Best,
     not median, because what lands on top of the stream's own cost is
-    one-sided: a full garbage collection triggered on the writer thread
-    bills it 20-30 ms of the search's garbage in about every third pass.
+    one-sided: the metered calls run on the search thread, so a garbage
+    collection of the search's own garbage that an emit happens to trigger,
+    or another process taking the core while a flush waits on the disk, can
+    only add to the stream's seconds, never take from them.
     The interleaved events-off passes are still run, for the score
     comparison and the recorded pass times; each arm's
     ``elapsed_seconds`` is its best pass, as before.

@@ -219,8 +219,8 @@ def _fleet_main(arguments, task_dirs):
             print("task                 : {}".format(result.task_name))
             _print_result(result)
     finally:
-        # the session owns its telemetry sink (a writer thread plus the
-        # event-stream descriptors) and the persistent store's lock
+        # the session owns its telemetry sink (the event-stream
+        # descriptors) and the persistent store's lock
         session.close()
     if arguments.output:
         print()

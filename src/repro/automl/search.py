@@ -310,8 +310,9 @@ def _active_sink(telemetry):
 def _emit(telemetry, etype, **fields):
     """Emit one search event on a ``(sink, tenant)`` context, if telemetry is on.
 
-    A sink whose writer has failed raises here, so the search fails fast;
-    the emit points on callback and pool threads only drop their events.
+    A sink whose log append has failed raises here, so the search fails
+    fast; the emit points on callback and pool threads only drop their
+    events.
     """
     if telemetry is not None:
         telemetry[0].emit(etype, tenant=telemetry[1], **fields)
@@ -561,6 +562,8 @@ class _Reporter:
             if self.proposer.telemetry is not None:  # spare the to_dict() otherwise
                 _emit(self.proposer.telemetry, "record_reported",
                       iteration=candidate.iteration, record=record.to_dict())
+                # the stream is durable through this record, like the store
+                self.proposer.telemetry[0].flush()
         if state is not None:
             # the point every witness describes: the record is in the
             # stream, the tuners and selector have not learnt it yet

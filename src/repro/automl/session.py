@@ -75,7 +75,7 @@ class AutoBazaarSession:
         else:
             self.store = PipelineStore()
         # opened after the store, so a store that fails to open leaves no
-        # sink (a writer thread and the event-stream descriptors) behind
+        # sink (the event-stream descriptors) behind
         self._owned_sink = None
         if config.telemetry is not None and not isinstance(config.telemetry, TelemetrySink):
             try:

@@ -23,10 +23,11 @@ nothing reads).
 
 Design points:
 
-* **One fsync-able line per record.**  ``append`` writes the document as a
-  single JSON line and flushes it; ``durability="fsync"`` additionally
-  fsyncs, trading throughput for power-loss safety (a plain flush already
-  survives ``SIGKILL``, which only discards user-space buffers).
+* **One fsync-able line per record.**  ``append`` writes each document as
+  a single JSON line, a batch of documents in one write, and flushes it;
+  ``durability="fsync"`` additionally fsyncs, trading throughput for
+  power-loss safety (a plain flush already survives ``SIGKILL``, which
+  only discards user-space buffers).
 * **Opening writes nothing.**  ``open`` reads the files under the ops
   lock.  Appends hold the same lock, so an unparsable final line of the
   last file is a crash artifact (the write never completed, so the record
@@ -190,12 +191,16 @@ class SegmentLog:
             documents.append(document)
         return documents
 
-    def append(self, document):
-        """Append one document as a single JSONL line; returns the document.
+    def append(self, *documents):
+        """Append each document as one JSONL line, all of them in one write.
 
-        NumPy scalars and arrays are written as native numbers and lists.
+        Every line is encoded before the lock is taken, so a document that
+        cannot be encoded raises with nothing written.  NumPy scalars and
+        arrays are written as native numbers and lists.
         """
-        line = json.dumps(document, separators=(",", ":"), default=_numpy_default).encode() + b"\n"
+        data = b"".join(
+            json.dumps(document, separators=(",", ":"), default=_numpy_default).encode()
+            + b"\n" for document in documents)
         with self._lock:
             if self._stream is None:
                 raise RuntimeError("SegmentLog must be opened before appending")
@@ -203,12 +208,11 @@ class SegmentLog:
                 size = os.fstat(self._stream.fileno()).st_size
                 if size != self._end:
                     size = self._repair_tail(size)
-                self._stream.write(line)
+                self._stream.write(data)
                 self._stream.flush()
                 if self.durability == "fsync":
                     os.fsync(self._stream.fileno())
-                self._end = size + len(line)
-        return document
+                self._end = size + len(data)
 
     def _repair_tail(self, size):
         """Make the file end on a newline; return its size afterwards.

@@ -8,8 +8,9 @@ package turns them into a durable, time-resolved event stream:
 * :mod:`repro.telemetry.events` — the typed, versioned event schema and
   the zero-cost thread-local capture API used inside workers,
 * :mod:`repro.telemetry.sink` — :class:`~repro.telemetry.sink.TelemetrySink`,
-  a low-overhead recorder draining an in-process ring buffer into a
-  crash-safe JSONL segment log (the same machinery as the record store),
+  a low-overhead recorder that buffers events in process and appends
+  each batch to a crash-safe JSONL segment log (the same machinery as the
+  record store) in one write, durable through the last reported record,
 * :mod:`repro.telemetry.replayer` — reconstructs a full run timeline
   from the event stream alone and cross-checks it against the record
   stream (``python -m repro.telemetry <run-dir>``).

@@ -19,10 +19,10 @@ timeline:
   part in the re-derivation of records,
 * when the record log is supplied, the reconstructed stream is
   cross-checked against it.  Records present in the log but absent from
-  the events are tolerated only as a *trailing suffix* per task — the
-  window a ``SIGKILL`` can take from the asynchronous telemetry writer
-  after the synchronous record append landed; a mid-stream gap means the
-  streams genuinely diverged and raises :class:`ReplayError`.
+  the events are tolerated only as a *trailing suffix* per task — the one
+  record a ``SIGKILL`` can land between its record append and the sink
+  flush that follows it; a mid-stream gap means the streams genuinely
+  diverged and raises :class:`ReplayError`.
 
 CLI::
 
@@ -311,8 +311,8 @@ def _cross_check(candidates, reported, record_documents):
 
     Every record in the log must either be fold-derivable from the event
     stream or belong to the task's trailing suffix (iterations past the
-    last one the events know about — the ``SIGKILL`` window where the
-    synchronous record append outlived the asynchronous event writer).
+    last one the events know about — the record a ``SIGKILL`` landed
+    between its record append and the sink flush after its report).
     """
     by_task_iteration = {}
     last_known = {}

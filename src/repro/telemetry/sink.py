@@ -1,22 +1,25 @@
-"""Low-overhead telemetry recorder: ring buffer -> crash-safe JSONL log.
+"""Low-overhead telemetry recorder: an in-process buffer -> crash-safe JSONL log.
 
-:class:`TelemetrySink` decouples the emitting hot paths from disk: an
-``emit`` appends to a bounded in-process ring buffer under a lock
-(microseconds) and a daemon writer thread drains the ring into a
-:class:`~repro.explorer.persistence.SegmentLog` — the exact crash-safety
-machinery of the durable record store (one flushed JSONL line per
-event, torn-tail repair before each append), so a SIGKILLed run loses at
-most the events still sitting in the ring and never corrupts the stream.
-If the writer fails to append an event
-(an unencodable field, a full disk), it keeps that first failure and
-stops; later events are dropped as after ``close``, so no emitter blocks
-on a ring nobody drains, and ``flush`` and :meth:`TelemetrySink.raise_if_failed`
-raise the failure instead of losing the stream silently.
+:class:`TelemetrySink` keeps the emitting hot paths off the disk: an
+``emit`` appends to an in-process buffer under a lock (microseconds), and
+the buffer reaches a :class:`~repro.explorer.persistence.SegmentLog` —
+the exact crash-safety machinery of the durable record store (one flushed
+JSONL line per event, torn-tail repair before each append) — as one
+locked append per batch, written by whichever thread calls ``flush`` or
+``close`` or fills the buffer to :data:`BATCH_SIZE`.  The search flushes
+after every reported record, so the stream is durable through the last
+reported record, like the record log, and a SIGKILLed run loses at most
+the events emitted since and never corrupts the stream.
+If a write fails (an unencodable field, a full disk), the sink keeps that
+first failure and drops that batch and every later event, as after
+``close``; ``flush`` and :meth:`TelemetrySink.raise_if_failed` raise the
+failure instead of losing the stream silently.
 
-Sequence numbers are stamped *at enqueue time* under the ring lock, so
-``seq`` order always equals append order and the replayer can treat the
-stream as totally ordered.  Reopening an existing stream (a resumed run)
-continues the sequence from the largest stored value.
+Sequence numbers are stamped under the buffer lock, and the buffer is
+written under the same lock, so ``seq`` order always equals append order
+and the replayer can treat the stream as totally ordered.  Reopening an
+existing stream (a resumed run) continues the sequence from the largest
+stored value.
 
 Coordinator-global active sink
 ------------------------------
@@ -31,8 +34,6 @@ fleet case) do not disable each other on finish.
 
 import itertools
 import threading
-import time
-from collections import deque
 
 from repro.explorer.persistence import SegmentLog
 from repro.telemetry.events import make_event
@@ -40,24 +41,13 @@ from repro.telemetry.events import make_event
 #: Directory name of the event stream inside a checkpointed run directory.
 EVENTS_DIRNAME = "events"
 
-#: Ring-buffer capacity; emitters block (briefly) when the writer falls
-#: this far behind rather than dropping events, so the stream stays a
-#: complete record of the run.
-RING_CAPACITY = 8192
-
-#: Ring occupancy at which an emit wakes the writer immediately instead
-#: of leaving the drain to the next poll tick.  Waking per event would
-#: put a GIL handoff on every emit — measurably taxing the search thread
-#: — so the writer normally wakes itself on a timer.
-WAKE_BATCH = 512
-
-#: The writer's self-wake interval: the upper bound on how long an
-#: emitted event sits in memory before reaching the log.
-POLL_SECONDS = 0.05
+#: Buffered events at which an emit writes the buffer itself, so a run
+#: that emits many events between flushes holds few of them in memory.
+BATCH_SIZE = 512
 
 
 class TelemetryWriterError(RuntimeError):
-    """The sink's writer failed to append an event and stopped."""
+    """The sink failed to append events to its log and stopped recording."""
 
 
 class TelemetrySink:
@@ -68,27 +58,20 @@ class TelemetrySink:
     directory:
         Event-stream directory (created if needed).  Reopening an
         existing stream appends, continuing the sequence numbers.
-    durability:
-        Forwarded to :class:`~repro.explorer.persistence.SegmentLog`.
     """
 
-    def __init__(self, directory, durability="flush"):
-        self._log = SegmentLog(directory, durability=durability)
+    def __init__(self, directory):
+        self._log = SegmentLog(directory)
         last = -1
         for document in self._log.open():
             seq = document.get("seq")
             if isinstance(seq, int) and seq > last:
                 last = seq
         self._seq = itertools.count(last + 1)
-        self._ring = deque()
-        self._inflight = 0          # events popped from the ring, not yet on disk
+        self._lock = threading.Lock()
+        self._buffer = []           # stamped events not yet written, in seq order
         self._closed = False
-        self._failure = None        # the writer's first append error; it stopped there
-        self._state = threading.Condition(threading.Lock())
-        self._writer = threading.Thread(
-            target=self._drain, name="telemetry-writer", daemon=True
-        )
-        self._writer.start()
+        self._failure = None        # the first failed write; nothing is written after it
 
     @property
     def directory(self):
@@ -120,79 +103,47 @@ class TelemetrySink:
         return self._enqueue(prepared)
 
     def raise_if_failed(self):
-        """Raise :class:`TelemetryWriterError` if the writer has stopped on a failure."""
+        """Raise :class:`TelemetryWriterError` if a write has failed."""
         if self._failure is not None:
             raise TelemetryWriterError("telemetry writer failed: {!r}".format(self._failure))
 
     def _enqueue(self, events):
-        last_seq = None
-        with self._state:
-            while True:
-                if self._closed or self._failure is not None:
-                    return None  # late emit during shutdown, or no writer: drop
-                if len(self._ring) + len(events) <= RING_CAPACITY:
-                    break
-                self._state.notify_all()  # the writer must drain for us to fit
-                self._state.wait(POLL_SECONDS)
+        with self._lock:
+            if self._closed or self._failure is not None:
+                return None  # late emit during shutdown, or a failed log: drop
             for event in events:
-                event["seq"] = last_seq = next(self._seq)
-                self._ring.append(event)
-            if len(self._ring) >= WAKE_BATCH:
-                self._state.notify_all()
-        return last_seq
+                event["seq"] = next(self._seq)
+            self._buffer.extend(events)
+            if len(self._buffer) >= BATCH_SIZE:
+                self._write()
+        return events[-1]["seq"]
 
-    # -- writer thread ------------------------------------------------------------
+    # -- writing ------------------------------------------------------------------
 
-    def _drain(self):
-        while True:
-            with self._state:
-                # a timed wait, not a pure notification wait: the normal
-                # emit path deliberately does not wake this thread (see
-                # WAKE_BATCH), so the ring is drained on poll ticks
-                while not self._ring and not self._closed:
-                    self._state.wait(POLL_SECONDS)
-                batch = list(self._ring)
-                self._ring.clear()
-                self._inflight = len(batch)
-                if not batch and self._closed:
-                    return
-                self._state.notify_all()
-            failure = None
-            try:
-                for event in batch:
-                    self._log.append(event)
-            except Exception as error:  # noqa: BLE001 - kept and re-raised by flush
-                failure = error
-            with self._state:
-                self._inflight = 0
-                self._failure = failure
-                self._state.notify_all()
-            if failure is not None:
-                return
+    def _write(self):
+        """Append the buffer to the log in one write; the caller holds the lock."""
+        batch, self._buffer = self._buffer, []
+        if not batch:
+            return  # also after a failure: nothing is buffered once it happened
+        try:
+            self._log.append(*batch)
+        except Exception as error:  # noqa: BLE001 - kept and re-raised by flush
+            self._failure = error
 
-    def flush(self, timeout=30.0):
-        """Block until every emitted event has been appended to the log."""
-        deadline = time.monotonic() + timeout
-        with self._state:
-            self._state.notify_all()  # wake the writer now, not at the tick
-            while True:
-                self.raise_if_failed()
-                if not (self._ring or self._inflight) or (
-                        self._closed and not self._writer.is_alive()):
-                    return
-                if time.monotonic() > deadline:
-                    raise RuntimeError("telemetry writer failed to drain")
-                self._state.wait(0.1)
+    def flush(self):
+        """Append every emitted event to the log (nothing is buffered once closed)."""
+        with self._lock:
+            self._write()
+        self.raise_if_failed()
 
     def close(self):
-        """Flush, stop the writer thread and release the log."""
-        with self._state:
+        """Append what is buffered and release the log."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._state.notify_all()
-        self._writer.join(timeout=30.0)
-        self._log.close()
+            self._write()
+            self._log.close()
 
     def __enter__(self):
         return self

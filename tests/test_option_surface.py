@@ -36,7 +36,8 @@ SURFACE = {
     FleetCoordinator: ["backend", "execution"],
     FleetCoordinator.register: ["name", "weight"],
     FleetCoordinator._add_tenant: ["name", "weight"],
-    TelemetrySink: ["directory", "durability"],
+    TelemetrySink: ["directory"],
+    TelemetrySink.flush: [],
     SegmentLog: ["directory", "durability"],
     PersistentPipelineStore: ["path", "durability"],
     FittedPrefixCache: ["cache_dir"],
