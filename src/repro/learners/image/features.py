@@ -7,11 +7,28 @@ random convolutional projection (deterministic given the seed), which
 preserves the template structure (preprocess -> frozen featurizer ->
 estimator) and produces informative features for the synthetic image
 tasks.  :class:`HOGFeaturizer` reproduces the classic ``hog`` primitive.
+
+``PretrainedCNNFeaturizer.transform`` computes every image x filter x patch
+activation in one NumPy pass per block of images (at most
+``_BLOCK_ELEMENTS`` products).  It stays bit-identical to the per-patch
+loop ``max(0.0, float(np.sum(patch * filter_bank)))`` it replaced, frozen
+in ``tests/learners/test_image_kernel_identity.py``: the products are laid
+out ``(images, filters, patches, s * s)`` with each patch's s * s products
+contiguous in row-major order, so summing the last axis is the same
+pairwise sum over the same elements; ``np.where(sums > 0.0, sums, 0.0)``
+gives 0.0 for NaN and -0.0 exactly as ``max(0.0, .)`` does; and the mean and
+max pool along the contiguous patch axis as the per-filter 1-D arrays did.
 """
 
 import numpy as np
 
 from repro.learners.base import BaseEstimator, TransformerMixin, check_random_state
+
+#: Most float64 products one block of images may hold in
+#: :meth:`PretrainedCNNFeaturizer.transform` (512 KiB; one image a block if
+#: a single image needs more).  A constant, not a parameter: it bounds
+#: memory and cannot change a result.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def flatten_images(X):
@@ -169,10 +186,11 @@ class PretrainedCNNFeaturizer(BaseEstimator, TransformerMixin):
     """Frozen random convolutional featurizer standing in for MobileNet/ResNet50.
 
     A bank of fixed random filters is convolved (valid, strided) with the
-    input; ReLU activations are average-pooled into a fixed-size feature
-    vector.  Weights depend only on ``random_state``, so the featurizer is
-    deterministic and identical across fit/produce calls, like a frozen
-    pretrained network.
+    input; ReLU activations are average- and max-pooled into a fixed-size
+    feature vector (mean and max per filter; both 0.0 for an image smaller
+    than the filter).  A ``stride`` below 1 is treated as 1.  Weights depend
+    only on ``random_state``, so the featurizer is deterministic and
+    identical across fit/produce calls, like a frozen pretrained network.
     """
 
     def __init__(self, n_filters=16, filter_size=5, stride=3, random_state=0):
@@ -182,6 +200,10 @@ class PretrainedCNNFeaturizer(BaseEstimator, TransformerMixin):
         self.random_state = random_state
 
     def fit(self, X, y=None):
+        if self.filter_size < 1:
+            raise ValueError("filter_size must be at least 1")
+        if self.n_filters < 1:
+            raise ValueError("n_filters must be at least 1")
         rng = check_random_state(self.random_state)
         self.filters_ = rng.normal(
             0.0, 1.0, size=(self.n_filters, self.filter_size, self.filter_size)
@@ -197,21 +219,23 @@ class PretrainedCNNFeaturizer(BaseEstimator, TransformerMixin):
             images = images[None, :, :]
         if images.ndim == 4:
             images = images.mean(axis=-1)
-        return np.stack([self._featurize(image) for image in images])
-
-    def _featurize(self, image):
-        size = self.filter_size
+        n_filters, size = self.filters_.shape[:2]
+        n_images, height, width = images.shape
+        features = np.zeros((n_images, n_filters, 2))
+        if height < size or width < size:
+            return features.reshape(n_images, 2 * n_filters)
         stride = max(1, self.stride)
-        height, width = image.shape
-        features = []
-        for filter_bank in self.filters_:
-            activations = []
-            for y in range(0, height - size + 1, stride):
-                for x in range(0, width - size + 1, stride):
-                    patch = image[y:y + size, x:x + size]
-                    activations.append(max(0.0, float(np.sum(patch * filter_bank))))
-            if not activations:
-                activations = [0.0]
-            activations = np.asarray(activations)
-            features.extend([activations.mean(), activations.max()])
-        return np.asarray(features)
+        windows = np.lib.stride_tricks.sliding_window_view(images, (size, size), axis=(1, 2))
+        windows = windows[:, ::stride, ::stride]
+        n_patches = windows.shape[1] * windows.shape[2]
+        bank = self.filters_.reshape(1, n_filters, 1, size * size)
+        block = max(1, _BLOCK_ELEMENTS // (n_filters * n_patches * size * size))
+        for start in range(0, n_images, block):
+            # (images, patches, s * s), each patch's pixels in row-major order
+            patches = windows[start:start + block].reshape(-1, n_patches, size * size)
+            products = patches[:, None] * bank  # (images, filters, patches, s * s)
+            sums = products.sum(axis=-1)
+            activations = np.where(sums > 0.0, sums, 0.0)
+            features[start:start + block, :, 0] = activations.mean(axis=-1)
+            features[start:start + block, :, 1] = activations.max(axis=-1)
+        return features.reshape(n_images, 2 * n_filters)

@@ -5,10 +5,17 @@ features: the node's columns are sorted with a single stable ``argsort``,
 the per-sample sufficient statistics are gathered in that order and summed
 with a single ``cumsum``, the candidate ``(feature, position)`` pairs are
 laid out as flat arrays in feature then position order, the impurity hook
-is called once for all left sides and once for all right sides, and one
-``argmax`` picks the winner.  Growing a tree still costs
-O(n_features * n log n) per node, but in a constant number of NumPy calls
-instead of a dozen per feature.
+is called once for all left and right sides together, and one ``argmax``
+picks the winner.  Growing a tree still costs O(n_features * n log n) per
+node, but in a constant number of NumPy calls instead of a dozen per
+feature.  A fit transposes ``X`` once; a node is the ascending indices of
+its rows, and takes its rows of every feature in one call.
+
+The search has two halves.  ``_split_geometry`` depends only on the node's
+rows: sort order, distinct positions, the selected ranks, each candidate's
+slot, position, side counts and gather index, and the sorted values the
+thresholds are drawn from.  ``_best_split`` scores that geometry against
+the node's statistics.  Every tree runs both halves the same way.
 
 * **Rank table.**  With ``max_thresholds`` set, a feature with more
   distinct split positions than that evaluates only the
@@ -21,13 +28,25 @@ instead of a dozen per feature.
   processed in blocks of at most ``_BLOCK_ELEMENTS`` gathered values; peak
   temporary memory is O(budget) however wide the data.  Block boundaries
   never change the result.
+* **Geometry memo.**  The stages (and outputs) of one gradient-boosting fit
+  grow trees on the same ``X`` with the same settings and no random draw,
+  and a later stage often reaches a node with exactly the rows of an earlier
+  one; only the statistics differ.  ``_boost`` hands every tree of the fit
+  one ``_GeometryMemo``, keyed by the node's row indices, so such a node
+  goes straight to the cumsum, impurity and argmax.  The memo holds at
+  most ``_GEOMETRY_MEMO_BYTES`` (first come, first served; a node whose
+  geometry does not fit is searched again), lives only for the call to
+  ``_fit_tree``/``_boost`` and is never stored on a fitted tree, so it is
+  neither pickled nor shipped.  Subsampled boosting, forests and
+  extra-trees draw rows or features per tree or per node and get no memo.
 * **Bit-identity contract.**  The kernel reproduces, to the last bit, the
   per-feature loop it replaced (frozen as the oracle in
   ``tests/learners/test_tree_kernel_identity.py``): every sum runs over the
   same elements in the same order, ties go to the first candidate feature
   and then the first position, a feature whose gains contain NaN is skipped
-  whole, and the RNG is consumed draw for draw.  Search record digests
-  depend on it.
+  whole, and the RNG is consumed draw for draw.  A memo hit scores the
+  same geometry a miss would compute, so the memo cannot change a tree
+  either.  Search record digests depend on it.
 
 Fitted trees keep the linked ``_Node`` structure in ``tree_`` and carry the
 same tree as flat ``feature/threshold/left/right/value`` arrays, which
@@ -55,6 +74,11 @@ from repro.learners.validation import check_X_y, check_array
 #: parameter: it bounds memory and cannot change a result.
 _BLOCK_ELEMENTS = 1 << 18
 
+#: Bytes of split geometry one boosting fit may memoise (:class:`_GeometryMemo`).
+#: A constant, not a parameter: it trades memory for speed and cannot change
+#: a result.
+_GEOMETRY_MEMO_BYTES = 4 << 20
+
 
 @functools.lru_cache(maxsize=1024)
 def _threshold_ranks(n_distinct, max_thresholds):
@@ -62,6 +86,54 @@ def _threshold_ranks(n_distinct, max_thresholds):
     ranks = np.unique(np.linspace(0, n_distinct - 1, max_thresholds).astype(int))
     ranks.setflags(write=False)
     return ranks
+
+
+def _take_rows(columns, rows):
+    """The ``columns`` of a node's ascending ``rows``; all of them without a copy."""
+    return columns if len(rows) == columns.shape[1] else columns.take(rows, axis=1)
+
+
+class _GeometryMemo:
+    """Split geometry of the nodes one fit's trees have searched, keyed by rows.
+
+    A node's geometry (:meth:`_BaseDecisionTree._split_geometry`) depends
+    only on which rows of the fit's ``X`` it holds, so trees grown on the
+    same ``X`` with the same settings and no random draws — the stages and
+    outputs of one boosting fit — can share it.  A miss is searched block by
+    block as the scoring consumes it, and its blocks are kept, first come
+    first served, if they and the key fit in what is left of
+    ``_GEOMETRY_MEMO_BYTES``; a memo never holds more than that.
+    """
+
+    def __init__(self):
+        self._entries = {}
+        self._free = _GEOMETRY_MEMO_BYTES
+
+    def geometry(self, tree, columns, rows, n_stats):
+        """``tree._split_geometry`` of the node holding ``rows`` of ``X``.
+
+        ``columns`` is ``X`` transposed, one contiguous row per feature.
+        """
+        key = rows.tobytes()
+        blocks = self._entries.get(key)
+        if blocks is None:
+            blocks = self._keep(key, tree._split_geometry(_take_rows(columns, rows), n_stats))
+        return blocks
+
+    def _keep(self, key, geometry):
+        """Yield ``geometry``'s blocks, keeping them under ``key`` if they all fit."""
+        kept, size = [], len(key)
+        for block in geometry:
+            yield block
+            if kept is not None:
+                size += sum(array.nbytes for array in block)
+                if size <= self._free:
+                    kept.append(block)
+                else:
+                    kept = None
+        if kept is not None and size <= self._free:
+            self._entries[key] = kept
+            self._free -= size
 
 
 class _Node:
@@ -147,18 +219,29 @@ class _BaseDecisionTree(BaseEstimator):
 
     # -- fitting ------------------------------------------------------------
 
-    def _fit_tree(self, X, stats):
+    def _fit_tree(self, X, stats, geometry_memo=None):
+        """Grow the tree on ``X`` and the per-sample ``stats``.
+
+        ``geometry_memo``, a :class:`_GeometryMemo` of earlier fits on this
+        same ``X``, lets nodes with rows already seen skip the geometry half
+        of the split search; only trees whose split search draws nothing
+        (every feature a candidate, deterministic ranks) may share one.
+        """
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be at least 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
         check_seed(self.random_state)
         self._rng = None
+        self._geometry_memo = geometry_memo
         self.n_features_in_ = X.shape[1]
-        self.tree_ = self._build(X, stats, depth=0)
+        # one contiguous row per feature: a node takes its rows from every
+        # feature at once, and sorts and splits along the rows
+        columns = np.ascontiguousarray(X.T)
+        self.tree_ = self._build(columns, stats, np.arange(len(X)), depth=0)
         self._flat_tree = _flatten(self.tree_)
         self.n_nodes_ = len(self._flat_tree[0])
-        del self._rng
+        del self._rng, self._geometry_memo
         return self
 
     def _random(self):
@@ -184,7 +267,12 @@ class _BaseDecisionTree(BaseEstimator):
             return max(1, int(max_features * n_features))
         return max(1, min(int(max_features), n_features))
 
-    def _build(self, X, stats, depth):
+    def _build(self, columns, stats, rows, depth):
+        """Grow the subtree of the node holding ``rows`` of the fit's ``X``.
+
+        ``columns`` is that ``X`` transposed and ``stats`` are the rows'
+        statistics, in row order.
+        """
         n_samples = len(stats)
         totals = stats.sum(axis=0, keepdims=True)
         count = np.asarray([n_samples], dtype=float)
@@ -197,16 +285,21 @@ class _BaseDecisionTree(BaseEstimator):
         ):
             return node
 
-        best = self._best_split(X, stats, totals, impurity)
+        if self._geometry_memo is None:
+            geometry = self._split_geometry(_take_rows(columns, rows), stats.shape[1])
+        else:
+            geometry = self._geometry_memo.geometry(self, columns, rows, stats.shape[1])
+        best = self._best_split(geometry, stats, totals, impurity)
         if best is None:
             return node
 
         feature, threshold = best
-        left_mask = X[:, feature] <= threshold
+        left_mask = columns[feature].take(rows) <= threshold
+        right_mask = ~left_mask
         node.feature = feature
         node.threshold = threshold
-        node.left = self._build(X[left_mask], stats[left_mask], depth + 1)
-        node.right = self._build(X[~left_mask], stats[~left_mask], depth + 1)
+        node.left = self._build(columns, stats[left_mask], rows[left_mask], depth + 1)
+        node.right = self._build(columns, stats[right_mask], rows[right_mask], depth + 1)
         return node
 
     def _select_ranks(self, n_distinct):
@@ -227,29 +320,35 @@ class _BaseDecisionTree(BaseEstimator):
         starts = np.cumsum(n_distinct) - n_distinct
         return np.concatenate(ranks) + np.repeat(starts, [len(picked) for picked in ranks])
 
-    def _best_split(self, X, stats, totals, impurity):
-        """Best ``(feature, threshold)`` of one node, or ``None``.
+    def _split_geometry(self, columns, n_stats):
+        """The statistics-independent half of one node's split search.
 
-        ``totals`` and ``impurity`` are the node's own summed statistics
-        and impurity, which ``_build`` has already computed.
+        Yields one ``(features, order, sorted_values, gather, slots, counts)``
+        tuple per block of candidate features that has a candidate split: the
+        block's feature indices, the stable sort order of each of its columns
+        and the sorted columns, and per candidate split (in feature then
+        position order) its index into the block's flattened ``(feature,
+        position)`` grid and its feature's slot in the block; ``counts``
+        holds every left side's sample count, then every right side's.
+
+        ``columns`` holds the node's rows of each feature, one contiguous
+        row per feature, and ``n_stats`` sizes the blocks.  Any random draw
+        (candidate features, extra-trees ranks) happens here.
         """
-        n_samples, n_features = X.shape
+        n_features, n_samples = columns.shape
         n_candidates = self._resolve_max_features(n_features)
         if n_candidates < n_features:
             features = self._random().choice(n_features, size=n_candidates, replace=False)
         else:
             features = np.arange(n_features)
 
-        n_stats = stats.shape[1]
         block_size = max(1, _BLOCK_ELEMENTS // (n_samples * n_stats))
-        best_gain = 1e-12
-        best = None
         for start in range(0, n_candidates, block_size):
             block = features[start:start + block_size]
             # one row per feature; everything below indexes this grid flat
-            columns = np.ascontiguousarray(X.T[block])
-            order = columns.argsort(axis=1, kind="stable")
-            sorted_values = columns.take(order + np.arange(0, columns.size, n_samples)[:, None])
+            grid = columns if len(block) == n_features else columns[block]
+            order = grid.argsort(axis=1, kind="stable")
+            sorted_values = grid.take(order + np.arange(0, grid.size, n_samples)[:, None])
             # a split after sorted position i puts samples [0..i] on the left
             distinct = sorted_values[:, :-1] < sorted_values[:, 1:]
             chosen = distinct.ravel().nonzero()[0]
@@ -264,14 +363,29 @@ class _BaseDecisionTree(BaseEstimator):
                 slots, positions = slots[valid], positions[valid]
             if len(slots) == 0:
                 continue
+            gather = slots * n_samples + positions
             n_left = (positions + 1).astype(float)
-            n_right = n_samples - n_left
+            counts = np.concatenate([n_left, n_samples - n_left])
+            yield block, order, sorted_values, gather, slots, counts
+
+    def _best_split(self, geometry, stats, totals, impurity):
+        """Best ``(feature, threshold)`` of one node, or ``None``.
+
+        ``geometry`` is the node's :meth:`_split_geometry`; ``totals`` and
+        ``impurity`` are the node's own summed statistics and impurity,
+        which ``_build`` has already computed.
+        """
+        n_samples, n_stats = stats.shape
+        best_gain = 1e-12
+        best = None
+        for block, order, sorted_values, gather, slots, counts in geometry:
             cumulative = stats.take(order, axis=0).cumsum(axis=1)
-            left_sums = cumulative.reshape(-1, n_stats).take(slots * n_samples + positions, axis=0)
-            right_sums = totals - left_sums
-            impurity_left = self._impurity_from_stats(left_sums, n_left)
-            impurity_right = self._impurity_from_stats(right_sums, n_right)
-            gains = impurity - (n_left * impurity_left + n_right * impurity_right) / n_samples
+            left_sums = cumulative.reshape(-1, n_stats).take(gather, axis=0)
+            # every left side, then every right side: one impurity call for both
+            sums = np.concatenate([left_sums, totals - left_sums])
+            weighted = counts * self._impurity_from_stats(sums, counts)
+            n_splits = len(gather)
+            gains = impurity - (weighted[:n_splits] + weighted[n_splits:]) / n_samples
             index = gains.argmax()
             if np.isnan(gains[index]):
                 # a feature with any NaN gain never wins; the others still compete
@@ -282,7 +396,8 @@ class _BaseDecisionTree(BaseEstimator):
             # position; the strict > keeps that true across blocks
             if gains[index] > best_gain:
                 best_gain = float(gains[index])
-                slot, position = slots[index], positions[index]
+                slot = slots[index]
+                position = gather[index] - slot * n_samples
                 below, above = sorted_values[slot, position:position + 2]
                 best = (int(block[slot]), float(0.5 * (below + above)))
         return best

@@ -6,13 +6,21 @@ are the subject of the case study in Section VI-B (XGB vs RF).  Like
 XGBoost it uses a second-order Taylor approximation of the loss, L2 leaf
 regularization (``reg_lambda``) and shrinkage (``learning_rate``), with
 Newton trees fitted to the per-sample gradient/hessian statistics.
+
+Each stage fits one Newton tree per output.  Without subsampling, every
+tree of a fit is grown on the training ``X`` itself (no per-stage copy) and
+all of them share one split-geometry memo for the duration of the fit (see
+``repro.learners.tree.decision_tree``): a node whose rows an earlier tree
+already searched reuses that search's sort order and candidate layout and
+only rescores it on the new gradients.  The fitted model is bit for bit the
+one the memo-free loop grows, and carries no memo.
 """
 
 import numpy as np
 
 from repro.learners.base import BaseEstimator, ClassifierMixin, RegressorMixin, check_random_state
 from repro.learners.validation import check_X_y, check_array
-from repro.learners.tree.decision_tree import _BaseDecisionTree
+from repro.learners.tree.decision_tree import _BaseDecisionTree, _GeometryMemo
 
 
 class _NewtonTree(_BaseDecisionTree):
@@ -27,9 +35,9 @@ class _NewtonTree(_BaseDecisionTree):
         super().__init__(**kwargs)
         self.reg_lambda = reg_lambda
 
-    def fit_gradients(self, X, gradients, hessians):
+    def fit_gradients(self, X, gradients, hessians, geometry_memo=None):
         stats = np.column_stack([gradients, hessians])
-        return self._fit_tree(np.asarray(X, dtype=float), stats)
+        return self._fit_tree(np.asarray(X, dtype=float), stats, geometry_memo)
 
     def _impurity_from_stats(self, sums, counts):
         counts = np.asarray(counts, dtype=float)
@@ -84,26 +92,28 @@ class _BaseGradientBoosting(BaseEstimator):
 
         ``gradient_fn(raw_predictions)`` must return per-output
         ``(gradients, hessians)`` arrays of shape (n_samples, n_outputs).
+        Without subsampling every tree is grown on ``X`` itself and all of
+        them share one split-geometry memo, dropped when the loop ends.
         """
         rng = check_random_state(self.random_state)
         n_samples = X.shape[0]
         raw_predictions = np.full((n_samples, n_outputs), self._base_score, dtype=float)
+        memo = _GeometryMemo() if self.subsample >= 1.0 else None
         self.stages_ = []
         for _ in range(self.n_estimators):
             gradients, hessians = gradient_fn(raw_predictions)
             stage = []
             if self.subsample < 1.0:
                 n_sub = max(2, int(self.subsample * n_samples))
-                subsample_indices = rng.choice(n_samples, size=n_sub, replace=False)
+                rows = rng.choice(n_samples, size=n_sub, replace=False)
+                X_fit, gradients, hessians = X[rows], gradients[rows], hessians[rows]
             else:
-                subsample_indices = np.arange(n_samples)
+                X_fit = X
             for output in range(n_outputs):
                 seed = int(rng.randint(0, 2 ** 31 - 1))
                 tree = self._new_tree(seed)
                 tree.fit_gradients(
-                    X[subsample_indices],
-                    gradients[subsample_indices, output],
-                    hessians[subsample_indices, output],
+                    X_fit, gradients[:, output], hessians[:, output], geometry_memo=memo
                 )
                 raw_predictions[:, output] += self.learning_rate * tree.predict_values(X)
                 stage.append(tree)

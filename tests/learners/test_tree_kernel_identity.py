@@ -9,16 +9,18 @@ n_samples, impurity), ``array_equal`` on predictions, and the RNG left in
 the same state.
 """
 
+import contextlib
+import pickle
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.learners import ensemble
 from repro.learners.base import check_random_state
 from repro.learners.ensemble import AdaBoostClassifier
-from repro.learners.tree import decision_tree
+from repro.learners.tree import decision_tree, gradient_boosting
 from repro.learners.tree.decision_tree import DecisionTreeClassifier, DecisionTreeRegressor, _Node
 from repro.learners.tree.extra_trees import (
     ExtraTreesClassifier,
@@ -178,7 +180,9 @@ class RefClassifier(_ReferenceKernel, DecisionTreeClassifier):
 
 
 class RefNewton(_ReferenceKernel, _NewtonTree):
-    pass
+    def fit_gradients(self, X, gradients, hessians):
+        stats = np.column_stack([gradients, hessians])
+        return self._fit_tree(np.asarray(X, dtype=float), stats)
 
 
 class RefExtraRegressor(_ReferenceRandomSplit, _ReferenceKernel, DecisionTreeRegressor):
@@ -228,12 +232,110 @@ def _reference_newton_tree(self, seed):
     )
 
 
-class RefGradientBoostingRegressor(GradientBoostingRegressor):
+class _ReferenceBoost:
+    """The boosting loop before stages shared a split-geometry memo.
+
+    Every stage fits a fresh ``_NewtonTree`` on ``X[subsample_indices]``, a
+    copy of ``X`` even when ``subsample == 1.0``, with no memo.
+    """
+
     _new_tree = _reference_newton_tree
 
+    def _boost(self, X, n_outputs, gradient_fn):
+        rng = check_random_state(self.random_state)
+        n_samples = X.shape[0]
+        raw_predictions = np.full((n_samples, n_outputs), self._base_score, dtype=float)
+        self.stages_ = []
+        for _ in range(self.n_estimators):
+            gradients, hessians = gradient_fn(raw_predictions)
+            stage = []
+            if self.subsample < 1.0:
+                n_sub = max(2, int(self.subsample * n_samples))
+                subsample_indices = rng.choice(n_samples, size=n_sub, replace=False)
+            else:
+                subsample_indices = np.arange(n_samples)
+            for output in range(n_outputs):
+                seed = int(rng.randint(0, 2 ** 31 - 1))
+                tree = self._new_tree(seed)
+                tree.fit_gradients(
+                    X[subsample_indices],
+                    gradients[subsample_indices, output],
+                    hessians[subsample_indices, output],
+                )
+                raw_predictions[:, output] += self.learning_rate * tree.predict_values(X)
+                stage.append(tree)
+            self.stages_.append(stage)
+        self.n_features_in_ = X.shape[1]
+        return raw_predictions
 
-class RefGradientBoostingClassifier(GradientBoostingClassifier):
-    _new_tree = _reference_newton_tree
+
+class RefGradientBoostingRegressor(_ReferenceBoost, GradientBoostingRegressor):
+    pass
+
+
+class RefGradientBoostingClassifier(_ReferenceBoost, GradientBoostingClassifier):
+    pass
+
+
+class NanNewton(_NanAtCount, _NewtonTree):
+    pass
+
+
+class RefNanNewton(_NanAtCount, RefNewton):
+    pass
+
+
+def _nan_newton_tree(tree_class):
+    def new_tree(self, seed):
+        return tree_class(
+            reg_lambda=self.reg_lambda,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_thresholds=self.max_thresholds,
+            random_state=seed,
+        )
+    return new_tree
+
+
+class NanGradientBoostingRegressor(GradientBoostingRegressor):
+    _new_tree = _nan_newton_tree(NanNewton)
+
+
+class RefNanGradientBoostingRegressor(_ReferenceBoost, GradientBoostingRegressor):
+    _new_tree = _nan_newton_tree(RefNanNewton)
+
+
+class RecordingMemo(decision_tree._GeometryMemo):
+    """A geometry memo that counts its lookups and the entries it keeps."""
+
+    memos = []
+
+    def __init__(self):
+        super().__init__()
+        self.hits = 0
+        self.misses = 0
+        self.trees = set()
+        RecordingMemo.memos.append(self)
+
+    def geometry(self, tree, columns, rows, n_stats):
+        if rows.tobytes() in self._entries:
+            self.hits += 1
+        else:
+            self.misses += 1
+        self.trees.add(id(tree))
+        return super().geometry(tree, columns, rows, n_stats)
+
+
+@contextlib.contextmanager
+def recording_memos(budget=None):
+    """Record every memo a boosting fit makes, under ``budget`` bytes if given."""
+    RecordingMemo.memos = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradient_boosting, "_GeometryMemo", RecordingMemo)
+        if budget is not None:
+            patch.setattr(decision_tree, "_GEOMETRY_MEMO_BYTES", budget)
+        yield
 
 
 # -- generated inputs -------------------------------------------------------------------
@@ -551,6 +653,107 @@ class TestEnsembles:
         )
         fit_both(new, reference, lambda model: model.fit(X, y))
         assert_same_outputs(new, reference, _queries(X, rng), ["predict_proba", "predict"])
+
+
+# -- the split-geometry memo of one boosting fit ----------------------------------------
+
+
+memo_params = st.fixed_dictionaries({
+    "n_estimators": st.integers(2, 6),
+    "learning_rate": st.sampled_from([0.05, 0.3]),
+    "max_depth": st.sampled_from([1, 3, 5]),
+    "min_samples_leaf": st.sampled_from([1, 2, 5]),
+    "reg_lambda": st.sampled_from([0.0, 1.0]),
+    "max_thresholds": st.sampled_from([0, 4, 16]),
+    "random_state": st.integers(0, 2 ** 31 - 1),
+})
+
+
+def _root_entry_bytes(X, params):
+    """Bytes the root's geometry takes in a memo: a budget of exactly one entry."""
+    tree = gradient_boosting._NewtonTree(
+        **{key: params[key] for key in ("max_depth", "min_samples_leaf", "max_thresholds")})
+    blocks = list(tree._split_geometry(np.ascontiguousarray(X.T), 2))
+    rows = np.arange(len(X))
+    return rows.nbytes + sum(array.nbytes for block in blocks for array in block)
+
+
+class TestGeometryMemo:
+    @given(case=cases(small_matrices, memo_params), n_classes=st.integers(3, 5),
+           budget=st.sampled_from(["default", "none", "one entry"]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_memo_serves_every_output_of_a_multiclass_fit(self, case, n_classes, budget):
+        X, rng, params = case
+        assume(len(X) >= n_classes)
+        y = _targets(rng, len(X), n_classes)
+        limit = {"default": None, "none": 0, "one entry": _root_entry_bytes(X, params)}[budget]
+        new = GradientBoostingClassifier(**params)
+        reference = RefGradientBoostingClassifier(**params)
+        with recording_memos(limit):
+            fit_both(new, reference, lambda model: model.fit(X, y))
+        assert_same_outputs(new, reference, _queries(X, rng), ["predict_proba", "predict"])
+        (memo,) = RecordingMemo.memos
+        n_trees = params["n_estimators"] * n_classes
+        assert len(memo.trees) == n_trees  # every output of every stage
+        if budget == "none":
+            assert memo.hits == 0 and not memo._entries
+        else:
+            # the root's rows come back in every tree after the first
+            assert memo.hits >= n_trees - 1
+        if budget == "one entry":
+            assert len(memo._entries) == 1
+
+    @given(case=cases(small_matrices, memo_params),
+           subsample=st.sampled_from([0.4, 0.7, 0.99]))
+    @settings(max_examples=100, deadline=None)
+    def test_subsampled_stages_use_no_memo(self, case, subsample):
+        X, rng, params = case
+        y = rng.normal(size=len(X))
+        params = dict(params, subsample=subsample)
+        new = GradientBoostingRegressor(**params)
+        reference = RefGradientBoostingRegressor(**params)
+        with recording_memos():
+            fit_both(new, reference, lambda model: model.fit(X, y))
+        assert RecordingMemo.memos == []
+        assert_same_outputs(new, reference, _queries(X, rng), ["predict"])
+
+    @given(case=cases(feature_matrices(max_rows=40, max_cols=8), memo_params),
+           nan_count=st.integers(1, 6), budget=st.sampled_from([None, 0]))
+    @settings(max_examples=100, deadline=None)
+    def test_feature_with_a_nan_gain_is_skipped_whole(self, case, nan_count, budget):
+        X, rng, params = case
+        y = rng.normal(size=len(X))
+        new = NanGradientBoostingRegressor(**params)
+        reference = RefNanGradientBoostingRegressor(**params)
+        NanNewton.nan_count = RefNanNewton.nan_count = nan_count
+        try:
+            with recording_memos(budget):
+                fit_both(new, reference, lambda model: model.fit(X, y))
+        finally:
+            NanNewton.nan_count = RefNanNewton.nan_count = _NanAtCount.nan_count
+        assert len(RecordingMemo.memos) == 1
+        for new_stage, reference_stage in zip(new.stages_, reference.stages_):
+            assert_same_tree(new_stage[0], reference_stage[0])
+        assert_same_outputs(new, reference, _queries(X, rng), ["predict"])
+
+    @pytest.mark.parametrize("model_class, n_classes", [
+        (GradientBoostingClassifier, 2),
+        (GradientBoostingClassifier, 4),
+        (GradientBoostingRegressor, None),
+    ])
+    def test_no_fitted_model_carries_the_memo(self, model_class, n_classes):
+        rng = np.random.RandomState(7)
+        X = np.round(rng.normal(size=(90, 6)), 1)
+        y = rng.normal(size=90) if n_classes is None else _targets(rng, 90, n_classes)
+        memoised = model_class(n_estimators=12, max_depth=3, random_state=0).fit(X, y)
+        with recording_memos(budget=0):
+            unmemoised = model_class(n_estimators=12, max_depth=3, random_state=0).fit(X, y)
+        (memo,) = RecordingMemo.memos
+        assert memo.misses and not memo._entries
+        assert pickle.dumps(memoised) == pickle.dumps(unmemoised)
+        for stage in memoised.stages_:
+            for tree in stage:
+                assert not hasattr(tree, "_geometry_memo")
 
 
 # -- the edges, pinned ------------------------------------------------------------------

@@ -62,6 +62,10 @@ def test_lint_tests_and_smoke_runs_are_distinct_jobs(workflow):
     parsers = [index for index, run in enumerate(lint_runs)
                if "python -m repro.automl resume --help" in run]
     assert footprint and parsers and footprint[0] > parsers[0]
+    # and beside it the per-primitive breakdown of a serial suite pass (report only)
+    primitives = [index for index, run in enumerate(lint_runs)
+                  if "scripts/primitive_footprint.py" in run]
+    assert primitives and primitives[0] == footprint[0] + 1
     assert any("python -m pytest -x -q" in step.get("run", "")
                for step in jobs["tests"]["steps"])
     assert any('-k "pipeline_engine"' in step.get("run", "")
@@ -229,6 +233,7 @@ def test_e2e_check_runs_the_cross_workload_output_checks(workflow):
 #: The frozen-reference suites of the layers the record digests depend on.
 EXACTNESS_SUITES = ("tests/tuning/test_gp_identity.py", "tests/learners/test_graph.py",
                     "tests/learners/test_tree_kernel_identity.py",
+                    "tests/learners/test_image_kernel_identity.py",
                     "tests/automl/test_dispatch_identity.py")
 
 
