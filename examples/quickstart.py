@@ -16,15 +16,15 @@ an on-disk task folder::
     python -m repro.automl path/to/task --backend process --workers 4
 
 ``--backend serial`` (the default) reproduces the classic single-threaded
-loop record-for-record; ``thread`` and ``process`` dispatch the
-cross-validation folds of each candidate pipeline to a worker pool, with
+loop record-for-record; ``process`` dispatches the cross-validation
+folds of each candidate pipeline to a supervised pool of worker processes, with
 ``--pending N`` evaluations kept in flight by the sliding-window
 scheduler.  Record-for-record reproducibility across backends
 additionally requires deterministic pipelines (estimator
 ``random_state`` seeded via template ``init_params`` or
 ``estimator_seed``).
 
-These are three of the 10 execution knobs.  Library and command line share
+These are three of the 8 execution knobs.  Library and command line share
 them — a flag ``--some-knob`` is the keyword ``some_knob`` (``--pending``
 is ``n_pending``) — and ``repro.automl.config.ExecutionConfig``, described
 in README's "Execution configuration" section, is where each one is
@@ -97,17 +97,17 @@ def main():
         print("  {:55s} {} = {}".format(step, name, value))
 
     # ------------------------------------------------------------------ backends
-    # A full AutoBazaar search on the thread backend: cross-validation folds
-    # are dispatched to a worker pool, and n_pending > 1 keeps that many
-    # candidates in flight (constant-liar proposals).  Swap backend="process"
-    # for true multi-core parallelism.  The execution knobs are collected
-    # into one validated ExecutionConfig, readable back as searcher.execution.
+    # A full AutoBazaar search on the process backend: cross-validation folds
+    # are dispatched to a pool of worker processes, and n_pending > 1 keeps
+    # that many candidates in flight (constant-liar proposals).  The
+    # execution knobs are collected into one validated ExecutionConfig,
+    # readable back as searcher.execution.
     task = synth.make_single_table_classification(n_samples=200, random_state=0)
     searcher = AutoBazaarSearch(
-        n_splits=2, random_state=0, backend="thread", workers=2, n_pending=2,
+        n_splits=2, random_state=0, backend="process", workers=2, n_pending=2,
     )
     search_result = searcher.search(task, budget=6)
-    print("\nAutoBazaar search on the thread backend:")
+    print("\nAutoBazaar search on the process backend:")
     print("  best template : {}".format(search_result.best_template))
     print("  best cv score : {:.3f}".format(search_result.best_score))
     print("  throughput    : {:.2f} pipelines/sec".format(

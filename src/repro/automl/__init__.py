@@ -11,7 +11,6 @@ from repro.automl.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
 )
 from repro.automl.catalog import TemplateCatalog, default_template_catalog, get_templates
@@ -71,7 +70,6 @@ __all__ = [
     "ExecutionBackend",
     "EvaluationCandidate",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "get_backend",
     "FittedPrefixCache",

@@ -38,10 +38,10 @@ def _add_execution_arguments(parser, fields):
             parser.add_argument(flag, dest=name, default=getattr(defaults, name), **options)
 
     add("backend", "--backend", choices=tuple(BACKENDS),
-        help="where cross-validation folds run: inline, on a thread pool or on "
-             "a process pool (default: serial)")
+        help="where cross-validation folds run: inline (serial) or on a "
+             "supervised process pool (default: serial)")
     add("workers", "--workers", type=int, metavar="N",
-        help="worker count for the thread/process backends (default: the CPU count)")
+        help="worker count of the process backend (default: the CPU count)")
     add("n_pending", "--pending", type=int, metavar="N",
         help="candidates in flight at once; values > 1 enable constant-liar "
              "batch proposals (default: 1)")
@@ -92,7 +92,7 @@ def build_parser():
                              "shared worker fleet (implies --fleet)")
     parser.add_argument("--fleet", action="store_true",
                         help="run the task(s) as tenants of a shared multi-tenant "
-                             "worker fleet: one process/thread pool, one data "
+                             "worker fleet: one process pool, one data "
                              "plane and one prefix cache, with fair-share "
                              "skew-aware fold scheduling across the concurrent "
                              "searches (serial backend promoted to process)")
@@ -162,11 +162,10 @@ def _print_result(result):
         print("fleet tenant         : {tenant} (weight {weight:g}, "
               "{folds_dispatched} folds / {fold_seconds:.2f}s, "
               "queue hwm {queue_depth_hwm}, planes {plane_counts})".format(**fleet_stats))
-        if fleet_stats["supervisor"]:
-            print("fault recovery       : {workers_died} workers died, "
-                  "{folds_retried} folds retried, {folds_timed_out} timed out, "
-                  "{pools_rebuilt} rebuilds, {folds_quarantined} quarantined".format(
-                      **fleet_stats["supervisor"]))
+        print("fault recovery       : {workers_died} workers died, "
+              "{folds_retried} folds retried, {folds_timed_out} timed out, "
+              "{pools_rebuilt} rebuilds, {folds_quarantined} quarantined".format(
+                  **fleet_stats["supervisor"]))
 
 
 def _resume_main(argv):

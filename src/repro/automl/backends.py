@@ -7,13 +7,11 @@ coordinator (:class:`~repro.automl.search.AutoBazaarSearch`) decides *what*
 to evaluate and an :class:`ExecutionBackend` decides *where and how* it
 runs.
 
-Three backends are provided, all the one dispatch path of
+Two backends are provided, both the one dispatch path of
 :class:`_PoolBackend` over a different executor:
 
 ``serial``
     Runs the fold jobs on the calling thread before ``submit`` returns.
-``thread``
-    Runs the fold jobs on a :class:`ThreadPoolExecutor`.
 ``process``
     Runs the fold jobs on a
     :class:`~repro.automl.supervisor.SupervisedWorkerPool` (worker respawn,
@@ -39,7 +37,7 @@ coordinator computes the cross-validation fold indices once per candidate
 and each worker rebuilds its fold locally from a **worker-resident task
 cache**, a per-process LRU keyed by the transport handle's task id — so
 the dataset crosses the process boundary once per worker instead of once
-per fold (``budget * n_splits`` transfers before).  The thread backend
+per fold (``budget * n_splits`` transfers before).  The serial backend
 shares the coordinator's memory and passes the task by reference.
 
 A process fleet's data plane (see :meth:`FleetCoordinator._task_ref
@@ -70,7 +68,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from functools import partial
 
 import numpy as np
@@ -202,7 +200,7 @@ _TASK_HANDLES = shm.SharedTaskHandle
 def _resolve_task(task_ref):
     """Materialize a submitted task reference inside the worker.
 
-    Accepts the task object itself (serial/thread backends, which share
+    Accepts the task object itself (the serial backend, which shares
     the coordinator's memory) or the process fleet's
     :class:`~repro.automl.shm.SharedTaskHandle`, naming a published file
     to attach read-only views over; the worker keeps it in its resident
@@ -851,15 +849,6 @@ class SerialBackend(_PoolBackend):
     __repr__ = ExecutionBackend.__repr__
 
 
-class ThreadBackend(_PoolBackend):
-    """Evaluate folds on a thread pool (shared memory, no pickling)."""
-
-    name = "thread"
-
-    def _make_executor(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-
 class _TenantExecutor:
     """Executor facade handed to a fleet tenant's dispatch path.
 
@@ -915,10 +904,9 @@ class TenantBackend(_PoolBackend):
     def tenant_stats(self, since=None):
         """A fresh dict of this tenant's fair-share and data-plane counters.
 
-        They include the tasks shipped per transport (``shm`` on a process
-        fleet, ``inline`` on a thread fleet) and, under ``"supervisor"``, the
-        fleet pool's five supervision counters (``None`` on a thread
-        fleet).  Every counter survives the tenant's release and the
+        They include the tasks shipped per transport (``shm``, the one
+        plane) and, under ``"supervisor"``, the fleet pool's five
+        supervision counters.  Every counter survives the tenant's release and the
         pool's shutdown.  Given an earlier result as ``since``, the
         lifetime counts are what accrued after it.
         """
@@ -998,7 +986,6 @@ class ProcessBackend(TenantBackend):
 
 BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 

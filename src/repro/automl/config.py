@@ -26,7 +26,8 @@ def fleet_backend(backend):
     """The pool a session-level fleet entry point runs ``backend`` on.
 
     Those entry points share the solo default, ``"serial"``, which on a
-    fleet means the fleet's own default: a process pool.
+    fleet means the fleet's own default and only pool: ``"process"``.
+    Anything else passes through for the fleet to refuse.
     """
     return "process" if backend in (None, "serial") else backend
 
@@ -46,12 +47,12 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        Execution-only.  ``"serial"`` (default), ``"thread"`` or
-        ``"process"`` (see :mod:`repro.automl.backends`), or an
+        Execution-only.  ``"serial"`` (default) or ``"process"`` (see
+        :mod:`repro.automl.backends`), or an
         :class:`~repro.automl.backends.ExecutionBackend` class or instance
         (an instance is caller-owned and outlives the search).
     workers:
-        Execution-only.  Worker count of the pool backends (default
+        Execution-only.  Worker count of the process backend (default
         ``None``: the CPU count).
     n_pending:
         Stream-shaping.  Candidates kept in flight at once (default 1, also

@@ -141,7 +141,7 @@ class FaultPlan:
         supervisor respawns) inherit the environment and arm the plan in
         their initializer.  The coordinator process itself stays unarmed
         unless it calls :func:`install_from_env` explicitly — the serial
-        and thread baselines must run fault-free.
+        baseline must run fault-free.
         """
         owns_plan_dir = self.plan_dir is None
         if owns_plan_dir:
@@ -206,8 +206,8 @@ def _unlink_task_segment(task_ref):
     unlinks the segment file, so the next resolution fails with a
     retriable error.  The coordinator still holds the task, which is what
     :meth:`SharedTaskSegment.ensure_published` writes the file again from
-    before the retry.  A task passed by reference (a thread backend) has
-    no file to unlink.
+    before the retry.  A task passed by reference (the serial backend)
+    has no file to unlink.
     """
     from repro.automl import backends, shm
 

@@ -56,7 +56,7 @@ course shared; only the *stream content* is solo-identical.
 import shutil
 import threading
 from collections import OrderedDict, deque
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future
 from functools import partial
 from itertools import count
 
@@ -120,9 +120,8 @@ class FleetCoordinator:
     """One shared worker fleet multiplexing many concurrent searches.
 
     Owns a single executor — a
-    :class:`~repro.automl.supervisor.SupervisedWorkerPool` (``"process"``,
-    the default) or a thread pool (``"thread"``, for in-process fleets) —,
-    the process data plane that ships tasks to its workers, and — when
+    :class:`~repro.automl.supervisor.SupervisedWorkerPool` of worker
+    processes —, the data plane that ships tasks to its workers, and — when
     ``prefix_cache="disk"`` — one shared cache directory every tenant's
     workers read and write (:attr:`cache_dir`; pass it as the searches'
     ``cache_dir``).  :meth:`register` returns a
@@ -134,8 +133,8 @@ class FleetCoordinator:
     backend, **execution:
         The execution knobs (see
         :class:`~repro.automl.config.ExecutionConfig`), kept as
-        :attr:`execution`; a fleet pools ``"process"`` (its default) or
-        ``"thread"`` workers.  The fleet itself reads the pool-level ones
+        :attr:`execution`; ``"process"``, the default, is the only backend
+        a fleet takes.  The fleet itself reads the pool-level ones
         (``workers``; ``fold_timeout``, a per-fold deadline, default none,
         and ``max_fold_retries``, default 1 — a tenant whose fold SIGKILLs
         a worker costs the fleet one respawn and one retried fold, never a
@@ -148,11 +147,9 @@ class FleetCoordinator:
 
     def __init__(self, backend="process", **execution):
         config = ExecutionConfig.from_keywords(execution, backend=backend)
-        if config.backend not in ("process", "thread"):
+        if config.backend != "process":
             raise ValueError(
-                "a fleet needs a 'process' or 'thread' backend name, "
-                "not {!r}".format(config.backend)
-            )
+                "a fleet needs the 'process' backend, not {!r}".format(config.backend))
         workers = resolve_workers(config.workers)
         # every argument is valid by now: nothing below raises for a bad
         # one after a worker, a thread or a directory exists
@@ -172,27 +169,27 @@ class FleetCoordinator:
         #: Tasks the segment LRU keeps published before evicting the oldest.
         self.transport_capacity = _WORKER_TASK_CACHE_SIZE
         # reclaim segments leaked by coordinators that died without
-        # their atexit hook (SIGKILL, power loss) before publishing new
-        # ones — thread fleets too: a previous process-fleet run's leak is
-        # reclaimed here at startup
+        # their atexit hook (SIGKILL, power loss) before publishing new ones
         shm.sweep_stale_segments()
         # companion of the sweep above: reclaim cache temp files orphaned by killed writers
         self.cache_dir, self._owned_cache_dir = open_cache_dir(
             config.prefix_cache, config.cache_dir, "repro-fleet-cache-")
-        if config.backend == "process":
-            # forked workers inherit this process's modules; one that a fold
-            # imports on first use would be imported by every worker of every
-            # pool instead.  networkx.pagerank (graph features) imports
-            # scipy.sparse, the one such module in the catalog.
-            import_module("scipy.sparse")
-            self._executor = SupervisedWorkerPool(
-                max_workers=workers, initializer=_start_worker,
-                fold_timeout=config.fold_timeout,
-                max_fold_retries=config.max_fold_retries,
-            )
-            self._executor.set_fault_listener(self._repair_data_plane)
-        else:
-            self._executor = ThreadPoolExecutor(max_workers=workers)
+        self._executor = self._make_pool()
+
+    def _make_pool(self):
+        """The fleet's supervised worker pool; tests override it to script the executor."""
+        # forked workers inherit this process's modules; one that a fold
+        # imports on first use would be imported by every worker of every
+        # pool instead.  networkx.pagerank (graph features) imports
+        # scipy.sparse, the one such module in the catalog.
+        import_module("scipy.sparse")
+        pool = SupervisedWorkerPool(
+            max_workers=self.workers, initializer=_start_worker,
+            fold_timeout=self.execution.fold_timeout,
+            max_fold_retries=self.execution.max_fold_retries,
+        )
+        pool.set_fault_listener(self._repair_data_plane)
+        return pool
 
     # -- tenant lifecycle ---------------------------------------------------------
 
@@ -358,23 +355,18 @@ class FleetCoordinator:
     def _task_ref(self, task, state):
         """The handle every job of a tenant's ``task`` ships with, tallied per tenant.
 
-        A thread fleet shares the coordinator's memory and ships the task
-        itself.  A process fleet publishes every task once as one
-        read-only mapped file (:func:`repro.automl.shm.publish_task`) and
-        ships its picklable :class:`~repro.automl.shm.SharedTaskHandle`;
-        a publication that fails in both segment directories raises, and
-        the submitting job records it as its error.
+        The fleet publishes every task once as one read-only mapped file
+        (:func:`repro.automl.shm.publish_task`) and ships its picklable
+        :class:`~repro.automl.shm.SharedTaskHandle`; a publication that
+        fails in both segment directories raises, and the submitting job
+        records it as its error.
         """
-        if self.execution.backend == "thread":
-            ref, plane = task, "inline"
-        else:
-            with self._transport_lock:
-                ref = self._published(task)
-            plane = "shm"
+        with self._transport_lock:
+            ref = self._published(task)
         with self._lock:
             if id(task) not in state.seen_tasks:
                 state.seen_tasks.add(id(task))
-                state.plane_counts[plane] = state.plane_counts.get(plane, 0) + 1
+                state.plane_counts["shm"] = state.plane_counts.get("shm", 0) + 1
         return ref
 
     def _published(self, task):
@@ -440,11 +432,10 @@ class FleetCoordinator:
                 for plane, count in stats["plane_counts"].items()
                 if count > before.get(plane, 0)
             }
-            if stats["supervisor"] is not None:
-                stats["supervisor"] = {
-                    name: count - since["supervisor"][name]
-                    for name, count in stats["supervisor"].items()
-                }
+            stats["supervisor"] = {
+                name: count - since["supervisor"][name]
+                for name, count in stats["supervisor"].items()
+            }
         return stats
 
     def stats(self):
@@ -455,9 +446,8 @@ class FleetCoordinator:
 
     @property
     def supervisor_stats(self):
-        """The pool's supervision counters (``None`` for a thread fleet)."""
-        stats = getattr(self._executor, "stats", None)
-        return dict(stats) if stats is not None else None
+        """The pool's supervision counters."""
+        return dict(self._executor.stats)
 
     # -- lifecycle ----------------------------------------------------------------
 

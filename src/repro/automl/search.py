@@ -174,8 +174,8 @@ class SearchResult:
         #: backend is (tenant ``"default"`` of a fleet of one); ``None``
         #: otherwise.  Folds, fold seconds, queue high-water mark, tasks
         #: per transport and, under ``"supervisor"``, the pool's recovery
-        #: counters (``None`` on a thread fleet) cover this search only,
-        #: also on a caller-owned backend that outlives it.
+        #: counters cover this search only, also on a caller-owned backend
+        #: that outlives it.
         self.fleet_stats = fleet_stats
 
     @property

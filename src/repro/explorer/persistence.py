@@ -50,7 +50,7 @@ Design points:
 
 The write path stays non-blocking under contention: an append holds the
 store lock only for one buffered line write + flush, so the many
-concurrent worker callbacks of the thread/process execution backends
+concurrent fold callbacks of the process backend and of fleet tenants
 serialize on microseconds of work, not on disk round trips (unless fsync
 durability is explicitly requested).
 """

@@ -26,8 +26,8 @@ class TimedDummyClassifier(BaseEstimator, ClassifierMixin):
     predict_seconds:
         Wall-clock time slept inside ``predict`` (simulated scoring cost).
 
-    The sleeps release the GIL, so thread- and process-pool backends can
-    overlap them the same way they overlap real model fits.
+    The sleeps release the GIL, so pool backends overlap them the same
+    way they overlap real model fits.
     """
 
     def __init__(self, fit_seconds=0.0, predict_seconds=0.0):

@@ -22,8 +22,9 @@ Worker-side capture
 Pool workers cannot reach the coordinator's sink directly, and opening a
 second IPC channel just for telemetry would double the moving parts.
 Instead workers buffer events in a **thread-local capture list**
-(thread-local because the thread backend runs many folds concurrently in
-one process) that the backend attaches to the fold's result payload —
+(thread-local because serial searches run their folds on the caller's
+thread, and several such searches may run at once on threads of one
+process) that the backend attaches to the fold's result payload —
 telemetry rides the existing result channel back to the coordinator,
 which stamps and ingests it.  When no capture is active every
 :func:`capture_event` call is a single thread-local attribute probe, so

@@ -15,9 +15,9 @@ from repro.automl import (
     EvaluationCandidate,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     get_backend,
 )
+from repro.automl.backends import resolve_backend
 from repro.core.template import Template
 from repro.explorer import PipelineStore
 from repro.tasks import synth
@@ -89,11 +89,9 @@ def run_search_with_broken_template(backend):
 
 
 class TestBackendEquivalence:
-    def test_serial_thread_process_identical_records(self):
+    def test_serial_process_identical_records(self):
         serial = run_search("serial")
-        thread = run_search("thread", workers=2)
         process = run_search("process", workers=2)
-        assert serial == thread
         assert serial == process
 
     def test_batched_proposals_identical_across_backends(self):
@@ -116,9 +114,9 @@ class TestBackendInterface:
             task=task, n_splits=2, random_state=0,
         )
 
-    @pytest.mark.parametrize("backend_class", [SerialBackend, ThreadBackend])
-    def test_submit_and_collect(self, backend_class):
-        backend = backend_class()
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["SerialBackend", "in-process-pool"])
+    def test_submit_and_collect(self, concurrent, in_process_pool):
+        backend = in_process_pool(workers=2) if concurrent else SerialBackend()
         with backend:
             future = backend.submit(self._candidate())
             completed = list(backend.as_completed())
@@ -136,7 +134,7 @@ class TestBackendInterface:
         assert {f.candidate.iteration for f in futures} == {0, 1, 2}
         assert all(f.result().error is None for f in completed)
 
-    def test_failed_candidate_reports_error_not_crash(self):
+    def test_failed_candidate_reports_error_not_crash(self, in_process_pool):
         task = synth.make_single_table_classification(n_samples=60, random_state=0)
         broken = Template(
             "broken_pca",
@@ -148,21 +146,21 @@ class TestBackendInterface:
             hyperparameters=broken.default_hyperparameters(),
             task=task, n_splits=2, random_state=0,
         )
-        with ThreadBackend(workers=2) as backend:
+        with in_process_pool(workers=2) as backend:
             backend.submit(candidate)
             (future,) = list(backend.as_completed())
         assert future.result().error
 
-    def test_split_failure_recorded_like_serial(self):
-        # n_splits=1 makes task_cv_splits raise; both backends must record
+    def test_split_failure_recorded_like_serial(self, in_process_pool):
+        # n_splits=1 makes task_cv_splits raise; a concurrent pool must record
         # the failure per candidate instead of crashing the search
         serial = run_search_with_splits("serial", n_splits=1)
-        thread = run_search_with_splits("thread", n_splits=1)
+        pooled = run_search_with_splits(in_process_pool, workers=2, n_splits=1)
         assert all(d["error"] for d in serial)
-        assert serial == thread
+        assert serial == pooled
 
-    def test_caller_supplied_backend_survives_search(self):
-        backend = ThreadBackend(workers=2)
+    def test_caller_supplied_backend_survives_search(self, in_process_pool):
+        backend = in_process_pool(workers=2)
         try:
             task = synth.make_single_table_classification(n_samples=60, random_state=0)
             searcher = AutoBazaarSearch(
@@ -178,17 +176,14 @@ class TestBackendInterface:
     def test_get_backend_resolution(self):
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend(None), SerialBackend)
-        thread = get_backend("thread", workers=3)
-        assert isinstance(thread, ThreadBackend)
-        assert thread.workers == 3
-        thread.shutdown()
+        assert resolve_backend("process") is ProcessBackend
         existing = SerialBackend()
         assert get_backend(existing) is existing
 
-    def test_submit_on_shut_down_pool_completes_with_error(self):
+    def test_submit_on_shut_down_pool_completes_with_error(self, in_process_pool):
         # a fold that cannot even be submitted (broken/shut-down executor)
         # must surface as a failed candidate, never a hang in as_completed
-        backend = ThreadBackend(workers=2)
+        backend = in_process_pool(workers=2)
         backend.shutdown()
         future = backend.submit(self._candidate(0))
         completed = list(backend.as_completed())
@@ -205,10 +200,10 @@ class TestBackendInterface:
         finally:
             backend.shutdown()
 
-    def test_drain_discards_stale_futures(self):
+    def test_drain_discards_stale_futures(self, in_process_pool):
         # an aborted search can leave uncollected futures behind on a
         # caller-owned backend; the next search must not see them
-        backend = ThreadBackend(workers=2)
+        backend = in_process_pool(workers=2)
         try:
             backend.submit(self._candidate(0))
             backend.drain()
@@ -218,13 +213,13 @@ class TestBackendInterface:
         finally:
             backend.shutdown()
 
-    def test_get_backend_honors_subclass(self):
-        class TaggedThreadBackend(ThreadBackend):
+    def test_get_backend_honors_subclass(self, in_process_pool):
+        class TaggedPool(in_process_pool):
             pass
 
-        backend = get_backend(TaggedThreadBackend, workers=2)
+        backend = get_backend(TaggedPool, workers=2)
         try:
-            assert type(backend) is TaggedThreadBackend
+            assert type(backend) is TaggedPool
             assert backend.workers == 2
         finally:
             backend.shutdown()
@@ -234,15 +229,15 @@ class TestBackendInterface:
         with pytest.raises(ValueError):
             get_backend("cluster")
 
-    def test_failing_fold_cancels_later_siblings_not_earlier_error(self):
+    def test_failing_fold_cancels_later_siblings_not_earlier_error(self, in_process_pool):
         # the aggregated error must be the first failing fold in fold
         # order (what the serial backend reports), never a cancellation
         documents_serial = [d for d in run_search_with_broken_template("serial")]
-        documents_thread = [d for d in run_search_with_broken_template("thread")]
-        for document in documents_serial + documents_thread:
+        documents_pooled = [d for d in run_search_with_broken_template(in_process_pool)]
+        for document in documents_serial + documents_pooled:
             if document["error"]:
                 assert "CancelledError" not in document["error"]
-        assert documents_serial == documents_thread
+        assert documents_serial == documents_pooled
 
     def test_max_seconds_stops_serial_dispatch_mid_batch(self, monkeypatch):
         import time as time_module
@@ -304,7 +299,7 @@ class TestBackendInterface:
 
     def test_invalid_worker_count_raises(self):
         with pytest.raises(ValueError):
-            ThreadBackend(workers=0)
+            ProcessBackend(workers=0)
 
 
 @pytest.mark.parametrize("make_task", [
@@ -446,13 +441,14 @@ class TestPendingAwareSelector:
         assert chosen in ("a", "b")
 
     @pytest.mark.parametrize("selector_name", ["best_k", "thompson"])
-    def test_search_with_alternative_selector_and_batching(self, selector_name):
+    def test_search_with_alternative_selector_and_batching(self, selector_name,
+                                                           in_process_pool):
         from repro.tuning.selectors import get_selector
 
         task = synth.make_single_table_classification(n_samples=60, random_state=0)
         searcher = AutoBazaarSearch(
             templates=seeded_templates(), selector_class=get_selector(selector_name),
-            n_splits=2, random_state=0, backend="thread", workers=2, n_pending=3,
+            n_splits=2, random_state=0, backend=in_process_pool, workers=2, n_pending=3,
         )
         result = searcher.search(task, budget=6)
         assert result.n_evaluated == 6

@@ -833,9 +833,8 @@ def test_wait_that_can_no_longer_end_raises_with_a_state_dump(monkeypatch):
 # -- no learner is fitted by the coordinator of a pool or fleet search ----------------------
 
 
-@pytest.mark.parametrize("runner", ["serial", "thread", "process", "thread-fleet",
-                                    "process-fleet"])
-def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
+@pytest.mark.parametrize("runner", ["serial", "in-process-pool", "process", "process-fleet"])
+def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch, in_process_pool):
     import os
     import threading
 
@@ -856,9 +855,11 @@ def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
                                     backend=backend, workers=2, n_pending=2)
         return searcher.search(TASK, budget=3)
 
-    if runner.endswith("-fleet"):
-        with FleetCoordinator(backend=runner.split("-")[0], workers=2) as fleet:
+    if runner == "process-fleet":
+        with FleetCoordinator(backend="process", workers=2) as fleet:
             result = run(fleet.register(name="tenant-a"))
+    elif runner == "in-process-pool":
+        result = run(in_process_pool)
     else:
         result = run(runner)
     assert result.n_failed == 0 and result.test_score is not None
@@ -868,7 +869,8 @@ def test_no_learner_fit_runs_on_the_coordinator_thread(runner, monkeypatch):
         # the guard's guard: the patch sees fits, the refit's among them
         n_steps = len(TEMPLATE.primitives)
         assert fits == [coordinator] * (n_steps * (3 * 2 + 1))
-    elif runner.startswith("thread"):
+    elif runner == "in-process-pool":
+        # the pool's threads fit, in this process: never the coordinator's
         assert fits and coordinator not in fits
         assert {pid for pid, _ in fits} == {os.getpid()}
     else:

@@ -53,8 +53,8 @@ INVALID = [
      ("cli", "cli-fleet", "cli-resume")),
     ("unknown-backend", {"backend": "cluster"}, ValueError, "Unknown backend",
      ("cli", "cli-fleet", "cli-resume")),
-    ("fold-timeout-on-threads", {"backend": "thread", "fold_timeout": 5.0}, ValueError,
-     "only applies to the process backend", ()),
+    ("retired-thread-backend", {"backend": "thread"}, ValueError, "Unknown backend 'thread'",
+     ("cli", "cli-fleet", "cli-resume")),
     ("fold-timeout-on-serial", {"backend": "serial", "fold_timeout": 5.0}, ValueError,
      "only applies to the process backend", ("run_fleet_from_directories", "cli-fleet")),
     ("fold-timeout-on-instance", {"backend": SerialBackend(), "fold_timeout": 5.0},

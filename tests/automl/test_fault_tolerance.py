@@ -102,11 +102,6 @@ def baseline(task):
 
 
 class TestFaultFreeBaselines:
-    def test_thread_backend_matches_serial(self, task, baseline):
-        result = run_search(task, backend="thread", workers=2)
-        assert record_documents(result) == baseline
-        assert result.fleet_stats is None
-
     def test_unsupervised_process_backend_matches_serial(self, task, baseline):
         # no supervision knob set: the process pool is supervised all the same
         result = run_search(task, backend="process", workers=2)

@@ -10,7 +10,7 @@ and when folds run, never what is reported).
 import os
 import sys
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -22,6 +22,7 @@ from repro.automl import (
 )
 from repro.automl.fleet import _DEFAULT_FOLD_COST
 from repro.automl.session import AutoBazaarSession
+from repro.automl.supervisor import SupervisedWorkerPool
 from repro.core.template import Template
 from repro.tasks import synth
 from repro.telemetry.replayer import load_events, replay_run
@@ -88,32 +89,6 @@ def run_tenants(fleet, tasks, handles, budget=4, n_pending=2):
 
 
 class TestFleetDeterminism:
-    def test_thread_fleet_records_identical_to_solo(self):
-        tasks = fleet_tasks(2)
-        solo = []
-        for task in tasks:
-            searcher = AutoBazaarSearch(
-                templates=seeded_templates(), n_splits=2, random_state=0,
-                backend="serial", n_pending=2,
-            )
-            result = searcher.search(task, budget=4)
-            assert result.fleet_stats is None  # solo runs carry no fleet stats
-            solo.append(record_documents(result))
-
-        with FleetCoordinator(backend="thread", workers=2) as fleet:
-            results = run_tenants(fleet, tasks, [
-                fleet.register(name="tenant-{}".format(index)) for index in range(2)
-            ])
-
-        for index, result in enumerate(results):
-            assert record_documents(result) == solo[index]
-            stats = result.fleet_stats
-            assert stats["tenant"] == "tenant-{}".format(index)
-            assert stats["folds_dispatched"] == 4 * 2 + 1  # budget x n_splits + the refit
-            assert stats["plane_counts"] == {"inline": 2}  # train and held-out partition
-            assert stats["queue_depth_hwm"] >= 1
-            assert stats["fold_seconds"] > 0
-
     def test_process_fleet_records_identical_to_solo(self):
         tasks = fleet_tasks(2)
         solo = []
@@ -122,7 +97,9 @@ class TestFleetDeterminism:
                 templates=seeded_templates(), n_splits=2, random_state=0,
                 backend="serial", n_pending=2,
             )
-            solo.append(record_documents(searcher.search(task, budget=3)))
+            result = searcher.search(task, budget=3)
+            assert result.fleet_stats is None  # solo runs carry no fleet stats
+            solo.append(record_documents(result))
 
         with FleetCoordinator(backend="process", workers=2) as fleet:
             results = run_tenants(
@@ -133,8 +110,12 @@ class TestFleetDeterminism:
 
         for index, result in enumerate(results):
             assert record_documents(result) == solo[index]
-            # each tenant's task crossed the process boundary on one plane
-            assert sum(result.fleet_stats["plane_counts"].values()) == 2
+            stats = result.fleet_stats
+            assert stats["tenant"] == "tenant-{}".format(index)
+            assert stats["folds_dispatched"] == 3 * 2 + 1  # budget x n_splits + the refit
+            assert stats["plane_counts"] == {"shm": 2}  # train and held-out partition
+            assert stats["queue_depth_hwm"] >= 1
+            assert stats["fold_seconds"] > 0
 
 
 # -- fair-share scheduling (driven through a manual executor) ----------------------
@@ -170,13 +151,24 @@ def _candidate():
     )
 
 
-def manual_fleet():
-    fleet = FleetCoordinator(backend="thread", workers=1)
-    fleet._executor.shutdown(wait=False)
-    manual = _ManualExecutor()
-    fleet._executor = manual
+class _ManualFleet(FleetCoordinator):
+    """A fleet whose pool is a :class:`_ManualExecutor`: no worker is started."""
+
+    def _make_pool(self):
+        return _ManualExecutor()
+
+
+class _InProcessFleet(FleetCoordinator):
+    """A fleet whose folds run on threads of this process (a stdlib pool)."""
+
+    def _make_pool(self):
+        return ThreadPoolExecutor(max_workers=self.workers)
+
+
+def manual_fleet(**execution):
+    fleet = _ManualFleet(workers=1, **execution)
     fleet._max_admitted = 1  # one admission slot: the stride order is the submit order
-    return fleet, manual
+    return fleet, fleet._executor
 
 
 class TestFairShareScheduling:
@@ -300,7 +292,7 @@ class TestFairShareScheduling:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with FleetCoordinator(backend="thread", workers=4) as fleet:
+            with _InProcessFleet(workers=4) as fleet:
                 fleet._max_admitted = 6  # workers + 2: admissions queue behind the cap
                 tenants = [fleet.register(name="t{}".format(index)) for index in range(6)]
                 folds = [[] for _ in tenants]
@@ -328,7 +320,7 @@ class TestFairShareScheduling:
                 assert fleet._admitted == 0
                 assert all(state.inflight == 0 and not state.queue
                            for state in fleet._tenants.values())
-                assert sum(stats["folds_dispatched"] for stats in fleet.stats().values()) == ran
+                assert sum(state.folds_dispatched for state in fleet._tenants.values()) == ran
         finally:
             sys.setswitchinterval(interval)
 
@@ -344,14 +336,22 @@ class TestFairShareScheduling:
 
 
 class TestFleetValidation:
+    def test_the_pool_is_supervised(self):
+        # the one pool a fleet builds: its counters are never missing
+        with FleetCoordinator(workers=1) as fleet:
+            assert isinstance(fleet._executor, SupervisedWorkerPool)
+            assert fleet.supervisor_stats == {
+                "workers_died": 0, "folds_retried": 0, "folds_timed_out": 0,
+                "pools_rebuilt": 0, "folds_quarantined": 0}
+
     def test_rejects_unknown_backend_and_bad_parameters(self):
         with pytest.raises(ValueError):
             FleetCoordinator(backend="serial")
         with pytest.raises(ValueError):
-            FleetCoordinator(backend="thread", prefix_cache="bogus")
+            FleetCoordinator(backend="process", prefix_cache="bogus")
 
     def test_register_validation_and_close(self):
-        fleet = FleetCoordinator(backend="thread", workers=1)
+        fleet, _ = manual_fleet()
         fleet.register(name="t")
         with pytest.raises(ValueError):
             fleet.register(name="t")  # duplicate
@@ -375,7 +375,7 @@ class TestFleetValidation:
     def test_disk_prefix_cache_dir_is_owned_and_removed(self, tmp_path):
         import os
 
-        fleet = FleetCoordinator(backend="thread", workers=1, prefix_cache="disk")
+        fleet, _ = manual_fleet(prefix_cache="disk")
         owned = fleet.cache_dir
         assert owned is not None and os.path.isdir(owned)
         fleet.close()
@@ -383,9 +383,7 @@ class TestFleetValidation:
         # an explicit directory is shared, not owned: it survives close
         explicit = tmp_path / "cache"
         explicit.mkdir()
-        fleet = FleetCoordinator(
-            backend="thread", workers=1, prefix_cache="disk", cache_dir=str(explicit)
-        )
+        fleet, _ = manual_fleet(prefix_cache="disk", cache_dir=str(explicit))
         fleet.close()
         assert explicit.is_dir()
 
@@ -395,7 +393,7 @@ class TestFleetValidation:
             "repro.automl.shm.sweep_stale_segments",
             lambda *args, **kwargs: calls.append(1),
         )
-        FleetCoordinator(backend="thread", workers=1).close()
+        manual_fleet()[0].close()
         assert len(calls) == 1
         # a process backend is a fleet of one: it sweeps at startup too
         ProcessBackend(workers=1).shutdown()
@@ -444,15 +442,14 @@ class TestCountersCoverOneSearch:
             n_pending=n_pending,
         ).search(fleet_tasks(1)[0], budget=3)
 
-    def test_reused_thread_fleet_tenant(self):
-        with FleetCoordinator(backend="thread", workers=2) as fleet:
+    def test_reused_process_fleet_tenant(self):
+        with FleetCoordinator(backend="process", workers=2) as fleet:
             tenant = fleet.register(name="reused")
             first, second, third = [self._search(tenant, n_pending) for n_pending in (3, 3, 1)]
         for result in (first, second, third):
             assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1  # and the refit
-            assert result.fleet_stats["plane_counts"] == {"inline": 2}
-        assert [result.fleet_stats["supervisor"] for result in (first, second, third)] == [
-            None, None, None]
+            assert result.fleet_stats["plane_counts"] == {"shm": 2}
+            assert set(result.fleet_stats["supervisor"].values()) == {0}
         # three candidates in flight queue more folds than one at a time
         # does: the high-water mark restarts when a search drains the backend
         assert first.fleet_stats["queue_depth_hwm"] > 2 >= third.fleet_stats["queue_depth_hwm"]
@@ -481,7 +478,7 @@ class TestSessionFleet:
         tasks = fleet_tasks(2)
         session = AutoBazaarSession(
             budget=3, tuner="uniform", selector="ucb1", n_splits=2,
-            random_state=0, backend="thread", workers=2, n_pending=2,
+            random_state=0, backend="process", workers=2, n_pending=2,
         )
         results = session.solve_fleet(tasks)
         assert len(results) == 2
@@ -495,7 +492,7 @@ class TestSessionFleet:
         assert len(session.store) == 6  # both tenants' records in one store
 
     def test_solve_fleet_weight_count_mismatch(self):
-        session = AutoBazaarSession(budget=2, backend="thread")
+        session = AutoBazaarSession(budget=2)
         with pytest.raises(ValueError):
             session.solve_fleet(fleet_tasks(2), weights=[1.0])
 
@@ -524,7 +521,7 @@ class TestFleetCLI:
         from repro.automl.__main__ import main
 
         exit_code = main(task_dirs + [
-            "--fleet", "--backend", "thread", "--workers", "2",
+            "--fleet", "--backend", "process", "--workers", "2",
             "--tuner", "uniform", "--budget", "2", "--splits", "2",
             "--pending", "2", "--tenant-weight", "2", "--tenant-weight", "1",
         ])
@@ -537,7 +534,7 @@ class TestFleetCLI:
         from repro.automl.__main__ import main
 
         exit_code = main(task_dirs + [
-            "--backend", "thread", "--tuner", "uniform",
+            "--workers", "2", "--tuner", "uniform",
             "--budget", "2", "--splits", "2",
         ])
         captured = capsys.readouterr()

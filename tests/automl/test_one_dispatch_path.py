@@ -1,6 +1,6 @@
 """Static guard: ``repro.automl`` has one fold-dispatch engine, not two.
 
-Every backend — serial, thread, process, fleet tenant — dispatches folds
+Every backend — serial, process, fleet tenant — dispatches folds
 through ``_PoolBackend.submit`` / ``submit_refit``, aggregates and
 reports them in ``_PooledCandidateFuture``, and evaluates a configuration
 on a fold in ``_solo_fold``; ``search.cross_validate_template`` is the

@@ -271,10 +271,11 @@ class TestCachedSearchEquivalence:
             run_search(prefix_cache="disk", cache_dir=str(tmp_path))
         ) == baseline
 
-    def test_thread_backend_cached_matches_uncached(self):
-        baseline = stripped_documents(run_search("thread", workers=2, n_pending=2))
+    def test_concurrent_pool_cached_matches_uncached(self, in_process_pool):
+        # concurrent folds of one process share its memory tier
+        baseline = stripped_documents(run_search(in_process_pool, workers=2, n_pending=2))
         cached = stripped_documents(
-            run_search("thread", workers=2, n_pending=2, prefix_cache="mem")
+            run_search(in_process_pool, workers=2, n_pending=2, prefix_cache="mem")
         )
         assert cached == baseline
 
@@ -315,7 +316,7 @@ class TestCachedSearchEquivalence:
 
 
 @pytest.mark.parametrize("prefix_cache", ["off", "mem", "disk"])
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_every_record_is_the_reference_loop_over_all_folds(backend, prefix_cache, tmp_path):
     """No candidate is discarded early: each record is the plain fold loop's result.
 

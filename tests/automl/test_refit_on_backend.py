@@ -135,16 +135,11 @@ def _fleet(backend, **options):
 
 RUNNERS = {
     "serial": _solo("serial"),
-    "thread": _solo("thread", workers=2),
     "process": _solo("process", workers=2),
     "supervised": _solo("process", workers=2, fold_timeout=120.0),
-    "thread-fleet": _fleet("thread"),
     "process-fleet": _fleet("process"),
     "supervised-fleet": _fleet("process", fold_timeout=120.0),
 }
-
-#: Backends whose jobs run in another process than the search.
-OUT_OF_PROCESS = {"process", "supervised", "process-fleet", "supervised-fleet"}
 
 
 @pytest.mark.parametrize("events", [False, True], ids=["events-off", "events-on"])
@@ -186,10 +181,10 @@ def test_refit_equals_the_serial_oracle(runner, events, tasks, oracle, tmp_path)
     assert sorted(event["raw_score"] for event in finished) == sorted(
         entry["test_score"] for entry in oracle)
     workers = {event["worker"] for event in finished}
-    if runner in OUT_OF_PROCESS:
-        assert workers and None not in workers and os.getpid() not in workers
-    else:
+    if runner == "serial":
         assert workers == {os.getpid()}
+    else:  # every other runner's jobs run in worker processes
+        assert workers and None not in workers and os.getpid() not in workers
     for summary in report["tenants"].values():
         bars = [row for row in summary["gantt"] if row.get("refit")]
         assert len(bars) == (1 if fleet else N_TASKS)
@@ -265,7 +260,7 @@ def probe_template(name, primitive, **fixed):
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_unpicklable_pipeline_keeps_its_score(backend, tasks):
     train, test = tasks[0]
     templates = [probe_template("lock_keeper", LockKeeper)]
@@ -282,7 +277,7 @@ def test_unpicklable_pipeline_keeps_its_score(backend, tasks):
         assert result.refit_error is None
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_raising_refit_is_reported_not_swallowed(backend, tasks):
     train, test = tasks[0]
     # every cross-validation fold trains on half the partition, the refit on all of it

@@ -162,16 +162,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["some/dir", "--backend", "cluster"])
 
-    def test_main_with_thread_backend(self, task, tmp_path, capsys):
-        save_task(task, tmp_path / "task")
-        exit_code = main([
-            str(tmp_path / "task"), "--budget", "3", "--splits", "2", "--seed", "0",
-            "--backend", "thread", "--workers", "2",
-        ])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "best template" in captured.out
-
     def test_process_summary_prints_each_counter_once(self, task, tmp_path, capsys):
         save_task(task, tmp_path / "task")
         exit_code = main([

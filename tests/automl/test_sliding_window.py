@@ -7,7 +7,7 @@ The scheduler contract has two halves:
   evaluations stay in flight (the barrier loop would idle instead), and
 * **determinism** — proposal ``k`` only consumes the reported results of
   candidates ``0 .. k - n_pending``, so for a fixed ``n_pending`` the
-  record stream is identical across serial, thread and process backends.
+  record stream is identical across the serial and process backends.
 """
 
 import os
@@ -90,8 +90,12 @@ class StallHarness:
             return [i for i, entry in enumerate(self.log) if entry == (kind, name)]
 
 
-def stall_search(harness, monkeypatch, budget=5, n_pending=3):
-    """Five single-evaluation templates; iteration == template position."""
+def stall_search(harness, monkeypatch, backend, budget=5, n_pending=3):
+    """Five single-evaluation templates; iteration == template position.
+
+    ``backend`` runs folds concurrently in this process, where the
+    harness's event and log are visible to every fold.
+    """
     harness.install(monkeypatch)
     templates = [
         timed_template("light0", 0.0),
@@ -102,14 +106,15 @@ def stall_search(harness, monkeypatch, budget=5, n_pending=3):
     ]
     task = synth.make_single_table_classification(n_samples=60, random_state=0)
     searcher = AutoBazaarSearch(
-        templates=templates, n_splits=2, random_state=0, backend="thread",
+        templates=templates, n_splits=2, random_state=0, backend=backend,
         workers=6, n_pending=n_pending,
     )
     return searcher.search(task, budget=budget)
 
 
 class TestStragglerLiveness:
-    def test_window_keeps_n_pending_in_flight_past_a_straggler(self, monkeypatch):
+    def test_window_keeps_n_pending_in_flight_past_a_straggler(self, monkeypatch,
+                                                               in_process_pool):
         # the window fills with iterations 0..2; the stall at iteration 1
         # blocks while light0/light1 complete.  Reporting record 0 frees a
         # slot, so light2 (iteration 3) must START while the stall is
@@ -117,7 +122,7 @@ class TestStragglerLiveness:
         # completion of this search proves the window kept 3 evaluations
         # (stall, light1's replacement chain, light2) in flight.
         harness = StallHarness(release_on="light2")
-        result = stall_search(harness, monkeypatch)
+        result = stall_search(harness, monkeypatch, in_process_pool)
         assert result.n_evaluated == 5
         assert result.n_failed == 0
         assert [r.iteration for r in result.records] == [0, 1, 2, 3, 4]
@@ -127,14 +132,15 @@ class TestStragglerLiveness:
             harness.positions("start", "light3")
         )
 
-    def test_barrier_idles_behind_the_straggler(self, monkeypatch, barrier_schedule):
+    def test_barrier_idles_behind_the_straggler(self, monkeypatch, barrier_schedule,
+                                                in_process_pool):
         # contrast case: with the round barrier, light2 (round 2) may not
         # start while the stall (round 1) is still draining
         harness = StallHarness(release_on=None)
         done = {}
 
         def run():
-            done["result"] = stall_search(harness, monkeypatch)
+            done["result"] = stall_search(harness, monkeypatch, in_process_pool)
 
         with barrier_schedule():
             thread = threading.Thread(target=run)
@@ -186,18 +192,14 @@ def run_scoring_workload(backend, workers=None):
 
 
 class TestSlidingWindowEquivalence:
-    def test_serial_thread_process_identical_records(self):
+    def test_serial_process_identical_records(self):
         serial = run_skewed("serial")
-        thread = run_skewed("thread", workers=3)
         process = run_skewed("process", workers=3)
-        assert serial == thread
         assert serial == process
 
     def test_distinct_score_templates_identical_records(self):
         serial = run_scoring_workload("serial")
-        thread = run_scoring_workload("thread", workers=4)
         process = run_scoring_workload("process", workers=4)
-        assert serial == thread
         assert serial == process
 
     def test_records_reported_in_proposal_order(self):
@@ -268,7 +270,7 @@ class TestWorkerResidentCache:
         # explicit knob + a backend that cannot honor it must fail loudly,
         # never silently drop the configuration
         with pytest.raises(ValueError):
-            get_backend("thread", workers=2, fold_timeout=5)
+            get_backend("serial", fold_timeout=5)
         with pytest.raises(ValueError):
             get_backend(SerialBackend(), fold_timeout=5)
         backend = get_backend("process", workers=1, fold_timeout=5)

@@ -89,6 +89,28 @@ def _module_leaves_no_workers_behind(request):
 
 
 @pytest.fixture
+def in_process_pool():
+    """A ``_PoolBackend`` class whose folds run concurrently on threads of this process.
+
+    Not a product backend: the cheapest concurrent runner for tests of the
+    dispatch path itself (completion order, cancellation, draining a
+    caller-owned backend), with no worker process to start.  Pass the class
+    as a search's ``backend`` or construct it with ``workers=``.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.automl.backends import _PoolBackend
+
+    class InProcessPool(_PoolBackend):
+        name = "in-process-pool"
+
+        def _make_executor(self):
+            return ThreadPoolExecutor(max_workers=self.workers)
+
+    return InProcessPool
+
+
+@pytest.fixture
 def rng():
     """A deterministic random generator."""
     return np.random.RandomState(0)

@@ -55,10 +55,10 @@ class TestRoundTrip:
         assert len(tenant["gantt"]) == 13  # and the refit, a bar of its own
         assert [row["iteration"] for row in tenant["gantt"] if row.get("refit")] == [None]
 
-    def test_thread_backend_with_prefix_cache(self, tmp_path):
+    def test_process_backend_with_prefix_cache(self, tmp_path):
         events_dir = str(tmp_path / "events")
         searcher = AutoBazaarSearch(
-            n_splits=2, random_state=0, backend="thread", workers=2,
+            n_splits=2, random_state=0, backend="process", workers=2,
             n_pending=2, prefix_cache="disk", cache_dir=str(tmp_path / "cache"),
             telemetry=events_dir,
         )
@@ -160,7 +160,7 @@ class TestEventsMatchCounters:
         assert (counters["cache_hits"], counters["cache_misses"]) == (
             result.cache_stats["hits"], result.cache_stats["misses"])
 
-    def test_thread_fleet_tenant_counts(self, tmp_path):
+    def test_process_fleet_tenant_counts(self, tmp_path):
         events_dir = str(tmp_path / "events")
         sink = TelemetrySink(events_dir)
         results = {}
@@ -171,7 +171,7 @@ class TestEventsMatchCounters:
             ).search(task, budget=3)
 
         try:
-            with FleetCoordinator(backend="thread", workers=2) as fleet:
+            with FleetCoordinator(backend="process", workers=2) as fleet:
                 threads = [
                     threading.Thread(target=run, args=(
                         name, fleet.register(name=name), _task(name=name, random_state=index)))

@@ -189,12 +189,12 @@ class TestTelemetrySink:
             assert stream.read() == written
         assert [event["event"] for event in load_events(path)] == ["search_started"]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_a_search_whose_writer_fails_raises_the_failure(self, tmp_path, monkeypatch,
                                                             backend):
-        # the serial backend emits on the searching thread; on the pools
-        # fold and refit events arrive on callback threads and the fleet's
-        # admissions on the pool's; none of them may strand a fold
+        # the serial backend emits on the searching thread; on the process
+        # pool fold and refit events arrive on callback threads and the
+        # fleet's admissions on the pool's; none of them may strand a fold
         append, appended = SegmentLog.append, []
 
         def fill_the_disk_after_three(log, *documents):

@@ -140,7 +140,8 @@ def test_chaos_job_runs_fault_injection_and_recovery_gates(workflow):
     loop = refit[1].splitlines()
     assert any("tests/automl/test_fleet.py" in line and "-x" in line
                and "|| exit 1" in line for line in loop)
-    # so does the Louvain memo shared by thread tenants across a fork
+    # so does the Louvain memo shared by serial searches on caller threads
+    # while a process search forks
     assert any("tests/automl/test_louvain_memo_fleet.py" in line and "-x" in line
                and "|| exit 1" in line for line in loop)
     # and a first SciPy import on a tenant thread while other threads fork

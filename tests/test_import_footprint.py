@@ -16,6 +16,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SCRIPT = '''
@@ -88,3 +90,25 @@ def test_setup_and_a_search_without_gp_fits_load_no_scipy():
     loaded = set(report["after_gp"])
     assert {"scipy.linalg", "scipy.special"} <= loaded
     assert not any(name.split(".")[:2] == ["scipy", "stats"] for name in loaded)
+
+
+@pytest.mark.parametrize("lines_read, top, unbuffered", [(1, "400", "1"), (0, "1", None)],
+                         ids=["after-one-line", "before-any-line"])
+def test_the_report_exits_quietly_when_its_reader_goes_away(lines_read, top, unbuffered):
+    # ``python scripts/import_footprint.py | head -1``: the reader closes the
+    # pipe while the report still has lines to write — after the first of
+    # many unbuffered writes, or before a short buffered report whose one
+    # write is the flush at exit
+    script = os.path.join(os.path.dirname(SRC), "scripts", "import_footprint.py")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    child = subprocess.Popen([sys.executable, script, "--top", top], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        assert child.stdout.readline().startswith(b"set-up ")
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0, stderr
+    assert "Traceback" not in stderr

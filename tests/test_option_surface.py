@@ -9,7 +9,9 @@ deliberate edit here.  The durable run's entry points are pinned too:
 they lost the snapshot cadence when the record log became the checkpoint.
 The execution knobs themselves are pinned by name: batched evaluation left
 with its ``batch_eval`` knob and fold-level early discard with its
-``prune_margin`` knob, and every entry point refuses both.  The unit of
+``prune_margin`` knob, and every entry point refuses both.  The
+``backend`` knob lost its ``"thread"`` value, which every entry point
+refuses too.  The unit of
 work and its outcome are pinned too, so a per-candidate discard hook
 (``pruner``) or flag (``pruned``) comes back only deliberately.
 """
@@ -20,7 +22,7 @@ import pytest
 
 from repro.automl import AutoBazaarSearch, AutoBazaarSession, shm
 from repro.automl.__main__ import build_parser, build_resume_parser
-from repro.automl.backends import EvaluationCandidate, EvaluationOutcome
+from repro.automl.backends import EvaluationCandidate, EvaluationOutcome, SerialBackend
 from repro.automl.checkpoint import CheckpointManager, ExperimentRun
 from repro.automl.config import KNOBS, STREAM_SHAPING
 from repro.automl.fleet import FleetCoordinator
@@ -71,7 +73,7 @@ def test_the_fleet_refuses_a_backlog():
     # a pinned list without ``**`` makes any other name a TypeError; the
     # fleet's ``**execution`` takes keywords, so its refusal is checked
     with pytest.raises(TypeError, match="max_backlog"):
-        FleetCoordinator(backend="thread", workers=1, max_backlog=1)
+        FleetCoordinator(backend="process", workers=1, max_backlog=1)
 
 
 def test_the_execution_knobs_are_pinned():
@@ -97,7 +99,7 @@ def test_pruning_is_no_option(tmp_path, capsys):
     for call in (lambda: AutoBazaarSearch(prune_margin=0.1),
                  lambda: AutoBazaarSession(prune_margin=0.1),
                  lambda: run_from_directory(str(tmp_path / "task"), prune_margin=0.1),
-                 lambda: FleetCoordinator(backend="thread", workers=1, prune_margin=0.1)):
+                 lambda: FleetCoordinator(backend="process", workers=1, prune_margin=0.1)):
         with pytest.raises(TypeError, match="prune_margin"):
             call()
     for parser, argv in ((build_parser(), ["task"]), (build_resume_parser(), ["run"])):
@@ -105,3 +107,46 @@ def test_pruning_is_no_option(tmp_path, capsys):
             parser.parse_args(argv + ["--prune-margin", "0.1"])
         assert exited.value.code == 2
     assert "--prune-margin" in capsys.readouterr().err
+
+
+
+#: Library entry points that take ``backend``, each refusing ``"thread"``.
+THREAD_BACKEND_CALLS = {
+    "AutoBazaarSearch": lambda tmp_path: AutoBazaarSearch(backend="thread"),
+    "AutoBazaarSession": lambda tmp_path: AutoBazaarSession(backend="thread"),
+    "run_from_directory": lambda tmp_path: run_from_directory(
+        str(tmp_path / "task"), backend="thread"),
+    "FleetCoordinator": lambda tmp_path: FleetCoordinator(backend="thread", workers=1),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(THREAD_BACKEND_CALLS))
+def test_the_thread_backend_is_no_option(entry_point, tmp_path):
+    with pytest.raises(ValueError, match="Unknown backend 'thread'"):
+        THREAD_BACKEND_CALLS[entry_point](tmp_path)
+
+
+@pytest.mark.parametrize("parser, argv", [
+    (build_parser, ["task"]), (build_parser, ["task", "--fleet"]),
+    (build_resume_parser, ["resume-dir"]),
+], ids=["run", "fleet", "resume"])
+def test_thread_is_no_backend_flag(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        parser().parse_args(argv + ["--backend", "thread"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
+def test_the_thread_backend_is_not_exported():
+    with pytest.raises(ImportError):
+        from repro.automl import ThreadBackend  # noqa: F401
+
+
+@pytest.mark.parametrize("backend", ["serial", SerialBackend, SerialBackend()],
+                         ids=["name", "class", "instance"])
+def test_a_fleet_pools_processes_only(backend):
+    # the refusal of a known backend names the one a fleet takes, no other
+    with pytest.raises(ValueError) as refused:
+        FleetCoordinator(backend=backend, workers=1)
+    assert str(refused.value) == "a fleet needs the 'process' backend, not {!r}".format(
+        backend)
