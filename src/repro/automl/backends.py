@@ -18,7 +18,9 @@ Two backends are provided, both the one dispatch path of
     fold retries, an optional fold deadline), as tenant ``"default"`` of a
     private :class:`~repro.automl.fleet.FleetCoordinator`: a solo process
     search is a fleet of one, so every process search takes the fleet's
-    one path from a fold to a worker (:class:`TenantBackend`).
+    one path from a fold to a worker (:class:`TenantBackend`): the fold
+    waits in the pool's one queue, and the next worker to free takes it
+    in fair-share order.
 
 Every backend dispatches individual cross-validation *folds*, not whole
 candidates, into one executor queue.  Pipeline costs are heavily skewed (a
@@ -54,7 +56,7 @@ training partition and scored on the held-out one — is one more job of the
 backend (:meth:`ExecutionBackend.submit_refit`), a *holdout fold* through
 the same worker entry point as any fold: both partitions travel as task
 references, the job meets whatever the backend puts between a fold and a
-worker (fair-share admission, deadlines, retries), and it returns the test
+worker (the fair-share order, deadlines, retries), and it returns the test
 score and the fitted pipeline.  The coordinator fits no learner itself.
 
 Every job evaluates one configuration on one fold: a candidate's fold is
@@ -716,7 +718,7 @@ class _PoolBackend(ExecutionBackend):
 
         Both partitions travel as task references like any fold's task,
         so the job passes through whatever this backend puts between a
-        fold and a worker (fair-share admission, supervision, retries).
+        fold and a worker (the fair-share order, supervision, retries).
         """
         future = _RefitFuture(candidate, 1, self._completion_queue)
         self._outstanding += 1
@@ -852,19 +854,20 @@ class SerialBackend(_PoolBackend):
 class _TenantExecutor:
     """Executor facade handed to a fleet tenant's dispatch path.
 
-    ``submit`` routes into the fleet's fair-share queue instead of a private
-    executor and returns a :class:`~concurrent.futures.Future` that settles
-    when the admitted job does; ``shutdown`` (called by the backend's own
-    ``shutdown``) releases the tenant's registration — the fleet's pool
-    outlives every tenant.
+    ``submit`` queues the job for the tenant on the fleet's pool, which
+    dispatches it in fair-share order, and returns the pool job's own
+    :class:`~concurrent.futures.Future`; ``shutdown`` (called by the
+    backend's own ``shutdown``) releases the tenant's registration — the
+    fleet's pool outlives every tenant.
     """
 
     def __init__(self, fleet, state):
         self._fleet = fleet
         self._state = state
+        self._executor = fleet._executor
 
     def submit(self, fn, /, *args, **kwargs):
-        return self._fleet._enqueue(self._state, fn, args, kwargs)
+        return self._executor.submit_for(self._state.share, fn, *args, **kwargs)
 
     def shutdown(self, wait=True, cancel_futures=False):
         self._fleet._release_tenant(self._state)
@@ -920,16 +923,15 @@ class TenantBackend(_PoolBackend):
         counted by may be reused by the next search's tasks.
         """
         super().drain()
+        # drained: none of this tenant's folds is live any more
+        self._state.share.queue_hwm = 0
         with self._fleet._lock:
-            self._state.queue_hwm = len(self._state.queue) + self._state.inflight
             self._state.seen_tasks.clear()
 
     def _state_dump(self):
-        fleet, state = self._fleet, self._state
-        with fleet._lock:
-            shares = "{} fold(s) queued, {} admitted of the fleet's {}/{}".format(
-                len(state.queue), state.inflight, fleet._admitted, fleet._max_admitted)
-        return "{}; {}".format(super()._state_dump(), shares)
+        share = self._state.share
+        return "{}; {} fold(s) queued, {} on workers".format(
+            super()._state_dump(), len(share.queue), share.inflight)
 
     def __repr__(self):
         return "TenantBackend(tenant={!r}, fleet={!r})".format(
@@ -943,7 +945,7 @@ class ProcessBackend(TenantBackend):
     A solo process search is a fleet of one: the backend is tenant
     ``"default"`` of a private :class:`~repro.automl.fleet.FleetCoordinator`,
     which it builds here and closes in :meth:`shutdown`, so its folds meet
-    the same supervised pool, stride admission and data plane as any
+    the same supervised pool, stride order and data plane as any
     fleet tenant's.  Everything crossing the process boundary — the worker
     function, the template, the hyperparameters and the fold indices — is
     picklable; fold payloads come back as plain dicts so even exotic worker

@@ -172,10 +172,10 @@ class SearchResult:
         #: This search's counters as a fleet tenant — a
         #: :class:`~repro.automl.backends.TenantBackend`, which a process
         #: backend is (tenant ``"default"`` of a fleet of one); ``None``
-        #: otherwise.  Folds, fold seconds, queue high-water mark, tasks
-        #: per transport and, under ``"supervisor"``, the pool's recovery
-        #: counters cover this search only, also on a caller-owned backend
-        #: that outlives it.
+        #: otherwise.  Folds that reached a worker, fold seconds, queue
+        #: high-water mark, tasks per transport and, under ``"supervisor"``,
+        #: the pool's recovery counters cover this search only, also on a
+        #: caller-owned backend that outlives it.
         self.fleet_stats = fleet_stats
 
     @property

@@ -33,6 +33,13 @@ killed worker corrupts only its own channels:
   :class:`FoldTimeoutError`), which the pool machinery records as a
   failed evaluation through the existing ``record_failure`` path.
 
+The pool's one queue is a :class:`FairShareQueue`: when a worker frees, it
+takes the next job by stride order over the pool's tenants (a fleet
+registers one per search; plain :meth:`SupervisedWorkerPool.submit` queues
+for the pool's own tenant, so with no other tenant the order is submission
+order).  A job can be cancelled until a worker takes it, and a cancelled
+job never reaches a worker.
+
 Determinism: folds are pure functions of their submission, so a retried
 fold returns the identical payload the first attempt would have — only
 the *final* outcome ever reaches the candidate future, intermediate
@@ -74,6 +81,13 @@ _MAX_INIT_FAILURES = 3
 
 #: Seconds granted to workers to exit cleanly at shutdown before SIGKILL.
 _JOIN_SECONDS = 5.0
+
+#: Pass-value charge for a tenant's first folds, before any measured cost
+#: seeds the EWMA (seconds; only the ratio across tenants matters).
+_DEFAULT_FOLD_COST = 0.01
+
+#: EWMA retention for the per-tenant fold-cost estimate.
+_COST_EWMA_DECAY = 0.7
 
 
 #: Every pool built and not yet garbage-collected; closed at interpreter
@@ -180,20 +194,144 @@ class _Worker:
 
 
 class _Job:
-    """One submitted fold: the callable, its future and its retry state."""
+    """One submitted fold: the callable, its future, its tenant and its retry state."""
 
-    __slots__ = ("id", "fn", "args", "kwargs", "future", "attempts",
-                 "started", "timed_out")
+    __slots__ = ("id", "fn", "args", "kwargs", "future", "tenant", "estimate",
+                 "attempts", "timed_out")
 
-    def __init__(self, job_id, fn, args, kwargs, future):
+    def __init__(self, job_id, fn, args, kwargs, future, tenant):
         self.id = job_id
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
         self.future = future
+        self.tenant = tenant
+        self.estimate = 0.0  # the cost charged to the tenant when a worker took it
         self.attempts = 0
-        self.started = False  # future moved to RUNNING (first dispatch)
         self.timed_out = False
+
+
+class _Tenant:
+    """One tenant of a :class:`FairShareQueue`: its queued jobs, its pass and its counters."""
+
+    __slots__ = ("name", "weight", "queue", "pass_value", "cost_ewma", "inflight",
+                 "folds_dispatched", "fold_seconds", "queue_hwm")
+
+    def __init__(self, name, weight, pass_value):
+        self.name = name
+        self.weight = weight
+        self.queue = deque()
+        self.pass_value = pass_value
+        self.cost_ewma = None
+        self.inflight = 0  # taken by a worker and not settled yet
+        self.folds_dispatched = 0
+        self.fold_seconds = 0.0
+        self.queue_hwm = 0
+
+
+class FairShareQueue:
+    """The pool's dispatch order: stride scheduling with deficit correction.
+
+    Every job belongs to a tenant, and each tenant carries a *pass* value.
+    When a worker frees, the backlogged tenant with the lowest pass gives
+    up its oldest job, and its pass advances by the job's cost divided by
+    the tenant's weight.  Costs are not known up front — fold costs are
+    exactly the skew fold-level dispatch exists for — so a job is charged
+    an EWMA *estimate* of the tenant's recent fold cost when a worker takes
+    it, and the difference to its measured cost is charged back when it
+    completes (the deficit correction).  An expensive tenant therefore
+    consumes its share in few large folds while cheap tenants stream many
+    small ones through the same workers — skew-aware fairness in the sense
+    of "Skew in Parallel Query Processing" — and because the lowest pass
+    always advances, no backlogged tenant starves.  A newly registered
+    tenant joins at the current minimum pass, so it owes nothing for
+    history it did not see.  One tenant's jobs leave in submission order.
+
+    Not thread-safe: the pool calls it under its lock.
+    """
+
+    def __init__(self):
+        self._tenants = []
+        #: Jobs a worker took before (a crashed fold's retry, or one whose
+        #: worker died before receiving it): they go ahead of every
+        #: tenant's queue and are never charged again.
+        self.retries = deque()
+
+    def __bool__(self):
+        return bool(self.retries) or any(tenant.queue for tenant in self._tenants)
+
+    def add_tenant(self, name, weight=1.0):
+        """Register a tenant at the current minimum pass; returns its :class:`_Tenant`."""
+        weight = float(weight)
+        if not weight > 0:
+            raise ValueError("tenant weight must be positive")
+        tenant = _Tenant(name, weight, min(
+            (other.pass_value for other in self._tenants), default=0.0))
+        self._tenants.append(tenant)
+        return tenant
+
+    def release(self, tenant):
+        """Unregister ``tenant``; returns its queued jobs, which no worker will take."""
+        if tenant in self._tenants:
+            self._tenants.remove(tenant)
+        stranded = list(tenant.queue)
+        tenant.queue.clear()
+        return stranded
+
+    def push(self, job):
+        """Queue ``job`` behind its tenant's earlier jobs; returns the tenant's depth."""
+        tenant = job.tenant
+        if tenant not in self._tenants:
+            raise RuntimeError("tenant {!r} is no longer registered".format(tenant.name))
+        tenant.queue.append(job)
+        depth = len(tenant.queue) + tenant.inflight
+        tenant.queue_hwm = max(tenant.queue_hwm, depth)
+        return depth
+
+    def pop(self):
+        """The job a free worker takes next, or ``None`` when nothing is queued.
+
+        A job cancelled while queued is dropped here and costs nothing; the
+        one picked turns running, so it can no longer be cancelled.
+        """
+        if self.retries:
+            return self.retries.popleft()
+        while True:
+            backlogged = [tenant for tenant in self._tenants if tenant.queue]
+            if not backlogged:
+                return None
+            tenant = min(backlogged, key=lambda other: (other.pass_value, other.name))
+            job = tenant.queue.popleft()
+            if job.future.set_running_or_notify_cancel():
+                break
+        job.estimate = _DEFAULT_FOLD_COST if tenant.cost_ewma is None else tenant.cost_ewma
+        tenant.pass_value += job.estimate / tenant.weight
+        tenant.inflight += 1
+        tenant.folds_dispatched += 1
+        return job
+
+    def drain(self):
+        """Take every tenant's queued jobs out (the retries stay); returns them."""
+        jobs = [job for tenant in self._tenants for job in tenant.queue]
+        for tenant in self._tenants:
+            tenant.queue.clear()
+        return jobs
+
+    @staticmethod
+    def settle(job, cost=None):
+        """A taken job is done: re-charge it at its measured ``cost`` seconds, if any.
+
+        The deficit correction replaces the estimate the job was charged
+        when a worker took it, so systematic under- or over-estimates never
+        distort the shares; a job without a measurement keeps its estimate.
+        """
+        tenant = job.tenant
+        tenant.inflight -= 1
+        if cost is not None:
+            tenant.fold_seconds += cost
+            tenant.pass_value += (cost - job.estimate) / tenant.weight
+            tenant.cost_ewma = cost if tenant.cost_ewma is None else (
+                _COST_EWMA_DECAY * tenant.cost_ewma + (1.0 - _COST_EWMA_DECAY) * cost)
 
 
 def _payload_retriable(result):
@@ -248,9 +386,10 @@ class SupervisedWorkerPool:
         self._initializer = initializer
         self._context = get_context()
         self._lock = threading.RLock()
-        self._queue = deque()
+        self._queue = FairShareQueue()
+        self._own_tenant = None  # plain submit()'s tenant, registered on first use
         self._delayed = []  # heap of (ready_time, tiebreak, job)
-        self._jobs = {}  # job_id -> _Job, queued/delayed/running
+        self._jobs = {}  # job_id -> _Job a worker took: running or awaiting its retry
         self._workers = {}  # sentinel -> _Worker
         self._ids = count()
         self._delay_seq = count()
@@ -263,29 +402,67 @@ class SupervisedWorkerPool:
                       "folds_timed_out": 0, "pools_rebuilt": 0,
                       "folds_quarantined": 0}
         self._wake_r, self._wake_w = os.pipe()
-        _LIVE_POOLS.add(self)
-        for _ in range(self.max_workers):
-            self._spawn_worker()
         self._thread = threading.Thread(
             target=self._supervise, name="pool-supervisor", daemon=True
         )
-        self._thread.start()
+        try:
+            for _ in range(self.max_workers):
+                self._spawn_worker()
+            self._thread.start()
+        except BaseException:
+            # a fork that fails partway (EAGAIN) leaves no worker or pipe behind
+            self._stop_workers()
+            os.close(self._wake_r)
+            os.close(self._wake_w)
+            raise
+        _LIVE_POOLS.add(self)
 
     # -- public executor API ------------------------------------------------------
 
-    def submit(self, fn, *args, **kwargs):
-        """Schedule ``fn(*args, **kwargs)`` on the pool; returns a Future."""
+    def submit(self, fn, /, *args, **kwargs):
+        """Schedule ``fn(*args, **kwargs)`` for the pool's own tenant; returns a Future.
+
+        With no other tenant registered, jobs reach the workers in
+        submission order.
+        """
+        with self._lock:
+            if self._own_tenant is None:
+                self._own_tenant = self._queue.add_tenant("default")
+            return self.submit_for(self._own_tenant, fn, *args, **kwargs)
+
+    def submit_for(self, tenant, fn, /, *args, **kwargs):
+        """Queue ``fn(*args, **kwargs)`` for ``tenant`` (see :meth:`add_tenant`); returns a Future.
+
+        The future can be cancelled until a worker takes the job.
+        """
         future = Future()
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot schedule new futures after shutdown")
             if self._broken is not None:
                 raise RuntimeError(self._broken)
-            job = _Job(next(self._ids), fn, args, kwargs, future)
-            self._jobs[job.id] = job
-            self._queue.append(job)
+            depth = self._queue.push(_Job(next(self._ids), fn, args, kwargs, future, tenant))
+            # under the lock, so a job's enqueue event precedes its dispatch event
+            emit_active("fleet_queue_depth", tenant=tenant.name, depth=depth)
         self._wake()
         return future
+
+    def add_tenant(self, name, weight=1.0):
+        """Register a tenant of the fair-share order; returns its handle for :meth:`submit_for`.
+
+        ``weight`` scales the tenant's share of worker time under contention.
+        """
+        with self._lock:
+            return self._queue.add_tenant(name, weight)
+
+    def release_tenant(self, tenant):
+        """Unregister ``tenant``; returns the futures of its queued jobs, for the caller to settle.
+
+        No worker takes those jobs any more; the ones workers already took
+        run to completion.
+        """
+        with self._lock:
+            return [job.future for job in self._queue.release(tenant)]
 
     def set_fault_listener(self, listener):
         """Install a callback invoked before every fold retry.
@@ -305,19 +482,9 @@ class SupervisedWorkerPool:
                     self._join(block=True)
                 return
             self._closed = True
-            cancelled = []
             if cancel_futures:
-                cancelled = [job for job in self._jobs.values()
-                             if job.future.cancel()]
-                for job in cancelled:
-                    self._jobs.pop(job.id, None)
-                self._queue = deque(
-                    job for job in self._queue if job.id in self._jobs
-                )
-                self._delayed = [
-                    entry for entry in self._delayed if entry[2].id in self._jobs
-                ]
-                heapq.heapify(self._delayed)
+                for job in self._queue.drain():
+                    job.future.cancel()
         self._wake()
         if wait:
             self._join(block=True)
@@ -354,11 +521,17 @@ class SupervisedWorkerPool:
             name="supervised-worker",
             daemon=True,
         )
-        process.start()
-        # the parent keeps only its own ends, so a dead worker's result
-        # pipe reads EOF instead of blocking forever
-        task_r.close()
-        result_w.close()
+        try:
+            process.start()
+        except BaseException:
+            task_w.close()
+            result_r.close()
+            raise
+        finally:
+            # the parent keeps only its own ends, so a dead worker's result
+            # pipe reads EOF instead of blocking forever
+            task_r.close()
+            result_w.close()
         worker = _Worker(process, task_w, result_r)
         self._workers[process.sentinel] = worker
         return worker
@@ -409,7 +582,7 @@ class SupervisedWorkerPool:
                     "({} attempts)".format(attempts)
                 )
             with self._lock:
-                self._jobs.pop(job.id, None)
+                self._settle_locked(job)
             job.future.set_exception(error)
             return
         job.attempts += 1
@@ -433,9 +606,9 @@ class SupervisedWorkerPool:
         """Init failures exhausted the respawn budget: fail everything."""
         with self._lock:
             self._broken = message
-            jobs = list(self._jobs.values())
+            jobs = list(self._jobs.values()) + self._queue.drain()
             self._jobs.clear()
-            self._queue.clear()
+            self._queue.retries.clear()
             self._delayed = []
         for job in jobs:
             if not job.future.cancelled():
@@ -459,32 +632,31 @@ class SupervisedWorkerPool:
         return None
 
     def _dispatch_locked(self):
-        while self._queue:
+        """Hand every idle worker the next job of the fair-share order."""
+        while True:
             worker = self._idle_worker_locked()
-            if worker is None:
-                # still drain cancelled folds so shutdown never waits on them
-                while self._queue and self._queue[0].future.cancelled():
-                    job = self._queue.popleft()
-                    self._jobs.pop(job.id, None)
+            job = self._queue.pop() if worker is not None else None
+            if job is None:
                 return
-            job = self._queue.popleft()
-            if not job.started:
-                if not job.future.set_running_or_notify_cancel():
-                    self._jobs.pop(job.id, None)
-                    continue
-                job.started = True
+            first = job.id not in self._jobs  # its first dispatch, not a retry
+            self._jobs[job.id] = job
             try:
                 message = ForkingPickler.dumps((job.id, job.fn, job.args, job.kwargs))
             except Exception as failure:  # noqa: BLE001 - the job's outcome, not a death
                 # nothing reached the worker: an unpicklable job fails alone
                 # instead of passing for a dead worker, respawned without end
-                self._jobs.pop(job.id, None)
+                if first:
+                    job.tenant.folds_dispatched -= 1
+                self._settle_locked(job)
                 job.future.set_exception(failure)
                 continue
+            if first:
+                emit_active("fleet_admission", tenant=job.tenant.name,
+                            estimate=job.estimate, pass_value=job.tenant.pass_value)
             try:
                 worker.task_conn.send_bytes(message)
             except Exception:  # noqa: BLE001 - the worker died between jobs
-                self._queue.appendleft(job)
+                self._queue.retries.appendleft(job)
                 dead = worker
                 self._lock.release()
                 try:
@@ -499,7 +671,15 @@ class SupervisedWorkerPool:
     def _promote_delayed_locked(self, now):
         while self._delayed and self._delayed[0][0] <= now:
             _, _, job = heapq.heappop(self._delayed)
-            self._queue.append(job)
+            self._queue.retries.append(job)
+
+    def _settle_locked(self, job, cost=None):
+        """A taken job leaves the pool: free its tenant's slot, correct its charge."""
+        self._jobs.pop(job.id, None)
+        self._queue.settle(job, cost)
+        tenant = job.tenant
+        emit_active("fleet_pass_value", tenant=tenant.name, cost=cost,
+                    pass_value=tenant.pass_value, cost_ewma=tenant.cost_ewma)
 
     def _check_deadlines(self):
         if self.fold_timeout is None:
@@ -548,15 +728,17 @@ class SupervisedWorkerPool:
                 return  # stale result of a job already failed elsewhere
             if kind == "error":
                 with self._lock:
-                    self._jobs.pop(job.id, None)
+                    self._settle_locked(job)
                 job.future.set_exception(result)
                 return
             if (_payload_retriable(result)
                     and job.attempts < self.max_fold_retries):
                 self._retry_or_quarantine(job, "retriable-payload")
                 return
+            # a fold payload carries its own compute seconds, not queue wait
+            cost = float(result.get("elapsed") or 0.0) if isinstance(result, dict) else None
             with self._lock:
-                self._jobs.pop(job.id, None)
+                self._settle_locked(job, cost)
             job.future.set_result(result)
 
     def _drain_conn(self, worker):
@@ -575,7 +757,7 @@ class SupervisedWorkerPool:
                 now = time.monotonic()
                 self._promote_delayed_locked(now)
                 self._dispatch_locked()
-                if self._closed and not self._jobs:
+                if self._closed and not self._jobs and not self._queue:
                     break
                 if self._broken is not None and self._closed:
                     break
@@ -635,11 +817,11 @@ class SupervisedWorkerPool:
             if worker.process.is_alive():
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
-            for conn in (worker.task_conn, worker.result_conn):
+            for conn in (worker.task_conn, worker.result_conn, worker.process):
                 try:
-                    conn.close()
-                except OSError:
-                    pass
+                    conn.close()  # a process closes its sentinel
+                except (OSError, ValueError):
+                    pass  # ValueError: a process that outlived its kill
 
     def _join(self, block):
         self._thread.join(timeout=None if block else 0.0)

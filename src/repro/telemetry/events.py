@@ -68,7 +68,8 @@ EVENT_TYPES = frozenset({
     "shm_publish",
     "shm_attach",
     "shm_fallback",  # no longer emitted; kept for the same reason
-    # multi-tenant fleet scheduler
+    # the pool's fair-share order: a job queued (queue depth), taken by a
+    # worker (admission: dispatch, not entry to a second queue), completed
     "fleet_admission",
     "fleet_pass_value",
     "fleet_queue_depth",

@@ -23,8 +23,8 @@ stored value.
 
 Coordinator-global active sink
 ------------------------------
-Some emit points have no candidate or search object in scope — the fleet
-scheduler's admission/queue-depth samples, the shm plane's publish
+Some emit points have no candidate or search object in scope — the
+pool's fair-share samples (queue depth, dispatch), the shm plane's publish
 decisions.  Those go through the module-level *active sink* hook:
 :func:`activate_sink` installs the sink for the duration of a search and
 :func:`emit_active` is a no-op when none is installed.  Activation is

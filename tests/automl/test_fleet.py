@@ -1,16 +1,20 @@
 """Tests for the multi-tenant fleet coordinator.
 
-Two contracts rule this layer: *fairness* (stride/deficit admission gives
-every tenant its weighted share of the shared workers, skew-aware and
-starvation-free) and *determinism* (a tenant's record stream is
-bit-identical to the same search run solo — the fleet only changes where
-and when folds run, never what is reported).
+Two contracts rule this layer: *fairness* (the pool's stride/deficit
+dispatch order gives every tenant its weighted share of the shared
+workers, skew-aware and starvation-free) and *determinism* (a tenant's
+record stream is bit-identical to the same search run solo — the fleet
+only changes where and when folds run, never what is reported).
 """
 
+import errno
+import glob
+import multiprocessing
 import os
 import sys
+import tempfile
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+import time
 
 import pytest
 
@@ -20,7 +24,6 @@ from repro.automl import (
     FleetCoordinator,
     ProcessBackend,
 )
-from repro.automl.fleet import _DEFAULT_FOLD_COST
 from repro.automl.session import AutoBazaarSession
 from repro.automl.supervisor import SupervisedWorkerPool
 from repro.core.template import Template
@@ -118,29 +121,20 @@ class TestFleetDeterminism:
             assert stats["fold_seconds"] > 0
 
 
-# -- fair-share scheduling (driven through a manual executor) ----------------------
+# -- fair share on the fleet's pool ---------------------------------------------------
+#
+# The stride order itself is the pool's FairShareQueue (test_fair_share.py);
+# these cases run the fleet on a real pool.  Where a fold must stay queued, a
+# blocking fold holds the pool's one worker.
 
 
-class _ManualExecutor:
-    """Executor stub: submissions pile up until the test completes them."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        self.submitted.append((args, future))
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        # what a real pool does to the jobs it has not started yet
-        if cancel_futures:
-            for _, future in self.submitted:
-                future.cancel()
+def _square(value):
+    return value * value
 
 
-def _noop(tag):
-    return tag
+def _sleep(seconds):
+    time.sleep(seconds)
+    return "slept"
 
 
 def _candidate():
@@ -151,155 +145,84 @@ def _candidate():
     )
 
 
-class _ManualFleet(FleetCoordinator):
-    """A fleet whose pool is a :class:`_ManualExecutor`: no worker is started."""
-
-    def _make_pool(self):
-        return _ManualExecutor()
-
-
-class _InProcessFleet(FleetCoordinator):
-    """A fleet whose folds run on threads of this process (a stdlib pool)."""
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-
-def manual_fleet(**execution):
-    fleet = _ManualFleet(workers=1, **execution)
-    fleet._max_admitted = 1  # one admission slot: the stride order is the submit order
-    return fleet, fleet._executor
+def _occupy(fleet, seconds=0.5):
+    """Hold the fleet's one worker with a fold of a tenant of its own; returns the fold."""
+    blocker = fleet.register(name="blocker")._executor.submit(_sleep, seconds)
+    while not blocker.running():  # a worker took it: the rest stays queued
+        time.sleep(0.01)
+    return blocker
 
 
 class TestFairShareScheduling:
-    def test_weighted_stride_admission_order(self):
-        # one admission slot makes the stride order fully observable: a
-        # weight-2 tenant must be admitted exactly twice as often as a
-        # weight-1 tenant when their fold costs are equal
-        fleet, manual = manual_fleet()
-        tenant_a = fleet.register(name="a", weight=2.0)
-        tenant_b = fleet.register(name="b", weight=1.0)
-        for _ in range(30):
-            tenant_a._executor.submit(_noop, "a")
-            tenant_b._executor.submit(_noop, "b")
-        order = []
-        while manual.submitted and len(order) < 18:
-            args, real = manual.submitted.pop(0)
-            order.append(args[0])
-            real.set_result({"elapsed": _DEFAULT_FOLD_COST})
-        assert len(order) == 18
-        assert order.count("a") == 2 * order.count("b")
-        fleet.close()
-
-    def test_deficit_correction_is_skew_aware(self):
-        # equal weights but 9x skewed fold costs: once measured costs feed
-        # the pass values, the cheap tenant streams many folds per
-        # expensive one — time shares equalize, not fold counts
-        fleet, manual = manual_fleet()
-        cheap = fleet.register(name="cheap")
-        heavy = fleet.register(name="heavy")
-        for _ in range(400):
-            cheap._executor.submit(_noop, "cheap")
-            heavy._executor.submit(_noop, "heavy")
-        costs = {"cheap": 0.01, "heavy": 0.09}
-        order = []
-        while manual.submitted and len(order) < 120:
-            args, real = manual.submitted.pop(0)
-            order.append(args[0])
-            real.set_result({"elapsed": costs[args[0]]})
-        tail = order[20:]  # skip the estimate warm-up
-        assert tail.count("heavy") >= 1  # no starvation
-        assert tail.count("cheap") >= 5 * tail.count("heavy")
-        fleet.close()
-
-    def test_cancelled_queued_fold_never_reaches_the_executor(self):
-        fleet, manual = manual_fleet()
-        tenant = fleet.register(name="t")
-        first = tenant._executor.submit(_noop, "t")
-        second = tenant._executor.submit(_noop, "t")
-        assert len(manual.submitted) == 1
-        assert second.cancel() is True
-        assert second.cancelled()
-        seen = []
-        second.add_done_callback(lambda future: seen.append(future.cancelled()))
-        assert seen == [True]  # terminal futures fire callbacks immediately
-        manual.submitted[0][1].set_result({"elapsed": 0.01})
-        assert len(manual.submitted) == 1  # the cancelled fold was skipped
-        assert not first.cancelled()
-        fleet.close()
+    def test_a_tenant_fold_is_the_pool_jobs_own_future(self):
+        with FleetCoordinator(workers=1) as fleet:
+            fold = fleet.register(name="t")._executor.submit(_sleep, 0.2)
+            while not fold.running():
+                time.sleep(0.01)
+            taken = list(fleet._executor._jobs.values())
+            assert [job.future for job in taken] == [fold]  # no second future relays it
+            assert fold.result(timeout=30) == "slept"
 
     def test_releasing_a_tenant_cancels_its_queue_and_keeps_the_pool(self):
-        fleet, manual = manual_fleet()
-        tenant_a = fleet.register(name="a")
-        tenant_a._executor.submit(_noop, "a")
-        queued = tenant_a._executor.submit(_noop, "a")
-        tenant_a.shutdown()  # releases the tenant, not the shared pool
-        assert queued.cancelled()
-        assert fleet.tenants() == []
-        with pytest.raises(RuntimeError):
-            tenant_a._executor.submit(_noop, "a")
-        tenant_b = fleet.register(name="b")
-        tenant_b._executor.submit(_noop, "b")
-        assert len(manual.submitted) == 1  # a's admitted fold still holds the slot
-        manual.submitted[0][1].set_result({"elapsed": 0.01})
-        assert len(manual.submitted) == 2  # b admitted once the slot freed
-        fleet.close()
+        with FleetCoordinator(workers=1) as fleet:
+            tenant_a = fleet.register(name="a")
+            running = tenant_a._executor.submit(_sleep, 0.3)
+            while not running.running():
+                time.sleep(0.01)
+            queued = tenant_a._executor.submit(_square, 2)
+            tenant_a.shutdown()  # releases the tenant, not the shared pool
+            assert queued.cancelled()
+            assert fleet.tenants() == []
+            with pytest.raises(RuntimeError, match="no longer registered"):
+                tenant_a._executor.submit(_square, 2)
+            tenant_b = fleet.register(name="b")
+            assert tenant_b._executor.submit(_square, 3).result(timeout=30) == 9
+            assert running.result(timeout=30) == "slept"  # a taken fold runs on
 
-    def test_new_tenant_joins_at_the_minimum_pass(self):
-        fleet, manual = manual_fleet()
-        veteran = fleet.register(name="veteran")
-        for _ in range(10):
-            veteran._executor.submit(_noop, "veteran")
-        for _ in range(5):
-            args, real = manual.submitted.pop(0)
-            real.set_result({"elapsed": 0.05})
-        newcomer_state = fleet.register(name="newcomer")._state
-        assert newcomer_state.pass_value == fleet._tenants["veteran"].pass_value
-        fleet.close()
-
-    def test_an_admitted_fold_runs_on_and_files_its_payload(self):
-        # one admission slot: fold 0 is admitted, fold 1 waits in the queue
-        fleet, manual = manual_fleet()
-        tenant = fleet.register(name="t")
-        future = tenant.submit(_candidate())
-        admitted, queued = future._fold_futures
-        assert len(manual.submitted) == 1
-        assert admitted.cancel() is False and admitted.running()
-        assert queued.cancel() is True
-        payload = {"score": 0.75, "raw_score": 0.75, "error": None, "elapsed": 0.01}
-        manual.submitted[0][1].set_result(payload)
-        assert future._fold_results[0] is payload
-        assert tenant.collect_one() is future
-        assert len(manual.submitted) == 1  # the cancelled fold never reached the executor
-        fleet.close()
+    def test_a_fold_a_worker_took_runs_on_and_files_its_payload(self):
+        with FleetCoordinator(workers=1) as fleet:
+            _occupy(fleet)
+            tenant = fleet.register(name="t")
+            future = tenant.submit(_candidate())
+            taken, queued = future._fold_futures
+            assert queued.cancel() is True  # still queued behind the blocker
+            while not (taken.running() or taken.done()):
+                time.sleep(0.01)
+            assert taken.cancel() is False  # a worker took it: it runs on
+            taken.result(timeout=60)
+            assert future._fold_results[0]["error"] is None
+            assert future._fold_results[0]["score"] is not None
+            assert tenant.collect_one() is future
+            # the cancelled fold never reached a worker
+            assert tenant.tenant_stats()["folds_dispatched"] == 1
 
     def test_a_submit_failure_is_the_folds_exception(self):
-        fleet, manual = manual_fleet()
-
-        def refuse(fn, *args, **kwargs):
-            raise RuntimeError("the pool is broken")
-
-        manual.submit = refuse
-        fold = fleet.register(name="t")._executor.submit(_noop, "t")
-        assert fold.done() and not fold.cancelled()
-        assert str(fold.exception()) == "the pool is broken"
-        assert fleet._admitted == 0  # its admission slot was given back
-        fleet.close()
+        with FleetCoordinator(workers=1) as fleet:
+            tenant = fleet.register(name="t")
+            unpicklable = tenant._executor.submit(lambda: 1)
+            assert "pickle" in str(unpicklable.exception(timeout=30))
+            # it gave its slot back and never counted as dispatched
+            share = tenant._state.share
+            assert share.inflight == 0 and share.folds_dispatched == 0
+            fleet._executor.shutdown(wait=True)
+            future = tenant.submit(_candidate())
+            assert future.done()
+            error = "RuntimeError: cannot schedule new futures after shutdown"
+            assert [payload["error"] for payload in future._fold_results] == [error] * 2
 
     def test_contended_completion_path_loses_no_fold(self):
-        # more workers than cores and a short switch interval: a lost update
-        # in admission or retirement would strand a fold or leak a slot
+        # a short switch interval: a lost update in the pool's pick or
+        # settlement would strand a fold or leak an in-flight count
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with _InProcessFleet(workers=4) as fleet:
-                fleet._max_admitted = 6  # workers + 2: admissions queue behind the cap
+            with FleetCoordinator(workers=2) as fleet:
                 tenants = [fleet.register(name="t{}".format(index)) for index in range(6)]
                 folds = [[] for _ in tenants]
 
                 def submit(index):
                     for tag in range(60):
-                        fold = tenants[index]._executor.submit(_noop, tag)
+                        fold = tenants[index]._executor.submit(_square, tag)
                         if tag % 7 == 0:
                             fold.cancel()  # wins only while the fold is queued
                         folds[index].append(fold)
@@ -315,20 +238,20 @@ class TestFairShareScheduling:
                 for tenant_folds in folds:
                     for tag, fold in enumerate(tenant_folds):
                         if not fold.cancelled():
-                            assert fold.result(timeout=60) == tag
+                            assert fold.result(timeout=60) == tag * tag
                             ran += 1
-                assert fleet._admitted == 0
-                assert all(state.inflight == 0 and not state.queue
-                           for state in fleet._tenants.values())
-                assert sum(state.folds_dispatched for state in fleet._tenants.values()) == ran
+                shares = [tenant._state.share for tenant in tenants]
+                assert all(share.inflight == 0 and not share.queue for share in shares)
+                assert sum(share.folds_dispatched for share in shares) == ran
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_fold_the_pool_cancels_at_close_files_the_shutdown_error(self):
-        fleet, manual = manual_fleet()
+    def test_a_fold_still_queued_at_close_files_the_shutdown_error(self):
+        fleet = FleetCoordinator(workers=1)
+        blocker = _occupy(fleet)
         future = fleet.register(name="t").submit(_candidate())
-        fleet.close()  # releases the tenant, then shuts the executor down
-        assert manual.submitted[0][1].cancelled()
+        fleet.close()  # no worker takes the queued folds; the blocker runs on
+        assert blocker.result(timeout=30) == "slept"
         assert future.done()
         error = "CancelledError: the backend was shut down before this fold ran"
         assert future._fold_results[0]["error"] == error
@@ -351,7 +274,7 @@ class TestFleetValidation:
             FleetCoordinator(backend="process", prefix_cache="bogus")
 
     def test_register_validation_and_close(self):
-        fleet, _ = manual_fleet()
+        fleet = FleetCoordinator(workers=1)
         fleet.register(name="t")
         with pytest.raises(ValueError):
             fleet.register(name="t")  # duplicate
@@ -373,9 +296,7 @@ class TestFleetValidation:
             assert fleet.transport_capacity == 7
 
     def test_disk_prefix_cache_dir_is_owned_and_removed(self, tmp_path):
-        import os
-
-        fleet, _ = manual_fleet(prefix_cache="disk")
+        fleet = FleetCoordinator(workers=1, prefix_cache="disk")
         owned = fleet.cache_dir
         assert owned is not None and os.path.isdir(owned)
         fleet.close()
@@ -383,7 +304,7 @@ class TestFleetValidation:
         # an explicit directory is shared, not owned: it survives close
         explicit = tmp_path / "cache"
         explicit.mkdir()
-        fleet, _ = manual_fleet(prefix_cache="disk", cache_dir=str(explicit))
+        fleet = FleetCoordinator(workers=1, prefix_cache="disk", cache_dir=str(explicit))
         fleet.close()
         assert explicit.is_dir()
 
@@ -393,11 +314,56 @@ class TestFleetValidation:
             "repro.automl.shm.sweep_stale_segments",
             lambda *args, **kwargs: calls.append(1),
         )
-        manual_fleet()[0].close()
+        FleetCoordinator(workers=1).close()
         assert len(calls) == 1
         # a process backend is a fleet of one: it sweeps at startup too
         ProcessBackend(workers=1).shutdown()
         assert len(calls) == 2
+
+
+class _Unstartable(FleetCoordinator):
+    """A fleet whose pool cannot start."""
+
+    def _make_pool(self):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+class TestStartFailure:
+    """A constructor that fails partway releases what it started."""
+
+    CACHES = os.path.join(tempfile.gettempdir(), "repro-fleet-cache-*")
+
+    def test_a_fork_failing_partway_leaves_no_worker_descriptor_or_cache_dir(
+            self, monkeypatch):
+        import scipy.sparse  # noqa: F401 - what the pool imports before it forks
+
+        spawned = []
+        spawn = SupervisedWorkerPool._spawn_worker
+
+        def spawn_once(pool):
+            if spawned:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            worker = spawn(pool)
+            spawned.append(worker.process.pid)
+            return worker
+
+        caches = set(glob.glob(self.CACHES))
+        descriptors = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(SupervisedWorkerPool, "_spawn_worker", spawn_once)
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            FleetCoordinator(workers=2, prefix_cache="disk")
+        assert len(spawned) == 1
+        assert spawned[0] not in [child.pid for child in multiprocessing.active_children()]
+        with pytest.raises(ProcessLookupError):
+            os.kill(spawned[0], 0)  # stopped and reaped
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert set(glob.glob(self.CACHES)) == caches
+
+    def test_a_pool_that_fails_to_start_leaves_no_cache_dir(self):
+        caches = set(glob.glob(self.CACHES))
+        with pytest.raises(OSError):
+            _Unstartable(workers=1, prefix_cache="disk")
+        assert set(glob.glob(self.CACHES)) == caches
 
 
 class TestFleetOfOne:

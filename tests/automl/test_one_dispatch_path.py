@@ -47,8 +47,8 @@ ALLOWED = {
     "an executor job submission": [
         ("backends.py", "_PoolBackend.submit"),
         ("backends.py", "_PoolBackend.submit_refit"),
-        # relays an admitted tenant job, made by submit, to the shared pool
-        ("fleet.py", "FleetCoordinator._launch"),
+        # the one site where a tenant's job, made by submit, enters the pool
+        ("backends.py", "_TenantExecutor.submit"),
     ],
     "a use of a fold entry point": [
         ("backends.py", "evaluate_fold_indices"),
@@ -63,7 +63,8 @@ def _constructs(node):
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         if node.func.attr == "evaluate_pipeline":
             yield "a call of evaluate_pipeline"
-        if (node.func.attr == "submit" and isinstance(node.func.value, ast.Attribute)
+        if (node.func.attr in ("submit", "submit_for")
+                and isinstance(node.func.value, ast.Attribute)
                 and node.func.value.attr == "_executor"):
             yield "an executor job submission"
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)

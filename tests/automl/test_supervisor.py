@@ -52,6 +52,11 @@ def _sleep(seconds):
     return "slept"
 
 
+def _append(path, tag):
+    with open(path, "a") as stream:
+        stream.write("{}\n".format(tag))
+
+
 def _retriable_once(flag_path):
     if not os.path.exists(flag_path):
         with open(flag_path, "w"):
@@ -126,6 +131,30 @@ class TestBasics:
         assert any(future.cancelled() for future in queued)
         for future in queued:
             assert future.cancelled() or future.result(timeout=1) is not None
+
+    def test_one_tenant_runs_in_submission_order(self, pool, tmp_path):
+        executor = pool(max_workers=1)
+        blocker = executor.submit(_sleep, 0.3)
+        while not blocker.running():  # the rest queue behind it
+            time.sleep(0.01)
+        path = str(tmp_path / "order")
+        jobs = [executor.submit(_append, path, tag) for tag in range(6)]
+        for job in jobs:
+            job.result(timeout=30)
+        with open(path) as stream:
+            assert stream.read().split() == [str(tag) for tag in range(6)]
+
+    def test_a_cancelled_queued_job_never_reaches_a_worker(self, pool, tmp_path):
+        executor = pool(max_workers=1)
+        blocker = executor.submit(_sleep, 0.3)
+        while not blocker.running():
+            time.sleep(0.01)
+        path = str(tmp_path / "ran")
+        cancelled = executor.submit(_append, path, "cancelled")
+        assert cancelled.cancel() is True
+        executor.submit(_append, path, "after").result(timeout=30)
+        with open(path) as stream:
+            assert stream.read().split() == ["after"]
 
 
 class TestCrashRecovery:
