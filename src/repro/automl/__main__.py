@@ -161,7 +161,7 @@ def _print_result(result):
     if fleet_stats:
         print("fleet tenant         : {tenant} (weight {weight:g}, "
               "{folds_dispatched} folds / {fold_seconds:.2f}s, "
-              "queue hwm {queue_depth_hwm}, planes {plane_counts})".format(**fleet_stats))
+              "queue hwm {queue_depth_hwm})".format(**fleet_stats))
         print("fault recovery       : {workers_died} workers died, "
               "{folds_retried} folds retried, {folds_timed_out} timed out, "
               "{pools_rebuilt} rebuilds, {folds_quarantined} quarantined".format(

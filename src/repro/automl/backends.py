@@ -18,9 +18,10 @@ Two backends are provided, both the one dispatch path of
     fold retries, an optional fold deadline), as tenant ``"default"`` of a
     private :class:`~repro.automl.fleet.FleetCoordinator`: a solo process
     search is a fleet of one, so every process search takes the fleet's
-    one path from a fold to a worker (:class:`TenantBackend`): the fold
-    waits in the pool's one queue, and the next worker to free takes it
-    in fair-share order.
+    one path from a fold to a worker (:class:`TenantBackend`, whose
+    executor is its tenant's record on the pool): the fold waits in the
+    pool's one queue, and the next worker to free takes it in fair-share
+    order.
 
 Every backend dispatches individual cross-validation *folds*, not whole
 candidates, into one executor queue.  Pipeline costs are heavily skewed (a
@@ -851,35 +852,15 @@ class SerialBackend(_PoolBackend):
     __repr__ = ExecutionBackend.__repr__
 
 
-class _TenantExecutor:
-    """Executor facade handed to a fleet tenant's dispatch path.
-
-    ``submit`` queues the job for the tenant on the fleet's pool, which
-    dispatches it in fair-share order, and returns the pool job's own
-    :class:`~concurrent.futures.Future`; ``shutdown`` (called by the
-    backend's own ``shutdown``) releases the tenant's registration — the
-    fleet's pool outlives every tenant.
-    """
-
-    def __init__(self, fleet, state):
-        self._fleet = fleet
-        self._state = state
-        self._executor = fleet._executor
-
-    def submit(self, fn, /, *args, **kwargs):
-        return self._executor.submit_for(self._state.share, fn, *args, **kwargs)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self._fleet._release_tenant(self._state)
-
-
 class TenantBackend(_PoolBackend):
     """One tenant's execution backend on a :class:`~repro.automl.fleet.FleetCoordinator`.
 
     Behaves exactly like a private pool backend from the search loop's
     perspective — fold-level submission, completion queue, cancellation —
     but every fold goes through the fleet's
-    fair-share scheduler and data plane.  Obtained from
+    fair-share scheduler and data plane: the executor is the tenant's
+    record on the fleet's pool, whose ``submit`` queues a fold for the
+    tenant.  Obtained from
     :meth:`FleetCoordinator.register
     <repro.automl.fleet.FleetCoordinator.register>`; pass it as the search's
     ``backend``.  ``shutdown()`` releases the tenant (cancelling its queued
@@ -889,53 +870,48 @@ class TenantBackend(_PoolBackend):
 
     name = "fleet"
 
-    def __init__(self, fleet, state):
+    def __init__(self, fleet, tenant):
         self._fleet = fleet
-        self._state = state
+        self._tenant = tenant
         super().__init__(workers=fleet.workers)
 
     def _make_executor(self):
-        return _TenantExecutor(self._fleet, self._state)
+        return self._tenant
 
     def _task_ref(self, task):
-        return self._fleet._task_ref(task, self._state)
+        return self._fleet._task_ref(task)
 
     @property
     def tenant_name(self):
-        return self._state.name
+        return self._tenant.name
 
     def tenant_stats(self, since=None):
-        """A fresh dict of this tenant's fair-share and data-plane counters.
+        """A fresh dict of this tenant's fair-share counters.
 
-        They include the tasks shipped per transport (``shm``, the one
-        plane) and, under ``"supervisor"``, the fleet pool's five
-        supervision counters.  Every counter survives the tenant's release and the
+        Under ``"supervisor"`` it holds the fleet pool's five supervision
+        counters.  Every counter survives the tenant's release and the
         pool's shutdown.  Given an earlier result as ``since``, the
         lifetime counts are what accrued after it.
         """
-        return self._fleet._tenant_stats(self._state, since)
+        return self._fleet._tenant_stats(self._tenant, since)
 
     def drain(self):
-        """Discard a previous search's leftovers and restart its per-search marks.
+        """Discard a previous search's leftovers and restart the queue high-water mark.
 
-        The queue high-water mark cannot be differenced between two
-        snapshots, and the task ids a finished search's planes were
-        counted by may be reused by the next search's tasks.
+        The mark cannot be differenced between two snapshots.
         """
         super().drain()
         # drained: none of this tenant's folds is live any more
-        self._state.share.queue_hwm = 0
-        with self._fleet._lock:
-            self._state.seen_tasks.clear()
+        self._tenant.queue_hwm = 0
 
     def _state_dump(self):
-        share = self._state.share
+        tenant = self._tenant
         return "{}; {} fold(s) queued, {} on workers".format(
-            super()._state_dump(), len(share.queue), share.inflight)
+            super()._state_dump(), len(tenant.queue), tenant.inflight)
 
     def __repr__(self):
         return "TenantBackend(tenant={!r}, fleet={!r})".format(
-            self._state.name, self._fleet
+            self._tenant.name, self._fleet
         )
 
 
@@ -950,8 +926,8 @@ class ProcessBackend(TenantBackend):
     function, the template, the hyperparameters and the fold indices — is
     picklable; fold payloads come back as plain dicts so even exotic worker
     exceptions survive the return trip.  Each task's data crosses once,
-    as one published file the workers map; :meth:`tenant_stats` tallies
-    the tasks shipped and the pool's supervision counters.
+    as one published file the workers map; :meth:`tenant_stats` reports
+    the tenant's folds and the pool's supervision counters.
 
     Parameters
     ----------
@@ -977,7 +953,7 @@ class ProcessBackend(TenantBackend):
             backend="process", workers=workers, fold_timeout=fold_timeout,
             max_fold_retries=max_fold_retries,
         )
-        super().__init__(fleet, fleet._add_tenant("default"))
+        super().__init__(fleet, fleet._executor.add_tenant("default"))
 
     def shutdown(self):
         super().shutdown()

@@ -9,14 +9,16 @@ also the only process stack: a solo ``backend="process"`` search is a
 fleet of one (:class:`~repro.automl.backends.ProcessBackend` is tenant
 ``"default"`` of a private coordinator).
 
-Fair share is the pool's own dispatch order: each tenant is a tenant of
-the pool's :class:`~repro.automl.supervisor.FairShareQueue`, and whenever
-a worker frees, it takes the next fold by weighted stride scheduling with
-deficit correction over the tenants' queues.  A tenant's fold is the pool
-job's own :class:`~concurrent.futures.Future`, cancellable until a worker
-takes it; a released tenant's queued folds are cancelled, and a fold
-still queued when the fleet closes files ``CancelledError: the backend
-was shut down before this fold ran``.
+Fair share is the pool's own dispatch order.  A tenant is one record of
+the pool (:meth:`~repro.automl.supervisor.SupervisedWorkerPool.add_tenant`)
+holding its queue, pass value and counters; the fleet keeps no tenant
+state of its own.  Whenever a worker frees, it takes the next fold by
+weighted stride scheduling with deficit correction over the tenants'
+queues.  A tenant's fold is the pool job's own
+:class:`~concurrent.futures.Future`, cancellable until a worker takes it;
+a released tenant's queued folds are cancelled, and a fold still queued
+when the fleet closes files ``CancelledError: the backend was shut down
+before this fold ran``.
 
 Determinism: the fleet changes *where and when* folds run, never what is
 reported.  Each tenant search keeps its own tuners, selector, RNG and
@@ -31,7 +33,6 @@ import shutil
 import threading
 from collections import OrderedDict
 from concurrent.futures import CancelledError
-from itertools import count
 
 from repro.automl import shm
 from repro.automl.backends import (
@@ -47,16 +48,6 @@ from repro.automl.prefix_cache import open_cache_dir
 from repro.automl.supervisor import SupervisedWorkerPool
 from repro.lazyimport import import_module
 from repro.telemetry.sink import emit_active
-
-
-class _TenantState:
-    """What the fleet keeps of one tenant: its share of the pool and its data-plane tallies."""
-
-    def __init__(self, share):
-        self.name = share.name
-        self.share = share  # the pool's record: queue, pass value, dispatch counters
-        self.plane_counts = {}
-        self.seen_tasks = set()
 
 
 class FleetCoordinator:
@@ -84,8 +75,8 @@ class FleetCoordinator:
         broken pool for every tenant; and ``prefix_cache`` / ``cache_dir``:
         with ``"disk"`` and no directory the coordinator creates, and
         removes on close, one shared directory, so all tenants' workers
-        reuse each other's fitted prefixes); the others configure the
-        tenants' searches.
+        reuse each other's fitted prefixes).  Nothing reads the others
+        (``n_pending``, ``telemetry``): each tenant's search takes its own.
     """
 
     def __init__(self, backend="process", **execution):
@@ -99,9 +90,7 @@ class FleetCoordinator:
         self.execution = config
         self.workers = workers
         self._lock = threading.Lock()
-        self._tenants = {}
         self._closed = False
-        self._tenant_ids = count()
         # the process data plane: the coordinator-side LRU of published
         # tasks, id(task) -> segment, shared by every tenant thread
         self._transport_lock = threading.Lock()
@@ -141,79 +130,51 @@ class FleetCoordinator:
         """Register a tenant; returns its :class:`~repro.automl.backends.TenantBackend`.
 
         ``weight`` scales the tenant's fair share (a weight-2 tenant gets
-        twice the worker time of a weight-1 tenant under contention).
+        twice the worker time of a weight-1 tenant under contention).  The
+        tenant is a record of the pool (an unnamed one is ``tenant-N``, a
+        duplicate name is refused); the backend's ``shutdown`` releases it.
         """
-        return TenantBackend(self, self._add_tenant(name, weight))
-
-    def _add_tenant(self, name=None, weight=1.0):
-        """The state of a newly registered tenant (see :meth:`register`)."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("the fleet coordinator is closed")
-            if name is None:
-                name = "tenant-{}".format(next(self._tenant_ids))
-            if name in self._tenants:
-                raise ValueError("tenant {!r} is already registered".format(name))
-            state = _TenantState(self._executor.add_tenant(name, weight))
-            self._tenants[name] = state
+            tenant = self._executor.add_tenant(name, weight)
             # the segment LRU must span both partitions of every
             # registered tenant at once — the training partition its folds
             # read and the held-out one its refit scores on — or registering
             # many tenants would evict segments with jobs still in flight
-            self.transport_capacity = max(self.transport_capacity, 2 * len(self._tenants) + 1)
-        return state
-
-    def _release_tenant(self, state):
-        """Unregister a tenant; its folds no worker took yet are cancelled."""
-        with self._lock:
-            if self._tenants.get(state.name) is not state:
-                return
-            del self._tenants[state.name]
-        for future in self._executor.release_tenant(state.share):
-            future.cancel()
+            self.transport_capacity = max(
+                self.transport_capacity, 2 * len(self._executor.tenants()) + 1)
+        return TenantBackend(self, tenant)
 
     def tenants(self):
         """Names of the currently registered tenants (sorted)."""
-        with self._lock:
-            return sorted(self._tenants)
+        return sorted(tenant.name for tenant in self._executor.tenants())
 
     # -- data plane ---------------------------------------------------------------
 
-    def _task_ref(self, task, state):
-        """The handle every job of a tenant's ``task`` ships with, tallied per tenant.
+    def _task_ref(self, task):
+        """The handle every job of ``task`` ships with, published on first use.
 
         The fleet publishes every task once as one read-only mapped file
         (:func:`repro.automl.shm.publish_task`) and ships its picklable
         :class:`~repro.automl.shm.SharedTaskHandle`; a publication that
         fails in both segment directories raises, and the submitting job
-        records it as its error.
+        records it as its error.  Each segment holds its task, which keeps
+        the ``id`` it is keyed by valid for as long as the entry lives.
         """
         with self._transport_lock:
-            ref = self._published(task)
-        with self._lock:
-            if id(task) not in state.seen_tasks:
-                state.seen_tasks.add(id(task))
-                state.plane_counts["shm"] = state.plane_counts.get("shm", 0) + 1
-        return ref
-
-    def _published(self, task):
-        """``task``'s live segment handle, published on first use.
-
-        Call under the transport lock.  Each segment holds its task, which
-        keeps the ``id`` it is keyed by valid for as long as the entry lives.
-        """
-        segment = self._segments.get(id(task))
-        if segment is not None:
-            self._segments.move_to_end(id(task))
+            segment = self._segments.get(id(task))
+            if segment is not None:
+                self._segments.move_to_end(id(task))
+                return segment.handle
+            segment = shm.publish_task(task)
+            self._segments[id(task)] = segment
+            emit_active("shm_publish", task=getattr(task, "name", None),
+                        plane_counts={"shm": len(self._segments)})
+            while len(self._segments) > self.transport_capacity:
+                _, stale = self._segments.popitem(last=False)
+                stale.release()
             return segment.handle
-        segment = shm.publish_task(task)
-        self._segments[id(task)] = segment
-        emit_active("shm_publish", task=getattr(task, "name", None),
-                    plane_counts={"shm": len(self._segments)})
-        while len(self._segments) > self.transport_capacity:
-            _, stale = self._segments.popitem(last=False)
-            stale.release()
-        return segment.handle
 
     def _repair_data_plane(self):
         """Re-publish any segment whose file went missing.
@@ -233,35 +194,25 @@ class FleetCoordinator:
 
     # -- observability ------------------------------------------------------------
 
-    def _tenant_stats(self, state, since=None):
+    def _tenant_stats(self, tenant, since=None):
         """A tenant's counters and the pool's, or what accrued after the earlier result ``since``.
 
-        Folds, fold seconds, planes (only those used) and pool incidents
-        are lifetime counts, differenced against ``since``; the settings
-        and the queue high-water mark are reported as they are now.
+        Folds, fold seconds and pool incidents are lifetime counts,
+        differenced against ``since``; the settings and the queue
+        high-water mark are reported as they are now.
         """
-        share = state.share
-        with self._lock:
-            plane_counts = dict(state.plane_counts)
-        # the pool's thread updates the share's counters; each is one number
+        # the pool's thread updates the tenant's counters; each is one number
         stats = {
-            "tenant": state.name,
-            "weight": share.weight,
-            "folds_dispatched": share.folds_dispatched,
-            "fold_seconds": share.fold_seconds,
-            "queue_depth_hwm": share.queue_hwm,
-            "plane_counts": plane_counts,
+            "tenant": tenant.name,
+            "weight": tenant.weight,
+            "folds_dispatched": tenant.folds_dispatched,
+            "fold_seconds": tenant.fold_seconds,
+            "queue_depth_hwm": tenant.queue_hwm,
             "supervisor": self.supervisor_stats,
         }
         if since is not None:
             stats["folds_dispatched"] -= since["folds_dispatched"]
             stats["fold_seconds"] -= since["fold_seconds"]
-            before = since["plane_counts"]
-            stats["plane_counts"] = {
-                plane: count - before.get(plane, 0)
-                for plane, count in stats["plane_counts"].items()
-                if count > before.get(plane, 0)
-            }
             stats["supervisor"] = {
                 name: count - since["supervisor"][name]
                 for name, count in stats["supervisor"].items()
@@ -281,12 +232,10 @@ class FleetCoordinator:
             if self._closed:
                 return
             self._closed = True
-            states = list(self._tenants.values())
-            self._tenants.clear()
         # on a normal exit nothing is queued; after an aborted search no
         # worker takes a queued fold, which files the shutdown as its error
-        for state in states:
-            for future in self._executor.release_tenant(state.share):
+        for tenant in self._executor.tenants():
+            for future in self._executor.release_tenant(tenant):
                 if future.set_running_or_notify_cancel():
                     future.set_exception(
                         CancelledError("the backend was shut down before this fold ran"))
@@ -311,9 +260,7 @@ class FleetCoordinator:
         return False
 
     def __repr__(self):
-        with self._lock:
-            n_tenants = len(self._tenants)
         return "FleetCoordinator(backend={!r}, workers={}, tenants={})".format(
-            self.execution.backend, self.workers, n_tenants
+            self.execution.backend, self.workers, len(self._executor.tenants())
         )
 

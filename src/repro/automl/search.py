@@ -173,8 +173,8 @@ class SearchResult:
         #: :class:`~repro.automl.backends.TenantBackend`, which a process
         #: backend is (tenant ``"default"`` of a fleet of one); ``None``
         #: otherwise.  Folds that reached a worker, fold seconds, queue
-        #: high-water mark, tasks per transport and, under ``"supervisor"``,
-        #: the pool's recovery counters cover this search only, also on a
+        #: high-water mark and, under ``"supervisor"``, the pool's
+        #: recovery counters cover this search only, also on a
         #: caller-owned backend that outlives it.
         self.fleet_stats = fleet_stats
 

@@ -34,11 +34,14 @@ killed worker corrupts only its own channels:
   failed evaluation through the existing ``record_failure`` path.
 
 The pool's one queue is a :class:`FairShareQueue`: when a worker frees, it
-takes the next job by stride order over the pool's tenants (a fleet
-registers one per search; plain :meth:`SupervisedWorkerPool.submit` queues
-for the pool's own tenant, so with no other tenant the order is submission
-order).  A job can be cancelled until a worker takes it, and a cancelled
-job never reaches a worker.
+takes the next job by stride order over the pool's tenants.  A tenant is
+one record, returned by :meth:`SupervisedWorkerPool.add_tenant` (a fleet
+registers one per search): its queue, pass value and counters, and its
+executor — ``submit`` queues a job for it, ``shutdown`` releases it.  Plain
+:meth:`SupervisedWorkerPool.submit` queues for the pool's own tenant, so
+with no other tenant the order is submission order.  A job can be
+cancelled until a worker takes it, and a cancelled job never reaches a
+worker.
 
 Determinism: folds are pure functions of their submission, so a retried
 fold returns the identical payload the first attempt would have — only
@@ -212,10 +215,15 @@ class _Job:
 
 
 class _Tenant:
-    """One tenant of a :class:`FairShareQueue`: its queued jobs, its pass and its counters."""
+    """One tenant of the pool: its queued jobs, its pass, its counters and its executor.
+
+    :meth:`SupervisedWorkerPool.add_tenant` returns this record, and it is
+    all the pool, a fleet and a tenant's backend keep of a tenant:
+    :meth:`submit` queues a job for it and :meth:`shutdown` releases it.
+    """
 
     __slots__ = ("name", "weight", "queue", "pass_value", "cost_ewma", "inflight",
-                 "folds_dispatched", "fold_seconds", "queue_hwm")
+                 "folds_dispatched", "fold_seconds", "queue_hwm", "pool")
 
     def __init__(self, name, weight, pass_value):
         self.name = name
@@ -227,6 +235,37 @@ class _Tenant:
         self.folds_dispatched = 0
         self.fold_seconds = 0.0
         self.queue_hwm = 0
+        self.pool = None  # the pool that registered it
+
+    def active(self):
+        """Whether a job of the tenant is on a worker, or queued and not cancelled."""
+        return self.inflight > 0 or any(not job.future.cancelled() for job in self.queue)
+
+    def submit(self, fn, /, *args, **kwargs):
+        """Queue ``fn(*args, **kwargs)`` on the pool for this tenant; returns a Future.
+
+        The future can be cancelled until a worker takes the job.
+        """
+        pool = self.pool
+        future = Future()
+        with pool._lock:
+            if pool._closed:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            if pool._broken is not None:
+                raise RuntimeError(pool._broken)
+            depth = pool._queue.push(_Job(next(pool._ids), fn, args, kwargs, future, self))
+            # under the lock, so a job's enqueue event precedes its dispatch event
+            emit_active("fleet_queue_depth", tenant=self.name, depth=depth)
+        pool._wake()
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=True):
+        """Release the tenant and cancel its queued jobs; the pool runs on.
+
+        The jobs workers already took run to completion.
+        """
+        for future in self.pool.release_tenant(self):
+            future.cancel()
 
 
 class FairShareQueue:
@@ -243,37 +282,50 @@ class FairShareQueue:
     consumes its share in few large folds while cheap tenants stream many
     small ones through the same workers — skew-aware fairness in the sense
     of "Skew in Parallel Query Processing" — and because the lowest pass
-    always advances, no backlogged tenant starves.  A newly registered
-    tenant joins at the current minimum pass, so it owes nothing for
-    history it did not see.  One tenant's jobs leave in submission order.
+    always advances, no backlogged tenant starves.
+
+    A tenant that registers, or queues a job after sitting idle, starts
+    from the lowest pass among the *active* tenants (a job on a worker, or
+    one queued that is not cancelled): it owes nothing for history it did
+    not see, and a low pass it kept while idle buys it no burst.  With no
+    tenant active the pool is idle and owes no one anything: the tenant
+    starts from the highest pass.  One tenant's jobs leave in submission
+    order.
 
     Not thread-safe: the pool calls it under its lock.
     """
 
     def __init__(self):
-        self._tenants = []
+        #: The registered tenants, in registration order.
+        self.tenants = []
         #: Jobs a worker took before (a crashed fold's retry, or one whose
         #: worker died before receiving it): they go ahead of every
         #: tenant's queue and are never charged again.
         self.retries = deque()
 
     def __bool__(self):
-        return bool(self.retries) or any(tenant.queue for tenant in self._tenants)
+        return bool(self.retries) or any(tenant.queue for tenant in self.tenants)
+
+    def _floor(self):
+        """The pass a tenant turning active starts from (see the class docstring)."""
+        active = [tenant.pass_value for tenant in self.tenants if tenant.active()]
+        if active:
+            return min(active)
+        return max((tenant.pass_value for tenant in self.tenants), default=0.0)
 
     def add_tenant(self, name, weight=1.0):
-        """Register a tenant at the current minimum pass; returns its :class:`_Tenant`."""
+        """Register a tenant at the active tenants' lowest pass; returns its :class:`_Tenant`."""
         weight = float(weight)
         if not weight > 0:
             raise ValueError("tenant weight must be positive")
-        tenant = _Tenant(name, weight, min(
-            (other.pass_value for other in self._tenants), default=0.0))
-        self._tenants.append(tenant)
+        tenant = _Tenant(name, weight, self._floor())
+        self.tenants.append(tenant)
         return tenant
 
     def release(self, tenant):
         """Unregister ``tenant``; returns its queued jobs, which no worker will take."""
-        if tenant in self._tenants:
-            self._tenants.remove(tenant)
+        if tenant in self.tenants:
+            self.tenants.remove(tenant)
         stranded = list(tenant.queue)
         tenant.queue.clear()
         return stranded
@@ -281,8 +333,10 @@ class FairShareQueue:
     def push(self, job):
         """Queue ``job`` behind its tenant's earlier jobs; returns the tenant's depth."""
         tenant = job.tenant
-        if tenant not in self._tenants:
+        if tenant not in self.tenants:
             raise RuntimeError("tenant {!r} is no longer registered".format(tenant.name))
+        if not tenant.active():
+            tenant.pass_value = max(tenant.pass_value, self._floor())
         tenant.queue.append(job)
         depth = len(tenant.queue) + tenant.inflight
         tenant.queue_hwm = max(tenant.queue_hwm, depth)
@@ -297,7 +351,7 @@ class FairShareQueue:
         if self.retries:
             return self.retries.popleft()
         while True:
-            backlogged = [tenant for tenant in self._tenants if tenant.queue]
+            backlogged = [tenant for tenant in self.tenants if tenant.queue]
             if not backlogged:
                 return None
             tenant = min(backlogged, key=lambda other: (other.pass_value, other.name))
@@ -312,8 +366,8 @@ class FairShareQueue:
 
     def drain(self):
         """Take every tenant's queued jobs out (the retries stay); returns them."""
-        jobs = [job for tenant in self._tenants for job in tenant.queue]
-        for tenant in self._tenants:
+        jobs = [job for tenant in self.tenants for job in tenant.queue]
+        for tenant in self.tenants:
             tenant.queue.clear()
         return jobs
 
@@ -388,6 +442,7 @@ class SupervisedWorkerPool:
         self._lock = threading.RLock()
         self._queue = FairShareQueue()
         self._own_tenant = None  # plain submit()'s tenant, registered on first use
+        self._tenant_ids = count()
         self._delayed = []  # heap of (ready_time, tiebreak, job)
         self._jobs = {}  # job_id -> _Job a worker took: running or awaiting its retry
         self._workers = {}  # sentinel -> _Worker
@@ -427,33 +482,29 @@ class SupervisedWorkerPool:
         """
         with self._lock:
             if self._own_tenant is None:
-                self._own_tenant = self._queue.add_tenant("default")
-            return self.submit_for(self._own_tenant, fn, *args, **kwargs)
+                self._own_tenant = self.add_tenant("default")
+        return self._own_tenant.submit(fn, *args, **kwargs)
 
-    def submit_for(self, tenant, fn, /, *args, **kwargs):
-        """Queue ``fn(*args, **kwargs)`` for ``tenant`` (see :meth:`add_tenant`); returns a Future.
+    def add_tenant(self, name=None, weight=1.0):
+        """Register a tenant of the fair-share order; returns its record (:class:`_Tenant`).
 
-        The future can be cancelled until a worker takes the job.
-        """
-        future = Future()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot schedule new futures after shutdown")
-            if self._broken is not None:
-                raise RuntimeError(self._broken)
-            depth = self._queue.push(_Job(next(self._ids), fn, args, kwargs, future, tenant))
-            # under the lock, so a job's enqueue event precedes its dispatch event
-            emit_active("fleet_queue_depth", tenant=tenant.name, depth=depth)
-        self._wake()
-        return future
-
-    def add_tenant(self, name, weight=1.0):
-        """Register a tenant of the fair-share order; returns its handle for :meth:`submit_for`.
-
-        ``weight`` scales the tenant's share of worker time under contention.
+        An unnamed tenant is named ``tenant-N``; a name already registered
+        is refused.  ``weight`` scales the tenant's share of worker time
+        under contention.
         """
         with self._lock:
-            return self._queue.add_tenant(name, weight)
+            if name is None:
+                name = "tenant-{}".format(next(self._tenant_ids))
+            if any(tenant.name == name for tenant in self._queue.tenants):
+                raise ValueError("tenant {!r} is already registered".format(name))
+            tenant = self._queue.add_tenant(name, weight)
+            tenant.pool = self
+            return tenant
+
+    def tenants(self):
+        """The registered tenants' records, in registration order."""
+        with self._lock:
+            return list(self._queue.tenants)
 
     def release_tenant(self, tenant):
         """Unregister ``tenant``; returns the futures of its queued jobs, for the caller to settle.

@@ -12,15 +12,6 @@ import networkx as nx
 from repro.learners.base import BaseEstimator
 
 
-def _node_feature_row(graph, node, degrees, clustering, pagerank):
-    return [
-        degrees.get(node, 0.0),
-        clustering.get(node, 0.0),
-        pagerank.get(node, 0.0),
-        float(nx.degree(graph, node)),
-    ]
-
-
 def graph_feature_extraction(graph, nodes=None):
     """Per-node structural features: degree, clustering, pagerank, core number.
 

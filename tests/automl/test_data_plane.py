@@ -154,15 +154,15 @@ class TestPublishAttach:
 
 
 class TestBackendDataPlane:
-    def test_shm_plane_publishes_instead_of_pickling(self):
+    def test_shm_plane_publishes_instead_of_pickling(self, published):
         backend = ProcessBackend(workers=1)
         try:
             task = make_task()
             ref = backend._task_ref(task)
             assert isinstance(ref, shm.SharedTaskHandle)
-            assert backend.tenant_stats()["plane_counts"] == {"shm": 1}
+            assert published == [task.name]
             assert backend._task_ref(task) is ref  # registry hit, no re-publish
-            assert backend.tenant_stats()["plane_counts"]["shm"] == 1
+            assert published == [task.name]
         finally:
             backend.shutdown()
 
@@ -197,9 +197,8 @@ class TestSearchLifecycle:
             backend=backend, workers=2, tuner_class=UniformTuner,
         )
         result = searcher.search(task, budget=4)
-        records = [(r.template_name, r.iteration, r.score, r.failed, r.error)
-                   for r in result.records]
-        return records, result.fleet_stats and result.fleet_stats["plane_counts"]
+        return [(r.template_name, r.iteration, r.score, r.failed, r.error)
+                for r in result.records]
 
     def test_search_owned_backend_unlinks_segments_on_completion(self):
         before = set(own_segments())
@@ -210,15 +209,17 @@ class TestSearchLifecycle:
     @pytest.mark.parametrize("static", [
         {}, {"note": "not an array"}, {"texts": np.array(["a", None], dtype=object)},
     ], ids=["arrays", "static value", "object column"])
-    def test_every_task_travels_as_one_segment_and_agrees_with_serial(self, static):
-        serial, _ = self._search("serial", twin_with(make_task(), **static))
+    def test_every_task_travels_as_one_segment_and_agrees_with_serial(
+            self, static, published):
+        serial = self._search("serial", twin_with(make_task(), **static))
         assert all(score is not None for _, _, score, _, _ in serial)
         # two tasks per search travel: the training partition the folds read
         # and the held-out partition the refit job scores on
-        process = self._search("process", twin_with(make_task(), **static))
-        assert process == (serial, {"shm": 2})
+        assert self._search("process", twin_with(make_task(), **static)) == serial
+        assert len(published) == 2
 
-    def test_full_segment_directory_publishes_in_the_temp_directory(self, monkeypatch):
+    def test_full_segment_directory_publishes_in_the_temp_directory(
+            self, monkeypatch, published):
         """A full ``/dev/shm`` fails a ``write``; the task goes to the temp directory."""
         directories = shm._segment_directories()
         if len(directories) < 2:
@@ -233,7 +234,7 @@ class TestSearchLifecycle:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return real_write(path, task)
 
-        serial, _ = self._search("serial", make_task())
+        serial = self._search("serial", make_task())
         monkeypatch.setattr(shm, "_write_task", full_primary)
         segment = shm.publish_task(make_task())
         try:
@@ -246,7 +247,9 @@ class TestSearchLifecycle:
         finally:
             segment.release()
         assert not os.path.exists(segment.handle.path)
-        assert self._search("process", make_task()) == (serial, {"shm": 2})
+        published.clear()
+        assert self._search("process", make_task()) == serial
+        assert len(published) == 2
 
     def test_task_larger_than_a_real_tmpfs_is_published_in_the_temp_directory(self):
         """A 4 MiB task on a 1 MiB ``/dev/shm`` (private mount namespace)."""
@@ -262,21 +265,23 @@ class TestSearchLifecycle:
             "import sys\n"
             "sys.path.insert(0, {src!r})\n"
             "import numpy as np\n"
-            "from repro.automl import AutoBazaarSearch\n"
+            "from repro.automl import AutoBazaarSearch, shm\n"
             "from repro.core.template import Template\n"
             "from repro.tasks.task import MLTask\n"
             "rng = np.random.RandomState(0)\n"
             "task = MLTask('big', 'single_table', 'classification',\n"
             "              {{'X': rng.normal(size=(4096, 128)), 'y': np.arange(4096) % 2}})\n"
             "template = Template('tmpfs_gnb', {steps!r})\n"
+            "published = []\n"
+            "publish = shm.publish_task\n"
+            "shm.publish_task = lambda task: published.append(task.name) or publish(task)\n"
             "def records(backend):\n"
             "    result = AutoBazaarSearch(templates=[template], n_splits=2, random_state=0,\n"
             "                              backend=backend, workers=1).search(task, budget=2)\n"
-            "    return ([(r.iteration, r.score, r.error) for r in result.records],\n"
-            "            result.fleet_stats and result.fleet_stats['plane_counts'])\n"
-            "serial, _ = records('serial')\n"
-            "process, planes = records('process')\n"
-            "assert process == serial and planes == {{'shm': 2}}, (process, serial, planes)\n"
+            "    return [(r.iteration, r.score, r.error) for r in result.records]\n"
+            "serial = records('serial')\n"
+            "process = records('process')\n"
+            "assert process == serial and len(published) == 2, (process, serial, published)\n"
             "print('ok', flush=True)\n"
         ).format(src=SRC, steps=self._templates()[0].primitives)
         # its own session: a coordinator killed by SIGBUS would leave pool

@@ -84,15 +84,72 @@ class TestFairShareQueue:
         assert tenant.folds_dispatched == 1 and tenant.inflight == 1
 
     def test_new_tenant_joins_at_the_minimum_pass(self):
+        # the minimum over the active tenants: an idle tenant's low pass
+        # does not count
         queue = FairShareQueue()
         veteran = queue.add_tenant("veteran")
         laggard = queue.add_tenant("laggard", weight=4.0)
+        sleeper = queue.add_tenant("sleeper")
         for _ in range(10):
             queue.push(_job(veteran))
-        queue.push(_job(laggard))
-        _one_worker(queue, {"veteran": 0.05, "laggard": 0.01}, 6)
-        assert 0 < laggard.pass_value < veteran.pass_value
+            queue.push(_job(laggard))
+        queue.push(_job(sleeper))
+        _one_worker(queue, {"veteran": 0.05, "laggard": 0.01, "sleeper": 0.01}, 8)
+        assert not sleeper.active() and laggard.active() and veteran.active()
+        assert 0 < sleeper.pass_value < laggard.pass_value < veteran.pass_value
         assert queue.add_tenant("newcomer").pass_value == laggard.pass_value
+
+    def test_a_tenant_back_from_idle_resumes_at_the_active_pass(self):
+        # a sat idle at pass 0 while b ran: it resumes from b's pass instead
+        # of taking every pick until it catches up
+        queue = FairShareQueue()
+        a = queue.add_tenant("a")
+        b = queue.add_tenant("b")
+        for _ in range(200):
+            queue.push(_job(b))
+        _one_worker(queue, {"b": 0.05}, 100)
+        assert a.pass_value == 0 and b.pass_value > 4.9
+        for _ in range(100):
+            queue.push(_job(a))
+        assert a.pass_value == b.pass_value
+        order = _one_worker(queue, {"a": 0.05, "b": 0.05}, 100)
+        assert abs(order.count("a") - order.count("b")) <= 1
+
+    def test_on_an_idle_pool_every_tenant_resumes_level(self):
+        # b ran 100 folds while a sat idle, then both queue 150 at once: on
+        # a pool with nothing to do, a's old low pass buys it no burst
+        queue = FairShareQueue()
+        a = queue.add_tenant("a")
+        b = queue.add_tenant("b")
+        for _ in range(100):
+            queue.push(_job(b))
+        _one_worker(queue, {"b": 0.05}, 100)
+        assert not b.active() and b.pass_value > 4.9
+        for _ in range(150):
+            queue.push(_job(a))
+            queue.push(_job(b))
+        assert a.pass_value == b.pass_value
+        order = _one_worker(queue, {"a": 0.05, "b": 0.05}, 150)
+        assert abs(order.count("a") - order.count("b")) <= 1
+        assert queue.add_tenant("newcomer").pass_value == pytest.approx(
+            min(a.pass_value, b.pass_value))
+
+    def test_a_tenant_holding_only_cancelled_jobs_is_idle(self):
+        queue = FairShareQueue()
+        a = queue.add_tenant("a")
+        b = queue.add_tenant("b")
+        first = _job(b)
+        queue.push(first)
+        queue.push(_job(b))
+        assert queue.pop() is first
+        stale = _job(a)
+        queue.push(stale)
+        assert stale.future.cancel()  # before any worker freed: still queued
+        queue.settle(first, 1.0)  # b's pass jumps with no pick in between
+        assert not a.active() and a.pass_value < b.pass_value
+        assert queue.add_tenant("newcomer").pass_value == b.pass_value
+        queue.push(_job(a))
+        assert a.pass_value == b.pass_value
 
     def test_a_retry_goes_first_and_is_charged_once(self):
         queue = FairShareQueue()
@@ -168,9 +225,10 @@ class _Pool:
         self.queue = FairShareQueue()
         self.tenants = []
         self.costs = {}  # tenant name -> its cost cycle (seconds)
-        self.base = {}  # tenant name -> pass value at registration
+        self.base = {}  # tenant name -> pass value at registration, plus its lifts
         self.settled = {}  # tenant name -> measured seconds settled
         self.charged = {}  # tenant name -> estimates of its jobs not settled yet
+        self.inflight = {}  # tenant name -> its jobs picked and not settled yet
         self.jobs = []  # every submitted job, in submission order
         self.index_of = {}  # job id -> its submission index
         self.cost_of = {}  # job id -> its cost
@@ -179,22 +237,45 @@ class _Pool:
         all_costs = [cost / 100 for cycle in workload["costs"] for cost in cycle]
         self.emax = max(all_costs + [_DEFAULT_FOLD_COST])
         self.emin = min(all_costs + [_DEFAULT_FOLD_COST])
-        self.waited = {}  # tenant name -> stride picks of others since its window opened
-        self.limit = {}  # tenant name -> the most it may wait in the current window
+        # waiting tenant name -> other tenant name -> that other's picks
+        # since the window opened, and the most it may take in the window
+        self.waited = {}
+        self.limit = {}
         self.continuous = True  # every tenant backlogged at every pick so far
         for index, weight in enumerate(workload["weights"]):
             self.register("t{}".format(index), weight, workload["costs"][index])
 
+    def active(self, tenant):
+        return self.inflight[tenant.name] > 0 or self.backlogged(tenant)
+
+    def floor(self):
+        """The pass a tenant turning active starts from.
+
+        The lowest pass of the active tenants; on an idle pool, the highest
+        pass of all.
+        """
+        active = [tenant.pass_value for tenant in self.tenants if self.active(tenant)]
+        if active:
+            return min(active)
+        return max((tenant.pass_value for tenant in self.tenants), default=0.0)
+
     def register(self, name, weight, cycle):
+        floor = self.floor()
         tenant = self.queue.add_tenant(name, weight)
+        assert tenant.pass_value == floor  # never an idle tenant's stale pass
         self.tenants.append(tenant)
         self.costs[name] = [cost / 100 for cost in cycle]
         self.base[name] = tenant.pass_value
         self.settled[name] = 0.0
         self.charged[name] = 0.0
+        self.inflight[name] = 0
+        self.open_window(tenant)
         return tenant
 
     def submit(self, tenant):
+        returning = not self.active(tenant)
+        resume = max(tenant.pass_value, self.floor())
+        before = tenant.pass_value
         job = _job(tenant)
         cycle = self.costs[tenant.name]
         mine = sum(1 for other in self.jobs if other.tenant is tenant)
@@ -202,30 +283,49 @@ class _Pool:
         self.index_of[job.id] = len(self.jobs)
         self.jobs.append(job)
         self.queue.push(job)
+        if not returning:
+            assert tenant.pass_value == before
+            return job
+        # back from idle: lifted to the active tenants' lowest pass, never
+        # lowered; the wait windows count the tenant from its new pass
+        assert tenant.pass_value == resume
+        self.base[tenant.name] += resume - before
+        self.open_window(tenant)
+        for other in self.tenants:
+            if other is not tenant:
+                self.limit[other.name][tenant.name] = (
+                    self.waited[other.name][tenant.name] + self.wait_bound(other, tenant))
         return job
 
     @staticmethod
     def backlogged(tenant):
         return any(not job.future.cancelled() for job in tenant.queue)
 
-    def open_window(self, tenant):
-        """Start counting ``tenant``'s wait, with the most picks it may take.
+    def wait_bound(self, tenant, other):
+        """The most picks ``other`` may take while ``tenant`` waits, from here on.
 
-        A tenant ``j`` is picked only while its pass is at most the
-        waiting tenant ``i``'s.  During the wait ``i``'s pass rises by at
+        ``other`` is picked only while its pass is at most the waiting
+        tenant's.  During the wait the waiting tenant's pass rises by at
         most ``W * emax / w_i`` (corrections of its at most ``W`` jobs in
-        flight), and ``j``'s falls by at most ``W * emax / w_j`` (the same
-        for its jobs in flight when the wait began) while each of its picks
-        raises it by at least ``emin / w_j``.
+        flight), and ``other``'s falls by at most ``W * emax / w_j`` (the
+        same for its jobs in flight now) while each of its picks raises it
+        by at least ``emin / w_j``.
         """
         workers = self.workload["workers"]
-        self.waited[tenant.name] = 0
-        self.limit[tenant.name] = sum(
-            max(0, math.floor(
-                1 + (tenant.pass_value - other.pass_value) * other.weight / self.emin
-                + workers * self.emax / self.emin * (1 + other.weight / tenant.weight)
-                + 1e-9))
-            for other in self.tenants if other is not tenant)
+        return max(0, math.floor(
+            1 + (tenant.pass_value - other.pass_value) * other.weight / self.emin
+            + workers * self.emax / self.emin * (1 + other.weight / tenant.weight)
+            + 1e-9))
+
+    def open_window(self, tenant):
+        """Start counting ``tenant``'s wait, with the most picks each other tenant may take."""
+        others = [other for other in self.tenants if other is not tenant]
+        self.waited[tenant.name] = {other.name: 0 for other in others}
+        self.limit[tenant.name] = {other.name: self.wait_bound(tenant, other)
+                                   for other in others}
+        for other in others:  # a newcomer has no picks in the others' windows yet
+            self.waited[other.name].setdefault(tenant.name, 0)
+            self.limit[other.name].setdefault(tenant.name, self.wait_bound(other, tenant))
 
     def pick(self):
         live = [tenant for tenant in self.tenants if self.backlogged(tenant)]
@@ -252,15 +352,18 @@ class _Pool:
         assert job.id == next(i for i in mine if i not in self.picked)
         self.picked.append(job.id)
         self.charged[tenant.name] += job.estimate
+        self.inflight[tenant.name] += 1
         if len(live) < len(self.tenants):
             self.continuous = False
         for other in self.tenants:
             if other is tenant or other not in live:
                 self.open_window(other)
             else:
-                self.waited[other.name] += 1
-                assert self.waited[other.name] <= self.limit[other.name], (
-                    "{} waited {} picks".format(other.name, self.waited[other.name]))
+                waited = self.waited[other.name]
+                waited[tenant.name] += 1
+                assert waited[tenant.name] <= self.limit[other.name][tenant.name], (
+                    "{} waited {} picks of {}".format(other.name, waited[tenant.name],
+                                                      tenant.name))
         return job
 
     def check_accounts(self):
@@ -292,14 +395,11 @@ class _Pool:
                     if at == picks and index < len(self.jobs):
                         self.jobs[index].future.cancel()
                 if workload["newcomer"] is not None and workload["newcomer"][0] == picks:
-                    floor = min(tenant.pass_value for tenant in self.tenants)
+                    # no window reopens: the newcomer's pass is what bounds the waits
                     newcomer = self.register("newcomer", workload["newcomer"][1],
                                              workload["costs"][0])
-                    assert newcomer.pass_value == floor
                     for _ in range(FOLDS):
                         self.submit(newcomer)
-                    for tenant in self.tenants:
-                        self.open_window(tenant)
                 job = self.pick()
                 if job is None:
                     break
@@ -319,6 +419,7 @@ class _Pool:
             self.queue.settle(job, cost)
             self.settled[job.tenant.name] += cost
             self.charged[job.tenant.name] -= job.estimate
+            self.inflight[job.tenant.name] -= 1
             self.check_accounts()
             if submissions:
                 self.submit(self.tenants[submissions.pop(0)])

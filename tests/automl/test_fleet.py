@@ -92,7 +92,7 @@ def run_tenants(fleet, tasks, handles, budget=4, n_pending=2):
 
 
 class TestFleetDeterminism:
-    def test_process_fleet_records_identical_to_solo(self):
+    def test_process_fleet_records_identical_to_solo(self, published):
         tasks = fleet_tasks(2)
         solo = []
         for task in tasks:
@@ -116,9 +116,10 @@ class TestFleetDeterminism:
             stats = result.fleet_stats
             assert stats["tenant"] == "tenant-{}".format(index)
             assert stats["folds_dispatched"] == 3 * 2 + 1  # budget x n_splits + the refit
-            assert stats["plane_counts"] == {"shm": 2}  # train and held-out partition
             assert stats["queue_depth_hwm"] >= 1
             assert stats["fold_seconds"] > 0
+        # each tenant's training and held-out partition crossed by shm, once each
+        assert len(published) == len(set(published)) == 2 * len(tasks)
 
 
 # -- fair share on the fleet's pool ---------------------------------------------------
@@ -202,8 +203,8 @@ class TestFairShareScheduling:
             unpicklable = tenant._executor.submit(lambda: 1)
             assert "pickle" in str(unpicklable.exception(timeout=30))
             # it gave its slot back and never counted as dispatched
-            share = tenant._state.share
-            assert share.inflight == 0 and share.folds_dispatched == 0
+            record = tenant._executor  # the tenant's one record: the pool's
+            assert record.inflight == 0 and record.folds_dispatched == 0
             fleet._executor.shutdown(wait=True)
             future = tenant.submit(_candidate())
             assert future.done()
@@ -240,9 +241,9 @@ class TestFairShareScheduling:
                         if not fold.cancelled():
                             assert fold.result(timeout=60) == tag * tag
                             ran += 1
-                shares = [tenant._state.share for tenant in tenants]
-                assert all(share.inflight == 0 and not share.queue for share in shares)
-                assert sum(share.folds_dispatched for share in shares) == ran
+                records = [tenant._executor for tenant in tenants]
+                assert all(record.inflight == 0 and not record.queue for record in records)
+                assert sum(record.folds_dispatched for record in records) == ran
         finally:
             sys.setswitchinterval(interval)
 
@@ -382,8 +383,10 @@ class TestFleetOfOne:
         assert record_documents(result) == record_documents(serial)
         assert result.fleet_stats["tenant"] == "default"
         assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1  # and the refit
-        assert result.fleet_stats["plane_counts"] == {"shm": 2}
         stream = load_events(events_dir)
+        # the training and the held-out partition, each published once and attached
+        assert len([event for event in stream if event["event"] == "shm_publish"]) == 2
+        assert any(event["event"] == "shm_attach" for event in stream)
         assert {event["tenant"] for event in stream if event.get("tenant")} == {"default"}
         assert [event["backend"] for event in stream
                 if event["event"] == "search_started"] == ["ProcessBackend(workers=2)"]
@@ -408,19 +411,19 @@ class TestCountersCoverOneSearch:
             n_pending=n_pending,
         ).search(fleet_tasks(1)[0], budget=3)
 
-    def test_reused_process_fleet_tenant(self):
+    def test_reused_process_fleet_tenant(self, published):
         with FleetCoordinator(backend="process", workers=2) as fleet:
             tenant = fleet.register(name="reused")
             first, second, third = [self._search(tenant, n_pending) for n_pending in (3, 3, 1)]
         for result in (first, second, third):
             assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1  # and the refit
-            assert result.fleet_stats["plane_counts"] == {"shm": 2}
             assert set(result.fleet_stats["supervisor"].values()) == {0}
+        assert len(published) == 3 * 2  # each search's two partitions
         # three candidates in flight queue more folds than one at a time
         # does: the high-water mark restarts when a search drains the backend
         assert first.fleet_stats["queue_depth_hwm"] > 2 >= third.fleet_stats["queue_depth_hwm"]
 
-    def test_reused_process_backend_reports_its_own_incidents(self):
+    def test_reused_process_backend_reports_its_own_incidents(self, published):
         from repro.automl import FaultPlan
 
         # fold starts are counted across the backend's lifetime: the kill
@@ -433,7 +436,7 @@ class TestCountersCoverOneSearch:
                 backend.shutdown()
         for result in (first, second):
             assert result.fleet_stats["folds_dispatched"] == 3 * 2 + 1
-            assert result.fleet_stats["plane_counts"] == {"shm": 2}
+        assert len(published) == 2 * 2
         assert first.fleet_stats["supervisor"]["workers_died"] == 1
         assert second.fleet_stats["supervisor"] == dict.fromkeys(
             first.fleet_stats["supervisor"], 0)

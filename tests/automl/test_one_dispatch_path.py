@@ -47,8 +47,9 @@ ALLOWED = {
     "an executor job submission": [
         ("backends.py", "_PoolBackend.submit"),
         ("backends.py", "_PoolBackend.submit_refit"),
-        # the one site where a tenant's job, made by submit, enters the pool
-        ("backends.py", "_TenantExecutor.submit"),
+        # the one site where a job enters the pool's queue: the tenant
+        # record, which is a pool backend's executor
+        ("supervisor.py", "_Tenant.submit"),
     ],
     "a use of a fold entry point": [
         ("backends.py", "evaluate_fold_indices"),
@@ -63,9 +64,9 @@ def _constructs(node):
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         if node.func.attr == "evaluate_pipeline":
             yield "a call of evaluate_pipeline"
-        if (node.func.attr in ("submit", "submit_for")
-                and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "_executor"):
+        if (isinstance(node.func.value, ast.Attribute)
+                and (node.func.value.attr, node.func.attr) in (("_executor", "submit"),
+                                                               ("_queue", "push"))):
             yield "an executor job submission"
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "evaluate_pipeline"):

@@ -171,8 +171,8 @@ class TestCLI:
         lines = capsys.readouterr().out.splitlines()
         assert exit_code == 0
         assert len([line for line in lines if line.startswith("prefix cache ")]) == 1
-        # a solo process search is tenant "default" of a fleet of one, whose
-        # line names the planes: no separate data-plane line
+        # a solo process search is tenant "default" of a fleet of one: one
+        # tenant line and no separate data-plane line
         assert len([line for line in lines
                     if line.startswith("fleet tenant         : default (")]) == 1
         assert len([line for line in lines

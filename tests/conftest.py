@@ -111,6 +111,22 @@ def in_process_pool():
 
 
 @pytest.fixture
+def published(monkeypatch):
+    """The names of the tasks the process data plane publishes, in order."""
+    from repro.automl import shm
+
+    names = []
+    publish = shm.publish_task
+
+    def spy(task):
+        names.append(task.name)
+        return publish(task)
+
+    monkeypatch.setattr(shm, "publish_task", spy)
+    return names
+
+
+@pytest.fixture
 def rng():
     """A deterministic random generator."""
     return np.random.RandomState(0)

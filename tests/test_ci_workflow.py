@@ -231,11 +231,13 @@ def test_e2e_check_runs_the_cross_workload_output_checks(workflow):
     assert os.path.exists(os.path.join(root, "bench_e2e", "run.py"))
 
 
-#: The frozen-reference suites of the layers the record digests depend on.
+#: The frozen-reference suites of the layers the record digests depend on,
+#: and the golden per-task digest table.
 EXACTNESS_SUITES = ("tests/tuning/test_gp_identity.py", "tests/learners/test_graph.py",
                     "tests/learners/test_tree_kernel_identity.py",
                     "tests/learners/test_image_kernel_identity.py",
-                    "tests/automl/test_dispatch_identity.py")
+                    "tests/automl/test_dispatch_identity.py",
+                    "tests/automl/test_golden_digests.py")
 
 
 def test_e2e_check_runs_the_exactness_suites_before_the_digests(workflow):

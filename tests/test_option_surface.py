@@ -37,7 +37,6 @@ SURFACE = {
     SupervisedWorkerPool: ["max_workers", "initializer", "fold_timeout", "max_fold_retries"],
     FleetCoordinator: ["backend", "execution"],
     FleetCoordinator.register: ["name", "weight"],
-    FleetCoordinator._add_tenant: ["name", "weight"],
     TelemetrySink: ["directory"],
     TelemetrySink.flush: [],
     SegmentLog: ["directory", "durability"],
