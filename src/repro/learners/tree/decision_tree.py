@@ -48,15 +48,21 @@ the node's statistics.  Every tree runs both halves the same way.
   same geometry a miss would compute, so the memo cannot change a tree
   either.  Search record digests depend on it.
 
-Fitted trees keep the linked ``_Node`` structure in ``tree_`` and carry the
-same tree as flat ``feature/threshold/left/right/value`` arrays, which
-prediction walks for all rows at once, one level per step.  Subclasses
-define the sufficient statistics and the impurity/leaf-value functions,
-which lets the same machinery drive Gini trees, variance trees and the
-Newton trees used by gradient boosting.
+A fitted tree is its node arrays: ``tree_`` is one :class:`_Tree` record of
+``feature``, ``threshold``, ``children_left``, ``children_right``,
+``value``, ``n_node_samples`` and ``impurity`` (scikit-learn's names), one
+entry per node.  The depth-first build appends each node as it grows it, so
+nodes are numbered in build order and a child always comes after its
+parent; nothing outside the tree depends on that numbering.  A leaf has
+feature and children ``-1`` and threshold NaN.  Prediction walks the arrays
+for all rows at once, one level per step, and the fit returns the leaf it
+put each training row in.  Subclasses define the sufficient statistics and
+the impurity/leaf-value functions, which lets the same machinery drive Gini
+trees, variance trees and the Newton trees used by gradient boosting.
 """
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -136,53 +142,12 @@ class _GeometryMemo:
             self._free -= size
 
 
-class _Node:
-    """A single node of a binary decision tree."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
-
-    def __init__(self, value, n_samples, impurity):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.value = value
-        self.n_samples = n_samples
-        self.impurity = impurity
-
-    @property
-    def is_leaf(self):
-        return self.feature is None
-
-
-def _flatten(root):
-    """``(feature, threshold, left, right, value)`` arrays of the tree under ``root``.
-
-    Nodes are numbered breadth first from the root (0); a leaf has
-    ``feature == -1``.
-    """
-    nodes = [root]
-    feature, threshold, left, right = [], [], [], []
-    for node in nodes:  # grows while it is walked
-        if node.is_leaf:
-            feature.append(-1)
-            threshold.append(np.nan)
-            left.append(-1)
-            right.append(-1)
-        else:
-            feature.append(node.feature)
-            threshold.append(node.threshold)
-            left.append(len(nodes))
-            nodes.append(node.left)
-            right.append(len(nodes))
-            nodes.append(node.right)
-    return (
-        np.asarray(feature, dtype=np.intp),
-        np.asarray(threshold, dtype=float),
-        np.asarray(left, dtype=np.intp),
-        np.asarray(right, dtype=np.intp),
-        np.asarray([node.value for node in nodes]),
-    )
+#: A fitted tree, one entry per node in build order.  A leaf has ``feature``,
+#: ``children_left`` and ``children_right`` ``-1`` and ``threshold`` NaN.
+_Tree = namedtuple("_Tree", [
+    "feature", "threshold", "children_left", "children_right", "value",
+    "n_node_samples", "impurity",
+])
 
 
 class _BaseDecisionTree(BaseEstimator):
@@ -222,10 +187,12 @@ class _BaseDecisionTree(BaseEstimator):
     def _fit_tree(self, X, stats, geometry_memo=None):
         """Grow the tree on ``X`` and the per-sample ``stats``.
 
-        ``geometry_memo``, a :class:`_GeometryMemo` of earlier fits on this
-        same ``X``, lets nodes with rows already seen skip the geometry half
-        of the split search; only trees whose split search draws nothing
-        (every feature a candidate, deterministic ranks) may share one.
+        Returns the index of the leaf each row of ``X`` ends in; it is not
+        kept on the tree.  ``geometry_memo``, a :class:`_GeometryMemo` of
+        earlier fits on this same ``X``, lets nodes with rows already seen
+        skip the geometry half of the split search; only trees whose split
+        search draws nothing (every feature a candidate, deterministic
+        ranks) may share one.
         """
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be at least 2")
@@ -234,15 +201,27 @@ class _BaseDecisionTree(BaseEstimator):
         check_seed(self.random_state)
         self._rng = None
         self._geometry_memo = geometry_memo
+        self._nodes = []
+        self._leaf_of = np.empty(len(X), dtype=np.intp)
         self.n_features_in_ = X.shape[1]
         # one contiguous row per feature: a node takes its rows from every
         # feature at once, and sorts and splits along the rows
         columns = np.ascontiguousarray(X.T)
-        self.tree_ = self._build(columns, stats, np.arange(len(X)), depth=0)
-        self._flat_tree = _flatten(self.tree_)
-        self.n_nodes_ = len(self._flat_tree[0])
-        del self._rng, self._geometry_memo
-        return self
+        self._build(columns, stats, np.arange(len(X)), depth=0)
+        feature, threshold, left, right, value, n_samples, impurity = zip(*self._nodes)
+        self.tree_ = _Tree(
+            np.asarray(feature, dtype=np.intp),
+            np.asarray(threshold, dtype=float),
+            np.asarray(left, dtype=np.intp),
+            np.asarray(right, dtype=np.intp),
+            np.asarray(value),
+            np.asarray(n_samples, dtype=np.intp),
+            np.asarray(impurity, dtype=float),
+        )
+        self.n_nodes_ = len(self._nodes)
+        leaf_of = self._leaf_of
+        del self._rng, self._geometry_memo, self._nodes, self._leaf_of
+        return leaf_of
 
     def _random(self):
         """This fit's ``RandomState``, seeded on the first draw.
@@ -271,36 +250,38 @@ class _BaseDecisionTree(BaseEstimator):
         """Grow the subtree of the node holding ``rows`` of the fit's ``X``.
 
         ``columns`` is that ``X`` transposed and ``stats`` are the rows'
-        statistics, in row order.
+        statistics, in row order.  Appends the subtree's nodes to the fit's
+        node list, this node first, and returns this node's index.
         """
         n_samples = len(stats)
         totals = stats.sum(axis=0, keepdims=True)
         count = np.asarray([n_samples], dtype=float)
         impurity = float(self._impurity_from_stats(totals, count)[0])
         value = self._leaf_value_from_stats(totals[0], float(n_samples))
-        node = _Node(value, n_samples, impurity)
-        if (
-            n_samples < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
+        index = len(self._nodes)
+        # feature, threshold, left, right, value, n_node_samples, impurity
+        node = [-1, np.nan, -1, -1, value, n_samples, impurity]
+        self._nodes.append(node)
+        best = None
+        if n_samples >= self.min_samples_split and (
+            self.max_depth is None or depth < self.max_depth
         ):
-            return node
-
-        if self._geometry_memo is None:
-            geometry = self._split_geometry(_take_rows(columns, rows), stats.shape[1])
-        else:
-            geometry = self._geometry_memo.geometry(self, columns, rows, stats.shape[1])
-        best = self._best_split(geometry, stats, totals, impurity)
+            if self._geometry_memo is None:
+                geometry = self._split_geometry(_take_rows(columns, rows), stats.shape[1])
+            else:
+                geometry = self._geometry_memo.geometry(self, columns, rows, stats.shape[1])
+            best = self._best_split(geometry, stats, totals, impurity)
         if best is None:
-            return node
+            self._leaf_of[rows] = index
+            return index
 
         feature, threshold = best
         left_mask = columns[feature].take(rows) <= threshold
         right_mask = ~left_mask
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(columns, stats[left_mask], rows[left_mask], depth + 1)
-        node.right = self._build(columns, stats[right_mask], rows[right_mask], depth + 1)
-        return node
+        node[0], node[1] = feature, threshold
+        node[2] = self._build(columns, stats[left_mask], rows[left_mask], depth + 1)
+        node[3] = self._build(columns, stats[right_mask], rows[right_mask], depth + 1)
+        return index
 
     def _select_ranks(self, n_distinct):
         """Choose which distinct split positions of a feature block to evaluate.
@@ -399,37 +380,44 @@ class _BaseDecisionTree(BaseEstimator):
                 slot = slots[index]
                 position = gather[index] - slot * n_samples
                 below, above = sorted_values[slot, position:position + 2]
-                best = (int(block[slot]), float(0.5 * (below + above)))
+                # a midpoint that rounds (or overflows) out of [below, above)
+                # would send every row to one side: split at ``below`` then
+                midpoint = 0.5 * (below + above)
+                best = (int(block[slot]), float(midpoint if below <= midpoint < above else below))
         return best
 
     # -- prediction ---------------------------------------------------------
 
-    def _predict_values(self, X):
-        """Leaf value of every row of ``X``, walking all rows one level at a time."""
-        try:
-            flat = self._flat_tree
-        except AttributeError:  # fitted and pickled before trees carried flat arrays
-            flat = self._flat_tree = _flatten(self.tree_)
-        feature, threshold, left, right, value = flat
+    def _apply(self, X):
+        """Index of the leaf every row of ``X`` reaches, all rows one level at a time."""
+        tree = self.tree_
+        feature, threshold = tree.feature, tree.threshold
         node = np.zeros(len(X), dtype=np.intp)
         rows = np.flatnonzero(feature[node] >= 0)
         while len(rows):
             at = node[rows]
-            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+            at = np.where(
+                X[rows, feature[at]] <= threshold[at], tree.children_left[at], tree.children_right[at]
+            )
             node[rows] = at
             rows = rows[feature[at] >= 0]
-        return value[node]
+        return node
+
+    def _predict_values(self, X):
+        """Leaf value of every row of ``X``."""
+        return self.tree_.value[self._apply(X)]
 
     def get_depth(self):
         """Return the depth of the fitted tree."""
         self._check_fitted("tree_")
-
-        def depth(node):
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        return depth(self.tree_)
+        tree = self.tree_
+        depth, level = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            level = level[tree.feature[level] >= 0]
+            if not len(level):
+                return depth
+            depth += 1
+            level = np.concatenate([tree.children_left[level], tree.children_right[level]])
 
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
@@ -448,7 +436,8 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y, y_numeric=True)
-        return self._fit_tree(X, self._sample_stats(y))
+        self._fit_tree(X, self._sample_stats(y))
+        return self
 
     def predict(self, X):
         self._check_fitted("tree_")
@@ -474,11 +463,10 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
 
     def fit(self, X, y):
         X, y = check_X_y(X, y)
-        self.classes_ = np.unique(y)
+        self.classes_, encoded = np.unique(y, return_inverse=True)
         self._n_classes = len(self.classes_)
-        index = {label: i for i, label in enumerate(self.classes_)}
-        encoded = np.asarray([index[label] for label in y], dtype=int)
-        return self._fit_tree(X, self._sample_stats(encoded))
+        self._fit_tree(X, self._sample_stats(encoded))
+        return self
 
     def predict_proba(self, X):
         self._check_fitted("tree_")

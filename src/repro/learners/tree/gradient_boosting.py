@@ -12,8 +12,11 @@ tree of a fit is grown on the training ``X`` itself (no per-stage copy) and
 all of them share one split-geometry memo for the duration of the fit (see
 ``repro.learners.tree.decision_tree``): a node whose rows an earlier tree
 already searched reuses that search's sort order and candidate layout and
-only rescores it on the new gradients.  The fitted model is bit for bit the
-one the memo-free loop grows, and carries no memo.
+only rescores it on the new gradients.  Such a stage also updates the
+training predictions from the leaf its build put each row in, instead of
+walking the rows down the new tree again; a subsampled stage predicts all
+of ``X``.  The fitted model is bit for bit the one the memo-free,
+predict-every-stage loop grows, and carries neither the memo nor the leaves.
 """
 
 import numpy as np
@@ -36,6 +39,7 @@ class _NewtonTree(_BaseDecisionTree):
         self.reg_lambda = reg_lambda
 
     def fit_gradients(self, X, gradients, hessians, geometry_memo=None):
+        """Grow the tree; returns the index of the leaf each row of ``X`` ends in."""
         stats = np.column_stack([gradients, hessians])
         return self._fit_tree(np.asarray(X, dtype=float), stats, geometry_memo)
 
@@ -92,8 +96,10 @@ class _BaseGradientBoosting(BaseEstimator):
 
         ``gradient_fn(raw_predictions)`` must return per-output
         ``(gradients, hessians)`` arrays of shape (n_samples, n_outputs).
-        Without subsampling every tree is grown on ``X`` itself and all of
-        them share one split-geometry memo, dropped when the loop ends.
+        Without subsampling every tree is grown on ``X`` itself, all of
+        them share one split-geometry memo, dropped when the loop ends, and
+        each stage's leaf values reach ``raw_predictions`` through the leaf
+        the build put each row in.
         """
         rng = check_random_state(self.random_state)
         n_samples = X.shape[0]
@@ -112,10 +118,11 @@ class _BaseGradientBoosting(BaseEstimator):
             for output in range(n_outputs):
                 seed = int(rng.randint(0, 2 ** 31 - 1))
                 tree = self._new_tree(seed)
-                tree.fit_gradients(
+                leaf = tree.fit_gradients(
                     X_fit, gradients[:, output], hessians[:, output], geometry_memo=memo
                 )
-                raw_predictions[:, output] += self.learning_rate * tree.predict_values(X)
+                values = tree.tree_.value[leaf] if X_fit is X else tree.predict_values(X)
+                raw_predictions[:, output] += self.learning_rate * values
                 stage.append(tree)
             self.stages_.append(stage)
         self.n_features_in_ = X.shape[1]
@@ -158,12 +165,10 @@ class GradientBoostingClassifier(_BaseGradientBoosting, ClassifierMixin):
     def fit(self, X, y):
         self._validate()
         X, y = check_X_y(X, y)
-        self.classes_ = np.unique(y)
+        self.classes_, encoded = np.unique(y, return_inverse=True)
         n_classes = len(self.classes_)
         if n_classes < 2:
             raise ValueError("GradientBoostingClassifier requires at least 2 classes")
-        index = {label: i for i, label in enumerate(self.classes_)}
-        encoded = np.asarray([index[label] for label in y], dtype=int)
         self._base_score = 0.0
 
         if n_classes == 2:

@@ -56,17 +56,13 @@ class _BaseForest(BaseEstimator):
     def feature_importances(self):
         """Importance of each feature: split usage weighted by node size."""
         self._check_fitted("estimators_")
-        counts = np.zeros(self.n_features_in_)
-
-        def visit(node):
-            if node is None or node.is_leaf:
-                return
-            counts[node.feature] += node.n_samples
-            visit(node.left)
-            visit(node.right)
-
-        for tree in self.estimators_:
-            visit(tree.tree_)
+        feature = np.concatenate([tree.tree_.feature for tree in self.estimators_])
+        n_samples = np.concatenate([tree.tree_.n_node_samples for tree in self.estimators_])
+        split = feature >= 0
+        # integer node sizes: the float sums are exact in any order
+        counts = np.bincount(
+            feature[split], weights=n_samples[split], minlength=self.n_features_in_
+        )
         total = counts.sum()
         return counts / total if total > 0 else counts
 

@@ -8,16 +8,19 @@ entry must be detected and degrade to a miss, never to wrong data.
 """
 
 import glob
+import io
 import multiprocessing
 import os
 import pickle
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.automl import AutoBazaarSearch, AutoBazaarSession
 from repro.automl import prefix_cache as prefix_cache_module
 from repro.automl.backends import _format_error
+from repro.automl.catalog import default_template_catalog, seed_templates
 from repro.automl.prefix_cache import (
     FittedPrefixCache,
     fold_data_key,
@@ -27,7 +30,9 @@ from repro.automl.prefix_cache import (
 )
 from repro.automl.search import cross_validate_template
 from repro.core.template import Template
-from repro.tasks import synth
+from repro.learners.tree import ExtraTreesFeatureSelector, RandomForestClassifier
+from repro.learners.tree.decision_tree import _BaseDecisionTree
+from repro.tasks import build_task_suite, synth
 from repro.tasks.task import split_task
 
 @pytest.fixture(autouse=True)
@@ -144,6 +149,64 @@ class TestPrefixFingerprints:
         cached_steps = pipeline.prefix_cache_info["misses"]
         assert cached_steps == pipeline._cacheable_prefix_length()
         assert cached_steps < len(pipeline.steps) - 1  # stops before the estimator
+
+
+class _StoringCache(FittedPrefixCache):
+    """A memory-only prefix cache that keeps every entry it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def put(self, fingerprint, artifacts):
+        self.stored.append(artifacts)
+        return super().put(fingerprint, artifacts)
+
+
+def _pickled_trees(artifacts):
+    """Names of the fitted trees pickling ``artifacts`` would write."""
+    trees = []
+
+    class Spotter(pickle.Pickler):
+        def persistent_id(self, obj):
+            if isinstance(obj, _BaseDecisionTree):
+                trees.append(type(obj).__name__)
+            return None
+
+    Spotter(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(artifacts)
+    return trees
+
+
+def test_no_cacheable_prefix_step_keeps_a_fitted_tree():
+    """No disk cache entry outlives a change to how fitted trees are stored.
+
+    A fitted tree pickled before its nodes became arrays no longer loads.
+    Prefix-cache entries, the only fitted state a search writes to disk,
+    stop before the first estimator step; no cacheable step of any catalog
+    template, and not the tree-backed ``ExtraTreesSelector``, pickles a tree.
+    """
+    fitted_forest = RandomForestClassifier(n_estimators=2, random_state=0).fit(
+        np.arange(8.0).reshape(4, 2), [0, 1, 0, 1])
+    assert _pickled_trees({"instance": fitted_forest}) == ["DecisionTreeClassifier"] * 2
+
+    catalog = default_template_catalog()
+    tasks = build_task_suite(total_tasks=15, random_state=0).by_task_type()
+    n_entries = 0
+    for task_type in catalog.task_types():
+        train, _ = split_task(tasks[task_type][0], test_size=0.3, random_state=0)
+        for template in seed_templates(catalog.get(*task_type), 0):
+            cache = _StoringCache()
+            template.build_pipeline().fit(
+                prefix_cache=cache, data_key=task_content_digest(train), **train.pipeline_data())
+            for artifacts in cache.stored:
+                assert _pickled_trees(artifacts) == [], template.name
+            n_entries += len(cache.stored)
+    assert n_entries > 0
+
+    task = synth.make_single_table_classification(n_samples=60, random_state=0)
+    X, y = task.context["X"], task.context["y"]
+    selector = ExtraTreesFeatureSelector(n_features=2, random_state=0).fit(X, y)
+    assert _pickled_trees({"instance": selector}) == []
 
 
 class TestFittedPrefixCache:

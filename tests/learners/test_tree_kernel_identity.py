@@ -6,7 +6,9 @@ all-features kernel, frozen here as the single reference semantics.  Search
 record digests depend on trees being reproduced to the last bit, so every
 comparison below is exact: node for node (feature, threshold, value,
 n_samples, impurity), ``array_equal`` on predictions, and the RNG left in
-the same state.
+the same state.  The reference still grows the linked ``_Node`` tree fitted
+trees were before they became node arrays; ``assert_same_tree`` walks its
+nodes alongside the arrays.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from repro.learners import ensemble
 from repro.learners.base import check_random_state
 from repro.learners.ensemble import AdaBoostClassifier
 from repro.learners.tree import decision_tree, gradient_boosting
-from repro.learners.tree.decision_tree import DecisionTreeClassifier, DecisionTreeRegressor, _Node
+from repro.learners.tree.decision_tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.learners.tree.extra_trees import (
     ExtraTreesClassifier,
     ExtraTreesRegressor,
@@ -37,6 +39,25 @@ from repro.learners.tree.random_forest import RandomForestClassifier, RandomFore
 
 
 # -- the frozen reference ---------------------------------------------------------------
+
+
+class _Node:
+    """A single node of a binary decision tree."""
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
+
+    def __init__(self, value, n_samples, impurity):
+        self.feature = None
+        self.threshold = None
+        self.left = None
+        self.right = None
+        self.value = value
+        self.n_samples = n_samples
+        self.impurity = impurity
+
+    @property
+    def is_leaf(self):
+        return self.feature is None
 
 
 class _ReferenceKernel:
@@ -128,6 +149,10 @@ class _ReferenceKernel:
                 best_gain = float(gains[index])
                 position = positions[index]
                 threshold = 0.5 * (sorted_values[position] + sorted_values[position + 1])
+                # not verbatim: the kernel's rule for a midpoint outside
+                # [below, above), which used to send every row to one side
+                if not sorted_values[position] <= threshold < sorted_values[position + 1]:
+                    threshold = sorted_values[position]
                 best = (int(feature), float(threshold))
         return best
 
@@ -201,7 +226,28 @@ class RefNanRegressor(_NanAtCount, _ReferenceKernel, DecisionTreeRegressor):
     pass
 
 
-class RefRandomForestRegressor(RandomForestRegressor):
+class _ReferenceImportances:
+    """The forests' importances when fitted trees were linked ``_Node`` trees."""
+
+    def feature_importances(self):
+        """Importance of each feature: split usage weighted by node size."""
+        self._check_fitted("estimators_")
+        counts = np.zeros(self.n_features_in_)
+
+        def visit(node):
+            if node is None or node.is_leaf:
+                return
+            counts[node.feature] += node.n_samples
+            visit(node.left)
+            visit(node.right)
+
+        for tree in self.estimators_:
+            visit(tree.tree_)
+        total = counts.sum()
+        return counts / total if total > 0 else counts
+
+
+class RefRandomForestRegressor(_ReferenceImportances, RandomForestRegressor):
     def _make_tree(self, seed):
         return RefRegressor(**self._tree_params(seed))
 
@@ -211,7 +257,7 @@ class RefRandomForestClassifier(RandomForestClassifier):
         return RefClassifier(**self._tree_params(seed))
 
 
-class RefExtraTreesRegressor(ExtraTreesRegressor):
+class RefExtraTreesRegressor(_ReferenceImportances, ExtraTreesRegressor):
     def _make_tree(self, seed):
         return RefExtraRegressor(**self._tree_params(seed))
 
@@ -389,18 +435,15 @@ EXAMPLES = settings(max_examples=200, deadline=None)
 
 @st.composite
 def cases(draw, matrices, params):
-    """``(X, rng, params)``, depth-limited when ``X`` holds ``+inf``.
+    """``(X, rng, params)``, ``max_depth=None`` included where ``X`` holds ``±inf``.
 
-    A winning split next to ``+inf`` gets the threshold ``inf`` (or NaN, next
-    to ``-inf``), which sends every row to one side; the reference then grows
-    the same node again until ``max_depth`` stops it, or for ever.  The new
-    kernel must repeat the chain, not the ``RecursionError``.
+    The midpoint of a winning split next to ``+inf`` is ``inf``, and between
+    ``-inf`` and ``+inf`` NaN; either used to send every row to one side, and
+    the same node grew again until ``max_depth`` stopped it, or for ever.
+    Both kernels now split at the lower value, so every split separates.
     """
     X, rng = draw(matrices)
-    chosen = draw(params)
-    if chosen["max_depth"] is None and np.isposinf(X).any():
-        chosen = dict(chosen, max_depth=6)
-    return X, rng, chosen
+    return X, rng, draw(params)
 
 
 def _targets(rng, n_rows, n_classes):
@@ -418,24 +461,28 @@ def _same(a, b):
 
 
 def assert_same_tree(new, reference):
-    """Both fitted trees have the same nodes in the same places."""
-    pairs = [(new.tree_, reference.tree_)]
-    n_nodes = 0
+    """The new tree's node arrays hold the reference's linked nodes, node for node."""
+    tree = new.tree_
+    pairs = [(0, reference.tree_)]
+    visited = []
     while pairs:
-        a, b = pairs.pop()
-        n_nodes += 1
-        assert a.n_samples == b.n_samples
-        assert a.feature == b.feature
-        assert _same(a.threshold if a.threshold is not None else np.nan,
-                     b.threshold if b.threshold is not None else np.nan)
-        assert (a.threshold is None) == (b.threshold is None)
-        assert _same(a.impurity, b.impurity)
-        assert _same(a.value, b.value)
-        assert np.shape(a.value) == np.shape(b.value)
-        if not a.is_leaf:
-            pairs.append((a.left, b.left))
-            pairs.append((a.right, b.right))
-    assert new.n_nodes_ == reference.n_nodes_ == n_nodes
+        index, node = pairs.pop()
+        visited.append(index)
+        assert tree.n_node_samples[index] == node.n_samples
+        assert (tree.feature[index] == -1) == node.is_leaf
+        if node.is_leaf:
+            assert node.threshold is None and np.isnan(tree.threshold[index])
+            assert tree.children_left[index] == tree.children_right[index] == -1
+        else:
+            assert tree.feature[index] == node.feature
+            assert _same(tree.threshold[index], node.threshold)
+            pairs.append((tree.children_left[index], node.left))
+            pairs.append((tree.children_right[index], node.right))
+        assert _same(tree.impurity[index], node.impurity)
+        assert _same(tree.value[index], node.value)
+        assert np.shape(tree.value[index]) == np.shape(node.value)
+    assert sorted(visited) == list(range(len(tree.feature)))
+    assert new.n_nodes_ == reference.n_nodes_ == len(visited)
 
 
 def fit_both(new, reference, fit):
@@ -756,6 +803,90 @@ class TestGeometryMemo:
                 assert not hasattr(tree, "_geometry_memo")
 
 
+# -- the node arrays --------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def recording_fits():
+    """Record ``(tree, X, geometry memo, per-row leaf)`` of every tree fitted inside."""
+    fits = []
+    fit_tree = decision_tree._BaseDecisionTree._fit_tree
+
+    def recording(self, X, stats, geometry_memo=None):
+        leaf = fit_tree(self, X, stats, geometry_memo)
+        fits.append((self, X, geometry_memo, leaf))
+        return leaf
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decision_tree._BaseDecisionTree, "_fit_tree", recording)
+        yield fits
+
+
+def assert_node_arrays(tree, X, leaf):
+    """``tree.tree_`` is one tree over the rows of ``X``, and ``leaf`` is where they end."""
+    arrays = tree.tree_
+    n_nodes = tree.n_nodes_
+    assert all(len(column) == n_nodes for column in arrays)
+    split = arrays.feature >= 0
+    parents = np.flatnonzero(split)
+    left, right = arrays.children_left[split], arrays.children_right[split]
+    # a child comes after its parent, and every node but the root has one parent
+    assert (left > parents).all() and (right > parents).all()
+    assert np.array_equal(np.sort(np.concatenate([left, right])), np.arange(1, n_nodes))
+    assert (arrays.feature[split] < X.shape[1]).all()
+    assert not np.isnan(arrays.threshold[split]).any()
+    # the leaf conventions
+    assert (arrays.feature[~split] == -1).all()
+    assert np.isnan(arrays.threshold[~split]).all()
+    assert (arrays.children_left[~split] == -1).all()
+    assert (arrays.children_right[~split] == -1).all()
+    # node sizes: the root holds every row, a split its children's, and no
+    # child has fewer than min_samples_leaf
+    samples = arrays.n_node_samples
+    assert samples[0] == len(X)
+    assert np.array_equal(samples[split], samples[left] + samples[right])
+    assert (samples[1:] >= tree.min_samples_leaf).all()
+    # the leaf the fit put each row in is the leaf prediction reaches
+    assert leaf.shape == (len(X),) and not split[leaf].any()
+    assert np.array_equal(leaf, tree._apply(X))
+    assert np.array_equal(np.bincount(leaf, minlength=n_nodes)[~split], samples[~split])
+
+
+NODE_ARRAY_FITS = {
+    "regressor": lambda X, y, params: DecisionTreeRegressor(**params).fit(X, y.astype(float)),
+    "classifier": lambda X, y, params: DecisionTreeClassifier(**params).fit(X, y),
+    "extra-trees regressor":
+        lambda X, y, params: _ExtraTreeRegressor(**params).fit(X, y.astype(float)),
+    "extra-trees classifier": lambda X, y, params: _ExtraTreeClassifier(**params).fit(X, y),
+    "newton tree": lambda X, y, params: _NewtonTree(**params).fit_gradients(
+        X, y - y.mean(), np.linspace(1e-6, 0.25, len(X))),
+}
+
+
+class TestNodeArrays:
+    @given(case=cases(feature_matrices(max_rows=80, max_cols=16), tree_params),
+           kind=st.sampled_from(sorted(NODE_ARRAY_FITS) + ["boosting"]),
+           n_classes=st.integers(2, 4), subsample=st.sampled_from([1.0, 1.0, 0.6]))
+    @EXAMPLES
+    def test_every_fitted_tree_holds_the_array_invariants(self, case, kind, n_classes, subsample):
+        X, rng, params = case
+        y = _targets(rng, len(X), n_classes)
+        with recording_fits() as fits:
+            if kind == "boosting":
+                # a multi-class fit grows one Newton tree per class and stage; only
+                # unsubsampled stages share a geometry memo
+                boosting = {key: params[key] for key in
+                            ("max_depth", "min_samples_leaf", "max_thresholds", "random_state")}
+                GradientBoostingClassifier(n_estimators=3, subsample=subsample, **boosting).fit(X, y)
+            else:
+                NODE_ARRAY_FITS[kind](X, y, params)
+        n_outputs = len(np.unique(y)) if kind == "boosting" and len(np.unique(y)) > 2 else 1
+        assert len(fits) == (3 * n_outputs if kind == "boosting" else 1)
+        for tree, X_fit, memo, leaf in fits:
+            assert (memo is not None) == (kind == "boosting" and subsample == 1.0)
+            assert_node_arrays(tree, X_fit, leaf)
+
+
 # -- the edges, pinned ------------------------------------------------------------------
 
 
@@ -766,12 +897,13 @@ class TestReferenceSemanticsAtTheEdges:
         column = np.array([0.0, 1.0, 2.0, 3.0])
         X = np.column_stack([column, np.zeros(4), column])
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        for tree_class in (DecisionTreeRegressor, RefRegressor):
-            root = tree_class(max_depth=1).fit(X, y).tree_
-            assert (root.feature, root.threshold) == (0, 0.5)
-        # ... and with the duplicate first in candidate order, it wins
-        root = DecisionTreeRegressor(max_depth=1).fit(X[:, ::-1], y).tree_
+        root = RefRegressor(max_depth=1).fit(X, y).tree_
         assert (root.feature, root.threshold) == (0, 0.5)
+        tree = DecisionTreeRegressor(max_depth=1).fit(X, y).tree_
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+        # ... and with the duplicate first in candidate order, it wins
+        tree = DecisionTreeRegressor(max_depth=1).fit(X[:, ::-1], y).tree_
+        assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
 
     def test_constant_features_consume_no_draw(self):
         X = np.column_stack([np.ones(6), np.arange(6.0), np.full(6, np.inf)])
@@ -790,9 +922,9 @@ class TestReferenceSemanticsAtTheEdges:
         # a 4-pick linspace over 89 positions (0, 29, 58, 88) cannot find it
         y = (X[:, 1] > np.sort(X[:, 1])[41]).astype(float)
         exhaustive = DecisionTreeRegressor(max_depth=1, max_thresholds=everything).fit(X, y)
-        assert exhaustive.tree_.left.impurity == exhaustive.tree_.right.impurity == 0.0
+        assert exhaustive.n_nodes_ == 3 and (exhaustive.tree_.impurity[1:] == 0.0).all()
         limited = DecisionTreeRegressor(max_depth=1, max_thresholds=4).fit(X, y)
-        assert limited.tree_.left.impurity + limited.tree_.right.impurity > 0.0
+        assert limited.n_nodes_ == 3 and limited.tree_.impurity[1:].sum() > 0.0
         assert_same_tree(
             exhaustive, RefRegressor(max_depth=1, max_thresholds=everything).fit(X, y))
         assert_same_tree(limited, RefRegressor(max_depth=1, max_thresholds=4).fit(X, y))
@@ -800,7 +932,7 @@ class TestReferenceSemanticsAtTheEdges:
     def test_min_samples_leaf_masking_is_no_split_not_an_error(self):
         X = np.arange(3.0).reshape(-1, 1)
         tree = DecisionTreeRegressor(min_samples_leaf=2).fit(X, np.arange(3.0))
-        assert tree.tree_.is_leaf and tree.n_nodes_ == 1
+        assert tree.tree_.feature[0] == -1 and tree.n_nodes_ == 1
         assert np.array_equal(tree.predict(X), np.ones(3))
 
     def test_many_classes_sum_in_the_same_order(self):

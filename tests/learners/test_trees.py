@@ -35,13 +35,9 @@ class TestDecisionTreeClassifier:
     def test_min_samples_leaf_respected(self, classification_data):
         X, y = classification_data
         model = DecisionTreeClassifier(min_samples_leaf=20, random_state=0).fit(X, y)
-
-        def leaves(node):
-            if node.is_leaf:
-                return [node]
-            return leaves(node.left) + leaves(node.right)
-
-        assert all(leaf.n_samples >= 20 for leaf in leaves(model.tree_))
+        leaves = model.tree_.feature == -1
+        assert leaves.sum() > 1
+        assert (model.tree_.n_node_samples[leaves] >= 20).all()
 
     def test_predict_proba_sums_to_one(self, multiclass_data):
         X, y = multiclass_data
@@ -58,7 +54,7 @@ class TestDecisionTreeClassifier:
         X = np.ones((10, 2))
         y = np.zeros(10, dtype=int)
         model = DecisionTreeClassifier(random_state=0).fit(X, y)
-        assert model.tree_.is_leaf
+        assert model.n_nodes_ == 1 and model.tree_.feature[0] == -1
 
     def test_invalid_min_samples_split(self):
         with pytest.raises(ValueError):
@@ -84,6 +80,40 @@ class TestDecisionTreeRegressor:
         y = np.full(10, 3.0)
         model = DecisionTreeRegressor(random_state=0).fit(X, y)
         assert np.allclose(model.predict(X), 3.0)
+
+
+class TestSplitThresholds:
+    """A midpoint outside ``[below, above)`` splits at ``below``, so both sides keep rows."""
+
+    PAIRS = {
+        "adjacent, 0.1 + 0.2": (0.3, 0.1 + 0.2),
+        "adjacent above 1": (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+        "overflow to +inf": (1e308, 1.5e308),
+        "overflow to -inf": (-1.5e308, -1e308),
+        "next to +inf": (1.0, np.inf),
+        "-inf and +inf": (-np.inf, np.inf),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    @pytest.mark.parametrize("max_depth", [None, 1, 3])
+    def test_two_values_split_in_two(self, pair, max_depth):
+        below, above = pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            midpoint = 0.5 * (below + above)
+        assert not below <= midpoint < above
+        X = np.array([[below], [above], [below], [above]])
+        y = np.array([0, 1, 0, 1])
+        trees = [DecisionTreeClassifier(max_depth=max_depth, random_state=0),
+                 DecisionTreeRegressor(max_depth=max_depth, random_state=0)]
+        forest = RandomForestClassifier(n_estimators=3, max_depth=max_depth, random_state=0)
+        for model in trees + [forest]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                model.fit(X, y)
+            assert np.array_equal(model.predict(X), y)
+        for tree in trees:
+            assert tree.n_nodes_ == 3 and tree.tree_.threshold[0] == below
+            assert np.array_equal(tree.tree_.n_node_samples, [4, 2, 2])
+            assert not np.isnan(tree.tree_.value).any()
 
 
 class TestRandomForest:
@@ -225,15 +255,6 @@ class TestGradientBoosting:
             GradientBoostingClassifier().fit(np.ones((5, 2)), np.zeros(5))
 
 
-def _single_trees(model):
-    """Every fitted CART tree inside ``model``."""
-    if hasattr(model, "tree_"):
-        return [model]
-    if hasattr(model, "stages_"):
-        return [tree for stage in model.stages_ for tree in stage]
-    return list(model.estimators_)
-
-
 class TestPickling:
     ESTIMATORS = [
         (DecisionTreeClassifier(max_depth=4, random_state=0), "multiclass"),
@@ -259,16 +280,3 @@ class TestPickling:
         assert np.array_equal(restored.predict(X), model.predict(X))
         if hasattr(model, "predict_proba"):
             assert np.array_equal(restored.predict_proba(X), model.predict_proba(X))
-
-    def test_pickle_from_before_flat_arrays_still_predicts(self, fitted):
-        """A disk prefix-cache entry or saved pipeline written before trees
-        carried flat arrays has only ``tree_``; the arrays are built on the
-        first predict."""
-        model, X = fitted
-        expected = model.predict(X)
-        for tree in _single_trees(model):
-            del tree._flat_tree
-        restored = pickle.loads(pickle.dumps(model))
-        assert not any(hasattr(tree, "_flat_tree") for tree in _single_trees(restored))
-        assert np.array_equal(restored.predict(X), expected)
-        assert all(hasattr(tree, "_flat_tree") for tree in _single_trees(restored))
